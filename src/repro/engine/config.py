@@ -116,12 +116,6 @@ class EngineConfig:
     group_commit: bool = False
     group_commit_max: int = 16
     group_commit_wait_us: int = 200
-    #: scan execution kernel (PR 10): materialise range scans in
-    #: leaf-page-sized chunks (table latch dropped between chunks),
-    #: batch-resolve visibility against one snapshot, and build/acquire
-    #: a chunk's lock resources in one stripe-grouped batch.  Off falls
-    #: back to the per-row scan loop (the honest benchmark baseline).
-    scan_kernel: bool = True
     #: rows per scan chunk; 0 uses the table's B+-tree page order.
     scan_chunk_size: int = 0
     #: SSI scans that materialise at least this many rows take

@@ -496,11 +496,7 @@ class Database:
             return
         ticket = txn._commit_ticket
         if ticket is None:
-            self._check_doom(txn)
-            if not txn.is_active:
-                raise TransactionStateError(
-                    f"transaction {txn.id} is {txn.status.value}"
-                )
+            self._check_op(txn)
             ticket, is_leader = batcher.submit(txn)
             txn._commit_ticket = ticket
             if is_leader:
@@ -528,9 +524,7 @@ class Database:
         InnoDB (Section 4.4, "locks are not released until after the log
         has been flushed").
         """
-        self._check_doom(txn)
-        if not txn.is_active:
-            raise TransactionStateError(f"transaction {txn.id} is {txn.status.value}")
+        self._check_op(txn)
         page_mode = self.config.granularity is LockGranularity.PAGE
         if txn.policy.certifies:
             # The commit decision — certification through status flip — is
@@ -538,47 +532,18 @@ class Database:
             # between a clean unsafe check and the transaction turning
             # COMMITTED without being serialised before the check.
             with self._tracker_latch:
-                error = txn.policy.before_commit(txn)
-                if error is None and self._prepared:
-                    # Committing now must not complete a dangerous
-                    # structure around a prepared pivot: the pivot can no
-                    # longer abort locally, so this transaction yields.
-                    error = self._endangering_prepared(txn)
+                error = self._certify(txn)
                 if error is None:
-                    self._logical_commit(txn, page_mode)
-                    if self.safe_snapshots is not None:
-                        # Before after_commit: the enhanced tracker munges
-                        # committed conflict references to self-references
-                        # there, and the monitor needs the real T_out.
-                        self.safe_snapshots.on_commit(txn)
-                    txn.policy.after_commit(txn)
+                    self._install_commit(txn, page_mode)
         else:
             # No certification hooks (plain SI, S2PL): nothing for the
             # tracker latch to order against.
             error = None
-            self._logical_commit(txn, page_mode)
+            self._install_commit(txn, page_mode)
         if error is not None:
             self._abort_internal(txn, error.reason)
             raise error
-        self.stats.inc("commits")
-        # Log I/O and reporting run outside every latch.  Locks are still
-        # held (finalize_commit releases them), so the flush-then-release
-        # ordering above is preserved.
-        if self.wal is not None and txn.write_set:
-            for (table_name, key), value in txn.write_set.items():
-                self.wal.log_write(
-                    txn.id, table_name, key,
-                    None if value is TOMBSTONE else value,
-                    tombstone=value is TOMBSTONE,
-                    kind=txn.write_kinds.get((table_name, key), "write"),
-                )
-            self.wal.log_commit(txn.id, txn.commit_ts)
-            if self.config.wal_flush_on_commit:
-                self.wal.flush()
-        if self.history is not None:
-            self.history.on_commit(txn.id, txn.commit_ts)
-        if self.trace is not None:
-            self.trace.emit(EventType.COMMIT, txn.id, commit_ts=txn.commit_ts)
+        self._publish_commits((txn,))
 
     # --------------------------------------------- two-phase commit seam
 
@@ -611,24 +576,16 @@ class Database:
         global id.  A failed certification aborts the transaction and
         raises, exactly like :meth:`prepare_commit`.
         """
-        self._check_doom(txn)
-        if not txn.is_active:
-            raise TransactionStateError(f"transaction {txn.id} is {txn.status.value}")
+        self._check_op(txn)
+        certifies = txn.policy.certifies
         summary = _EMPTY_SUMMARY.copy()
-        if txn.policy.certifies:
-            with self._tracker_latch:
-                error = txn.policy.before_commit(txn)
-                if error is None and self._prepared:
-                    error = self._endangering_prepared(txn)
-                if error is None:
-                    txn.prepared = True
-                    self._prepared.add(txn)
-                    summary = self._conflict_summary(txn)
-        else:
-            error = None
-            with self._tracker_latch:
+        with self._tracker_latch:
+            error = self._certify(txn) if certifies else None
+            if error is None:
                 txn.prepared = True
                 self._prepared.add(txn)
+                if certifies:
+                    summary = self._conflict_summary(txn)
         if error is not None:
             self._abort_internal(txn, error.reason)
             raise error
@@ -666,10 +623,11 @@ class Database:
                 f"commit_prepared of transaction {txn.id} before prepare"
             )
         page_mode = self.config.granularity is LockGranularity.PAGE
-        if txn.policy.certifies:
-            with self._tracker_latch:
-                self._prepared.discard(txn)
-                txn.prepared = False
+        certifies = txn.policy.certifies
+        with self._tracker_latch:
+            self._prepared.discard(txn)
+            txn.prepared = False
+            if certifies:
                 # Merged flags land in slots this shard saw empty, as the
                 # most conservative encoding the slot type admits: True
                 # for the boolean tracker (empty value False), a
@@ -679,31 +637,66 @@ class Database:
                     txn.in_conflict = True if txn.in_conflict is False else txn
                 if import_out and not txn.out_conflict:
                     txn.out_conflict = True if txn.out_conflict is False else txn
-                self._logical_commit(txn, page_mode)
-                if self.safe_snapshots is not None:
-                    self.safe_snapshots.on_commit(txn)
-                txn.policy.after_commit(txn)
-        else:
-            with self._tracker_latch:
-                self._prepared.discard(txn)
-                txn.prepared = False
-            self._logical_commit(txn, page_mode)
-        self.stats.inc("commits")
-        if self.wal is not None and txn.write_set:
-            for (table_name, key), value in txn.write_set.items():
-                self.wal.log_write(
-                    txn.id, table_name, key,
-                    None if value is TOMBSTONE else value,
-                    tombstone=value is TOMBSTONE,
-                    kind=txn.write_kinds.get((table_name, key), "write"),
-                )
-            self.wal.log_commit(txn.id, txn.commit_ts)
-            if self.config.wal_flush_on_commit:
-                self.wal.flush()
-        if self.history is not None:
-            self.history.on_commit(txn.id, txn.commit_ts)
-        if self.trace is not None:
-            self.trace.emit(EventType.COMMIT, txn.id, commit_ts=txn.commit_ts)
+                self._install_commit(txn, page_mode)
+        if not certifies:  # nothing for the tracker latch to order against
+            self._install_commit(txn, page_mode)
+        self._publish_commits((txn,))
+
+    # ---------------------------------------------------- commit pipeline
+
+    def _certify(self, txn: Transaction) -> TransactionAbortedError | None:
+        """Step 1, tracker-latched: the commit-time unsafe check, plus the
+        rule that committing must not complete a dangerous structure
+        around a prepared pivot (the pivot can no longer abort locally,
+        so this transaction yields).  Returns the veto, or None."""
+        error = txn.policy.before_commit(txn)
+        if error is None and self._prepared:
+            error = self._endangering_prepared(txn)
+        return error
+
+    def _install_commit(self, txn: Transaction, page_mode: bool) -> None:
+        """Step 2, tracker-latched for certifying policies: commit
+        timestamp, status flip, version install, then the policy's
+        post-commit bookkeeping."""
+        self._logical_commit(txn, page_mode)
+        if txn.policy.certifies:
+            if self.safe_snapshots is not None:
+                # Before after_commit: the enhanced tracker munges
+                # committed conflict references to self-references
+                # there, and the monitor needs the real T_out.
+                self.safe_snapshots.on_commit(txn)
+            txn.policy.after_commit(txn)
+
+    def _publish_commits(self, txns) -> None:
+        """Step 3, no latch held: redo records for ``txns`` (committed,
+        in commit order), one flush covering all of them, then the
+        commit counter, history and trace.  The members' locks are still
+        held — finalize_commit releases them — which is the paper's
+        flush-before-release ordering (Section 4.4); and recovery never
+        sees a torn group: the one flush happened or it did not."""
+        wal = self.wal
+        if wal is not None:
+            logged = False
+            for txn in txns:
+                if not txn.write_set:
+                    continue
+                for (table_name, key), value in txn.write_set.items():
+                    wal.log_write(
+                        txn.id, table_name, key,
+                        None if value is TOMBSTONE else value,
+                        tombstone=value is TOMBSTONE,
+                        kind=txn.write_kinds.get((table_name, key), "write"),
+                    )
+                wal.log_commit(txn.id, txn.commit_ts)
+                logged = True
+            if logged and self.config.wal_flush_on_commit:
+                wal.flush()
+        self.stats.inc("commits", len(txns))
+        for txn in txns:
+            if self.history is not None:
+                self.history.on_commit(txn.id, txn.commit_ts)
+            if self.trace is not None:
+                self.trace.emit(EventType.COMMIT, txn.id, commit_ts=txn.commit_ts)
 
     def _endangering_prepared(
         self, txn: Transaction
@@ -951,25 +944,18 @@ class Database:
         the result then only depends on keys up to the cut point) should
         use :meth:`scan_prefix`.
 
-        Execution: with ``config.scan_kernel`` (the default) the chunked
-        kernel materialises the key set in leaf-page-sized batches —
-        dropping the table latch between chunks — acquires each lock
-        round's resources in one stripe-grouped batch, optionally covers
-        wide SSI scans with up-front page-granularity SIREADs
-        (``config.scan_page_lock_threshold``), and resolves visibility
-        batch-at-a-time against the one snapshot.  With it off, the
-        original per-row loop runs.  Both arms preserve the same
-        pairwise guarantee and keyset re-probe semantics (commentary in
-        :meth:`_scan_per_row`).
+        Execution: the key set is materialised in leaf-page-sized
+        chunks — dropping the table latch between chunks — each lock
+        round's resources are acquired in one stripe-grouped batch, wide
+        SSI scans are optionally covered with up-front page-granularity
+        SIREADs (``config.scan_page_lock_threshold``), and visibility is
+        resolved batch-at-a-time against the one snapshot.
         """
         self._check_op(txn)
         table = self.table(table_name)
         self._ensure_snapshot(txn)
         self.stats.inc("scans")
-        if self.config.scan_kernel:
-            results, seen = self._scan_chunked(txn, table, table_name, lo, hi)
-        else:
-            results, seen = self._scan_per_row(txn, table, table_name, lo, hi)
+        results, seen = self._scan_chunked(txn, table, table_name, lo, hi)
         # Own uncommitted writes overlay the scan result.
         results = self._overlay_write_set(txn, table_name, lo, hi, results)
         if self.history is not None and txn.read_ts is not None:
@@ -981,152 +967,6 @@ class Database:
         if limit is not None:
             results = results[:limit]
         return results
-
-    def _scan_per_row(
-        self,
-        txn: Transaction,
-        table,
-        table_name: str,
-        lo: Hashable | None,
-        hi: Hashable | None,
-    ) -> tuple[list[tuple[Hashable, Any]], list[Hashable]]:
-        """The pre-kernel scan path (``config.scan_kernel=False``): one
-        table-latch hold materialises the whole range, then rows are
-        locked and resolved one at a time.  Kept verbatim as the honest
-        benchmark baseline and a behavioural reference for the kernel.
-        """
-        read_mode = txn.policy.read_lock_mode(txn)
-        keyset_before = table.keyset_version
-        chains = table.scan_chains(lo, hi)
-        if read_mode is not None:
-            # The whole predicate's read locks — each row's gap + record,
-            # plus the boundary gap beyond the range so inserts just past
-            # it (or into an empty range) are detected — are acquired in
-            # one lock-manager batch: one stripe latch per stripe touched
-            # instead of two latch pairs per row.  Locks land *before*
-            # any row is resolved, which only strengthens the pairwise
-            # guarantee: a writer arriving after this point sees them
-            # and reports the edge itself.  Contended SHARED resources
-            # come back deferred and go through the normal blocking path.
-            #
-            # One window remains after materialisation and before the
-            # batch lands: a writer whose entire lock lifetime (acquire,
-            # commit, finalize-release) fits inside it leaves no lock for
-            # the batch acquire to collide with, and its new key is
-            # absent from the stale materialised list — the rw edge (or,
-            # under S2PL, the row itself) would be silently lost.  So
-            # after each batch the table's key-set version (bumped under
-            # the table latch on every chain add/remove, sampled before
-            # materialisation) is re-probed, and only if it moved is the
-            # key set re-materialised and any fresh keys (plus a moved
-            # boundary) locked in another round.  The common
-            # uncontended scan pays one latch-free int probe, never a
-            # second tree walk.  The loop converges: the locks already
-            # placed make the window one-shot per key, and
-            # ``requested`` only grows.
-            cache = (
-                txn._siread_cache
-                if read_mode is LockMode.SIREAD
-                else None
-            )
-            requested: set = set()
-            while True:
-                wanted: list = []
-                covered: list = []
-                for key, _chain in chains:
-                    for resource in (
-                        self._gap_resource_for(table_name, key),
-                        self._rec_resource(table_name, key),
-                    ):
-                        if resource in requested:
-                            continue
-                        requested.add(resource)
-                        if cache is not None:
-                            if resource in cache:
-                                continue
-                            cache.add(resource)
-                            if self._covered_by_coarse(
-                                txn, table_name, resource
-                            ):
-                                # An escalated sentinel of our own covers
-                                # this unit: skip the fine acquire, keep
-                                # the reader-side detection probe below.
-                                covered.append(resource)
-                                continue
-                        wanted.append(resource)
-                boundary = table.successor(hi) if hi is not None else SUPREMUM
-                resource = self._gap_resource_for(table_name, boundary)
-                if resource not in requested:
-                    requested.add(resource)
-                    if cache is None or resource not in cache:
-                        if cache is not None:
-                            cache.add(resource)
-                        if cache is not None and self._covered_by_coarse(
-                            txn, table_name, resource
-                        ):
-                            covered.append(resource)
-                        else:
-                            wanted.append(resource)
-                if covered:
-                    for resource in covered:
-                        for lock in self.locks.probe_detection(
-                            txn, resource, read_mode
-                        ):
-                            self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-                if not wanted:
-                    # Every resource the current key set needs was
-                    # requested before the last materialisation, so any
-                    # committed insert since would have collided with a
-                    # lock already in the table.
-                    break
-                conflicts, deferred = self.locks.acquire_read_batch(
-                    txn, wanted, read_mode
-                )
-                for lock in conflicts:
-                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-                for resource in deferred:
-                    result = self._acquire(txn, resource, read_mode)
-                    for lock in result.detection_conflicts:
-                        self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-                keyset_now = table.keyset_version
-                if keyset_now == keyset_before:
-                    # Key set unchanged since before materialisation: a
-                    # writer still mid-flight will collide with the locks
-                    # now in the table and report its own edge.
-                    break
-                keyset_before = keyset_now
-                chains = table.scan_chains(lo, hi)
-            if (
-                read_mode is LockMode.SIREAD
-                and self.config.siread_budget is not None
-            ):
-                # The batch above may have pushed the lock table past its
-                # budget; escalate with no latch held, before row
-                # resolution.
-                self._escalate_sireads()
-        results: list[tuple[Hashable, Any]] = []
-        seen: list[Hashable] = []
-        deferred_reads: list | None = [] if txn.policy.tracks_reads else None
-        for key, chain in chains:
-            value, found = self._visible_value(
-                txn, table_name, key, chain, count=False,
-                deferred=deferred_reads,
-            )
-            if found:
-                results.append((key, value))
-                seen.append(key)
-        if chains:
-            self.stats.inc("reads", len(chains))
-        if deferred_reads:
-            # Replay the per-row conflict detection under one tracker
-            # section (the SIREAD sentinels are already in the table, so
-            # any writer arriving since row resolution reported its edge
-            # from the write side).
-            with self._tracker_latch:
-                on_read = txn.policy.on_read
-                for key, chain, version in deferred_reads:
-                    on_read(txn, table_name, key, chain, version)
-        return results, seen
 
     def _materialize_chunks(
         self, table, lo: Hashable | None, hi: Hashable | None
@@ -1148,10 +988,10 @@ class Database:
         lo: Hashable | None,
         hi: Hashable | None,
     ) -> tuple[list[tuple[Hashable, Any]], list[Hashable]]:
-        """The chunked scan kernel: latch-bounded materialisation, one
-        batched lock round per key-set generation, batch visibility
-        resolution.  Wide SSI scans switch to up-front page-granularity
-        SIREADs (:meth:`_scan_lock_pages`)."""
+        """The scan kernel: latch-bounded materialisation, one batched
+        lock round per key-set generation, batch visibility resolution.
+        Wide SSI scans switch to up-front page-granularity SIREADs
+        (:meth:`_scan_lock_pages`)."""
         read_mode = txn.policy.read_lock_mode(txn)
         keyset_before = table.keyset_version
         chains = self._materialize_chunks(table, lo, hi)
@@ -1189,28 +1029,40 @@ class Database:
         keyset_before: int,
         read_mode: LockMode,
     ) -> list:
-        """Record-granularity lock rounds of the chunked kernel.
+        """Per-row lock rounds of a scan (gap + record resources, or
+        their covering leaf pages under PAGE granularity).
 
-        Same protocol and convergence argument as :meth:`_scan_per_row`
-        (locks land before resolution; the key-set version is re-probed
-        after each batch; ``requested`` only grows), with the per-row
-        overheads hoisted: the granularity branch is taken once, RECORD
-        resources are built as plain tuples with no table-latch traffic,
-        and covered resources are probed through one stripe-grouped
-        batch instead of one latch acquisition each."""
-        lm = self.locks
-        cache = txn._siread_cache if read_mode is LockMode.SIREAD else None
+        Each round locks the whole predicate — every row's gap + record,
+        plus the boundary gap beyond the range so inserts just past it
+        (or into an empty range) are detected — *before* any row is
+        resolved: a writer arriving later sees the locks and reports the
+        edge itself.
+
+        One window remains between materialisation and the batch: a
+        writer whose entire lock lifetime (acquire, commit, release)
+        fits inside it leaves no lock to collide with, and its new key
+        is absent from the stale list — the rw edge (or, under S2PL, the
+        row itself) would be silently lost.  So after each round the
+        table's key-set version (bumped under the table latch on every
+        chain add/remove, sampled before materialisation) is re-probed,
+        and only if it moved is the range re-materialised and any fresh
+        key (or moved boundary) locked in another round; the uncontended
+        scan pays one latch-free int probe, never a second tree walk.
+        The loop converges: ``requested`` only grows, and a round that
+        acquires nothing fresh proves every resource the current key set
+        needs was in the table before the last materialisation, so any
+        insert committed since collided with one."""
         page_locked = self.config.granularity is LockGranularity.PAGE
         requested: set = set()
         while True:
             candidates: list = []
+            boundary = table.successor(hi) if hi is not None else SUPREMUM
             if page_locked:
                 leaf_page_of = table.leaf_page_of
                 for key, _chain in chains:
                     candidates.append(
                         page_resource(table_name, leaf_page_of(key))
                     )
-                boundary = table.successor(hi) if hi is not None else SUPREMUM
                 candidates.append(
                     page_resource(table_name, leaf_page_of(boundary))
                 )
@@ -1218,44 +1070,68 @@ class Database:
                 for key, _chain in chains:
                     candidates.append(gap_resource(table_name, key))
                     candidates.append(record_resource(table_name, key))
-                boundary = table.successor(hi) if hi is not None else SUPREMUM
                 candidates.append(gap_resource(table_name, boundary))
-            wanted: list = []
-            covered: list = []
-            for resource in candidates:
-                if resource in requested:
-                    continue
-                requested.add(resource)
-                if cache is not None:
-                    if resource in cache:
-                        continue
-                    cache.add(resource)
-                    if self._covered_by_coarse(txn, table_name, resource):
-                        covered.append(resource)
-                        continue
-                wanted.append(resource)
-            if covered:
-                for lock in lm.probe_detection_batch(
-                    txn, covered, read_mode
-                ):
-                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            if not wanted:
+            if not self._read_lock_batch(
+                txn, table_name, candidates, read_mode, requested
+            ):
                 break
-            conflicts, deferred = lm.acquire_read_batch(
-                txn, wanted, read_mode
-            )
-            for lock in conflicts:
-                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            for resource in deferred:
-                result = self._acquire(txn, resource, read_mode)
-                for lock in result.detection_conflicts:
-                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
             keyset_now = table.keyset_version
             if keyset_now == keyset_before:
+                # Key set unchanged since before materialisation: a
+                # writer still mid-flight will collide with the locks
+                # now in the table and report its own edge.
                 break
             keyset_before = keyset_now
             chains = self._materialize_chunks(table, lo, hi)
         return chains
+
+    def _read_lock_batch(
+        self,
+        txn: Transaction,
+        table_name: str,
+        resources: list,
+        read_mode: LockMode,
+        requested: set,
+    ) -> bool:
+        """The read-lock round of a predicate read (Fig 3.6; SHARED
+        next-key locks under S2PL): acquire every resource this scan has
+        not ``requested`` yet in one stripe-grouped lock-manager batch,
+        dispatching an rw edge per conflicting writer.  SIREADs the
+        transaction already holds are skipped; a unit one of its own
+        escalated sentinels covers gets no fine lock — writers see the
+        coarse one — but still owes the reader-side Fig 3.4 probe
+        against granted EXCLUSIVE holders.  Contended SHARED resources
+        come back deferred and take the normal blocking path.  True when
+        something fresh was acquired (a key-set re-probe is then owed)."""
+        lm = self.locks
+        cache = txn._siread_cache if read_mode is LockMode.SIREAD else None
+        wanted: list = []
+        covered: list = []
+        for resource in resources:
+            if resource in requested:
+                continue
+            requested.add(resource)
+            if cache is not None:
+                if resource in cache:
+                    continue
+                cache.add(resource)
+                if self._covered_by_coarse(txn, table_name, resource):
+                    covered.append(resource)
+                    continue
+            wanted.append(resource)
+        if covered:
+            for lock in lm.probe_detection_batch(txn, covered, read_mode):
+                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+        if not wanted:
+            return False
+        conflicts, deferred = lm.acquire_read_batch(txn, wanted, read_mode)
+        for lock in conflicts:
+            self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+        for resource in deferred:
+            result = self._acquire(txn, resource, read_mode)
+            for lock in result.detection_conflicts:
+                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+        return True
 
     def _scan_lock_pages(
         self,
@@ -1350,12 +1226,14 @@ class Database:
         history handle and snapshot read_ts are read once, and the
         snapshot's ts-array tail check is inlined (the one-slot memo is
         useless on a scan — every chain is distinct).  Semantics are
-        identical to the per-row path: own uncommitted writes
+        those of a point read per row: own uncommitted writes
         short-circuit before any detection or history (a tombstone
         skips the row entirely), every other row records its read and
-        feeds conflict detection, and the collected (key, chain,
-        version) triples replay through on_read under a single
-        tracker-latch section."""
+        feeds conflict detection — the collected (key, chain, version)
+        triples replay through on_read under a single tracker-latch
+        section (the SIREAD sentinels are already in the table, so any
+        writer arriving since row resolution reported its edge from the
+        write side)."""
         results: list[tuple[Hashable, Any]] = []
         seen: list[Hashable] = []
         policy = txn.policy
@@ -1399,7 +1277,6 @@ class Database:
         if chains:
             self.stats.inc("reads", len(chains))
         if deferred:
-            # Same single tracker-latch replay as the per-row path.
             with self._tracker_latch:
                 on_read = policy.on_read
                 for key, chain, version in deferred:
@@ -1454,48 +1331,10 @@ class Database:
         self.stats.inc("scans")
         read_mode = txn.policy.read_lock_mode(txn)
         chunk_size = self.config.scan_chunk_size or None
-        lm = self.locks
-        cache = (
-            txn._siread_cache if read_mode is LockMode.SIREAD else None
-        )
         uses_snapshots = txn.policy.uses_snapshots
         if uses_snapshots:
             snapshot = txn.snapshot
         requested: set = set()
-
-        def lock_batch(resources: list) -> None:
-            wanted: list = []
-            covered: list = []
-            for resource in resources:
-                if resource in requested:
-                    continue
-                requested.add(resource)
-                if cache is not None:
-                    if resource in cache:
-                        continue
-                    cache.add(resource)
-                    if self._covered_by_coarse(txn, table_name, resource):
-                        covered.append(resource)
-                        continue
-                wanted.append(resource)
-            if covered:
-                for lock in lm.probe_detection_batch(
-                    txn, covered, read_mode
-                ):
-                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            if not wanted:
-                return
-            nonlocal locked_any
-            locked_any = True
-            conflicts, deferred = lm.acquire_read_batch(
-                txn, wanted, read_mode
-            )
-            for lock in conflicts:
-                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            for resource in deferred:
-                result = self._acquire(txn, resource, read_mode)
-                for lock in result.detection_conflicts:
-                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
 
         # Re-walk rounds close the same materialise->lock window the
         # full scan's keyset re-probe closes: a round that saw the key
@@ -1536,7 +1375,9 @@ class Database:
                             resources.append(
                                 record_resource(table_name, key)
                             )
-                        lock_batch(resources)
+                        locked_any |= self._read_lock_batch(
+                            txn, table_name, resources, read_mode, requested
+                        )
                     visited.extend(batch)
                     if visible < limit:
                         continue
@@ -1572,7 +1413,10 @@ class Database:
                 boundary = (
                     table.successor(hi) if hi is not None else SUPREMUM
                 )
-                lock_batch([gap_resource(table_name, boundary)])
+                locked_any |= self._read_lock_batch(
+                    txn, table_name, [gap_resource(table_name, boundary)],
+                    read_mode, requested,
+                )
             if table.keyset_version == keyset_before or not locked_any:
                 break
         results, seen = self._resolve_scan_rows(txn, table_name, visited)
@@ -2130,23 +1974,12 @@ class Database:
         raise LockWaitRequired(request)
 
     def _acquire_read_locks(
-        self,
-        txn: Transaction,
-        table_name: str,
-        key: Hashable,
-        gap: bool,
-        mode: LockMode | None = None,
+        self, txn: Transaction, table_name: str, key: Hashable
     ) -> None:
-        """Read-side locking for one key (record, plus its gap in scans).
-
-        ``mode`` may be passed by callers that already asked the policy
-        (the scan loop does, once per row)."""
+        """Read-side locking for a point read of one key."""
+        mode = txn.policy.read_lock_mode(txn)
         if mode is None:
-            mode = txn.policy.read_lock_mode(txn)
-            if mode is None:
-                return
-        if gap:
-            self._acquire_gap_read_lock(txn, table_name, key, mode)
+            return
         resource = self._rec_resource(table_name, key)
         if mode is LockMode.SIREAD and resource in txn._siread_cache:
             # Repeat SIREAD on a re-read: the sentinel is already in the
@@ -2175,37 +2008,6 @@ class Database:
             self.dispatch_rw_edge(reader=txn, writer=lock.owner)
         if mode is LockMode.SIREAD and self.config.siread_budget is not None:
             self._escalate_sireads()
-
-    def _acquire_gap_read_lock(
-        self,
-        txn: Transaction,
-        table_name: str,
-        gap_key: Hashable,
-        mode: LockMode | None = None,
-    ) -> None:
-        """Fig 3.6 lines 2-4: SIREAD (or SHARED for S2PL) on a gap.
-
-        ``mode`` may be passed by callers that already asked the policy
-        (the scan path does, once per row)."""
-        if mode is None:
-            mode = txn.policy.read_lock_mode(txn)
-            if mode is None:
-                return
-        resource = self._gap_resource_for(table_name, gap_key)
-        if mode is LockMode.SIREAD and resource in txn._siread_cache:
-            return  # repeat gap SIREAD — see _acquire_read_locks
-        if mode is LockMode.SIREAD and self._covered_by_coarse(
-            txn, table_name, resource
-        ):
-            txn._siread_cache.add(resource)
-            for lock in self.locks.probe_detection(txn, resource, mode):
-                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            return
-        result = self._acquire(txn, resource, mode)
-        if mode is LockMode.SIREAD:
-            txn._siread_cache.add(resource)
-        for lock in result.detection_conflicts:
-            self.dispatch_rw_edge(reader=txn, writer=lock.owner)
 
     def _acquire_write_locks(
         self, txn: Transaction, table_name: str, key: Hashable, gap: bool
@@ -2364,7 +2166,7 @@ class Database:
         acquired EXCLUSIVE (read_for_update)."""
         table = self.table(table_name)
         if not locking:
-            self._acquire_read_locks(txn, table_name, key, gap=False)
+            self._acquire_read_locks(txn, table_name, key)
         self._ensure_snapshot(txn)
         if locking and txn.policy.uses_snapshots:
             # Promotion semantics: a locking read of an item with a newer
@@ -2379,21 +2181,13 @@ class Database:
         key: Hashable,
         chain,
         record: bool = True,
-        count: bool = True,
-        deferred: list | None = None,
     ) -> tuple[Any, bool]:
         """Resolve what ``txn`` sees for key: own write set, then the
         snapshot (SI family) or the latest committed version (S2PL).
         The policy's ``on_read`` hook then runs its conflict detection
         (Fig 3.4 newer-version marking, SGT wr edges).  Chain reads are
-        latch-free (see repro.mvcc.version).
-
-        ``count=False`` and ``deferred`` are the scan loop's batching
-        hooks: the scan counts its reads once and replays the collected
-        ``(key, chain, version)`` triples through ``on_read`` under a
-        single tracker-latch section instead of one per row."""
-        if count:
-            self.stats.inc("reads")
+        latch-free (see repro.mvcc.version)."""
+        self.stats.inc("reads")
         if txn.write_set:  # read-only transactions skip the tuple build
             own = txn.write_set.get((table_name, key), _MISSING)
             if own is not _MISSING:
@@ -2411,11 +2205,8 @@ class Database:
         else:
             version = chain.latest()
         if txn.policy.tracks_reads:
-            if deferred is not None:
-                deferred.append((key, chain, version))
-            else:
-                with self._tracker_latch:
-                    txn.policy.on_read(txn, table_name, key, chain, version)
+            with self._tracker_latch:
+                txn.policy.on_read(txn, table_name, key, chain, version)
 
         if record and self.history is not None:
             self.history.on_read(

@@ -100,13 +100,6 @@ class CommitBatcher:
         self._h_batch_size = db.metrics.histogram(
             "group_commit_batch_size", edges=(1, 2, 4, 8, 16, 32, 64)
         )
-        #: leader-pass phase timings (seconds, cumulative) — the
-        #: commit-path profiler's attribution source.  Written only by
-        #: the single active leader, read opportunistically.
-        self.timings = {
-            "collect_s": 0.0, "certify_s": 0.0,
-            "wal_s": 0.0, "finalize_s": 0.0,
-        }
 
     # ----------------------------------------------------------- enqueue
 
@@ -132,8 +125,7 @@ class CommitBatcher:
         steps down (under the mutex) when nothing is queued, so no
         ticket can be stranded leaderless."""
         while True:
-            started = time.monotonic()
-            deadline = started + self.wait_s
+            deadline = time.monotonic() + self.wait_s
             with self._cv:
                 if self.wait_s > 0:
                     while len(self._queue) < self.max_batch:
@@ -143,7 +135,6 @@ class CommitBatcher:
                         self._cv.wait(remaining)
                 batch = self._queue[: self.max_batch]
                 del self._queue[: self.max_batch]
-            self.timings["collect_s"] += time.monotonic() - started
             if batch:
                 self._run_batch(batch)
             with self._cv:
@@ -155,12 +146,11 @@ class CommitBatcher:
         """One leader pass over a group (see the module docstring)."""
         db = self.db
         page_mode = db.config.granularity is LockGranularity.PAGE
-        committed: list[_Ticket] = []
+        committed: list = []
         aborted: list[_Ticket] = []
 
-        certify_started = time.monotonic()
         # One latched section per batch: both latches are taken once, in
-        # hierarchy order; _logical_commit and _abort_tracker_phase
+        # hierarchy order; _install_commit and _abort_tracker_phase
         # re-enter them (engine latches are re-entrant).
         with db._tracker_latch, db._commit_latch:
             for ticket in tickets:
@@ -172,19 +162,10 @@ class CommitBatcher:
                     continue
                 error = txn.doom_error
                 if error is None and txn.policy.certifies:
-                    error = txn.policy.before_commit(txn)
-                    if error is None and db._prepared:
-                        error = db._endangering_prepared(txn)
+                    error = db._certify(txn)
                 if error is None:
-                    db._logical_commit(txn, page_mode)
-                    if txn.policy.certifies:
-                        if db.safe_snapshots is not None:
-                            # Before after_commit: the enhanced tracker
-                            # munges committed references there and the
-                            # monitor needs the real T_out.
-                            db.safe_snapshots.on_commit(txn)
-                        txn.policy.after_commit(txn)
-                    committed.append(ticket)
+                    db._install_commit(txn, page_mode)
+                    committed.append(txn)
                 else:
                     # The abort decision (tracker phase) happens inside
                     # the batch's latched section so later members certify
@@ -194,48 +175,12 @@ class CommitBatcher:
                         txn, error.reason
                     )
                     aborted.append(ticket)
-        now = time.monotonic()
-        self.timings["certify_s"] += now - certify_started
 
-        # Group WAL flush: all redo records in commit order, one flush
-        # for the whole batch.  No latch is held; every member's locks
-        # are (flush-before-release ordering, per member).
-        wal_started = now
-        if db.wal is not None:
-            from repro.mvcc.version import TOMBSTONE
-
-            logged = False
-            for ticket in committed:
-                txn = ticket.txn
-                if not txn.write_set:
-                    continue
-                for (table_name, key), value in txn.write_set.items():
-                    db.wal.log_write(
-                        txn.id, table_name, key,
-                        None if value is TOMBSTONE else value,
-                        tombstone=value is TOMBSTONE,
-                        kind=txn.write_kinds.get((table_name, key), "write"),
-                    )
-                db.wal.log_commit(txn.id, txn.commit_ts)
-                logged = True
-            if logged and db.config.wal_flush_on_commit:
-                db.wal.flush()
-        now = time.monotonic()
-        self.timings["wal_s"] += now - wal_started
-
-        finalize_started = now
+        # One group flush, with no latch held and every member's locks
+        # still held (flush-before-release ordering, per member).
         if committed:
-            db.stats.inc("commits", len(committed))
-        from repro.obs.trace import EventType
-
-        for ticket in committed:
-            txn = ticket.txn
-            if db.history is not None:
-                db.history.on_commit(txn.id, txn.commit_ts)
-            if db.trace is not None:
-                db.trace.emit(
-                    EventType.COMMIT, txn.id, commit_ts=txn.commit_ts
-                )
+            db._publish_commits(committed)
+        for txn in committed:
             # The leader finalizes followers too: locks must release
             # only after the group flush, and a resumed waiter must find
             # its transaction fully retired.
@@ -243,7 +188,6 @@ class CommitBatcher:
         for ticket in aborted:
             if ticket.abort_bucket is not None:
                 db._abort_release_phase(ticket.txn, ticket.abort_bucket)
-        self.timings["finalize_s"] += time.monotonic() - finalize_started
 
         self.stats.inc("batches")
         self.stats.inc("batched_txns", len(tickets))

@@ -104,6 +104,66 @@ class StressResult:
         )
 
 
+def _open_database(
+    workload: Workload, config: EngineConfig | None,
+    check_serializability: bool,
+    on_database: Callable[[Database], None] | None,
+) -> Database:
+    """The shared database of a stress run: history recording on when
+    the MVSG oracle is requested, workload loaded, ``on_database`` run."""
+    if config is None:
+        config = EngineConfig(record_history=check_serializability)
+    elif check_serializability and not config.record_history:
+        config = replace(config, record_history=True)
+    db = Database(config)
+    workload.setup(db)
+    if on_database is not None:
+        on_database(db)
+    return db
+
+
+def _audit(
+    db: Database, workload: Workload, level: str, threads: int, txns: int,
+    wall: float, totals: dict, commits_by_name: dict, aborts_by_name: dict,
+    check_serializability: bool,
+    invariant: Callable[[Database], None] | None,
+) -> StressResult:
+    """The audit every stress driver ends with, once its clients are
+    done: residual lock-table state, MVSG verdict, caller's invariant."""
+    # Quiesce: with no transaction active the cleanup horizon is
+    # unbounded, so one sweep retires every suspended record a policy
+    # allows.  Whatever survives is a leak and lands in the result.
+    db.cleanup_suspended()
+    lm = db.locks
+    serializable: Optional[bool] = None
+    detail = ""
+    if check_serializability:
+        report = check_serializable(db.history)
+        serializable = report.serializable
+        detail = report.describe()
+    result = StressResult(
+        workload=workload.name,
+        level=level,
+        threads=threads,
+        txns=txns,
+        commits=totals["commits"],
+        aborts=totals["aborts"],
+        wall_clock_s=wall,
+        commits_by_name=commits_by_name,
+        aborts_by_name=aborts_by_name,
+        serializable=serializable,
+        serialization_detail=detail,
+        residual_granted=lm.table_size(),
+        residual_owners=len(lm._by_owner),
+        residual_waiters=len(lm._waiting),
+        residual_suspended=len(db._suspended),
+        residual_siread=lm.siread_lock_count(),
+    )
+    if invariant is not None:
+        invariant(db)
+    return result
+
+
 def run_threaded_stress(
     workload: Workload,
     level: str = "ssi",
@@ -128,14 +188,7 @@ def run_threaded_stress(
     thread starts — the seam for attaching samplers (e.g. a peak
     lock-table-gauge watcher) or tracing to the shared database.
     """
-    if config is None:
-        config = EngineConfig(record_history=check_serializability)
-    elif check_serializability and not config.record_history:
-        config = replace(config, record_history=True)
-    db = Database(config)
-    workload.setup(db)
-    if on_database is not None:
-        on_database(db)
+    db = _open_database(workload, config, check_serializability, on_database)
 
     barrier = threading.Barrier(threads)
     tally = threading.Lock()
@@ -185,44 +238,10 @@ def run_threaded_stress(
     if failures:
         raise failures[0]
 
-    # Quiesce: with no transaction active the cleanup horizon is
-    # unbounded, so one sweep retires every suspended record a policy
-    # allows.  Whatever survives is a leak and lands in the result.
-    db.cleanup_suspended()
-    lm = db.locks
-    residual_granted = lm.table_size()
-    residual_owners = len(lm._by_owner)
-    residual_waiters = len(lm._waiting)
-    residual_suspended = len(db._suspended)
-    residual_siread = lm.siread_lock_count()
-
-    serializable: Optional[bool] = None
-    detail = ""
-    if check_serializability:
-        report = check_serializable(db.history)
-        serializable = report.serializable
-        detail = report.describe()
-
-    if invariant is not None:
-        invariant(db)
-
-    return StressResult(
-        workload=workload.name,
-        level=level,
-        threads=threads,
-        txns=txns_per_thread * threads,
-        commits=totals["commits"],
-        aborts=totals["aborts"],
-        wall_clock_s=wall,
-        commits_by_name=commits_by_name,
-        aborts_by_name=aborts_by_name,
-        serializable=serializable,
-        serialization_detail=detail,
-        residual_granted=residual_granted,
-        residual_owners=residual_owners,
-        residual_waiters=residual_waiters,
-        residual_suspended=residual_suspended,
-        residual_siread=residual_siread,
+    return _audit(
+        db, workload, level, threads, txns_per_thread * threads, wall,
+        totals, commits_by_name, aborts_by_name,
+        check_serializability, invariant,
     )
 
 
@@ -251,14 +270,7 @@ def run_session_stress(
     """
     from repro.session import SessionScheduler
 
-    if config is None:
-        config = EngineConfig(record_history=check_serializability)
-    elif check_serializability and not config.record_history:
-        config = replace(config, record_history=True)
-    db = Database(config)
-    workload.setup(db)
-    if on_database is not None:
-        on_database(db)
+    db = _open_database(workload, config, check_serializability, on_database)
 
     scheduler = SessionScheduler(db, workers=workers)
     tally = threading.Lock()
@@ -310,41 +322,10 @@ def run_session_stress(
     if failures:
         raise failures[0]
 
-    db.cleanup_suspended()
-    lm = db.locks
-    residual_granted = lm.table_size()
-    residual_owners = len(lm._by_owner)
-    residual_waiters = len(lm._waiting)
-    residual_suspended = len(db._suspended)
-    residual_siread = lm.siread_lock_count()
-
-    serializable: Optional[bool] = None
-    detail = ""
-    if check_serializability:
-        report = check_serializable(db.history)
-        serializable = report.serializable
-        detail = report.describe()
-
-    if invariant is not None:
-        invariant(db)
-
-    return StressResult(
-        workload=workload.name,
-        level=level,
-        threads=workers,
-        txns=txns_per_session * sessions,
-        commits=totals["commits"],
-        aborts=totals["aborts"],
-        wall_clock_s=wall,
-        commits_by_name=commits_by_name,
-        aborts_by_name=aborts_by_name,
-        serializable=serializable,
-        serialization_detail=detail,
-        residual_granted=residual_granted,
-        residual_owners=residual_owners,
-        residual_waiters=residual_waiters,
-        residual_suspended=residual_suspended,
-        residual_siread=residual_siread,
+    return _audit(
+        db, workload, level, workers, txns_per_session * sessions, wall,
+        totals, commits_by_name, aborts_by_name,
+        check_serializability, invariant,
     )
 
 

@@ -104,3 +104,9 @@ class TestConfigProfiles:
         assert config.record_history
         config2 = EngineConfig.innodb_style(victim_policy="youngest")
         assert config2.victim_policy == "youngest"
+
+    def test_removed_scan_path_knob_is_rejected(self):
+        """The per-row scan path and the knob that selected it are gone
+        (PR 16); no alias lingers."""
+        with pytest.raises(TypeError):
+            EngineConfig(scan_kernel=False)

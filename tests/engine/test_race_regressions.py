@@ -3,7 +3,7 @@
 Three distinct windows, each made deterministic here:
 
 * the scan materialise->lock window: a writer whose whole lock lifetime
-  (acquire, commit, finalize-release) fits between ``scan_chains`` and
+  (acquire, commit, finalize-release) fits between ``scan_chunks`` and
   the batch read-lock acquire used to be invisible to phantom detection;
 * the ``LockRequest`` subscribe-vs-resolve race: an unsynchronised
   check-then-append could land a waiter's callback on the already
@@ -24,14 +24,12 @@ from tests.conftest import fill
 
 
 def _inject_committed_insert(db, table, level, key, value, writer_reads=None):
-    """Patch the table's materialisation entry points — ``scan_chains``
-    (the per-row path) *and* ``scan_chunks`` (the chunked kernel) — so
-    the *first* call materialises the key set, then runs a complete
-    writer lifecycle (begin, optional reads, insert, commit, finalize —
-    every lock acquired *and released*) before returning the now-stale
-    list.  Later calls see the real tree.  Returns the writer
-    transactions list (filled on trigger)."""
-    real_chains = table.scan_chains
+    """Patch the table's scan materialisation entry point
+    (``scan_chunks``) so the *first* call materialises the key set,
+    then runs a complete writer lifecycle (begin, optional reads,
+    insert, commit, finalize — every lock acquired *and released*)
+    before returning the now-stale list.  Later calls see the real
+    tree.  Returns the writer transactions list (filled on trigger)."""
     real_chunks = table.scan_chunks
     state = {"fired": False}
     writers = []
@@ -46,29 +44,17 @@ def _inject_committed_insert(db, table, level, key, value, writer_reads=None):
             db.commit(writer)  # prepare + finalize: all locks released
             writers.append(writer)
 
-    def patched_chains(lo, hi):
-        stale = real_chains(lo, hi)
-        fire()
-        return stale
-
     def patched_chunks(lo, hi, chunk_size=None):
         stale = list(real_chunks(lo, hi, chunk_size))
         fire()
         return iter(stale)
 
-    table.scan_chains = patched_chains
     table.scan_chunks = patched_chunks
     return writers
 
 
-@pytest.fixture(params=[True, False], ids=["kernel", "per_row"])
-def scan_kernel(request, db):
-    db.config.scan_kernel = request.param
-    return request.param
-
-
 class TestScanMaterializeWindow:
-    def test_s2pl_scan_sees_insert_committed_in_window(self, db, scan_kernel):
+    def test_s2pl_scan_sees_insert_committed_in_window(self, db):
         """S2PL reads current state: a row committed inside the
         materialise->lock window must appear in the scan result."""
         fill(db, "t", {1: "a", 5: "b"})
@@ -81,7 +67,7 @@ class TestScanMaterializeWindow:
         assert db.locks.holds(scanner, db._rec_resource("t", 3), LockMode.SHARED)
         scanner.commit()
 
-    def test_ssi_scan_marks_rw_edge_for_window_insert(self, db, scan_kernel):
+    def test_ssi_scan_marks_rw_edge_for_window_insert(self, db):
         """SSI: the scanner's snapshot ignores the in-window committed
         insert, but the reader->writer rw-antidependency must still be
         recorded via the newer-version check on the re-materialised

@@ -91,13 +91,13 @@ def test_outcomes_match_with_group_commit_forced_on(case):
     CASES,
     ids=[f"{case['scenario']}-{case['seed']}" for case in CASES],
 )
-def test_outcomes_match_with_scan_kernel_forced_on(case):
-    """The chunked scan kernel must admit exactly the histories the
-    per-row scan path admits: with the kernel forced into its most
-    aggressive shape (2-row chunks, so every scan drops the table latch
-    mid-range, and page-granularity SIREADs from the first row), every
-    golden outcome — who committed, who aborted, with which reason —
-    is unchanged at every isolation level."""
+def test_outcomes_match_with_small_chunks_and_page_sireads(case):
+    """The golden outcomes were recorded before scans were chunked, so
+    they are the semantics reference for the scan kernel: forced into
+    its most aggressive shape (2-row chunks, so every scan drops the
+    table latch mid-range, and page-granularity SIREADs from the first
+    row), every golden outcome — who committed, who aborted, with which
+    reason — is unchanged at every isolation level."""
     factory = FACTORIES[case["scenario"]]
     for level in LEVELS:
         setup, programs, _step_counts = factory()
@@ -108,7 +108,6 @@ def test_outcomes_match_with_scan_kernel_forced_on(case):
             isolation=level,
             engine_config=EngineConfig(
                 record_history=True,
-                scan_kernel=True,
                 scan_chunk_size=2,
                 scan_page_lock_threshold=1,
             ),
@@ -116,5 +115,5 @@ def test_outcomes_match_with_scan_kernel_forced_on(case):
         got = {str(index): status for index, status in outcome.statuses.items()}
         assert got == case["outcomes"][level], (
             f"{case['scenario']} seed={case['seed']} diverged at {level} "
-            f"with the scan kernel forced on"
+            f"with 2-row chunks and page SIREADs"
         )

@@ -8,8 +8,9 @@ return exactly what a single-latch-hold scan of the same snapshot
 returns — the pre-scan state, because every interfering write commits
 after the reader's read timestamp.
 
-A second family checks the kernel against the per-row path directly on
-quiescent data, across bounds, reverse and limit.
+A second family checks the kernel against a sorted-dict model on
+quiescent data, across bounds, reverse and limit — a reference that
+shares no code with the engine.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ write_ops = st.lists(
 def build_db(initial, chunk_size, level_config=None):
     db = Database(
         EngineConfig(
-            scan_kernel=True,
             scan_chunk_size=chunk_size,
             **(level_config or {}),
         )
@@ -50,6 +50,15 @@ def build_db(initial, chunk_size, level_config=None):
     db.create_table("t")
     db.load("t", initial.items())
     return db
+
+
+def model_range(initial, lo, hi):
+    """The oracle: what a scan of [lo, hi] over ``initial`` returns."""
+    return [
+        (key, value)
+        for key, value in sorted(initial.items())
+        if (lo is None or key >= lo) and (hi is None or key <= hi)
+    ]
 
 
 def fire_writer(db, kind, key, value):
@@ -105,12 +114,7 @@ def test_interfered_chunked_scan_equals_snapshot(
 
     table.scan_chunks = patched
     got = db.scan(reader, "t", lo, hi)
-    expected = [
-        (key, value)
-        for key, value in sorted(initial.items())
-        if (lo is None or key >= lo) and (hi is None or key <= hi)
-    ]
-    assert got == expected, (
+    assert got == model_range(initial, lo, hi), (
         "chunked scan with interleaved writers diverged from the "
         "single-latch-hold snapshot result"
     )
@@ -127,19 +131,19 @@ def test_interfered_chunked_scan_equals_snapshot(
     level=st.sampled_from(["si", "ssi", "s2pl"]),
 )
 @settings(max_examples=120, deadline=None)
-def test_kernel_matches_per_row_path(
+def test_scan_matches_model(
     initial, lo, hi, chunk_size, reverse, limit, level
 ):
-    results = []
-    for kernel in (True, False):
-        db = build_db(initial, chunk_size)
-        db.config.scan_kernel = kernel
-        txn = db.begin(level)
-        results.append(
-            db.scan(txn, "t", lo, hi, reverse=reverse, limit=limit)
-        )
-        db.abort(txn)
-    assert results[0] == results[1]
+    db = build_db(initial, chunk_size)
+    txn = db.begin(level)
+    got = db.scan(txn, "t", lo, hi, reverse=reverse, limit=limit)
+    db.abort(txn)
+    expected = model_range(initial, lo, hi)
+    if reverse:
+        expected.reverse()
+    if limit is not None:
+        expected = expected[:limit]
+    assert got == expected
 
 
 @given(
