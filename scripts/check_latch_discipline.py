@@ -14,7 +14,12 @@ next to ruff/mypy:
    rely on GIL-atomic latch-free probes, and the hierarchy only requires
    *mutations* to be latched.  A genuinely-safe latch-free mutation can
    be waived with a ``# latch-free`` comment on the offending line, which
-   this lint treats as a reviewed exception.
+   this lint treats as a reviewed exception.  A private helper whose
+   contract is "caller holds the latch" needs no waiver: when *every*
+   call of ``_name`` in the module sits lexically under the latch, or
+   inside another such helper, its body is checked as if the latch were
+   held (helpers are matched by name within one module; a helper that
+   escapes as a bare reference, or has no call site, does not qualify).
 
 2. **No suspension under latch (PR 7).**  A function must not ``await``
    or enter a session/thread suspension point (``_block_on``,
@@ -47,12 +52,9 @@ next to ruff/mypy:
 
 5. **Acquisition order.**  Within a function, nested ``with`` blocks
    over recognised latch expressions must acquire in non-decreasing rank
-   order (``txn < tracker < commit < table < lock-queue < lock-stripe <
-   lock-owner < obs < wal``).  Same-rank re-acquisition is legal only
-   for lock-manager stripes under the queue latch (the documented
-   multi-stripe licence) — mirroring the runtime ``CheckedLatch``
-   enforcement, but at review time and on every path, not just the paths
-   a test happens to drive.
+   order (``txn < tracker < commit < table < lock < obs < wal``) —
+   mirroring the runtime ``CheckedLatch`` enforcement, but at review
+   time and on every path, not just the paths a test happens to drive.
 
 The lint is intentionally syntactic: it sees lexical nesting, not
 call-graph latch state, so it cannot prove the absence of cross-function
@@ -69,27 +71,32 @@ Usage::
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: rank table (must mirror repro.engine.latches.RANKS)
+
+def _engine_ranks() -> dict:
+    """The engine's own rank table, loaded from its source file (no
+    package import: the lint must run on a tree that does not import)."""
+    spec = importlib.util.spec_from_file_location(
+        "_repro_latches",
+        os.path.join(REPO_ROOT, "src", "repro", "engine", "latches.py"),
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RANKS
+
+
 RANKS = {
-    "txn": 10,
-    "tracker": 20,
-    "commit": 30,
-    "table": 40,
-    "lock-queue": 50,
-    "lock-stripe": 60,
-    "lock-owner": 70,
-    "obs": 80,
+    **_engine_ranks(),
     # Coordinator-process latches (repro.shard): they never nest with
     # engine latches — the engines live in other processes — so their
     # ranks only order them against each other.
     "vis": 84,
     "abort-log": 86,
-    "wal": 90,
 }
 
 #: latch attribute name -> rank name, for ``self.<attr>`` / ``obj.<attr>``
@@ -98,9 +105,6 @@ LATCH_ATTRS = {
     "_tracker_latch": "tracker",
     "_commit_latch": "commit",
     "latch": "table",  # Table.latch
-    "_queue_latch": "lock-queue",
-    "_owner_latch": "lock-owner",
-    "_latch": "wal",  # WriteAheadLog._latch
     "_vis_latch": "vis",  # Coordinator's commit-sequence vector latch
     "_abort_lock": "abort-log",  # Coordinator's explain_abort memory
 }
@@ -108,8 +112,12 @@ LATCH_ATTRS = {
 #: bare names recognised as latches (module-level singletons)
 LATCH_NAMES = {"OBS_LATCH": "obs"}
 
-#: subscripted collections of latches: ``self._stripe_latches[i]``
-LATCH_COLLECTIONS = {"_stripe_latches": "lock-stripe"}
+#: what the attribute ``_latch`` (an object's one own latch) ranks as,
+#: by the file that spells it
+OWN_LATCH = {
+    "src/repro/locking/manager.py": "lock",
+    "src/repro/wal/log.py": "wal",
+}
 
 #: method calls that mutate their receiver
 MUTATORS = {
@@ -161,14 +169,12 @@ DEFAULT_RULES = {
         "_retired_writers": "txn",
     },
     "src/repro/locking/manager.py": {
-        "_by_owner": "lock-owner",
-        "_waiting": "lock-owner",
-        "_siread_counts": "lock-owner",
-        "_granted_count": "lock-owner",
-        # Escalation bookkeeping: weights must be inserted/removed under
-        # the owner latch so the has_escalated_locks() gate and the
-        # _forget_locks surplus accounting stay coherent.
-        "_escalated_weights": "lock-owner",
+        "_heads": "lock",
+        "_by_owner": "lock",
+        "_waiting": "lock",
+        "_siread_counts": "lock",
+        "_granted_count": "lock",
+        "_escalated_weights": "lock",
     },
     # The safe-snapshot monitor mutates its watch maps under the engine's
     # tracker latch (its register/on_commit/on_abort contracts).
@@ -200,20 +206,16 @@ DEFAULT_RULES = {
 }
 
 
-def latch_rank_of(node: ast.expr, aliases: dict) -> str | None:
+def latch_rank_of(node: ast.expr, aliases: dict, path: str) -> str | None:
     """The rank name of a recognised latch expression, else None."""
-    if isinstance(node, ast.Attribute) and node.attr in LATCH_ATTRS:
-        return LATCH_ATTRS[node.attr]
+    if isinstance(node, ast.Attribute):
+        if node.attr == "_latch":
+            return OWN_LATCH.get(path)
+        return LATCH_ATTRS.get(node.attr)
     if isinstance(node, ast.Name):
         if node.id in LATCH_NAMES:
             return LATCH_NAMES[node.id]
         return aliases.get(node.id)
-    if isinstance(node, ast.Subscript):
-        target = node.value
-        if isinstance(target, ast.Attribute) and target.attr in LATCH_COLLECTIONS:
-            return LATCH_COLLECTIONS[target.attr]
-        if isinstance(target, ast.Name) and target.id in LATCH_COLLECTIONS:
-            return LATCH_COLLECTIONS[target.id]
     return None
 
 
@@ -238,17 +240,61 @@ def self_attr_name(node: ast.expr) -> str | None:
     return None
 
 
-class FunctionChecker(ast.NodeVisitor):
-    """Walks one function body tracking the lexical latch stack."""
+class ModulePass:
+    """What one walk over a module accumulates across its functions."""
 
     def __init__(self, rules: dict, path: str, source_lines: list[str]):
         self.rules = rules
         self.path = path
         self.lines = source_lines
         self.problems: list[str] = []
-        self.held: list[str] = []  # rank names, acquisition order
+        #: (callee name, calling function, latches lexically held there)
+        self.calls: list[tuple[str, str, tuple[str, ...]]] = []
+        #: ``self.<name>`` loads outside call position
+        self.references: set[str] = set()
+        #: helper name -> latches its callers are known to hold
+        self.helpers: dict[str, list[str]] = {}
+
+    def latched_helpers(self, defined: set[str]) -> dict[str, list[str]]:
+        """Private functions all of whose call sites hold a latch the
+        module's rules name: the largest set closed under "called under
+        the latch, or from a member of the set"."""
+        helpers: dict[str, list[str]] = {}
+        for rank_name in sorted(set(self.rules.values()), key=RANKS.__getitem__):
+            members = {
+                name for name in defined
+                if name.startswith("_") and not name.startswith("__")
+                and name not in self.references
+                and any(callee == name for callee, _caller, _held in self.calls)
+            }
+            while True:
+                unlatched = {
+                    callee for callee, caller, held in self.calls
+                    if callee in members
+                    and rank_name not in held and caller not in members
+                }
+                if not unlatched:
+                    break
+                members -= unlatched
+            for name in members:
+                helpers.setdefault(name, []).append(rank_name)
+        return helpers
+
+
+class FunctionChecker(ast.NodeVisitor):
+    """Walks one function body tracking the lexical latch stack."""
+
+    def __init__(self, module: ModulePass, name: str):
+        self.module = module
+        self.name = name
+        self.rules = module.rules
+        self.path = module.path
+        self.lines = module.lines
+        self.problems = module.problems
+        # rank names, acquisition order; a helper starts with its callers'
+        self.held: list[str] = list(module.helpers.get(name, ()))
         self.aliases: dict = {}  # local name -> rank name
-        self.check_rpc = path in RPC_FILES
+        self.check_rpc = self.path in RPC_FILES
 
     # ------------------------------------------------------------ plumbing
 
@@ -266,7 +312,7 @@ class FunctionChecker(ast.NodeVisitor):
     def visit_With(self, node: ast.With) -> None:
         entered = []
         for item in node.items:
-            rank_name = latch_rank_of(item.context_expr, self.aliases)
+            rank_name = latch_rank_of(item.context_expr, self.aliases, self.path)
             if rank_name is None:
                 continue
             rank = RANKS[rank_name]
@@ -277,18 +323,6 @@ class FunctionChecker(ast.NodeVisitor):
                     f"acquires {rank_name}({rank}) while holding "
                     f"{self.held[-1]}({held_ranks[-1]}) — latch order violation",
                 )
-            if (
-                held_ranks
-                and rank == max(held_ranks)
-                and rank_name in self.held
-                and rank_name == "lock-stripe"
-                and "lock-queue" not in self.held
-            ):
-                self.report(
-                    node,
-                    "acquires a second lock-stripe latch without holding "
-                    "the lock-queue licence",
-                )
             self.held.append(rank_name)
             entered.append(rank_name)
         for statement in node.body:
@@ -297,11 +331,9 @@ class FunctionChecker(ast.NodeVisitor):
             self.held.pop()
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        # Track local aliases of latch expressions (stripe = self._stripe_latches[i])
+        # Track local aliases of latch expressions (latch = table.latch)
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-            rank_name = latch_rank_of(node.value, self.aliases)
-            if rank_name is None and isinstance(node.value, ast.Subscript):
-                rank_name = latch_rank_of(node.value, self.aliases)
+            rank_name = latch_rank_of(node.value, self.aliases, self.path)
             if rank_name is not None:
                 self.aliases[node.targets[0].id] = rank_name
         for target in node.targets:
@@ -405,6 +437,21 @@ class FunctionChecker(ast.NodeVisitor):
                 f"{self.held[-1]} latch — remote round trips must not "
                 "stall local latch holders",
             )
+        # The callee position is not a reference: record the call site
+        # (for the caller-holds-the-latch helper check) and walk the rest.
+        if isinstance(func, ast.Attribute):
+            self.module.calls.append((func.attr, self.name, tuple(self.held)))
+            self.visit(func.value)
+        else:
+            self.visit(func)
+        for argument in node.args:
+            self.visit(argument)
+        for keyword in node.keywords:
+            self.visit(keyword.value)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load) and self_attr_name(node) is not None:
+            self.module.references.add(node.attr)
         self.generic_visit(node)
 
     def visit_Await(self, node: ast.Await) -> None:
@@ -419,31 +466,23 @@ class FunctionChecker(ast.NodeVisitor):
     # Nested defs get their own checker: a closure does not inherit the
     # enclosing function's lexical latch context at call time.
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        check_function(node, self.rules, self.path, self.lines, self.problems)
+        check_function(node, self.module)
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
 
-def check_function(
-    node: ast.AST,
-    rules: dict,
-    path: str,
-    lines: list[str],
-    problems: list[str],
-) -> None:
-    checker = FunctionChecker(rules, path, lines)
+def check_function(node: ast.AST, module: ModulePass) -> None:
+    checker = FunctionChecker(module, node.name)  # type: ignore[attr-defined]
     for statement in node.body:  # type: ignore[attr-defined]
         checker.visit(statement)
-    problems.extend(checker.problems)
 
 
 def check_file(path: str, rules: dict) -> list[str]:
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
     tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
-    problems: list[str] = []
     relative = os.path.relpath(path, REPO_ROOT)
+    functions: list[ast.AST] = []
 
     def walk(node: ast.AST) -> None:
         for child in ast.iter_child_nodes(node):
@@ -451,12 +490,24 @@ def check_file(path: str, rules: dict) -> list[str]:
                 # Constructors mutate freely: the object is not published
                 # to other threads until __init__ returns.
                 if child.name != "__init__":
-                    check_function(child, rules, relative, lines, problems)
+                    functions.append(child)
             else:
                 walk(child)
 
     walk(tree)
-    return problems
+    # First walk: collect every call site; its findings are discarded.
+    # Second walk: check, with each caller-holds-the-latch helper
+    # starting out under the latch its call sites proved.
+    survey = ModulePass(rules, relative, source.splitlines())
+    for function in functions:
+        check_function(function, survey)
+    verdict = ModulePass(rules, relative, survey.lines)
+    verdict.helpers = survey.latched_helpers(
+        {function.name for function in functions}  # type: ignore[attr-defined]
+    )
+    for function in functions:
+        check_function(function, verdict)
+    return verdict.problems
 
 
 def main(argv: list[str]) -> int:

@@ -108,13 +108,7 @@ def main(argv: list[str] | None = None) -> int:
                         "shutdown")
 
     db.cleanup_suspended()
-    lm = db.locks
-    residue = {
-        "granted": lm.table_size(),
-        "owners": len(lm._by_owner),
-        "waiters": len(lm._waiting),
-        "siread": lm.siread_lock_count(),
-    }
+    residue = db.locks.residue()
     if any(residue.values()):
         problems.append(f"lock table dirty after shutdown: {residue}")
 

@@ -24,7 +24,7 @@ latch hierarchy of :mod:`repro.engine.latches` —
   and snapshot assignment — so a read view can never observe a commit's
   versions torn (every in-flight install carries a ``commit_ts`` newer
   than any snapshot handed out before it finished);
-* per-table latches (B+-tree structure), lock-manager stripes, the obs
+* per-table latches (B+-tree structure), the lock-manager latch, the obs
   latch and the WAL latch live further down the hierarchy.
 
 Lock *waits* never happen while holding any latch: an operation that must
@@ -946,7 +946,7 @@ class Database:
 
         Execution: the key set is materialised in leaf-page-sized
         chunks — dropping the table latch between chunks — each lock
-        round's resources are acquired in one stripe-grouped batch, wide
+        round's resources are acquired in one lock-manager batch, wide
         SSI scans are optionally covered with up-front page-granularity
         SIREADs (``config.scan_page_lock_threshold``), and visibility is
         resolved batch-at-a-time against the one snapshot.
@@ -1095,7 +1095,7 @@ class Database:
     ) -> bool:
         """The read-lock round of a predicate read (Fig 3.6; SHARED
         next-key locks under S2PL): acquire every resource this scan has
-        not ``requested`` yet in one stripe-grouped lock-manager batch,
+        not ``requested`` yet in one lock-manager batch,
         dispatching an rw edge per conflicting writer.  SIREADs the
         transaction already holds are skipped; a unit one of its own
         escalated sentinels covers gets no fine lock — writers see the
@@ -1675,7 +1675,7 @@ class Database:
         """Drop suspended committed transactions no active transaction
         overlaps (Sections 4.3.1/4.6.1).  Returns how many were cleaned."""
         # One txn+tracker section for the whole sweep (ranks 10 then 20;
-        # drop_siread_locks nests lock-manager latches below them) — the
+        # drop_siread_locks nests the lock-manager latch below them) — the
         # per-entry latch churn of acquiring the tracker twice per
         # suspended transaction dominated eager-cleanup commits.
         with self._txn_latch, self._tracker_latch:
@@ -2128,7 +2128,7 @@ class Database:
         """Mark a transaction for abort and wake it if it is blocked.
 
         Takes no engine latch: it is called from the immediate deadlock
-        handler while lock-manager latches are held, and ``doom_error``
+        handler while the lock-manager latch is held, and ``doom_error``
         is a single reference store the victim's own thread observes at
         its next operation."""
         if not victim.is_active or victim.doom_error is not None:

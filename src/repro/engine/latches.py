@@ -1,17 +1,17 @@
 """The engine's latch hierarchy.
 
-PR 5 replaces the single global "kernel mutex" (the InnoDB Section 4.4
-simplification) with fine-grained latches, the direction Ports & Grittner
-(VLDB 2012) took when the coarse SSI manager lock became PostgreSQL's
-dominant scalability bottleneck.  Every latch has a *rank*; a thread may
-only acquire a latch whose rank is greater than (or equal to, for the
-same latch — all latches are re-entrant) every latch it already holds.
-Any execution respecting the rank order is deadlock-free.
+Instead of one global "kernel mutex" the engine runs on a small set of
+ranked latches, the direction Ports & Grittner (VLDB 2012) took when the
+coarse SSI manager lock became PostgreSQL's dominant scalability
+bottleneck.  Every latch has a *rank*; a thread may only acquire a latch
+whose rank is greater than every latch it already holds (re-acquiring a
+latch it holds is always legal — all latches are re-entrant; two
+*different* latches of one rank never nest).  Any execution respecting
+the rank order is deadlock-free.
 
 The documented order (low rank acquired first)::
 
-    txn(10) < tracker(20) < commit(30) < table(40)
-            < lock-queue(50) < lock-stripe(60) < lock-owner(70)
+    txn(10) < tracker(20) < commit(30) < table(40) < lock(50)
             < obs(80) < wal(90)
 
 What each level protects:
@@ -32,12 +32,12 @@ What each level protects:
     version-chain install/prune, and the scan-vs-insert gap-locking
     critical sections.  Two *different* table latches may not be held at
     once (they share a rank), which the engine never needs.
-``lock-queue`` / ``lock-stripe`` / ``lock-owner``
-    The striped lock manager (see :mod:`repro.locking.manager`): stripes
-    partition the resource->head map; the queue latch serialises every
-    wait-queue/waits-for mutation and is the licence to hold *multiple*
-    stripe latches; the owner latch guards the per-owner indexes and the
-    manager counters.
+``lock``
+    The lock manager's single latch (see :mod:`repro.locking.manager`):
+    the lock table and its wait queues, the per-owner indexes, the
+    waits-for graph and the manager counters — the whole of Section 4.4's
+    "kernel mutex" that is left.  Every public ``LockManager`` call is
+    one critical section under it.
 ``obs``
     The leaf latch of :mod:`repro.obs`: metric increments via
     ``CounterGroup.inc``, histogram observation, trace emission,
@@ -56,11 +56,12 @@ tracks a per-thread stack of held latches and raises
 blocking executor additionally asserts via :func:`held_latches` that no
 checked latch is held across a lock wait.
 
-A note on the GIL: under stock CPython the striped latches do not buy
-parallel *speed* — they buy correctness under preemptive thread switches
-(the GIL is released every few bytecodes, so unprotected multi-step
-mutations do tear) and they are the groundwork for free-threaded
-(PEP 703) builds, where each stripe becomes a genuine parallelism unit.
+A note on the GIL: under stock CPython latches do not buy parallel
+*speed* — they buy correctness under preemptive thread switches (the GIL
+is released every few bytecodes, so unprotected multi-step mutations do
+tear).  That is why the lock manager has one latch and not a partitioned
+table: a partition pays only when two grants can run at once, and here
+they cannot.
 """
 
 from __future__ import annotations
@@ -75,16 +76,10 @@ RANKS = {
     "tracker": 20,
     "commit": 30,
     "table": 40,
-    "lock-queue": 50,
-    "lock-stripe": 60,
-    "lock-owner": 70,
+    "lock": 50,
     "obs": 80,
     "wal": 90,
 }
-
-#: Rank whose possession licences holding several same-rank latches at
-#: once (multiple lock-manager stripes under the queue latch).
-MULTI_ACQUIRE_LICENCE = {RANKS["lock-stripe"]: RANKS["lock-queue"]}
 
 
 class LatchOrderError(RuntimeError):
@@ -124,25 +119,14 @@ class CheckedLatch:
         stack = _held_stack()
         if stack:
             top, _count = stack[-1]
-            held_ranks = [latch.rank for latch, _n in stack]
-            maximum = max(held_ranks)
-            if self.rank < maximum and not any(
+            maximum = max(latch.rank for latch, _n in stack)
+            if self.rank <= maximum and not any(
                 latch is self for latch, _n in stack
             ):
                 raise LatchOrderError(
                     f"acquiring {self.name}(rank {self.rank}) while holding "
                     f"{top.name}(rank {top.rank}) violates the latch order"
                 )
-            if self.rank == maximum and not any(
-                latch is self for latch, _n in stack
-            ):
-                licence = MULTI_ACQUIRE_LICENCE.get(self.rank)
-                if licence is None or licence not in held_ranks:
-                    raise LatchOrderError(
-                        f"acquiring {self.name}(rank {self.rank}) while "
-                        f"already holding a rank-{self.rank} latch requires "
-                        f"the licensing latch (rank {licence})"
-                    )
         self._lock.acquire()
         for index, (latch, count) in enumerate(stack):
             if latch is self:
@@ -191,11 +175,6 @@ def make_latch(name: str, rank: int | None = None):
     if debug_enabled():
         return CheckedLatch(name, rank)
     return threading.RLock()
-
-
-def make_stripe_latches(count: int) -> list:
-    """The lock manager's stripe latches (all share the stripe rank)."""
-    return [make_latch(f"lock-stripe[{i}]", RANKS["lock-stripe"]) for i in range(count)]
 
 
 def assert_no_latches_held(context: str) -> None:

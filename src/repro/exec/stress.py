@@ -134,7 +134,7 @@ def _audit(
     # unbounded, so one sweep retires every suspended record a policy
     # allows.  Whatever survives is a leak and lands in the result.
     db.cleanup_suspended()
-    lm = db.locks
+    residue = db.locks.residue()
     serializable: Optional[bool] = None
     detail = ""
     if check_serializability:
@@ -153,11 +153,11 @@ def _audit(
         aborts_by_name=aborts_by_name,
         serializable=serializable,
         serialization_detail=detail,
-        residual_granted=lm.table_size(),
-        residual_owners=len(lm._by_owner),
-        residual_waiters=len(lm._waiting),
+        residual_granted=residue["granted"],
+        residual_owners=residue["owners"],
+        residual_waiters=residue["waiters"],
         residual_suspended=len(db._suspended),
-        residual_siread=lm.siread_lock_count(),
+        residual_siread=residue["siread"],
     )
     if invariant is not None:
         invariant(db)

@@ -20,19 +20,25 @@ executors handle.  Acquisition is idempotent: re-requesting a held lock in
 the same or weaker mode is a no-op, which is what makes operation retry
 after a wait safe.
 
-Performance structure (the PR-4 hot-path pass):
+Performance structure:
 
+* one re-entrant latch (rank ``lock``) over the whole manager, as in the
+  paper's prototype (Section 4.4): every grant settles the same per-owner
+  indexes, so a partitioned table could not let two grants overlap, and
+  under the GIL none run at once anyway.  One latch makes each public
+  call one critical section and one latch acquisition;
 * every granted lock and every :class:`_LockHead` carries an integer
   ``mask`` summarising its modes, so conflict/coverage/detection checks
   are one AND against the pre-folded per-mode masks from
   :mod:`repro.locking.modes` instead of set algebra over Enum members;
 * ``_LockHead.granted`` is a dict keyed by owner id — grant, upgrade and
   removal are O(1) while iteration keeps insertion (grant) order;
-* a per-owner index of *waiting* requests makes :meth:`cancel_waits`
-  O(requests owned); the granted-lock per-owner index already made
-  :meth:`release_all`/:meth:`drop_siread_locks` O(locks owned).  Nothing
-  on the commit/abort path walks the whole table any more — essential
-  once Section 3.3 SIREAD retention inflates it;
+* per-owner indexes of granted locks and of *waiting* requests make
+  :meth:`release_all`, :meth:`drop_siread_locks` and :meth:`cancel_waits`
+  O(locks/requests owned).  Nothing on the commit/abort path walks the
+  whole table — essential once Section 3.3 SIREAD retention inflates it;
+* scans grant and probe in batches (:meth:`acquire_read_batch`,
+  :meth:`probe_detection_batch`): one critical section per chunk;
 * granted-lock and per-owner SIREAD counters make :meth:`table_size` and
   :meth:`holds_any_siread` O(1).
 """
@@ -45,19 +51,11 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
-from repro.engine.latches import make_latch, make_stripe_latches
+from repro.engine.latches import make_latch
 from repro.locking.deadlock import WaitsForGraph
 from repro.locking.modes import LockMode, compatible
 from repro.obs.registry import CounterGroup
 from repro.obs.trace import EventType
-
-#: Number of lock-table stripes (power of two: stripe choice is a mask).
-#: Ports & Grittner partitioned PostgreSQL's SSI lock table into 16
-#: LWLock tranches for the same reason: one latch over the whole table
-#: was their dominant scalability bottleneck.
-STRIPE_COUNT = 16
-_STRIPE_MASK = STRIPE_COUNT - 1
-
 
 class Resource(NamedTuple):
     """A key in the lock table.
@@ -169,7 +167,7 @@ class LockRequest:
     _callbacks: list[Callable[["LockRequest"], None]] = field(default_factory=list)
     # Serialises subscription against resolution: the subscriber is a
     # client thread holding no manager latch while _resolve runs under
-    # them, so an unguarded check-then-append could land a callback on
+    # it, so an unguarded check-then-append could land a callback on
     # the already-swapped list and the waiter would never wake.
     _resolve_latch: threading.Lock = field(default_factory=threading.Lock)
     #: back-reference for surfacing swallowed callback errors (set by
@@ -212,7 +210,7 @@ class LockRequest:
         any callback runs), so the error is contained here and surfaced
         through the manager's ``lock_callback_errors`` counter and a
         trace event instead of unwinding the resolver — which may be a
-        *different* transaction's commit path deep under manager latches.
+        *different* transaction's commit path deep under the manager latch.
         """
         try:
             callback(self)
@@ -364,26 +362,21 @@ for _mask in range(1, 1 << len(LockMode)):
 class LockManager:
     """Lock table with FIFO queuing, upgrades and waits-for maintenance.
 
-    Thread-safe via a striped latch protocol (PR 5; previously the engine
-    serialised every call under its global kernel mutex, the InnoDB
-    Section 4.4 simplification):
+    Thread-safe under **one** re-entrant latch (rank ``lock``), the
+    paper's Section 4.4 arrangement: ``_latch`` guards the resource->head
+    map and every field of its heads (wait queues included), the
+    per-owner indexes (``_by_owner``, ``_waiting``, ``_siread_counts``),
+    the granted-lock counter, the escalation weights, the waits-for graph
+    and the stats group.  Every public method is exactly one critical
+    section, so a release, a gap-lock inheritance and an escalation can
+    never interleave; private helpers run with the latch already held.
+    The handful of latch-free reads that remain are single GIL-atomic
+    dict/int probes, each documented where it happens with the reason a
+    stale answer is safe.
 
-    * Resources hash into :data:`STRIPE_COUNT` stripes; each stripe latch
-      (rank ``lock-stripe``) guards that stripe's resource->head map and
-      every field of its heads, including the wait queues.  The
-      uncontended acquire/release fast path touches only one stripe.
-    * The queue latch (rank ``lock-queue``, acquired *before* stripes)
-      serialises everything involving wait queues across resources — the
-      enqueue slow path, promotion, cancellation, and all waits-for-graph
-      mutation — and is the licence for holding several stripe latches at
-      once.  A request that cannot be granted under the stripe alone is
-      retried from scratch under queue+stripe before being enqueued.
-    * The owner latch (rank ``lock-owner``, acquired *inside* stripes)
-      guards the per-owner indexes (``_by_owner``, ``_waiting``,
-      ``_siread_counts``), the granted-lock counter and the stats group.
-      Pure point lookups of these dicts read optimistically (a CPython
-      dict ``get`` is atomic under the GIL); every mutation and every
-      iteration takes the latch.
+    Resolve callbacks and the deadlock handler run *under* the latch on
+    the resolving thread; they may re-enter the manager (the latch is
+    re-entrant) and may take higher-ranked latches only.
 
     Args:
         deadlock_handler: called with (cycle, requesting LockRequest) when
@@ -400,12 +393,8 @@ class LockManager:
         deadlock_handler: Callable[[list[Any], LockRequest], Any] | None = None,
         siread_upgrade: bool = True,
     ):
-        self._stripe_heads: list[dict[Resource, _LockHead]] = [
-            {} for _ in range(STRIPE_COUNT)
-        ]
-        self._stripe_latches = make_stripe_latches(STRIPE_COUNT)
-        self._queue_latch = make_latch("lock-queue")
-        self._owner_latch = make_latch("lock-owner")
+        self._latch = make_latch("lock")
+        self._heads: dict[Resource, _LockHead] = {}
         self._by_owner: dict[Hashable, dict[Resource, Lock]] = defaultdict(dict)
         #: per-owner index of WAITING requests — the cancel_waits path.
         self._waiting: dict[Hashable, set[LockRequest]] = {}
@@ -416,9 +405,7 @@ class LockManager:
         #: (owner_id, coarse resource) -> number of record SIREADs the
         #: coarse lock replaced.  An entry exists for every escalated lock
         #: still granted; its presence (atomic ``bool(dict)`` probe) gates
-        #: the engine's coarse-lock write probes, so it is inserted
-        #: *before* the coarse lock is granted and removed only after the
-        #: lock leaves the table.  Guarded by the owner latch.
+        #: the engine's coarse-lock write probes.
         self._escalated_weights: dict[tuple[Hashable, Resource], int] = {}
         self.waits_for = WaitsForGraph()
         self.deadlock_handler = deadlock_handler
@@ -440,26 +427,11 @@ class LockManager:
 
     # ------------------------------------------------------------------ API
 
-    def _stripe_of(self, resource: Resource) -> int:
-        return hash(resource) & _STRIPE_MASK
-
-    @property
-    def _heads(self) -> dict[Resource, _LockHead]:
-        """Merged view over every stripe's head map.
-
-        Introspection/testing only — a read-only snapshot, not the live
-        table (internals address ``_stripe_heads[stripe]`` directly,
-        under that stripe's latch)."""
-        merged: dict[Resource, _LockHead] = {}
-        for heads in self._stripe_heads:
-            merged.update(heads)
-        return merged
-
     def _note_callback_error(self, request: "LockRequest", error: Exception) -> None:
         """Account for an exception a resolve callback swallowed.
 
-        Runs on the resolving thread, possibly under queue/stripe
-        latches; the obs latch (rank 80) nests legally above them."""
+        Runs on the resolving thread, possibly under the manager latch;
+        the obs latch (rank 80) nests legally above it."""
         self.stats.inc("lock_callback_errors")
         if self.trace is not None:
             self.trace.emit(
@@ -469,60 +441,49 @@ class LockManager:
                 message=str(error),
             )
 
-    def acquire_nowait(
-        self, owner: Any, resource: Resource, mode: LockMode
-    ) -> AcquireResult:
-        """Completion-style acquisition: never blocks the calling thread.
-
-        Returns either an immediate ``GRANTED`` result or ``WAIT``
-        carrying a subscribable :class:`LockRequest`; the caller
-        registers interest with ``result.request.on_resolve`` (a thread
-        parks an event on it, a session schedules its own resumption, an
-        asyncio bridge settles a future) and retries the operation after
-        the grant.  This is the canonical waiting API; :meth:`acquire`
-        is the same call under its historical name.
-        """
-        return self.acquire(owner, resource, mode)
-
     def acquire(self, owner: Any, resource: Resource, mode: LockMode) -> AcquireResult:
         """Request ``mode`` on ``resource`` for ``owner``.
 
-        Never blocks.  Returns GRANTED (possibly with detection conflicts)
-        or WAIT with the enqueued request.  Raises nothing: deadlock
-        resolution happens through the injected handler which may doom a
-        transaction via its own side effects.
-
-        Fast path: one stripe latch.  Only when the request cannot be
-        granted does it restart under the queue latch (still rank-ordered:
-        queue before stripe), re-verify — the blocker may have vanished in
-        the unlatched window — and enqueue.  The ``acquires`` counter is
-        bumped inside whichever owner-latch section the outcome already
-        pays for, never in a dedicated one.
+        Never blocks the calling thread.  Returns GRANTED (possibly with
+        detection conflicts) or WAIT carrying the enqueued, subscribable
+        :class:`LockRequest`: the caller registers interest with
+        ``result.request.on_resolve`` (a thread parks an event on it, a
+        session schedules its own resumption, an asyncio bridge settles a
+        future) and retries the operation after the grant.  Raises
+        nothing: deadlock resolution happens through the injected handler
+        which may doom a transaction via its own side effects.
+        :meth:`acquire_nowait` is the same call under its
+        completion-style name.
         """
-        stripe_index = hash(resource) & _STRIPE_MASK
-        stripe = self._stripe_latches[stripe_index]
-        with stripe:
-            result = self._try_acquire(owner, resource, mode, stripe_index)
-        if result is not None:
-            return result
-        with self._queue_latch:
-            with stripe:
-                result = self._try_acquire(owner, resource, mode, stripe_index)
-                if result is not None:
-                    return result
-                return self._enqueue_wait(owner, resource, mode, stripe_index)
+        with self._latch:
+            self.stats["acquires"] += 1
+            head = self._heads.get(resource)
+            if head is None:
+                head = self._heads[resource] = _LockHead()
+            owner_locks = self._by_owner.get(owner.id)
+            held = owner_locks.get(resource) if owner_locks else None
+            # A covered request (idempotent re-acquire) grants nothing but
+            # still reports detection conflicts, for retry correctness.
+            if held is None or not held.mask & mode.covered_by_mask:
+                # SIREAD never blocks and never waits (Section 3.2).
+                if mode is not LockMode.SIREAD:
+                    if self._blockers(head, owner, mode, upgrading=held is not None):
+                        return self._enqueue_wait(owner, resource, mode, head, held)
+                    if held is not None:
+                        self.stats["upgrades"] += 1
+                self._grant(head, owner, resource, mode, held)
+            conflicts = self._detection_conflicts(head, owner, mode)
+        if not conflicts:
+            return _GRANTED_CLEAN
+        return AcquireResult(AcquireStatus.GRANTED, detection_conflicts=conflicts)
+
+    acquire_nowait = acquire
 
     def acquire_read_batch(
         self, owner: Any, resources: list[Resource], mode: LockMode
     ) -> tuple[list[Lock], list[Resource]]:
         """Grant a read mode (SIREAD or SHARED) on many resources in one
-        batch — the scan hot path.
-
-        Resources already covered by a held lock are settled with atomic
-        per-owner dict reads and no latch at all; the rest are grouped by
-        stripe (one stripe latch per group instead of one per resource),
-        and every per-owner index update lands in a single owner-latch
-        section at the end.
+        critical section — the scan hot path.
 
         Returns ``(conflicts, deferred)``: the combined detection
         conflicts (granted write-mode locks of other owners, for the
@@ -533,233 +494,94 @@ class LockManager:
         Deferred resources are *not* counted as acquires here; the
         caller's normal acquire counts them.
 
-        Publication order matches :meth:`acquire`: each granted lock is
-        in the table — visible to writers — before its stripe latch
-        drops, so a writer arriving any later reports the rw edge from
-        its own side.  Only the owner-private bookkeeping (``_by_owner``,
-        counters) lands in the batch tail; no other thread's correctness
-        reads it for locks it did not grant.
+        SIREAD defers resource by resource.  A blocking read mode
+        (SHARED) goes strictly in submission order and STOPS at the first
+        resource that cannot be granted: granting later resources while
+        an earlier one must wait would invert the scan's lock order
+        against concurrent writers and manufacture deadlocks.  Everything
+        from the stopping point on is deferred, in order, to the caller's
+        normal blocking path.
         """
         owner_id = owner.id
-        owner_locks = self._by_owner.get(owner_id)
         cover = mode.covered_by_mask
         bit = mode.bit
         shift = mode.index << 4
         incompat = mode.incompat_mask
+        is_siread = mode is LockMode.SIREAD
         conflicts: list[Lock] = []
-        fresh: list[Lock] = []
-        covered = 0
         deferred: list[Resource] = []
-        if mode is LockMode.SIREAD:
-            is_siread = True
-            todo: list[Resource] = []
-            for resource in resources:
+        settled = 0
+        fresh = 0
+        with self._latch:
+            heads = self._heads
+            owner_locks = self._by_owner.get(owner_id)
+            for index, resource in enumerate(resources):
                 held = owner_locks.get(resource) if owner_locks else None
-                if held is not None:
-                    if held.mask & cover:
-                        covered += 1  # idempotent re-acquire: count, done
-                    else:
-                        deferred.append(resource)  # uncovered upgrade
+                if held is not None and held.mask & cover:
+                    settled += 1  # idempotent re-acquire: count, done
                     continue
-                todo.append(resource)
-            if len(todo) == 1:
-                by_stripe = {hash(todo[0]) & _STRIPE_MASK: todo}
-            else:
-                by_stripe = {}
-                for resource in todo:
-                    by_stripe.setdefault(
-                        hash(resource) & _STRIPE_MASK, []
-                    ).append(resource)
-            for stripe_index, group in by_stripe.items():
-                with self._stripe_latches[stripe_index]:
-                    heads = self._stripe_heads[stripe_index]
-                    for resource in group:
-                        head = heads.get(resource)
-                        if head is not None:
-                            if head.granted.get(owner_id) is not None:
-                                # Raced with inheritance replicating onto
-                                # a gap this batch also wants: normal path.
-                                deferred.append(resource)
-                                continue
-                        else:
-                            head = heads[resource] = _LockHead()
-                        detect = self._detection_conflicts(head, owner, mode)
-                        if detect:
-                            conflicts.extend(detect)
-                        lock = Lock(owner, resource, mask=bit)
-                        head.granted[owner_id] = lock
-                        fresh.append(lock)
-                        if not (head.counts >> shift) & 0xFFFF:
-                            head.mask |= bit
-                        head.counts += 1 << shift
-        else:
-            # Blocking read modes (SHARED) go strictly in submission
-            # order and STOP at the first resource that cannot be
-            # granted: granting later resources while an earlier one
-            # must wait would invert the scan's lock order against
-            # concurrent writers and manufacture deadlocks.  Everything
-            # from the stopping point on is deferred, in order, to the
-            # caller's normal blocking path; covered prefixes (repeat
-            # scans) settle latch-free.
-            is_siread = False
-            idx = 0
-            total = len(resources)
-            while idx < total:
-                resource = resources[idx]
-                held = owner_locks.get(resource) if owner_locks else None
-                if held is not None:
-                    if held.mask & cover:
-                        covered += 1
-                        idx += 1
-                        continue
-                    break  # uncovered upgrade: normal path from here
-                stripe_index = hash(resource) & _STRIPE_MASK
-                stop = False
-                with self._stripe_latches[stripe_index]:
-                    heads = self._stripe_heads[stripe_index]
-                    head = heads.get(resource)
-                    if head is not None and (
-                        head.granted.get(owner_id) is not None
-                        or head.mask & incompat
-                        or head.queue
-                    ):
-                        stop = True
-                    else:
-                        if head is None:
-                            head = heads[resource] = _LockHead()
-                        detect = self._detection_conflicts(head, owner, mode)
-                        if detect:
-                            conflicts.extend(detect)
-                        lock = Lock(owner, resource, mask=bit)
-                        head.granted[owner_id] = lock
-                        fresh.append(lock)
-                        if not (head.counts >> shift) & 0xFFFF:
-                            head.mask |= bit
-                        head.counts += 1 << shift
-                if stop:
-                    break
-                idx += 1
-            if idx < total:
-                deferred = list(resources[idx:])
-        if covered or fresh:
-            with self._owner_latch:
-                self.stats["acquires"] += covered + len(fresh)
-                if fresh:
-                    mine = self._by_owner[owner_id]
-                    for lock in fresh:
-                        mine[lock.resource] = lock
-                    self._granted_count += len(fresh)
+                head = heads.get(resource)
+                if held is not None or (
+                    not is_siread
+                    and head is not None
+                    and (head.mask & incompat or head.queue)
+                ):
                     if is_siread:
-                        counts_by_owner = self._siread_counts
-                        counts_by_owner[owner_id] = (
-                            counts_by_owner.get(owner_id, 0) + len(fresh)
-                        )
+                        deferred.append(resource)  # uncovered upgrade
+                        continue
+                    deferred = list(resources[index:])
+                    break
+                if head is None:
+                    head = heads[resource] = _LockHead()
+                detect = self._detection_conflicts(head, owner, mode)
+                if detect:
+                    conflicts.extend(detect)
+                # Fresh single-mode grant, inlined (_grant per row would
+                # dominate a 1024-row scan).
+                if owner_locks is None:
+                    owner_locks = self._by_owner[owner_id]
+                owner_locks[resource] = head.granted[owner_id] = Lock(
+                    owner, resource, mask=bit
+                )
+                if not (head.counts >> shift) & 0xFFFF:
+                    head.mask |= bit
+                head.counts += 1 << shift
+                fresh += 1
+            self.stats["acquires"] += settled + fresh
+            if fresh:
+                self._granted_count += fresh
+                if is_siread:
+                    self._siread_counts[owner_id] = (
+                        self._siread_counts.get(owner_id, 0) + fresh
+                    )
         return conflicts, deferred
 
-    def _try_acquire(
-        self, owner: Any, resource: Resource, mode: LockMode, stripe_index: int
-    ) -> AcquireResult | None:
-        """Grant without queuing, or return None if the request must wait.
-
-        Caller holds the resource's stripe latch."""
-        heads = self._stripe_heads[stripe_index]
-        head = heads.get(resource)
-        if head is None:
-            head = heads[resource] = _LockHead()
-
-        owner_id = owner.id
-        owner_locks = self._by_owner.get(owner_id)
-        held = owner_locks.get(resource) if owner_locks else None
-        if held is not None and held.mask & mode.covered_by_mask:
-            # Idempotent re-acquire (or covered request): nothing to do,
-            # but still report detection conflicts for retry correctness.
-            with self._owner_latch:
-                self.stats["acquires"] += 1
-            conflicts = self._detection_conflicts(head, owner, mode)
-            if not conflicts:
-                return _GRANTED_CLEAN
-            return AcquireResult(
-                AcquireStatus.GRANTED, detection_conflicts=conflicts
-            )
-
-        if mode is LockMode.SIREAD:
-            # SIREAD never blocks and never waits (Section 3.2).  This is
-            # the single hottest call in SSI scan workloads (one per row
-            # plus one per gap), so the grant is inlined: no _blockers, no
-            # _grant/_add_mode call chain.
-            conflicts = self._detection_conflicts(head, owner, mode)
-            if held is not None:
-                held.mask |= _SIREAD_BIT
-                if not (head.counts >> _SIREAD_SHIFT) & 0xFFFF:
-                    head.mask |= _SIREAD_BIT
-                head.counts += 1 << _SIREAD_SHIFT
-                with self._owner_latch:
-                    self.stats["acquires"] += 1
-                    counts_by_owner = self._siread_counts
-                    counts_by_owner[owner_id] = (
-                        counts_by_owner.get(owner_id, 0) + 1
-                    )
-            else:
-                lock = Lock(owner, resource, mask=_SIREAD_BIT)
-                head.granted[owner_id] = lock
-                if not (head.counts >> _SIREAD_SHIFT) & 0xFFFF:
-                    head.mask |= _SIREAD_BIT
-                head.counts += 1 << _SIREAD_SHIFT
-                with self._owner_latch:
-                    self.stats["acquires"] += 1
-                    self._by_owner[owner_id][resource] = lock
-                    self._granted_count += 1
-                    counts_by_owner = self._siread_counts
-                    counts_by_owner[owner_id] = (
-                        counts_by_owner.get(owner_id, 0) + 1
-                    )
-            if not conflicts:
-                return _GRANTED_CLEAN
-            return AcquireResult(AcquireStatus.GRANTED, detection_conflicts=conflicts)
-
-        blockers = self._blockers(head, owner, mode, upgrading=held is not None)
-        if blockers:
-            return None
-        conflicts = self._detection_conflicts(head, owner, mode)
-        if held is not None:
-            with self._owner_latch:
-                self.stats["acquires"] += 1
-                self.stats["upgrades"] += 1
-            self._grant(head, owner, resource, mode)
-        else:
-            self._grant(head, owner, resource, mode, count_acquire=True)
-        if not conflicts:
-            return _GRANTED_CLEAN
-        return AcquireResult(AcquireStatus.GRANTED, detection_conflicts=conflicts)
-
     def _enqueue_wait(
-        self, owner: Any, resource: Resource, mode: LockMode, stripe_index: int
+        self,
+        owner: Any,
+        resource: Resource,
+        mode: LockMode,
+        head: _LockHead,
+        held: Lock | None,
     ) -> AcquireResult:
-        """Queue a blocked request.  Caller holds queue + stripe latches.
+        """Queue a blocked request (caller holds the latch).
 
         Upgrades queue at the front (standard treatment) so an upgrader
         is not starved behind later plain requests."""
-        heads = self._stripe_heads[stripe_index]
-        head = heads[resource]  # _try_acquire just ensured it exists
         owner_id = owner.id
-        owner_locks = self._by_owner.get(owner_id)
-        held = owner_locks.get(resource) if owner_locks else None
         request = LockRequest(owner=owner, resource=resource, mode=mode, _manager=self)
         if head.queue is None:
             head.queue = deque()
         if held is not None:
             head.queue.appendleft(request)
+            self.stats["upgrades"] += 1
         else:
             head.queue.append(request)
-        with self._owner_latch:
-            self.stats["acquires"] += 1
-            if held is not None:
-                self.stats["upgrades"] += 1
-            pending = self._waiting.get(owner_id)
-            if pending is None:
-                pending = self._waiting[owner_id] = set()
-            pending.add(request)
-            self.stats["waits"] += 1
+        pending = self._waiting.get(owner_id)
+        if pending is None:
+            pending = self._waiting[owner_id] = set()
+        pending.add(request)
+        self.stats["waits"] += 1
         if self.trace is not None:
             self.trace.emit(
                 EventType.LOCK_WAIT, owner_id,
@@ -771,10 +593,8 @@ class LockManager:
             self._resolve_deadlocks(request)
             if request.state is RequestState.GRANTED:
                 return AcquireResult(AcquireStatus.GRANTED)
-            if request.state is RequestState.DENIED:
-                # Re-raise through the normal WAIT path: the caller sees a
-                # resolved-denied request and surfaces the error.
-                return AcquireResult(AcquireStatus.WAIT, request=request)
+        # A request denied during deadlock resolution also travels the
+        # WAIT path: the caller sees it resolved and surfaces the error.
         return AcquireResult(AcquireStatus.WAIT, request=request)
 
     def release_all(self, owner: Any, keep_siread: bool = False) -> None:
@@ -784,155 +604,46 @@ class LockManager:
         the SIREAD locks stay in the table; they are dropped later by
         :meth:`drop_siread_locks` once no concurrent transaction remains.
 
-        Latching: an owner with no granted locks and no waiting requests
-        exits immediately with no latch at all (atomic dict probes; an
-        owner absent from ``_by_owner`` cannot be granted locks
-        concurrently — inheritance only replicates onto existing SIREAD
-        holders).  Otherwise the owner's lock set is snapshotted and
-        removed stripe by stripe (one stripe latch per group, one
-        owner-latch section for all the per-owner bookkeeping); only
-        resources with waiters take the queue latch for promotion.  A
-        second pass catches most locks that :meth:`inherit_siread_locks`
-        or :meth:`promote_sireads` granted to this owner concurrently (a
-        gap split replicating a scan's sentinel while its owner aborts),
-        and — for SIREAD holders releasing everything — a final
-        queue-latched verification sweep closes the in-flight-grant
-        window the passes cannot (both granting paths are
-        collect-and-grant atomic under the queue latch).
+        An owner with no granted locks and no waiting requests exits with
+        no latch at all.  The two membership probes are GIL-atomic, and a
+        stale "absent" cannot hide a lock: nothing is ever granted to an
+        owner that is in neither index — inheritance only replicates onto
+        existing SIREAD holders, escalation only promotes held sentinels,
+        and :meth:`_promote` indexes a waiter's grant *before* it leaves
+        ``_waiting``.
         """
         owner_id = owner.id
         if owner_id not in self._by_owner and owner_id not in self._waiting:
             return
-        # Single-lock fast path — the dominant release shape in OLTP
-        # runs (a point read/update holds exactly one lock).  The pair is
-        # read with atomic dict ops: only this owner's thread and SIREAD
-        # inheritance mutate the per-owner dict, a concurrent insert
-        # makes the probe below fall through to the general loop, and a
-        # mid-read mutation surfaces as RuntimeError (handled likewise).
-        locks = self._by_owner.get(owner_id)
-        if locks is not None and len(locks) == 1:
-            try:
-                resource, lock = next(iter(locks.items()))
-            except (RuntimeError, StopIteration):
-                lock = None
-            if lock is not None:
-                if keep_siread and lock.mask == _SIREAD_BIT:
-                    # Lone retained sentinel: nothing to shed or promote.
-                    if (
-                        self._waiting.get(owner_id)
-                        or owner_id in self.waits_for._edges
-                    ):
-                        self.cancel_waits(owner)
-                    return
-                if not keep_siread or not lock.mask & _SIREAD_BIT:
-                    stripe_index = hash(resource) & _STRIPE_MASK
-                    removed = False
-                    promote = False
-                    with self._stripe_latches[stripe_index]:
-                        heads = self._stripe_heads[stripe_index]
-                        head = heads.get(resource)
-                        if (
-                            head is not None
-                            and head.granted.get(owner_id) is lock
-                        ):
-                            self._detach_lock(heads, head, lock)
-                            removed = True
-                            promote = bool(head.queue)
-                    if removed:
-                        self._forget_locks(owner_id, [lock])
-                        if promote:
-                            with self._queue_latch:
-                                with self._stripe_latches[stripe_index]:
-                                    self._promote(resource, stripe_index)
-                        if (
-                            not keep_siread
-                            and lock.mask & _SIREAD_BIT
-                            and resource.kind != "rec"
-                        ):
-                            # A coarse sentinel marks a possible
-                            # inheritance source: close the in-flight
-                            # grant window before declaring the owner
-                            # drained (record sentinels cannot be
-                            # sources, and a raced promotion self-undoes
-                            # or leaves its grant visible below).
-                            self._sweep_owner_queued(owner_id, siread_only=False)
-                    if not self._by_owner.get(owner_id):
-                        if (
-                            self._waiting.get(owner_id)
-                            or owner_id in self.waits_for._edges
-                        ):
-                            self.cancel_waits(owner)
-                        return
-                # mixed keep_siread single lock, a raced detach, or a
-                # concurrently inherited sentinel: general loop below.
-        saw_siread = False
-        for _pass in range(2):
-            # Repeat passes only re-snapshot when the atomic probe says
-            # locks remain (the common case is that pass one drained them).
-            if _pass and not self._by_owner.get(owner_id):
-                break
-            with self._owner_latch:
-                locks = self._by_owner.get(owner_id)
-                items = list(locks.items()) if locks else []
-            if not items:
-                break
-            if not saw_siread:
-                saw_siread = any(
-                    lock.mask & _SIREAD_BIT for _resource, lock in items
-                )
-            if len(items) == 1:
-                by_stripe = {hash(items[0][0]) & _STRIPE_MASK: items}
-            else:
-                by_stripe = {}
-                for resource, lock in items:
-                    by_stripe.setdefault(
-                        hash(resource) & _STRIPE_MASK, []
-                    ).append((resource, lock))
-            removed: list[Lock] = []
-            promote: list[Resource] = []
-            for stripe_index, group in by_stripe.items():
-                with self._stripe_latches[stripe_index]:
-                    heads = self._stripe_heads[stripe_index]
-                    for resource, lock in group:
-                        head = heads.get(resource)
-                        if head is None or head.granted.get(owner_id) is not lock:
-                            continue  # raced with a concurrent cleanup
-                        if keep_siread and lock.mask & _SIREAD_BIT:
-                            if lock.mask != _SIREAD_BIT:
-                                # Shed the blocking modes, retain the sentinel.
-                                for mode in _MODES_IN[lock.mask & ~_SIREAD_BIT]:
-                                    self._discard_mode(head, lock, mode)
-                                if head.queue:
-                                    promote.append(resource)
+        with self._latch:
+            locks = self._by_owner.get(owner_id)
+            if locks:
+                heads = self._heads
+                removed: list[Lock] = []
+                promote: list[Resource] = []
+                for resource, lock in locks.items():
+                    head = heads[resource]
+                    if keep_siread and lock.mask & _SIREAD_BIT:
+                        if lock.mask == _SIREAD_BIT:
                             continue
-                        self._detach_lock(heads, head, lock)
+                        # Shed the blocking modes, retain the sentinel.
+                        for mode in _MODES_IN[lock.mask & ~_SIREAD_BIT]:
+                            self._discard_mode(head, lock, mode)
+                    else:
+                        self._detach_lock(head, lock)
                         removed.append(lock)
-                        if head.queue:
-                            promote.append(resource)
-            if removed:
+                    if head.queue:
+                        promote.append(resource)
                 self._forget_locks(owner_id, removed)
-            for resource in promote:
-                stripe_index = hash(resource) & _STRIPE_MASK
-                with self._queue_latch:
-                    with self._stripe_latches[stripe_index]:
-                        self._promote(resource, stripe_index)
-            if keep_siread or not removed:
-                break
-        if not keep_siread and saw_siread:
-            # SIREAD holders can be inheritance sources and escalation
-            # targets; one queue-latched sweep closes the window where a
-            # concurrent inherit/promote grant lands after the passes
-            # above snapshotted the owner's set.  (Retaining commits skip
-            # this — their sentinels are dropped by drop_siread_locks,
-            # which runs its own sweep.)
-            self._sweep_owner_queued(owner_id, siread_only=False)
-        # Waits-for maintenance is only owed when the owner has waiting
-        # requests or stale outgoing edges (a promoted-then-granted waiter
-        # keeps its edges until here); stale *incoming* edges cannot
-        # survive the promotions above, which refresh every queue the
-        # owner's locks were blocking.
-        if self._waiting.get(owner_id) or owner_id in self.waits_for._edges:
-            self.cancel_waits(owner)
+                for resource in promote:
+                    self._promote(resource)
+            # Waits-for maintenance is only owed when the owner has
+            # waiting requests or stale outgoing edges (a promoted-then-
+            # granted waiter keeps its edges until here); stale *incoming*
+            # edges cannot survive the promotions above, which refresh
+            # every queue the owner's locks were blocking.
+            if self._waiting.get(owner_id) or owner_id in self.waits_for._edges:
+                self.cancel_waits(owner)
 
     def retain_all_reads(self, owner: Any) -> bool:
         """Commit-time fast path for a read-only retaining owner.
@@ -945,133 +656,55 @@ class LockManager:
         (everything retained); False when the owner holds a non-SIREAD
         lock (e.g. a SHARED-read retaining policy) and the caller must
         take the full ``release_all(keep_siread=True)`` path.
-
-        The counts-vs-held comparison runs under the owner latch so it
-        cannot tear against a concurrent grant or inheritance, and the
-        engine never has to reach into the manager's private indexes.
         """
         owner_id = owner.id
-        with self._owner_latch:
+        with self._latch:
             held = self._by_owner.get(owner_id)
             if held is not None and self._siread_counts.get(owner_id, 0) < len(held):
                 return False
-            pending = bool(self._waiting.get(owner_id))
-        if pending or owner_id in self.waits_for._edges:
-            self.cancel_waits(owner)
+            if self._waiting.get(owner_id) or owner_id in self.waits_for._edges:
+                self.cancel_waits(owner)
         return True
 
     def drop_siread_locks(self, owner: Any) -> int:
         """Remove retained SIREAD locks of a cleaned-up suspended txn.
 
-        Locks are dropped stripe group by stripe group (scan-heavy
-        suspended transactions hold hundreds of sentinels — one latch per
-        lock would dominate cleanup); the bulk passes catch most sentinels
-        that :meth:`inherit_siread_locks` replicated onto new gaps for
-        this owner while the sweep ran, and a final queue-latched
-        verification sweep (:meth:`_sweep_owner_queued`) closes the
-        remaining in-flight-grant window for good.  The weighted return
-        value counts an escalated coarse sentinel as the record locks it
-        replaced.
+        The weighted return value counts an escalated coarse sentinel as
+        the record locks it replaced.
+
+        An owner absent from ``_by_owner`` returns 0 with no latch (one
+        GIL-atomic probe); the stale answer is safe for the reason given
+        in :meth:`release_all` — no path grants to an owner holding
+        nothing.
         """
         owner_id = owner.id
-        dropped = 0
-        # Single-sentinel fast path (point readers retain exactly one
-        # SIREAD); atomic reads as in release_all's fast path.
-        locks = self._by_owner.get(owner_id)
-        if locks is not None and len(locks) == 1:
-            try:
-                resource, lock = next(iter(locks.items()))
-            except (RuntimeError, StopIteration):
-                lock = None
-            if lock is not None and lock.mask == _SIREAD_BIT:
-                stripe_index = hash(resource) & _STRIPE_MASK
-                removed = False
-                with self._stripe_latches[stripe_index]:
-                    heads = self._stripe_heads[stripe_index]
-                    head = heads.get(resource)
-                    if head is not None and head.granted.get(owner_id) is lock:
-                        self._detach_lock(heads, head, lock)
-                        removed = True
-                if removed:
-                    # The lone sentinel may itself be an escalated coarse
-                    # lock; its weight surplus keeps the return value
-                    # counting the record locks it replaced.
-                    surplus = self._forget_locks(
-                        owner_id, [lock], dropped_stat=1
-                    )
-                    dropped = 1 + surplus
-                if resource.kind == "rec" and owner_id not in self._by_owner:
-                    # A lone record sentinel is never an inheritance
-                    # source, and a racing promotion that failed to find
-                    # it undoes its own coarse grant — nothing concurrent
-                    # can leave residue behind this probe.
-                    return dropped
-        for _pass in range(3):
-            if owner_id not in self._by_owner:
-                break  # atomic probe: nothing (left) to drop
-            with self._owner_latch:
-                locks = self._by_owner.get(owner_id)
-                items = (
-                    [
-                        (resource, lock)
-                        for resource, lock in locks.items()
-                        if lock.mask & _SIREAD_BIT
-                    ]
-                    if locks
-                    else []
-                )
-            if not items:
-                break
-            if len(items) == 1:
-                by_stripe = {hash(items[0][0]) & _STRIPE_MASK: items}
-            else:
-                by_stripe = {}
-                for resource, lock in items:
-                    by_stripe.setdefault(
-                        hash(resource) & _STRIPE_MASK, []
-                    ).append((resource, lock))
+        if owner_id not in self._by_owner:
+            return 0
+        with self._latch:
+            locks = self._by_owner.get(owner_id)
+            if not locks:
+                return 0
+            heads = self._heads
             removed: list[Lock] = []
             shed = 0
-            for stripe_index, group in by_stripe.items():
-                with self._stripe_latches[stripe_index]:
-                    heads = self._stripe_heads[stripe_index]
-                    for resource, lock in group:
-                        head = heads.get(resource)
-                        if head is None or head.granted.get(owner_id) is not lock:
-                            continue
-                        mask = lock.mask
-                        if not mask & _SIREAD_BIT:
-                            continue
-                        if mask == _SIREAD_BIT:
-                            self._detach_lock(heads, head, lock)
-                            removed.append(lock)
-                        else:
-                            # Shed just the sentinel mode; the per-owner
-                            # SIREAD count is settled below in one batch.
-                            lock.mask = mask & ~_SIREAD_BIT
-                            head.counts -= 1 << _SIREAD_SHIFT
-                            if not (head.counts >> _SIREAD_SHIFT) & 0xFFFF:
-                                head.mask &= ~_SIREAD_BIT
-                            shed += 1
-                        dropped += 1
-            if removed or shed:
-                # ``siread_dropped`` accounting rides in the same
-                # owner-latch section that settles the per-owner indexes;
-                # the surplus is the extra records escalated sentinels
-                # stood for.
-                dropped += self._forget_locks(
-                    owner_id, removed, extra_siread=shed,
-                    dropped_stat=len(removed) + shed,
-                )
-        dropped += self._sweep_owner_queued(owner_id, siread_only=True)
-        return dropped
+            for resource, lock in locks.items():
+                if not lock.mask & _SIREAD_BIT:
+                    continue
+                if lock.mask == _SIREAD_BIT:
+                    self._detach_lock(heads[resource], lock)
+                    removed.append(lock)
+                else:
+                    shed += self._shed_siread(heads[resource], lock)
+            dropped = len(removed) + shed
+            # The surplus is the extra records escalated sentinels stood for.
+            return dropped + self._forget_locks(
+                owner_id, removed, dropped_stat=dropped
+            )
 
-    def _detach_lock(
-        self, heads: dict[Resource, _LockHead], head: _LockHead, lock: Lock
-    ) -> None:
-        """Head-side removal of a granted lock (caller holds the stripe
-        latch and has verified the lock is current).  The per-owner
-        bookkeeping is settled separately via :meth:`_forget_locks`."""
+    def _detach_lock(self, head: _LockHead, lock: Lock) -> None:
+        """Head-side removal of a granted lock (caller holds the latch).
+        The per-owner bookkeeping is settled separately, in one batch,
+        via :meth:`_forget_locks`."""
         del head.granted[lock.owner.id]
         for mode in _MODES_IN[lock.mask]:
             shift = mode.index << 4
@@ -1079,19 +712,14 @@ class LockManager:
             if not (head.counts >> shift) & 0xFFFF:
                 head.mask &= ~mode.bit
         if head.empty():
-            heads.pop(lock.resource, None)
+            self._heads.pop(lock.resource, None)
 
     def _forget_locks(
-        self,
-        owner_id: Hashable,
-        removed: list[Lock],
-        extra_siread: int = 0,
-        dropped_stat: int = 0,
+        self, owner_id: Hashable, removed: list[Lock], dropped_stat: int = 0
     ) -> int:
-        """One owner-latch section settling the per-owner indexes for a
-        batch of detached locks (plus ``extra_siread`` shed sentinel
-        modes on locks that remain granted); ``dropped_stat`` folds the
-        ``siread_dropped`` counter bump into the same section.
+        """Settle the per-owner indexes for a batch of detached locks
+        (caller holds the latch); ``dropped_stat`` is the number of
+        sentinels being counted into ``siread_dropped``.
 
         An escalated coarse lock counts as the record locks it replaced:
         its weight entry is popped here, and when the removal is being
@@ -1099,30 +727,28 @@ class LockManager:
         ``siread_dropped`` so obs snapshots stay comparable before and
         after escalation.  Returns the surplus for callers that report
         weighted totals."""
-        with self._owner_latch:
-            surplus = 0
-            siread_gone = extra_siread
-            if removed:
-                self._granted_count -= len(removed)
-                owner_locks = self._by_owner.get(owner_id)
-                weights = self._escalated_weights
-                for lock in removed:
-                    if lock.mask & _SIREAD_BIT:
-                        siread_gone += 1
-                    if weights:
-                        surplus += weights.pop((owner_id, lock.resource), 1) - 1
-                    if owner_locks is not None:
-                        owner_locks.pop(lock.resource, None)
-                if owner_locks is not None and not owner_locks:
-                    del self._by_owner[owner_id]
-            if dropped_stat:
-                self.stats["siread_dropped"] += dropped_stat + surplus
+        surplus = 0
+        if removed:
+            siread_gone = 0
+            self._granted_count -= len(removed)
+            owner_locks = self._by_owner[owner_id]
+            weights = self._escalated_weights
+            for lock in removed:
+                if lock.mask & _SIREAD_BIT:
+                    siread_gone += 1
+                if weights:
+                    surplus += weights.pop((owner_id, lock.resource), 1) - 1
+                del owner_locks[lock.resource]
+            if not owner_locks:
+                del self._by_owner[owner_id]
             if siread_gone:
-                remaining = self._siread_counts.get(owner_id, 0) - siread_gone
-                if remaining > 0:
+                remaining = self._siread_counts[owner_id] - siread_gone
+                if remaining:
                     self._siread_counts[owner_id] = remaining
                 else:
-                    self._siread_counts.pop(owner_id, None)
+                    del self._siread_counts[owner_id]
+        if dropped_stat:
+            self.stats["siread_dropped"] += dropped_stat + surplus
         return surplus
 
     def inherit_siread_locks(
@@ -1143,53 +769,38 @@ class LockManager:
         inherited.  ``exclude_owner=None`` replicates every holder (the
         page-split case: the splitting writer's own escalated coverage
         must follow its records).
-
-        Latching: holders are collected under the source stripe, grants
-        happen under the destination stripe; the queue latch is held
-        across both so the two stripes form one atomic step against
-        concurrent release/cleanup of the same owners — release paths
-        close their race with this grant via their own final
-        queue-latched sweep.
         """
-        from_index = self._stripe_of(from_resource)
-        to_index = self._stripe_of(to_resource)
         exclude_id = exclude_owner.id if exclude_owner is not None else None
         inherited = 0
-        with self._queue_latch:
-            with self._stripe_latches[from_index]:
-                head = self._stripe_heads[from_index].get(from_resource)
-                if head is None or not head.mask & _SIREAD_BIT:
-                    return 0
-                holders = [
-                    lock.owner
-                    for lock in head.granted.values()
-                    if lock.mask & _SIREAD_BIT
-                    and lock.owner.id != exclude_id
-                ]
+        with self._latch:
+            head = self._heads.get(from_resource)
+            if head is None or not head.mask & _SIREAD_BIT:
+                return 0
+            holders = [
+                lock.owner
+                for lock in head.granted.values()
+                if lock.mask & _SIREAD_BIT and lock.owner.id != exclude_id
+            ]
             if not holders:
                 return 0
-            with self._stripe_latches[to_index]:
-                to_heads = self._stripe_heads[to_index]
-                to_head = to_heads.get(to_resource)
-                if to_head is None:
-                    to_head = to_heads[to_resource] = _LockHead()
-                for holder in holders:
-                    existing = self._by_owner.get(holder.id, {}).get(
-                        to_resource
-                    )
-                    if existing is not None and existing.mask & _SIREAD_BIT:
-                        continue
-                    self._grant(to_head, holder, to_resource, LockMode.SIREAD)
-                    inherited += 1
+            to_head = self._heads.get(to_resource)
+            if to_head is None:
+                to_head = self._heads[to_resource] = _LockHead()
+            for holder in holders:
+                existing = self._by_owner[holder.id].get(to_resource)
+                if existing is not None and existing.mask & _SIREAD_BIT:
+                    continue
+                self._grant(to_head, holder, to_resource, LockMode.SIREAD, existing)
+                inherited += 1
         return inherited
 
     # ----------------------------------------------------- SIREAD escalation
 
     def has_escalated_locks(self) -> bool:
-        """Atomic gate for the engine's coarse-unit write probes: False
-        proves no escalated page/table SIREAD exists.  The weight entry is
-        inserted *before* its coarse lock is granted and removed only
-        after the lock leaves the table, so a stale True merely sends the
+        """Atomic, latch-free gate for the engine's coarse-unit write
+        probes: False proves no escalated page/table SIREAD exists.  The
+        weight entry is inserted *before* its coarse lock is granted and
+        removed only with the lock, so a stale True merely sends the
         writer to probe an empty head — safe, never the reverse."""
         return bool(self._escalated_weights)
 
@@ -1203,9 +814,8 @@ class LockManager:
         skipped because a coarse lock of their own already covers the
         resource (they still owe the Fig 3.4 check against granted
         EXCLUSIVE holders)."""
-        stripe_index = self._stripe_of(resource)
-        with self._stripe_latches[stripe_index]:
-            head = self._stripe_heads[stripe_index].get(resource)
+        with self._latch:
+            head = self._heads.get(resource)
             if head is None:
                 return _NO_CONFLICTS
             return self._detection_conflicts(head, owner, mode)
@@ -1213,26 +823,17 @@ class LockManager:
     def probe_detection_batch(
         self, owner: Any, resources: list[Resource], mode: LockMode
     ) -> list[Lock]:
-        """Batched :meth:`probe_detection`: group by stripe so a scan
-        probing hundreds of covered resources takes one latch per stripe
-        (at most ``_STRIPES``) instead of one per resource."""
-        if not resources:
-            return _NO_CONFLICTS
-        by_stripe: dict[int, list[Resource]] = {}
-        for resource in resources:
-            by_stripe.setdefault(self._stripe_of(resource), []).append(
-                resource
-            )
+        """Batched :meth:`probe_detection`: a scan probing hundreds of
+        covered resources pays for one critical section."""
         conflicts: list[Lock] = []
-        for stripe_index, group in by_stripe.items():
-            with self._stripe_latches[stripe_index]:
-                heads = self._stripe_heads[stripe_index]
-                for resource in group:
-                    head = heads.get(resource)
-                    if head is not None:
-                        found = self._detection_conflicts(head, owner, mode)
-                        if found:
-                            conflicts.extend(found)
+        with self._latch:
+            heads = self._heads
+            for resource in resources:
+                head = heads.get(resource)
+                if head is not None:
+                    found = self._detection_conflicts(head, owner, mode)
+                    if found:
+                        conflicts.extend(found)
         return conflicts
 
     def acquire_coarse_sireads(
@@ -1255,53 +856,32 @@ class LockManager:
         (granted write-mode holders on the coarse units) for the caller
         to dispatch as rw-antidependencies.
         """
-        if not resources:
-            return _NO_CONFLICTS
         owner_id = owner.id
         conflicts: list[Lock] = []
-        with self._queue_latch:
-            with self._owner_latch:
-                weights = self._escalated_weights
-                for resource in resources:
-                    weights.setdefault((owner_id, resource), 1)
-            by_stripe: dict[int, list[Resource]] = {}
+        with self._latch:
+            heads = self._heads
             for resource in resources:
-                by_stripe.setdefault(self._stripe_of(resource), []).append(
-                    resource
-                )
-            for stripe_index, group in by_stripe.items():
-                with self._stripe_latches[stripe_index]:
-                    heads = self._stripe_heads[stripe_index]
-                    for resource in group:
-                        head = heads.get(resource)
-                        if head is None:
-                            head = heads[resource] = _LockHead()
-                        found = self._detection_conflicts(
-                            head, owner, LockMode.SIREAD
-                        )
-                        if found:
-                            conflicts.extend(found)
-                        held = self._by_owner.get(owner_id, {}).get(resource)
-                        if held is None:
-                            self._grant(head, owner, resource, LockMode.SIREAD)
-                        elif not held.mask & _SIREAD_BIT:
-                            self._add_mode(head, held, LockMode.SIREAD)
+                self._escalated_weights.setdefault((owner_id, resource), 1)
+                head = heads.get(resource)
+                if head is None:
+                    head = heads[resource] = _LockHead()
+                found = self._detection_conflicts(head, owner, LockMode.SIREAD)
+                if found:
+                    conflicts.extend(found)
+                owner_locks = self._by_owner.get(owner_id)
+                held = owner_locks.get(resource) if owner_locks else None
+                self._grant(head, owner, resource, LockMode.SIREAD, held)
         return conflicts
 
     def siread_owners_by_count(self) -> list[Any]:
         """SIREAD-holding owners, busiest first — the escalation victim
         order (deterministic tie-break on owner id)."""
-        with self._owner_latch:
+        with self._latch:
             ranked = sorted(
                 self._siread_counts.items(),
                 key=lambda item: (-item[1], str(item[0])),
             )
-            owners = []
-            for owner_id, _count in ranked:
-                locks = self._by_owner.get(owner_id)
-                if locks:
-                    owners.append(next(iter(locks.values())).owner)
-            return owners
+            return [self._owner_for(owner_id) for owner_id, _count in ranked]
 
     def siread_resources(
         self, owner: Any, kinds: tuple[str, ...] = ("rec",)
@@ -1309,23 +889,21 @@ class LockManager:
         """Resources of the given kinds on which ``owner`` holds a *pure*
         SIREAD sentinel (escalation candidates; a mixed-mode lock belongs
         to an active writer and stays put)."""
-        with self._owner_latch:
-            locks = self._by_owner.get(owner.id)
-            if not locks:
-                return []
+        with self._latch:
             return [
                 resource
-                for resource, lock in locks.items()
+                for resource, lock in self._by_owner.get(owner.id, {}).items()
                 if resource.kind in kinds and lock.mask == _SIREAD_BIT
             ]
 
     def siread_lock_count(self) -> int:
         """Granted locks carrying SIREAD, across all owners (obs gauge)."""
-        with self._owner_latch:
+        with self._latch:
             return sum(self._siread_counts.values())
 
     def escalated_lock_count(self) -> int:
-        """Escalated coarse SIREADs currently granted (obs gauge)."""
+        """Escalated coarse SIREADs currently granted (obs gauge; one
+        atomic ``len``)."""
         return len(self._escalated_weights)
 
     def promote_sireads(
@@ -1335,161 +913,51 @@ class LockManager:
         (page or table) SIREAD on ``coarse`` — the memory-bounding
         escalation step (Ports & Grittner Section 4).
 
-        Soundness: the coarse lock is granted *before* any fine sentinel
-        is removed, so a concurrent writer sees fine or coarse, never
-        neither — escalation can add false-positive rw edges but never
-        lose one.  The whole promotion holds the queue latch (the licence
-        for holding several stripe latches, in rank order), which also
-        serialises it against inherit_siread_locks and the release paths'
-        final queue-latched sweep: a promotion racing a release either
-        lands before that sweep's snapshot (and is swept) or finds no
-        fine sentinels left and undoes its own grant.
+        Soundness: the whole promotion is one critical section, so a
+        concurrent writer sees the fine sentinels or the coarse one,
+        never neither — escalation can add false-positive rw edges but
+        never lose one.  Candidates (still-held, still-pure sentinels)
+        are counted first; with none left nothing is granted at all.
 
         Returns the number of record sentinels replaced (added to the
         coarse lock's weight; 0 means nothing was promoted).
         """
         owner_id = owner.id
         weight_key = (owner_id, coarse)
-        with self._queue_latch:
-            # Gate on *before* the coarse grant: a writer that misses the
-            # fine sentinels (removed below) must already see the gate and
-            # probe the coarse unit.
-            with self._owner_latch:
-                base = self._escalated_weights.get(weight_key)
-                if base is None:
-                    self._escalated_weights[weight_key] = 1
-            coarse_index = self._stripe_of(coarse)
-            fresh_grant = False
-            added_mode = False
-            with self._stripe_latches[coarse_index]:
-                heads = self._stripe_heads[coarse_index]
-                head = heads.get(coarse)
-                if head is None:
-                    head = heads[coarse] = _LockHead()
-                held = self._by_owner.get(owner_id, {}).get(coarse)
-                if held is None:
-                    fresh_grant = True
-                    self._grant(head, owner, coarse, LockMode.SIREAD)
-                elif not held.mask & _SIREAD_BIT:
-                    added_mode = True
-                    self._add_mode(head, held, LockMode.SIREAD)
-            if len(fine) == 1:
-                by_stripe = {hash(fine[0]) & _STRIPE_MASK: fine}
-            else:
-                by_stripe = {}
-                for resource in fine:
-                    by_stripe.setdefault(
-                        hash(resource) & _STRIPE_MASK, []
-                    ).append(resource)
-            removed: list[Lock] = []
-            for stripe_index, group in by_stripe.items():
-                with self._stripe_latches[stripe_index]:
-                    heads = self._stripe_heads[stripe_index]
-                    for resource in group:
-                        head = heads.get(resource)
-                        lock = head.granted.get(owner_id) if head else None
-                        if lock is None or lock.mask != _SIREAD_BIT:
-                            continue  # released or upgraded since selection
-                        self._detach_lock(heads, head, lock)
-                        removed.append(lock)
-            replaced = len(removed)
-            if not replaced:
-                # Raced with a release that already took every candidate:
-                # undo the grant so a drained owner is not left holding a
-                # lock its (already finished) sweep can no longer see.
-                undo = None
-                with self._stripe_latches[coarse_index]:
-                    heads = self._stripe_heads[coarse_index]
-                    head = heads.get(coarse)
-                    lock = head.granted.get(owner_id) if head else None
-                    if lock is not None and lock.mask & _SIREAD_BIT:
-                        if fresh_grant and lock.mask == _SIREAD_BIT:
-                            self._detach_lock(heads, head, lock)
-                            undo = lock
-                        elif added_mode:
-                            self._discard_mode(head, lock, LockMode.SIREAD)
-                if undo is not None:
-                    self._forget_locks(owner_id, [undo])
-                if base is None:
-                    with self._owner_latch:
-                        self._escalated_weights.pop(weight_key, None)
+        with self._latch:
+            owner_locks = self._by_owner.get(owner_id)
+            if not owner_locks:
                 return 0
+            candidates = {
+                resource: owner_locks[resource]
+                for resource in fine
+                if resource in owner_locks
+                and owner_locks[resource].mask == _SIREAD_BIT
+            }
+            if not candidates:
+                return 0  # released or upgraded since selection
+            # Gate on *before* the coarse grant (has_escalated_locks is
+            # read latch-free).
+            weight = self._escalated_weights.setdefault(weight_key, 1)
+            heads = self._heads
+            head = heads.get(coarse)
+            if head is None:
+                head = heads[coarse] = _LockHead()
+            self._grant(head, owner, coarse, LockMode.SIREAD, owner_locks.get(coarse))
+            removed = list(candidates.values())
+            for lock in removed:
+                self._detach_lock(heads[lock.resource], lock)
             # The replaced sentinels are *promoted*, not dropped: no
             # siread_dropped bump — the weight entry carries their count
             # forward to whichever path finally removes the coarse lock.
             # A promoted lock that was itself escalated (page -> table)
             # contributes its whole weight via the surplus.
             surplus = self._forget_locks(owner_id, removed)
-            with self._owner_latch:
-                prior = base if base is not None else 1
-                self._escalated_weights[weight_key] = prior + replaced + surplus
-                self.stats["escalations"] += 1
-                self.stats["escalated_records"] += replaced
+            replaced = len(removed)
+            self._escalated_weights[weight_key] = weight + replaced + surplus
+            self.stats["escalations"] += 1
+            self.stats["escalated_records"] += replaced
         return replaced
-
-    def _sweep_owner_queued(self, owner_id: Hashable, siread_only: bool) -> int:
-        """Final verification sweep of a release path, under the queue
-        latch.
-
-        The bulk release passes run without the queue latch, so a SIREAD
-        granted concurrently by :meth:`inherit_siread_locks` or
-        :meth:`promote_sireads` (both collect-and-grant atomic under the
-        queue latch) can land *after* the last bulk snapshot — the window
-        the old "second pass" comment papered over.  One queue-latched
-        re-snapshot closes it for good: any such grant either completed
-        before this sweep (its lock is in the snapshot and is removed) or
-        starts after it — and then finds none of this owner's SIREADs
-        left to replicate or promote.  Returns the weighted count of
-        sentinels removed (``siread_only``) or 0.
-        """
-        dropped = 0
-        with self._queue_latch:
-            with self._owner_latch:
-                locks = self._by_owner.get(owner_id)
-                items = list(locks.items()) if locks else []
-            if not items:
-                return 0
-            removed: list[Lock] = []
-            shed = 0
-            promote: list[tuple[Resource, int]] = []
-            for resource, lock in items:
-                stripe_index = hash(resource) & _STRIPE_MASK
-                with self._stripe_latches[stripe_index]:
-                    heads = self._stripe_heads[stripe_index]
-                    head = heads.get(resource)
-                    if head is None or head.granted.get(owner_id) is not lock:
-                        continue
-                    mask = lock.mask
-                    if siread_only:
-                        if not mask & _SIREAD_BIT:
-                            continue
-                        if mask == _SIREAD_BIT:
-                            self._detach_lock(heads, head, lock)
-                            removed.append(lock)
-                        else:
-                            lock.mask = mask & ~_SIREAD_BIT
-                            head.counts -= 1 << _SIREAD_SHIFT
-                            if not (head.counts >> _SIREAD_SHIFT) & 0xFFFF:
-                                head.mask &= ~_SIREAD_BIT
-                            shed += 1
-                        dropped += 1
-                    else:
-                        self._detach_lock(heads, head, lock)
-                        removed.append(lock)
-                    if head.queue:
-                        promote.append((resource, stripe_index))
-            if removed or shed:
-                if siread_only:
-                    dropped += self._forget_locks(
-                        owner_id, removed, extra_siread=shed,
-                        dropped_stat=len(removed) + shed,
-                    )
-                else:
-                    self._forget_locks(owner_id, removed)
-            for resource, stripe_index in promote:
-                with self._stripe_latches[stripe_index]:
-                    self._promote(resource, stripe_index)
-        return dropped
 
     def cancel_request(self, request: LockRequest, error: Exception | None = None) -> bool:
         """Remove one waiting request (lock-wait timeout path).
@@ -1498,30 +966,32 @@ class LockManager:
         denied; False if it had already resolved.
         """
         if request.state is not RequestState.WAITING:
-            return False
+            return False  # terminal states never revert: a stale read is final
         resource = request.resource
-        stripe_index = self._stripe_of(resource)
-        with self._queue_latch:
-            with self._stripe_latches[stripe_index]:
-                head = self._stripe_heads[stripe_index].get(resource)
-                if head is None or not head.queue or request not in head.queue:
-                    return False
-                head.queue.remove(request)
-                self._waiting_discard(request)
-                # Queue membership (checked under the queue latch, which
-                # every resolver holds) implies the request is still
-                # WAITING, but the terminal transition itself is the
-                # arbiter: report cancellation only if this call won it.
-                cancelled = request._resolve(RequestState.DENIED, error)
-                if cancelled and self.trace is not None:
-                    self.trace.emit(
-                        EventType.LOCK_DENY, request.owner.id,
-                        resource=repr(resource), mode=request.mode.value,
-                        error=type(error).__name__ if error else None,
-                    )
-                self._refresh_wait_edges(head)
-                self._promote(resource, stripe_index)
-                return cancelled
+        with self._latch:
+            head = self._heads.get(resource)
+            if head is None or not head.queue or request not in head.queue:
+                return False
+            head.queue.remove(request)
+            self._waiting_discard(request)
+            # The owner no longer waits for anyone: drop its outgoing
+            # edges now (the refresh below only recomputes requests still
+            # queued), or a holder enqueueing behind this doomed owner
+            # would close a phantom cycle and be chosen as victim.
+            self.waits_for.clear_edges_from(request.owner.id)
+            # Queue membership implies the request is still WAITING, but
+            # the terminal transition itself is the arbiter: report
+            # cancellation only if this call won it.
+            cancelled = request._resolve(RequestState.DENIED, error)
+            if cancelled and self.trace is not None:
+                self.trace.emit(
+                    EventType.LOCK_DENY, request.owner.id,
+                    resource=repr(resource), mode=request.mode.value,
+                    error=type(error).__name__ if error else None,
+                )
+            self._refresh_wait_edges(head)
+            self._promote(resource)
+            return cancelled
 
     def cancel_waits(self, owner: Any, error: Exception | None = None) -> None:
         """Remove any waiting requests of ``owner`` (abort/doom path).
@@ -1531,52 +1001,44 @@ class LockManager:
         waiting index — this runs on *every* commit and abort, so it must
         not walk the table.
         """
-        with self._queue_latch:
-            with self._owner_latch:
-                pending = self._waiting.pop(owner.id, None)
+        with self._latch:
+            pending = self._waiting.pop(owner.id, None)
             if pending:
-                by_resource: dict[Resource, list[LockRequest]] = {}
+                # Dequeue all of the owner's requests before promoting
+                # anything, or a promotion could grant one of them.
+                touched: dict[Resource, _LockHead] = {}
                 for request in pending:
-                    by_resource.setdefault(request.resource, []).append(request)
-                for resource, requests in by_resource.items():
-                    stripe_index = self._stripe_of(resource)
-                    with self._stripe_latches[stripe_index]:
-                        head = self._stripe_heads[stripe_index].get(resource)
-                        if head is None or not head.queue:
-                            continue
-                        removed = False
-                        for request in requests:
-                            try:
-                                head.queue.remove(request)
-                            except ValueError:
-                                continue
-                            removed = True
-                            request._resolve(RequestState.DENIED, error)
-                            if self.trace is not None:
-                                self.trace.emit(
-                                    EventType.LOCK_DENY, request.owner.id,
-                                    resource=repr(request.resource),
-                                    mode=request.mode.value,
-                                    error=type(error).__name__ if error else None,
-                                )
-                        if removed:
-                            self._refresh_wait_edges(head)
-                            self._promote(resource, stripe_index)
+                    head = touched[request.resource] = self._heads[request.resource]
+                    head.queue.remove(request)
+                    request._resolve(RequestState.DENIED, error)
+                    if self.trace is not None:
+                        self.trace.emit(
+                            EventType.LOCK_DENY, request.owner.id,
+                            resource=repr(request.resource),
+                            mode=request.mode.value,
+                            error=type(error).__name__ if error else None,
+                        )
+                for resource, head in touched.items():
+                    self._refresh_wait_edges(head)
+                    self._promote(resource)
             self.waits_for.remove_node(owner.id)
 
     # --------------------------------------------------------------- queries
 
     def locks_on(self, resource: Resource) -> list[Lock]:
-        stripe_index = self._stripe_of(resource)
-        with self._stripe_latches[stripe_index]:
-            head = self._stripe_heads[stripe_index].get(resource)
+        with self._latch:
+            head = self._heads.get(resource)
             return list(head.granted.values()) if head else []
 
     def locks_held_by(self, owner: Any) -> list[Lock]:
-        with self._owner_latch:
+        with self._latch:
             return list(self._by_owner.get(owner.id, {}).values())
 
     def holds(self, owner: Any, resource: Resource, mode: LockMode | None = None) -> bool:
+        """Latch-free (two GIL-atomic ``get`` probes): only the owner's
+        own thread grants or releases on its behalf while it runs, so the
+        answer about one's own locks cannot go stale mid-call; about
+        another owner it is a momentary snapshot either way."""
         owner_locks = self._by_owner.get(owner.id)
         lock = owner_locks.get(resource) if owner_locks else None
         if lock is None:
@@ -1584,17 +1046,20 @@ class LockManager:
         return mode is None or bool(lock.mask & mode.bit)
 
     def holds_any_siread(self, owner: Any) -> bool:
+        """Latch-free (one GIL-atomic ``get``): asked at the owner's own
+        commit, when nothing but gap inheritance can still grant to it —
+        and inheritance needs an existing SIREAD, so it cannot turn a
+        False into a True."""
         return self._siread_counts.get(owner.id, 0) > 0
 
     def waiting_requests(self) -> list[LockRequest]:
-        requests: list[LockRequest] = []
-        with self._queue_latch:
-            for stripe_index, heads in enumerate(self._stripe_heads):
-                with self._stripe_latches[stripe_index]:
-                    for head in heads.values():
-                        if head.queue:
-                            requests.extend(head.queue)
-        return requests
+        with self._latch:
+            return [
+                request
+                for head in self._heads.values()
+                if head.queue
+                for request in head.queue
+            ]
 
     def find_deadlock_victims(self, choose: Callable[[list[Any]], Any]) -> list[Any]:
         """Periodic deadlock sweep: find every cycle and pick victims.
@@ -1603,43 +1068,54 @@ class LockManager:
         Returns the victims; the caller is responsible for aborting them
         (which will call :meth:`cancel_waits` and break the cycle).
         """
-        victims = []
+        cycles: list[list[Any]] = []
         seen: set[Hashable] = set()
-        with self._queue_latch:
-            cycles = self.waits_for.find_cycles()
-        for cycle_ids in cycles:
-            if seen & set(cycle_ids):
-                continue
-            seen.update(cycle_ids)
-            owners = [self._owner_for(owner_id) for owner_id in cycle_ids]
-            owners = [owner for owner in owners if owner is not None]
-            if owners:
-                victims.append(choose(owners))
-        return victims
+        with self._latch:
+            for cycle_ids in self.waits_for.find_cycles():
+                if seen & set(cycle_ids):
+                    continue
+                seen.update(cycle_ids)
+                owners = [self._owner_for(owner_id) for owner_id in cycle_ids]
+                owners = [owner for owner in owners if owner is not None]
+                if owners:
+                    cycles.append(owners)
+        return [choose(owners) for owners in cycles]
 
     def table_size(self) -> int:
-        """Number of granted locks — tracks the Section 3.3 growth concern."""
+        """Number of granted locks — tracks the Section 3.3 growth concern.
+        Latch-free: one int read feeding gauges and the escalation budget
+        check, where a value one grant stale is as good as a fresh one."""
         return self._granted_count
 
+    def residue(self) -> dict[str, int]:
+        """What is left in the manager, for the after-quiesce audits: every
+        count is zero once all transactions have been retired."""
+        with self._latch:
+            return {
+                "granted": self._granted_count,
+                "owners": len(self._by_owner),
+                "waiters": len(self._waiting),
+                "siread": sum(self._siread_counts.values()),
+            }
+
     # -------------------------------------------------------------- internals
+    # Every helper below runs with the latch held by its caller.
 
     def _owner_for(self, owner_id: Hashable) -> Any | None:
-        with self._owner_latch:
-            locks = self._by_owner.get(owner_id)
-            if locks:
-                return next(iter(locks.values())).owner
-            pending = self._waiting.get(owner_id)
-            if pending:
-                return next(iter(pending)).owner
-            return None
+        locks = self._by_owner.get(owner_id)
+        if locks:
+            return next(iter(locks.values())).owner
+        pending = self._waiting.get(owner_id)
+        if pending:
+            return next(iter(pending)).owner
+        return None
 
     def _waiting_discard(self, request: LockRequest) -> None:
-        with self._owner_latch:
-            pending = self._waiting.get(request.owner.id)
-            if pending is not None:
-                pending.discard(request)
-                if not pending:
-                    del self._waiting[request.owner.id]
+        pending = self._waiting.get(request.owner.id)
+        if pending is not None:
+            pending.discard(request)
+            if not pending:
+                del self._waiting[request.owner.id]
 
     def _add_mode(self, head: _LockHead, lock: Lock, mode: LockMode) -> None:
         """Add ``mode`` to a granted lock, keeping all summaries in sync.
@@ -1652,10 +1128,8 @@ class LockManager:
             head.mask |= bit
         head.counts += 1 << shift
         if mode is LockMode.SIREAD:
-            with self._owner_latch:
-                counts_by_owner = self._siread_counts
-                owner_id = lock.owner.id
-                counts_by_owner[owner_id] = counts_by_owner.get(owner_id, 0) + 1
+            owner_id = lock.owner.id
+            self._siread_counts[owner_id] = self._siread_counts.get(owner_id, 0) + 1
 
     def _discard_mode(self, head: _LockHead, lock: Lock, mode: LockMode) -> None:
         """Remove ``mode`` from a granted lock, keeping summaries in sync.
@@ -1668,14 +1142,20 @@ class LockManager:
         if not (head.counts >> shift) & 0xFFFF:
             head.mask &= ~bit
         if mode is LockMode.SIREAD:
-            with self._owner_latch:
-                counts_by_owner = self._siread_counts
-                owner_id = lock.owner.id
-                remaining = counts_by_owner[owner_id] - 1
-                if remaining:
-                    counts_by_owner[owner_id] = remaining
-                else:
-                    del counts_by_owner[owner_id]
+            owner_id = lock.owner.id
+            remaining = self._siread_counts[owner_id] - 1
+            if remaining:
+                self._siread_counts[owner_id] = remaining
+            else:
+                del self._siread_counts[owner_id]
+
+    def _shed_siread(self, head: _LockHead, lock: Lock) -> int:
+        """Strip the SIREAD mode from a lock that stays granted in its
+        other modes.  Returns what the sentinel counted for: an escalated
+        one stands for the record locks it replaced (its weight entry
+        goes with it), a plain one for itself."""
+        self._discard_mode(head, lock, LockMode.SIREAD)
+        return self._escalated_weights.pop((lock.owner.id, lock.resource), 1)
 
     def _detection_conflicts(self, head: _LockHead, owner: Any, mode: LockMode) -> list[Lock]:
         """Granted locks of other owners that signal rw-dependencies."""
@@ -1712,7 +1192,7 @@ class LockManager:
             blockers = []
         if blockers or upgrading:
             # Upgraders only wait for granted incompatible locks; they jump
-            # ahead of the queue (appendleft in acquire()).
+            # ahead of the queue (appendleft in _enqueue_wait).
             return blockers
         # FIFO fairness: an incompatible request already queued ahead (by
         # another owner) blocks too.
@@ -1728,66 +1208,49 @@ class LockManager:
         owner: Any,
         resource: Resource,
         mode: LockMode,
-        count_acquire: bool = False,
+        held: Lock | None,
     ) -> None:
-        """Caller holds the resource's stripe latch.
-
-        ``count_acquire`` folds the ``acquires`` statistic into the grant's
-        own owner-latch section — set by the fresh-grant fast path of
-        :meth:`acquire`; promotion and inheritance grants leave it off
-        (their acquire was counted at enqueue time, or is not one)."""
+        """Give ``owner`` ``mode`` on ``resource``; ``held`` is the lock
+        it already holds there, if any (a no-op when that lock carries
+        the mode already)."""
         owner_id = owner.id
-        owner_locks = self._by_owner.get(owner_id)
-        held = owner_locks.get(resource) if owner_locks else None
-        if held is not None:
-            if not held.mask & mode.bit:
-                self._add_mode(head, held, mode)
-            # SIREAD->EXCLUSIVE upgrade discards the SIREAD so it is not
-            # retained after commit (Section 3.7.3); the new version's
-            # first-committer conflicts subsume its detection role.
-            if (
-                mode is LockMode.EXCLUSIVE
-                and self.siread_upgrade
-                and held.mask & _SIREAD_BIT
-            ):
-                self._discard_mode(head, held, LockMode.SIREAD)
-                with self._owner_latch:
-                    # A discarded escalated sentinel counts as the record
-                    # locks it replaced (weight defaults to 1 for plain
-                    # record sentinels).
-                    self.stats["siread_dropped"] += self._escalated_weights.pop(
-                        (owner_id, resource), 1
-                    )
-        else:
-            lock = Lock(owner=owner, resource=resource)
-            head.granted[owner_id] = lock
-            with self._owner_latch:
-                if count_acquire:
-                    self.stats["acquires"] += 1
-                self._by_owner[owner_id][resource] = lock
-                self._granted_count += 1
-            self._add_mode(head, lock, mode)
+        if held is None:
+            held = head.granted[owner_id] = Lock(owner, resource)
+            self._by_owner[owner_id][resource] = held
+            self._granted_count += 1
+            self._add_mode(head, held, mode)
+            return
+        if not held.mask & mode.bit:
+            self._add_mode(head, held, mode)
+        # SIREAD->EXCLUSIVE upgrade discards the SIREAD so it is not
+        # retained after commit (Section 3.7.3); the new version's
+        # first-committer conflicts subsume its detection role.
+        if (
+            mode is LockMode.EXCLUSIVE
+            and self.siread_upgrade
+            and held.mask & _SIREAD_BIT
+        ):
+            self.stats["siread_dropped"] += self._shed_siread(head, held)
 
-    def _promote(self, resource: Resource, stripe_index: int | None = None) -> None:
-        """Grant queued requests now compatible, front-first (FIFO).
-
-        Caller holds the queue latch and the resource's stripe latch."""
-        if stripe_index is None:
-            stripe_index = hash(resource) & _STRIPE_MASK
-        head = self._stripe_heads[stripe_index].get(resource)
+    def _promote(self, resource: Resource) -> None:
+        """Grant queued requests now compatible, front-first (FIFO)."""
+        head = self._heads.get(resource)
         if head is None:
             return
         while head.queue:
             request = head.queue[0]
             owner_locks = self._by_owner.get(request.owner.id)
-            upgrading = owner_locks is not None and request.resource in owner_locks
+            held = owner_locks.get(resource) if owner_locks else None
             if self._blockers(
-                head, request.owner, request.mode, upgrading=upgrading, ahead=()
+                head, request.owner, request.mode, upgrading=held is not None, ahead=()
             ):
                 break
             head.queue.popleft()
+            # Index the grant before the request leaves _waiting: the
+            # owner is then never absent from both indexes, which is what
+            # release_all's latch-free early exit relies on.
+            self._grant(head, request.owner, resource, request.mode, held)
             self._waiting_discard(request)
-            self._grant(head, request.owner, resource, request.mode)
             request._resolve(RequestState.GRANTED)
             if self.trace is not None:
                 self.trace.emit(
@@ -1797,7 +1260,7 @@ class LockManager:
         if head.queue:
             self._refresh_wait_edges(head)
         if head.empty():
-            self._stripe_heads[stripe_index].pop(resource, None)
+            self._heads.pop(resource, None)
 
     def _refresh_wait_edges(self, head: _LockHead) -> None:
         """Recompute waits-for edges contributed by this resource's queue."""

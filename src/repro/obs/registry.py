@@ -269,7 +269,7 @@ class MetricsRegistry:
         it round-trips through strict JSON and never aliases live state.
         """
         # Gauges first, *outside* the obs latch: their probes may take
-        # engine latches (lock-manager owner latch for table_size), which
+        # engine latches (the lock-manager latch for siread_lock_count), which
         # rank below the obs leaf and must not nest under it.
         with OBS_LATCH:
             gauge_list = list(self._gauges.values())

@@ -478,14 +478,10 @@ class ReproServer:
         """Residual engine state after quiesce — the sharded stress
         runner's clean-lock-table check, over the wire."""
         self.db.cleanup_suspended()
-        lm = self.db.locks
         return {
             "ok": True,
-            "granted": lm.table_size(),
-            "owners": len(lm._by_owner),
-            "waiters": len(lm._waiting),
+            **self.db.locks.residue(),
             "suspended": len(self.db._suspended),
-            "siread": lm.siread_lock_count(),
             "prepared": len(self.db._prepared),
         }
 

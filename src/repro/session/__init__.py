@@ -19,8 +19,8 @@ plus an ``on_done(result, error)`` callback) and returns immediately.
 A worker runs the session's invocations in FIFO order; engine thunks
 are idempotent-on-retry exactly as in the blocking path, so a thunk
 interrupted by ``LockWaitRequired`` is simply re-run after the grant.
-Resume callbacks may fire on a resolver's thread **while it holds lock
-manager latches**, so they do nothing but mark the session runnable and
+Resume callbacks may fire on a resolver's thread **while it holds the lock
+manager latch**, so they do nothing but mark the session runnable and
 enqueue it — no engine re-entry, mirroring the latch-vs-await rule (no
 latch may be held across a suspension point, and no suspension handler
 may take a latch).
@@ -477,8 +477,8 @@ class Session:
             self._state = _SUSPENDED
         self._scheduler._note_suspended(self)
         # May fire _resume synchronously (already-resolved request) on
-        # this thread, or later on a resolver's thread that holds lock
-        # manager latches — either way _resume only enqueues.
+        # this thread, or later on a resolver's thread that holds the lock
+        # manager latch — either way _resume only enqueues.
         subscribe(self._resume)
 
     def _resume(self, _source=None) -> None:
@@ -609,7 +609,7 @@ class SessionScheduler:
 
     def _enqueue(self, session: Session) -> None:
         # Called from worker threads and from resume callbacks that may
-        # run under lock manager latches: append + notify only.
+        # run under the lock manager latch: append + notify only.
         with self._cv:
             if not self._closed:
                 self._runq.append(session)

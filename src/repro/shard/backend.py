@@ -196,13 +196,9 @@ class LocalShard:
         """Residual engine state after quiesce (all counts should be 0
         once every transaction has been retired)."""
         self.db.cleanup_suspended()
-        lm = self.db.locks
         return {
-            "granted": lm.table_size(),
-            "owners": len(lm._by_owner),
-            "waiters": len(lm._waiting),
+            **self.db.locks.residue(),
             "suspended": len(self.db._suspended),
-            "siread": lm.siread_lock_count(),
             "prepared": len(self.db._prepared),
         }
 

@@ -206,8 +206,7 @@ class TestCancelVsResolveRace:
                 assert waiter.doom_error is None
                 waiter.commit()
             db.cleanup_suspended()
-            assert db.locks.table_size() == 0
-            assert len(db.locks._waiting) == 0
+            assert not any(db.locks.residue().values())
 
 
 class TestRetainAllReadsFastPath:

@@ -75,13 +75,11 @@ class TestThreadedSmallbank:
 
     def test_no_lost_sireads(self):
         """After an SSI run quiesces, no SIREAD sentinel survives: the
-        per-owner SIREAD index and the striped table are both empty."""
+        per-owner indexes and the lock table are both empty."""
         seen = {}
 
         def audit(db):
-            seen["siread_counts"] = dict(db.locks._siread_counts)
-            seen["by_owner"] = len(db.locks._by_owner)
-            seen["granted"] = db.locks.table_size()
+            seen.update(db.locks.residue())
 
         result = run_threaded_stress(
             make_smallbank(customers=40),
@@ -92,7 +90,7 @@ class TestThreadedSmallbank:
             invariant=audit,
         )
         assert result.lock_table_clean, result.describe()
-        assert seen == {"siread_counts": {}, "by_owner": 0, "granted": 0}
+        assert seen == {"granted": 0, "owners": 0, "waiters": 0, "siread": 0}
 
     def test_no_lost_sireads_under_escalation(self):
         """Same leak audit with a budget tiny enough that the run lives
@@ -204,20 +202,12 @@ class TestCheckedLatch:
             assert held_latches() == [latch]
         assert held_latches() == []
 
-    def test_same_rank_requires_licence(self):
-        stripe_a = CheckedLatch("lock-stripe[0]", 60)
-        stripe_b = CheckedLatch("lock-stripe[1]", 60)
+    def test_same_rank_never_nests(self):
+        table_a = CheckedLatch("table[a]", 40)
+        table_b = CheckedLatch("table[b]", 40)
         with pytest.raises(LatchOrderError):
-            with stripe_a, stripe_b:
+            with table_a, table_b:
                 pass  # pragma: no cover
-
-    def test_queue_latch_licences_multiple_stripes(self):
-        queue = CheckedLatch("lock-queue", 50)
-        stripe_a = CheckedLatch("lock-stripe[0]", 60)
-        stripe_b = CheckedLatch("lock-stripe[1]", 60)
-        with queue, stripe_a, stripe_b:
-            assert len(held_latches()) == 3
-        assert held_latches() == []
 
     def test_assert_no_latches_held(self):
         latch = CheckedLatch("commit", 30)

@@ -182,5 +182,4 @@ class TestCancelVsResolveRace:
             assert lm.holds(waiter, R, LockMode.SHARED)
         # ...and either way the queue is drained
         lm.release_all(waiter)
-        assert lm.table_size() == 0
-        assert len(lm._waiting) == 0
+        assert not any(lm.residue().values())

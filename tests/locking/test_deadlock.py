@@ -87,6 +87,35 @@ class TestImmediateDetection:
         lm.acquire(b, ra, X)  # plain wait, no cycle
         assert called == []
 
+    def test_timed_out_waiter_leaves_no_edge(self):
+        lm = LockManager()
+        a, b = Owner(1), Owner(2)
+        ra = record_resource("t", "a")
+        lm.acquire(a, ra, X)
+        wait = lm.acquire(b, ra, X)
+        assert lm.waits_for.edges_from(2) == {1}
+        assert lm.cancel_request(wait.request, TimeoutError("lock wait"))
+        # b waits for nobody any more, though it has not aborted yet
+        assert len(lm.waits_for) == 0
+
+    def test_no_victim_behind_a_timed_out_waiter(self):
+        """b times out waiting for a but still holds its own lock; a then
+        queues behind b.  That is a plain wait — b's dead request must not
+        close a cycle and get a (or b) shot as a deadlock victim."""
+        called = []
+        lm = LockManager(deadlock_handler=lambda c, r: called.append(c))
+        a, b = Owner(1), Owner(2)
+        ra, rb = record_resource("t", "a"), record_resource("t", "b")
+        lm.acquire(a, ra, X)
+        lm.acquire(b, rb, X)
+        timed_out = lm.acquire(b, ra, X).request
+        lm.cancel_request(timed_out, TimeoutError("lock wait"))
+        behind = lm.acquire(a, rb, X)
+        assert called == []
+        assert behind.request.state is RequestState.WAITING
+        lm.release_all(b)  # b's abort: a gets the lock
+        assert behind.request.state is RequestState.GRANTED
+
 
 class TestPeriodicSweep:
     def test_sweep_finds_victims(self):

@@ -5,10 +5,10 @@ derived state — the per-owner lock index (``_by_owner``), the packed
 per-head mode summary (``_LockHead.counts``/``mask``), the per-owner
 waiting-request index (``_waiting``), the per-owner SIREAD counters
 (``_siread_counts``) and the global granted counter — instead of walking
-the lock table.  These tests drive random sequences of acquires,
-releases, SIREAD drops, wait cancellations and gap-lock inheritance, then
-rebuild every index from the ground-truth table (the per-resource heads)
-and require exact agreement.
+the lock table.  These tests drive random sequences of acquires (single
+and batched), releases, SIREAD drops, wait cancellations, gap-lock
+inheritance and SIREAD escalation, then rebuild every index from the
+ground-truth table (the per-resource heads) and require exact agreement.
 """
 
 from dataclasses import dataclass
@@ -16,20 +16,29 @@ from dataclasses import dataclass
 from hypothesis import given, settings, strategies as st
 
 from repro.locking.manager import (
+    AcquireStatus,
     LockManager,
     RequestState,
     gap_resource,
+    page_resource,
     record_resource,
+    table_resource,
 )
 from repro.locking.modes import LockMode
 
 N_OWNERS = 5
 
-RESOURCES = [record_resource("t", k) for k in range(4)] + [
-    gap_resource("t", k) for k in range(2)
-]
+RESOURCES = (
+    [record_resource("t", k) for k in range(4)]
+    + [gap_resource("t", k) for k in range(2)]
+    + [page_resource("t", 0), table_resource("t")]
+)
+GAPS = (4, 5)
+#: coarse units, finest first: a promotion's fine set lies below its target
+COARSE = (6, 7)
 
 MODES = list(LockMode)
+READ_MODES = (LockMode.SIREAD, LockMode.SHARED)
 
 
 @dataclass
@@ -78,6 +87,15 @@ def check_agreement(lm: LockManager, owners):
     assert dict(lm._siread_counts) == siread_counts
     assert lm.table_size() == granted_total
     assert {o: s for o, s in lm._waiting.items() if s} == waiting
+    assert lm.residue() == {
+        "granted": granted_total,
+        "owners": len(by_owner),
+        "waiters": len(waiting),
+        "siread": sum(siread_counts.values()),
+    }
+    # an escalation weight never outlives the sentinel it weighs
+    for owner_id, resource in lm._escalated_weights:
+        assert by_owner[owner_id][resource].mask & LockMode.SIREAD.bit
     # public queries answered from the indexes agree with the table
     for owner in owners:
         held = by_owner.get(owner.id, {})
@@ -95,30 +113,87 @@ def check_agreement(lm: LockManager, owners):
                 assert lm.holds(owner, resource, mode) == expected
 
 
-ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("acquire"),
-            st.integers(0, N_OWNERS - 1),
-            st.integers(0, len(RESOURCES) - 1),
-            st.sampled_from(MODES),
-        ),
-        st.tuples(
-            st.just("release_all"),
-            st.integers(0, N_OWNERS - 1),
-            st.booleans(),  # keep_siread
-        ),
-        st.tuples(st.just("drop_siread"), st.integers(0, N_OWNERS - 1)),
-        st.tuples(st.just("cancel_waits"), st.integers(0, N_OWNERS - 1)),
-        st.tuples(
-            st.just("inherit"),
-            st.integers(len(RESOURCES) - 2, len(RESOURCES) - 1),  # from gap
-            st.integers(len(RESOURCES) - 2, len(RESOURCES) - 1),  # to gap
-            st.integers(0, N_OWNERS - 1),  # excluded owner
-        ),
-    ),
-    max_size=60,
+owner_ids = st.integers(0, N_OWNERS - 1)
+resource_sets = st.lists(
+    st.integers(0, len(RESOURCES) - 1), unique=True, max_size=len(RESOURCES)
 )
+
+op = st.one_of(
+    st.tuples(
+        st.just("acquire"),
+        owner_ids,
+        st.integers(0, len(RESOURCES) - 1),
+        st.sampled_from(MODES),
+    ),
+    st.tuples(
+        st.just("read_batch"), owner_ids, resource_sets,
+        st.sampled_from(READ_MODES),
+    ),
+    st.tuples(st.just("coarse"), owner_ids, resource_sets),
+    st.tuples(
+        st.just("promote"), owner_ids, resource_sets, st.sampled_from(COARSE)
+    ),
+    st.tuples(
+        st.just("release_all"),
+        owner_ids,
+        st.booleans(),  # keep_siread
+    ),
+    st.tuples(st.just("drop_siread"), owner_ids),
+    st.tuples(st.just("cancel_waits"), owner_ids),
+    st.tuples(st.just("cancel_request"), owner_ids),
+    st.tuples(
+        st.just("inherit"),
+        st.sampled_from(GAPS),  # from gap
+        st.sampled_from(GAPS),  # to gap
+        owner_ids,  # excluded owner
+    ),
+)
+ops = st.lists(op, max_size=60)
+
+
+def apply(lm: LockManager, owners, requests, op):
+    """Run one op; ``requests`` collects every request that had to wait
+    (what ``cancel_request`` later picks from)."""
+    kind = op[0]
+    if kind == "acquire":
+        _, owner, resource, mode = op
+        result = lm.acquire(owners[owner], RESOURCES[resource], mode)
+        if result.request is not None:
+            requests.append(result.request)
+    elif kind == "read_batch":
+        _, owner, resources, mode = op
+        lm.acquire_read_batch(
+            owners[owner], [RESOURCES[r] for r in resources], mode
+        )
+    elif kind == "coarse":
+        _, owner, resources = op
+        lm.acquire_coarse_sireads(
+            owners[owner], [RESOURCES[r] for r in resources]
+        )
+    elif kind == "promote":
+        _, owner, fine, coarse = op
+        lm.promote_sireads(
+            owners[owner],
+            [RESOURCES[r] for r in fine if r < coarse],
+            RESOURCES[coarse],
+        )
+    elif kind == "release_all":
+        _, owner, keep_siread = op
+        lm.release_all(owners[owner], keep_siread=keep_siread)
+    elif kind == "drop_siread":
+        lm.drop_siread_locks(owners[op[1]])
+    elif kind == "cancel_waits":
+        lm.cancel_waits(owners[op[1]])
+    elif kind == "cancel_request":
+        for request in requests:
+            if request.owner is owners[op[1]] and not request.resolved:
+                assert lm.cancel_request(request)
+                break
+    else:
+        _, src, dst, excluded = op
+        lm.inherit_siread_locks(
+            RESOURCES[src], RESOURCES[dst], owners[excluded]
+        )
 
 
 @settings(max_examples=120, deadline=None)
@@ -126,30 +201,83 @@ ops = st.lists(
 def test_indexes_agree_with_lock_table(sequence):
     lm = LockManager()  # no deadlock handler: waiters just queue
     owners = [Owner(i, begin_ts=i) for i in range(N_OWNERS)]
-    for op in sequence:
-        kind = op[0]
-        if kind == "acquire":
-            _, owner, resource, mode = op
-            lm.acquire(owners[owner], RESOURCES[resource], mode)
-        elif kind == "release_all":
-            _, owner, keep_siread = op
-            lm.release_all(owners[owner], keep_siread=keep_siread)
-        elif kind == "drop_siread":
-            lm.drop_siread_locks(owners[op[1]])
-        elif kind == "cancel_waits":
-            lm.cancel_waits(owners[op[1]])
-        else:
-            _, src, dst, excluded = op
-            lm.inherit_siread_locks(
-                RESOURCES[src], RESOURCES[dst], owners[excluded]
-            )
+    requests: list = []
+    for step in sequence:
+        apply(lm, owners, requests, step)
         check_agreement(lm, owners)
     # drain everything: the indexes must end empty along with the table
     for owner in owners:
         lm.release_all(owner)
         lm.drop_siread_locks(owner)
     check_agreement(lm, owners)
-    assert lm.table_size() == 0
     assert not lm._heads
-    assert not any(lm._by_owner.values())
-    assert not lm._siread_counts
+    assert not any(lm.residue().values())
+    assert not lm._escalated_weights
+
+
+def table_of(lm: LockManager):
+    """The lock table as plain data: who holds what, who queues where."""
+    return {
+        resource: (
+            {owner_id: lock.mask for owner_id, lock in head.granted.items()},
+            [(r.owner.id, r.mode) for r in head.queue or ()],
+        )
+        for resource, head in lm._heads.items()
+    }
+
+
+def acquire_in_order(lm: LockManager, owner, resources, mode, skip=()):
+    """The engine's one-at-a-time path: stop at the first wait.  Returns
+    the ids of the conflicting owners reported along the way, except on
+    the resources in ``skip``."""
+    conflicts = []
+    for resource in resources:
+        result = lm.acquire(owner, resource, mode)
+        if result.status is AcquireStatus.WAIT:
+            break
+        if resource not in skip:
+            conflicts += [lock.owner.id for lock in result.detection_conflicts]
+    return conflicts
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(op, max_size=25), owner_ids, resource_sets,
+    st.sampled_from(READ_MODES),
+)
+def test_read_batch_equals_one_by_one(setup, owner, resources, mode):
+    """``acquire_read_batch`` plus the normal path for what it defers is
+    ``acquire`` resource by resource: same table, same conflicting
+    owners, same counters.  The one licensed difference: on a resource
+    the reader already covers, ``acquire`` reports the conflicts again
+    (operation retry relies on it) and the batch does not (a scan
+    dispatched them when the lock was first granted)."""
+    batched, single = LockManager(), LockManager()
+    owners = [Owner(i, begin_ts=i) for i in range(N_OWNERS)]
+    for lm in (batched, single):
+        requests: list = []
+        for step in setup:
+            apply(lm, owners, requests, step)
+    wanted = [RESOURCES[r] for r in resources]
+    reader = owners[owner]
+    covered = {
+        lock.resource for lock in single.locks_held_by(reader)
+        if lock.mask & mode.covered_by_mask
+    }
+
+    conflicts, deferred = batched.acquire_read_batch(reader, wanted, mode)
+    if mode is LockMode.SHARED:
+        # a blocking mode defers a suffix, everything before it is held
+        settled = len(wanted) - len(deferred)
+        assert deferred == wanted[settled:]
+        assert all(batched.holds(reader, r, mode) or
+                   batched.holds(reader, r, LockMode.EXCLUSIVE)
+                   for r in wanted[:settled])
+    batch_conflicts = [lock.owner.id for lock in conflicts]
+    batch_conflicts += acquire_in_order(batched, reader, deferred, mode)
+    single_conflicts = acquire_in_order(single, reader, wanted, mode, covered)
+
+    check_agreement(batched, owners)
+    assert table_of(batched) == table_of(single)
+    assert sorted(batch_conflicts) == sorted(single_conflicts)
+    assert batched.stats == single.stats

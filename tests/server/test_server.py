@@ -179,8 +179,8 @@ class TestServer:
             total += value
         check.commit()
         assert total == 400  # transfers conserve money
-        assert server_db.locks.table_size() == 0
-        assert len(server_db.locks._waiting) == 0
+        residue = server_db.locks.residue()
+        assert residue["granted"] == 0 and residue["waiters"] == 0
 
     def test_disconnect_releases_locks_and_wakes_nobody_forever(self, server_db):
         """A client that vanishes mid-transaction (even mid-lock-wait)
@@ -215,9 +215,7 @@ class TestServer:
             await fresh.close()
 
         run_with_server(server_db, body)
-        assert server_db.locks.table_size() == 0
-        assert len(server_db.locks._by_owner) == 0
-        assert len(server_db.locks._waiting) == 0
+        assert not any(server_db.locks.residue().values())
 
     def test_blocking_client_from_thread(self, server_db):
         server_db.create_table("t")

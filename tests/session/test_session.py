@@ -176,7 +176,7 @@ class TestSuspension:
             assert waiter.txn is None
             holder.call("commit")
             # the interrupted waiter left nothing queued in the lock table
-            assert len(db.locks._waiting) == 0
+            assert db.locks.residue()["waiters"] == 0
         finally:
             scheduler.shutdown()
 
