@@ -1,71 +1,33 @@
-"""Clients for the wire protocol: asyncio and blocking facades.
+"""Clients for the wire protocol: one per transport.
 
 :class:`AsyncClient` rides an asyncio event loop (one coroutine per
 connection; thousands of connections per loop — this is what the
-connection-count benchmark drives).  :class:`BlockingClient` wraps a
-plain socket for scripts, tests and the tutorial.
+connection-count benchmark drives).  :class:`PipelinedClient`
+(:mod:`repro.client.link`) is the blocking one: a plain socket for
+scripts, tests and the tutorial, and — because any thread may have a
+call in flight on it — the shard coordinator's link.
 
-Both map error frames back onto the :mod:`repro.errors` hierarchy: an
-abort travels as its exception class name + machine-readable reason and
-is re-raised as the same class client-side, with the server's
-``explanation`` payload (when tracing is enabled server-side) attached
-as ``error.explanation``.
+Both speak the vocabulary of
+:data:`repro.server.protocol.WIRE_OPS` and map error frames back onto
+the :mod:`repro.errors` hierarchy (:mod:`repro.client.errors`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 from typing import Any, Hashable, Sequence
 
-import repro.errors as _errors
-from repro.errors import ReproError, TransactionAbortedError
+from repro.client.errors import ServerError, raise_reply
+from repro.client.link import PipelinedClient
 from repro.server.protocol import (
     FrameError,
+    build_request,
     encode_frame,
     read_frame_async,
-    read_frame_sock,
-    send_frame_sock,
+    read_result,
 )
 
-__all__ = ["AsyncClient", "BlockingClient", "PipelinedClient", "ServerError"]
-
-
-class ServerError(ReproError):
-    """The server reported an error that maps to no known exception
-    class (protocol violations, schema errors raised remotely...)."""
-
-    def __init__(self, name: str, message: str):
-        super().__init__(f"{name}: {message}")
-        self.remote_error = name
-
-
-def _raise_reply(reply: dict[str, Any]) -> None:
-    name = reply.get("error", "ServerError")
-    message = reply.get("message", "")
-    cls = getattr(_errors, name, None)
-    if isinstance(cls, type) and issubclass(cls, ReproError):
-        if issubclass(cls, TransactionAbortedError):
-            error: ReproError = cls(message, txn_id=reply.get("txn"))
-        else:
-            try:
-                error = cls(message)
-            except TypeError:
-                # Constructors with structured arguments (table, key...)
-                # can't be rebuilt from a message alone; keep the class
-                # identity and carry the server-rendered message.
-                error = cls.__new__(cls)
-                Exception.__init__(error, message)
-    else:
-        error = ServerError(name, message)
-    error.explanation = reply.get("explanation")  # type: ignore[attr-defined]
-    raise error
-
-
-def _result(reply: dict[str, Any]) -> dict[str, Any]:
-    if not reply.get("ok"):
-        _raise_reply(reply)
-    return reply
+__all__ = ["AsyncClient", "PipelinedClient", "ServerError"]
 
 
 class AsyncClient:
@@ -99,86 +61,71 @@ class AsyncClient:
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer)
         if codecs:
-            reply = await client._call({"op": "hello", "codecs": list(codecs)})
-            client._codec = reply.get("codec", "json")
+            client._codec = await client._call("hello", list(codecs))
         return client
 
     @property
     def codec(self) -> str:
         return self._codec
 
-    async def _call(self, frame: dict[str, Any]) -> dict[str, Any]:
-        self._writer.write(encode_frame(frame, self._codec))
+    async def _call(self, op: str, *args: Any) -> Any:
+        """One round trip: ``op``'s request out, its result back."""
+        self._writer.write(encode_frame(build_request(op, args), self._codec))
         await self._writer.drain()
         reply = await read_frame_async(self._reader, self._codec)
         if reply is None:
             raise FrameError("server closed the connection")
-        return _result(reply)
+        if not reply.get("ok"):
+            raise_reply(reply)
+        return read_result(op, reply)
 
     async def ping(self) -> dict[str, Any]:
-        return await self._call({"op": "ping"})
+        return await self._call("ping")
 
     async def begin(self, isolation: str = "ssi", read_only: bool = False,
                     deferrable: bool = False) -> int:
-        reply = await self._call({
-            "op": "begin", "isolation": isolation,
-            "read_only": read_only, "deferrable": deferrable,
-        })
-        return reply["txn"]
+        return await self._call("begin", isolation, read_only, deferrable)
 
     async def read(self, table: str, key: Hashable) -> Any:
-        return (await self._call({"op": "read", "table": table, "key": key}))["value"]
+        return await self._call("read", table, key)
 
     async def get(self, table: str, key: Hashable, default: Any = None) -> Any:
-        return (await self._call({
-            "op": "get", "table": table, "key": key, "default": default,
-        }))["value"]
+        return await self._call("get", table, key, default)
 
     async def read_for_update(self, table: str, key: Hashable) -> Any:
-        return (await self._call({
-            "op": "read_for_update", "table": table, "key": key,
-        }))["value"]
+        return await self._call("read_for_update", table, key)
 
     async def put(self, table: str, key: Hashable, value: Any) -> None:
-        await self._call({"op": "put", "table": table, "key": key, "value": value})
+        await self._call("put", table, key, value)
 
     async def insert(self, table: str, key: Hashable, value: Any) -> None:
-        await self._call({"op": "insert", "table": table, "key": key, "value": value})
+        await self._call("insert", table, key, value)
 
     async def delete(self, table: str, key: Hashable) -> None:
-        await self._call({"op": "delete", "table": table, "key": key})
+        await self._call("delete", table, key)
 
     async def scan(self, table: str, lo: Hashable | None = None,
                    hi: Hashable | None = None) -> list[tuple[Any, Any]]:
-        reply = await self._call({"op": "scan", "table": table, "lo": lo, "hi": hi})
-        return [(key, value) for key, value in reply["rows"]]
+        return await self._call("scan", table, lo, hi)
 
     async def index_scan(self, index: str, lo: Hashable | None = None,
                          hi: Hashable | None = None) -> list[tuple[Any, Any]]:
-        reply = await self._call({
-            "op": "index_scan", "index": index, "lo": lo, "hi": hi,
-        })
-        return [(key, pk) for key, pk in reply["rows"]]
+        return await self._call("index_scan", index, lo, hi)
 
     async def index_lookup(self, index: str, key: Hashable) -> list[Any]:
-        return (await self._call({
-            "op": "index_lookup", "index": index, "key": key,
-        }))["keys"]
+        return await self._call("index_lookup", index, key)
 
     async def commit(self) -> None:
-        await self._call({"op": "commit"})
+        await self._call("commit")
 
     async def abort(self) -> None:
-        await self._call({"op": "abort"})
+        await self._call("abort")
 
     async def create_table(self, table: str) -> None:
-        await self._call({"op": "create_table", "table": table})
+        await self._call("create_table", table)
 
     async def load(self, table: str, rows) -> None:
-        await self._call({
-            "op": "load", "table": table,
-            "rows": [[key, value] for key, value in rows],
-        })
+        await self._call("load", table, list(rows))
 
     async def close(self) -> None:
         self._writer.close()
@@ -186,121 +133,3 @@ class AsyncClient:
             await self._writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
-
-
-class BlockingClient:
-    """Plain-socket facade with the same surface as :class:`AsyncClient`
-    (methods are synchronous).  Context-manager friendly::
-
-        with BlockingClient.connect(port=7401) as client:
-            client.begin("ssi")
-            client.put("t", "k", 1)
-            client.commit()
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._codec = "json"
-
-    @classmethod
-    def connect(cls, host: str = "127.0.0.1", port: int = 7401,
-                timeout: float | None = 30.0,
-                codecs: Sequence[str] | None = None) -> "BlockingClient":
-        """Open a connection; ``codecs`` lists preferred frame codecs in
-        order — the server picks the first it supports, falling back to
-        JSON transparently."""
-        sock = socket.create_connection((host, port), timeout=timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        client = cls(sock)
-        if codecs:
-            reply = client._call({"op": "hello", "codecs": list(codecs)})
-            client._codec = reply.get("codec", "json")
-        return client
-
-    @property
-    def codec(self) -> str:
-        return self._codec
-
-    def _call(self, frame: dict[str, Any]) -> dict[str, Any]:
-        send_frame_sock(self._sock, frame, self._codec)
-        reply = read_frame_sock(self._sock, self._codec)
-        if reply is None:
-            raise FrameError("server closed the connection")
-        return _result(reply)
-
-    def ping(self) -> dict[str, Any]:
-        return self._call({"op": "ping"})
-
-    def begin(self, isolation: str = "ssi", read_only: bool = False,
-              deferrable: bool = False) -> int:
-        return self._call({
-            "op": "begin", "isolation": isolation,
-            "read_only": read_only, "deferrable": deferrable,
-        })["txn"]
-
-    def read(self, table: str, key: Hashable) -> Any:
-        return self._call({"op": "read", "table": table, "key": key})["value"]
-
-    def get(self, table: str, key: Hashable, default: Any = None) -> Any:
-        return self._call({
-            "op": "get", "table": table, "key": key, "default": default,
-        })["value"]
-
-    def read_for_update(self, table: str, key: Hashable) -> Any:
-        return self._call({
-            "op": "read_for_update", "table": table, "key": key,
-        })["value"]
-
-    def put(self, table: str, key: Hashable, value: Any) -> None:
-        self._call({"op": "put", "table": table, "key": key, "value": value})
-
-    def insert(self, table: str, key: Hashable, value: Any) -> None:
-        self._call({"op": "insert", "table": table, "key": key, "value": value})
-
-    def delete(self, table: str, key: Hashable) -> None:
-        self._call({"op": "delete", "table": table, "key": key})
-
-    def scan(self, table: str, lo: Hashable | None = None,
-             hi: Hashable | None = None) -> list[tuple[Any, Any]]:
-        reply = self._call({"op": "scan", "table": table, "lo": lo, "hi": hi})
-        return [(key, value) for key, value in reply["rows"]]
-
-    def index_scan(self, index: str, lo: Hashable | None = None,
-                   hi: Hashable | None = None) -> list[tuple[Any, Any]]:
-        reply = self._call({"op": "index_scan", "index": index, "lo": lo, "hi": hi})
-        return [(key, pk) for key, pk in reply["rows"]]
-
-    def index_lookup(self, index: str, key: Hashable) -> list[Any]:
-        return self._call({"op": "index_lookup", "index": index, "key": key})["keys"]
-
-    def commit(self) -> None:
-        self._call({"op": "commit"})
-
-    def abort(self) -> None:
-        self._call({"op": "abort"})
-
-    def create_table(self, table: str) -> None:
-        self._call({"op": "create_table", "table": table})
-
-    def load(self, table: str, rows) -> None:
-        self._call({
-            "op": "load", "table": table,
-            "rows": [[key, value] for key, value in rows],
-        })
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "BlockingClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-
-# Imported last: link.py resolves _raise_reply from this module.
-from repro.client.link import PipelinedClient  # noqa: E402

@@ -1,9 +1,12 @@
-"""Pipelined client link: many outstanding ops on one connection.
+"""The blocking client: a pipelined link, many outstanding ops on one
+connection.
 
-The :class:`~repro.client.BlockingClient` is strictly request/response —
-fine for one interactive session, too slow for a sharding coordinator
-that must fan a PREPARE out to several shards and collect the votes in
-one round trip.  :class:`PipelinedClient` tags every frame with an
+Used one call at a time it is the plain synchronous client of scripts
+and the tutorial (``begin``/``get``/``put``/``commit``... below, the
+vocabulary of :data:`repro.server.protocol.WIRE_OPS`).  Strict
+request/response would be too slow for a sharding coordinator that
+must fan a PREPARE out to several shards and collect the votes in one
+round trip, so :class:`PipelinedClient` tags every frame with an
 ``id`` (see :mod:`repro.server.protocol`), sends without waiting, and a
 single receiver thread matches the (possibly out-of-order) replies back
 to per-call slots.  Frames may also carry a ``txn`` global id, routing
@@ -38,11 +41,14 @@ import itertools
 import socket
 import threading
 from collections import deque
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
+from repro.client.errors import raise_reply
 from repro.server.protocol import (
     FrameError,
+    build_request,
     read_frame_sock,
+    read_result,
     send_frame_sock,
 )
 
@@ -80,20 +86,29 @@ class PendingReply:
 
 class PipelinedClient:
     """A thread-safe pipelined connection to a :class:`ReproServer`.
+    Context-manager friendly::
 
-    ``submit(frame) -> PendingReply`` queues for send and returns a
-    waitable slot; ``result(slot)`` blocks and re-raises server errors
-    as the same exception classes :mod:`repro.client` raises (with
-    ``.explanation`` attached); ``call(frame)`` is submit+result;
-    ``submit_many(frames)`` queues a list in one step (one batch frame
-    when more than one).  Any thread may submit; one receiver thread
-    drains the socket.
+        with PipelinedClient(port=7401) as client:
+            client.begin("ssi")
+            client.put("t", "k", 1)
+            client.commit()
+
+    The named operations and ``do(op, *args, txn=None)`` each make one
+    round trip and return the op's result; ``start`` is ``do`` split in
+    two (send now, collect later).  Underneath,
+    ``submit(frame) -> PendingReply`` queues a raw frame for send and
+    returns a waitable slot; ``result(slot)`` blocks and re-raises
+    server errors as :mod:`repro.errors` classes (with ``.explanation``
+    attached, see :mod:`repro.client.errors`); ``call(frame)`` is
+    submit+result; ``submit_many(frames)`` queues a list in one step
+    (one batch frame when more than one).  Any thread may submit; one
+    receiver thread drains the socket.
     """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
-        port: int = 0,
+        port: int = 7401,
         *,
         codecs: Sequence[str] | None = None,
     ) -> None:
@@ -113,11 +128,11 @@ class PipelinedClient:
         if codecs:
             # Synchronous handshake on the bare socket — the receiver
             # thread is not running yet, so the reply is ours to read.
-            send_frame_sock(self._sock, {"op": "hello", "codecs": list(codecs)})
+            send_frame_sock(self._sock, build_request("hello", (list(codecs),)))
             reply = read_frame_sock(self._sock)
             if reply is None:
                 raise ConnectionError("connection closed during codec handshake")
-            self._codec = reply.get("codec", "json")
+            self._codec = read_result("hello", reply)
         self._receiver = threading.Thread(
             target=self._recv_loop, name=f"link-{host}:{port}", daemon=True
         )
@@ -205,16 +220,72 @@ class PipelinedClient:
                 "pipelined link closed before the reply arrived"
             )
         if not reply.get("ok"):
-            from repro.client import _raise_reply
-
-            _raise_reply(reply)
+            raise_reply(reply)
         return reply
 
     def call(self, frame: dict[str, Any]) -> dict[str, Any]:
         return self.result(self.submit(frame))
 
+    # ------------------------------------------------------ vocabulary
+
+    def start(self, op: str, *args: Any, txn: Any = None) -> Callable[[], Any]:
+        """Send any :data:`WIRE_OPS` op without waiting; calling the
+        returned waiter blocks for the reply and returns the op's result
+        (``txn`` addresses a distributed transaction's session)."""
+        slot = self.submit(build_request(op, args, txn))
+        return lambda: read_result(op, self.result(slot))
+
+    def do(self, op: str, *args: Any, txn: Any = None) -> Any:
+        """One round trip: ``start`` and wait."""
+        return self.start(op, *args, txn=txn)()
+
     def ping(self) -> dict[str, Any]:
-        return self.call({"op": "ping"})
+        return self.do("ping")
+
+    def begin(self, isolation: str = "ssi", read_only: bool = False,
+              deferrable: bool = False) -> int:
+        return self.do("begin", isolation, read_only, deferrable)
+
+    def read(self, table: str, key: Hashable) -> Any:
+        return self.do("read", table, key)
+
+    def get(self, table: str, key: Hashable, default: Any = None) -> Any:
+        return self.do("get", table, key, default)
+
+    def read_for_update(self, table: str, key: Hashable) -> Any:
+        return self.do("read_for_update", table, key)
+
+    def put(self, table: str, key: Hashable, value: Any) -> None:
+        self.do("put", table, key, value)
+
+    def insert(self, table: str, key: Hashable, value: Any) -> None:
+        self.do("insert", table, key, value)
+
+    def delete(self, table: str, key: Hashable) -> None:
+        self.do("delete", table, key)
+
+    def scan(self, table: str, lo: Hashable | None = None,
+             hi: Hashable | None = None) -> list[tuple[Any, Any]]:
+        return self.do("scan", table, lo, hi)
+
+    def index_scan(self, index: str, lo: Hashable | None = None,
+                   hi: Hashable | None = None) -> list[tuple[Any, Any]]:
+        return self.do("index_scan", index, lo, hi)
+
+    def index_lookup(self, index: str, key: Hashable) -> list[Any]:
+        return self.do("index_lookup", index, key)
+
+    def commit(self) -> None:
+        self.do("commit")
+
+    def abort(self) -> None:
+        self.do("abort")
+
+    def create_table(self, table: str) -> None:
+        self.do("create_table", table)
+
+    def load(self, table: str, rows) -> None:
+        self.do("load", table, list(rows))
 
     # ------------------------------------------------------- receiving
 

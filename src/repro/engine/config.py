@@ -108,16 +108,11 @@ class EngineConfig:
     #: strategy.  Escalation may only introduce false-positive aborts,
     #: never miss an rw-antidependency.  RECORD granularity only.
     siread_budget: int | None = None
-    #: minimum number of record SIREADs on one leaf page before the
-    #: page tier replaces them with a single page SIREAD.
-    siread_escalation_min_group: int = 2
     #: group commit (PR 9): batch concurrently-arriving committers
     #: through one leader-run certification pass and one WAL flush.
     group_commit: bool = False
     group_commit_max: int = 16
     group_commit_wait_us: int = 200
-    #: rows per scan chunk; 0 uses the table's B+-tree page order.
-    scan_chunk_size: int = 0
     #: SSI scans that materialise at least this many rows take
     #: page-granularity SIREADs on the covered leaf pages up front
     #: instead of one record+gap SIREAD per row (scan-aware granularity
@@ -126,11 +121,6 @@ class EngineConfig:
     #: granularity only; detection stays sound because writers already
     #: probe coarse SIREADs and leaf splits inherit page locks.
     scan_page_lock_threshold: int | None = None
-    #: chains examined per table-latch hold during vacuum; the latch is
-    #: dropped between holds so reporting scans are not stalled behind a
-    #: full-table GC pass (each drop counts a ``vacuum_pause_events``).
-    #: 0 or None restores the single-hold full pass.
-    vacuum_chunk_size: int | None = 256
 
     @classmethod
     def berkeleydb_style(cls, page_size: int = 8, **overrides) -> "EngineConfig":

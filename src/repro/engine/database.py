@@ -94,6 +94,10 @@ from repro.storage.table import Table
 _EMPTY_SUMMARY = {"in": False, "out": False,
                   "in_partner": None, "out_partner": None}
 
+#: fewest record SIREADs on one leaf page worth replacing with a single
+#: page SIREAD when ``siread_budget`` escalation runs.
+SIREAD_ESCALATION_MIN_GROUP = 2
+
 
 class Database:
     """A multi-table, multi-version transactional database.
@@ -973,10 +977,9 @@ class Database:
     ) -> list:
         """Materialise [lo, hi] through the chunked walk — the table
         latch is held per chunk, not across the whole range."""
-        chunk_size = self.config.scan_chunk_size or None
         return [
             pair
-            for chunk in table.scan_chunks(lo, hi, chunk_size)
+            for chunk in table.scan_chunks(lo, hi)
             for pair in chunk
         ]
 
@@ -1330,7 +1333,6 @@ class Database:
             return []
         self.stats.inc("scans")
         read_mode = txn.policy.read_lock_mode(txn)
-        chunk_size = self.config.scan_chunk_size or None
         uses_snapshots = txn.policy.uses_snapshots
         if uses_snapshots:
             snapshot = txn.snapshot
@@ -1348,7 +1350,7 @@ class Database:
             visited: list = []
             visible = 0
             cut_index = -1
-            for chunk in table.scan_chunks(lo, hi, chunk_size):
+            for chunk in table.scan_chunks(lo, hi):
                 index = 0
                 while index < len(chunk):
                     # Probe visibility first (side-effect-free), so only
@@ -1718,9 +1720,10 @@ class Database:
     def vacuum(self) -> int:
         """Garbage-collect versions below every active snapshot.
 
-        Runs incrementally (``config.vacuum_chunk_size`` chains per
-        table-latch hold) so concurrent scans are not stalled behind a
-        full-table pass; each latch drop counts a ``vacuum_pause_events``.
+        Runs incrementally (:data:`repro.storage.table.VACUUM_CHUNK_SIZE`
+        chains per table-latch hold) so concurrent scans are not stalled
+        behind a full-table pass; each latch drop counts a
+        ``vacuum_pause_events``.
         """
         with self._txn_latch:
             horizon = self._oldest_active_read_ts()
@@ -1730,11 +1733,9 @@ class Database:
         # Safe outside the txn latch: the horizon only needs to be a lower
         # bound — any snapshot assigned after it is anchored at a clock
         # value >= every timestamp the prune may reclaim.
-        chunk = self.config.vacuum_chunk_size or None
         on_pause = lambda: self.stats.inc("vacuum_pause_events")  # noqa: E731
         return sum(
-            table.vacuum(int(horizon), chunk_size=chunk, on_pause=on_pause)
-            for table in tables
+            table.vacuum(int(horizon), on_pause=on_pause) for table in tables
         )
 
     def suspended_count(self) -> int:
@@ -1921,7 +1922,6 @@ class Database:
         if not self._escalation_guard.acquire(blocking=False):
             return  # another thread is already escalating
         try:
-            min_group = self.config.siread_escalation_min_group
             for owner in lm.siread_owners_by_count():
                 if lm.table_size() <= budget:
                     return
@@ -1935,7 +1935,7 @@ class Database:
                         resource
                     )
                 for (table_name, page), fine in groups.items():
-                    if len(fine) < min_group:
+                    if len(fine) < SIREAD_ESCALATION_MIN_GROUP:
                         continue
                     coarse = page_resource(table_name, page)
                     if lm.promote_sireads(owner, fine, coarse):

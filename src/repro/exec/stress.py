@@ -23,7 +23,9 @@ therefore carries, besides throughput numbers:
 
 Determinism: thread ``i`` draws from ``random.Random(seed * 1000 + i)``,
 so a stress run's *program sequence* is reproducible per thread even
-though the OS interleaving is not.
+though the OS interleaving is not.  The sharded runner
+(:mod:`repro.shard.stress`) drives its coordinator through the same
+loop, :func:`drive_threads`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Optional
+from typing import Callable, Generator, Hashable, Optional
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
@@ -124,7 +126,7 @@ def _open_database(
 
 def _audit(
     db: Database, workload: Workload, level: str, threads: int, txns: int,
-    wall: float, totals: dict, commits_by_name: dict, aborts_by_name: dict,
+    wall: float, commits_by_name: dict, aborts_by_name: dict,
     check_serializability: bool,
     invariant: Callable[[Database], None] | None,
 ) -> StressResult:
@@ -146,8 +148,8 @@ def _audit(
         level=level,
         threads=threads,
         txns=txns,
-        commits=totals["commits"],
-        aborts=totals["aborts"],
+        commits=sum(commits_by_name.values()),
+        aborts=sum(aborts_by_name.values()),
         wall_clock_s=wall,
         commits_by_name=commits_by_name,
         aborts_by_name=aborts_by_name,
@@ -164,66 +166,45 @@ def _audit(
     return result
 
 
-def run_threaded_stress(
-    workload: Workload,
-    level: str = "ssi",
-    threads: int = 4,
-    txns_per_thread: int = 125,
-    seed: int = 20080501,
-    config: EngineConfig | None = None,
-    check_serializability: bool = False,
-    invariant: Callable[[Database], None] | None = None,
-    on_database: Callable[[Database], None] | None = None,
-) -> StressResult:
-    """Run ``threads`` real threads, each executing ``txns_per_thread``
-    workload transactions at ``level`` against one shared database.
+def drive_threads(
+    target,
+    level: str,
+    threads: int,
+    txns_per_thread: int,
+    seed: int,
+    next_program: Callable[[random.Random], tuple[Hashable, Generator]],
+    tally: Callable[[Hashable, str | None], None],
+) -> float:
+    """The thread-pool drive loop of the threaded and sharded runners.
 
-    Aborts raised by the engine (SSI unsafe, deadlock victim,
-    first-committer-wins...) are expected outcomes and tallied; any other
-    exception in a client thread fails the run.  After all threads join,
-    the engine is quiesced (suspended-transaction cleanup runs with no
-    one active) and the lock table audited; ``invariant`` — if given —
-    then inspects the final database state and raises on violation.
-    ``on_database`` runs right after workload setup, before any client
-    thread starts — the seam for attaching samplers (e.g. a peak
-    lock-table-gauge watcher) or tracing to the shared database.
+    ``threads`` real threads start together; thread ``i`` draws
+    ``txns_per_thread`` ``(label, program)`` pairs from
+    ``next_program(random.Random(seed * 1000 + i))`` and runs each
+    through the blocking client API against ``target`` (a database or a
+    coordinator).  Engine aborts are expected outcomes; any other
+    exception in a client thread fails the run.  Once every thread has
+    joined, ``tally(label, reason)`` is called for each transaction —
+    ``reason`` None for a commit, else the abort's classification.
+    Returns the wall-clock seconds from first start to last join.
     """
-    db = _open_database(workload, config, check_serializability, on_database)
-
     barrier = threading.Barrier(threads)
-    tally = threading.Lock()
-    commits_by_name: dict = {}
-    aborts_by_name: dict = {}
-    totals = {"commits": 0, "aborts": 0}
+    outcomes: list[list] = [[] for _ in range(threads)]
     failures: list[BaseException] = []
 
     def client(index: int) -> None:
         rng = random.Random(seed * 1000 + index)
-        local_commits: dict = {}
-        local_aborts: dict = {}
-        commits = aborts = 0
+        done = outcomes[index]
         barrier.wait()
         try:
             for _ in range(txns_per_thread):
-                name, program = workload.next_transaction(rng)
+                label, program = next_program(rng)
                 try:
-                    run_program(db, program, level)
-                    commits += 1
-                    local_commits[name] = local_commits.get(name, 0) + 1
-                except TransactionAbortedError:
-                    aborts += 1
-                    local_aborts[name] = local_aborts.get(name, 0) + 1
+                    run_program(target, program, level)
+                    done.append((label, None))
+                except TransactionAbortedError as error:
+                    done.append((label, getattr(error, "reason", "aborted")))
         except BaseException as exc:  # engine bug, not a CC outcome
-            with tally:
-                failures.append(exc)
-        finally:
-            with tally:
-                totals["commits"] += commits
-                totals["aborts"] += aborts
-                for name, count in local_commits.items():
-                    commits_by_name[name] = commits_by_name.get(name, 0) + count
-                for name, count in local_aborts.items():
-                    aborts_by_name[name] = aborts_by_name.get(name, 0) + count
+            failures.append(exc)
 
     workers = [
         threading.Thread(target=client, args=(index,), name=f"stress-{index}")
@@ -237,10 +218,50 @@ def run_threaded_stress(
     wall = time.perf_counter() - start
     if failures:
         raise failures[0]
+    for done in outcomes:
+        for label, reason in done:
+            tally(label, reason)
+    return wall
 
+
+def run_threaded_stress(
+    workload: Workload,
+    level: str = "ssi",
+    threads: int = 4,
+    txns_per_thread: int = 125,
+    seed: int = 20080501,
+    config: EngineConfig | None = None,
+    check_serializability: bool = False,
+    invariant: Callable[[Database], None] | None = None,
+    on_database: Callable[[Database], None] | None = None,
+) -> StressResult:
+    """Run ``threads`` real threads, each executing ``txns_per_thread``
+    workload transactions at ``level`` against one shared database
+    (:func:`drive_threads`).
+
+    Aborts raised by the engine (SSI unsafe, deadlock victim,
+    first-committer-wins...) are expected outcomes and tallied; any other
+    exception in a client thread fails the run.  After all threads join,
+    the engine is quiesced (suspended-transaction cleanup runs with no
+    one active) and the lock table audited; ``invariant`` — if given —
+    then inspects the final database state and raises on violation.
+    ``on_database`` runs right after workload setup, before any client
+    thread starts — the seam for attaching samplers (e.g. a peak
+    lock-table-gauge watcher) or tracing to the shared database.
+    """
+    db = _open_database(workload, config, check_serializability, on_database)
+    commits_by_name: dict = {}
+    aborts_by_name: dict = {}
+
+    def tally(name: Hashable, reason: str | None) -> None:
+        by_name = commits_by_name if reason is None else aborts_by_name
+        by_name[name] = by_name.get(name, 0) + 1
+
+    wall = drive_threads(db, level, threads, txns_per_thread, seed,
+                         workload.next_transaction, tally)
     return _audit(
         db, workload, level, threads, txns_per_thread * threads, wall,
-        totals, commits_by_name, aborts_by_name,
+        commits_by_name, aborts_by_name,
         check_serializability, invariant,
     )
 
@@ -276,7 +297,6 @@ def run_session_stress(
     tally = threading.Lock()
     commits_by_name: dict = {}
     aborts_by_name: dict = {}
-    totals = {"commits": 0, "aborts": 0}
     failures: list[BaseException] = []
     done = threading.Event()
     remaining = {"sessions": sessions}
@@ -295,11 +315,9 @@ def run_session_stress(
         def on_done(_result, error):
             if error is None:
                 with tally:
-                    totals["commits"] += 1
                     commits_by_name[name] = commits_by_name.get(name, 0) + 1
             elif isinstance(error, TransactionAbortedError):
                 with tally:
-                    totals["aborts"] += 1
                     aborts_by_name[name] = aborts_by_name.get(name, 0) + 1
             else:  # engine bug, not a CC outcome
                 with tally:
@@ -324,7 +342,7 @@ def run_session_stress(
 
     return _audit(
         db, workload, level, workers, txns_per_session * sessions, wall,
-        totals, commits_by_name, aborts_by_name,
+        commits_by_name, aborts_by_name,
         check_serializability, invariant,
     )
 

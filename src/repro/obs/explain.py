@@ -76,6 +76,33 @@ class AbortExplanation:
             lines.append(f"    @{event.ts} {event.type} {extra}".rstrip())
         return "\n".join(lines)
 
+    def payload(self, gtids: dict[int, int]) -> dict:
+        """The codec-safe form that travels as an error reply's
+        ``explanation``: reason, rendered text, rw edges, pivot triple,
+        and — so a sharding coordinator can relabel the triple — the
+        global id of every transaction named that has one in ``gtids``
+        (shard-local id -> global id)."""
+        payload: dict = {
+            "reason": self.reason,
+            "text": self.render(),
+            "conflicts": [list(edge) for edge in self.conflicts],
+        }
+        mentioned = {self.txn_id}
+        for reader, writer, _ts in self.conflicts:
+            mentioned.update((reader, writer))
+        pivot = self.pivot
+        if pivot is not None:
+            payload["pivot"] = {
+                "t_in": pivot.t_in, "pivot": pivot.pivot, "t_out": pivot.t_out,
+            }
+            mentioned.update((pivot.t_in, pivot.pivot, pivot.t_out))
+        named = {
+            str(local): gtids[local] for local in mentioned if local in gtids
+        }
+        if named:
+            payload["gtids"] = named
+        return payload
+
 
 def _triple_from_events(txn_id: int, events: list[TraceEvent]) -> PivotTriple | None:
     """Fallback reconstruction of the pivot triple from raw rw edges when

@@ -18,23 +18,9 @@ backpressure.  A frame carrying ``"txn": <gtid>`` is addressed to a
 server-wide session keyed by that coordinator-assigned global id
 instead of the connection's own session, so one pipelined connection
 multiplexes many distributed transactions (the coordinator<->shard
-links).  Operations:
-
-======================  ====================================================
-``begin``               ``isolation``/``read_only``/``deferrable`` -> txn id
-``read``/``get``        point reads (``read`` errors on missing keys)
-``read_for_update``     SELECT ... FOR UPDATE promotion primitive
-``put``/``insert``/``delete``  writes (``put`` = blind upsert)
-``scan``/``index_scan``/``index_lookup``  predicate reads
-``commit``/``abort``    finish the open transaction
-``prepare``             2PC phase one -> conflict summary (sharding)
-``commit_prepared``     2PC phase two; ``import_in``/``import_out`` flags
-``create_table``/``load``  schema/bulk-load admin (no open txn required)
-``dump_history``/``audit``/``metrics``  shard-oracle and telemetry admin
-``ping``                liveness + server info
-``hello``               codec negotiation (``codecs`` preference list)
-``batch``               many id-tagged frames in one read (``frames`` list)
-======================  ====================================================
+links).  The operations, their request fields and their reply fields
+are :data:`repro.server.protocol.WIRE_OPS`; this module parses and
+answers through that table and spells no frame of its own.
 
 ``hello`` and ``batch`` are connection-level frames handled by the read
 loop itself, not session ops: hello switches the connection's codec
@@ -59,10 +45,14 @@ from typing import Any
 from repro.engine.database import Database
 from repro.errors import TransactionAbortedError
 from repro.server.protocol import (
+    WIRE_OPS,
     FrameError,
+    ProtocolError,
     encode_frame,
     negotiate_codec,
     read_frame_async,
+    request_args,
+    success_reply,
 )
 from repro.session import Session, SessionScheduler
 
@@ -107,6 +97,15 @@ class ReproServer:
         #: processes are per-run; the map is bounded by run size).
         self._gtids: dict[int, int] = {}
         self._dtxn_lock = threading.Lock()
+        #: the ops the server answers itself rather than through a session
+        self._admin = {
+            "ping": self._ping,
+            "create_table": db.create_table,
+            "load": db.load,
+            "metrics": db.metrics.snapshot,
+            "dump_history": self._dump_history,
+            "audit": self._audit,
+        }
         db.metrics.register_gauge("server_connections", lambda: self._connections)
         db.metrics.register_gauge("server_dtxns", lambda: len(self._dtxns))
 
@@ -189,9 +188,7 @@ class ReproServer:
                 try:
                     frame = await read_frame_async(reader, conn["codec"])
                 except FrameError as error:
-                    await respond(
-                        {"ok": False, "error": "FrameError", "message": str(error)}
-                    )
+                    await respond(_error_reply(error))
                     break
                 if frame is None:
                     break
@@ -201,7 +198,7 @@ class ReproServer:
                     # client reads the verdict before switching), then
                     # every later frame uses the picked one.
                     picked = negotiate_codec(frame.get("codecs"))
-                    reply: dict[str, Any] = {"ok": True, "codec": picked}
+                    reply = success_reply(WIRE_OPS["hello"], picked)
                     if frame.get("id") is not None:
                         reply["id"] = frame["id"]
                     await respond(reply)
@@ -217,11 +214,9 @@ class ReproServer:
                         or not all(isinstance(f, dict) for f in inner)
                         or any(f.get("id") is None for f in inner)
                     ):
-                        await respond({
-                            "ok": False, "error": "ProtocolError",
-                            "message": "batch needs a frames list of "
-                                       "id-tagged objects",
-                        })
+                        await respond(_error_reply(ProtocolError(
+                            "batch needs a frames list of id-tagged objects"
+                        )))
                         continue
                     for sub in inner:
                         await accept(sub)
@@ -282,29 +277,16 @@ class ReproServer:
     async def _dispatch(
         self, loop, conn_session: Session, frame: dict[str, Any]
     ) -> dict[str, Any]:
-        op = frame.get("op")
-        if op == "ping":
-            return {
-                "ok": True, "server": "repro", "workers": self.scheduler.workers,
-                "connections": self._connections,
-            }
-        if op in ("create_table", "load"):
-            return self._admin(op, frame)
-        if op == "dump_history":
-            return self._dump_history()
-        if op == "audit":
-            return self._audit()
-        if op == "metrics":
-            return {"ok": True, "metrics": self.db.metrics.snapshot()}
-        method = _OPS.get(op)
-        if method is None:
-            return {"ok": False, "error": "ProtocolError",
-                    "message": f"unknown op {op!r}"}
         try:
-            args, kwargs = method(frame)
-        except KeyError as error:
-            return {"ok": False, "error": "ProtocolError",
-                    "message": f"op {op!r} missing field {error}"}
+            spec, args = request_args(frame)
+            if spec.method is None:
+                handler = self._admin.get(spec.op)
+                if handler is None:  # a link-level op outside the read loop
+                    raise ProtocolError(f"unknown op {spec.op!r}")
+                return success_reply(spec, handler(*args))
+        except Exception as error:  # noqa: BLE001 - mapped onto the wire
+            return _error_reply(error)
+        op = spec.op
         # A "txn" field addresses a server-wide distributed-transaction
         # session keyed by the coordinator's global id instead of the
         # connection's own session.
@@ -319,14 +301,15 @@ class ReproServer:
                         self._dtxns[gtid] = session
                 if duplicate:
                     await self._close_session(loop, session)
-                    return {"ok": False, "error": "ProtocolError",
-                            "message": f"duplicate txn {gtid}"}
+                    return _error_reply(ProtocolError(f"duplicate txn {gtid}"))
+                # Tag the engine transaction with the coordinator's
+                # global id (rendered into conflict summaries).
+                args.append(gtid)
             else:
                 with self._dtxn_lock:
                     session = self._dtxns.get(gtid)
                 if session is None:
-                    return {"ok": False, "error": "ProtocolError",
-                            "message": f"unknown txn {gtid}"}
+                    return _error_reply(ProtocolError(f"unknown txn {gtid}"))
         future: asyncio.Future = loop.create_future()
 
         def on_done(result: Any, error: BaseException | None) -> None:
@@ -334,40 +317,24 @@ class ReproServer:
 
         txn = session.txn
         txn_id = txn.id if txn is not None else None
-        getattr(session, op if op != "put" else "write")(
-            *args, on_done=on_done, **kwargs
-        )
+        getattr(session, spec.method)(*args, on_done=on_done)
         try:
             result = await future
         except BaseException as error:  # noqa: BLE001 - mapped onto the wire
             if gtid is not None and (
-                op in ("commit", "abort", "commit_prepared")
-                or isinstance(error, TransactionAbortedError)
+                op in _TERMINAL or isinstance(error, TransactionAbortedError)
             ):
                 await self._retire_dtxn(loop, gtid)
-            reply = self._error_reply(error, txn_id)
+            reply = self._abort_reply(error, txn_id)
             if gtid is not None:
                 reply["gtid"] = gtid
             return reply
-        if gtid is not None and op in ("commit", "abort", "commit_prepared"):
+        if gtid is not None and op in _TERMINAL:
             await self._retire_dtxn(loop, gtid)
-        if op == "begin":
-            if gtid is not None:
-                with self._dtxn_lock:
-                    self._gtids[result] = gtid
-            return {"ok": True, "txn": result}
-        if op == "prepare":
-            return {"ok": True, "summary": result}
-        if op == "scan":
-            return {"ok": True, "rows": [[key, value] for key, value in result]}
-        if op == "index_scan":
-            return {"ok": True, "rows": [[key, pk] for key, pk in result]}
-        if op == "index_lookup":
-            return {"ok": True, "keys": list(result)}
-        if op in ("commit", "abort", "put", "insert", "delete",
-                  "commit_prepared"):
-            return {"ok": True}
-        return {"ok": True, "value": result}
+        if op == "begin" and gtid is not None:
+            with self._dtxn_lock:
+                self._gtids[result] = gtid
+        return success_reply(spec, result)
 
     async def _retire_dtxn(self, loop, gtid: int) -> None:
         """A distributed transaction reached a terminal state: unregister
@@ -377,30 +344,14 @@ class ReproServer:
         if session is not None:
             await self._close_session(loop, session)
 
-    def _admin(self, op: str, frame: dict[str, Any]) -> dict[str, Any]:
-        try:
-            if op == "create_table":
-                self.db.create_table(frame["table"])
-            else:
-                self.db.load(frame["table"], [
-                    (key, value) for key, value in frame["rows"]
-                ])
-        except KeyError as error:
-            return {"ok": False, "error": "ProtocolError",
-                    "message": f"op {op!r} missing field {error}"}
-        except Exception as error:  # noqa: BLE001 - mapped onto the wire
-            return {"ok": False, "error": type(error).__name__,
-                    "message": str(error)}
-        return {"ok": True}
+    def _ping(self) -> dict[str, Any]:
+        return {"server": "repro", "workers": self.scheduler.workers,
+                "connections": self._connections}
 
-    def _error_reply(
+    def _abort_reply(
         self, error: BaseException, txn_id: int | None
     ) -> dict[str, Any]:
-        reply: dict[str, Any] = {
-            "ok": False,
-            "error": type(error).__name__,
-            "message": str(error),
-        }
+        reply = _error_reply(error)
         if isinstance(error, TransactionAbortedError):
             reply["reason"] = error.reason
             failed_id = error.txn_id if error.txn_id is not None else txn_id
@@ -415,75 +366,52 @@ class ReproServer:
             explanation = self.db.explain_abort(txn_id)
         except Exception:  # noqa: BLE001 - diagnostics must not fail the reply
             return None
-        payload: dict[str, Any] = {
-            "reason": explanation.reason,
-            "text": explanation.render(),
-            "conflicts": [
-                [reader, writer, ts]
-                for reader, writer, ts in explanation.conflicts
-            ],
-        }
-        mentioned: set[Any] = {txn_id}
-        for reader, writer, _ts in explanation.conflicts:
-            mentioned.add(reader)
-            mentioned.add(writer)
-        pivot = explanation.pivot
-        if pivot is not None:
-            payload["pivot"] = {
-                "t_in": pivot.t_in, "pivot": pivot.pivot, "t_out": pivot.t_out,
-            }
-            mentioned.update((pivot.t_in, pivot.pivot, pivot.t_out))
-        # Local-id -> global-id table for every transaction the payload
-        # names, so a sharding coordinator can relabel the triple.
         with self._dtxn_lock:
-            gtids = {
-                str(local): self._gtids[local]
-                for local in mentioned
-                if isinstance(local, int) and local in self._gtids
-            }
-        if gtids:
-            payload["gtids"] = gtids
-        return payload
+            return explanation.payload(self._gtids)
 
     # ----------------------------------------------------- shard admin
 
-    def _dump_history(self) -> dict[str, Any]:
-        """The recorded execution history, JSON-safe, each transaction
-        labelled with its global id when it has one — the raw material
-        for the coordinator's merged-MVSG serializability oracle."""
+    def _dump_history(self) -> list[dict[str, Any]]:
+        """The recorded execution history, each transaction labelled
+        with its global id when it has one — the raw material for the
+        coordinator's merged-MVSG serializability oracle."""
         history = self.db.history
         if history is None:
-            return {"ok": False, "error": "ProtocolError",
-                    "message": "history recording is disabled on this shard"}
+            raise ProtocolError("history recording is disabled on this shard")
         with self._dtxn_lock:
             gtids = dict(self._gtids)
-        txns = []
-        for record in history.snapshot_records():
-            txns.append({
+        return [
+            {
                 "id": record.txn_id,
                 "gtid": gtids.get(record.txn_id),
                 "begin_ts": record.begin_ts,
                 "commit_ts": record.commit_ts,
                 "status": record.status,
                 "ops": [
-                    [op.kind, op.table,
-                     list(op.key) if isinstance(op.key, tuple) else op.key,
-                     op.version_ts, list(op.seen_keys)]
+                    (op.kind, op.table, op.key, op.version_ts, op.seen_keys)
                     for op in record.ops
                 ],
-            })
-        return {"ok": True, "txns": txns}
+            }
+            for record in history.snapshot_records()
+        ]
 
-    def _audit(self) -> dict[str, Any]:
+    def _audit(self) -> dict[str, int]:
         """Residual engine state after quiesce — the sharded stress
         runner's clean-lock-table check, over the wire."""
         self.db.cleanup_suspended()
         return {
-            "ok": True,
             **self.db.locks.residue(),
             "suspended": len(self.db._suspended),
             "prepared": len(self.db._prepared),
         }
+
+
+#: ops after which a distributed transaction's session is retired
+_TERMINAL = ("commit", "abort", "commit_prepared")
+
+
+def _error_reply(error: BaseException) -> dict[str, Any]:
+    return {"ok": False, "error": type(error).__name__, "message": str(error)}
 
 
 def _settle(future: asyncio.Future, result: Any,
@@ -494,67 +422,3 @@ def _settle(future: asyncio.Future, result: Any,
         future.set_exception(error)
     else:
         future.set_result(result)
-
-
-def _op_begin(frame):
-    return (frame.get("isolation", "ssi"),), {
-        "read_only": bool(frame.get("read_only", False)),
-        "deferrable": bool(frame.get("deferrable", False)),
-        # A gtid-addressed begin tags the engine transaction with the
-        # coordinator's global id (rendered into conflict summaries).
-        "global_id": frame.get("txn"),
-    }
-
-
-def _op_point(frame):
-    return (frame["table"], frame["key"]), {}
-
-
-def _op_get(frame):
-    return (frame["table"], frame["key"], frame.get("default")), {}
-
-
-def _op_value(frame):
-    return (frame["table"], frame["key"], frame["value"]), {}
-
-
-def _op_scan(frame):
-    return (frame["table"], frame.get("lo"), frame.get("hi")), {}
-
-
-def _op_index_scan(frame):
-    return (frame["index"], frame.get("lo"), frame.get("hi")), {}
-
-
-def _op_index_lookup(frame):
-    return (frame["index"], frame["key"]), {}
-
-
-def _op_bare(_frame):
-    return (), {}
-
-
-def _op_commit_prepared(frame):
-    return (
-        bool(frame.get("import_in", False)),
-        bool(frame.get("import_out", False)),
-    ), {}
-
-
-#: op name -> frame parser returning (args, kwargs) for the Session method
-_OPS = {
-    "begin": _op_begin,
-    "read": _op_point,
-    "get": _op_get,
-    "read_for_update": _op_point,
-    "put": _op_value,
-    "insert": _op_value,
-    "delete": _op_point,
-    "scan": _op_scan,
-    "index_scan": _op_index_scan,
-    "index_lookup": _op_index_lookup,
-    "commit": _op_bare,
-    "abort": _op_bare,
-    "prepare": _op_bare,
-    "commit_prepared": _op_commit_prepared,
-}

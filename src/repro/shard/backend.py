@@ -16,17 +16,25 @@ frame carries ``txn: gtid`` (the server multiplexes all distributed
 transactions on the connection) and the ``*_begin`` methods submit
 without waiting, which is what lets the coordinator fan PREPARE out to
 all shards in one round trip instead of one per shard.
+
+Data operations are not spelled per backend: the coordinator invokes
+``call(gtid, op, *args)`` with an op of
+:data:`repro.server.protocol.WIRE_OPS` and its positional arguments,
+which a :class:`RemoteShard` forwards as that frame and a
+:class:`LocalShard` applies to its database through the method the
+table names.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 from repro.client import PipelinedClient, ServerError
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
 from repro.errors import TransactionAbortedError, TransactionStateError
+from repro.server.protocol import WIRE_OPS
 from repro.sgt.history import OpRecord, TxnRecord
 
 __all__ = ["LocalShard", "RemoteShard"]
@@ -90,65 +98,34 @@ class LocalShard:
             if not txn.is_active:
                 self._txns.pop(gtid, None)
 
-    def read(self, gtid: int, table: str, key: Hashable) -> Any:
-        return self._run(gtid, lambda txn: self.db.read(txn, table, key))
-
-    def get(self, gtid: int, table: str, key: Hashable,
-            default: Any = None) -> Any:
-        return self._run(gtid, lambda txn: self.db.get(txn, table, key, default))
-
-    def read_for_update(self, gtid: int, table: str, key: Hashable) -> Any:
-        return self._run(gtid, lambda txn: self.db.read_for_update(txn, table, key))
-
-    def write(self, gtid: int, table: str, key: Hashable, value: Any) -> None:
-        return self._run(gtid, lambda txn: self.db.write(txn, table, key, value))
-
-    def insert(self, gtid: int, table: str, key: Hashable, value: Any) -> None:
-        return self._run(gtid, lambda txn: self.db.insert(txn, table, key, value))
-
-    def delete(self, gtid: int, table: str, key: Hashable) -> None:
-        return self._run(gtid, lambda txn: self.db.delete(txn, table, key))
-
-    def scan(self, gtid: int, table: str, lo: Hashable | None = None,
-             hi: Hashable | None = None) -> list:
-        return self._run(gtid, lambda txn: self.db.scan(txn, table, lo, hi))
-
-    def index_scan(self, gtid: int, index: str, lo: Hashable | None = None,
-                   hi: Hashable | None = None) -> list:
-        return self._run(gtid, lambda txn: self.db.index_scan(txn, index, lo, hi))
-
-    def index_lookup(self, gtid: int, index: str, key: Hashable) -> list:
-        return self._run(gtid, lambda txn: self.db.index_lookup(txn, index, key))
+    def call(self, gtid: int, op: str, *args: Any) -> Any:
+        """Run data operation ``op`` on the shard-local part of global
+        transaction ``gtid``."""
+        method = getattr(self.db, WIRE_OPS[op].method)
+        return self._run(gtid, lambda txn: method(txn, *args))
 
     # -------------------------------------------------------- commit
 
     def commit(self, gtid: int) -> None:
-        self._run(gtid, lambda txn: self.db.commit(txn))
+        self._run(gtid, self.db.commit)
 
     def abort(self, gtid: int, reason: str | None = None) -> None:
         txn = self._txns.pop(gtid, None)
         if txn is not None and txn.is_active:
             self.db.abort(txn, reason=reason)
 
-    def prepare(self, gtid: int) -> dict:
-        return self._run(gtid, lambda txn: self.db.prepare_for_commit(txn))
+    def prepare_begin(self, gtid: int) -> Waiter:
+        return lambda: self._run(gtid, self.db.prepare_for_commit)
 
-    def commit_prepared(self, gtid: int, import_in: bool = False,
-                        import_out: bool = False) -> None:
+    def commit_prepared_begin(self, gtid: int, import_in: bool,
+                              import_out: bool) -> Waiter:
         def apply(txn):
             self.db.commit_prepared(
                 txn, import_in=import_in, import_out=import_out
             )
             self.db.finalize_commit(txn)
 
-        self._run(gtid, apply)
-
-    def prepare_begin(self, gtid: int) -> Waiter:
-        return lambda: self.prepare(gtid)
-
-    def commit_prepared_begin(self, gtid: int, import_in: bool,
-                              import_out: bool) -> Waiter:
-        return lambda: self.commit_prepared(gtid, import_in, import_out)
+        return lambda: self._run(gtid, apply)
 
     # ------------------------------------------------------- oracles
 
@@ -159,29 +136,9 @@ class LocalShard:
         if self.db.trace is None:
             return None
         try:
-            explanation = self.db.explain_abort(local_id)
+            return self.db.explain_abort(local_id).payload(self._gtids)
         except Exception:  # noqa: BLE001 - diagnostics must not mask the abort
             return None
-        payload: dict[str, Any] = {
-            "reason": explanation.reason,
-            "text": explanation.render(),
-            "conflicts": [list(entry) for entry in explanation.conflicts],
-        }
-        mentioned: set[Any] = {local_id}
-        for reader, writer, _ts in explanation.conflicts:
-            mentioned.update((reader, writer))
-        if explanation.pivot is not None:
-            pivot = explanation.pivot
-            payload["pivot"] = {
-                "t_in": pivot.t_in, "pivot": pivot.pivot, "t_out": pivot.t_out,
-            }
-            mentioned.update((pivot.t_in, pivot.pivot, pivot.t_out))
-        payload["gtids"] = {
-            str(local): self._gtids[local]
-            for local in mentioned
-            if isinstance(local, int) and local in self._gtids
-        }
-        return payload
 
     def history_records(self) -> tuple[list[TxnRecord], dict[int, int]]:
         """(records, local-id -> gtid) for the merged-MVSG oracle."""
@@ -225,20 +182,17 @@ class RemoteShard:
     # ------------------------------------------------------------ admin
 
     def create_table(self, name: str) -> None:
-        self.link.call({"op": "create_table", "table": name})
+        self.link.create_table(name)
 
     def load(self, table: str, rows) -> None:
-        self.link.call({
-            "op": "load", "table": table,
-            "rows": [[key, value] for key, value in rows],
-        })
+        self.link.load(table, rows)
 
     def sweep_deadlocks(self) -> list:
         # The shard server's scheduler runs its own deadlock ticker.
         return []
 
     def metrics(self) -> dict:
-        return self.link.call({"op": "metrics"})["metrics"]
+        return self.link.do("metrics")
 
     def close(self) -> None:
         self.link.close()
@@ -247,100 +201,36 @@ class RemoteShard:
 
     def begin(self, gtid: int, isolation: IsolationLevel | str = "ssi",
               read_only: bool = False) -> int:
-        return self.link.call({
-            "op": "begin", "txn": gtid,
-            "isolation": IsolationLevel.parse(isolation).value,
-            "read_only": read_only,
-        })["txn"]
+        return self.link.do(
+            "begin", IsolationLevel.parse(isolation).value, read_only,
+            txn=gtid,
+        )
 
-    def read(self, gtid: int, table: str, key: Hashable) -> Any:
-        return self.link.call({
-            "op": "read", "txn": gtid, "table": table, "key": key,
-        })["value"]
-
-    def get(self, gtid: int, table: str, key: Hashable,
-            default: Any = None) -> Any:
-        return self.link.call({
-            "op": "get", "txn": gtid, "table": table, "key": key,
-            "default": default,
-        })["value"]
-
-    def read_for_update(self, gtid: int, table: str, key: Hashable) -> Any:
-        return self.link.call({
-            "op": "read_for_update", "txn": gtid, "table": table, "key": key,
-        })["value"]
-
-    def write(self, gtid: int, table: str, key: Hashable, value: Any) -> None:
-        self.link.call({
-            "op": "put", "txn": gtid, "table": table, "key": key, "value": value,
-        })
-
-    def insert(self, gtid: int, table: str, key: Hashable, value: Any) -> None:
-        self.link.call({
-            "op": "insert", "txn": gtid, "table": table, "key": key,
-            "value": value,
-        })
-
-    def delete(self, gtid: int, table: str, key: Hashable) -> None:
-        self.link.call({"op": "delete", "txn": gtid, "table": table, "key": key})
-
-    def scan(self, gtid: int, table: str, lo: Hashable | None = None,
-             hi: Hashable | None = None) -> list:
-        reply = self.link.call({
-            "op": "scan", "txn": gtid, "table": table, "lo": lo, "hi": hi,
-        })
-        return [(key, value) for key, value in reply["rows"]]
-
-    def index_scan(self, gtid: int, index: str, lo: Hashable | None = None,
-                   hi: Hashable | None = None) -> list:
-        reply = self.link.call({
-            "op": "index_scan", "txn": gtid, "index": index, "lo": lo, "hi": hi,
-        })
-        return [(key, pk) for key, pk in reply["rows"]]
-
-    def index_lookup(self, gtid: int, index: str, key: Hashable) -> list:
-        return self.link.call({
-            "op": "index_lookup", "txn": gtid, "index": index, "key": key,
-        })["keys"]
+    def call(self, gtid: int, op: str, *args: Any) -> Any:
+        """Forward data operation ``op`` for global transaction ``gtid``."""
+        return self.link.do(op, *args, txn=gtid)
 
     # -------------------------------------------------------- commit
 
     def commit(self, gtid: int) -> None:
-        self.link.call({"op": "commit", "txn": gtid})
+        self.link.do("commit", txn=gtid)
 
     def abort(self, gtid: int, reason: str | None = None) -> None:
         try:
-            self.link.call({"op": "abort", "txn": gtid})
+            self.link.do("abort", txn=gtid)
         except (ServerError, TransactionStateError, TransactionAbortedError):
             # Already retired server-side (the abort error that triggered
             # this rollback retired the session); nothing left to do.
             pass
 
-    def prepare(self, gtid: int) -> dict:
-        return self.link.call({"op": "prepare", "txn": gtid})["summary"]
-
-    def commit_prepared(self, gtid: int, import_in: bool = False,
-                        import_out: bool = False) -> None:
-        self.link.call({
-            "op": "commit_prepared", "txn": gtid,
-            "import_in": import_in, "import_out": import_out,
-        })
-
     def prepare_begin(self, gtid: int) -> Waiter:
-        slot = self.link.submit({"op": "prepare", "txn": gtid})
-        return lambda: self.link.result(slot)["summary"]
+        return self.link.start("prepare", txn=gtid)
 
     def commit_prepared_begin(self, gtid: int, import_in: bool,
                               import_out: bool) -> Waiter:
-        slot = self.link.submit({
-            "op": "commit_prepared", "txn": gtid,
-            "import_in": import_in, "import_out": import_out,
-        })
-
-        def waiter() -> None:
-            self.link.result(slot)
-
-        return waiter
+        return self.link.start(
+            "commit_prepared", import_in, import_out, txn=gtid
+        )
 
     # ------------------------------------------------------- oracles
 
@@ -349,18 +239,10 @@ class RemoteShard:
         return None
 
     def history_records(self) -> tuple[list[TxnRecord], dict[int, int]]:
-        reply = self.link.call({"op": "dump_history"})
         records: list[TxnRecord] = []
         gtids: dict[int, int] = {}
-        for txn in reply["txns"]:
-            ops = [
-                OpRecord(
-                    kind, table,
-                    tuple(key) if kind == "scan" else key,
-                    version_ts, tuple(seen),
-                )
-                for kind, table, key, version_ts, seen in txn["ops"]
-            ]
+        for txn in self.link.do("dump_history"):
+            ops = [OpRecord(*op) for op in txn["ops"]]
             records.append(TxnRecord(
                 txn["id"], txn["begin_ts"], txn["commit_ts"], txn["status"], ops,
             ))
@@ -369,9 +251,4 @@ class RemoteShard:
         return records, gtids
 
     def audit(self) -> dict[str, int]:
-        reply = self.link.call({"op": "audit"})
-        return {
-            field: reply[field]
-            for field in ("granted", "owners", "waiters", "suspended",
-                          "siread", "prepared")
-        }
+        return self.link.do("audit")

@@ -287,7 +287,7 @@ class Coordinator:
     def write(self, txn: GlobalTransaction, table: str, key: Hashable,
               value: Any) -> None:
         shard = self.partition_map.shard_of(table, key)
-        return self._on_shard(txn, shard, "write", table, key, value)
+        return self._on_shard(txn, shard, "put", table, key, value)
 
     def insert(self, txn: GlobalTransaction, table: str, key: Hashable,
                value: Any) -> None:
@@ -354,11 +354,13 @@ class Coordinator:
 
     def _on_shard(self, txn: GlobalTransaction, shard: int, op: str,
                   *args) -> Any:
+        """Run data operation ``op`` (a ``WIRE_OPS`` name: the backends
+        speak the wire's vocabulary) on ``shard``, entering it first."""
         self._check_active(txn)
         if shard not in txn.parts:
             self._enter_shard(txn, shard)
         try:
-            result = getattr(self.backends[shard], op)(txn.id, *args)
+            result = self.backends[shard].call(txn.id, op, *args)
         except TransactionAbortedError as error:
             raise self._failed(txn, shard, error)
         if shard not in txn.entered:

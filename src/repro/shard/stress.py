@@ -15,16 +15,13 @@ certification.
 from __future__ import annotations
 
 import random
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Generator
 
-from repro.errors import TransactionAbortedError
+from repro.exec.stress import drive_threads
 from repro.shard.audit import CrossShardReport, check_merged_serializable
 from repro.shard.coordinator import Coordinator
 from repro.shard.partition import PartitionMap
-from repro.sim.direct import run_program
 from repro.workloads import smallbank
 
 __all__ = ["ShardedStressResult", "run_sharded_stress"]
@@ -72,20 +69,19 @@ class ShardedStressResult:
         )
 
 
-def _single_shard_program(rng: random.Random,
-                          customers: int) -> tuple[str, Generator]:
+def _single_shard_program(rng: random.Random, customers: int) -> Generator:
     """One-customer SmallBank program — single-shard under the aligned
     partition map."""
     name = smallbank.customer_name(rng.randrange(customers))
     amount = float(rng.randint(1, 100))
     choice = rng.randrange(4)
     if choice == 0:
-        return "balance", smallbank.balance(name)
+        return smallbank.balance(name)
     if choice == 1:
-        return "deposit_checking", smallbank.deposit_checking(name, amount)
+        return smallbank.deposit_checking(name, amount)
     if choice == 2:
-        return "transact_saving", smallbank.transact_saving(name, amount)
-    return "write_check", smallbank.write_check(name, amount)
+        return smallbank.transact_saving(name, amount)
+    return smallbank.write_check(name, amount)
 
 
 def _cross_shard_pair(rng: random.Random, customers: int,
@@ -124,58 +120,25 @@ def run_sharded_stress(
     if setup:
         smallbank.setup_smallbank(coordinator, customers)
 
-    barrier = threading.Barrier(threads)
-    tally = threading.Lock()
     totals = {"commits": 0, "aborts": 0, "cross": 0}
     aborts_by_reason: dict = {}
-    failures: list[BaseException] = []
 
-    def client(index: int) -> None:
-        rng = random.Random(seed * 1000 + index)
-        commits = aborts = cross = 0
-        local_reasons: dict = {}
-        barrier.wait()
-        try:
-            for _ in range(txns_per_thread):
-                if rng.random() < cross_ratio:
-                    cross += 1
-                    name1, name2 = _cross_shard_pair(rng, customers, pmap)
-                    program = smallbank.amalgamate(name1, name2)
-                else:
-                    _name, program = _single_shard_program(rng, customers)
-                try:
-                    run_program(coordinator, program, level)
-                    commits += 1
-                except TransactionAbortedError as error:
-                    aborts += 1
-                    reason = getattr(error, "reason", "aborted")
-                    local_reasons[reason] = local_reasons.get(reason, 0) + 1
-        except BaseException as error:  # engine bug, not a CC outcome
-            with tally:
-                failures.append(error)
-        finally:
-            with tally:
-                totals["commits"] += commits
-                totals["aborts"] += aborts
-                totals["cross"] += cross
-                for reason, count in local_reasons.items():
-                    aborts_by_reason[reason] = (
-                        aborts_by_reason.get(reason, 0) + count
-                    )
+    def next_program(rng: random.Random) -> tuple[bool, Generator]:
+        if rng.random() < cross_ratio:
+            name1, name2 = _cross_shard_pair(rng, customers, pmap)
+            return True, smallbank.amalgamate(name1, name2)
+        return False, _single_shard_program(rng, customers)
 
-    workers = [
-        threading.Thread(target=client, args=(index,),
-                         name=f"shard-stress-{index}")
-        for index in range(threads)
-    ]
-    start = time.perf_counter()
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    wall = time.perf_counter() - start
-    if failures:
-        raise failures[0]
+    def tally(cross: bool, reason: str | None) -> None:
+        totals["cross"] += cross
+        if reason is None:
+            totals["commits"] += 1
+        else:
+            totals["aborts"] += 1
+            aborts_by_reason[reason] = aborts_by_reason.get(reason, 0) + 1
+
+    wall = drive_threads(coordinator, level, threads, txns_per_thread, seed,
+                         next_program, tally)
 
     report: CrossShardReport = check_merged_serializable(
         coordinator.shard_histories()

@@ -16,6 +16,15 @@ from repro.engine.latches import make_latch
 from repro.mvcc.version import Version, VersionChain
 from repro.storage.btree import SUPREMUM, BPlusTree
 
+#: rows :meth:`Table.scan_chunks` collects per table-latch hold; 0 = one
+#: B+-tree leaf page (the tree's order).
+SCAN_CHUNK_SIZE = 0
+
+#: chains :meth:`Table.vacuum` examines per table-latch hold; the latch
+#: is dropped between holds so reporting scans are not stalled behind a
+#: full-table GC pass.
+VACUUM_CHUNK_SIZE = 256
+
 
 class Table:
     """A named, versioned, ordered key/value table.
@@ -101,8 +110,8 @@ class Table:
         """Ordered scan of ``[lo, hi]`` in latch-bounded batches.
 
         Unlike :meth:`scan_chains`, the table latch is held only while one
-        chunk (at most ``chunk_size`` pairs, default the tree's page
-        order) is collected, then dropped before the chunk is yielded —
+        chunk (at most ``chunk_size`` pairs, default
+        :data:`SCAN_CHUNK_SIZE`) is collected, then dropped before the chunk is yielded —
         writers and other scans proceed between chunks.  The walk resumes
         strictly after the previous chunk's last key, so:
 
@@ -114,7 +123,7 @@ class Table:
           chains invisible to every active snapshot.
         """
         if chunk_size is None or chunk_size <= 0:
-            chunk_size = self._tree.order
+            chunk_size = SCAN_CHUNK_SIZE or self._tree.order
         cursor, include_lo = lo, True
         while True:
             chunk: list[tuple[Hashable, VersionChain]] = []
@@ -173,28 +182,18 @@ class Table:
         """Prune versions invisible to every snapshot at or after
         ``horizon_ts``; drop keys whose chains become empty.
 
-        With ``chunk_size`` set, at most that many chains are examined
-        per latch hold and the latch is dropped between holds (resume
-        walk, like :meth:`scan_chunks`) so concurrent scans are not
-        stalled behind a full-table GC pass; ``on_pause`` is called at
-        each drop (the engine counts them as ``vacuum_pause_events``).
-        ``chunk_size=None`` keeps the legacy single-hold behaviour.
+        At most ``chunk_size`` chains (default
+        :data:`VACUUM_CHUNK_SIZE`) are examined per latch hold and the
+        latch is dropped between holds (resume walk, like
+        :meth:`scan_chunks`) so concurrent scans are not stalled behind
+        a full-table GC pass; ``on_pause`` is called at each drop (the
+        engine counts them as ``vacuum_pause_events``).
 
         Returns the number of versions removed.
         """
+        if chunk_size is None:
+            chunk_size = VACUUM_CHUNK_SIZE
         removed = 0
-        if chunk_size is None or chunk_size <= 0:
-            with self.latch:
-                dead_keys = []
-                for key, chain in self._tree.items():
-                    removed += chain.prune(horizon_ts)
-                    if len(chain) == 0:
-                        dead_keys.append(key)
-                for key in dead_keys:
-                    self._tree.delete(key)
-                if dead_keys:
-                    self.keyset_version += 1
-            return removed
         cursor, include_lo = None, True
         while True:
             examined = 0

@@ -27,8 +27,9 @@ def fill_range(db, table, n, step=10):
 
 
 class TestVacuumPauseEvents:
-    def test_counter_counts_latch_drops(self):
-        db = make_db(vacuum_chunk_size=16)
+    def test_counter_counts_latch_drops(self, monkeypatch):
+        monkeypatch.setattr("repro.storage.table.VACUUM_CHUNK_SIZE", 16)
+        db = make_db()
         fill_range(db, "t", 100, step=1)
         writer = db.begin("si")
         for key in range(100):
@@ -38,16 +39,6 @@ class TestVacuumPauseEvents:
         assert removed == 100  # every loaded version is below the horizon
         # 100 chains / 16 per hold = 7 holds -> 6 pauses.
         assert db.stats["vacuum_pause_events"] == 6
-
-    def test_single_hold_config_never_pauses(self):
-        db = make_db(vacuum_chunk_size=0)
-        fill_range(db, "t", 50, step=1)
-        writer = db.begin("si")
-        for key in range(50):
-            db.write(writer, "t", key, "updated")
-        writer.commit()
-        assert db.vacuum() == 50
-        assert db.stats["vacuum_pause_events"] == 0
 
 
 class TestPageThreshold:

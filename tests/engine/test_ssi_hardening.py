@@ -31,22 +31,25 @@ from repro.sgt.checker import check_serializable
 from tests.conftest import commit_outcomes, fill
 
 
-def bounded_db(budget, min_group=2):
-    return Database(
-        EngineConfig(
-            record_history=True,
-            siread_budget=budget,
-            siread_escalation_min_group=min_group,
-        )
+def bounded_db(budget):
+    return Database(EngineConfig(record_history=True, siread_budget=budget))
+
+
+@pytest.fixture
+def table_tier_only(monkeypatch):
+    """Disable the page tier of SIREAD escalation: no leaf page ever
+    holds enough record locks to be worth folding."""
+    monkeypatch.setattr(
+        "repro.engine.database.SIREAD_ESCALATION_MIN_GROUP", 99
     )
 
 
 class TestSireadEscalation:
-    def test_budget_trips_and_coarse_lock_installed(self):
+    def test_budget_trips_and_coarse_lock_installed(self, table_tier_only):
         """Three record SIREADs against a budget of two must escalate;
         the owner ends up holding a coarse sentinel, and re-reads under
         the coarse cover add no fine locks back."""
-        db = bounded_db(2, min_group=99)  # page tier disabled: table only
+        db = bounded_db(2)
         fill(db, "t", {i: i for i in range(10)})
         t1 = db.begin("ssi")
         for key in (0, 1, 2):
@@ -61,7 +64,7 @@ class TestSireadEscalation:
         assert db.locks.table_size() == size_after
         t1.commit()
 
-    def test_escalated_table_detects_edge_superset(self):
+    def test_escalated_table_detects_edge_superset(self, table_tier_only):
         """After table escalation, a write to a key the reader never
         touched still raises the (false-positive) rw edge — so a cycle
         built from one real and one escalated edge aborts a transaction
@@ -71,7 +74,7 @@ class TestSireadEscalation:
 
         def run(budget):
             db = (
-                bounded_db(budget, min_group=99)
+                bounded_db(budget)
                 if budget is not None
                 else Database(EngineConfig(record_history=True))
             )

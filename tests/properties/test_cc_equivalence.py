@@ -91,13 +91,14 @@ def test_outcomes_match_with_group_commit_forced_on(case):
     CASES,
     ids=[f"{case['scenario']}-{case['seed']}" for case in CASES],
 )
-def test_outcomes_match_with_small_chunks_and_page_sireads(case):
+def test_outcomes_match_with_small_chunks_and_page_sireads(case, monkeypatch):
     """The golden outcomes were recorded before scans were chunked, so
     they are the semantics reference for the scan kernel: forced into
     its most aggressive shape (2-row chunks, so every scan drops the
     table latch mid-range, and page-granularity SIREADs from the first
     row), every golden outcome — who committed, who aborted, with which
     reason — is unchanged at every isolation level."""
+    monkeypatch.setattr("repro.storage.table.SCAN_CHUNK_SIZE", 2)
     factory = FACTORIES[case["scenario"]]
     for level in LEVELS:
         setup, programs, _step_counts = factory()
@@ -108,7 +109,6 @@ def test_outcomes_match_with_small_chunks_and_page_sireads(case):
             isolation=level,
             engine_config=EngineConfig(
                 record_history=True,
-                scan_chunk_size=2,
                 scan_page_lock_threshold=1,
             ),
         )

@@ -59,7 +59,6 @@ def test_tiny_budget_interleavings_stay_serializable(specs, seed, level):
         engine_config=EngineConfig(
             record_history=True,
             siread_budget=2,
-            siread_escalation_min_group=2,
         ),
     )
     report = check_serializable(outcome.db.history)

@@ -15,6 +15,8 @@ shares no code with the engine.
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.config import EngineConfig
@@ -40,16 +42,16 @@ write_ops = st.lists(
 )
 
 
-def build_db(initial, chunk_size, level_config=None):
-    db = Database(
-        EngineConfig(
-            scan_chunk_size=chunk_size,
-            **(level_config or {}),
-        )
-    )
+def build_db(initial):
+    db = Database(EngineConfig())
     db.create_table("t")
     db.load("t", initial.items())
     return db
+
+
+def chunked(chunk_size):
+    """Scans inside this block collect ``chunk_size`` rows per latch hold."""
+    return mock.patch("repro.storage.table.SCAN_CHUNK_SIZE", chunk_size)
 
 
 def model_range(initial, lo, hi):
@@ -91,7 +93,7 @@ def fire_writer(db, kind, key, value):
 def test_interfered_chunked_scan_equals_snapshot(
     initial, writes, lo, hi, chunk_size, level
 ):
-    db = build_db(initial, chunk_size)
+    db = build_db(initial)
     table = db.table("t")
     reader = db.begin(level)
     db.get(reader, "t", -1)  # pin the snapshot before any writer runs
@@ -113,7 +115,8 @@ def test_interfered_chunked_scan_equals_snapshot(
                     fire_writer(db, kind, key, value)
 
     table.scan_chunks = patched
-    got = db.scan(reader, "t", lo, hi)
+    with chunked(chunk_size):
+        got = db.scan(reader, "t", lo, hi)
     assert got == model_range(initial, lo, hi), (
         "chunked scan with interleaved writers diverged from the "
         "single-latch-hold snapshot result"
@@ -134,9 +137,10 @@ def test_interfered_chunked_scan_equals_snapshot(
 def test_scan_matches_model(
     initial, lo, hi, chunk_size, reverse, limit, level
 ):
-    db = build_db(initial, chunk_size)
+    db = build_db(initial)
     txn = db.begin(level)
-    got = db.scan(txn, "t", lo, hi, reverse=reverse, limit=limit)
+    with chunked(chunk_size):
+        got = db.scan(txn, "t", lo, hi, reverse=reverse, limit=limit)
     db.abort(txn)
     expected = model_range(initial, lo, hi)
     if reverse:
@@ -155,9 +159,10 @@ def test_scan_matches_model(
 )
 @settings(max_examples=100, deadline=None)
 def test_scan_prefix_matches_scan_limit(initial, lo, hi, limit, level):
-    db = build_db(initial, chunk_size=3)
+    db = build_db(initial)
     txn = db.begin(level)
-    prefix = db.scan_prefix(txn, "t", lo, hi, limit=limit)
-    full = db.scan(txn, "t", lo, hi, limit=limit)
+    with chunked(3):
+        prefix = db.scan_prefix(txn, "t", lo, hi, limit=limit)
+        full = db.scan(txn, "t", lo, hi, limit=limit)
     assert prefix == full
     db.abort(txn)

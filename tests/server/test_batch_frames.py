@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.client import BlockingClient, PipelinedClient
+from repro.client import PipelinedClient
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.server import ReproServer
@@ -59,7 +59,7 @@ class TestHelloHandshake:
     def test_blocking_client_negotiates_with_fallback(self, server_db):
         async def body(server):
             def blocking():
-                client = BlockingClient.connect(
+                client = PipelinedClient(
                     port=server.port, codecs=("msgpack", "json")
                 )
                 # msgpack is only picked when installed server-side;
@@ -84,7 +84,7 @@ class TestHelloHandshake:
     def test_unknown_codec_degrades_to_json(self, server_db):
         async def body(server):
             def blocking():
-                client = BlockingClient.connect(
+                client = PipelinedClient(
                     port=server.port, codecs=("no-such-codec",)
                 )
                 assert client.codec == "json"

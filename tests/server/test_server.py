@@ -7,7 +7,7 @@ import struct
 
 import pytest
 
-from repro.client import AsyncClient, BlockingClient, ServerError
+from repro.client import AsyncClient, PipelinedClient, ServerError
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import (
@@ -105,10 +105,15 @@ class TestServer:
             # connection (and transaction) survive a failed op
             assert await client.read("t", "k") == 0
             await client.abort()
-            with pytest.raises(ServerError) as info:
-                await client._call({"op": "no_such_op"})
-            assert info.value.remote_error == "ProtocolError"
             await client.close()
+
+            def raw_frame():
+                with PipelinedClient(port=server.port) as link:
+                    link.call({"op": "no_such_op"})
+
+            with pytest.raises(ServerError) as info:
+                await asyncio.get_running_loop().run_in_executor(None, raw_frame)
+            assert info.value.remote_error == "ProtocolError"
 
         run_with_server(server_db, body)
 
@@ -224,7 +229,7 @@ class TestServer:
             loop = asyncio.get_running_loop()
 
             def blocking_work():
-                with BlockingClient.connect(port=server.port) as client:
+                with PipelinedClient(port=server.port) as client:
                     client.begin("ssi")
                     client.insert("t", "k", "v")
                     client.commit()
