@@ -93,6 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     total = tallies["commits"] + tallies["aborts"]
     print(f"{args.connections} connections ({args.workers} workers): "
           f"{tallies['commits']} commits, {tallies['aborts']} aborts")
+    # Report only: commits that overlapped a leader rode follower groups.
+    print("group_commit:", db.metrics.snapshot()["counters"]["group_commit"])
 
     problems = []
     if total != expected:

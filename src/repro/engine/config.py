@@ -72,16 +72,11 @@ class EngineConfig:
             ordering the paper enforces in InnoDB (Section 4.4).  Off,
             commits are only durable up to the last explicit flush
             (matching the paper's "without flushing the log" runs).
-        group_commit: route commits through the
-            :class:`~repro.engine.groupcommit.CommitBatcher` — one
-            leader certifies and installs a whole group of
-            concurrently-arriving committers under a single
-            tracker/commit latch acquisition and covers them with one
-            WAL flush (PostgreSQL-style group commit; Ports & Grittner).
-        group_commit_max: largest group one leader pass certifies.
-        group_commit_wait_us: how long (microseconds) a leader holds the
-            collect window open for more committers to arrive before
-            running the batch; 0 batches only what has already queued.
+
+    Group commit is not a knob: every commit enters the
+    :class:`~repro.engine.groupcommit.CommitBatcher`, which costs a lone
+    committer two uncontended mutex acquisitions and shares one
+    certification pass and one WAL flush among committers that overlap.
     """
 
     granularity: LockGranularity = LockGranularity.RECORD
@@ -108,11 +103,6 @@ class EngineConfig:
     #: strategy.  Escalation may only introduce false-positive aborts,
     #: never miss an rw-antidependency.  RECORD granularity only.
     siread_budget: int | None = None
-    #: group commit (PR 9): batch concurrently-arriving committers
-    #: through one leader-run certification pass and one WAL flush.
-    group_commit: bool = False
-    group_commit_max: int = 16
-    group_commit_wait_us: int = 200
     #: SSI scans that materialise at least this many rows take
     #: page-granularity SIREADs on the covered leaf pages up front
     #: instead of one record+gap SIREAD per row (scan-aware granularity

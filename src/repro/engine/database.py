@@ -38,7 +38,6 @@ run outside every engine latch.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Hashable, Iterable, Optional
 
 from repro.cc import build_policies
@@ -52,13 +51,12 @@ from repro.engine.transaction import Transaction, TransactionStatus
 from repro.engine.waits import Completion
 from repro.errors import (
     ABORT_REASONS,
+    CompletionWaitRequired,
     DeadlockError,
     DuplicateKeyError,
-    GroupCommitWaitRequired,
     KeyNotFoundError,
     LockTimeoutError,
     LockWaitRequired,
-    SafeSnapshotWaitRequired,
     TableError,
     TransactionAbortedError,
     TransactionStateError,
@@ -242,18 +240,9 @@ class Database:
         #: event-trace layer — off (None) by default; every emission site
         #: below is guarded by a single ``is not None`` test.
         self.trace: EventTrace | None = None
-        #: group commit (PR 9): when enabled, Database.commit routes
-        #: through one leader-run batched certification + group WAL
-        #: flush instead of the per-transaction path.
-        self._batcher: CommitBatcher | None = (
-            CommitBatcher(
-                self,
-                self.config.group_commit_max,
-                self.config.group_commit_wait_us,
-            )
-            if self.config.group_commit
-            else None
-        )
+        #: the commit entry: a lone committer leads itself through the
+        #: serial body, overlapping committers share a leader-run group.
+        self._batcher = CommitBatcher(self)
 
     # ------------------------------------------------------ observability
 
@@ -383,7 +372,7 @@ class Database:
 
         ``wait=False`` makes a deferrable begin non-blocking: instead of
         parking the calling thread it raises
-        :class:`~repro.errors.SafeSnapshotWaitRequired` carrying the
+        :class:`~repro.errors.CompletionWaitRequired` carrying the
         already-created transaction and a subscribable completion; the
         executor suspends and later calls :meth:`resume_deferrable`.
         """
@@ -417,7 +406,7 @@ class Database:
                 if completion is not None:
                     if self.history is not None:
                         self.history.on_begin(txn.id)
-                    raise SafeSnapshotWaitRequired(txn, completion)
+                    raise CompletionWaitRequired(txn, completion)
         elif policy.uses_snapshots and not self.config.deferred_snapshot:
             self._assign_snapshot(txn)
         if self.history is not None:
@@ -449,7 +438,7 @@ class Database:
         """Drive a non-blocking deferrable begin after its completion
         fired.  A safe verdict finishes the begin; an unsafe verdict is
         permanent for that snapshot, so a fresh one is taken — possibly
-        raising :class:`SafeSnapshotWaitRequired` again."""
+        raising :class:`CompletionWaitRequired` again."""
         if txn.snapshot_safe:
             txn._safe_event = None
             return txn
@@ -459,7 +448,7 @@ class Database:
         txn.snapshot_safe = None
         completion = self._deferrable_attempt(txn)
         if completion is not None:
-            raise SafeSnapshotWaitRequired(txn, completion)
+            raise CompletionWaitRequired(txn, completion)
         return txn
 
     def _wait_safe_snapshot(self, txn: Transaction) -> None:
@@ -470,7 +459,7 @@ class Database:
             completion.wait()
             try:
                 self.resume_deferrable(txn)
-            except SafeSnapshotWaitRequired as retry:
+            except CompletionWaitRequired as retry:
                 completion = retry.completion
             else:
                 completion = None
@@ -480,40 +469,42 @@ class Database:
         """Commit: unsafe check, version install, lock release, suspension
         and cleanup (Fig 3.2 / Fig 3.10).
 
-        With group commit enabled the transaction rides a
-        :class:`~repro.engine.groupcommit.CommitBatcher` group instead:
-        the submitting caller either becomes the batch leader (running
-        the group inline) or waits for the leader's verdict —
-        ``wait=False`` turns that wait into
-        :class:`~repro.errors.GroupCommitWaitRequired` so a session can
+        Every commit enters the
+        :class:`~repro.engine.groupcommit.CommitBatcher`.  With nobody
+        else committing the caller becomes the leader and runs the
+        serial body (:meth:`prepare_commit` → :meth:`finalize_commit`)
+        on its own transaction, then drains whoever queued behind it
+        meanwhile as leader-run groups.  A caller that arrives while a
+        leader is active queues a ticket and waits for that leader's
+        verdict — ``wait=False`` turns the wait into
+        :class:`~repro.errors.CompletionWaitRequired` so a session can
         suspend on the ticket's completion and re-invoke this method,
         which consumes the resolved ticket.  Re-invocation with a
-        pending ticket never re-submits.
+        pending ticket never re-enters.
         """
-        batcher = self._batcher
-        if batcher is None or (not txn.policy.certifies and not txn.write_set):
-            # No batching configured — or nothing a group amortizes: a
-            # non-certifying read-only commit takes no tracker latch and
-            # writes no WAL, so the serial path is already minimal.
+        if not txn.policy.certifies and not txn.write_set:
+            # Nothing a group amortizes: a non-certifying read-only
+            # commit takes no tracker latch and writes no WAL.
             self.prepare_commit(txn)
             self.finalize_commit(txn)
             return
         ticket = txn._commit_ticket
         if ticket is None:
             self._check_op(txn)
-            ticket, is_leader = batcher.submit(txn)
+            batcher = self._batcher
+            ticket = batcher.enter(txn)
+            if ticket is None:
+                try:
+                    self.prepare_commit(txn)
+                    self.finalize_commit(txn)
+                finally:
+                    batcher.lead()
+                return
             txn._commit_ticket = ticket
-            if is_leader:
-                batcher.lead()
-        if not ticket.resolved:
+        if not ticket.done.fired:
             if not wait:
-                raise GroupCommitWaitRequired(txn, ticket.done)
+                raise CompletionWaitRequired(txn, ticket.done)
             ticket.done.wait()
-            while not ticket.resolved:
-                # A spurious completion fire (session interrupt) can wake
-                # a waiter before the leader publishes the verdict; the
-                # leader resolves within its current pass.
-                time.sleep(0.0001)
         txn._commit_ticket = None
         if ticket.error is not None:
             raise ticket.error

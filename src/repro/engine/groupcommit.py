@@ -1,16 +1,23 @@
-"""Group commit: batched certification and group WAL flush (PR 9).
+"""The commit entry: lone leaders commit serially, overlap commits in groups.
 
 Per-commit cost in this engine has three tiers — the Fig 3.4 dangerous-
 structure check under the tracker latch, version installation under the
 commit latch, and (with a write-ahead log attached) a flush per commit.
 PostgreSQL's production SSI pays the same three and amortizes them with
-group commit (Ports & Grittner, VLDB'12); this module is that layer.
+group commit (Ports & Grittner, VLDB'12); this module is that layer, and
+every ``Database.commit`` goes through it.
 
-A committer calls :meth:`CommitBatcher.submit`, which enqueues a
-*ticket* and elects the first enqueuer with no active leader as the
-batch **leader**.  The leader holds a short collect window open
-(``group_commit_wait_us``) so concurrently-arriving committers can join,
-then runs the whole group in one pass:
+A committer calls :meth:`CommitBatcher.enter`.  With no leader active it
+*becomes* the leader and gets ``None`` back: it commits its own
+transaction through the serial body (``prepare_commit`` →
+``finalize_commit`` — no ticket, no completion, no counter) and then
+runs :meth:`CommitBatcher.lead`.  A lone committer therefore pays two
+uncontended acquisitions of the batcher's mutex and nothing else.
+Whoever arrives while a leader is active gets a queued *ticket* instead
+and waits for that leader's verdict.  ``lead`` drains the queue in
+groups of at most :data:`MAX_BATCH` — a group is whatever arrived during
+the previous pass, nobody waits for one to fill — and runs each group in
+one pass:
 
 1. **Group certification** — tracker and commit latches are taken once
    for the batch.  Members are certified *in arrival order*, which is
@@ -35,61 +42,56 @@ then runs the whole group in one pass:
 
 Followers never block a latch holder: they wait on the ticket's
 :class:`~repro.engine.waits.Completion` (threads park on ``wait()``;
-sessions suspend via :class:`~repro.errors.GroupCommitWaitRequired` and
-ride the group without occupying a scheduler worker).
+sessions suspend via :class:`~repro.errors.CompletionWaitRequired` and
+ride the group without occupying a scheduler worker).  Only the leader
+fires it, so a fired completion *is* the verdict.
 
-Leader election is submit-time and gap-free: the leader flag is only
-cleared under the batcher mutex when the queue is empty, so every
-queued ticket always has an active leader responsible for it.
+Leader election is gap-free: the leader flag is only cleared under the
+batcher mutex when the queue is empty, so every queued ticket always has
+an active leader responsible for it.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 from repro.engine.config import LockGranularity
 from repro.engine.waits import Completion
 from repro.errors import TransactionStateError
 
-__all__ = ["CommitBatcher"]
+__all__ = ["CommitBatcher", "MAX_BATCH"]
+
+#: largest group one leader pass certifies, installs and flushes.
+MAX_BATCH = 16
 
 
 class _Ticket:
     """One queued commit: the transaction, the completion its waiter
-    parks on, and the batch outcome (``error`` set when group
-    certification aborted this member).  ``resolved`` distinguishes the
-    leader's verdict from a spurious completion fire (``interrupt()``
-    wakes suspended sessions through the same completion)."""
+    parks on (fired by the leader alone, after the member is finalized
+    or aborted), and the batch outcome (``error`` set when group
+    certification aborted this member)."""
 
-    __slots__ = ("txn", "done", "error", "abort_bucket", "resolved")
+    __slots__ = ("txn", "done", "error", "abort_bucket")
 
     def __init__(self, txn) -> None:
         self.txn = txn
         self.done = Completion()
         self.error: BaseException | None = None
         self.abort_bucket: str | None = None
-        self.resolved = False
 
 
 class CommitBatcher:
-    """Collects concurrently-arriving committers into leader-run groups.
-
-    Owned by a :class:`~repro.engine.database.Database` when
-    ``EngineConfig.group_commit`` is set; drive it only through
-    ``Database.commit``.
+    """Elects one committer at a time as leader and queues the rest
+    behind it.  Owned by a :class:`~repro.engine.database.Database`;
+    drive it only through ``Database.commit``.
     """
 
-    def __init__(self, db, max_batch: int, wait_us: int) -> None:
-        if max_batch < 1:
-            raise ValueError("group_commit_max must be >= 1")
+    def __init__(self, db) -> None:
         self.db = db
-        self.max_batch = max_batch
-        self.wait_s = max(0, wait_us) / 1_000_000.0
-        # The batcher's own mutex/condition is *not* an engine latch: it
-        # is never held across engine calls (the queue drain and the
-        # batch run are disjoint critical sections).
-        self._cv = threading.Condition()
+        # Not an engine latch: never held across an engine call (entry,
+        # the queue drain and the batch run are disjoint critical
+        # sections), and nothing waits on it.
+        self._mutex = threading.Lock()
         self._queue: list[_Ticket] = []
         self._leader_active = False
         self.stats = db.metrics.group("group_commit", {
@@ -101,46 +103,33 @@ class CommitBatcher:
             "group_commit_batch_size", edges=(1, 2, 4, 8, 16, 32, 64)
         )
 
-    # ----------------------------------------------------------- enqueue
-
-    def submit(self, txn) -> tuple[_Ticket, bool]:
-        """Queue ``txn`` for the next group.  Returns ``(ticket,
-        is_leader)``; a True leader flag obliges the caller to run
-        :meth:`lead` (with no latches held) before waiting."""
-        ticket = _Ticket(txn)
-        with self._cv:
+    def enter(self, txn) -> _Ticket | None:
+        """Returns None when the caller is now the leader — it commits
+        ``txn`` itself and must then run :meth:`lead` (with no latches
+        held), whatever that commit raised.  Otherwise ``txn`` is queued
+        behind the active leader and the caller waits on the returned
+        ticket's ``done``."""
+        with self._mutex:
+            if not self._leader_active:
+                self._leader_active = True
+                return None
+            ticket = _Ticket(txn)
             self._queue.append(ticket)
-            self._cv.notify()
-            if self._leader_active:
-                return ticket, False
-            self._leader_active = True
-            return ticket, True
-
-    # ------------------------------------------------------------- leader
+            return ticket
 
     def lead(self) -> None:
-        """Run batches until the queue drains.  The collect window stays
-        open up to ``group_commit_wait_us`` or until ``max_batch``
-        committers have queued, whichever comes first; the leader only
-        steps down (under the mutex) when nothing is queued, so no
-        ticket can be stranded leaderless."""
+        """Run whatever queued behind the leader, a group at a time,
+        and step down — under the mutex, so no ticket can be stranded
+        leaderless — only once nothing is queued."""
         while True:
-            deadline = time.monotonic() + self.wait_s
-            with self._cv:
-                if self.wait_s > 0:
-                    while len(self._queue) < self.max_batch:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cv.wait(remaining)
-                batch = self._queue[: self.max_batch]
-                del self._queue[: self.max_batch]
-            if batch:
-                self._run_batch(batch)
-            with self._cv:
-                if not self._queue:
+            with self._mutex:
+                queue = self._queue
+                if not queue:
                     self._leader_active = False
                     return
+                batch = queue[:MAX_BATCH]
+                del queue[:MAX_BATCH]
+            self._run_batch(batch)
 
     def _run_batch(self, tickets: list[_Ticket]) -> None:
         """One leader pass over a group (see the module docstring)."""
@@ -198,5 +187,4 @@ class CommitBatcher:
         # Resolve last: after this, waiters may observe and reuse
         # anything about the transaction.
         for ticket in tickets:
-            ticket.resolved = True
             ticket.done.set()

@@ -119,41 +119,29 @@ class LockWaitRequired(ReproError):
         self.request = request
 
 
-class SafeSnapshotWaitRequired(ReproError):
-    """Internal control-flow signal: a deferrable begin() must wait.
+class CompletionWaitRequired(ReproError):
+    """Internal control-flow signal: the operation must wait for
+    ``completion`` to fire, then be re-invoked.  Two raisers:
 
-    ``Database.begin(deferrable=True, wait=False)`` raises this when the
-    candidate snapshot is not yet known to be safe.  ``txn`` already
-    exists (registered, snapshot assigned and being watched by the
-    ``SafeSnapshotMonitor``); ``completion`` fires on the verdict.  The
-    executor suspends until then and re-drives the begin — a safe
-    verdict completes it, an unsafe verdict (permanent for that
-    snapshot) makes ``Database.resume_deferrable`` retake a snapshot and
-    possibly raise this again.  Never escapes to user code.
+    * ``Database.begin(deferrable=True, wait=False)`` (and
+      ``Database.resume_deferrable``) when the candidate snapshot is not
+      yet known to be safe.  ``txn`` already exists (registered,
+      snapshot assigned and watched by the ``SafeSnapshotMonitor``);
+      ``completion`` fires on the verdict.  A safe verdict completes the
+      re-driven begin; an unsafe one (permanent for that snapshot) makes
+      ``resume_deferrable`` retake a snapshot and possibly raise again.
+    * ``Database.commit(txn, wait=False)`` when the commit queued behind
+      an active batch leader.  ``completion`` is the ticket's, fired by
+      the leader alone once it has certified (or aborted) the whole
+      group, flushed the WAL and finalized the member; the re-invoked
+      commit consumes the resolved ticket — raising the member's abort
+      error if group certification chose it as a victim.
+
+    Never escapes to user code.
     """
 
     def __init__(self, txn, completion):
-        super().__init__(f"waiting for a safe snapshot for txn {txn.id}")
-        self.txn = txn
-        self.completion = completion
-
-
-class GroupCommitWaitRequired(ReproError):
-    """Internal control-flow signal: a commit joined a group and must
-    wait for the batch leader's verdict.
-
-    ``Database.commit(txn, wait=False)`` raises this when group commit
-    is enabled and the transaction's commit ticket was enqueued behind
-    an active batch leader.  ``completion`` fires once the leader has
-    certified (or aborted) the whole group, flushed the WAL and
-    finalized the member; the executor suspends until then and
-    re-invokes the commit, which consumes the resolved ticket — raising
-    the member's abort error if group certification chose it as a
-    victim.  Never escapes to user code.
-    """
-
-    def __init__(self, txn, completion):
-        super().__init__(f"waiting for the commit group of txn {txn.id}")
+        super().__init__(f"txn {txn.id} is waiting for a completion")
         self.txn = txn
         self.completion = completion
 

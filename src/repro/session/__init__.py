@@ -3,9 +3,9 @@
 The blocking client API (:class:`repro.engine.transaction.Transaction`)
 parks one thread per in-flight transaction.  A :class:`Session` instead
 *suspends* whenever the engine reports a pending wait — a lock request
-(:class:`~repro.errors.LockWaitRequired`), a deferrable safe-snapshot
-wait (:class:`~repro.errors.SafeSnapshotWaitRequired`), or a group-commit
-ticket (:class:`~repro.errors.GroupCommitWaitRequired`) — by subscribing
+(:class:`~repro.errors.LockWaitRequired`), or a deferrable safe-snapshot
+wait or a commit ticket queued behind a batch leader
+(:class:`~repro.errors.CompletionWaitRequired`) — by subscribing
 its own resumption to the wait's completion object and returning the
 worker to the pool.  A :class:`SessionScheduler` drives N sessions over
 M worker threads with M ≪ N; the asyncio wire-protocol server
@@ -43,10 +43,9 @@ from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
 from repro.engine.latches import assert_no_latches_held
 from repro.errors import (
-    GroupCommitWaitRequired,
+    CompletionWaitRequired,
     LockWaitRequired,
     ReproError,
-    SafeSnapshotWaitRequired,
     TransactionAbortedError,
     TransactionStateError,
 )
@@ -109,9 +108,8 @@ class Session:
         self._current: _Invocation | None = None
         self._closed = False
         #: wait bookkeeping, written only by the owning worker while
-        #: RUNNING and read by the scheduler's tick thread / interrupt()
+        #: RUNNING and read by the scheduler's tick thread
         self._pending_request: LockRequest | None = None
-        self._pending_completion = None
         self._wait_started: float | None = None
         self._wait_deadline: float | None = None
 
@@ -141,7 +139,7 @@ class Session:
                         deferrable=deferrable, wait=False,
                         global_id=global_id,
                     )
-                except SafeSnapshotWaitRequired as wait:
+                except CompletionWaitRequired as wait:
                     # The transaction exists and is being watched; expose
                     # it immediately so interrupt()/close() can doom it.
                     state["txn"] = wait.txn
@@ -207,9 +205,9 @@ class Session:
                      on_done, "index_lookup")
 
     def commit(self, *, on_done: OnDone) -> None:
-        """Commit the open transaction.  Under group commit a follower
-        suspends on its ticket's completion
-        (:class:`~repro.errors.GroupCommitWaitRequired`), releasing the
+        """Commit the open transaction.  A commit that queues behind
+        an active batch leader suspends on its ticket's completion
+        (:class:`~repro.errors.CompletionWaitRequired`), releasing the
         worker while it rides the group; the retry consumes the
         resolved ticket.  ``self.txn`` is only cleared on a terminal
         outcome — the batch leader may flip the transaction COMMITTED
@@ -219,7 +217,7 @@ class Session:
             txn = self._need_txn()
             try:
                 self._db.commit(txn, wait=False)
-            except (LockWaitRequired, GroupCommitWaitRequired):
+            except (LockWaitRequired, CompletionWaitRequired):
                 raise  # suspend; the retry re-drives (or consumes) it
             except BaseException:
                 if not txn.is_active:
@@ -307,8 +305,7 @@ class Session:
                 self._db.commit(txn, wait=False)
                 self.txn = None
                 return state["value"]
-            except (LockWaitRequired, SafeSnapshotWaitRequired,
-                    GroupCommitWaitRequired):
+            except (LockWaitRequired, CompletionWaitRequired):
                 raise  # suspend; the retry resumes from recorded state
             except BaseException:
                 if txn.is_active:
@@ -342,8 +339,11 @@ class Session:
         Callable from any thread (the server uses it when a client
         disconnects mid-wait).  A suspended lock wait is woken through
         the doom path's ``cancel_waits``; a suspended deferrable wait is
-        woken by firing its completion, after which the begin thunk
-        observes the doom and fails."""
+        woken by firing its safe-snapshot completion, after which the
+        begin thunk observes the doom and fails.  A commit ticket is
+        left alone: only the batch leader fires it — it observes the
+        doom and resolves the ticket within its current pass — so a
+        fired ticket always carries the verdict."""
         txn = self.txn
         if txn is not None and txn.is_active:
             self._db.doom(
@@ -351,9 +351,9 @@ class Session:
                 error or TransactionAbortedError(
                     "session interrupted", txn_id=txn.id),
             )
-        completion = self._pending_completion
-        if completion is not None:
-            completion.set()
+            verdict = txn._safe_event
+            if verdict is not None:
+                verdict.set()
 
     # blocking facade -------------------------------------------------
 
@@ -427,16 +427,13 @@ class Session:
                 self._current = invocation
                 self._suspend_on_request(wait.request)
                 return
-            except SafeSnapshotWaitRequired as wait:
+            except CompletionWaitRequired as wait:
+                # A safe-snapshot verdict, or a commit group ridden
+                # without occupying a worker: the batch leader fires the
+                # ticket's completion after the group's certification,
+                # flush and finalize.
                 self._current = invocation
-                self._suspend_on_completion(wait.completion)
-                return
-            except GroupCommitWaitRequired as wait:
-                # Ride the commit group without occupying a worker: the
-                # batch leader fires the ticket's completion after the
-                # group's certification, flush and finalize.
-                self._current = invocation
-                self._suspend_on_completion(wait.completion)
+                self._suspend(wait.completion.on_fire, deadline=None)
                 return
             except BaseException as error:
                 self._deliver(invocation, None, error)
@@ -466,10 +463,6 @@ class Session:
             deadline=None if timeout is None else time.monotonic() + timeout,
         )
 
-    def _suspend_on_completion(self, completion) -> None:
-        self._pending_completion = completion
-        self._suspend(lambda resume: completion.on_fire(resume), deadline=None)
-
     def _suspend(self, subscribe, deadline: float | None) -> None:
         self._wait_started = time.monotonic()
         self._wait_deadline = deadline
@@ -486,7 +479,6 @@ class Session:
             if self._state is not _SUSPENDED:
                 return
             self._state = _READY
-        self._pending_completion = None
         started, self._wait_started = self._wait_started, None
         self._wait_deadline = None
         self._scheduler._note_resumed(self, started)

@@ -1,5 +1,7 @@
 """EngineConfig profiles and IsolationLevel parsing."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine.config import DeadlockMode, EngineConfig, LockGranularity
@@ -110,3 +112,56 @@ class TestConfigProfiles:
         (PR 16); no alias lingers."""
         with pytest.raises(TypeError):
             EngineConfig(scan_kernel=False)
+
+
+#: The knob census (ROADMAP 7a): every ``EngineConfig`` field, with the
+#: ``benchmarks/bench_ablation_*`` file or the DESIGN.md "Design choices
+#: called out for ablation benches" bullet that exercises it.  A new
+#: field must be added here and say which one; "none" marks the fields
+#: the census still owes an ablation or a constant.
+KNOB_CENSUS = {
+    "granularity": "bench_ablation_granularity.py",
+    "page_size": "bench_ablation_granularity.py",
+    "precise_conflicts": "bench_ablation_tracker.py",
+    "abort_early": "none (paper §3.7.1)",
+    "siread_upgrade": "bench_ablation_engine_knobs.py",
+    "deferred_snapshot": "bench_ablation_engine_knobs.py",
+    "victim_policy": "bench_ablation_engine_knobs.py",
+    "deadlock_mode": "bench_ablation_timeout.py",
+    "deadlock_victim": "none (InnoDB vs youngest victim)",
+    "eager_cleanup": "bench_ablation_cleanup.py",
+    "cleanup_threshold": "bench_ablation_cleanup.py",
+    "record_history": "none (test oracle switch, not a tunable)",
+    "wal_flush_on_commit": "bench_ablation_wal.py",
+    "lock_timeout": "bench_ablation_timeout.py",
+    "siread_budget": "none (DESIGN: SIREAD escalation)",
+    "scan_page_lock_threshold": "none (DESIGN: page-granularity scan SIREADs)",
+}
+
+
+class TestKnobCensus:
+    def test_field_set_is_pinned(self):
+        fields = [field.name for field in dataclasses.fields(EngineConfig)]
+        assert len(fields) == 16
+        assert set(fields) == set(KNOB_CENSUS)
+
+    @pytest.mark.parametrize(
+        "profile", [EngineConfig.innodb_style, EngineConfig.berkeleydb_style]
+    )
+    def test_profiles_accept_every_field_as_an_override(self, profile):
+        flipped = {
+            "granularity": LockGranularity.PAGE,
+            "deadlock_mode": DeadlockMode.PERIODIC,
+            "victim_policy": "oldest",
+            "deadlock_victim": "youngest",
+            "page_size": 5,
+            "cleanup_threshold": 7,
+            "lock_timeout": 1.5,
+            "siread_budget": 99,
+            "scan_page_lock_threshold": 3,
+        }
+        for name in KNOB_CENSUS:
+            value = flipped.get(name)
+            if value is None:  # the booleans: flip the profile's own value
+                value = not getattr(profile(), name)
+            assert getattr(profile(**{name: value}), name) == value

@@ -1,224 +1,279 @@
-"""Group commit (PR 9): batched certification and group WAL flush.
+"""The commit entry: lone leaders, follower groups, one flush per group.
 
 Covers the :class:`~repro.engine.groupcommit.CommitBatcher` contracts:
-multi-member batches form under concurrency, intra-batch dangerous
-structures abort the later arrival, doomed members abort inside their
-group, non-certifying empty-write transactions bypass the batcher,
-sessions ride groups while suspended, and the whole pipeline stays
-MVSG-serializable with clean lock tables.
+a lone committer pays for no ticket and no batch, committers that
+overlap a leader ride leader-run groups under the default configuration,
+intra-batch dangerous structures abort the later arrival, doomed members
+abort inside their group, a failing leader still drains its followers,
+non-certifying empty-write transactions bypass the batcher, sessions
+ride groups while suspended (and stay suspended when interrupted), and
+the whole pipeline stays MVSG-serializable with clean lock tables.
+
+Groups are staged, not waited for: a leader is parked inside its WAL
+flush (``GatedWAL``) and the followers are queued behind it.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro import Database, EngineConfig
+from repro.engine import groupcommit
 from repro.errors import (
     TransactionAbortedError,
     TransactionStateError,
     UnsafeError,
 )
 from repro.sgt.checker import check_serializable
-from repro.wal.log import WriteAheadLog
+from tests.conftest import (
+    GatedWAL,
+    commit_as_group,
+    held_leader,
+    queue_behind,
+)
 
 
-def make_db(wal=None, **overrides):
-    defaults = dict(
-        group_commit=True,
-        group_commit_max=8,
-        group_commit_wait_us=0,
-        record_history=True,
-    )
-    defaults.update(overrides)
-    db = Database(EngineConfig(**defaults), wal=wal)
+def make_db(**overrides):
+    db = Database(EngineConfig(record_history=True, **overrides), wal=GatedWAL())
     db.create_table("t")
     return db
+
+
+def writer(db, key, value=1, level="ssi"):
+    txn = db.begin(level)
+    txn.write("t", key, value)
+    return txn
 
 
 def group_counters(db):
     return db.metrics.snapshot()["counters"]["group_commit"]
 
 
+def batch_size_histogram(db):
+    return db.metrics.snapshot()["histograms"]["group_commit_batch_size"]
+
+
 class TestBatching:
-    def test_single_committer_runs_in_batch_of_one(self):
+    def test_single_committer_runs_no_batch(self, monkeypatch):
+        """Alone, a committer leads itself through the serial body: no
+        ticket, no ``_run_batch`` pass, no counter, no histogram."""
+        def no_ticket(txn):
+            raise AssertionError(f"lone commit of {txn.id} allocated a ticket")
+
+        monkeypatch.setattr(groupcommit, "_Ticket", no_ticket)
         db = make_db()
-        txn = db.begin("ssi")
-        txn.write("t", "a", 1)
-        txn.commit()
-        counters = group_counters(db)
-        assert counters["batches"] == 1
-        assert counters["batched_txns"] == 1
+        for key in ("a", "b", "c"):
+            txn = writer(db, key)
+            txn.commit()
+            assert txn._commit_ticket is None
+        assert group_counters(db) == {
+            "batches": 0, "batched_txns": 0, "batch_aborts": 0,
+        }
+        assert batch_size_histogram(db)["count"] == 0
+        assert not db._batcher._leader_active
         check = db.begin("si")
         assert check.read("t", "a") == 1
         check.commit()
 
-    def test_concurrent_committers_share_batches(self):
-        db = make_db(group_commit_wait_us=20000)
-        threads = 8
-        barrier = threading.Barrier(threads)
-        failures = []
-
-        def worker(i):
-            barrier.wait()
-            try:
-                for k in range(5):
-                    txn = db.begin("ssi")
-                    txn.write("t", (i, k), k)
-                    txn.commit()
-            except BaseException as error:  # noqa: BLE001
-                failures.append(error)
-
-        workers = [
-            threading.Thread(target=worker, args=(i,)) for i in range(threads)
-        ]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        assert not failures
-        counters = group_counters(db)
-        assert counters["batched_txns"] == threads * 5
-        # The collect window is 20 ms wide: real multi-member batches
-        # must have formed (strictly fewer batches than commits).
-        assert counters["batches"] < counters["batched_txns"]
-        assert check_serializable(db.history).serializable
-        assert db.locks.table_size() == 0
+    def test_default_config_batches_held_followers(self):
+        """No knob turns this on: with ``EngineConfig()`` commits that
+        overlap a leader share one certification pass and one flush."""
+        wal = GatedWAL()
+        db = Database(EngineConfig(), wal=wal)
+        db.create_table("t")
+        followers = [writer(db, ("f", k)) for k in range(5)]
+        commit_as_group(db, writer(db, ("leader", 0)), followers)
+        assert all(txn.is_committed for txn in followers)
+        assert db.stats["commits"] == 6
+        assert wal.stats["flushes"] == 2 < db.stats["commits"]
+        assert group_counters(db) == {
+            "batches": 1, "batched_txns": 5, "batch_aborts": 0,
+        }
 
     def test_batch_size_histogram_recorded(self):
         db = make_db()
-        for i in range(3):
-            txn = db.begin("ssi")
-            txn.write("t", i, i)
-            txn.commit()
-        histogram = db.metrics.snapshot()["histograms"][
-            "group_commit_batch_size"
-        ]
-        assert histogram["count"] == 3
+        for size in (1, 3):
+            commit_as_group(
+                db,
+                writer(db, ("leader", size)),
+                [writer(db, ("f", size, k)) for k in range(size)],
+            )
+        histogram = batch_size_histogram(db)
+        assert histogram["count"] == 2
+        assert histogram["total"] == 4
 
-    def test_group_commit_off_means_no_batcher(self):
-        db = Database(EngineConfig())
-        assert db._batcher is None
+    def test_concurrent_committers_share_batches(self):
+        """Followers parked on threads are released by the leader's one
+        pass, and a queue longer than MAX_BATCH drains in several."""
+        db = make_db()
+        count = groupcommit.MAX_BATCH + 4
+        followers = [writer(db, ("f", k), k) for k in range(count)]
+        failures = []
+
+        def wait_for_verdict(txn):
+            try:
+                db.commit(txn)  # consumes the queued ticket
+            except BaseException as error:  # noqa: BLE001
+                failures.append(error)
+
+        waiters = [
+            threading.Thread(target=wait_for_verdict, args=(txn,))
+            for txn in followers
+        ]
+        with held_leader(db, writer(db, ("leader", 0))) as raised:
+            queue_behind(db, *followers)
+            for w in waiters:
+                w.start()
+        for w in waiters:
+            w.join(timeout=10)
+        assert not any(w.is_alive() for w in waiters)
+        assert not raised and not failures
+        assert all(txn.is_committed for txn in followers)
+        assert group_counters(db) == {
+            "batches": 2, "batched_txns": count, "batch_aborts": 0,
+        }
+        assert check_serializable(db.history).serializable
+        assert db.locks.table_size() == 0
+
+    @pytest.mark.parametrize(
+        "knob", ["group_commit", "group_commit_max", "group_commit_wait_us"]
+    )
+    def test_removed_knob_is_a_type_error(self, knob):
+        """Group commit is how commit works, not a mode; no alias."""
+        with pytest.raises(TypeError):
+            EngineConfig(**{knob: True})
 
 
 class TestGroupWalFlush:
     def test_one_flush_per_batch(self):
-        wal = WriteAheadLog()
-        db = make_db(wal=wal, group_commit_wait_us=20000)
-        threads = 4
-        barrier = threading.Barrier(threads)
-
-        def worker(i):
-            barrier.wait()
-            for k in range(6):
-                txn = db.begin("ssi")
-                txn.write("t", (i, k), k)
-                txn.commit()
-
-        workers = [
-            threading.Thread(target=worker, args=(i,)) for i in range(threads)
-        ]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
+        db = make_db()
+        rounds = 4
+        for r in range(rounds):
+            commit_as_group(
+                db,
+                writer(db, ("leader", r)),
+                [writer(db, ("f", r, k)) for k in range(3)],
+            )
         counters = group_counters(db)
-        commits = db.metrics.snapshot()["counters"]["engine"]["commits"]
-        assert commits == threads * 6
-        # Flush count tracks batches (plus any batch that logged nothing),
-        # not commits.
-        assert wal.stats["flushes"] <= counters["batches"]
-        assert wal.stats["flushes"] < commits
+        assert db.stats["commits"] == rounds * 4
+        assert counters["batches"] == rounds
+        # One flush for each leader's own commit, one per follower group.
+        assert db.wal.stats["flushes"] == rounds + counters["batches"]
+        assert db.wal.stats["flushes"] < db.stats["commits"]
 
     def test_read_only_members_do_not_flush(self):
-        wal = WriteAheadLog()
-        db = make_db(wal=wal)
-        txn = db.begin("ssi")
-        txn.write("t", "a", 1)
-        txn.commit()
-        flushes = wal.stats["flushes"]
+        db = make_db()
+        writer(db, "a").commit()
+        flushes = db.wal.stats["flushes"]
         reader = db.begin("ssi")
         assert reader.read("t", "a") == 1
         reader.commit()
-        assert wal.stats["flushes"] == flushes
+        assert db.wal.stats["flushes"] == flushes
+        # Nor does a group made of readers only.
+        member = db.begin("ssi")
+        assert member.read("t", "a") == 1
+        commit_as_group(db, writer(db, "b"), [member])
+        assert member.is_committed
+        assert group_counters(db)["batched_txns"] == 1
+        assert db.wal.stats["flushes"] == flushes + 1  # the leader's own
 
 
 class TestIntraBatchCertification:
     def test_dangerous_structure_across_batch_members(self):
         """Classic write skew: T1 reads x writes y, T2 reads y writes x,
-        both commit concurrently.  Whatever the batch composition, at
-        most one may commit; the history stays serializable."""
-        outcomes = []
-        for _attempt in range(10):
-            db = make_db(group_commit_wait_us=20000)
-            db.load("t", [("x", 0), ("y", 0)])
-            barrier = threading.Barrier(2)
-            results = {}
-
-            def worker(name, read_key, write_key):
-                txn = db.begin("ssi")
-                txn.read("t", read_key)
-                txn.write("t", write_key, 1)
-                barrier.wait()
-                try:
-                    txn.commit()
-                    results[name] = "committed"
-                except TransactionAbortedError:
-                    results[name] = "aborted"
-
-            t1 = threading.Thread(target=worker, args=("t1", "x", "y"))
-            t2 = threading.Thread(target=worker, args=("t2", "y", "x"))
-            t1.start(); t2.start(); t1.join(); t2.join()
-            assert check_serializable(db.history).serializable
-            db.cleanup_suspended()  # release retained SIREADs
-            assert db.locks.table_size() == 0
-            outcomes.append(tuple(sorted(results.values())))
-        # SSI admits at most one of the pair whenever both pivots formed.
-        assert all(
-            outcome in (("aborted", "committed"), ("committed", "committed"))
-            for outcome in outcomes
-        )
-        # With a 20 ms collect window the two commits share a batch (or
-        # race closely); at least one attempt must show the abort path.
-        assert ("aborted", "committed") in outcomes
-
-    def test_doom_before_submit_aborts_without_batching(self):
-        """A transaction doomed before its commit call aborts on the
-        pre-submission doom check — it never occupies a group slot."""
+        both commit in one group.  Arrival order is the victim rule: the
+        later arrival completes the dangerous structure and aborts."""
         db = make_db()
-        victim = db.begin("ssi")
-        victim.write("t", "v", 1)
+        db.load("t", [("x", 0), ("y", 0)])
+        t1, t2 = db.begin("ssi"), db.begin("ssi")
+        t1.read("t", "x")
+        t2.read("t", "y")
+        t1.write("t", "y", 1)
+        t2.write("t", "x", 1)
+        commit_as_group(db, writer(db, "leader"), [t1, t2])
+        db.commit(t1)
+        with pytest.raises(UnsafeError):
+            db.commit(t2)
+        assert t1.is_committed and t2.is_aborted
+        assert group_counters(db) == {
+            "batches": 1, "batched_txns": 2, "batch_aborts": 1,
+        }
+        assert check_serializable(db.history).serializable
+        db.cleanup_suspended()  # release retained SIREADs
+        assert db.locks.table_size() == 0
+
+    def test_doom_before_submit_aborts_without_batching(self, monkeypatch):
+        """A transaction doomed before its commit call aborts on the
+        doom check in front of ``enter`` — it never takes leadership
+        and never occupies a group slot."""
+        db = make_db()
+        victim = writer(db, "v")
         victim.doom_error = UnsafeError("doomed by test", txn_id=victim.id)
+
+        def no_entry(txn):
+            raise AssertionError(f"doomed {txn.id} entered the batcher")
+
+        monkeypatch.setattr(db._batcher, "enter", no_entry)
         with pytest.raises(UnsafeError):
             victim.commit()
         assert victim.is_aborted
         check = db.begin("si")
         assert check.get("t", "v") is None
         check.commit()
-        assert group_counters(db)["batched_txns"] == 0
 
     def test_doomed_member_aborts_inside_its_group(self):
-        """Doom that lands *after* submission but before the leader's
-        pass: the leader takes the abort decision inside the batch and
-        the ticket carries the doom error out."""
+        """Doom that lands *after* the member queued but before the
+        leader's pass: the leader takes the abort decision inside the
+        batch and the ticket carries the doom error out."""
         db = make_db()
-        victim = db.begin("ssi")
-        victim.write("t", "v", 1)
-        ticket, is_leader = db._batcher.submit(victim)
-        assert is_leader
-        victim.doom_error = UnsafeError("doomed in flight", txn_id=victim.id)
-        db._batcher.lead()
-        assert ticket.resolved
-        assert isinstance(ticket.error, UnsafeError)
+        victim = writer(db, "v")
+        with held_leader(db, writer(db, "leader")) as raised:
+            queue_behind(db, victim)
+            victim.doom_error = UnsafeError(
+                "doomed in flight", txn_id=victim.id
+            )
+        assert not raised
+        with pytest.raises(UnsafeError):
+            db.commit(victim)
         assert victim.is_aborted
+        assert victim._commit_ticket is None
         assert group_counters(db)["batch_aborts"] == 1
         check = db.begin("si")
         assert check.get("t", "v") is None
         check.commit()
 
+    def test_failing_leader_still_drains_its_followers(self, monkeypatch):
+        """The leader's own commit fails certification (no flush to park
+        it in, so its followers are queued from inside its ``_certify``):
+        it raises UnsafeError *and* resolves everyone behind it."""
+        db = make_db()
+        leader = writer(db, ("l", 0))
+        followers = [writer(db, ("f", k)) for k in range(3)]
+        certify = db._certify
+
+        def failing_certify(txn):
+            if txn is leader:
+                queue_behind(db, *followers)
+                return UnsafeError("leader fails", txn_id=txn.id)
+            return certify(txn)
+
+        monkeypatch.setattr(db, "_certify", failing_certify)
+        with pytest.raises(UnsafeError):
+            db.commit(leader)
+        assert leader.is_aborted
+        assert not db._batcher._leader_active
+        for txn in followers:
+            db.commit(txn)  # resolved: consumes the verdict, no wait
+            assert txn.is_committed
+        assert group_counters(db) == {
+            "batches": 1, "batched_txns": 3, "batch_aborts": 0,
+        }
+        assert db.locks.table_size() == 0
+
     def test_already_finished_member_raises_state_error(self):
         db = make_db()
-        txn = db.begin("ssi")
-        txn.write("t", "a", 1)
+        txn = writer(db, "a")
         txn.commit()
         with pytest.raises(TransactionStateError):
             db.commit(txn)
@@ -226,7 +281,7 @@ class TestIntraBatchCertification:
     def test_first_committer_wins_still_enforced(self):
         """FCW is checked at write time (exclusive locks), so two
         writers of one key serialize before the batcher ever sees them —
-        the batch path must preserve the abort."""
+        the commit entry must preserve the abort."""
         db = make_db(lock_timeout=0.5)
         db.load("t", [("z", 0)])
         a = db.begin("ssi")
@@ -247,41 +302,51 @@ class TestBypass:
         """SI doesn't certify but does write — its WAL flush amortises
         through the group too."""
         db = make_db()
-        txn = db.begin("si")
-        txn.write("t", "a", 1)
-        txn.commit()
+        member = writer(db, "a", level="si")
+        commit_as_group(db, writer(db, "leader"), [member])
+        assert member.is_committed
         assert group_counters(db)["batched_txns"] == 1
 
     def test_read_only_certifying_txn_bypasses_nothing_it_needs(self):
         """A certifying reader goes through the batcher (its SIREADs
         feed later members' certification)."""
         db = make_db()
-        seed = db.begin("ssi")
-        seed.write("t", "a", 1)
-        seed.commit()
+        writer(db, "a").commit()
         reader = db.begin("ssi")
         assert reader.read("t", "a") == 1
-        reader.commit()
+        with held_leader(db, writer(db, "leader")):
+            queue_behind(db, reader)
         assert reader.is_committed
 
     def test_non_certifying_empty_write_bypasses_batcher(self):
         """An SI read-only transaction neither certifies nor writes:
-        nothing to batch."""
+        nothing to batch, so it commits without queueing even while a
+        leader is busy."""
         db = make_db()
         txn = db.begin("si")
         txn.get("t", "missing")
-        txn.commit()
+        with held_leader(db, writer(db, "leader")):
+            txn.commit()
+            assert txn.is_committed
         assert group_counters(db)["batched_txns"] == 0
+
+
+def wait_for_suspended(scheduler, count):
+    deadline = time.monotonic() + 10
+    while scheduler.suspended_sessions != count:
+        assert time.monotonic() < deadline, "sessions never suspended"
+        time.sleep(0.005)
 
 
 class TestSessionsRideGroups:
     def test_session_commit_suspends_on_group(self):
-        """Session committers must not park worker threads: more
-        sessions than workers all commit through groups concurrently."""
+        """Session committers must not park worker threads: with one
+        worker held in the leader's flush, the other carries every
+        remaining session to its ticket and they all ride one group."""
         from repro.session import SessionScheduler
         from repro.sim.ops import Write
 
-        db = make_db(group_commit_wait_us=5000)
+        db = make_db()
         scheduler = SessionScheduler(db, workers=2)
         sessions = 12
         done = threading.Event()
@@ -305,15 +370,61 @@ class TestSessionsRideGroups:
 
             session.run_program(program(), "ssi", on_done=on_done)
 
-        for index in range(sessions):
+        db.wal.hold()
+        drive(0)
+        assert db.wal.entered.wait(timeout=10)
+        for index in range(1, sessions):
             drive(index)
+        wait_for_suspended(scheduler, sessions - 1)
+        db.wal.release()
         assert done.wait(timeout=30), "sessions wedged"
         scheduler.shutdown()
         assert not state["errors"], state["errors"]
-        commits = db.metrics.snapshot()["counters"]["engine"]["commits"]
-        assert commits == sessions
+        assert db.stats["commits"] == sessions
+        assert group_counters(db) == {
+            "batches": 1, "batched_txns": sessions - 1, "batch_aborts": 0,
+        }
         assert check_serializable(db.history).serializable
         assert db.locks.table_size() == 0
+
+    def test_interrupted_follower_stays_suspended(self):
+        """interrupt() dooms a queued follower but leaves its ticket to
+        the leader: the session must not bounce through the run queue
+        re-raising the same wait until the leader resolves."""
+        from repro.session import SessionScheduler
+
+        db = make_db()
+        scheduler = SessionScheduler(db, workers=2)
+        try:
+            leader, follower = scheduler.session(), scheduler.session()
+            follower.call("begin", "ssi")
+            follower.call("write", "t", "f", 1)
+            leader.call("begin", "ssi")
+            leader.call("write", "t", "l", 1)
+            box = {}
+            finished = threading.Event()
+            db.wal.hold()
+            leader.commit(on_done=lambda r, e: None)
+            assert db.wal.entered.wait(timeout=10)
+            follower.commit(
+                on_done=lambda r, e: (box.update(e=e), finished.set())
+            )
+            wait_for_suspended(scheduler, 1)
+            steps = []
+            step = follower._step
+            follower._step = lambda: (steps.append(1), step())
+            follower.interrupt()
+            time.sleep(0.1)  # the leader is still held in its flush
+            assert len(steps) <= 2, f"{len(steps)} steps while suspended"
+            assert not finished.is_set()
+            db.wal.release()
+            assert finished.wait(timeout=10)
+            assert isinstance(box["e"], TransactionAbortedError)
+            assert group_counters(db)["batch_aborts"] == 1
+            assert db.locks.table_size() == 0
+        finally:
+            db.wal.release()
+            scheduler.shutdown()
 
 
 class TestLatchDebugCompat:
@@ -321,22 +432,13 @@ class TestLatchDebugCompat:
         """REPRO_LATCH_DEBUG=1 swaps in rank-checking latches; the
         batcher's hoisted tracker+commit section must satisfy them."""
         monkeypatch.setenv("REPRO_LATCH_DEBUG", "1")
-        db = make_db(group_commit_wait_us=10000)
-        barrier = threading.Barrier(4)
-
-        def worker(i):
-            barrier.wait()
-            for k in range(4):
-                txn = db.begin("ssi")
-                txn.write("t", (i, k), k)
-                txn.commit()
-
-        workers = [
-            threading.Thread(target=worker, args=(i,)) for i in range(4)
-        ]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        assert db.metrics.snapshot()["counters"]["engine"]["commits"] == 16
+        db = make_db()
+        for r in range(4):
+            commit_as_group(
+                db,
+                writer(db, ("leader", r)),
+                [writer(db, ("f", r, k)) for k in range(3)],
+            )
+        assert db.stats["commits"] == 16
+        assert group_counters(db)["batches"] == 4
         assert check_serializable(db.history).serializable

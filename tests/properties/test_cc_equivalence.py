@@ -18,6 +18,7 @@ from repro.engine.config import EngineConfig
 from repro.sim.interleave import run_interleaving
 
 from scripts.gen_cc_equivalence import LEVELS, SCENARIOS
+from tests.conftest import FollowerCommitDatabase
 
 DATA = Path(__file__).parent / "data" / "cc_equivalence.json"
 FACTORIES = dict(SCENARIOS)
@@ -60,9 +61,10 @@ def test_outcomes_match_pre_refactor_engine(case):
 )
 def test_outcomes_match_with_group_commit_forced_on(case):
     """Group certification must admit exactly the histories the serial
-    certifier does: with group commit forced on (single-stepped
-    interleavings commit one at a time, so every batch has one member
-    and arrival-order certification degenerates to the serial check),
+    certifier does.  Single-stepped interleavings commit one at a time,
+    and a lone ``Database.commit`` runs the serial body — so every
+    commit is forced through ``_run_batch`` as a follower group of one
+    (arrival-order certification degenerates to the serial check) and
     every golden outcome is unchanged."""
     factory = FACTORIES[case["scenario"]]
     for level in LEVELS:
@@ -72,17 +74,13 @@ def test_outcomes_match_with_group_commit_forced_on(case):
             programs,
             case["order"],
             isolation=level,
-            engine_config=EngineConfig(
-                record_history=True,
-                group_commit=True,
-                group_commit_max=8,
-                group_commit_wait_us=0,
-            ),
+            engine_config=EngineConfig(record_history=True),
+            db_factory=FollowerCommitDatabase,
         )
         got = {str(index): status for index, status in outcome.statuses.items()}
         assert got == case["outcomes"][level], (
             f"{case['scenario']} seed={case['seed']} diverged at {level} "
-            f"with group commit on"
+            f"with every commit batched"
         )
 
 

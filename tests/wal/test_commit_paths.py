@@ -1,8 +1,9 @@
 """Every way to commit publishes the same thing.
 
-``Database.commit`` (serial), ``Database.commit`` riding the group-commit
-batcher, and the two-phase ``prepare_for_commit`` -> ``commit_prepared``
--> ``finalize_commit`` sequence all end in the one
+The serial halves ``prepare_commit`` -> ``finalize_commit`` (the
+reference), ``Database.commit`` as a lone leader, a commit riding a
+leader-run group, and the two-phase ``prepare_for_commit`` ->
+``commit_prepared`` -> ``finalize_commit`` sequence all end in the one
 certify -> install -> publish pipeline.  This pins the contract new WAL
 record types will be written against: the same transactions leave the
 same redo records, the same recovered state, the same counters, history
@@ -16,8 +17,9 @@ from repro.obs.trace import EventType
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import CommitRecord, WriteRecord
 from repro.wal.recovery import recover_database
+from tests.conftest import FollowerCommitDatabase
 
-PATHS = ("serial", "group", "two_phase")
+PATHS = ("serial", "commit", "group", "two_phase")
 
 
 def do_insert(txn):
@@ -41,7 +43,10 @@ WRITERS = (do_insert, do_update, do_delete_then_reinsert)
 
 
 def commit_via(db, path, txn):
-    if path == "two_phase":
+    if path == "serial":
+        db.prepare_commit(txn)
+        db.finalize_commit(txn)
+    elif path == "two_phase":
         db.prepare_for_commit(txn)
         db.commit_prepared(txn)
         db.finalize_commit(txn)
@@ -53,14 +58,8 @@ def run_path(path, level, wal_path):
     """Commit the three writers and the reader through ``path`` on a
     fresh database; returns everything the paths must agree on."""
     wal = WriteAheadLog(str(wal_path))
-    db = Database(
-        EngineConfig(
-            record_history=True,
-            group_commit=(path == "group"),
-            group_commit_wait_us=0,
-        ),
-        wal=wal,
-    )
+    database = FollowerCommitDatabase if path == "group" else Database
+    db = database(EngineConfig(record_history=True), wal=wal)
     db.create_table("t")
     db.load("t", [(1, "a"), (2, "b")])
     db.enable_tracing()
@@ -88,6 +87,8 @@ def run_path(path, level, wal_path):
         "a read-only commit appended to or flushed the WAL"
     )
     assert wal.flushed_lsn == wal.last_lsn, "a commit returned unflushed"
+    batched = db.metrics.snapshot()["counters"]["group_commit"]["batched_txns"]
+    assert batched == 0 if path != "group" else batched >= len(WRITERS)
 
     ordinal = {txn_id: index for index, txn_id in enumerate(txn_ids)}
     durable = WriteAheadLog.load(str(wal_path))

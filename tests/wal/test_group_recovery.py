@@ -1,7 +1,10 @@
-"""Crash recovery across group-flushed commit batches (PR 9).
+"""Crash recovery across group-flushed commit batches.
 
 Group commit changes the WAL's durability granularity: one ``flush()``
-covers every member of a batch.  The contract these tests pin down:
+covers every member of a batch.  Batches are staged (a leader parked at
+the ``GatedWAL`` gate, three followers queued behind it), so every run
+alternates a leader's own flush with its followers' group flush.  The
+contract these tests pin down:
 
 * a flushed group is durable as a unit — recovery replays every member;
 * a crash before the group flush loses the *whole* group (atomic, not
@@ -10,15 +13,13 @@ covers every member of a batch.  The contract these tests pin down:
   log — exactly the groups whose flush completed.
 """
 
-import threading
-
 import pytest
 
 from repro import Database, EngineConfig
 from repro.errors import TableError
-from repro.wal.log import WriteAheadLog
 from repro.wal.records import CommitRecord, WriteRecord
 from repro.wal.recovery import recover_database
+from tests.conftest import GatedWAL, commit_as_group
 
 
 def ensure_table(db, name):
@@ -30,43 +31,20 @@ def ensure_table(db, name):
         pass
 
 
-def group_config(**overrides):
-    defaults = dict(
-        group_commit=True,
-        group_commit_max=8,
-        group_commit_wait_us=20000,
-        wal_flush_on_commit=True,
-    )
-    defaults.update(overrides)
-    return EngineConfig(**defaults)
-
-
-def run_batched_commits(db, count, keys_per_txn=2, threads=4):
-    """Drive ``count`` single-writer transactions from ``threads``
-    concurrent workers so real multi-member batches form."""
-    barrier = threading.Barrier(threads)
-    failures = []
-
-    def worker(index):
-        barrier.wait()
-        for i in range(index, count, threads):
-            try:
-                txn = db.begin("ssi")
-                for k in range(keys_per_txn):
-                    txn.write("t", (i, k), i * 100 + k)
-                txn.commit()
-            except BaseException as error:  # noqa: BLE001
-                failures.append(error)
-                return
-
-    workers = [
-        threading.Thread(target=worker, args=(i,)) for i in range(threads)
-    ]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    assert not failures, failures
+def run_batched_commits(db, count, keys_per_txn=2, group=4):
+    """Commit ``count`` single-writer transactions as staged groups: of
+    every ``group`` consecutive transactions the first leads and the
+    rest ride one batch behind it."""
+    txns = []
+    for i in range(count):
+        txn = db.begin("ssi")
+        for k in range(keys_per_txn):
+            txn.write("t", (i, k), i * 100 + k)
+        txns.append(txn)
+    for start in range(0, count, group):
+        leader, *followers = txns[start:start + group]
+        commit_as_group(db, leader, followers)
+    assert all(txn.is_committed for txn in txns)
 
 
 def assert_no_torn_groups(wal):
@@ -92,7 +70,7 @@ def assert_no_torn_groups(wal):
             ), f"torn group: commit {record.txn_id} durable without its writes"
 
 
-class DyingWAL(WriteAheadLog):
+class DyingWAL(GatedWAL):
     """Power-loss model: after ``survive_flushes`` flushes, flush becomes
     a silent no-op (the machine died before fsync returned), so later
     "durable" groups never reached disk."""
@@ -103,14 +81,24 @@ class DyingWAL(WriteAheadLog):
 
     def flush(self):
         if self.stats["flushes"] >= self.survive_flushes:
+            self.gate()  # a leader is parked here whether or not it syncs
             return self.flushed_lsn
         return super().flush()
 
 
+class CommitRecordGatedWAL(GatedWAL):
+    """With ``wal_flush_on_commit`` off no commit reaches ``flush()``;
+    park the leader at its commit record instead."""
+
+    def log_commit(self, txn_id, commit_ts):
+        self.gate()
+        return super().log_commit(txn_id, commit_ts)
+
+
 class TestGroupFlushDurability:
     def test_flushed_group_recovers_every_member(self):
-        wal = WriteAheadLog()
-        db = Database(group_config(), wal=wal)
+        wal = GatedWAL()
+        db = Database(EngineConfig(), wal=wal)
         db.create_table("t")
         run_batched_commits(db, count=24)
         batches = db.metrics.snapshot()["counters"]["group_commit"]["batches"]
@@ -124,22 +112,21 @@ class TestGroupFlushDurability:
         check.commit()
 
     def test_group_flush_amortizes_flushes(self):
-        wal = WriteAheadLog()
-        db = Database(group_config(), wal=wal)
+        wal = GatedWAL()
+        db = Database(EngineConfig(), wal=wal)
         db.create_table("t")
         run_batched_commits(db, count=32)
         commits = db.metrics.snapshot()["counters"]["engine"]["commits"]
         assert commits == 32
-        # One flush per *batch*, not per commit; concurrency guarantees
-        # at least one multi-member batch over 32 commits and 4 threads.
+        # One flush per leader and one per follower *batch*, not one per
+        # commit.
         assert wal.stats["flushes"] < commits
 
     def test_unflushed_group_lost_whole(self):
         """A crash between the batch's appends and its flush loses every
         member of that group — none of them ack'd durability."""
-        wal = WriteAheadLog()
-        config = group_config(wal_flush_on_commit=False)
-        db = Database(config, wal=wal)
+        wal = CommitRecordGatedWAL()
+        db = Database(EngineConfig(wal_flush_on_commit=False), wal=wal)
         db.create_table("t")
         run_batched_commits(db, count=8)
         wal.crash()
@@ -159,7 +146,7 @@ class TestCrashPoints:
         the groups those N flushes covered: prefix-consistent, no torn
         groups, values intact."""
         wal = DyingWAL(survive_flushes)
-        db = Database(group_config(), wal=wal)
+        db = Database(EngineConfig(), wal=wal)
         db.create_table("t")
         run_batched_commits(db, count=16)
         wal.crash()
@@ -188,7 +175,7 @@ class TestCrashPoints:
         """The sharpest crash point: the leader appended the batch but
         died inside flush().  No member may be half-durable."""
         wal = DyingWAL(survive_flushes=1)
-        db = Database(group_config(), wal=wal)
+        db = Database(EngineConfig(), wal=wal)
         db.create_table("t")
         run_batched_commits(db, count=12)
         wal.crash()
