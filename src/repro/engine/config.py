@@ -101,16 +101,10 @@ class EngineConfig:
     #: engine escalates record SIREADs of the busiest holder to page,
     #: then table, granularity — the Ports & Grittner memory-bounding
     #: strategy.  Escalation may only introduce false-positive aborts,
-    #: never miss an rw-antidependency.  RECORD granularity only.
+    #: never miss an rw-antidependency.  It is the only way a SIREAD
+    #: becomes coarser than a row, and it bounds point reads, scans and
+    #: prefix scans alike.  RECORD granularity only.
     siread_budget: int | None = None
-    #: SSI scans that materialise at least this many rows take
-    #: page-granularity SIREADs on the covered leaf pages up front
-    #: instead of one record+gap SIREAD per row (scan-aware granularity
-    #: choice — bounds lock-table growth by scan width / page_size
-    #: rather than scan width).  None disables the page path.  RECORD
-    #: granularity only; detection stays sound because writers already
-    #: probe coarse SIREADs and leaf splits inherit page locks.
-    scan_page_lock_threshold: int | None = None
 
     @classmethod
     def berkeleydb_style(cls, page_size: int = 8, **overrides) -> "EngineConfig":

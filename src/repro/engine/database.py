@@ -941,10 +941,9 @@ class Database:
 
         Execution: the key set is materialised in leaf-page-sized
         chunks — dropping the table latch between chunks — each lock
-        round's resources are acquired in one lock-manager batch, wide
-        SSI scans are optionally covered with up-front page-granularity
-        SIREADs (``config.scan_page_lock_threshold``), and visibility is
-        resolved batch-at-a-time against the one snapshot.
+        round's resources are acquired in one lock-manager batch (which
+        escalates SIREADs when ``config.siread_budget`` is exceeded), and
+        visibility is resolved batch-at-a-time against the one snapshot.
         """
         self._check_op(txn)
         table = self.table(table_name)
@@ -983,33 +982,15 @@ class Database:
         hi: Hashable | None,
     ) -> tuple[list[tuple[Hashable, Any]], list[Hashable]]:
         """The scan kernel: latch-bounded materialisation, one batched
-        lock round per key-set generation, batch visibility resolution.
-        Wide SSI scans switch to up-front page-granularity SIREADs
-        (:meth:`_scan_lock_pages`)."""
+        lock round per key-set generation, batch visibility resolution."""
         read_mode = txn.policy.read_lock_mode(txn)
         keyset_before = table.keyset_version
         chains = self._materialize_chunks(table, lo, hi)
         if read_mode is not None:
-            threshold = self.config.scan_page_lock_threshold
-            if (
-                read_mode is LockMode.SIREAD
-                and threshold is not None
-                and self.config.granularity is LockGranularity.RECORD
-                and len(chains) >= threshold
-            ):
-                chains = self._scan_lock_pages(
-                    txn, table, table_name, lo, hi, chains, keyset_before
-                )
-            else:
-                chains = self._scan_lock_records(
-                    txn, table, table_name, lo, hi, chains, keyset_before,
-                    read_mode,
-                )
-            if (
-                read_mode is LockMode.SIREAD
-                and self.config.siread_budget is not None
-            ):
-                self._escalate_sireads()
+            chains = self._scan_lock_records(
+                txn, table, table_name, lo, hi, chains, keyset_before,
+                read_mode,
+            )
         return self._resolve_scan_rows(txn, table_name, chains)
 
     def _scan_lock_records(
@@ -1095,8 +1076,11 @@ class Database:
         escalated sentinels covers gets no fine lock — writers see the
         coarse one — but still owes the reader-side Fig 3.4 probe
         against granted EXCLUSIVE holders.  Contended SHARED resources
-        come back deferred and take the normal blocking path.  True when
-        something fresh was acquired (a key-set re-probe is then owed)."""
+        come back deferred and take the normal blocking path.  Fresh
+        SIREAD grants under ``config.siread_budget`` end the round with
+        :meth:`_escalate_sireads` — the one place a scan's or prefix
+        scan's lock-table growth is bounded.  True when something fresh
+        was acquired (a key-set re-probe is then owed)."""
         lm = self.locks
         cache = txn._siread_cache if read_mode is LockMode.SIREAD else None
         wanted: list = []
@@ -1125,90 +1109,9 @@ class Database:
             result = self._acquire(txn, resource, read_mode)
             for lock in result.detection_conflicts:
                 self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+        if read_mode is LockMode.SIREAD and self.config.siread_budget is not None:
+            self._escalate_sireads()
         return True
-
-    def _scan_lock_pages(
-        self,
-        txn: Transaction,
-        table,
-        table_name: str,
-        lo: Hashable | None,
-        hi: Hashable | None,
-        chains: list,
-        keyset_before: int,
-    ) -> list:
-        """Page-granularity SIREADs for a wide SSI scan: one coarse lock
-        per covered leaf page instead of a record+gap pair per row, so
-        peak lock-table growth is bounded by scan_width / page_size.
-
-        Soundness.  Write side: every leaf from leaf(lo) through the
-        leaf holding successor(hi) is covered (:meth:`Table.leaf_pages`)
-        — key routing is monotone, so any insert into [lo, hi] or the
-        boundary gap lands on a covered leaf, where the writer's coarse
-        probe (:meth:`_probe_coarse_sireads`, gated on the weight entry
-        :meth:`LockManager.acquire_coarse_sireads` installs before
-        granting) reports the rw edge the fine sentinels would have;
-        leaf splits replicate the page lock (inherit_siread_locks).
-        Read side: a page SIREAD does not collide with a *record*
-        EXCLUSIVE at the manager level, so the Fig 3.4 probe against
-        already-granted fine writer locks is still owed — each round
-        batch-probes the rec+gap resources of the materialised rows
-        plus the boundary gap.  A writer fully released inside the
-        materialise->lock window is caught exactly as in the record
-        path: the key-set re-probe re-materialises, and the snapshot's
-        newer-version check in on_read marks committed writers (which
-        stay registry-findable).  Convergence mirrors the record path:
-        ``requested``/``probed`` only grow, so each extra round needs a
-        key-set move plus a fresh resource.
-        """
-        lm = self.locks
-        cache = txn._siread_cache
-        coarse = txn.coarse_sireads
-        requested_pages: set = set()
-        probed: set = set()
-        while True:
-            wanted_pages: list = []
-            for page in table.leaf_pages(lo, hi):
-                resource = page_resource(table_name, page)
-                if resource in requested_pages:
-                    continue
-                requested_pages.add(resource)
-                if resource in coarse:
-                    continue
-                wanted_pages.append(resource)
-            probe: list = []
-            for key, _chain in chains:
-                for resource in (
-                    gap_resource(table_name, key),
-                    record_resource(table_name, key),
-                ):
-                    if resource in probed:
-                        continue
-                    probed.add(resource)
-                    probe.append(resource)
-            boundary = table.successor(hi) if hi is not None else SUPREMUM
-            resource = gap_resource(table_name, boundary)
-            if resource not in probed:
-                probed.add(resource)
-                probe.append(resource)
-            if wanted_pages:
-                for lock in lm.acquire_coarse_sireads(txn, wanted_pages):
-                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-                coarse.update(wanted_pages)
-                cache.update(wanted_pages)
-            if probe:
-                for lock in lm.probe_detection_batch(
-                    txn, probe, LockMode.SIREAD
-                ):
-                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            if not wanted_pages and not probe:
-                break
-            keyset_now = table.keyset_version
-            if keyset_now == keyset_before:
-                break
-            keyset_before = keyset_now
-            chains = self._materialize_chunks(table, lo, hi)
-        return chains
 
     def _resolve_scan_rows(
         self, txn: Transaction, table_name: str, chains: list

@@ -763,12 +763,12 @@ class LockManager:
         gap (scans whose range covered it, possibly already committed)
         must also cover the new sub-gap, or later inserts between the new
         key and its predecessor would escape phantom detection — InnoDB's
-        gap-lock inheritance.  The same replication keeps escalated
-        *page* SIREADs sound across B+-tree leaf splits: records moved to
-        the new sibling must stay covered.  Returns the number of locks
-        inherited.  ``exclude_owner=None`` replicates every holder (the
-        page-split case: the splitting writer's own escalated coverage
-        must follow its records).
+        gap-lock inheritance.  The same replication keeps the page
+        SIREADs :meth:`promote_sireads` installs sound across B+-tree leaf
+        splits: records moved to the new sibling must stay covered.
+        Returns the number of locks inherited.  ``exclude_owner=None``
+        replicates every holder (the page-split case: the splitting
+        writer's own escalated coverage must follow its records).
         """
         exclude_id = exclude_owner.id if exclude_owner is not None else None
         inherited = 0
@@ -798,7 +798,8 @@ class LockManager:
 
     def has_escalated_locks(self) -> bool:
         """Atomic, latch-free gate for the engine's coarse-unit write
-        probes: False proves no escalated page/table SIREAD exists.  The
+        probes: False proves no escalated page/table SIREAD exists
+        (:meth:`promote_sireads` is the only way one is created).  The
         weight entry is inserted *before* its coarse lock is granted and
         removed only with the lock, so a stale True merely sends the
         writer to probe an empty head — safe, never the reverse."""
@@ -834,43 +835,6 @@ class LockManager:
                     found = self._detection_conflicts(head, owner, mode)
                     if found:
                         conflicts.extend(found)
-        return conflicts
-
-    def acquire_coarse_sireads(
-        self, owner: Any, resources: list[Resource]
-    ) -> list[Lock]:
-        """Grant SIREADs directly on coarse (page/table) units — the scan
-        kernel's up-front page-granularity path: a wide scan covers its
-        leaf pages *before* materialising rows instead of flooding the
-        table with record sentinels and escalating after the fact.
-
-        Each coarse lock enters ``_escalated_weights`` (weight 1 — it
-        replaced nothing) *before* it is granted, exactly as
-        :meth:`promote_sireads` gates its grant: a writer that finds no
-        fine sentinels must already see :meth:`has_escalated_locks` and
-        probe the coarse unit, leaf splits inherit the page lock via
-        :meth:`inherit_siread_locks`, and the normal release paths pop
-        the weight entry (weight 1 -> zero surplus in the
-        ``siread_dropped`` accounting).  Never blocks — SIREAD is
-        compatible with every mode.  Returns detection conflicts
-        (granted write-mode holders on the coarse units) for the caller
-        to dispatch as rw-antidependencies.
-        """
-        owner_id = owner.id
-        conflicts: list[Lock] = []
-        with self._latch:
-            heads = self._heads
-            for resource in resources:
-                self._escalated_weights.setdefault((owner_id, resource), 1)
-                head = heads.get(resource)
-                if head is None:
-                    head = heads[resource] = _LockHead()
-                found = self._detection_conflicts(head, owner, LockMode.SIREAD)
-                if found:
-                    conflicts.extend(found)
-                owner_locks = self._by_owner.get(owner_id)
-                held = owner_locks.get(resource) if owner_locks else None
-                self._grant(head, owner, resource, LockMode.SIREAD, held)
         return conflicts
 
     def siread_owners_by_count(self) -> list[Any]:
@@ -911,7 +875,8 @@ class LockManager:
     ) -> int:
         """Replace ``owner``'s record SIREADs in ``fine`` with one coarse
         (page or table) SIREAD on ``coarse`` — the memory-bounding
-        escalation step (Ports & Grittner Section 4).
+        escalation step (Ports & Grittner Section 4) and the only way a
+        SIREAD becomes coarser than a row under RECORD granularity.
 
         Soundness: the whole promotion is one critical section, so a
         concurrent writer sees the fine sentinels or the coarse one,

@@ -184,36 +184,6 @@ class BPlusTree:
             leaf = leaf.next_leaf
             index = 0
 
-    def leaf_pages(self, lo: Any, hi: Any) -> list[int]:
-        """Page ids of every leaf that can host a key in ``[lo, hi]`` —
-        including the leaf holding the interval's boundary successor.
-
-        Used by the scan kernel's page-granularity SIREAD path: a coarse
-        lock on each returned page covers every record and gap a
-        record-granularity scan of the interval would lock, because key
-        routing is monotone — any insert of ``k <= hi`` (or into the gap
-        up to ``successor(hi)``) lands on one of these leaves.  Empty
-        leaves (lazy deletes) are included: ``_child_index`` can still
-        route new keys into them.
-        """
-        if lo is None:
-            node = self._root
-            while not node.is_leaf:
-                node = node.children[0]
-            leaf: _Node | None = node
-        else:
-            leaf = self._find_leaf(lo)
-        pages: list[int] = []
-        while leaf is not None:
-            pages.append(leaf.page_id)
-            # A key strictly greater than hi in this leaf means the
-            # boundary successor lives here (or earlier) — stop.  A last
-            # key == hi keeps walking: successor(hi) is in a later leaf.
-            if hi is not None and leaf.keys and hi < leaf.keys[-1]:
-                break
-            leaf = leaf.next_leaf
-        return pages
-
     # ------------------------------------------------------------ mutation
 
     def insert(self, key: Any, value: Any) -> list[int]:

@@ -153,14 +153,6 @@ class Table:
         with self.latch:
             return self._tree.leaf_page_of(key)
 
-    def leaf_pages(
-        self, lo: Hashable | None, hi: Hashable | None
-    ) -> list[int]:
-        """Page ids covering ``[lo, hi]`` plus its boundary successor —
-        the coarse-lock targets for a page-granularity scan."""
-        with self.latch:
-            return self._tree.leaf_pages(lo, hi)
-
     def root_page_id(self) -> int:
         return self._tree.root_page_id
 

@@ -10,8 +10,8 @@
   Credit Check transaction (Section 5.3).
 * :mod:`repro.workloads.reporting` — the TPC-H-flavored read-mostly
   reporting mix (scale-factor generator, large range scans, index
-  joins) that stresses the scan kernel, page-granularity SIREADs and
-  the read-only/safe-snapshot optimizations.
+  joins) that stresses the scan kernel, SIREAD escalation and the
+  read-only/safe-snapshot optimizations.
 """
 
 from repro.workloads.smallbank import make_smallbank

@@ -108,10 +108,13 @@ class TestConfigProfiles:
         assert config2.victim_policy == "youngest"
 
     def test_removed_scan_path_knob_is_rejected(self):
-        """The per-row scan path and the knob that selected it are gone
-        (PR 16); no alias lingers."""
+        """The per-row scan path and the up-front page-SIREAD scan path
+        are gone, and so are the knobs that selected them; no alias
+        lingers (``siread_budget`` escalation is the one coarsening)."""
         with pytest.raises(TypeError):
             EngineConfig(scan_kernel=False)
+        with pytest.raises(TypeError):
+            EngineConfig(scan_page_lock_threshold=8)
 
 
 #: The knob census (ROADMAP 7a): every ``EngineConfig`` field, with the
@@ -135,14 +138,13 @@ KNOB_CENSUS = {
     "wal_flush_on_commit": "bench_ablation_wal.py",
     "lock_timeout": "bench_ablation_timeout.py",
     "siread_budget": "none (DESIGN: SIREAD escalation)",
-    "scan_page_lock_threshold": "none (DESIGN: page-granularity scan SIREADs)",
 }
 
 
 class TestKnobCensus:
     def test_field_set_is_pinned(self):
         fields = [field.name for field in dataclasses.fields(EngineConfig)]
-        assert len(fields) == 16
+        assert len(fields) == 15
         assert set(fields) == set(KNOB_CENSUS)
 
     @pytest.mark.parametrize(
@@ -158,7 +160,6 @@ class TestKnobCensus:
             "cleanup_threshold": 7,
             "lock_timeout": 1.5,
             "siread_budget": 99,
-            "scan_page_lock_threshold": 3,
         }
         for name in KNOB_CENSUS:
             value = flipped.get(name)

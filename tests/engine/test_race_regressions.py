@@ -88,27 +88,6 @@ class TestScanMaterializeWindow:
         assert writer.in_conflict
         db.abort(scanner)
 
-    def test_ssi_page_path_marks_rw_edge_for_window_insert(self, db):
-        """The page-granularity scan path owes the same window guarantee:
-        with the threshold forced to 0 every SSI scan covers leaf pages
-        up front, and the in-window committed insert must still produce
-        the reader->writer rw edge (keyset re-probe -> re-materialise ->
-        newer-version check)."""
-        db.config.scan_page_lock_threshold = 0
-        fill(db, "t", {1: "a", 5: "b"})
-        table = db.table("t")
-        scanner = db.begin("ssi")
-        db.read(scanner, "t", 1)
-        writers = _inject_committed_insert(
-            db, table, "ssi", 3, "x", writer_reads=[5]
-        )
-        rows = db.scan(scanner, "t", 1, 5)
-        assert rows == [(1, "a"), (5, "b")]
-        (writer,) = writers
-        assert scanner.out_conflict, "reader->writer rw edge was lost"
-        assert writer.in_conflict
-        db.abort(scanner)
-
 
 class TestLockRequestResolveRace:
     class _Owner:

@@ -1,8 +1,9 @@
-"""Engine-level behaviour of the chunked scan kernel (PR 10).
+"""Engine-level behaviour of the chunked scan kernel.
 
-Covers what the storage tests cannot: the page-granularity SIREAD
-threshold (bounded lock-table cost, phantom detection through coarse
-probes), the incremental vacuum's ``vacuum_pause_events`` counter, and
+Covers what the storage tests cannot: ``siread_budget`` escalation of
+scan and prefix-scan SIREADs (bounded lock-table cost, phantom detection
+through the escalated sentinels), the incremental vacuum's
+``vacuum_pause_events`` counter, and
 ``scan_prefix`` — its first-N semantics and the cut-point guarantee
 (inserts at or below the cut raise the rw edge, inserts past the cut
 cannot change the answer and raise none).
@@ -41,40 +42,44 @@ class TestVacuumPauseEvents:
         assert db.stats["vacuum_pause_events"] == 6
 
 
-class TestPageThreshold:
-    def test_wide_scan_lock_count_bounded(self):
-        """A record-granularity SSI scan crossing the threshold covers
-        leaf pages, not rows: lock-table size stays ~rows/page_order
-        instead of ~2x rows."""
-        db = make_db(scan_page_lock_threshold=8)
+class TestScanEscalation:
+    """``siread_budget`` escalation is the one way a scan's SIREADs get
+    coarser than a row: the read-lock round escalates once it has
+    granted, so the table ends a wide scan within budget and the
+    escalated sentinels still catch phantoms."""
+
+    def test_wide_scan_ends_within_budget(self):
+        """A 200-row SSI scan would park 401 rec+gap SIREADs; under a
+        budget of 4 it ends with at most 4 lock-table entries."""
+        db = make_db(siread_budget=4)
         fill_range(db, "t", 200, step=1)
         reader = db.begin("ssi")
         rows = db.scan(reader, "t")
         assert len(rows) == 200
-        paged = db.locks.table_size()
-        assert paged < 40  # ~200/64-order leaves, not 401 rec+gap locks
-        db.abort(reader)
-        db.cleanup_suspended()
-
-        record_db = make_db(scan_page_lock_threshold=None)
-        fill_range(record_db, "t", 200, step=1)
-        reader = record_db.begin("ssi")
-        record_db.scan(reader, "t")
-        assert record_db.locks.table_size() > 200
+        assert db.locks.table_size() <= 4
+        assert reader.coarse_sireads
         db.abort(reader)
 
-    def test_narrow_scan_stays_record_granular(self):
-        db = make_db(scan_page_lock_threshold=50)
+        unbounded = make_db()
+        fill_range(unbounded, "t", 200, step=1)
+        reader = unbounded.begin("ssi")
+        unbounded.scan(reader, "t")
+        assert unbounded.locks.table_size() == 401
+        unbounded.abort(reader)
+
+    def test_scan_within_budget_stays_record_granular(self):
+        db = make_db(siread_budget=50)
         fill_range(db, "t", 10, step=1)
         reader = db.begin("ssi")
         db.scan(reader, "t")
         assert not reader.coarse_sireads
+        assert db.locks.stats["escalations"] == 0
         db.abort(reader)
 
-    def test_insert_after_page_scan_raises_rw_edge(self):
+    def test_insert_after_escalated_scan_raises_rw_edge(self):
         """Phantom protection survives the coarsening: a writer inserting
-        into the scanned range probes the reader's page SIREADs."""
-        db = make_db(scan_page_lock_threshold=4)
+        into the scanned range probes the reader's escalated sentinels."""
+        db = make_db(siread_budget=4)
         fill_range(db, "t", 20, step=10)
         reader = db.begin("ssi")
         db.scan(reader, "t")
@@ -82,7 +87,28 @@ class TestPageThreshold:
         writer = db.begin("ssi")
         db.insert(writer, "t", 55, "phantom")
         writer.commit()
-        assert reader.out_conflict, "page SIREAD missed the phantom insert"
+        assert reader.out_conflict, "escalated SIREAD missed the phantom"
+        assert writer.in_conflict
+        db.abort(reader)
+
+    @pytest.mark.parametrize("phantom_key", [5, 45, 90 - 1])
+    def test_prefix_scan_ends_within_budget(self, phantom_key):
+        """``scan_prefix`` shares the read-lock round, so it escalates
+        too: its 20 rec+gap SIREADs end within a budget of 4, and an
+        insert at or below the cut key (90) is still detected."""
+        db = make_db(siread_budget=4)
+        fill_range(db, "t", 20, step=10)
+        reader = db.begin("ssi")
+        rows = db.scan_prefix(reader, "t", limit=10)
+        assert [key for key, _ in rows] == list(range(0, 100, 10))
+        assert db.locks.table_size() <= 4
+        assert reader.coarse_sireads
+        writer = db.begin("ssi")
+        db.insert(writer, "t", phantom_key, "phantom")
+        writer.commit()
+        assert reader.out_conflict, (
+            f"insert of {phantom_key} below the cut escaped escalation"
+        )
         assert writer.in_conflict
         db.abort(reader)
 

@@ -129,7 +129,6 @@ op = st.one_of(
         st.just("read_batch"), owner_ids, resource_sets,
         st.sampled_from(READ_MODES),
     ),
-    st.tuples(st.just("coarse"), owner_ids, resource_sets),
     st.tuples(
         st.just("promote"), owner_ids, resource_sets, st.sampled_from(COARSE)
     ),
@@ -164,11 +163,6 @@ def apply(lm: LockManager, owners, requests, op):
         _, owner, resources, mode = op
         lm.acquire_read_batch(
             owners[owner], [RESOURCES[r] for r in resources], mode
-        )
-    elif kind == "coarse":
-        _, owner, resources = op
-        lm.acquire_coarse_sireads(
-            owners[owner], [RESOURCES[r] for r in resources]
         )
     elif kind == "promote":
         _, owner, fine, coarse = op

@@ -89,13 +89,12 @@ def test_outcomes_match_with_group_commit_forced_on(case):
     CASES,
     ids=[f"{case['scenario']}-{case['seed']}" for case in CASES],
 )
-def test_outcomes_match_with_small_chunks_and_page_sireads(case, monkeypatch):
+def test_outcomes_match_with_small_chunks(case, monkeypatch):
     """The golden outcomes were recorded before scans were chunked, so
     they are the semantics reference for the scan kernel: forced into
-    its most aggressive shape (2-row chunks, so every scan drops the
-    table latch mid-range, and page-granularity SIREADs from the first
-    row), every golden outcome — who committed, who aborted, with which
-    reason — is unchanged at every isolation level."""
+    2-row chunks, so every scan drops the table latch mid-range, every
+    golden outcome — who committed, who aborted, with which reason — is
+    unchanged at every isolation level."""
     monkeypatch.setattr("repro.storage.table.SCAN_CHUNK_SIZE", 2)
     factory = FACTORIES[case["scenario"]]
     for level in LEVELS:
@@ -105,13 +104,10 @@ def test_outcomes_match_with_small_chunks_and_page_sireads(case, monkeypatch):
             programs,
             case["order"],
             isolation=level,
-            engine_config=EngineConfig(
-                record_history=True,
-                scan_page_lock_threshold=1,
-            ),
+            engine_config=EngineConfig(record_history=True),
         )
         got = {str(index): status for index, status in outcome.statuses.items()}
         assert got == case["outcomes"][level], (
             f"{case['scenario']} seed={case['seed']} diverged at {level} "
-            f"with 2-row chunks and page SIREADs"
+            f"with 2-row chunks"
         )

@@ -1,4 +1,4 @@
-"""Chunked scan / keys / leaf_pages / incremental vacuum (scan kernel PR).
+"""Chunked scan / keys / incremental vacuum (the scan kernel's storage side).
 
 The chunked walk drops the table latch between batches, so these tests
 pin down exactly what survives that: ordering, the resume-after-last-key
@@ -91,30 +91,6 @@ class TestKeysIterator:
             if key == 3:
                 table._tree.delete(7)
         assert out == [0, 1, 2, 3, 4, 5, 6, 8, 9]
-
-
-class TestLeafPages:
-    def test_full_range_covers_every_leaf(self):
-        table = make_table(40, page_size=4)
-        pages = table.leaf_pages(None, None)
-        covered = {table.leaf_page_of(key) for key in range(40)}
-        assert covered <= set(pages)
-
-    def test_window_includes_boundary_successor_leaf(self):
-        table = make_table(40, page_size=4)
-        pages = table.leaf_pages(10, 20)
-        for key in range(10, 21):
-            assert table.leaf_page_of(key) in pages
-        # The leaf hosting the boundary successor (21) is covered too —
-        # it is where an insert into the (20, succ] gap would land.
-        assert table.leaf_page_of(21) in pages
-        # But the scan does not degenerate to all leaves.
-        assert len(pages) < len(set(table.leaf_pages(None, None)))
-
-    def test_unbounded_low_end_starts_at_first_leaf(self):
-        table = make_table(12, page_size=4)
-        pages = table.leaf_pages(None, 5)
-        assert table.leaf_page_of(0) in pages
 
 
 class TestIncrementalVacuum:

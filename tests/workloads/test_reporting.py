@@ -14,30 +14,18 @@ from repro.workloads.reporting import (
 )
 
 
-@pytest.mark.parametrize("page_lock_threshold", [None, 8])
-def test_reporting_mix_is_serializable_and_leak_free(page_lock_threshold):
+@pytest.mark.parametrize("siread_budget", [None, 64])
+def test_reporting_mix_is_serializable_and_leak_free(siread_budget):
     workload = make_reporting_mix(scale=1)
     databases = []
-    coarse_grants = []
-
-    def watch(db):
-        databases.append(db)
-        real = db.locks.acquire_coarse_sireads
-
-        def counting(txn, resources):
-            coarse_grants.append(len(resources))
-            return real(txn, resources)
-
-        db.locks.acquire_coarse_sireads = counting
-
     result = run_threaded_stress(
         workload,
         level="ssi",
         threads=4,
         txns_per_thread=40,
-        config=EngineConfig(scan_page_lock_threshold=page_lock_threshold),
+        config=EngineConfig(siread_budget=siread_budget),
         check_serializability=True,
-        on_database=watch,
+        on_database=databases.append,
     )
     assert result.serializable, result.serialization_detail
     assert result.lock_table_clean, result.describe()
@@ -45,12 +33,13 @@ def test_reporting_mix_is_serializable_and_leak_free(page_lock_threshold):
         assert result.commits_by_name.get(name, 0) >= 1, (
             f"{name} never committed: {result.describe()}"
         )
-    # The wide scans took page SIREADs exactly when the knob says so.
-    assert bool(coarse_grants) == (page_lock_threshold is not None)
+    # The wide scans escalated their SIREADs exactly when a budget is set.
+    (db,) = databases
+    escalated = db.locks.stats["escalations"] > 0
+    assert escalated == (siread_budget is not None)
 
     # Final state: every committed order_entry (and nothing else) added
     # an order, indexed once and carrying its first lineitem.
-    (db,) = databases
     orders = final_rows(db, ORDERS)
     assert len(orders) == order_count(1) + result.commits_by_name["order_entry"]
     assert len(final_rows(db, ORDERS_BY_CUSTOMER)) == len(orders)
