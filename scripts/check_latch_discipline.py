@@ -175,6 +175,8 @@ DEFAULT_RULES = {
         "_siread_counts": "lock",
         "_granted_count": "lock",
         "_escalated_weights": "lock",
+        "_ranges": "lock",
+        "_exclusive_keys": "lock",
     },
     # The safe-snapshot monitor mutates its watch maps under the engine's
     # tracker latch (its register/on_commit/on_abort contracts).

@@ -54,6 +54,12 @@ class CCPolicy:
     #: SGT transaction lands in the full serialization graph).
     edge_precedence: int = 0
 
+    #: ``on_read`` acts only on rows whose chain holds a committed version
+    #: newer than the snapshot (SSI's Fig 3.4 lines 8-9), so a snapshot
+    #: scan hands :meth:`on_read_batch` just those rows.  False hands it
+    #: every row (SGT records a wr edge per row read).
+    reads_newer_only: bool = False
+
     def __init__(self, db: "Database"):
         self.db = db
         # Precomputed hook-override flags: the kernel serialises every
@@ -63,7 +69,10 @@ class CCPolicy:
         # for instance, pay nothing).
         cls = type(self)
         self.tracks_begin = cls.on_begin is not CCPolicy.on_begin
-        self.tracks_reads = cls.on_read is not CCPolicy.on_read
+        self.tracks_reads = (
+            cls.on_read is not CCPolicy.on_read
+            or cls.on_read_batch is not CCPolicy.on_read_batch
+        )
         self.tracks_writes = cls.on_write is not CCPolicy.on_write
         # Commit-side analogues: a policy with no certification hooks
         # commits without the tracker latch, and one with no retention
@@ -113,6 +122,16 @@ class CCPolicy:
         ``chain``.  SSI marks rw edges to creators of ignored newer
         versions (Fig 3.4 lines 8-9); SGT additionally records the wr
         edge to the creator of the version read."""
+
+    def on_read_batch(self, txn: "Transaction", table_name: str, rows) -> None:
+        """A scan resolved ``rows``, ``(key, chain, version)`` triples —
+        every row, or with :attr:`reads_newer_only` only those whose
+        chain holds a version newer than the snapshot.  One call per
+        scan, under one tracker-latch section; the default replays
+        :meth:`on_read` row by row."""
+        on_read = self.on_read
+        for key, chain, version in rows:
+            on_read(txn, table_name, key, chain, version)
 
     # ----------------------------------------------------------- write path
 

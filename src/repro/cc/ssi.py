@@ -38,6 +38,7 @@ class SSIPolicy(CCPolicy):
 
     level = IsolationLevel.SERIALIZABLE_SSI
     edge_precedence = 5
+    reads_newer_only = True
 
     def install(self, db: "Database") -> None:
         self.tracker = make_tracker(

@@ -99,11 +99,10 @@ class EngineConfig:
     #: lock-table budget for SIREAD state (None = unbounded, the paper's
     #: behaviour).  When the granted-lock count exceeds the budget, the
     #: engine escalates record SIREADs of the busiest holder to page,
-    #: then table, granularity — the Ports & Grittner memory-bounding
-    #: strategy.  Escalation may only introduce false-positive aborts,
-    #: never miss an rw-antidependency.  It is the only way a SIREAD
-    #: becomes coarser than a row, and it bounds point reads, scans and
-    #: prefix scans alike.  RECORD granularity only.
+    #: then table, granularity (key-range SIREADs of scans fold into the
+    #: table tier) — the Ports & Grittner memory-bounding strategy.
+    #: Escalation may only introduce false-positive aborts, never miss an
+    #: rw-antidependency.  RECORD granularity only.
     siread_budget: int | None = None
 
     @classmethod

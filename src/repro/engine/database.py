@@ -73,6 +73,7 @@ from repro.locking.manager import (
     Resource,
     gap_resource,
     page_resource,
+    range_resource,
     record_resource,
     table_resource,
 )
@@ -927,7 +928,8 @@ class Database:
         limit: int | None = None,
     ) -> list[tuple[Hashable, Any]]:
         """Predicate read over [lo, hi] with phantom protection
-        (Fig 3.6 for SSI; next-key SHARED locks for S2PL).
+        (Fig 3.6 for SSI/SGT as one key-range SIREAD; next-key SHARED
+        locks for S2PL).
 
         ``reverse`` returns rows in descending key order; ``limit`` caps
         the result *after* ordering.  **The whole range is still
@@ -939,11 +941,11 @@ class Database:
         the result then only depends on keys up to the cut point) should
         use :meth:`scan_prefix`.
 
-        Execution: the key set is materialised in leaf-page-sized
-        chunks — dropping the table latch between chunks — each lock
-        round's resources are acquired in one lock-manager batch (which
-        escalates SIREADs when ``config.siread_budget`` is exceeded), and
-        visibility is resolved batch-at-a-time against the one snapshot.
+        Execution: a SIREAD scan places its key range first; the key set
+        is then materialised in leaf-page-sized chunks — dropping the
+        table latch between chunks — and visibility is resolved
+        batch-at-a-time against the one snapshot, with one CC-policy call
+        per scan.
         """
         self._check_op(txn)
         table = self.table(table_name)
@@ -981,17 +983,35 @@ class Database:
         lo: Hashable | None,
         hi: Hashable | None,
     ) -> tuple[list[tuple[Hashable, Any]], list[Hashable]]:
-        """The scan kernel: latch-bounded materialisation, one batched
-        lock round per key-set generation, batch visibility resolution."""
+        """The scan kernel: the range SIREAD (or the per-row lock rounds
+        of S2PL and PAGE granularity), latch-bounded materialisation,
+        batch visibility resolution."""
         read_mode = txn.policy.read_lock_mode(txn)
-        keyset_before = table.keyset_version
-        chains = self._materialize_chunks(table, lo, hi)
-        if read_mode is not None:
+        if read_mode is None:
+            chains = self._materialize_chunks(table, lo, hi)
+        elif self._locks_ranges(read_mode):
+            for lock in self.locks.acquire_range(txn, table_name, lo, hi):
+                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+            self._escalate_sireads()
+            chains = self._materialize_chunks(table, lo, hi)
+        else:
+            keyset_before = table.keyset_version
             chains = self._scan_lock_records(
-                txn, table, table_name, lo, hi, chains, keyset_before,
+                txn, table, table_name, lo, hi,
+                self._materialize_chunks(table, lo, hi), keyset_before,
                 read_mode,
             )
         return self._resolve_scan_rows(txn, table_name, chains)
+
+    def _locks_ranges(self, read_mode: LockMode) -> bool:
+        """Does a predicate read in ``read_mode`` take one key-range
+        SIREAD?  SIREAD under RECORD granularity does; S2PL's blocking
+        SHARED next-key locks and PAGE granularity (the Berkeley DB
+        ablation) keep the per-row lock rounds."""
+        return (
+            read_mode is LockMode.SIREAD
+            and self.config.granularity is LockGranularity.RECORD
+        )
 
     def _scan_lock_records(
         self,
@@ -1004,8 +1024,10 @@ class Database:
         keyset_before: int,
         read_mode: LockMode,
     ) -> list:
-        """Per-row lock rounds of a scan (gap + record resources, or
-        their covering leaf pages under PAGE granularity).
+        """Per-row lock rounds of a scan that takes no range: S2PL's
+        SHARED gap + record resources, or the covering leaf pages under
+        PAGE granularity.  A blocking range lock would need wait queues
+        on ranges, so these keep the round and its re-probe loop.
 
         Each round locks the whole predicate — every row's gap + record,
         plus the boundary gap beyond the range so inserts just past it
@@ -1047,7 +1069,7 @@ class Database:
                     candidates.append(record_resource(table_name, key))
                 candidates.append(gap_resource(table_name, boundary))
             if not self._read_lock_batch(
-                txn, table_name, candidates, read_mode, requested
+                txn, candidates, read_mode, requested
             ):
                 break
             keyset_now = table.keyset_version
@@ -1063,28 +1085,20 @@ class Database:
     def _read_lock_batch(
         self,
         txn: Transaction,
-        table_name: str,
         resources: list,
         read_mode: LockMode,
         requested: set,
     ) -> bool:
-        """The read-lock round of a predicate read (Fig 3.6; SHARED
-        next-key locks under S2PL): acquire every resource this scan has
-        not ``requested`` yet in one lock-manager batch,
+        """The per-row read-lock round (S2PL's SHARED next-key locks,
+        PAGE granularity's page SIREADs): acquire every resource this
+        scan has not ``requested`` yet in one lock-manager batch,
         dispatching an rw edge per conflicting writer.  SIREADs the
-        transaction already holds are skipped; a unit one of its own
-        escalated sentinels covers gets no fine lock — writers see the
-        coarse one — but still owes the reader-side Fig 3.4 probe
-        against granted EXCLUSIVE holders.  Contended SHARED resources
-        come back deferred and take the normal blocking path.  Fresh
-        SIREAD grants under ``config.siread_budget`` end the round with
-        :meth:`_escalate_sireads` — the one place a scan's or prefix
-        scan's lock-table growth is bounded.  True when something fresh
-        was acquired (a key-set re-probe is then owed)."""
-        lm = self.locks
+        transaction already holds are skipped; contended SHARED
+        resources come back deferred and take the normal blocking path.
+        True when something fresh was acquired (a key-set re-probe is
+        then owed)."""
         cache = txn._siread_cache if read_mode is LockMode.SIREAD else None
         wanted: list = []
-        covered: list = []
         for resource in resources:
             if resource in requested:
                 continue
@@ -1093,24 +1107,18 @@ class Database:
                 if resource in cache:
                     continue
                 cache.add(resource)
-                if self._covered_by_coarse(txn, table_name, resource):
-                    covered.append(resource)
-                    continue
             wanted.append(resource)
-        if covered:
-            for lock in lm.probe_detection_batch(txn, covered, read_mode):
-                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
         if not wanted:
             return False
-        conflicts, deferred = lm.acquire_read_batch(txn, wanted, read_mode)
+        conflicts, deferred = self.locks.acquire_read_batch(
+            txn, wanted, read_mode
+        )
         for lock in conflicts:
             self.dispatch_rw_edge(reader=txn, writer=lock.owner)
         for resource in deferred:
             result = self._acquire(txn, resource, read_mode)
             for lock in result.detection_conflicts:
                 self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-        if read_mode is LockMode.SIREAD and self.config.siread_budget is not None:
-            self._escalate_sireads()
         return True
 
     def _resolve_scan_rows(
@@ -1127,19 +1135,23 @@ class Database:
         short-circuit before any detection or history (a tombstone
         skips the row entirely), every other row records its read and
         feeds conflict detection — the collected (key, chain, version)
-        triples replay through on_read under a single tracker-latch
-        section (the SIREAD sentinels are already in the table, so any
-        writer arriving since row resolution reported its edge from the
-        write side)."""
+        triples go to the policy's ``on_read_batch`` in one
+        tracker-latch section.  A ``reads_newer_only`` policy (SSI) is
+        handed only the rows whose tail check found a version newer than
+        the snapshot; a version installed after that check belongs to a
+        writer whose EXCLUSIVE grant met the scan's locks, and the edge
+        was dispatched there."""
         results: list[tuple[Hashable, Any]] = []
         seen: list[Hashable] = []
         policy = txn.policy
-        tracks_reads = policy.tracks_reads
         uses_snapshots = policy.uses_snapshots
         write_set = txn.write_set
         history = self.history
         txn_id = txn.id
-        deferred: list = [] if tracks_reads else None
+        handed: list | None = [] if policy.tracks_reads else None
+        every_row = handed is not None and not (
+            uses_snapshots and policy.reads_newer_only
+        )
         if uses_snapshots:
             read_ts = txn.snapshot.read_ts
         for key, chain in chains:
@@ -1157,12 +1169,18 @@ class Database:
                 length = len(stamps)
                 if length and stamps[length - 1] <= read_ts:
                     version = versions[length - 1]
+                    if every_row:
+                        handed.append((key, chain, version))
                 else:
+                    # The tail is newer than the snapshot (or the chain
+                    # is still empty).
                     version = chain.visible(read_ts)
+                    if handed is not None and (length or every_row):
+                        handed.append((key, chain, version))
             else:
                 version = chain.latest()
-            if tracks_reads:
-                deferred.append((key, chain, version))
+                if handed is not None:
+                    handed.append((key, chain, version))
             if history is not None:
                 history.on_read(
                     txn_id, table_name, key,
@@ -1173,11 +1191,9 @@ class Database:
                 seen.append(key)
         if chains:
             self.stats.inc("reads", len(chains))
-        if deferred:
+        if handed:
             with self._tracker_latch:
-                on_read = policy.on_read
-                for key, chain, version in deferred:
-                    on_read(txn, table_name, key, chain, version)
+                policy.on_read_batch(txn, table_name, handed)
         return results, seen
 
     def scan_prefix(
@@ -1189,23 +1205,23 @@ class Database:
         limit: int | None = None,
     ) -> list[tuple[Hashable, Any]]:
         """Early-terminating prefix scan: the first ``limit`` visible
-        rows of [lo, hi] in ascending key order, locking only the
+        rows of [lo, hi] in ascending key order, protecting only the
         visited prefix instead of the whole range.
 
         Sound because the result of this weaker predicate depends only
-        on keys up to the cut point: for visited keys k_1..k_n (visible
-        or not; k_n is where the limit was reached) the acquired gap
-        locks gap(k_i) cover every insertion interval (pred, k_i], so a
-        concurrent insert at or below the cut — the only kind that can
-        change "the first N visible rows" — collides with a lock and
-        reports the rw edge (Fig 3.6/3.7).  Inserts past the cut cannot
-        change the answer and need no protection; when the range is
-        exhausted before the limit the scan degenerates to a full range
-        scan and the boundary gap beyond [lo, hi] is locked as usual.
+        on keys up to the cut point (the key where the limit was
+        reached): a concurrent insert, update or delete at or below the
+        cut — the only kind that can change "the first N visible rows" —
+        meets the scan's locks and reports the rw edge (Fig 3.6/3.7).
+        A SIREAD scan holds the range [lo, cut]; S2PL gap-locks every
+        visited key.  Writes past the cut cannot change the answer and
+        need no protection; when the range is exhausted before the limit
+        the scan degenerates to a full range scan.
 
-        Falls back to a full :meth:`scan` when ``limit`` is None or the
-        transaction has own pending writes inside [lo, hi] (own-write
-        overlay can shift the cut in both directions).
+        Falls back to a full :meth:`scan` when ``limit`` is None, under
+        PAGE granularity, or when the transaction has own pending writes
+        inside [lo, hi] (own-write overlay can shift the cut in both
+        directions).
         """
         if limit is None:
             return self.scan(txn, table_name, lo, hi)
@@ -1227,17 +1243,94 @@ class Database:
             return []
         self.stats.inc("scans")
         read_mode = txn.policy.read_lock_mode(txn)
-        uses_snapshots = txn.policy.uses_snapshots
-        if uses_snapshots:
-            snapshot = txn.snapshot
-        requested: set = set()
+        if read_mode is None or self._locks_ranges(read_mode):
+            visited, cut_key = self._prefix_walk(
+                txn, table, table_name, lo, hi, limit, read_mode is not None
+            )
+        else:
+            visited, cut_key = self._prefix_walk_locked(
+                txn, table, table_name, lo, hi, limit, read_mode
+            )
+        results, seen = self._resolve_scan_rows(txn, table_name, visited)
+        if self.history is not None and txn.read_ts is not None:
+            span = (lo, hi if cut_key is _MISSING else cut_key)
+            self.history.on_scan(
+                txn.id, table_name, span, tuple(seen), txn.read_ts
+            )
+        return results
 
-        # Re-walk rounds close the same materialise->lock window the
-        # full scan's keyset re-probe closes: a round that saw the key
-        # set move after it acquired something fresh walks again; a
-        # round that locked nothing new proves every visited resource
-        # was already in the table before the walk, so a mid-flight
-        # writer must have collided with one.
+    def _prefix_walk(
+        self,
+        txn: Transaction,
+        table,
+        table_name: str,
+        lo: Hashable | None,
+        hi: Hashable | None,
+        limit: int,
+        ranged: bool,
+    ) -> tuple[list, Any]:
+        """Walk to the cut: ``(visited rows, cut key or _MISSING)``.
+
+        ``ranged`` places the range [lo, hi] before the walk, so every
+        writer is seen from one side, exactly as in a full scan; once
+        the cut is known the range narrows to [lo, cut] and only the
+        writers in flight at placement at or below the cut are
+        dispatched.  A writer granted during the walk probed [lo, hi]
+        and reported its own edge — conservative past the cut, never
+        missing below it."""
+        lm = self.locks
+        if ranged:
+            # A range held before this scan keeps its full width.
+            held = lm.holds(txn, range_resource(table_name, lo, hi))
+            in_flight = lm.acquire_range(txn, table_name, lo, hi)
+        snapshot = txn.snapshot if txn.policy.uses_snapshots else None
+        visited: list = []
+        visible = 0
+        cut_key = _MISSING
+        for chunk in table.scan_chunks(lo, hi):
+            for key, chain in chunk:
+                visited.append((key, chain))
+                if _live(snapshot, chain):
+                    visible += 1
+                    if visible >= limit:
+                        cut_key = key
+                        break
+            if cut_key is not _MISSING:
+                break
+        if ranged:
+            if cut_key is not _MISSING and not held:
+                lm.narrow_range(txn, table_name, lo, hi, cut_key)
+            for lock in in_flight:
+                if cut_key is _MISSING or not cut_key < lock.resource.key:
+                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+            self._escalate_sireads()
+        return visited, cut_key
+
+    def _prefix_walk_locked(
+        self,
+        txn: Transaction,
+        table,
+        table_name: str,
+        lo: Hashable | None,
+        hi: Hashable | None,
+        limit: int,
+        read_mode: LockMode,
+    ) -> tuple[list, Any]:
+        """:meth:`_prefix_walk` for S2PL's blocking SHARED next-key
+        locks: gap + record of every visited key, batch by batch.
+
+        Visibility is probed before locking (side-effect-free), so only
+        the rows up to the cut are ever locked; once the limit is
+        reached the visited rows are recounted under their locks (a
+        writer may have flipped a row's liveness between probe and lock;
+        on a shortfall the walk goes on).  Re-walk rounds close the same
+        materialise->lock window the full scan's key-set re-probe
+        closes: a round that saw the key set move after it acquired
+        something fresh walks again; a round that locked nothing new
+        proves every visited resource was already in the table before
+        the walk, so a mid-flight writer must have collided with one."""
+        snapshot = txn.snapshot if txn.policy.uses_snapshots else None
+        requested: set = set()
         while True:
             keyset_before = table.keyset_version
             locked_any = False
@@ -1247,51 +1340,28 @@ class Database:
             for chunk in table.scan_chunks(lo, hi):
                 index = 0
                 while index < len(chunk):
-                    # Probe visibility first (side-effect-free), so only
-                    # the rows up to the cut are ever locked — locking
-                    # whole chunks would protect gaps past the cut and
-                    # forfeit the early-termination win.
                     batch: list = []
                     while index < len(chunk):
                         key, chain = chunk[index]
                         index += 1
                         batch.append((key, chain))
-                        if uses_snapshots:
-                            version = snapshot.visible(chain)
-                        else:
-                            version = chain.latest()
-                        if version is not None and not version.is_tombstone:
+                        if _live(snapshot, chain):
                             visible += 1
                             if visible >= limit:
                                 break
-                    if read_mode is not None:
-                        resources: list = []
-                        for key, _chain in batch:
-                            resources.append(gap_resource(table_name, key))
-                            resources.append(
-                                record_resource(table_name, key)
-                            )
-                        locked_any |= self._read_lock_batch(
-                            txn, table_name, resources, read_mode, requested
-                        )
+                    resources: list = []
+                    for key, _chain in batch:
+                        resources.append(gap_resource(table_name, key))
+                        resources.append(record_resource(table_name, key))
+                    locked_any |= self._read_lock_batch(
+                        txn, resources, read_mode, requested
+                    )
                     visited.extend(batch)
                     if visible < limit:
                         continue
-                    if uses_snapshots:
-                        # Snapshot visibility is anchored at read_ts:
-                        # the probe cannot go stale, the cut stands.
-                        cut_index = len(visited) - 1
-                        break
-                    # latest()-reading policies (S2PL/SGT): a writer may
-                    # have flipped a row's liveness between the
-                    # latch-free probe and the lock.  Every visited row
-                    # is locked now, so this recount is stable; on a
-                    # shortfall keep walking (the extra locks are merely
-                    # conservative).
                     visible = 0
                     for position, (_key, chain) in enumerate(visited):
-                        version = chain.latest()
-                        if version is not None and not version.is_tombstone:
+                        if _live(snapshot, chain):
                             visible += 1
                             if visible >= limit:
                                 cut_index = position
@@ -1305,23 +1375,13 @@ class Database:
                 cut_key = visited[-1][0]
             else:
                 cut_key = _MISSING
-            if cut_key is _MISSING and read_mode is not None:
-                boundary = (
-                    table.successor(hi) if hi is not None else SUPREMUM
-                )
+                boundary = table.successor(hi) if hi is not None else SUPREMUM
                 locked_any |= self._read_lock_batch(
-                    txn, table_name, [gap_resource(table_name, boundary)],
-                    read_mode, requested,
+                    txn, [gap_resource(table_name, boundary)], read_mode,
+                    requested,
                 )
             if table.keyset_version == keyset_before or not locked_any:
-                break
-        results, seen = self._resolve_scan_rows(txn, table_name, visited)
-        if self.history is not None and txn.read_ts is not None:
-            span = (lo, hi if cut_key is _MISSING else cut_key)
-            self.history.on_scan(
-                txn.id, table_name, span, tuple(seen), txn.read_ts
-            )
-        return results
+                return visited, cut_key
 
     # ------------------------------------------------------------- writing
 
@@ -1388,42 +1448,33 @@ class Database:
         Next-key locking must target the key's *actual* successor at the
         moment the tree changes: a concurrent insert may have split our
         gap after :meth:`_acquire_write_locks` probed it, in which case
-        the gap lock we hold covers the wrong (wider) interval and a
-        scanner's SIREAD on the new sub-gap would go undetected.  The
-        successor probe, tree insert and SIREAD inheritance are therefore
-        one table-latched section, re-verified after any extra gap lock
+        the gap lock we hold covers the wrong (wider) interval and an
+        S2PL scanner's SHARED lock on the new sub-gap would not block
+        us.  The successor probe and tree insert are therefore one
+        table-latched section, re-verified after any extra gap lock
         (which is acquired latch-free and may raise LockWaitRequired —
-        the whole operation is idempotent and retried).
+        the whole operation is idempotent and retried).  SIREAD scans
+        need no gap bookkeeping here: their key range already covers
+        the new key.
         """
         while True:
             with table.latch:
                 succ = table.successor(key)
                 if page_mode or succ == locked_succ:
                     _chain, touched_pages = table.ensure_chain(key)
-                    if not page_mode and touched_pages:
-                        # The insert split gap (prev, succ): scans covering
-                        # the old gap must also cover the new sub-gap
-                        # (prev, key) — *including the inserter's own*: its
-                        # scan predicate still spans the sub-gap, and a
-                        # concurrent insert landing there is a phantom it
-                        # must detect (self rw edges are filtered at
-                        # dispatch, so its own sentinel costs nothing).
+                    if (
+                        not page_mode
+                        and len(touched_pages) > 1
+                        and self.locks.has_escalated_locks()
+                    ):
+                        # A leaf split moved keys onto a fresh page:
+                        # escalated page sentinels on the old leaf must
+                        # cover the new sibling too, or writes landing
+                        # there would miss their readers.
                         self.locks.inherit_siread_locks(
-                            gap_resource(table_name, succ),
-                            gap_resource(table_name, key),
+                            page_resource(table_name, touched_pages[0]),
+                            page_resource(table_name, touched_pages[1]),
                         )
-                        if (
-                            len(touched_pages) > 1
-                            and self.locks.has_escalated_locks()
-                        ):
-                            # A leaf split moved keys onto a fresh page:
-                            # escalated page sentinels on the old leaf
-                            # must cover the new sibling too, or writes
-                            # landing there would miss their readers.
-                            self.locks.inherit_siread_locks(
-                                page_resource(table_name, touched_pages[0]),
-                                page_resource(table_name, touched_pages[1]),
-                            )
                     return touched_pages
             result = self._acquire(
                 txn, gap_resource(table_name, succ), LockMode.INSERT_INTENTION
@@ -1752,18 +1803,14 @@ class Database:
         self, txn: Transaction, table_name: str, resource: Resource
     ) -> bool:
         """Does an escalated page/table SIREAD of ``txn``'s own already
-        cover ``resource``?  Gap resources are only subsumed by the table
-        tier — a gap interval can span leaf boundaries, so page coverage
-        cannot stand in for it."""
+        cover the record ``resource`` of a point read?"""
         coarse = txn.coarse_sireads
         if not coarse:
             return False
         if table_resource(table_name) in coarse:
             return True
-        if resource.kind == "rec":
-            page = self.table(table_name).leaf_page_of(resource.key)
-            return page_resource(table_name, page) in coarse
-        return False
+        page = self.table(table_name).leaf_page_of(resource.key)
+        return page_resource(table_name, page) in coarse
 
     def _probe_coarse_sireads(
         self, txn: Transaction, table_name: str, key: Hashable | None
@@ -1801,12 +1848,11 @@ class Database:
         acquisition grew the table.
 
         Victims are the busiest SIREAD holders.  The page tier groups a
-        holder's record sentinels by leaf page; gap sentinels are only
-        promoted by the table tier (a gap can span leaf boundaries, so a
-        page lock derived from one endpoint would miss inserts landing on
-        the neighbouring leaf — an unsound escalation, not merely a
-        coarse one).  Escalation therefore only ever *adds* rw-edge
-        false positives, never loses an antidependency."""
+        holder's record sentinels by leaf page; key ranges are only
+        promoted by the table tier (a range can span leaf boundaries and
+        covers keys no leaf holds yet, so no page lock stands in for it).
+        Escalation therefore only ever *adds* rw-edge false positives,
+        never loses an antidependency."""
         budget = self.config.siread_budget
         lm = self.locks
         if budget is None or lm.table_size() <= budget:
@@ -1837,10 +1883,11 @@ class Database:
                     if lm.table_size() <= budget:
                         return
                 # Table tier: everything left — records below the page
-                # threshold, gaps, and already-escalated page sentinels.
+                # threshold, key ranges, and already-escalated page
+                # sentinels.
                 by_table: dict[str, list[Resource]] = {}
                 for resource in lm.siread_resources(
-                    owner, kinds=("rec", "gap", "page")
+                    owner, kinds=("rec", "range", "page")
                 ):
                     by_table.setdefault(resource.table, []).append(resource)
                 for table_name, fine in by_table.items():
@@ -1909,9 +1956,11 @@ class Database:
         """Write-side locking: EXCLUSIVE record (+ gap for insert/delete).
         Returns the successor whose gap was locked (None without ``gap``).
 
-        SSI detection (Fig 3.5/3.7): every SIREAD holder that has not
-        committed, or committed after this transaction's snapshot, marks a
-        rw-dependency holder -> txn.
+        SSI detection (Fig 3.5/3.7): every SIREAD holder on the record or
+        on a key range covering it that has not committed, or committed
+        after this transaction's snapshot, marks a rw-dependency
+        holder -> txn — for updates, deletes, inserts and blind writes
+        of brand-new keys alike.
         """
         # Fail fast on first-committer-wins before queueing behind the
         # lock: if a newer committed version already exists, waiting is
@@ -1944,6 +1993,13 @@ class Database:
                 with self._tracker_latch:
                     for lock in result.detection_conflicts:
                         txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
+        # The scans whose key range covers this key: probed after the
+        # EXCLUSIVE grant, so a range placed since then saw the grant.
+        readers = self.locks.probe_ranges(txn, table_name, key)
+        if readers:
+            with self._tracker_latch:
+                for lock in readers:
+                    txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
         if (
             self.config.granularity is LockGranularity.RECORD
             and self.locks.has_escalated_locks()
@@ -2226,3 +2282,10 @@ class Database:
 
 
 _MISSING = object()
+
+
+def _live(snapshot: Snapshot | None, chain) -> bool:
+    """Does ``chain`` hold a live row for a reader of ``snapshot`` (the
+    latest committed version when the reader takes no snapshot)?"""
+    version = chain.latest() if snapshot is None else snapshot.visible(chain)
+    return version is not None and not version.is_tombstone

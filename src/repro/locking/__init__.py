@@ -15,6 +15,7 @@ from repro.locking.manager import (
     Resource,
     gap_resource,
     record_resource,
+    range_resource,
     page_resource,
 )
 from repro.locking.deadlock import DeadlockDetector, WaitsForGraph
@@ -30,6 +31,7 @@ __all__ = [
     "Resource",
     "record_resource",
     "gap_resource",
+    "range_resource",
     "page_resource",
     "DeadlockDetector",
     "WaitsForGraph",

@@ -10,7 +10,14 @@ A classic FIFO-queued lock manager extended with the paper's requirements:
 * SIREAD -> EXCLUSIVE upgrade: acquiring an EXCLUSIVE lock discards the
   owner's SIREAD lock on the same resource (Section 3.7.3 / 4.3 item 4);
 * gap resources for next-key locking (Section 2.5.2/3.5): a gap is simply
-  a distinct key in the lock table derived from the same data item.
+  a distinct key in the lock table derived from the same data item;
+* key-range SIREADs for predicate reads (Figs 3.6/3.7): one lock-table
+  entry per scan, covering ``[lo, hi]``.  A writer probes the ranges
+  covering its key after its EXCLUSIVE record grant
+  (:meth:`LockManager.probe_ranges`); a reader places its range and
+  collects the EXCLUSIVE record holders inside it in one critical
+  section (:meth:`LockManager.acquire_range`).  Whichever runs second
+  sees the other.
 
 Lock acquisition never blocks the calling thread.  When a request must
 wait it is enqueued and an :class:`AcquireResult` with ``status=WAIT`` is
@@ -37,8 +44,11 @@ Performance structure:
   :meth:`release_all`, :meth:`drop_siread_locks` and :meth:`cancel_waits`
   O(locks/requests owned).  Nothing on the commit/abort path walks the
   whole table — essential once Section 3.3 SIREAD retention inflates it;
-* scans grant and probe in batches (:meth:`acquire_read_batch`,
-  :meth:`probe_detection_batch`): one critical section per chunk;
+* lock-based scans grant in batches (:meth:`acquire_read_batch`): one
+  critical section per lock round;
+* the sorted index of EXCLUSIVE-held record keys that range readers
+  bisect exists only for tables some range has touched, so writes to
+  tables nobody scans maintain nothing;
 * granted-lock and per-owner SIREAD counters make :meth:`table_size` and
   :meth:`holds_any_siread` O(1).
 """
@@ -47,6 +57,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, NamedTuple
@@ -61,8 +72,10 @@ class Resource(NamedTuple):
     """A key in the lock table.
 
     ``kind`` distinguishes record locks (``"rec"``), gap locks (``"gap"``,
-    conceptually the open interval just before ``key``), and page locks
-    (``"page"``, used by the Berkeley DB-style page-granularity mode).
+    conceptually the open interval just before ``key``), key ranges
+    (``"range"``, ``key`` is the closed ``(lo, hi)`` a scan evaluated,
+    ``None`` for an open end), page locks (``"page"``, used by the
+    Berkeley DB-style page-granularity mode) and whole tables (``"tbl"``).
     """
 
     kind: str
@@ -79,6 +92,10 @@ def record_resource(table: str, key: Hashable) -> Resource:
 
 def gap_resource(table: str, key: Hashable) -> Resource:
     return Resource("gap", table, key)
+
+
+def range_resource(table: str, lo: Hashable | None, hi: Hashable | None) -> Resource:
+    return Resource("range", table, (lo, hi))
 
 
 def page_resource(table: str, page_id: int) -> Resource:
@@ -344,6 +361,7 @@ LockMode.SHARED.detect_mask = 0
 
 _SIREAD_BIT = LockMode.SIREAD.bit
 _SIREAD_SHIFT = LockMode.SIREAD.index << 4
+_EXCLUSIVE_BIT = LockMode.EXCLUSIVE.bit
 
 #: mask -> the modes whose bits it contains (decode table for the rare
 #: paths that need to enumerate a lock's modes).
@@ -366,8 +384,8 @@ class LockManager:
     paper's Section 4.4 arrangement: ``_latch`` guards the resource->head
     map and every field of its heads (wait queues included), the
     per-owner indexes (``_by_owner``, ``_waiting``, ``_siread_counts``),
-    the granted-lock counter, the escalation weights, the waits-for graph
-    and the stats group.  Every public method is exactly one critical
+    the range and EXCLUSIVE-key indexes, the granted-lock counter, the
+    escalation weights, the waits-for graph and the stats group.  Every public method is exactly one critical
     section, so a release, a gap-lock inheritance and an escalation can
     never interleave; private helpers run with the latch already held.
     The handful of latch-free reads that remain are single GIL-atomic
@@ -407,6 +425,16 @@ class LockManager:
         #: still granted; its presence (atomic ``bool(dict)`` probe) gates
         #: the engine's coarse-lock write probes.
         self._escalated_weights: dict[tuple[Hashable, Resource], int] = {}
+        #: table -> {range resource: its head} for every granted key-range
+        #: SIREAD (the same heads live in ``_heads``) — what a writer
+        #: probes.  An emptied per-table dict stays, so the latch-free
+        #: "any ranges here?" probe is one ``dict.get``.
+        self._ranges: dict[str, dict[Resource, _LockHead]] = {}
+        #: table -> sorted keys of its EXCLUSIVE-held record locks — what
+        #: a range reader bisects.  Kept only for tables some range has
+        #: touched (sticky; back-filled from the heads on first use), so
+        #: writes to tables nobody scans maintain nothing.
+        self._exclusive_keys: dict[str, list] = {}
         self.waits_for = WaitsForGraph()
         self.deadlock_handler = deadlock_handler
         self.siread_upgrade = siread_upgrade
@@ -555,6 +583,126 @@ class LockManager:
                         self._siread_counts.get(owner_id, 0) + fresh
                     )
         return conflicts, deferred
+
+    # ------------------------------------------------------ key-range SIREADs
+
+    def acquire_range(
+        self, owner: Any, table: str, lo: Hashable | None, hi: Hashable | None
+    ) -> list[Lock]:
+        """Place a SIREAD on the key range ``[lo, hi]`` of ``table`` (an
+        open end is ``None``) and return the EXCLUSIVE record locks other
+        owners hold inside it — the reader half of phantom detection.
+
+        One critical section: a writer granted before it is returned
+        here, a writer granted after it finds the range when it calls
+        :meth:`probe_ranges`.  A range ``owner`` already holds returns
+        nothing, because every writer granted since it was placed probed it.
+        """
+        resource = range_resource(table, lo, hi)
+        with self._latch:
+            self.stats["acquires"] += 1
+            owner_locks = self._by_owner.get(owner.id)
+            if owner_locks and resource in owner_locks:
+                return _NO_CONFLICTS
+            self._grant(self._range_head(resource), owner, resource,
+                        LockMode.SIREAD, None)
+            keys = self._exclusive_keys.get(table)
+            if keys is None:
+                keys = self._exclusive_keys[table] = sorted(
+                    locked.key
+                    for locked, head in self._heads.items()
+                    if locked.kind == "rec" and locked.table == table
+                    and head.mask & _EXCLUSIVE_BIT
+                )
+            start = 0 if lo is None else bisect_left(keys, lo)
+            stop = len(keys) if hi is None else bisect_right(keys, hi)
+            heads = self._heads
+            conflicts: list[Lock] = []
+            for key in keys[start:stop]:
+                conflicts.extend(self._detection_conflicts(
+                    heads[record_resource(table, key)], owner, LockMode.SIREAD
+                ))
+            return conflicts
+
+    def narrow_range(
+        self, owner: Any, table: str, lo: Hashable | None,
+        hi: Hashable | None, cut: Hashable,
+    ) -> None:
+        """Replace ``owner``'s range ``[lo, hi]`` with ``[lo, cut]`` in one
+        critical section (a prefix scan that stopped at ``cut``).  Nothing
+        happens when the owner no longer holds ``[lo, hi]``: escalation
+        folded it into a table sentinel, which covers ``[lo, cut]`` too."""
+        wide = range_resource(table, lo, hi)
+        narrow = range_resource(table, lo, cut)
+        if narrow == wide:
+            return
+        owner_id = owner.id
+        with self._latch:
+            owner_locks = self._by_owner.get(owner_id)
+            lock = owner_locks.get(wide) if owner_locks else None
+            if lock is None:
+                return
+            if narrow not in owner_locks:
+                self._grant(self._range_head(narrow), owner, narrow,
+                            LockMode.SIREAD, None)
+            self._detach_lock(self._heads[wide], lock)
+            self._forget_locks(owner_id, [lock])
+
+    def probe_ranges(self, owner: Any, table: str, key: Hashable) -> list[Lock]:
+        """The writer half of phantom detection, called after the
+        writer's EXCLUSIVE grant on ``key``: one SIREAD range lock per
+        other owner whose range covers ``key``.
+
+        Latch-free exit (one GIL-atomic ``dict.get``) when ``table`` has
+        no range: a range placed after that probe is placed after the
+        EXCLUSIVE grant too, so its :meth:`acquire_range` returns this
+        writer instead."""
+        if not self._ranges.get(table):
+            return _NO_CONFLICTS
+        owner_id = owner.id
+        found: dict[Hashable, Lock] = {}
+        with self._latch:
+            for resource, head in self._ranges[table].items():
+                lo, hi = resource.key
+                try:
+                    if (lo is not None and key < lo) or (
+                        hi is not None and hi < key
+                    ):
+                        continue
+                except TypeError:
+                    # Bounds the table's keys do not order against (the
+                    # scan that placed them failed in the tree walk):
+                    # count the key as covered rather than fail the write.
+                    pass
+                for holder_id, lock in head.granted.items():
+                    if holder_id != owner_id and holder_id not in found:
+                        found[holder_id] = lock
+        return list(found.values())
+
+    def _range_head(self, resource: Resource) -> _LockHead:
+        """The head of a range resource, created and indexed on first use
+        (caller holds the latch)."""
+        head = self._heads.get(resource)
+        if head is None:
+            head = self._heads[resource] = _LockHead()
+            ranges = self._ranges.get(resource.table)
+            if ranges is None:
+                ranges = self._ranges[resource.table] = {}
+            ranges[resource] = head
+        return head
+
+    def _index_exclusive(self, resource: Resource, held: bool) -> None:
+        """Keep a range-touched table's sorted EXCLUSIVE key index in
+        step with one record lock gaining (``held``) or losing its
+        EXCLUSIVE mode (caller holds the latch).  EXCLUSIVE excludes
+        EXCLUSIVE, so a key is in the index at most once."""
+        keys = self._exclusive_keys.get(resource.table)
+        if keys is None or resource.kind != "rec":
+            return
+        if held:
+            insort(keys, resource.key)
+        else:
+            del keys[bisect_left(keys, resource.key)]
 
     def _enqueue_wait(
         self,
@@ -706,13 +854,18 @@ class LockManager:
         The per-owner bookkeeping is settled separately, in one batch,
         via :meth:`_forget_locks`."""
         del head.granted[lock.owner.id]
+        if lock.mask & _EXCLUSIVE_BIT and self._exclusive_keys:
+            self._index_exclusive(lock.resource, held=False)
         for mode in _MODES_IN[lock.mask]:
             shift = mode.index << 4
             head.counts -= 1 << shift
             if not (head.counts >> shift) & 0xFFFF:
                 head.mask &= ~mode.bit
         if head.empty():
-            self._heads.pop(lock.resource, None)
+            resource = lock.resource
+            self._heads.pop(resource, None)
+            if resource.kind == "range":
+                self._ranges[resource.table].pop(resource, None)
 
     def _forget_locks(
         self, owner_id: Hashable, removed: list[Lock], dropped_stat: int = 0
@@ -759,16 +912,14 @@ class LockManager:
     ) -> int:
         """Replicate SIREAD locks from one resource onto another.
 
-        When an insert splits a gap, holders of SIREAD locks on the old
-        gap (scans whose range covered it, possibly already committed)
-        must also cover the new sub-gap, or later inserts between the new
-        key and its predecessor would escape phantom detection — InnoDB's
-        gap-lock inheritance.  The same replication keeps the page
-        SIREADs :meth:`promote_sireads` installs sound across B+-tree leaf
-        splits: records moved to the new sibling must stay covered.
-        Returns the number of locks inherited.  ``exclude_owner=None``
-        replicates every holder (the page-split case: the splitting
-        writer's own escalated coverage must follow its records).
+        The engine uses it to keep the page SIREADs :meth:`promote_sireads`
+        installs sound across B+-tree leaf splits: records moved to the
+        new sibling must stay covered.  (It is InnoDB's gap-lock
+        inheritance in general form; key-range SIREADs need none, since
+        a range covers keys that do not exist yet.)  Returns the number
+        of locks inherited.  ``exclude_owner=None`` replicates every
+        holder (the page-split case: the splitting writer's own escalated
+        coverage must follow its records).
         """
         exclude_id = exclude_owner.id if exclude_owner is not None else None
         inherited = 0
@@ -824,8 +975,8 @@ class LockManager:
     def probe_detection_batch(
         self, owner: Any, resources: list[Resource], mode: LockMode
     ) -> list[Lock]:
-        """Batched :meth:`probe_detection`: a scan probing hundreds of
-        covered resources pays for one critical section."""
+        """Batched :meth:`probe_detection`: many resources, one critical
+        section."""
         conflicts: list[Lock] = []
         with self._latch:
             heads = self._heads
@@ -1012,7 +1163,7 @@ class LockManager:
 
     def holds_any_siread(self, owner: Any) -> bool:
         """Latch-free (one GIL-atomic ``get``): asked at the owner's own
-        commit, when nothing but gap inheritance can still grant to it —
+        commit, when nothing but page inheritance can still grant to it —
         and inheritance needs an existing SIREAD, so it cannot turn a
         False into a True."""
         return self._siread_counts.get(owner.id, 0) > 0
@@ -1095,6 +1246,8 @@ class LockManager:
         if mode is LockMode.SIREAD:
             owner_id = lock.owner.id
             self._siread_counts[owner_id] = self._siread_counts.get(owner_id, 0) + 1
+        elif bit == _EXCLUSIVE_BIT and self._exclusive_keys:
+            self._index_exclusive(lock.resource, held=True)
 
     def _discard_mode(self, head: _LockHead, lock: Lock, mode: LockMode) -> None:
         """Remove ``mode`` from a granted lock, keeping summaries in sync.
@@ -1106,6 +1259,8 @@ class LockManager:
         head.counts -= 1 << shift
         if not (head.counts >> shift) & 0xFFFF:
             head.mask &= ~bit
+        if bit == _EXCLUSIVE_BIT and self._exclusive_keys:
+            self._index_exclusive(lock.resource, held=False)
         if mode is LockMode.SIREAD:
             owner_id = lock.owner.id
             remaining = self._siread_counts[owner_id] - 1

@@ -17,6 +17,7 @@ the dangerous structure.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
@@ -134,6 +135,13 @@ def build_mvsg(history: HistoryRecorder) -> MVSG:
             writers[(op.table, op.key)].append((record.commit_ts, record.txn_id))
     for versions in writers.values():
         versions.sort()
+    # Written keys per table, sorted, so a predicate scan bisects [lo, hi]
+    # instead of testing every written item.
+    written: dict[str, list] = defaultdict(list)
+    for table, key in writers:
+        written[table].append(key)
+    for keys in written.values():
+        keys.sort()
 
     by_version: dict[tuple[str, Hashable, int], int] = {}
     for (table, key), versions in writers.items():
@@ -167,14 +175,13 @@ def build_mvsg(history: HistoryRecorder) -> MVSG:
         for op in record.scans():
             lo, hi = op.key
             read_ts = op.version_ts or record.begin_ts or 0
-            for (table, key), versions in writers.items():
-                if table != op.table:
-                    continue
-                if lo is not None and key < lo:
-                    continue
-                if hi is not None and hi < key:
-                    continue
-                for commit_ts, writer_id in versions:
-                    if commit_ts > read_ts:
-                        add(record.txn_id, writer_id, "rw", (table, (lo, hi)))
+            item = (op.table, (lo, hi))
+            keys = written.get(op.table, ())
+            start = 0 if lo is None else bisect_left(keys, lo)
+            stop = len(keys) if hi is None else bisect_right(keys, hi)
+            for key in keys[start:stop]:
+                for commit_ts, writer_id in reversed(writers[(op.table, key)]):
+                    if commit_ts <= read_ts:
+                        break
+                    add(record.txn_id, writer_id, "rw", item)
     return graph

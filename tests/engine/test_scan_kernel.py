@@ -1,9 +1,9 @@
 """Engine-level behaviour of the chunked scan kernel.
 
-Covers what the storage tests cannot: ``siread_budget`` escalation of
-scan and prefix-scan SIREADs (bounded lock-table cost, phantom detection
-through the escalated sentinels), the incremental vacuum's
-``vacuum_pause_events`` counter, and
+Covers what the storage tests cannot: one lock-table entry per scan and
+prefix scan, ``siread_budget`` escalation folding key ranges into table
+sentinels (phantom detection through the escalated sentinels), the
+incremental vacuum's ``vacuum_pause_events`` counter, and
 ``scan_prefix`` — its first-N semantics and the cut-point guarantee
 (inserts at or below the cut raise the rw edge, inserts past the cut
 cannot change the answer and raise none).
@@ -43,29 +43,26 @@ class TestVacuumPauseEvents:
 
 
 class TestScanEscalation:
-    """``siread_budget`` escalation is the one way a scan's SIREADs get
-    coarser than a row: the read-lock round escalates once it has
-    granted, so the table ends a wide scan within budget and the
-    escalated sentinels still catch phantoms."""
+    """A SIREAD scan adds one key-range entry to the lock table however
+    many rows it reads, so a scan alone never trips ``siread_budget``.
+    Escalation still bounds the table: point-read SIREADs fold into page
+    and table sentinels, and the table tier folds key ranges in with
+    them — and the escalated sentinels still catch phantoms."""
 
     def test_wide_scan_ends_within_budget(self):
-        """A 200-row SSI scan would park 401 rec+gap SIREADs; under a
-        budget of 4 it ends with at most 4 lock-table entries."""
-        db = make_db(siread_budget=4)
-        fill_range(db, "t", 200, step=1)
-        reader = db.begin("ssi")
-        rows = db.scan(reader, "t")
-        assert len(rows) == 200
-        assert db.locks.table_size() <= 4
-        assert reader.coarse_sireads
-        db.abort(reader)
-
-        unbounded = make_db()
-        fill_range(unbounded, "t", 200, step=1)
-        reader = unbounded.begin("ssi")
-        unbounded.scan(reader, "t")
-        assert unbounded.locks.table_size() == 401
-        unbounded.abort(reader)
+        """A 200-row SSI scan adds exactly one lock-table entry (it used
+        to park 2·rows+1 = 401 record and gap SIREADs), with or without a
+        budget, and nothing escalates."""
+        for budget in (None, 4):
+            db = make_db(siread_budget=budget)
+            fill_range(db, "t", 200, step=1)
+            reader = db.begin("ssi")
+            rows = db.scan(reader, "t")
+            assert len(rows) == 200
+            assert db.locks.table_size() == 1
+            assert not reader.coarse_sireads
+            assert db.locks.stats["escalations"] == 0
+            db.abort(reader)
 
     def test_scan_within_budget_stays_record_granular(self):
         db = make_db(siread_budget=50)
@@ -76,16 +73,26 @@ class TestScanEscalation:
         assert db.locks.stats["escalations"] == 0
         db.abort(reader)
 
-    def test_insert_after_escalated_scan_raises_rw_edge(self):
-        """Phantom protection survives the coarsening: a writer inserting
-        into the scanned range probes the reader's escalated sentinels."""
-        db = make_db(siread_budget=4)
+    def test_insert_after_escalated_scan_raises_rw_edge(self, monkeypatch):
+        """Point reads past the budget escalate, and the table tier folds
+        the reader's key range into its table sentinel: a writer
+        inserting into the scanned range is caught by that sentinel."""
+        # No leaf page is worth folding: escalation goes straight to the
+        # table tier, the one that takes key ranges.
+        monkeypatch.setattr(
+            "repro.engine.database.SIREAD_ESCALATION_MIN_GROUP", 99
+        )
+        db = make_db(siread_budget=2)
         fill_range(db, "t", 20, step=10)
         reader = db.begin("ssi")
-        db.scan(reader, "t")
+        db.scan(reader, "t", 100, 150)
+        for key in range(0, 30, 10):
+            db.read(reader, "t", key)
         assert reader.coarse_sireads
+        assert db.locks.table_size() <= 2
+        assert not db.locks._ranges["t"], "the range was not folded"
         writer = db.begin("ssi")
-        db.insert(writer, "t", 55, "phantom")
+        db.insert(writer, "t", 125, "phantom")
         writer.commit()
         assert reader.out_conflict, "escalated SIREAD missed the phantom"
         assert writer.in_conflict
@@ -93,21 +100,21 @@ class TestScanEscalation:
 
     @pytest.mark.parametrize("phantom_key", [5, 45, 90 - 1])
     def test_prefix_scan_ends_within_budget(self, phantom_key):
-        """``scan_prefix`` shares the read-lock round, so it escalates
-        too: its 20 rec+gap SIREADs end within a budget of 4, and an
-        insert at or below the cut key (90) is still detected."""
+        """``scan_prefix`` adds one key-range entry too, [lo, cut], so it
+        ends within a budget of 4 without escalating, and an insert at or
+        below the cut key (90) is still detected."""
         db = make_db(siread_budget=4)
         fill_range(db, "t", 20, step=10)
         reader = db.begin("ssi")
         rows = db.scan_prefix(reader, "t", limit=10)
         assert [key for key, _ in rows] == list(range(0, 100, 10))
-        assert db.locks.table_size() <= 4
-        assert reader.coarse_sireads
+        assert db.locks.table_size() == 1
+        assert not reader.coarse_sireads
         writer = db.begin("ssi")
         db.insert(writer, "t", phantom_key, "phantom")
         writer.commit()
         assert reader.out_conflict, (
-            f"insert of {phantom_key} below the cut escaped escalation"
+            f"insert of {phantom_key} below the cut escaped the range"
         )
         assert writer.in_conflict
         db.abort(reader)

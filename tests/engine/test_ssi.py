@@ -170,7 +170,7 @@ class TestPivotCommitOrderPrecision:
 class TestPhantoms:
     def test_phantom_write_skew_prevented(self, db):
         """The Section 3.5 scenario: predicate-read vs insert write skew
-        must abort under SSI (gap SIREAD locks detect it)."""
+        must abort under SSI (the scan's key-range SIREAD detects it)."""
         db.create_table("oncall")
         fill(db, "oncall", {("s1", 1): "alice"})
         t1 = db.begin("ssi")

@@ -4,11 +4,14 @@ The optimized :class:`LockManager` answers its hot-path queries from
 derived state — the per-owner lock index (``_by_owner``), the packed
 per-head mode summary (``_LockHead.counts``/``mask``), the per-owner
 waiting-request index (``_waiting``), the per-owner SIREAD counters
-(``_siread_counts``) and the global granted counter — instead of walking
-the lock table.  These tests drive random sequences of acquires (single
-and batched), releases, SIREAD drops, wait cancellations, gap-lock
-inheritance and SIREAD escalation, then rebuild every index from the
-ground-truth table (the per-resource heads) and require exact agreement.
+(``_siread_counts``), the per-table key-range index (``_ranges``), the
+sorted EXCLUSIVE record keys of range-touched tables (``_exclusive_keys``)
+and the global granted counter — instead of walking the lock table.
+These tests drive random sequences of acquires (single and batched),
+key-range placements and narrowings, releases, SIREAD drops, wait
+cancellations, gap-lock inheritance and SIREAD escalation, then rebuild
+every index from the ground-truth table (the per-resource heads) and
+require exact agreement.
 """
 
 from dataclasses import dataclass
@@ -93,6 +96,19 @@ def check_agreement(lm: LockManager, owners):
         "waiters": len(waiting),
         "siread": sum(siread_counts.values()),
     }
+    # the range index holds exactly the range heads, the EXCLUSIVE key
+    # index exactly the EXCLUSIVE record keys of each tracked table
+    assert {
+        resource: head
+        for ranges in lm._ranges.values()
+        for resource, head in ranges.items()
+    } == {r: h for r, h in lm._heads.items() if r.kind == "range"}
+    for table, keys in lm._exclusive_keys.items():
+        assert keys == sorted(
+            r.key for r, h in lm._heads.items()
+            if r.kind == "rec" and r.table == table
+            and h.mask & LockMode.EXCLUSIVE.bit
+        )
     # an escalation weight never outlives the sentinel it weighs
     for owner_id, resource in lm._escalated_weights:
         assert by_owner[owner_id][resource].mask & LockMode.SIREAD.bit
@@ -117,6 +133,8 @@ owner_ids = st.integers(0, N_OWNERS - 1)
 resource_sets = st.lists(
     st.integers(0, len(RESOURCES) - 1), unique=True, max_size=len(RESOURCES)
 )
+#: key-range bounds over the record keys 0..3 (None = open end)
+bounds = st.one_of(st.none(), st.integers(0, 3))
 
 op = st.one_of(
     st.tuples(
@@ -140,6 +158,11 @@ op = st.one_of(
     st.tuples(st.just("drop_siread"), owner_ids),
     st.tuples(st.just("cancel_waits"), owner_ids),
     st.tuples(st.just("cancel_request"), owner_ids),
+    st.tuples(st.just("range"), owner_ids, bounds, bounds),
+    st.tuples(
+        st.just("narrow"), owner_ids, bounds, bounds, st.integers(0, 3)
+    ),
+    st.tuples(st.just("promote_ranges"), owner_ids),
     st.tuples(
         st.just("inherit"),
         st.sampled_from(GAPS),  # from gap
@@ -170,6 +193,18 @@ def apply(lm: LockManager, owners, requests, op):
             owners[owner],
             [RESOURCES[r] for r in fine if r < coarse],
             RESOURCES[coarse],
+        )
+    elif kind == "range":
+        _, owner, lo, hi = op
+        lm.acquire_range(owners[owner], "t", lo, hi)
+    elif kind == "narrow":
+        _, owner, lo, hi, cut = op
+        lm.narrow_range(owners[owner], "t", lo, hi, cut)
+    elif kind == "promote_ranges":
+        owner = owners[op[1]]
+        lm.promote_sireads(
+            owner, lm.siread_resources(owner, kinds=("range",)),
+            table_resource("t"),
         )
     elif kind == "release_all":
         _, owner, keep_siread = op
@@ -207,6 +242,8 @@ def test_indexes_agree_with_lock_table(sequence):
     assert not lm._heads
     assert not any(lm.residue().values())
     assert not lm._escalated_weights
+    assert not any(lm._ranges.values())
+    assert not any(lm._exclusive_keys.values())
 
 
 def table_of(lm: LockManager):

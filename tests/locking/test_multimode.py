@@ -126,8 +126,9 @@ class TestGapInheritance:
 
 class TestEndToEndGapSplit:
     def test_split_gap_still_detects_phantom(self):
-        """Committed scanner; insert splits its gap; a second insert into
-        the new sub-gap must still conflict with the (inherited) SIREAD."""
+        """Committed scanner; an insert splits the gap it scanned; a
+        second insert into the new sub-gap must still conflict with the
+        scanner's retained SIREAD (its key range covers the sub-gap)."""
         from repro import Database, EngineConfig
         from repro.errors import TransactionAbortedError
 
@@ -143,7 +144,7 @@ class TestEndToEndGapSplit:
         second = db.begin("ssi")
         second.read("t", 0)
 
-        scanner.commit()  # suspended with gap SIREADs (overlap: second)
+        scanner.commit()  # suspended with its range SIREAD (overlap: second)
 
         splitter = db.begin("ssi")
         splitter.insert("t", 50, "mid")   # splits the (0,100) gap
@@ -155,6 +156,6 @@ class TestEndToEndGapSplit:
             second.commit()
         except TransactionAbortedError:
             pass
-        # The inherited SIREAD on gap:50 made the rw conflict between the
-        # committed scanner and the concurrent inserter visible.
+        # The retained range made the rw conflict between the committed
+        # scanner and the concurrent inserter visible.
         assert db.tracker.stats["marked"] > marked_before
