@@ -174,6 +174,8 @@ DEFAULT_RULES = {
         "_waiting": "lock",
         "_siread_counts": "lock",
         "_granted_count": "lock",
+        # escalate/_fold: the fold's weight plus the heads and indexes
+        # above, all under the one manager latch
         "_escalated_weights": "lock",
         "_ranges": "lock",
         "_exclusive_keys": "lock",

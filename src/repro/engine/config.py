@@ -98,9 +98,9 @@ class EngineConfig:
     lock_timeout: float | None = None
     #: lock-table budget for SIREAD state (None = unbounded, the paper's
     #: behaviour).  When the granted-lock count exceeds the budget, the
-    #: engine escalates record SIREADs of the busiest holder to page,
-    #: then table, granularity (key-range SIREADs of scans fold into the
-    #: table tier) — the Ports & Grittner memory-bounding strategy.
+    #: lock manager folds the busiest holders' record and key-range
+    #: SIREADs on each table into one key range over their span — a
+    #: coarser unit in the spirit of Ports & Grittner's memory bound.
     #: Escalation may only introduce false-positive aborts, never miss an
     #: rw-antidependency.  RECORD granularity only.
     siread_budget: int | None = None

@@ -37,7 +37,6 @@ run outside every engine latch.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Hashable, Iterable, Optional
 
 from repro.cc import build_policies
@@ -75,7 +74,6 @@ from repro.locking.manager import (
     page_resource,
     range_resource,
     record_resource,
-    table_resource,
 )
 from repro.locking.modes import LockMode
 from repro.mvcc.snapshot import Snapshot
@@ -92,10 +90,6 @@ from repro.storage.table import Table
 #: whole summary for non-certifying levels: SI/S2PL export no rw state).
 _EMPTY_SUMMARY = {"in": False, "out": False,
                   "in_partner": None, "out_partner": None}
-
-#: fewest record SIREADs on one leaf page worth replacing with a single
-#: page SIREAD when ``siread_budget`` escalation runs.
-SIREAD_ESCALATION_MIN_GROUP = 2
 
 
 class Database:
@@ -138,10 +132,14 @@ class Database:
         self.needs_wait_polling = (
             self.config.deadlock_mode is DeadlockMode.PERIODIC
         )
-        #: single-escalator guard for SIREAD granularity escalation; a
-        #: plain (unranked) lock taken with blocking=False only — at most
-        #: one thread escalates while the rest carry on.
-        self._escalation_guard = threading.Lock()
+        #: the lock-table budget :meth:`LockManager.escalate` enforces
+        #: after SIREAD grants; escalation folds into key ranges, which
+        #: only RECORD granularity takes
+        self._siread_budget = (
+            self.config.siread_budget
+            if self.config.granularity is LockGranularity.RECORD
+            else None
+        )
         #: safe-snapshot monitor (Ports & Grittner §2.4), published by
         #: SSIPolicy.install when the SSI family is available.
         self.safe_snapshots = None
@@ -766,19 +764,7 @@ class Database:
             for (table_name, key), value in txn.write_set.items():
                 table = self.table(table_name)
                 with table.latch:
-                    chain, touched = table.ensure_chain(key)
-                    if (
-                        len(touched) > 1
-                        and not page_mode
-                        and self.locks.has_escalated_locks()
-                    ):
-                        # A blind write's key registration split a leaf:
-                        # replicate escalated page sentinels onto the new
-                        # sibling (commit 30 < queue 50 keeps rank order).
-                        self.locks.inherit_siread_locks(
-                            page_resource(table_name, touched[0]),
-                            page_resource(table_name, touched[1]),
-                        )
+                    chain = table.ensure_chain(key)[0]
                     chain_length = chain.install(
                         Version(value=value, commit_ts=txn.commit_ts,
                                 creator_id=txn.id)
@@ -992,7 +978,7 @@ class Database:
         elif self._locks_ranges(read_mode):
             for lock in self.locks.acquire_range(txn, table_name, lo, hi):
                 self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            self._escalate_sireads()
+            self.locks.escalate(self._siread_budget)
             chains = self._materialize_chunks(table, lo, hi)
         else:
             keyset_before = table.keyset_version
@@ -1303,7 +1289,7 @@ class Database:
             for lock in in_flight:
                 if cut_key is _MISSING or not cut_key < lock.resource.key:
                     self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            self._escalate_sireads()
+            self.locks.escalate(self._siread_budget)
         return visited, cut_key
 
     def _prefix_walk_locked(
@@ -1386,17 +1372,26 @@ class Database:
     # ------------------------------------------------------------- writing
 
     def write(self, txn: Transaction, table_name: str, key: Hashable, value: Any) -> None:
-        """Fig 3.5's modified write: blind upsert of a single item."""
+        """Fig 3.5's modified write: blind upsert of a single item.
+
+        A key with no chain yet is new: the write takes :meth:`insert`'s
+        next-key step, so it meets a blocking scanner's gap lock exactly
+        as an insert would."""
         self._check_op(txn)
         self._check_write(txn)
-        self.table(table_name)  # validate early
-        self._acquire_write_locks(txn, table_name, key, gap=False)
+        table = self.table(table_name)
+        new_key = table.chain(key) is None
+        locked_succ = self._acquire_write_locks(
+            txn, table_name, key, gap=new_key
+        )
         self._ensure_snapshot(txn)
         self._first_committer_check(txn, table_name, key)
         if txn.policy.tracks_writes:
             with self._tracker_latch:
                 txn.policy.on_write(txn, table_name, key)
         self._maintain_indexes(txn, table_name, key, value)
+        if new_key:
+            self._install_key(txn, table, table_name, key, locked_succ)
         txn.write_set[(table_name, key)] = value
         txn.write_kinds.setdefault((table_name, key), "write")
         self.stats.inc("writes")
@@ -1421,12 +1416,7 @@ class Database:
             with self._tracker_latch:
                 txn.policy.on_write(txn, table_name, key)
         self._maintain_indexes(txn, table_name, key, value)
-        page_mode = self.config.granularity is LockGranularity.PAGE
-        touched_pages = self._install_key(
-            txn, table, table_name, key, page_mode, locked_succ
-        )
-        if page_mode and touched_pages:
-            self._lock_touched_pages(txn, table_name, touched_pages)
+        self._install_key(txn, table, table_name, key, locked_succ)
         txn.write_set[(table_name, key)] = value
         txn.write_kinds[(table_name, key)] = "insert"
         self.stats.inc("writes")
@@ -1439,11 +1429,11 @@ class Database:
         table: Table,
         table_name: str,
         key: Hashable,
-        page_mode: bool,
         locked_succ: Hashable,
-    ) -> list[int]:
+    ) -> None:
         """Register ``key`` in the tree (with an empty, invisible chain)
-        so gap structure and page layout reflect the insert.
+        so gap structure and page layout reflect the insert; PAGE
+        granularity then locks every page the registration touched.
 
         Next-key locking must target the key's *actual* successor at the
         moment the tree changes: a concurrent insert may have split our
@@ -1457,25 +1447,13 @@ class Database:
         need no gap bookkeeping here: their key range already covers
         the new key.
         """
+        page_mode = self.config.granularity is LockGranularity.PAGE
         while True:
             with table.latch:
                 succ = table.successor(key)
                 if page_mode or succ == locked_succ:
-                    _chain, touched_pages = table.ensure_chain(key)
-                    if (
-                        not page_mode
-                        and len(touched_pages) > 1
-                        and self.locks.has_escalated_locks()
-                    ):
-                        # A leaf split moved keys onto a fresh page:
-                        # escalated page sentinels on the old leaf must
-                        # cover the new sibling too, or writes landing
-                        # there would miss their readers.
-                        self.locks.inherit_siread_locks(
-                            page_resource(table_name, touched_pages[0]),
-                            page_resource(table_name, touched_pages[1]),
-                        )
-                    return touched_pages
+                    touched_pages = table.ensure_chain(key)[1]
+                    break
             result = self._acquire(
                 txn, gap_resource(table_name, succ), LockMode.INSERT_INTENTION
             )
@@ -1483,12 +1461,9 @@ class Database:
                 with self._tracker_latch:
                     for lock in result.detection_conflicts:
                         txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
-            if (
-                self.config.granularity is LockGranularity.RECORD
-                and self.locks.has_escalated_locks()
-            ):
-                self._probe_coarse_sireads(txn, table_name, None)
             locked_succ = succ
+        if page_mode and touched_pages:
+            self._lock_touched_pages(txn, table_name, touched_pages)
 
     def delete(self, txn: Transaction, table_name: str, key: Hashable) -> None:
         """Fig 3.7's delete: installs a tombstone version at commit."""
@@ -1799,106 +1774,6 @@ class Database:
             return page_resource(table_name, self.table(table_name).leaf_page_of(gap_key))
         return gap_resource(table_name, gap_key)
 
-    def _covered_by_coarse(
-        self, txn: Transaction, table_name: str, resource: Resource
-    ) -> bool:
-        """Does an escalated page/table SIREAD of ``txn``'s own already
-        cover the record ``resource`` of a point read?"""
-        coarse = txn.coarse_sireads
-        if not coarse:
-            return False
-        if table_resource(table_name) in coarse:
-            return True
-        page = self.table(table_name).leaf_page_of(resource.key)
-        return page_resource(table_name, page) in coarse
-
-    def _probe_coarse_sireads(
-        self, txn: Transaction, table_name: str, key: Hashable | None
-    ) -> None:
-        """After a write-side lock grant under RECORD granularity, when
-        any SIREAD escalation is live: the readers of this unit may now
-        be represented only by coarse page/table sentinels — probe those
-        and dispatch the same rw edges the fine acquire would have
-        reported.  Probing *after* the EXCLUSIVE/II grant closes the race
-        with an escalation completing in between: promotion grants coarse
-        before removing fine, so the writer always sees one or the other.
-        """
-        lm = self.locks
-        conflicts = list(
-            lm.probe_detection(
-                txn, table_resource(table_name), LockMode.EXCLUSIVE
-            )
-        )
-        if key is not None:
-            page = self.table(table_name).leaf_page_of(key)
-            conflicts.extend(
-                lm.probe_detection(
-                    txn, page_resource(table_name, page), LockMode.EXCLUSIVE
-                )
-            )
-        if conflicts:
-            with self._tracker_latch:
-                for lock in conflicts:
-                    txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
-
-    def _escalate_sireads(self) -> None:
-        """Bring the lock table back under ``siread_budget`` by promoting
-        record SIREADs to coarser units (record -> page -> table, Ports &
-        Grittner Section 4).  Called with no latch held, after read-lock
-        acquisition grew the table.
-
-        Victims are the busiest SIREAD holders.  The page tier groups a
-        holder's record sentinels by leaf page; key ranges are only
-        promoted by the table tier (a range can span leaf boundaries and
-        covers keys no leaf holds yet, so no page lock stands in for it).
-        Escalation therefore only ever *adds* rw-edge false positives,
-        never loses an antidependency."""
-        budget = self.config.siread_budget
-        lm = self.locks
-        if budget is None or lm.table_size() <= budget:
-            return
-        if self.config.granularity is not LockGranularity.RECORD:
-            return
-        if not self._escalation_guard.acquire(blocking=False):
-            return  # another thread is already escalating
-        try:
-            for owner in lm.siread_owners_by_count():
-                if lm.table_size() <= budget:
-                    return
-                groups: dict[tuple[str, int], list[Resource]] = {}
-                for resource in lm.siread_resources(owner, kinds=("rec",)):
-                    table = self._tables.get(resource.table)
-                    if table is None:
-                        continue
-                    page = table.leaf_page_of(resource.key)
-                    groups.setdefault((resource.table, page), []).append(
-                        resource
-                    )
-                for (table_name, page), fine in groups.items():
-                    if len(fine) < SIREAD_ESCALATION_MIN_GROUP:
-                        continue
-                    coarse = page_resource(table_name, page)
-                    if lm.promote_sireads(owner, fine, coarse):
-                        owner.coarse_sireads.add(coarse)
-                    if lm.table_size() <= budget:
-                        return
-                # Table tier: everything left — records below the page
-                # threshold, key ranges, and already-escalated page
-                # sentinels.
-                by_table: dict[str, list[Resource]] = {}
-                for resource in lm.siread_resources(
-                    owner, kinds=("rec", "range", "page")
-                ):
-                    by_table.setdefault(resource.table, []).append(resource)
-                for table_name, fine in by_table.items():
-                    coarse = table_resource(table_name)
-                    if lm.promote_sireads(owner, fine, coarse):
-                        owner.coarse_sireads.add(coarse)
-                    if lm.table_size() <= budget:
-                        return
-        finally:
-            self._escalation_guard.release()
-
     def _acquire(self, txn: Transaction, resource: Resource, mode: LockMode) -> AcquireResult:
         """Acquire or raise LockWaitRequired; resolves denied requests."""
         result = self.locks.acquire(txn, resource, mode)
@@ -1928,13 +1803,13 @@ class Database:
             # own EXCLUSIVE acquire and dispatched the rw edge from the
             # writer side (Fig 3.5) — nothing left to do or report.
             return
-        if mode is LockMode.SIREAD and self._covered_by_coarse(
-            txn, table_name, resource
+        if mode is LockMode.SIREAD and self.locks.holds_range_over(
+            txn, table_name, key
         ):
-            # An escalated sentinel of our own already covers this unit:
-            # writers see it via their coarse probes, so no fine lock is
-            # added — but the reader-side Fig 3.4 check against granted
-            # EXCLUSIVE holders must still run.
+            # A key range of our own (a scan's or a fold's) already
+            # covers the key: writers find it through probe_ranges, so no
+            # record SIREAD is added — but the reader-side Fig 3.4 check
+            # against granted EXCLUSIVE holders must still run.
             txn._siread_cache.add(resource)
             for lock in self.locks.probe_detection(txn, resource, mode):
                 self.dispatch_rw_edge(reader=txn, writer=lock.owner)
@@ -1947,8 +1822,8 @@ class Database:
             # (SHARED requests report no detection conflicts, so this
             # loop is empty for lock-based readers.)
             self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-        if mode is LockMode.SIREAD and self.config.siread_budget is not None:
-            self._escalate_sireads()
+        if mode is LockMode.SIREAD and self._siread_budget is not None:
+            self.locks.escalate(self._siread_budget)
 
     def _acquire_write_locks(
         self, txn: Transaction, table_name: str, key: Hashable, gap: bool
@@ -2000,11 +1875,6 @@ class Database:
             with self._tracker_latch:
                 for lock in readers:
                     txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
-        if (
-            self.config.granularity is LockGranularity.RECORD
-            and self.locks.has_escalated_locks()
-        ):
-            self._probe_coarse_sireads(txn, table_name, key)
         return succ
 
     def _lock_touched_pages(

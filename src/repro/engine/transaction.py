@@ -56,7 +56,6 @@ class Transaction:
         "_siread_cache",
         "read_only",
         "snapshot_safe",
-        "coarse_sireads",
         "_safe_event",
         "prepared",
         "global_id",
@@ -113,9 +112,6 @@ class Transaction:
         #: yet proven safe, True = the snapshot can no longer join a
         #: dangerous structure — SIREADs dropped, detection skipped.
         self.snapshot_safe: bool | None = None
-        #: coarse (page/table) SIREAD resources granted to this txn by
-        #: escalation — the read path skips fine acquisition under them.
-        self.coarse_sireads: set = set()
         #: completion the safe-snapshot monitor fires (via ``.set()``) to
         #: wake or reschedule a deferrable begin().
         self._safe_event: Completion | None = None

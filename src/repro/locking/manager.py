@@ -17,7 +17,11 @@ A classic FIFO-queued lock manager extended with the paper's requirements:
   (:meth:`LockManager.probe_ranges`); a reader places its range and
   collects the EXCLUSIVE record holders inside it in one critical
   section (:meth:`LockManager.acquire_range`).  Whichever runs second
-  sees the other.
+  sees the other;
+* SIREAD escalation (:meth:`LockManager.escalate`): past a lock-table
+  budget, an owner's pure record and range SIREADs on one table fold
+  into one key range over their span — the only SIREAD unit coarser
+  than a row, probed by writers like any scan's range.
 
 Lock acquisition never blocks the calling thread.  When a request must
 wait it is enqueued and an :class:`AcquireResult` with ``status=WAIT`` is
@@ -75,7 +79,7 @@ class Resource(NamedTuple):
     conceptually the open interval just before ``key``), key ranges
     (``"range"``, ``key`` is the closed ``(lo, hi)`` a scan evaluated,
     ``None`` for an open end), page locks (``"page"``, used by the
-    Berkeley DB-style page-granularity mode) and whole tables (``"tbl"``).
+    Berkeley DB-style page-granularity mode).
     """
 
     kind: str
@@ -100,12 +104,6 @@ def range_resource(table: str, lo: Hashable | None, hi: Hashable | None) -> Reso
 
 def page_resource(table: str, page_id: int) -> Resource:
     return Resource("page", table, page_id)
-
-
-def table_resource(table: str) -> Resource:
-    """The whole-table unit — the top of the SIREAD escalation ladder
-    (record -> page -> table, Ports & Grittner Section 4)."""
-    return Resource("tbl", table, None)
 
 
 class Lock:
@@ -360,6 +358,8 @@ LockMode.INSERT_INTENTION.detect_mask = LockMode.SIREAD.bit
 LockMode.SHARED.detect_mask = 0
 
 _SIREAD_BIT = LockMode.SIREAD.bit
+#: resource kinds :meth:`LockManager.escalate` folds into key ranges
+_FOLDABLE = ("rec", "range")
 _SIREAD_SHIFT = LockMode.SIREAD.index << 4
 _EXCLUSIVE_BIT = LockMode.EXCLUSIVE.bit
 
@@ -377,6 +377,18 @@ for _mask in range(1, 1 << len(LockMode)):
     _STRONGEST_BIT[_mask] = max(_members, key=_STRENGTH.__getitem__).bit
 
 
+def _covers(bounds: tuple, key: Hashable) -> bool:
+    """Does the closed range ``bounds`` (``None`` = open end) cover
+    ``key``?  Bounds the key does not order against (a scan that failed
+    in the tree walk, a fold over mixed key types) count as covering it:
+    a conservative edge rather than a failed write."""
+    lo, hi = bounds
+    try:
+        return not ((lo is not None and key < lo) or (hi is not None and hi < key))
+    except TypeError:
+        return True
+
+
 class LockManager:
     """Lock table with FIFO queuing, upgrades and waits-for maintenance.
 
@@ -385,9 +397,10 @@ class LockManager:
     map and every field of its heads (wait queues included), the
     per-owner indexes (``_by_owner``, ``_waiting``, ``_siread_counts``),
     the range and EXCLUSIVE-key indexes, the granted-lock counter, the
-    escalation weights, the waits-for graph and the stats group.  Every public method is exactly one critical
-    section, so a release, a gap-lock inheritance and an escalation can
-    never interleave; private helpers run with the latch already held.
+    escalation weights, the waits-for graph and the stats group.  Every
+    public method is exactly one critical section, so a release and an
+    escalation can never interleave; private helpers run with the latch
+    already held.
     The handful of latch-free reads that remain are single GIL-atomic
     dict/int probes, each documented where it happens with the reason a
     stale answer is safe.
@@ -420,10 +433,9 @@ class LockManager:
         #: holds_any_siread, consulted on every SSI commit).
         self._siread_counts: dict[Hashable, int] = {}
         self._granted_count = 0
-        #: (owner_id, coarse resource) -> number of record SIREADs the
-        #: coarse lock replaced.  An entry exists for every escalated lock
-        #: still granted; its presence (atomic ``bool(dict)`` probe) gates
-        #: the engine's coarse-lock write probes.
+        #: (owner_id, folded range) -> the sentinels that range stands
+        #: for, itself included.  An entry exists for every folded range
+        #: still granted; it leaves with the range's SIREAD.
         self._escalated_weights: dict[tuple[Hashable, Resource], int] = {}
         #: table -> {range resource: its head} for every granted key-range
         #: SIREAD (the same heads live in ``_heads``) — what a writer
@@ -596,16 +608,21 @@ class LockManager:
         One critical section: a writer granted before it is returned
         here, a writer granted after it finds the range when it calls
         :meth:`probe_ranges`.  A range ``owner`` already holds returns
-        nothing, because every writer granted since it was placed probed it.
+        nothing, because every writer granted since it was placed probed
+        it — unless escalation placed it: the writers inside a fold that
+        were granted before it met only the sentinels it absorbed.
         """
         resource = range_resource(table, lo, hi)
         with self._latch:
             self.stats["acquires"] += 1
             owner_locks = self._by_owner.get(owner.id)
-            if owner_locks and resource in owner_locks:
+            held = owner_locks.get(resource) if owner_locks else None
+            if held is not None and (
+                (owner.id, resource) not in self._escalated_weights
+            ):
                 return _NO_CONFLICTS
             self._grant(self._range_head(resource), owner, resource,
-                        LockMode.SIREAD, None)
+                        LockMode.SIREAD, held)
             keys = self._exclusive_keys.get(table)
             if keys is None:
                 keys = self._exclusive_keys[table] = sorted(
@@ -630,8 +647,9 @@ class LockManager:
     ) -> None:
         """Replace ``owner``'s range ``[lo, hi]`` with ``[lo, cut]`` in one
         critical section (a prefix scan that stopped at ``cut``).  Nothing
-        happens when the owner no longer holds ``[lo, hi]``: escalation
-        folded it into a table sentinel, which covers ``[lo, cut]`` too."""
+        happens when ``[lo, hi]`` is no longer the scan's own range:
+        escalation folded it, and the fold covers ``[lo, hi]`` and
+        whatever else it absorbed."""
         wide = range_resource(table, lo, hi)
         narrow = range_resource(table, lo, cut)
         if narrow == wide:
@@ -640,7 +658,7 @@ class LockManager:
         with self._latch:
             owner_locks = self._by_owner.get(owner_id)
             lock = owner_locks.get(wide) if owner_locks else None
-            if lock is None:
+            if lock is None or (owner_id, wide) in self._escalated_weights:
                 return
             if narrow not in owner_locks:
                 self._grant(self._range_head(narrow), owner, narrow,
@@ -663,21 +681,30 @@ class LockManager:
         found: dict[Hashable, Lock] = {}
         with self._latch:
             for resource, head in self._ranges[table].items():
-                lo, hi = resource.key
-                try:
-                    if (lo is not None and key < lo) or (
-                        hi is not None and hi < key
-                    ):
-                        continue
-                except TypeError:
-                    # Bounds the table's keys do not order against (the
-                    # scan that placed them failed in the tree walk):
-                    # count the key as covered rather than fail the write.
-                    pass
+                if not _covers(resource.key, key):
+                    continue
                 for holder_id, lock in head.granted.items():
                     if holder_id != owner_id and holder_id not in found:
                         found[holder_id] = lock
         return list(found.values())
+
+    def holds_range_over(self, owner: Any, table: str, key: Hashable) -> bool:
+        """Does a key-range SIREAD of ``owner``'s own cover ``key``?  A
+        point read it covers needs no record SIREAD: writers of ``key``
+        find the range through :meth:`probe_ranges`.
+
+        Latch-free exit (two GIL-atomic ``dict.get``) when the owner
+        holds no SIREAD or the table no range: only the owner's own
+        thread grants it a SIREAD, and escalation only folds SIREADs it
+        already holds."""
+        owner_id = owner.id
+        if not self._siread_counts.get(owner_id) or not self._ranges.get(table):
+            return False
+        with self._latch:
+            return any(
+                owner_id in head.granted and _covers(resource.key, key)
+                for resource, head in self._ranges[table].items()
+            )
 
     def _range_head(self, resource: Resource) -> _LockHead:
         """The head of a range resource, created and indexed on first use
@@ -755,10 +782,9 @@ class LockManager:
         An owner with no granted locks and no waiting requests exits with
         no latch at all.  The two membership probes are GIL-atomic, and a
         stale "absent" cannot hide a lock: nothing is ever granted to an
-        owner that is in neither index — inheritance only replicates onto
-        existing SIREAD holders, escalation only promotes held sentinels,
-        and :meth:`_promote` indexes a waiter's grant *before* it leaves
-        ``_waiting``.
+        owner that is in neither index — escalation only folds held
+        sentinels, and :meth:`_promote` indexes a waiter's grant *before*
+        it leaves ``_waiting``.
         """
         owner_id = owner.id
         if owner_id not in self._by_owner and owner_id not in self._waiting:
@@ -817,8 +843,8 @@ class LockManager:
     def drop_siread_locks(self, owner: Any) -> int:
         """Remove retained SIREAD locks of a cleaned-up suspended txn.
 
-        The weighted return value counts an escalated coarse sentinel as
-        the record locks it replaced.
+        The weighted return value counts a folded range as the sentinels
+        it replaced.
 
         An owner absent from ``_by_owner`` returns 0 with no latch (one
         GIL-atomic probe); the stale answer is safe for the reason given
@@ -844,7 +870,7 @@ class LockManager:
                 else:
                     shed += self._shed_siread(heads[resource], lock)
             dropped = len(removed) + shed
-            # The surplus is the extra records escalated sentinels stood for.
+            # The surplus is the extra sentinels folded ranges stood for.
             return dropped + self._forget_locks(
                 owner_id, removed, dropped_stat=dropped
             )
@@ -874,8 +900,8 @@ class LockManager:
         (caller holds the latch); ``dropped_stat`` is the number of
         sentinels being counted into ``siread_dropped``.
 
-        An escalated coarse lock counts as the record locks it replaced:
-        its weight entry is popped here, and when the removal is being
+        A folded range counts as the sentinels it replaced: its weight
+        entry is popped here, and when the removal is being
         counted as a drop the surplus (weight - 1 per coarse lock) joins
         ``siread_dropped`` so obs snapshots stay comparable before and
         after escalation.  Returns the surplus for callers that report
@@ -904,68 +930,87 @@ class LockManager:
             self.stats["siread_dropped"] += dropped_stat + surplus
         return surplus
 
-    def inherit_siread_locks(
-        self,
-        from_resource: Resource,
-        to_resource: Resource,
-        exclude_owner: Any = None,
-    ) -> int:
-        """Replicate SIREAD locks from one resource onto another.
-
-        The engine uses it to keep the page SIREADs :meth:`promote_sireads`
-        installs sound across B+-tree leaf splits: records moved to the
-        new sibling must stay covered.  (It is InnoDB's gap-lock
-        inheritance in general form; key-range SIREADs need none, since
-        a range covers keys that do not exist yet.)  Returns the number
-        of locks inherited.  ``exclude_owner=None`` replicates every
-        holder (the page-split case: the splitting writer's own escalated
-        coverage must follow its records).
-        """
-        exclude_id = exclude_owner.id if exclude_owner is not None else None
-        inherited = 0
-        with self._latch:
-            head = self._heads.get(from_resource)
-            if head is None or not head.mask & _SIREAD_BIT:
-                return 0
-            holders = [
-                lock.owner
-                for lock in head.granted.values()
-                if lock.mask & _SIREAD_BIT and lock.owner.id != exclude_id
-            ]
-            if not holders:
-                return 0
-            to_head = self._heads.get(to_resource)
-            if to_head is None:
-                to_head = self._heads[to_resource] = _LockHead()
-            for holder in holders:
-                existing = self._by_owner[holder.id].get(to_resource)
-                if existing is not None and existing.mask & _SIREAD_BIT:
-                    continue
-                self._grant(to_head, holder, to_resource, LockMode.SIREAD, existing)
-                inherited += 1
-        return inherited
-
     # ----------------------------------------------------- SIREAD escalation
 
-    def has_escalated_locks(self) -> bool:
-        """Atomic, latch-free gate for the engine's coarse-unit write
-        probes: False proves no escalated page/table SIREAD exists
-        (:meth:`promote_sireads` is the only way one is created).  The
-        weight entry is inserted *before* its coarse lock is granted and
-        removed only with the lock, so a stale True merely sends the
-        writer to probe an empty head — safe, never the reverse."""
-        return bool(self._escalated_weights)
+    def escalate(self, budget: int | None) -> None:
+        """Bring the lock table back under ``budget`` granted locks by
+        folding SIREADs into key ranges (``None`` = no budget).
+
+        Victims are the busiest SIREAD holders (ties by owner id).  A
+        victim's pure record and range SIREADs on one table fold into one
+        range over their span (:meth:`_fold`); a mixed-mode lock belongs
+        to an active writer and stays put, and a lone sentinel is already
+        as coarse as its fold.  Writers find the fold through
+        :meth:`probe_ranges` like any scan's range, and a range covers
+        keys no leaf holds yet, so a leaf split owes it nothing.
+
+        Soundness: the whole escalation is one critical section, so a
+        writer sees the fine sentinels or their fold, never neither, and
+        the fold covers every key they covered — escalation can add
+        false-positive rw edges but never lose one.  The latch-free
+        budget check reads one int (:meth:`table_size`)."""
+        if budget is None or self._granted_count <= budget:
+            return
+        with self._latch:
+            ranked = sorted(
+                self._siread_counts.items(),
+                key=lambda item: (-item[1], str(item[0])),
+            )
+            for owner_id, _count in ranked:
+                by_table: dict[str, list[Lock]] = {}
+                for resource, lock in self._by_owner[owner_id].items():
+                    if resource.kind in _FOLDABLE and lock.mask == _SIREAD_BIT:
+                        by_table.setdefault(resource.table, []).append(lock)
+                for table, locks in by_table.items():
+                    if len(locks) > 1:
+                        self._fold(table, locks)
+                    if self._granted_count <= budget:
+                        return
+
+    def _fold(self, table: str, locks: list[Lock]) -> None:
+        """Replace one owner's pure SIREADs ``locks`` on ``table`` with one
+        SIREAD on the range ``[min lo, max hi]`` of what they covered (a
+        record covers its own key; an open end stays ``None``; bounds that
+        do not order against each other fold to the whole table).
+
+        The replaced sentinels are *folded*, not dropped: no
+        ``siread_dropped`` bump — the range's weight entry carries their
+        count, folded ranges' own weights included, to whichever path
+        finally removes it."""
+        spans = [
+            lock.resource.key if lock.resource.kind == "range"
+            else (lock.resource.key, lock.resource.key)
+            for lock in locks
+        ]
+        los = [lo for lo, _hi in spans]
+        his = [hi for _lo, hi in spans]
+        try:
+            lo = None if None in los else min(los)
+            hi = None if None in his else max(his)
+        except TypeError:
+            lo = hi = None
+        target = range_resource(table, lo, hi)
+        owner = locks[0].owner
+        owner_id = owner.id
+        weight_key = (owner_id, target)
+        weight = self._escalated_weights.get(weight_key, 1)
+        self._grant(self._range_head(target), owner, target, LockMode.SIREAD,
+                    self._by_owner[owner_id].get(target))
+        removed = [lock for lock in locks if lock.resource != target]
+        for lock in removed:
+            self._detach_lock(self._heads[lock.resource], lock)
+        surplus = self._forget_locks(owner_id, removed)
+        self._escalated_weights[weight_key] = weight + len(removed) + surplus
+        self.stats["escalations"] += 1
+        self.stats["escalated_records"] += len(removed)
 
     def probe_detection(
         self, owner: Any, resource: Resource, mode: LockMode
     ) -> list[Lock]:
-        """Detection conflicts on ``resource`` without acquiring anything.
-
-        Two users: write paths probing coarse (page/table) units for
-        escalated SIREAD holders, and readers whose fine acquisition was
-        skipped because a coarse lock of their own already covers the
-        resource (they still owe the Fig 3.4 check against granted
-        EXCLUSIVE holders)."""
+        """Detection conflicts on ``resource`` without acquiring anything:
+        a point read covered by the reader's own range takes no record
+        SIREAD but still owes the Fig 3.4 check against granted
+        EXCLUSIVE holders."""
         with self._latch:
             head = self._heads.get(resource)
             if head is None:
@@ -988,92 +1033,15 @@ class LockManager:
                         conflicts.extend(found)
         return conflicts
 
-    def siread_owners_by_count(self) -> list[Any]:
-        """SIREAD-holding owners, busiest first — the escalation victim
-        order (deterministic tie-break on owner id)."""
-        with self._latch:
-            ranked = sorted(
-                self._siread_counts.items(),
-                key=lambda item: (-item[1], str(item[0])),
-            )
-            return [self._owner_for(owner_id) for owner_id, _count in ranked]
-
-    def siread_resources(
-        self, owner: Any, kinds: tuple[str, ...] = ("rec",)
-    ) -> list[Resource]:
-        """Resources of the given kinds on which ``owner`` holds a *pure*
-        SIREAD sentinel (escalation candidates; a mixed-mode lock belongs
-        to an active writer and stays put)."""
-        with self._latch:
-            return [
-                resource
-                for resource, lock in self._by_owner.get(owner.id, {}).items()
-                if resource.kind in kinds and lock.mask == _SIREAD_BIT
-            ]
-
     def siread_lock_count(self) -> int:
         """Granted locks carrying SIREAD, across all owners (obs gauge)."""
         with self._latch:
             return sum(self._siread_counts.values())
 
     def escalated_lock_count(self) -> int:
-        """Escalated coarse SIREADs currently granted (obs gauge; one
-        atomic ``len``)."""
+        """Folded ranges currently granted (obs gauge; one atomic
+        ``len``)."""
         return len(self._escalated_weights)
-
-    def promote_sireads(
-        self, owner: Any, fine: list[Resource], coarse: Resource
-    ) -> int:
-        """Replace ``owner``'s record SIREADs in ``fine`` with one coarse
-        (page or table) SIREAD on ``coarse`` — the memory-bounding
-        escalation step (Ports & Grittner Section 4) and the only way a
-        SIREAD becomes coarser than a row under RECORD granularity.
-
-        Soundness: the whole promotion is one critical section, so a
-        concurrent writer sees the fine sentinels or the coarse one,
-        never neither — escalation can add false-positive rw edges but
-        never lose one.  Candidates (still-held, still-pure sentinels)
-        are counted first; with none left nothing is granted at all.
-
-        Returns the number of record sentinels replaced (added to the
-        coarse lock's weight; 0 means nothing was promoted).
-        """
-        owner_id = owner.id
-        weight_key = (owner_id, coarse)
-        with self._latch:
-            owner_locks = self._by_owner.get(owner_id)
-            if not owner_locks:
-                return 0
-            candidates = {
-                resource: owner_locks[resource]
-                for resource in fine
-                if resource in owner_locks
-                and owner_locks[resource].mask == _SIREAD_BIT
-            }
-            if not candidates:
-                return 0  # released or upgraded since selection
-            # Gate on *before* the coarse grant (has_escalated_locks is
-            # read latch-free).
-            weight = self._escalated_weights.setdefault(weight_key, 1)
-            heads = self._heads
-            head = heads.get(coarse)
-            if head is None:
-                head = heads[coarse] = _LockHead()
-            self._grant(head, owner, coarse, LockMode.SIREAD, owner_locks.get(coarse))
-            removed = list(candidates.values())
-            for lock in removed:
-                self._detach_lock(heads[lock.resource], lock)
-            # The replaced sentinels are *promoted*, not dropped: no
-            # siread_dropped bump — the weight entry carries their count
-            # forward to whichever path finally removes the coarse lock.
-            # A promoted lock that was itself escalated (page -> table)
-            # contributes its whole weight via the surplus.
-            surplus = self._forget_locks(owner_id, removed)
-            replaced = len(removed)
-            self._escalated_weights[weight_key] = weight + replaced + surplus
-            self.stats["escalations"] += 1
-            self.stats["escalated_records"] += replaced
-        return replaced
 
     def cancel_request(self, request: LockRequest, error: Exception | None = None) -> bool:
         """Remove one waiting request (lock-wait timeout path).
@@ -1163,9 +1131,9 @@ class LockManager:
 
     def holds_any_siread(self, owner: Any) -> bool:
         """Latch-free (one GIL-atomic ``get``): asked at the owner's own
-        commit, when nothing but page inheritance can still grant to it —
-        and inheritance needs an existing SIREAD, so it cannot turn a
-        False into a True."""
+        commit, when nothing else grants to it — escalation only folds
+        SIREADs the owner already holds, so it cannot turn a False into a
+        True."""
         return self._siread_counts.get(owner.id, 0) > 0
 
     def waiting_requests(self) -> list[LockRequest]:
@@ -1199,8 +1167,8 @@ class LockManager:
 
     def table_size(self) -> int:
         """Number of granted locks — tracks the Section 3.3 growth concern.
-        Latch-free: one int read feeding gauges and the escalation budget
-        check, where a value one grant stale is as good as a fresh one."""
+        Latch-free: one int read feeding gauges and :meth:`escalate`'s
+        budget check, where a value one grant stale is as good as a fresh one."""
         return self._granted_count
 
     def residue(self) -> dict[str, int]:
@@ -1271,9 +1239,9 @@ class LockManager:
 
     def _shed_siread(self, head: _LockHead, lock: Lock) -> int:
         """Strip the SIREAD mode from a lock that stays granted in its
-        other modes.  Returns what the sentinel counted for: an escalated
-        one stands for the record locks it replaced (its weight entry
-        goes with it), a plain one for itself."""
+        other modes.  Returns what the sentinel counted for: a folded
+        range stands for the sentinels it replaced (its weight entry goes
+        with it), a plain one for itself."""
         self._discard_mode(head, lock, LockMode.SIREAD)
         return self._escalated_weights.pop((lock.owner.id, lock.resource), 1)
 

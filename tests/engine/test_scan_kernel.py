@@ -1,8 +1,8 @@
 """Engine-level behaviour of the chunked scan kernel.
 
 Covers what the storage tests cannot: one lock-table entry per scan and
-prefix scan, ``siread_budget`` escalation folding key ranges into table
-sentinels (phantom detection through the escalated sentinels), the
+prefix scan, ``siread_budget`` escalation folding point reads and key
+ranges into one range (phantom detection through the fold), the
 incremental vacuum's ``vacuum_pause_events`` counter, and
 ``scan_prefix`` — its first-N semantics and the cut-point guarantee
 (inserts at or below the cut raise the rw edge, inserts past the cut
@@ -15,6 +15,7 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
+from repro.locking.manager import range_resource
 
 from tests.conftest import fill
 
@@ -45,9 +46,9 @@ class TestVacuumPauseEvents:
 class TestScanEscalation:
     """A SIREAD scan adds one key-range entry to the lock table however
     many rows it reads, so a scan alone never trips ``siread_budget``.
-    Escalation still bounds the table: point-read SIREADs fold into page
-    and table sentinels, and the table tier folds key ranges in with
-    them — and the escalated sentinels still catch phantoms."""
+    Escalation still bounds the table: point-read SIREADs and key ranges
+    fold into one range over their span — and the fold still catches
+    phantoms."""
 
     def test_wide_scan_ends_within_budget(self):
         """A 200-row SSI scan adds exactly one lock-table entry (it used
@@ -60,7 +61,6 @@ class TestScanEscalation:
             rows = db.scan(reader, "t")
             assert len(rows) == 200
             assert db.locks.table_size() == 1
-            assert not reader.coarse_sireads
             assert db.locks.stats["escalations"] == 0
             db.abort(reader)
 
@@ -69,28 +69,23 @@ class TestScanEscalation:
         fill_range(db, "t", 10, step=1)
         reader = db.begin("ssi")
         db.scan(reader, "t")
-        assert not reader.coarse_sireads
         assert db.locks.stats["escalations"] == 0
         db.abort(reader)
 
-    def test_insert_after_escalated_scan_raises_rw_edge(self, monkeypatch):
-        """Point reads past the budget escalate, and the table tier folds
-        the reader's key range into its table sentinel: a writer
-        inserting into the scanned range is caught by that sentinel."""
-        # No leaf page is worth folding: escalation goes straight to the
-        # table tier, the one that takes key ranges.
-        monkeypatch.setattr(
-            "repro.engine.database.SIREAD_ESCALATION_MIN_GROUP", 99
-        )
+    def test_insert_after_escalated_scan_raises_rw_edge(self):
+        """Point reads past the budget escalate, folding the reader's key
+        range and its record SIREADs into one range over their span: a
+        writer inserting into the scanned range is caught by the fold."""
         db = make_db(siread_budget=2)
         fill_range(db, "t", 20, step=10)
         reader = db.begin("ssi")
         db.scan(reader, "t", 100, 150)
         for key in range(0, 30, 10):
             db.read(reader, "t", key)
-        assert reader.coarse_sireads
         assert db.locks.table_size() <= 2
-        assert not db.locks._ranges["t"], "the range was not folded"
+        assert list(db.locks._ranges["t"]) == [
+            range_resource("t", 0, 150)
+        ], "the range was not folded"
         writer = db.begin("ssi")
         db.insert(writer, "t", 125, "phantom")
         writer.commit()
@@ -109,7 +104,6 @@ class TestScanEscalation:
         rows = db.scan_prefix(reader, "t", limit=10)
         assert [key for key, _ in rows] == list(range(0, 100, 10))
         assert db.locks.table_size() == 1
-        assert not reader.coarse_sireads
         writer = db.begin("ssi")
         db.insert(writer, "t", phantom_key, "phantom")
         writer.commit()

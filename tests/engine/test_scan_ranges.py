@@ -18,7 +18,7 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
-from repro.errors import TransactionAbortedError
+from repro.errors import LockWaitRequired, TransactionAbortedError
 from repro.exec import run_threaded_stress
 from repro.sgt.checker import check_serializable
 from repro.sim.ops import Scan, ScanPrefix, Write
@@ -174,21 +174,29 @@ class TestPrecision:
         assert (reader.id, writer.id) in edges
 
 
+def crossed_scans(level: str):
+    """T1 scans [0, 100] and T2 [150, 250]; each then blind-writes a new
+    key into the other's range — write skew over predicates."""
+    db = Database(EngineConfig(record_history=True))
+    fill(db, "t", {10: 0, 90: 0, 160: 0, 240: 0})
+    t1, t2 = db.begin(level), db.begin(level)
+    db.scan(t1, "t", 0, 100)
+    db.scan(t2, "t", 150, 250)
+    return db, ((t1, 200), (t2, 55))
+
+
 class TestBlindWritePhantom:
-    """A blind ``write`` of a brand-new key takes no gap lock.  Without
-    the range probe keyed on the written key another transaction's scan
-    never saw it, and this write-skew over predicates committed both
-    sides."""
+    """A blind ``write`` of a brand-new key must meet the other side's
+    scan: through the range probe keyed on the written key under SIREAD,
+    through insert's next-key gap lock under S2PL.  Without them this
+    write-skew over predicates committed both sides."""
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_crossed_blind_writes_into_scanned_ranges(self, level):
-        db = Database(EngineConfig(record_history=True))
-        fill(db, "t", {10: 0, 90: 0, 160: 0, 240: 0})
-        t1, t2 = db.begin(level), db.begin(level)
-        db.scan(t1, "t", 0, 100)
-        db.scan(t2, "t", 150, 250)
+        db, writes = crossed_scans(level)
+        t1, t2 = (txn for txn, _key in writes)
         outcomes = []
-        for txn, key in ((t1, 200), (t2, 55)):
+        for txn, key in writes:
             try:
                 db.write(txn, "t", key, "new")
             except TransactionAbortedError as error:
@@ -197,6 +205,21 @@ class TestBlindWritePhantom:
         assert outcomes.count("commit") == 1, outcomes
         assert "unsafe" in outcomes, outcomes
         assert check_serializable(db.history).serializable
+
+    def test_s2pl_blind_writes_meet_next_key_locks(self):
+        """A new key's blind write takes the SHARED-gap-conflicting
+        next-key step an insert takes, so one side blocks or aborts."""
+        db, writes = crossed_scans("s2pl")
+        stalled = []
+        for txn, key in writes:
+            try:
+                db.write(txn, "t", key, "new")
+            except (LockWaitRequired, TransactionAbortedError):
+                stalled.append(txn.id)
+        assert stalled, "both blind writes slipped past the scans' gaps"
+        for txn, _key in writes:
+            if txn.is_active:
+                txn.abort()
 
 
 class TestRangeIndexes:

@@ -26,6 +26,7 @@ import pytest
 from repro.engine.config import DeadlockMode, EngineConfig
 from repro.engine.database import Database
 from repro.errors import TransactionAbortedError, TransactionStateError
+from repro.locking.manager import range_resource
 from repro.sgt.checker import check_serializable
 
 from tests.conftest import commit_outcomes, fill
@@ -35,70 +36,96 @@ def bounded_db(budget):
     return Database(EngineConfig(record_history=True, siread_budget=budget))
 
 
-@pytest.fixture
-def table_tier_only(monkeypatch):
-    """Disable the page tier of SIREAD escalation: no leaf page ever
-    holds enough record locks to be worth folding."""
-    monkeypatch.setattr(
-        "repro.engine.database.SIREAD_ESCALATION_MIN_GROUP", 99
+def skew_outcomes(budget, reads, written):
+    """t1 reads ``reads`` (past a budget of 2 they fold into one range),
+    t2 writes ``written`` — a key t1 never read — and then reads 9, which
+    t1 writes: a real edge t2 -rw-> t1, and an edge t1 -rw-> t2 only if
+    t1's fold covers ``written``."""
+    db = (
+        bounded_db(budget)
+        if budget is not None
+        else Database(EngineConfig(record_history=True))
     )
+    fill(db, "t", {i: i for i in range(10)})
+    t1 = db.begin("ssi")
+    t2 = db.begin("ssi")
+    outcomes = []
+    try:
+        for key in reads:
+            t1.read("t", key)
+        t2.write("t", written, "w")
+        t2.read("t", 9)
+        t1.write("t", 9, "x")
+    except TransactionAbortedError as error:
+        outcomes.append(error.reason)
+    outcomes.extend(commit_outcomes(t1, t2))
+    assert check_serializable(db.history).serializable
+    return outcomes
 
 
 class TestSireadEscalation:
-    def test_budget_trips_and_coarse_lock_installed(self, table_tier_only):
+    def test_budget_trips_and_coarse_lock_installed(self):
         """Three record SIREADs against a budget of two must escalate;
-        the owner ends up holding a coarse sentinel, and re-reads under
-        the coarse cover add no fine locks back."""
+        the owner ends up holding one key range over their span, and
+        re-reads under it add no record locks back."""
         db = bounded_db(2)
         fill(db, "t", {i: i for i in range(10)})
         t1 = db.begin("ssi")
-        for key in (0, 1, 2):
+        for key in (0, 4, 8):
             t1.read("t", key)
-        assert db.locks.escalated_lock_count() >= 1
-        assert t1.coarse_sireads
-        size_after = db.locks.table_size()
-        assert size_after <= 2
-        # Covered re-reads: the table sentinel already protects them.
-        t1.read("t", 5)
-        t1.read("t", 8)
-        assert db.locks.table_size() == size_after
+        assert db.locks.escalated_lock_count() == 1
+        assert [lock.resource for lock in db.locks.locks_held_by(t1)] == [
+            range_resource("t", 0, 8)
+        ]
+        # Covered reads: the range already protects them.
+        t1.read("t", 2)
+        t1.read("t", 6)
+        assert db.locks.table_size() == 1
         t1.commit()
 
-    def test_escalated_table_detects_edge_superset(self, table_tier_only):
-        """After table escalation, a write to a key the reader never
-        touched still raises the (false-positive) rw edge — so a cycle
-        built from one real and one escalated edge aborts a transaction
-        that an unbounded engine would commit.  The committed subset
-        stays serializable either way: escalation adds edges, never
-        hides one."""
-
-        def run(budget):
-            db = (
-                bounded_db(budget)
-                if budget is not None
-                else Database(EngineConfig(record_history=True))
-            )
-            fill(db, "t", {i: i for i in range(10)})
-            t1 = db.begin("ssi")
-            t2 = db.begin("ssi")
-            outcomes = []
-            try:
-                for key in (0, 1, 2):
-                    t1.read("t", key)  # trips the budget: table SIREAD
-                t2.write("t", 7, "w")  # unread key: edge only via coarse
-                t2.read("t", 9)
-                t1.write("t", 9, "x")  # real edge t2 -rw-> t1
-            except TransactionAbortedError as error:
-                outcomes.append(error.reason)
-            outcomes.extend(commit_outcomes(t1, t2))
-            assert check_serializable(db.history).serializable
-            return outcomes
-
-        unbounded = run(None)
+    def test_escalated_table_detects_edge_superset(self):
+        """After escalation, a write to a key the reader never touched
+        but its fold covers still raises the (false-positive) rw edge —
+        so a cycle built from one real and one folded edge aborts a
+        transaction that an unbounded engine would commit.  The committed
+        subset stays serializable either way: escalation adds edges,
+        never hides one."""
+        unbounded = skew_outcomes(None, reads=(0, 4, 8), written=7)
         assert unbounded.count("commit") == 2  # only the real edge exists
-        bounded = run(2)
+        bounded = skew_outcomes(2, reads=(0, 4, 8), written=7)
         assert "unsafe" in bounded
         assert bounded.count("commit") <= 1
+
+    def test_write_outside_the_fold_raises_no_edge(self):
+        """The fold is exactly the span of what the reader held: a write
+        past it is no edge, where a whole-table sentinel flagged one."""
+        assert skew_outcomes(2, reads=(0, 1, 2), written=7) == [
+            "commit", "commit"
+        ]
+
+    def test_fold_catches_insert_on_a_leaf_split_after_it(self):
+        """A range covers keys no leaf holds yet, so an insert landing on
+        a sibling that a split created after the fold is still caught
+        with no lock replicated onto the new page."""
+        db = Database(EngineConfig(siread_budget=2, page_size=4))
+        fill(db, "t", {i: i for i in range(0, 40, 10)})
+        reader = db.begin("ssi")
+        for key in (0, 10, 30):
+            reader.read("t", key)
+        assert db.locks.escalated_lock_count() == 1
+        table = db.table("t")
+        leaf_at_fold = table.leaf_page_of(21)
+        splitter = db.begin("si")
+        for key in (1, 2, 3, 4, 5):
+            splitter.insert("t", key, "split")
+        splitter.commit()
+        assert table.leaf_page_of(21) != leaf_at_fold
+        writer = db.begin("ssi")
+        writer.insert("t", 21, "phantom")
+        assert writer.in_conflict, "the fold missed an insert after a split"
+        assert reader.out_conflict
+        writer.commit()
+        reader.commit()
 
     def test_huge_budget_is_behaviourally_invisible(self):
         """A budget the workload never reaches must not change outcomes

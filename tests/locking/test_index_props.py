@@ -9,7 +9,7 @@ sorted EXCLUSIVE record keys of range-touched tables (``_exclusive_keys``)
 and the global granted counter — instead of walking the lock table.
 These tests drive random sequences of acquires (single and batched),
 key-range placements and narrowings, releases, SIREAD drops, wait
-cancellations, gap-lock inheritance and SIREAD escalation, then rebuild
+cancellations and SIREAD escalation (folds into key ranges), then rebuild
 every index from the ground-truth table (the per-resource heads) and
 require exact agreement.
 """
@@ -25,7 +25,6 @@ from repro.locking.manager import (
     gap_resource,
     page_resource,
     record_resource,
-    table_resource,
 )
 from repro.locking.modes import LockMode
 
@@ -34,11 +33,8 @@ N_OWNERS = 5
 RESOURCES = (
     [record_resource("t", k) for k in range(4)]
     + [gap_resource("t", k) for k in range(2)]
-    + [page_resource("t", 0), table_resource("t")]
+    + [page_resource("t", 0)]
 )
-GAPS = (4, 5)
-#: coarse units, finest first: a promotion's fine set lies below its target
-COARSE = (6, 7)
 
 MODES = list(LockMode)
 READ_MODES = (LockMode.SIREAD, LockMode.SHARED)
@@ -148,9 +144,6 @@ op = st.one_of(
         st.sampled_from(READ_MODES),
     ),
     st.tuples(
-        st.just("promote"), owner_ids, resource_sets, st.sampled_from(COARSE)
-    ),
-    st.tuples(
         st.just("release_all"),
         owner_ids,
         st.booleans(),  # keep_siread
@@ -162,13 +155,7 @@ op = st.one_of(
     st.tuples(
         st.just("narrow"), owner_ids, bounds, bounds, st.integers(0, 3)
     ),
-    st.tuples(st.just("promote_ranges"), owner_ids),
-    st.tuples(
-        st.just("inherit"),
-        st.sampled_from(GAPS),  # from gap
-        st.sampled_from(GAPS),  # to gap
-        owner_ids,  # excluded owner
-    ),
+    st.tuples(st.just("escalate"), st.integers(0, 8)),  # budget
 )
 ops = st.lists(op, max_size=60)
 
@@ -187,25 +174,14 @@ def apply(lm: LockManager, owners, requests, op):
         lm.acquire_read_batch(
             owners[owner], [RESOURCES[r] for r in resources], mode
         )
-    elif kind == "promote":
-        _, owner, fine, coarse = op
-        lm.promote_sireads(
-            owners[owner],
-            [RESOURCES[r] for r in fine if r < coarse],
-            RESOURCES[coarse],
-        )
     elif kind == "range":
         _, owner, lo, hi = op
         lm.acquire_range(owners[owner], "t", lo, hi)
     elif kind == "narrow":
         _, owner, lo, hi, cut = op
         lm.narrow_range(owners[owner], "t", lo, hi, cut)
-    elif kind == "promote_ranges":
-        owner = owners[op[1]]
-        lm.promote_sireads(
-            owner, lm.siread_resources(owner, kinds=("range",)),
-            table_resource("t"),
-        )
+    elif kind == "escalate":
+        lm.escalate(op[1])
     elif kind == "release_all":
         _, owner, keep_siread = op
         lm.release_all(owners[owner], keep_siread=keep_siread)
@@ -219,10 +195,7 @@ def apply(lm: LockManager, owners, requests, op):
                 assert lm.cancel_request(request)
                 break
     else:
-        _, src, dst, excluded = op
-        lm.inherit_siread_locks(
-            RESOURCES[src], RESOURCES[dst], owners[excluded]
-        )
+        raise AssertionError(f"unknown op {kind!r}")
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,8 +1,8 @@
 """Multi-mode locks and gap-lock machinery tests.
 
-A lock can carry several modes at once (a scan's gap SIREAD plus the
-owner's own insert-intention); these tests pin down the mode-set
-semantics and the gap-inheritance rule used when inserts split gaps.
+A lock can carry several modes at once (a gap SIREAD plus the owner's
+own insert-intention); these tests pin down the mode-set semantics, and
+that a scan's key range keeps covering a gap an insert splits.
 """
 
 from dataclasses import dataclass
@@ -87,41 +87,6 @@ class TestModeSets:
         assert lm.acquire(owner, rec, S).granted
         assert lm.acquire(owner, rec, SIREAD).granted
         assert lm.holds(owner, rec, X)
-
-
-class TestGapInheritance:
-    def test_siread_copied_to_new_gap(self, lm):
-        scanner = Owner(1)
-        inserter = Owner(2)
-        lm.acquire(scanner, GAP, SIREAD)
-        copied = lm.inherit_siread_locks(GAP, GAP2, exclude_owner=inserter)
-        assert copied == 1
-        assert lm.holds(scanner, GAP2, SIREAD)
-
-    def test_inserter_itself_excluded(self, lm):
-        inserter = Owner(2)
-        lm.acquire(inserter, GAP, SIREAD)
-        copied = lm.inherit_siread_locks(GAP, GAP2, exclude_owner=inserter)
-        assert copied == 0
-
-    def test_existing_siread_not_duplicated(self, lm):
-        scanner = Owner(1)
-        inserter = Owner(2)
-        lm.acquire(scanner, GAP, SIREAD)
-        lm.acquire(scanner, GAP2, SIREAD)
-        copied = lm.inherit_siread_locks(GAP, GAP2, exclude_owner=inserter)
-        assert copied == 0
-        assert len(lm.locks_on(GAP2)) == 1
-
-    def test_non_siread_modes_not_inherited(self, lm):
-        other = Owner(3)
-        inserter = Owner(2)
-        lm.acquire(other, GAP, II)
-        copied = lm.inherit_siread_locks(GAP, GAP2, exclude_owner=inserter)
-        assert copied == 0
-
-    def test_empty_source_gap(self, lm):
-        assert lm.inherit_siread_locks(GAP, GAP2, exclude_owner=Owner(9)) == 0
 
 
 class TestEndToEndGapSplit:
