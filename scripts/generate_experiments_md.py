@@ -41,19 +41,26 @@ Summary of how the reproduction matches the paper:
 * **Fig 6.4/6.5** (low contention): S2PL ~ SI; Serializable SI a little
   below from page-granularity false positives.  Matches (gap size
   depends on the page-size knob).
-* **Figs 6.6-6.11** (sibench): SI fastest; SSI within a few percent at
-  10 items, degrading with table size as per-row SIREAD cost grows;
-  S2PL limited by queries stalling behind updates' commit flushes.
-  Matches, including the SSI-vs-SI crossover versus table size.
+* **Figs 6.6-6.11** (sibench): SI and Serializable SI within a few
+  percent of each other at every table size; S2PL behind both from
+  MPL 5 up (100 items, MPL 20: SI 6 326, SSI 6 612, S2PL 2 806) because
+  updates wait out concurrent queries and queries wait for in-flight
+  updates.  The paper's SSI falls away from SI as the table grows,
+  because its InnoDB prototype took a SIREAD and a gap lock per row
+  scanned; here a scan holds one key-range lock whatever its size, so
+  that per-row lock cost — and the divergence with table size — does
+  not reproduce.  At MPL 1 all three levels coincide.
 * **Figs 6.12-6.16** (TPC-C++): Serializable SI within ~10% of SI in the
   standard configurations; S2PL behind at higher MPL; tiny scaling
   shifts aborts toward FCW conflicts at SI/SSI while S2PL blocks instead.
   Matches.
-* **Figs 6.17/6.18** (Stock Level mix): SI leads; SSI pays visible
-  lock-manager costs (it acquires an order of magnitude more locks than
-  SI), landing between SI and S2PL — in our runs SSI and S2PL nearly
-  meet, the paper's "extreme case" where lock-manager traffic limits
-  Serializable SI.  Shape matches.
+* **Figs 6.17/6.18** (Stock Level mix): SI leads; SSI and S2PL land
+  together a few percent below it (10 warehouses, MPL 10: SI 215,
+  SSI 205, S2PL 200; tiny data: 222 / 210 / 215).  Stock Level's
+  order-line scan is one key range at every level, so SSI's remaining
+  lock-manager cost is a SIREAD per stock row it reads by key, and
+  S2PL's is its blocking waits.  The paper's "extreme case" where
+  lock-manager traffic limits Serializable SI shows only mildly.
 
 The per-figure tables below record one full run (seeds fixed, so the run
 is reproducible bit-for-bit).

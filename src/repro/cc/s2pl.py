@@ -1,10 +1,10 @@
 """Strict two-phase locking (Section 2.2).
 
-Reads take blocking SHARED locks (next-key locked in scans, so phantoms
-are impossible) and see the latest committed version rather than a
-snapshot.  No dependency tracking, no certification: serializability
-comes entirely from the lock table, so every hook except the read-lock
-mode keeps its kernel default.
+Reads take blocking SHARED locks (a scan holds one SHARED key range on
+its predicate, so phantoms are impossible) and see the latest committed
+version rather than a snapshot.  No dependency tracking, no
+certification: serializability comes entirely from the lock table, so
+every hook except the read-lock mode keeps its kernel default.
 """
 
 from __future__ import annotations

@@ -117,6 +117,14 @@ class SGTPolicy(CCPolicy):
 
     # --------------------------------------------------------------- commit
 
+    def before_commit(self, txn: "Transaction") -> Optional[UnsafeError]:
+        """Commit unless a cycle doomed this transaction.  Overriding the
+        hook makes SGT a certifying policy, so the kernel takes this
+        decision and the status flip in one tracker-latched section: a
+        cycle closed meanwhile dooms a transaction that is still active,
+        never one that has just committed."""
+        return txn.doom_error
+
     def retain_read_locks(self, txn: "Transaction") -> bool:
         return self.db.locks.holds_any_siread(txn) or bool(txn.out_conflict)
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 class LockGranularity(enum.Enum):
     """What a lock resource names.
 
-    * ``RECORD`` — row-level locks plus explicit gap locks (the InnoDB
-      prototype, Sections 4.4-4.6).
+    * ``RECORD`` — row-level locks plus one key-range lock per scan (the
+      InnoDB prototype, Sections 4.4-4.6; the range locks the predicate
+      its gap locks protect).
     * ``PAGE`` — locks map to B+-tree leaf pages (the Berkeley DB
       prototype, Sections 4.1-4.3).  Coarser: false sharing between rows
       on one page produces the false-positive aborts of Figure 6.4, and
-      no separate gap locks are needed — page coverage subsumes phantom
+      no predicate lock is needed — page coverage subsumes phantom
       protection (Section 3.5's observation about Berkeley DB).
     """
 
@@ -121,6 +122,6 @@ class EngineConfig:
 
     @classmethod
     def innodb_style(cls, **overrides) -> "EngineConfig":
-        """The InnoDB prototype: row+gap locks, enhanced tracker, eager
+        """The InnoDB prototype: row + key-range locks, enhanced tracker, eager
         cleanup, immediate deadlock detection (the defaults)."""
         return cls(**overrides)

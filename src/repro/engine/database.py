@@ -5,8 +5,8 @@ SI conflict tracker into the transactional API of the paper's prototypes:
 
 * plain snapshot isolation with first-updater-wins write locking and the
   deferred read-view optimisation (Sections 2.5, 4.5);
-* strict two-phase locking with next-key locking for phantoms (2.2.1,
-  2.5.2);
+* strict two-phase locking with a blocking key-range lock per scan for
+  phantoms (2.2.1, the predicate 2.5.2's gap locks protect);
 * Serializable SI: SIREAD locks, newer-version checks, dangerous-structure
   detection at mark and commit time, suspended committed transactions and
   their cleanup (Chapter 3);
@@ -70,7 +70,6 @@ from repro.locking.manager import (
     LockRequest,
     RequestState,
     Resource,
-    gap_resource,
     page_resource,
     range_resource,
     record_resource,
@@ -639,11 +638,14 @@ class Database:
     # ---------------------------------------------------- commit pipeline
 
     def _certify(self, txn: Transaction) -> TransactionAbortedError | None:
-        """Step 1, tracker-latched: the commit-time unsafe check, plus the
-        rule that committing must not complete a dangerous structure
-        around a prepared pivot (the pivot can no longer abort locally,
-        so this transaction yields).  Returns the veto, or None."""
-        error = txn.policy.before_commit(txn)
+        """Step 1, tracker-latched: a doom that landed since the caller's
+        last check (rw-edge victims are chosen under this latch, so such
+        a doom cannot slip past the status flip), the commit-time unsafe
+        check, and the rule that committing must not complete a
+        dangerous structure around a prepared pivot (the pivot can no
+        longer abort locally, so this transaction yields).  Returns the
+        veto, or None."""
+        error = txn.doom_error or txn.policy.before_commit(txn)
         if error is None and self._prepared:
             error = self._endangering_prepared(txn)
         return error
@@ -896,7 +898,7 @@ class Database:
         semantics (Section 2.6.2)."""
         self._check_op(txn)
         self._check_write(txn)
-        self._acquire_write_locks(txn, table_name, key, gap=False)
+        self._acquire_write_locks(txn, table_name, key)
         value, found = self._read_internal(
             txn, table_name, key, locking=True
         )
@@ -913,9 +915,9 @@ class Database:
         reverse: bool = False,
         limit: int | None = None,
     ) -> list[tuple[Hashable, Any]]:
-        """Predicate read over [lo, hi] with phantom protection
-        (Fig 3.6 for SSI/SGT as one key-range SIREAD; next-key SHARED
-        locks for S2PL).
+        """Predicate read over [lo, hi] with phantom protection: one key
+        range on [lo, hi] in the transaction's read mode — Fig 3.6's
+        SIREAD for SSI/SGT, a blocking SHARED range for S2PL.
 
         ``reverse`` returns rows in descending key order; ``limit`` caps
         the result *after* ordering.  **The whole range is still
@@ -927,9 +929,9 @@ class Database:
         the result then only depends on keys up to the cut point) should
         use :meth:`scan_prefix`.
 
-        Execution: a SIREAD scan places its key range first; the key set
-        is then materialised in leaf-page-sized chunks — dropping the
-        table latch between chunks — and visibility is resolved
+        Execution: the scan places its key range first; the key set is
+        then materialised in leaf-page-sized chunks — dropping the table
+        latch between chunks — and visibility is resolved
         batch-at-a-time against the one snapshot, with one CC-policy call
         per scan.
         """
@@ -940,15 +942,25 @@ class Database:
         results, seen = self._scan_chunked(txn, table, table_name, lo, hi)
         # Own uncommitted writes overlay the scan result.
         results = self._overlay_write_set(txn, table_name, lo, hi, results)
-        if self.history is not None and txn.read_ts is not None:
-            self.history.on_scan(
-                txn.id, table_name, (lo, hi), tuple(seen), txn.read_ts
-            )
+        self._record_scan(txn, table_name, (lo, hi), seen)
         if reverse:
             results = list(reversed(results))
         if limit is not None:
             results = results[:limit]
         return results
+
+    def _record_scan(
+        self, txn: Transaction, table_name: str, span: tuple, seen: list
+    ) -> None:
+        """History record of a predicate read.  A reader without a
+        snapshot (S2PL) read the latest committed state under its locks,
+        so its read point is the commit clock's high-water mark once the
+        scan is done."""
+        if self.history is not None:
+            read_ts = txn.read_ts
+            if read_ts is None:
+                read_ts = self.clock.now()
+            self.history.on_scan(txn.id, table_name, span, tuple(seen), read_ts)
 
     def _materialize_chunks(
         self, table, lo: Hashable | None, hi: Hashable | None
@@ -969,95 +981,114 @@ class Database:
         lo: Hashable | None,
         hi: Hashable | None,
     ) -> tuple[list[tuple[Hashable, Any]], list[Hashable]]:
-        """The scan kernel: the range SIREAD (or the per-row lock rounds
-        of S2PL and PAGE granularity), latch-bounded materialisation,
-        batch visibility resolution."""
+        """The scan kernel: the predicate lock (one key range, or PAGE
+        granularity's page rounds), latch-bounded materialisation, batch
+        visibility resolution."""
         read_mode = txn.policy.read_lock_mode(txn)
         if read_mode is None:
             chains = self._materialize_chunks(table, lo, hi)
-        elif self._locks_ranges(read_mode):
-            for lock in self.locks.acquire_range(txn, table_name, lo, hi):
-                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            self.locks.escalate(self._siread_budget)
-            chains = self._materialize_chunks(table, lo, hi)
+        elif self.config.granularity is LockGranularity.PAGE:
+            chains = self._scan_lock_pages(txn, table, table_name, lo, hi, read_mode)
         else:
-            keyset_before = table.keyset_version
-            chains = self._scan_lock_records(
-                txn, table, table_name, lo, hi,
-                self._materialize_chunks(table, lo, hi), keyset_before,
-                read_mode,
-            )
+            while True:
+                held = self.locks.holds(txn, range_resource(table_name, lo, hi))
+                writers = self.locks.acquire_range(txn, table_name, lo, hi, read_mode)
+                if self._meet_writers(txn, table_name, lo, hi, writers, read_mode, held):
+                    break
+            if read_mode is LockMode.SIREAD:
+                self.locks.escalate(self._siread_budget)
+            chains = self._materialize_chunks(table, lo, hi)
         return self._resolve_scan_rows(txn, table_name, chains)
 
-    def _locks_ranges(self, read_mode: LockMode) -> bool:
-        """Does a predicate read in ``read_mode`` take one key-range
-        SIREAD?  SIREAD under RECORD granularity does; S2PL's blocking
-        SHARED next-key locks and PAGE granularity (the Berkeley DB
-        ablation) keep the per-row lock rounds."""
-        return (
-            read_mode is LockMode.SIREAD
-            and self.config.granularity is LockGranularity.RECORD
-        )
+    def _meet_writers(
+        self,
+        txn: Transaction,
+        table_name: str,
+        lo: Hashable | None,
+        hi: Hashable | None,
+        writers: list,
+        read_mode: LockMode,
+        held: bool,
+    ) -> bool:
+        """Settle the writers a freshly placed range [lo, hi] found in
+        flight inside it.  A SIREAD reader dispatches their rw edges.  A
+        SHARED reader waits for each through a blocking SHARED record
+        lock, having first withdrawn the range unless it held it before
+        this scan: a reader that held its range while waiting would block
+        those writers' next keys and deadlock against them.  Returns
+        False when the reader waited — it then places the range and
+        reads again."""
+        if read_mode is LockMode.SIREAD:
+            for lock in writers:
+                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+            return True
+        if not writers:
+            return True
+        if not held:
+            self.locks.release_range(txn, table_name, lo, hi)
+        for lock in writers:
+            self._acquire(txn, lock.resource, LockMode.SHARED)
+        return False
 
-    def _scan_lock_records(
+    def _scan_lock_pages(
         self,
         txn: Transaction,
         table,
         table_name: str,
         lo: Hashable | None,
         hi: Hashable | None,
-        chains: list,
-        keyset_before: int,
         read_mode: LockMode,
     ) -> list:
-        """Per-row lock rounds of a scan that takes no range: S2PL's
-        SHARED gap + record resources, or the covering leaf pages under
-        PAGE granularity.  A blocking range lock would need wait queues
-        on ranges, so these keep the round and its re-probe loop.
+        """PAGE granularity (the Berkeley DB ablation): lock the leaf
+        page of every row in [lo, hi], plus the page of the key past
+        ``hi`` so inserts just past the range (or into an empty range)
+        are met, in one lock-manager batch *before* any row is resolved —
+        a writer arriving later meets the locks itself.  Each conflicting
+        writer is dispatched as an rw edge; pages the transaction already
+        SIREAD-locked are skipped, and contended SHARED pages come back
+        deferred and take the blocking path.
 
-        Each round locks the whole predicate — every row's gap + record,
-        plus the boundary gap beyond the range so inserts just past it
-        (or into an empty range) are detected — *before* any row is
-        resolved: a writer arriving later sees the locks and reports the
-        edge itself.
-
-        One window remains between materialisation and the batch: a
+        One window remains between materialisation and the round: a
         writer whose entire lock lifetime (acquire, commit, release)
         fits inside it leaves no lock to collide with, and its new key
-        is absent from the stale list — the rw edge (or, under S2PL, the
-        row itself) would be silently lost.  So after each round the
-        table's key-set version (bumped under the table latch on every
-        chain add/remove, sampled before materialisation) is re-probed,
-        and only if it moved is the range re-materialised and any fresh
-        key (or moved boundary) locked in another round; the uncontended
-        scan pays one latch-free int probe, never a second tree walk.
-        The loop converges: ``requested`` only grows, and a round that
-        acquires nothing fresh proves every resource the current key set
-        needs was in the table before the last materialisation, so any
+        is absent from the stale list.  So after a round that locked
+        something fresh the table's key-set version (bumped under the
+        table latch on every chain add/remove, sampled before
+        materialisation) is re-probed, and only if it moved is the range
+        re-materialised and any fresh page locked in another round; the
+        uncontended scan pays one latch-free int probe, never a second
+        tree walk.  The loop converges: ``requested`` only grows, and a
+        round that locks nothing fresh proves every page the current key
+        set needs was locked before the last materialisation, so any
         insert committed since collided with one."""
-        page_locked = self.config.granularity is LockGranularity.PAGE
+        keyset_before = table.keyset_version
+        chains = self._materialize_chunks(table, lo, hi)
+        leaf_page_of = table.leaf_page_of
+        cache = txn._siread_cache if read_mode is LockMode.SIREAD else None
         requested: set = set()
         while True:
-            candidates: list = []
             boundary = table.successor(hi) if hi is not None else SUPREMUM
-            if page_locked:
-                leaf_page_of = table.leaf_page_of
-                for key, _chain in chains:
-                    candidates.append(
-                        page_resource(table_name, leaf_page_of(key))
-                    )
-                candidates.append(
-                    page_resource(table_name, leaf_page_of(boundary))
-                )
-            else:
-                for key, _chain in chains:
-                    candidates.append(gap_resource(table_name, key))
-                    candidates.append(record_resource(table_name, key))
-                candidates.append(gap_resource(table_name, boundary))
-            if not self._read_lock_batch(
-                txn, candidates, read_mode, requested
-            ):
+            wanted: list = []
+            for key in [key for key, _chain in chains] + [boundary]:
+                page = page_resource(table_name, leaf_page_of(key))
+                if page in requested:
+                    continue
+                requested.add(page)
+                if cache is not None:
+                    if page in cache:
+                        continue
+                    cache.add(page)
+                wanted.append(page)
+            if not wanted:
                 break
+            conflicts, deferred = self.locks.acquire_read_batch(
+                txn, wanted, read_mode
+            )
+            for lock in conflicts:
+                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+            for page in deferred:
+                for lock in self._acquire(txn, page, read_mode).detection_conflicts:
+                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
             keyset_now = table.keyset_version
             if keyset_now == keyset_before:
                 # Key set unchanged since before materialisation: a
@@ -1067,45 +1098,6 @@ class Database:
             keyset_before = keyset_now
             chains = self._materialize_chunks(table, lo, hi)
         return chains
-
-    def _read_lock_batch(
-        self,
-        txn: Transaction,
-        resources: list,
-        read_mode: LockMode,
-        requested: set,
-    ) -> bool:
-        """The per-row read-lock round (S2PL's SHARED next-key locks,
-        PAGE granularity's page SIREADs): acquire every resource this
-        scan has not ``requested`` yet in one lock-manager batch,
-        dispatching an rw edge per conflicting writer.  SIREADs the
-        transaction already holds are skipped; contended SHARED
-        resources come back deferred and take the normal blocking path.
-        True when something fresh was acquired (a key-set re-probe is
-        then owed)."""
-        cache = txn._siread_cache if read_mode is LockMode.SIREAD else None
-        wanted: list = []
-        for resource in resources:
-            if resource in requested:
-                continue
-            requested.add(resource)
-            if cache is not None:
-                if resource in cache:
-                    continue
-                cache.add(resource)
-            wanted.append(resource)
-        if not wanted:
-            return False
-        conflicts, deferred = self.locks.acquire_read_batch(
-            txn, wanted, read_mode
-        )
-        for lock in conflicts:
-            self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-        for resource in deferred:
-            result = self._acquire(txn, resource, read_mode)
-            for lock in result.detection_conflicts:
-                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-        return True
 
     def _resolve_scan_rows(
         self, txn: Transaction, table_name: str, chains: list
@@ -1198,11 +1190,10 @@ class Database:
         on keys up to the cut point (the key where the limit was
         reached): a concurrent insert, update or delete at or below the
         cut — the only kind that can change "the first N visible rows" —
-        meets the scan's locks and reports the rw edge (Fig 3.6/3.7).
-        A SIREAD scan holds the range [lo, cut]; S2PL gap-locks every
-        visited key.  Writes past the cut cannot change the answer and
-        need no protection; when the range is exhausted before the limit
-        the scan degenerates to a full range scan.
+        meets the scan's range, which ends at the cut (Fig 3.6/3.7).
+        Writes past the cut cannot change the answer and need no
+        protection; when the range is exhausted before the limit the
+        scan degenerates to a full range scan.
 
         Falls back to a full :meth:`scan` when ``limit`` is None, under
         PAGE granularity, or when the transaction has own pending writes
@@ -1215,8 +1206,8 @@ class Database:
         table = self.table(table_name)
         self._ensure_snapshot(txn)
         if self.config.granularity is LockGranularity.PAGE:
-            # Page resources have no gap/record split to exploit; the
-            # full scan's page coverage is already prefix-proportional.
+            # A page lock cannot stop at a cut key; the full scan's page
+            # coverage is already prefix-proportional.
             return self.scan(txn, table_name, lo, hi, limit=limit)
         if any(
             tname == table_name
@@ -1228,21 +1219,11 @@ class Database:
         if limit <= 0:
             return []
         self.stats.inc("scans")
-        read_mode = txn.policy.read_lock_mode(txn)
-        if read_mode is None or self._locks_ranges(read_mode):
-            visited, cut_key = self._prefix_walk(
-                txn, table, table_name, lo, hi, limit, read_mode is not None
-            )
-        else:
-            visited, cut_key = self._prefix_walk_locked(
-                txn, table, table_name, lo, hi, limit, read_mode
-            )
+        visited, cut_key = self._prefix_walk(txn, table, table_name, lo, hi, limit)
         results, seen = self._resolve_scan_rows(txn, table_name, visited)
-        if self.history is not None and txn.read_ts is not None:
-            span = (lo, hi if cut_key is _MISSING else cut_key)
-            self.history.on_scan(
-                txn.id, table_name, span, tuple(seen), txn.read_ts
-            )
+        self._record_scan(
+            txn, table_name, (lo, hi if cut_key is _MISSING else cut_key), seen
+        )
         return results
 
     def _prefix_walk(
@@ -1253,145 +1234,76 @@ class Database:
         lo: Hashable | None,
         hi: Hashable | None,
         limit: int,
-        ranged: bool,
     ) -> tuple[list, Any]:
         """Walk to the cut: ``(visited rows, cut key or _MISSING)``.
 
-        ``ranged`` places the range [lo, hi] before the walk, so every
-        writer is seen from one side, exactly as in a full scan; once
-        the cut is known the range narrows to [lo, cut] and only the
-        writers in flight at placement at or below the cut are
-        dispatched.  A writer granted during the walk probed [lo, hi]
-        and reported its own edge — conservative past the cut, never
-        missing below it."""
+        A locking reader places the range [lo, hi] before the walk, so
+        every writer is met from one side, exactly as in a full scan.
+        Once the cut is known, only the writers in flight at placement at
+        or below it are settled (:meth:`_meet_writers` — an S2PL reader
+        that waited walks again), and the range narrows to [lo, cut].  A
+        writer granted during the walk met [lo, hi]: conservative past
+        the cut, never missing below it."""
+        read_mode = txn.policy.read_lock_mode(txn)
+        snapshot = txn.snapshot if txn.policy.uses_snapshots else None
         lm = self.locks
-        if ranged:
-            # A range held before this scan keeps its full width.
-            held = lm.holds(txn, range_resource(table_name, lo, hi))
-            in_flight = lm.acquire_range(txn, table_name, lo, hi)
-        snapshot = txn.snapshot if txn.policy.uses_snapshots else None
-        visited: list = []
-        visible = 0
-        cut_key = _MISSING
-        for chunk in table.scan_chunks(lo, hi):
-            for key, chain in chunk:
-                visited.append((key, chain))
-                if _live(snapshot, chain):
-                    visible += 1
-                    if visible >= limit:
-                        cut_key = key
-                        break
-            if cut_key is not _MISSING:
-                break
-        if ranged:
-            if cut_key is not _MISSING and not held:
-                lm.narrow_range(txn, table_name, lo, hi, cut_key)
-            for lock in in_flight:
-                if cut_key is _MISSING or not cut_key < lock.resource.key:
-                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            self.locks.escalate(self._siread_budget)
-        return visited, cut_key
-
-    def _prefix_walk_locked(
-        self,
-        txn: Transaction,
-        table,
-        table_name: str,
-        lo: Hashable | None,
-        hi: Hashable | None,
-        limit: int,
-        read_mode: LockMode,
-    ) -> tuple[list, Any]:
-        """:meth:`_prefix_walk` for S2PL's blocking SHARED next-key
-        locks: gap + record of every visited key, batch by batch.
-
-        Visibility is probed before locking (side-effect-free), so only
-        the rows up to the cut are ever locked; once the limit is
-        reached the visited rows are recounted under their locks (a
-        writer may have flipped a row's liveness between probe and lock;
-        on a shortfall the walk goes on).  Re-walk rounds close the same
-        materialise->lock window the full scan's key-set re-probe
-        closes: a round that saw the key set move after it acquired
-        something fresh walks again; a round that locked nothing new
-        proves every visited resource was already in the table before
-        the walk, so a mid-flight writer must have collided with one."""
-        snapshot = txn.snapshot if txn.policy.uses_snapshots else None
-        requested: set = set()
         while True:
-            keyset_before = table.keyset_version
-            locked_any = False
+            if read_mode is not None:
+                # A range held before this scan keeps its full width.
+                held = lm.holds(txn, range_resource(table_name, lo, hi))
+                writers = lm.acquire_range(txn, table_name, lo, hi, read_mode)
             visited: list = []
             visible = 0
-            cut_index = -1
+            cut_key = _MISSING
             for chunk in table.scan_chunks(lo, hi):
-                index = 0
-                while index < len(chunk):
-                    batch: list = []
-                    while index < len(chunk):
-                        key, chain = chunk[index]
-                        index += 1
-                        batch.append((key, chain))
-                        if _live(snapshot, chain):
-                            visible += 1
-                            if visible >= limit:
-                                break
-                    resources: list = []
-                    for key, _chain in batch:
-                        resources.append(gap_resource(table_name, key))
-                        resources.append(record_resource(table_name, key))
-                    locked_any |= self._read_lock_batch(
-                        txn, resources, read_mode, requested
-                    )
-                    visited.extend(batch)
-                    if visible < limit:
-                        continue
-                    visible = 0
-                    for position, (_key, chain) in enumerate(visited):
-                        if _live(snapshot, chain):
-                            visible += 1
-                            if visible >= limit:
-                                cut_index = position
-                                break
-                    if cut_index >= 0:
-                        break
-                if cut_index >= 0:
+                for key, chain in chunk:
+                    visited.append((key, chain))
+                    if _live(snapshot, chain):
+                        visible += 1
+                        if visible >= limit:
+                            cut_key = key
+                            break
+                if cut_key is not _MISSING:
                     break
-            if cut_index >= 0:
-                del visited[cut_index + 1:]
-                cut_key = visited[-1][0]
-            else:
-                cut_key = _MISSING
-                boundary = table.successor(hi) if hi is not None else SUPREMUM
-                locked_any |= self._read_lock_batch(
-                    txn, [gap_resource(table_name, boundary)], read_mode,
-                    requested,
-                )
-            if table.keyset_version == keyset_before or not locked_any:
+            if read_mode is None:
                 return visited, cut_key
+            if cut_key is not _MISSING:
+                writers = [
+                    lock for lock in writers if not cut_key < lock.resource.key
+                ]
+            if self._meet_writers(txn, table_name, lo, hi, writers, read_mode, held):
+                break
+        if cut_key is not _MISSING and not held:
+            lm.narrow_range(txn, table_name, lo, hi, cut_key)
+        if read_mode is LockMode.SIREAD:
+            lm.escalate(self._siread_budget)
+        return visited, cut_key
 
     # ------------------------------------------------------------- writing
 
     def write(self, txn: Transaction, table_name: str, key: Hashable, value: Any) -> None:
         """Fig 3.5's modified write: blind upsert of a single item.
 
-        A key with no chain yet is new: the write takes :meth:`insert`'s
-        next-key step, so it meets a blocking scanner's gap lock exactly
-        as an insert would."""
+        A brand-new key lies inside every key range covering it, so a
+        scanner's range meets the write exactly as it meets an insert;
+        under PAGE granularity a new key takes :meth:`insert`'s page
+        steps."""
         self._check_op(txn)
         self._check_write(txn)
         table = self.table(table_name)
-        new_key = table.chain(key) is None
-        locked_succ = self._acquire_write_locks(
-            txn, table_name, key, gap=new_key
+        new_page_key = (
+            self.config.granularity is LockGranularity.PAGE
+            and table.chain(key) is None
         )
+        self._acquire_write_locks(txn, table_name, key, next_page=new_page_key)
         self._ensure_snapshot(txn)
         self._first_committer_check(txn, table_name, key)
         if txn.policy.tracks_writes:
             with self._tracker_latch:
                 txn.policy.on_write(txn, table_name, key)
         self._maintain_indexes(txn, table_name, key, value)
-        if new_key:
-            self._install_key(txn, table, table_name, key, locked_succ)
+        if new_page_key:
+            self._lock_new_key_pages(txn, table, table_name, key)
         txn.write_set[(table_name, key)] = value
         txn.write_kinds.setdefault((table_name, key), "write")
         self.stats.inc("writes")
@@ -1399,11 +1311,13 @@ class Database:
             self.history.on_write(txn.id, table_name, key, kind="write")
 
     def insert(self, txn: Transaction, table_name: str, key: Hashable, value: Any) -> None:
-        """Fig 3.7's insert: gap-locks next(key) against concurrent scans."""
+        """Fig 3.7's insert: the EXCLUSIVE record lock on the new key
+        meets every concurrent scanner whose key range covers it."""
         self._check_op(txn)
         self._check_write(txn)
         table = self.table(table_name)
-        locked_succ = self._acquire_write_locks(txn, table_name, key, gap=True)
+        page_mode = self.config.granularity is LockGranularity.PAGE
+        self._acquire_write_locks(txn, table_name, key, next_page=page_mode)
         self._ensure_snapshot(txn)
         self._first_committer_check(txn, table_name, key)
         value_now, exists = self._visible_value(
@@ -1416,61 +1330,37 @@ class Database:
             with self._tracker_latch:
                 txn.policy.on_write(txn, table_name, key)
         self._maintain_indexes(txn, table_name, key, value)
-        self._install_key(txn, table, table_name, key, locked_succ)
+        if page_mode:
+            self._lock_new_key_pages(txn, table, table_name, key)
         txn.write_set[(table_name, key)] = value
         txn.write_kinds[(table_name, key)] = "insert"
         self.stats.inc("writes")
         if self.history is not None:
             self.history.on_write(txn.id, table_name, key, kind="insert")
 
-    def _install_key(
-        self,
-        txn: Transaction,
-        table: Table,
-        table_name: str,
-        key: Hashable,
-        locked_succ: Hashable,
+    def _lock_new_key_pages(
+        self, txn: Transaction, table: Table, table_name: str, key: Hashable
     ) -> None:
-        """Register ``key`` in the tree (with an empty, invisible chain)
-        so gap structure and page layout reflect the insert; PAGE
-        granularity then locks every page the registration touched.
-
-        Next-key locking must target the key's *actual* successor at the
-        moment the tree changes: a concurrent insert may have split our
-        gap after :meth:`_acquire_write_locks` probed it, in which case
-        the gap lock we hold covers the wrong (wider) interval and an
-        S2PL scanner's SHARED lock on the new sub-gap would not block
-        us.  The successor probe and tree insert are therefore one
-        table-latched section, re-verified after any extra gap lock
-        (which is acquired latch-free and may raise LockWaitRequired —
-        the whole operation is idempotent and retried).  SIREAD scans
-        need no gap bookkeeping here: their key range already covers
-        the new key.
-        """
-        page_mode = self.config.granularity is LockGranularity.PAGE
-        while True:
-            with table.latch:
-                succ = table.successor(key)
-                if page_mode or succ == locked_succ:
-                    touched_pages = table.ensure_chain(key)[1]
-                    break
+        """PAGE granularity: register ``key`` in the tree now (with an
+        empty, invisible chain) and X-lock every page the registration
+        touched — a split updates parent pages too, reproducing the
+        root-page contention of Section 6.1.5.  Under RECORD granularity
+        nothing needs the key early: it enters the tree at commit."""
+        for page_id in table.ensure_chain(key)[1]:
             result = self._acquire(
-                txn, gap_resource(table_name, succ), LockMode.INSERT_INTENTION
+                txn, page_resource(table_name, page_id), LockMode.EXCLUSIVE
             )
-            if result.detection_conflicts:
-                with self._tracker_latch:
-                    for lock in result.detection_conflicts:
-                        txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
-            locked_succ = succ
-        if page_mode and touched_pages:
-            self._lock_touched_pages(txn, table_name, touched_pages)
+            self._report_readers(txn, result.detection_conflicts)
 
     def delete(self, txn: Transaction, table_name: str, key: Hashable) -> None:
         """Fig 3.7's delete: installs a tombstone version at commit."""
         self._check_op(txn)
         self._check_write(txn)
         table = self.table(table_name)
-        self._acquire_write_locks(txn, table_name, key, gap=True)
+        self._acquire_write_locks(
+            txn, table_name, key,
+            next_page=self.config.granularity is LockGranularity.PAGE,
+        )
         self._ensure_snapshot(txn)
         self._first_committer_check(txn, table_name, key)
         _value, exists = self._visible_value(
@@ -1769,25 +1659,22 @@ class Database:
             return page_resource(table_name, self.table(table_name).leaf_page_of(key))
         return record_resource(table_name, key)
 
-    def _gap_resource_for(self, table_name: str, gap_key: Hashable) -> Resource:
-        if self.config.granularity is LockGranularity.PAGE:
-            return page_resource(table_name, self.table(table_name).leaf_page_of(gap_key))
-        return gap_resource(table_name, gap_key)
-
     def _acquire(self, txn: Transaction, resource: Resource, mode: LockMode) -> AcquireResult:
-        """Acquire or raise LockWaitRequired; resolves denied requests."""
-        result = self.locks.acquire(txn, resource, mode)
-        if result.status is AcquireStatus.GRANTED:
-            return result
-        request = result.request
-        if request.state is RequestState.GRANTED:
-            # Granted during immediate deadlock resolution of someone else.
-            return self.locks.acquire(txn, resource, mode)
-        if request.state is RequestState.DENIED:
-            error = request.error or txn.doom_error or DeadlockError(txn_id=txn.id)
-            self._abort_internal(txn, getattr(error, "reason", "aborted"))
-            raise error
-        raise LockWaitRequired(request)
+        """Acquire or raise LockWaitRequired; resolves denied requests.
+        A request granted during immediate deadlock resolution of someone
+        else is acquired again: an EXCLUSIVE record may have waited on a
+        key range and still owe the record itself."""
+        while True:
+            result = self.locks.acquire(txn, resource, mode)
+            if result.status is AcquireStatus.GRANTED:
+                return result
+            request = result.request
+            if request.state is RequestState.DENIED:
+                error = request.error or txn.doom_error or DeadlockError(txn_id=txn.id)
+                self._abort_internal(txn, getattr(error, "reason", "aborted"))
+                raise error
+            if request.state is not RequestState.GRANTED:
+                raise LockWaitRequired(request)
 
     def _acquire_read_locks(
         self, txn: Transaction, table_name: str, key: Hashable
@@ -1797,45 +1684,52 @@ class Database:
         if mode is None:
             return
         resource = self._rec_resource(table_name, key)
-        if mode is LockMode.SIREAD and resource in txn._siread_cache:
+        siread = mode is LockMode.SIREAD
+        if siread and resource in txn._siread_cache:
             # Repeat SIREAD on a re-read: the sentinel is already in the
             # table, and any writer that arrived since then saw it at its
             # own EXCLUSIVE acquire and dispatched the rw edge from the
             # writer side (Fig 3.5) — nothing left to do or report.
             return
-        if mode is LockMode.SIREAD and self.locks.holds_range_over(
-            txn, table_name, key
-        ):
+        if self.locks.holds_range_over(txn, table_name, key, mode):
             # A key range of our own (a scan's or a fold's) already
-            # covers the key: writers find it through probe_ranges, so no
-            # record SIREAD is added — but the reader-side Fig 3.4 check
-            # against granted EXCLUSIVE holders must still run.
-            txn._siread_cache.add(resource)
-            for lock in self.locks.probe_detection(txn, resource, mode):
-                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+            # covers the key and a writer of it meets the range, so no
+            # record lock is added.  A SHARED range stands only once no
+            # writer is in flight inside it (bar those queued behind this
+            # reader's own ranges, which serialize after it); a SIREAD
+            # reader still owes the Fig 3.4 check against granted
+            # EXCLUSIVE holders.
+            if siread:
+                txn._siread_cache.add(resource)
+                for lock in self.locks.probe_detection(txn, resource, mode):
+                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
             return
         result = self._acquire(txn, resource, mode)
-        if mode is LockMode.SIREAD:
+        if siread:
             txn._siread_cache.add(resource)
         for lock in result.detection_conflicts:
             # Fig 3.4 lines 2-4: a concurrent writer holds EXCLUSIVE.
             # (SHARED requests report no detection conflicts, so this
             # loop is empty for lock-based readers.)
             self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-        if mode is LockMode.SIREAD and self._siread_budget is not None:
+        if siread and self._siread_budget is not None:
             self.locks.escalate(self._siread_budget)
 
     def _acquire_write_locks(
-        self, txn: Transaction, table_name: str, key: Hashable, gap: bool
-    ) -> Hashable | None:
-        """Write-side locking: EXCLUSIVE record (+ gap for insert/delete).
-        Returns the successor whose gap was locked (None without ``gap``).
+        self, txn: Transaction, table_name: str, key: Hashable,
+        next_page: bool = False,
+    ) -> None:
+        """Write-side locking: the EXCLUSIVE record lock, which meets
+        every key range covering ``key`` in the lock manager — an S2PL
+        scanner's SHARED range makes the write wait, and every SIREAD
+        holder on the record or on a range covering it that has not
+        committed, or committed after this transaction's snapshot, marks
+        a rw-dependency holder -> txn (Fig 3.5/3.7): for updates,
+        deletes, inserts and blind writes of brand-new keys alike.
 
-        SSI detection (Fig 3.5/3.7): every SIREAD holder on the record or
-        on a key range covering it that has not committed, or committed
-        after this transaction's snapshot, marks a rw-dependency
-        holder -> txn — for updates, deletes, inserts and blind writes
-        of brand-new keys alike.
+        ``next_page`` (inserts, deletes and new-key writes under PAGE
+        granularity) first X-locks the leaf page of the key's successor,
+        as Berkeley DB does where InnoDB would take a gap lock.
         """
         # Fail fast on first-committer-wins before queueing behind the
         # lock: if a newer committed version already exists, waiting is
@@ -1844,51 +1738,23 @@ class Database:
         if txn.snapshot is not None:
             self._first_committer_check(txn, table_name, key)
         txn.locked_writes = True
-        requests: list[tuple[Resource, LockMode]] = []
-        succ = None
-        if gap:
-            succ = self.table(table_name).successor(key)
-            # Record granularity uses insert-intention gap locks (two
-            # inserts into one gap never block each other, Section 2.5.2);
-            # page granularity locks the covering page exclusively, as
-            # Berkeley DB does.
-            gap_mode = (
-                LockMode.EXCLUSIVE
-                if self.config.granularity is LockGranularity.PAGE
-                else LockMode.INSERT_INTENTION
+        if next_page:
+            table = self.table(table_name)
+            page = page_resource(table_name, table.leaf_page_of(table.successor(key)))
+            self._report_readers(
+                txn, self._acquire(txn, page, LockMode.EXCLUSIVE).detection_conflicts
             )
-            requests.append((self._gap_resource_for(table_name, succ), gap_mode))
-        requests.append((self._rec_resource(table_name, key), LockMode.EXCLUSIVE))
-        for resource, mode in requests:
-            result = self._acquire(txn, resource, mode)
-            if result.detection_conflicts:
-                # Fig 3.5/3.7: a SIREAD holder signals a potential rw
-                # edge holder -> txn; the writer's policy applies its
-                # concurrency filter (or drops the edge).
-                with self._tracker_latch:
-                    for lock in result.detection_conflicts:
-                        txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
-        # The scans whose key range covers this key: probed after the
-        # EXCLUSIVE grant, so a range placed since then saw the grant.
-        readers = self.locks.probe_ranges(txn, table_name, key)
-        if readers:
-            with self._tracker_latch:
-                for lock in readers:
-                    txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
-        return succ
+        result = self._acquire(txn, self._rec_resource(table_name, key), LockMode.EXCLUSIVE)
+        self._report_readers(txn, result.detection_conflicts)
 
-    def _lock_touched_pages(
-        self, txn: Transaction, table_name: str, pages: list[int]
-    ) -> None:
-        """PAGE granularity: a split updates parent pages too — lock them,
-        reproducing the root-page contention of Section 6.1.5."""
-        txn.locked_writes = True
-        for page_id in pages:
-            result = self._acquire(txn, page_resource(table_name, page_id), LockMode.EXCLUSIVE)
-            if result.detection_conflicts:
-                with self._tracker_latch:
-                    for lock in result.detection_conflicts:
-                        txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
+    def _report_readers(self, txn: Transaction, conflicts: list) -> None:
+        """Fig 3.5/3.7: each SIREAD holder a write met signals a potential
+        rw edge holder -> txn; the writer's policy applies its
+        concurrency filter (or drops the edge)."""
+        if conflicts:
+            with self._tracker_latch:
+                for lock in conflicts:
+                    txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
 
     # ---------------------------------------------------------- conflicts
 
@@ -1903,6 +1769,14 @@ class Database:
         policy records it (and applies its victim decision).  An edge
         neither endpoint can track — a mixed-level edge such as an SI
         query against SSI updaters, Section 3.8 — is counted and dropped.
+
+        An endpoint that is no longer findable has retired: no later edge
+        can close a cycle through it, and recording one would re-register
+        it with the policy (an SGT node nothing removes again, pinning
+        its successors in the suspended set).  Under threads a writer can
+        meet a reader's lock just before the reader's cleanup and
+        dispatch just after, so the check runs under the tracker latch,
+        which cleanup holds.
         """
         if reader.id == writer.id:
             return
@@ -1910,6 +1784,11 @@ class Database:
             if reader.is_aborted or writer.is_aborted:
                 return
             if reader.doom_error is not None or writer.doom_error is not None:
+                return
+            if (
+                self._registry.get(reader.id) is not reader
+                or self._registry.get(writer.id) is not writer
+            ):
                 return
             first, second = reader.policy, writer.policy
             if second.edge_precedence > first.edge_precedence:

@@ -149,9 +149,9 @@ class CommitBatcher:
                         f"transaction {txn.id} is {txn.status.value}"
                     )
                     continue
-                error = txn.doom_error
-                if error is None and txn.policy.certifies:
-                    error = db._certify(txn)
+                error = (
+                    db._certify(txn) if txn.policy.certifies else txn.doom_error
+                )
                 if error is None:
                     db._install_commit(txn, page_mode)
                     committed.append(txn)

@@ -3,8 +3,9 @@
 A secondary index is an ordinary ordered table maintained automatically
 by the engine inside the same transaction as the base-table write, so it
 inherits the full concurrency-control treatment: index entries are
-versioned, index range scans take SIREAD/SHARED gap locks (phantom-safe
-predicate reads over the *index* order), and index maintenance writes
+versioned, index range scans take SIREAD/SHARED key-range locks
+(phantom-safe predicate reads over the *index* order), and index
+maintenance writes
 participate in first-committer-wins and dangerous-structure detection.
 
 Two shapes:

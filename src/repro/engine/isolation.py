@@ -25,8 +25,9 @@ def _normalize(name: str) -> str:
 class IsolationLevel(enum.Enum):
     """Per-transaction concurrency control discipline.
 
-    * ``SERIALIZABLE_2PL`` — strict two-phase locking with next-key
-      locking for phantoms: shared locks on reads held to commit.
+    * ``SERIALIZABLE_2PL`` — strict two-phase locking with a blocking
+      key-range lock per scan for phantoms: shared locks on reads held to
+      commit.
     * ``SNAPSHOT`` — plain snapshot isolation with first-updater-wins
       write locking.  Permits write skew and phantom anomalies.
     * ``SERIALIZABLE_SSI`` — the paper's contribution: SI plus SIREAD

@@ -28,10 +28,10 @@ What each level protects:
     so a snapshot taken under the same latch never observes a commit
     timestamp whose versions are still being installed.
 ``table``
-    One latch per :class:`~repro.storage.table.Table`: B+-tree structure,
-    version-chain install/prune, and the scan-vs-insert gap-locking
-    critical sections.  Two *different* table latches may not be held at
-    once (they share a rank), which the engine never needs.
+    One latch per :class:`~repro.storage.table.Table`: B+-tree structure
+    and version-chain install/prune.  Two *different* table latches may
+    not be held at once (they share a rank), which the engine never
+    needs.
 ``lock``
     The lock manager's single latch (see :mod:`repro.locking.manager`):
     the lock table and its wait queues, the per-owner indexes, the

@@ -133,9 +133,12 @@ def _audit(
     """The audit every stress driver ends with, once its clients are
     done: residual lock-table state, MVSG verdict, caller's invariant."""
     # Quiesce: with no transaction active the cleanup horizon is
-    # unbounded, so one sweep retires every suspended record a policy
-    # allows.  Whatever survives is a leak and lands in the result.
-    db.cleanup_suspended()
+    # unbounded.  SGT retires a node only once its incoming edges are
+    # gone, and a sweep can free a node it already passed over, so sweep
+    # until one retires nothing.  Whatever survives is a leak and lands
+    # in the result.
+    while db.cleanup_suspended():
+        pass
     residue = db.locks.residue()
     serializable: Optional[bool] = None
     detail = ""

@@ -13,7 +13,6 @@ from repro.locking.manager import (
     LockManager,
     LockRequest,
     Resource,
-    gap_resource,
     record_resource,
     range_resource,
     page_resource,
@@ -30,7 +29,6 @@ __all__ = [
     "LockRequest",
     "Resource",
     "record_resource",
-    "gap_resource",
     "range_resource",
     "page_resource",
     "DeadlockDetector",

@@ -9,19 +9,17 @@ A classic FIFO-queued lock manager extended with the paper's requirements:
   with ``keep_siread=True`` and cleaned later by :meth:`LockManager.drop_siread_locks`;
 * SIREAD -> EXCLUSIVE upgrade: acquiring an EXCLUSIVE lock discards the
   owner's SIREAD lock on the same resource (Section 3.7.3 / 4.3 item 4);
-* gap resources for next-key locking (Section 2.5.2/3.5): a gap is simply
-  a distinct key in the lock table derived from the same data item;
-* key-range SIREADs for predicate reads (Figs 3.6/3.7): one lock-table
-  entry per scan, covering ``[lo, hi]``.  A writer probes the ranges
-  covering its key after its EXCLUSIVE record grant
-  (:meth:`LockManager.probe_ranges`); a reader places its range and
+* key-range predicate locks (Figs 3.6/3.7; what Section 2.5.2's gap
+  locks protect): one entry per scan on ``[lo, hi]`` in its read mode,
+  SIREAD or S2PL's blocking SHARED.  A reader places its range and
   collects the EXCLUSIVE record holders inside it in one critical
-  section (:meth:`LockManager.acquire_range`).  Whichever runs second
-  sees the other;
+  section (:meth:`LockManager.acquire_range`); an EXCLUSIVE record
+  acquire meets the ranges covering its key in its own
+  (:meth:`LockManager.acquire`).  Whichever runs second blocks (S2PL)
+  or sees the other (SSI/SGT);
 * SIREAD escalation (:meth:`LockManager.escalate`): past a lock-table
   budget, an owner's pure record and range SIREADs on one table fold
-  into one key range over their span — the only SIREAD unit coarser
-  than a row, probed by writers like any scan's range.
+  into one key range over their span, met by writers like any scan's.
 
 Lock acquisition never blocks the calling thread.  When a request must
 wait it is enqueued and an :class:`AcquireResult` with ``status=WAIT`` is
@@ -48,8 +46,8 @@ Performance structure:
   :meth:`release_all`, :meth:`drop_siread_locks` and :meth:`cancel_waits`
   O(locks/requests owned).  Nothing on the commit/abort path walks the
   whole table — essential once Section 3.3 SIREAD retention inflates it;
-* lock-based scans grant in batches (:meth:`acquire_read_batch`): one
-  critical section per lock round;
+* PAGE-granularity scans grant a page round in one critical section
+  (:meth:`acquire_read_batch`);
 * the sorted index of EXCLUSIVE-held record keys that range readers
   bisect exists only for tables some range has touched, so writes to
   tables nobody scans maintain nothing;
@@ -68,17 +66,16 @@ from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.engine.latches import make_latch
 from repro.locking.deadlock import WaitsForGraph
-from repro.locking.modes import LockMode, compatible
+from repro.locking.modes import LockMode
 from repro.obs.registry import CounterGroup
 from repro.obs.trace import EventType
 
 class Resource(NamedTuple):
     """A key in the lock table.
 
-    ``kind`` distinguishes record locks (``"rec"``), gap locks (``"gap"``,
-    conceptually the open interval just before ``key``), key ranges
+    ``kind`` distinguishes record locks (``"rec"``), key ranges
     (``"range"``, ``key`` is the closed ``(lo, hi)`` a scan evaluated,
-    ``None`` for an open end), page locks (``"page"``, used by the
+    ``None`` for an open end) and page locks (``"page"``, used by the
     Berkeley DB-style page-granularity mode).
     """
 
@@ -94,10 +91,6 @@ def record_resource(table: str, key: Hashable) -> Resource:
     return Resource("rec", table, key)
 
 
-def gap_resource(table: str, key: Hashable) -> Resource:
-    return Resource("gap", table, key)
-
-
 def range_resource(table: str, lo: Hashable | None, hi: Hashable | None) -> Resource:
     return Resource("range", table, (lo, hi))
 
@@ -109,10 +102,10 @@ def page_resource(table: str, page_id: int) -> Resource:
 class Lock:
     """A granted lock: one owner's claim on one resource.
 
-    A lock can carry several *modes* at once — e.g. a transaction that
-    scanned a gap (SIREAD) and then inserts into it (INSERT_INTENTION)
-    keeps both semantics; discarding the SIREAD there would blind phantom
-    detection for later inserts by others.  The modes are stored as the
+    A lock can carry several *modes* at once — e.g. with
+    ``siread_upgrade`` off, a transaction that read a record (SIREAD) and
+    then wrote it (EXCLUSIVE) keeps both, so its retained SIREAD still
+    detects later writers after it commits.  The modes are stored as the
     integer ``mask`` (OR of the modes' bits) so hot paths never hash Enum
     members; :attr:`modes` derives the familiar set view on demand.
     """
@@ -144,14 +137,6 @@ class Lock:
     def modes(self) -> set[LockMode]:
         """The held modes as a set (convenience view over ``mask``)."""
         return set(_MODES_IN[self.mask])
-
-    @property
-    def mode(self) -> LockMode:
-        """The strongest held mode (convenience for displays/tests)."""
-        return max(self.modes, key=_STRENGTH.__getitem__)
-
-    def blocks(self, requested: LockMode) -> bool:
-        return bool(self.mask & requested.incompat_mask)
 
 
 class RequestState(enum.Enum):
@@ -311,22 +296,11 @@ class _LockHead:
         return not self.granted and not self.queue
 
 
-#: Modes that actually participate in blocking decisions.
-_BLOCKING_MODES = (LockMode.SHARED, LockMode.EXCLUSIVE)
-
-#: Lock strength order (display/victim heuristics).
-_STRENGTH = {
-    LockMode.SIREAD: 0,
-    LockMode.SHARED: 1,
-    LockMode.INSERT_INTENTION: 2,
-    LockMode.EXCLUSIVE: 3,
-}
-
 #: What a held mode subsumes: re-requesting a covered mode is a no-op.
 #: EXCLUSIVE covers everything (the Section 3.7.3 upgrade rationale:
 #: conflicts with the new version replace SIREAD detection).  Note that
-#: INSERT_INTENTION does NOT cover SIREAD — a gap scan's sentinel must
-#: survive the owner's own insert into that gap.
+#: INSERT_INTENTION does NOT cover SIREAD — a scan's range SIREAD must
+#: survive its owner's own writer claim on the same range.
 _COVERS = {
     LockMode.EXCLUSIVE: {
         LockMode.EXCLUSIVE,
@@ -360,21 +334,14 @@ LockMode.SHARED.detect_mask = 0
 _SIREAD_BIT = LockMode.SIREAD.bit
 #: resource kinds :meth:`LockManager.escalate` folds into key ranges
 _FOLDABLE = ("rec", "range")
-_SIREAD_SHIFT = LockMode.SIREAD.index << 4
 _EXCLUSIVE_BIT = LockMode.EXCLUSIVE.bit
+_SHARED_BIT = LockMode.SHARED.bit
 
 #: mask -> the modes whose bits it contains (decode table for the rare
 #: paths that need to enumerate a lock's modes).
 _MODES_IN = [
     tuple(m for m in LockMode if _mask & m.bit) for _mask in range(1 << len(LockMode))
 ]
-
-#: mask -> bit of the strongest mode in it (waits-for edges key off the
-#: strongest mode a lock holds, preserving the pre-optimization policy).
-_STRONGEST_BIT = [0] * (1 << len(LockMode))
-for _mask in range(1, 1 << len(LockMode)):
-    _members = [m for m in LockMode if _mask & m.bit]
-    _STRONGEST_BIT[_mask] = max(_members, key=_STRENGTH.__getitem__).bit
 
 
 def _covers(bounds: tuple, key: Hashable) -> bool:
@@ -437,10 +404,10 @@ class LockManager:
         #: for, itself included.  An entry exists for every folded range
         #: still granted; it leaves with the range's SIREAD.
         self._escalated_weights: dict[tuple[Hashable, Resource], int] = {}
-        #: table -> {range resource: its head} for every granted key-range
-        #: SIREAD (the same heads live in ``_heads``) — what a writer
-        #: probes.  An emptied per-table dict stays, so the latch-free
-        #: "any ranges here?" probe is one ``dict.get``.
+        #: table -> {range resource: its head} for every key-range head,
+        #: whatever modes it holds (the same heads live in ``_heads``) —
+        #: what an EXCLUSIVE record acquire checks.  An emptied per-table
+        #: dict stays, so the "any ranges here?" probe is one ``dict.get``.
         self._ranges: dict[str, dict[Resource, _LockHead]] = {}
         #: table -> sorted keys of its EXCLUSIVE-held record locks — what
         #: a range reader bisects.  Kept only for tables some range has
@@ -494,14 +461,35 @@ class LockManager:
         which may doom a transaction via its own side effects.
         :meth:`acquire_nowait` is the same call under its
         completion-style name.
+
+        An EXCLUSIVE record request also meets the key ranges covering
+        its key, in the same critical section.  Another owner's SHARED
+        range makes it wait, queued as an INSERT_INTENTION request on
+        that range; every other owner's SIREAD range joins the detection
+        conflicts — the writer half of phantom detection.
         """
         with self._latch:
             self.stats["acquires"] += 1
+            owner_locks = self._by_owner.get(owner.id)
+            held = owner_locks.get(resource) if owner_locks else None
+            ranges = (
+                self._ranges.get(resource.table)
+                if mode is LockMode.EXCLUSIVE and resource.kind == "rec"
+                else None
+            )
+            if ranges:
+                # Checked on a covered re-acquire too: a record granted by
+                # _promote never met the ranges placed while it queued.
+                blocking = self._shared_range_over(ranges, owner.id, resource.key)
+                if blocking is not None:
+                    return self._enqueue_wait(
+                        owner, blocking, LockMode.INSERT_INTENTION,
+                        self._heads[blocking],
+                        owner_locks.get(blocking) if owner_locks else None,
+                    )
             head = self._heads.get(resource)
             if head is None:
                 head = self._heads[resource] = _LockHead()
-            owner_locks = self._by_owner.get(owner.id)
-            held = owner_locks.get(resource) if owner_locks else None
             # A covered request (idempotent re-acquire) grants nothing but
             # still reports detection conflicts, for retry correctness.
             if held is None or not held.mask & mode.covered_by_mask:
@@ -513,6 +501,10 @@ class LockManager:
                         self.stats["upgrades"] += 1
                 self._grant(head, owner, resource, mode, held)
             conflicts = self._detection_conflicts(head, owner, mode)
+            if ranges:
+                readers = self._range_readers(ranges, owner.id, resource.key)
+                if readers:
+                    conflicts = conflicts + readers
         if not conflicts:
             return _GRANTED_CLEAN
         return AcquireResult(AcquireStatus.GRANTED, detection_conflicts=conflicts)
@@ -596,33 +588,40 @@ class LockManager:
                     )
         return conflicts, deferred
 
-    # ------------------------------------------------------ key-range SIREADs
+    # ------------------------------------------------------- key-range locks
 
     def acquire_range(
-        self, owner: Any, table: str, lo: Hashable | None, hi: Hashable | None
+        self, owner: Any, table: str, lo: Hashable | None, hi: Hashable | None,
+        mode: LockMode = LockMode.SIREAD,
     ) -> list[Lock]:
-        """Place a SIREAD on the key range ``[lo, hi]`` of ``table`` (an
-        open end is ``None``) and return the EXCLUSIVE record locks other
-        owners hold inside it — the reader half of phantom detection.
+        """Place ``mode`` (SIREAD or SHARED) on the key range ``[lo, hi]``
+        of ``table`` (an open end is ``None``) and return the EXCLUSIVE
+        record locks other owners hold inside it: the writers a SIREAD
+        reader reports and a SHARED reader waits for.
 
         One critical section: a writer granted before it is returned
-        here, a writer granted after it finds the range when it calls
-        :meth:`probe_ranges`.  A range ``owner`` already holds returns
-        nothing, because every writer granted since it was placed probed
-        it — unless escalation placed it: the writers inside a fold that
-        were granted before it met only the sentinels it absorbed.
+        here, a writer granted after it meets the range in
+        :meth:`acquire`.  A SIREAD range ``owner`` already holds returns
+        nothing, because every writer granted since it was placed met it
+        — unless escalation placed it: the writers inside a fold that
+        were granted before it met only the sentinels it absorbed.  A
+        SHARED reader is not handed the writers queued behind one of its
+        own ranges: they already serialize after it, and waiting for them
+        would deadlock.
         """
         resource = range_resource(table, lo, hi)
+        owner_id = owner.id
+        siread = mode is LockMode.SIREAD
         with self._latch:
             self.stats["acquires"] += 1
-            owner_locks = self._by_owner.get(owner.id)
+            owner_locks = self._by_owner.get(owner_id)
             held = owner_locks.get(resource) if owner_locks else None
-            if held is not None and (
-                (owner.id, resource) not in self._escalated_weights
+            if (
+                siread and held is not None and held.mask & _SIREAD_BIT
+                and (owner_id, resource) not in self._escalated_weights
             ):
                 return _NO_CONFLICTS
-            self._grant(self._range_head(resource), owner, resource,
-                        LockMode.SIREAD, held)
+            self._place_range(owner, resource, mode, held)
             keys = self._exclusive_keys.get(table)
             if keys is None:
                 keys = self._exclusive_keys[table] = sorted(
@@ -636,17 +635,23 @@ class LockManager:
             heads = self._heads
             conflicts: list[Lock] = []
             for key in keys[start:stop]:
-                conflicts.extend(self._detection_conflicts(
-                    heads[record_resource(table, key)], owner, LockMode.SIREAD
-                ))
+                head = heads[record_resource(table, key)]
+                for holder_id, lock in head.granted.items():
+                    if (
+                        holder_id != owner_id and lock.mask & _EXCLUSIVE_BIT
+                        and (siread or not self._queued_behind(holder_id, owner_id))
+                    ):
+                        conflicts.append(lock)
             return conflicts
 
     def narrow_range(
         self, owner: Any, table: str, lo: Hashable | None,
         hi: Hashable | None, cut: Hashable,
     ) -> None:
-        """Replace ``owner``'s range ``[lo, hi]`` with ``[lo, cut]`` in one
-        critical section (a prefix scan that stopped at ``cut``).  Nothing
+        """Replace ``owner``'s range ``[lo, hi]`` with ``[lo, cut]``, in
+        the same read mode, in one critical section (a prefix scan that
+        stopped at ``cut``); writers queued on the wide range are
+        promoted and meet the narrow one when they retry.  Nothing
         happens when ``[lo, hi]`` is no longer the scan's own range:
         escalation folded it, and the fold covers ``[lo, hi]`` and
         whatever else it absorbed."""
@@ -660,63 +665,112 @@ class LockManager:
             lock = owner_locks.get(wide) if owner_locks else None
             if lock is None or (owner_id, wide) in self._escalated_weights:
                 return
-            if narrow not in owner_locks:
-                self._grant(self._range_head(narrow), owner, narrow,
-                            LockMode.SIREAD, None)
-            self._detach_lock(self._heads[wide], lock)
-            self._forget_locks(owner_id, [lock])
+            mode = LockMode.SHARED if lock.mask & _SHARED_BIT else LockMode.SIREAD
+            self._place_range(owner, narrow, mode, owner_locks.get(narrow))
+            self._drop_range(owner_id, lock)
+
+    def release_range(
+        self, owner: Any, table: str, lo: Hashable | None, hi: Hashable | None
+    ) -> None:
+        """Withdraw ``owner``'s range ``[lo, hi]`` and promote the writers
+        queued on it: an S2PL scan that must wait for an in-flight writer
+        does not hold its range meanwhile."""
+        with self._latch:
+            lock = self._by_owner[owner.id][range_resource(table, lo, hi)]
+            self._drop_range(owner.id, lock)
 
     def probe_ranges(self, owner: Any, table: str, key: Hashable) -> list[Lock]:
-        """The writer half of phantom detection, called after the
-        writer's EXCLUSIVE grant on ``key``: one SIREAD range lock per
-        other owner whose range covers ``key``.
-
-        Latch-free exit (one GIL-atomic ``dict.get``) when ``table`` has
-        no range: a range placed after that probe is placed after the
-        EXCLUSIVE grant too, so its :meth:`acquire_range` returns this
-        writer instead."""
+        """The SIREAD range locks covering ``key``, one per other owner:
+        the readers an EXCLUSIVE acquire of ``key`` reports."""
         if not self._ranges.get(table):
             return _NO_CONFLICTS
+        with self._latch:
+            return self._range_readers(self._ranges[table], owner.id, key)
+
+    def holds_range_over(
+        self, owner: Any, table: str, key: Hashable,
+        mode: LockMode = LockMode.SIREAD,
+    ) -> bool:
+        """Does a key range ``owner`` holds in ``mode`` cover ``key``?  A
+        point read it covers needs no record lock: a writer of ``key``
+        meets the range in :meth:`acquire`.
+
+        Latch-free exit (two GIL-atomic probes) when the owner holds
+        nothing or the table has no range: only the owner's own thread
+        grants it a read lock, and escalation only folds SIREADs it
+        already holds."""
         owner_id = owner.id
-        found: dict[Hashable, Lock] = {}
+        if owner_id not in self._by_owner or not self._ranges.get(table):
+            return False
+        bit = mode.bit
         with self._latch:
             for resource, head in self._ranges[table].items():
-                if not _covers(resource.key, key):
-                    continue
+                lock = head.granted.get(owner_id)
+                if lock is not None and lock.mask & bit and _covers(resource.key, key):
+                    return True
+            return False
+
+    @staticmethod
+    def _shared_range_over(
+        ranges: dict[Resource, _LockHead], owner_id: Hashable, key: Hashable
+    ) -> Resource | None:
+        """A range covering ``key`` another owner holds SHARED."""
+        for resource, head in ranges.items():
+            if head.mask & _SHARED_BIT and _covers(resource.key, key):
                 for holder_id, lock in head.granted.items():
-                    if holder_id != owner_id and holder_id not in found:
+                    if holder_id != owner_id and lock.mask & _SHARED_BIT:
+                        return resource
+        return None
+
+    @staticmethod
+    def _range_readers(
+        ranges: dict[Resource, _LockHead], owner_id: Hashable, key: Hashable
+    ) -> list[Lock]:
+        """One SIREAD range lock per other owner covering ``key``."""
+        found: dict[Hashable, Lock] = {}
+        for resource, head in ranges.items():
+            if head.mask & _SIREAD_BIT and _covers(resource.key, key):
+                for holder_id, lock in head.granted.items():
+                    if (
+                        holder_id != owner_id and lock.mask & _SIREAD_BIT
+                        and holder_id not in found
+                    ):
                         found[holder_id] = lock
         return list(found.values())
 
-    def holds_range_over(self, owner: Any, table: str, key: Hashable) -> bool:
-        """Does a key-range SIREAD of ``owner``'s own cover ``key``?  A
-        point read it covers needs no record SIREAD: writers of ``key``
-        find the range through :meth:`probe_ranges`.
+    def _queued_behind(self, waiter_id: Hashable, owner_id: Hashable) -> bool:
+        """Is ``waiter_id`` queued on a range ``owner_id`` holds?"""
+        heads = self._heads
+        return any(
+            request.resource.kind == "range"
+            and owner_id in heads[request.resource].granted
+            for request in self._waiting.get(waiter_id, ())
+        )
 
-        Latch-free exit (two GIL-atomic ``dict.get``) when the owner
-        holds no SIREAD or the table no range: only the owner's own
-        thread grants it a SIREAD, and escalation only folds SIREADs it
-        already holds."""
-        owner_id = owner.id
-        if not self._siread_counts.get(owner_id) or not self._ranges.get(table):
-            return False
-        with self._latch:
-            return any(
-                owner_id in head.granted and _covers(resource.key, key)
-                for resource, head in self._ranges[table].items()
-            )
-
-    def _range_head(self, resource: Resource) -> _LockHead:
-        """The head of a range resource, created and indexed on first use
-        (caller holds the latch)."""
+    def _place_range(
+        self, owner: Any, resource: Resource, mode: LockMode, held: Lock | None
+    ) -> None:
+        """Grant ``mode`` on a range, creating and indexing its head on
+        first use.  A reader never queues for its range — it waits through
+        the records of the writers inside it — so writers already queued
+        here now wait for this owner too: their waits-for edges are
+        refreshed, or a cycle through them would go unseen."""
         head = self._heads.get(resource)
         if head is None:
             head = self._heads[resource] = _LockHead()
-            ranges = self._ranges.get(resource.table)
-            if ranges is None:
-                ranges = self._ranges[resource.table] = {}
-            ranges[resource] = head
-        return head
+            self._ranges.setdefault(resource.table, {})[resource] = head
+        self._grant(head, owner, resource, mode, held)
+        if head.queue:
+            self._refresh_wait_edges(head)
+
+    def _drop_range(self, owner_id: Hashable, lock: Lock) -> None:
+        """Withdraw one range lock; promote the writers queued on it."""
+        resource = lock.resource
+        head = self._heads[resource]
+        self._detach_lock(head, lock)
+        self._forget_locks(owner_id, [lock])
+        if head.queue:
+            self._promote(resource)
 
     def _index_exclusive(self, resource: Resource, held: bool) -> None:
         """Keep a range-touched table's sorted EXCLUSIVE key index in
@@ -766,10 +820,10 @@ class LockManager:
 
         if self.deadlock_handler is not None:
             self._resolve_deadlocks(request)
-            if request.state is RequestState.GRANTED:
-                return AcquireResult(AcquireStatus.GRANTED)
-        # A request denied during deadlock resolution also travels the
-        # WAIT path: the caller sees it resolved and surfaces the error.
+        # A request resolved during deadlock resolution also travels the
+        # WAIT path: the caller sees it denied (and surfaces the error) or
+        # granted (and acquires again — a record that waited on a key
+        # range still owes the record itself).
         return AcquireResult(AcquireStatus.WAIT, request=request)
 
     def release_all(self, owner: Any, keep_siread: bool = False) -> None:
@@ -888,10 +942,13 @@ class LockManager:
             if not (head.counts >> shift) & 0xFFFF:
                 head.mask &= ~mode.bit
         if head.empty():
-            resource = lock.resource
-            self._heads.pop(resource, None)
-            if resource.kind == "range":
-                self._ranges[resource.table].pop(resource, None)
+            self._drop_head(lock.resource)
+
+    def _drop_head(self, resource: Resource) -> None:
+        """Reclaim an empty head, from the range index too."""
+        self._heads.pop(resource, None)
+        if resource.kind == "range":
+            self._ranges[resource.table].pop(resource, None)
 
     def _forget_locks(
         self, owner_id: Hashable, removed: list[Lock], dropped_stat: int = 0
@@ -940,9 +997,11 @@ class LockManager:
         victim's pure record and range SIREADs on one table fold into one
         range over their span (:meth:`_fold`); a mixed-mode lock belongs
         to an active writer and stays put, and a lone sentinel is already
-        as coarse as its fold.  Writers find the fold through
-        :meth:`probe_ranges` like any scan's range, and a range covers
-        keys no leaf holds yet, so a leaf split owes it nothing.
+        as coarse as its fold.  Writers meet the fold in :meth:`acquire`
+        like any scan's range, and a range covers keys no leaf holds yet,
+        so a leaf split owes it nothing.  Only pure SIREADs fold: a
+        SHARED range or a writer's INSERT_INTENTION claim never stands in
+        for one.
 
         Soundness: the whole escalation is one critical section, so a
         writer sees the fine sentinels or their fold, never neither, and
@@ -994,8 +1053,8 @@ class LockManager:
         owner_id = owner.id
         weight_key = (owner_id, target)
         weight = self._escalated_weights.get(weight_key, 1)
-        self._grant(self._range_head(target), owner, target, LockMode.SIREAD,
-                    self._by_owner[owner_id].get(target))
+        self._place_range(owner, target, LockMode.SIREAD,
+                          self._by_owner[owner_id].get(target))
         removed = [lock for lock in locks if lock.resource != target]
         for lock in removed:
             self._detach_lock(self._heads[lock.resource], lock)
@@ -1348,7 +1407,7 @@ class LockManager:
         if head.queue:
             self._refresh_wait_edges(head)
         if head.empty():
-            self._heads.pop(resource, None)
+            self._drop_head(resource)
 
     def _refresh_wait_edges(self, head: _LockHead) -> None:
         """Recompute waits-for edges contributed by this resource's queue."""
@@ -1360,14 +1419,15 @@ class LockManager:
         # Re-add edges for every waiter of every resource the owner waits on
         # (an owner can wait on at most one resource at a time in this
         # engine, so recomputing from this head alone is sufficient).
-        # Waiters key off the *strongest* granted mode, the historical
-        # policy — _STRONGEST_BIT keeps that exact behaviour mask-cheap.
+        # Every mode a lock carries counts, as in _blockers: a range
+        # holding SHARED + INSERT_INTENTION blocks writers through its
+        # SHARED bit although INSERT_INTENTION is the stronger mode.
         ahead: list[LockRequest] = []
         for request in head.queue:
             incompat = request.mode.incompat_mask
             request_owner_id = request.owner.id
             for lock in head.granted.values():
-                if lock.owner_id != request_owner_id and _STRONGEST_BIT[lock.mask] & incompat:
+                if lock.owner_id != request_owner_id and lock.mask & incompat:
                     self.waits_for.add_edge(request_owner_id, lock.owner_id)
             for earlier in ahead:
                 if earlier.owner.id != request_owner_id and earlier.mode.bit & incompat:

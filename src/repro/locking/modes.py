@@ -10,10 +10,10 @@ Modes:
   represented by reusing the "intention shared" mode on rows, Section 4.6;
   here it is a first-class mode.)
 
-Gap locks (paper Section 2.5.2) are not separate modes: a gap is a
-separate *resource* (a different key in the lock table for the same data
-item), exactly as the paper describes InnoDB's design, so the same mode
-matrix applies to gaps.
+Predicate locks are not separate modes either: the paper's gap locks
+(Section 2.5.2) protect the predicate a scan evaluated, and here that
+predicate is one key-range *resource* (see :mod:`repro.locking.manager`)
+held in the scan's read mode, so the same mode matrix applies to it.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ class LockMode(enum.Enum):
     SHARED = "S"
     EXCLUSIVE = "X"
     SIREAD = "SIREAD"
-    #: Gap-only mode taken by inserts/deletes (InnoDB's "insert intention",
-    #: Section 2.5.2): two inserts into the same gap do not block each
-    #: other, but an S2PL scan's SHARED gap lock blocks them, and a
-    #: SIREAD gap lock detects them.
+    #: A writer's claim on a key inside a key range (InnoDB's "insert
+    #: intention", Section 2.5.2): two writers inside one range do not
+    #: block each other and a SIREAD range does not block them, but an
+    #: S2PL scan's SHARED range does.
     INSERT_INTENTION = "II"
 
     def __repr__(self) -> str:  # compact in queue dumps
@@ -71,9 +71,6 @@ for _mode in LockMode:
     for _other in LockMode:
         if (_other, _mode) not in _COMPATIBLE:
             _mode.incompat_mask |= _other.bit
-
-#: Bits of every mode (the "something is granted here" summary value).
-ALL_MODES_MASK = sum(_mode.bit for _mode in LockMode)
 
 
 def compatible(held: LockMode, requested: LockMode) -> bool:

@@ -217,7 +217,7 @@ WIRE_OPS: dict[str, WireOp] = {spec.op: spec for spec in (
     _op("put", "table", "key", "value", method="write"),
     _op("insert", "table", "key", "value"),
     _op("delete", "table", "key"),
-    # predicate reads (next-key locked) -> (key, value) / (entry, pk) rows
+    # predicate reads (key-range locked) -> (key, value) / (entry, pk) rows
     _op("scan", "table", *_RANGE, reply="rows", decode=_wire_rows),
     _op("index_scan", "index", *_RANGE, reply="rows", decode=_wire_keys),
     _op("index_lookup", "index", "key", reply="keys", decode=_wire_keys),

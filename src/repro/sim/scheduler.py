@@ -55,8 +55,9 @@ class SimConfig:
         think_time: client delay between transactions (0 per the paper).
         lock_op_cost: CPU seconds per lock-manager request — this is how
             "the additional lock manager activity required by Serializable
-            SI" (Section 1.4.3) costs something: an SSI or S2PL scan pays
-            per row+gap, a plain SI scan pays nothing.
+            SI" (Section 1.4.3) costs something: an SSI, SGT or S2PL scan
+            pays for its one key-range lock (per page under PAGE
+            granularity), a plain SI scan pays nothing.
         vacuum_interval: simulated seconds between version garbage
             collections (0 disables) — keeps version chains bounded in
             long runs, like Berkeley DB's old-version reclamation.

@@ -2,8 +2,8 @@
 
 The tree serves two purposes:
 
-* ordered key storage with successor queries — the basis of next-key /
-  gap locking for phantom prevention (paper Sections 2.5.2 and 3.5); and
+* ordered key storage with range walks and successor queries (the page
+  past a scanned range under page-granularity locking); and
 * a page structure, so the engine's Berkeley DB-style mode can lock and
   version *pages* instead of records (paper Chapter 4.1-4.3).  Every node
   has a stable integer id; operations report which pages they touched,
@@ -12,8 +12,8 @@ The tree serves two purposes:
   for Serializable SI's false positives in Figure 6.4.
 
 Keys must be mutually comparable within one tree.  :data:`SUPREMUM` is a
-sentinel greater than every key, used as the gap-lock target beyond the
-last key in a table (paper Section 2.5.2: "the special supremum key").
+sentinel greater than every key: the successor of the last key in a
+table (paper Section 2.5.2: "the special supremum key").
 
 Deletion is lazy (keys are removed from leaves without rebalancing);
 the engine only deletes keys during version garbage collection, so
@@ -48,7 +48,7 @@ class _Supremum:
         return "<SUPREMUM>"
 
 
-#: The key that sorts after every real key (gap lock target at table end).
+#: The key that sorts after every real key (the successor at table end).
 SUPREMUM = _Supremum()
 
 

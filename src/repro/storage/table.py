@@ -2,7 +2,7 @@
 
 A :class:`Table` maps orderable primary keys to
 :class:`~repro.mvcc.version.VersionChain` objects through a B+-tree, and
-answers the successor queries that drive gap locking.  A key stays in the
+answers ordered range walks and successor queries.  A key stays in the
 tree while any version (including a tombstone) of it survives, so that
 concurrent snapshots keep seeing their versions; garbage collection prunes
 chains against the oldest active snapshot.
@@ -32,9 +32,8 @@ class Table:
     Every method is internally guarded by the table's latch (rank
     ``table`` in the engine hierarchy): B+-tree lookups race structurally
     with node splits, so even reads must exclude tree mutation.  The
-    latch is re-entrant and public — the engine takes it around compound
-    sections (successor probe + gap lock + chain creation on insert;
-    the version-install loop at commit) so they are atomic against
+    latch is re-entrant and public — the engine takes it around the
+    version-install loop at commit so that loop is atomic against
     concurrent scans of the same table.
 
     Args:
@@ -49,8 +48,9 @@ class Table:
         self._tree = BPlusTree(order=page_size)
         self.latch = make_latch(f"table[{name}]")
         #: Bumped (under the latch) whenever the *key set* changes — new
-        #: chain added or vacuumed away.  Scans compare it across their
-        #: materialise->lock window to decide whether a re-scan is owed;
+        #: chain added or vacuumed away.  PAGE-granularity scans compare
+        #: it across their materialise->lock window to decide whether a
+        #: re-scan is owed;
         #: reading it is a GIL-atomic latch-free int probe.
         self.keyset_version = 0
 
@@ -85,8 +85,9 @@ class Table:
     # ------------------------------------------------------------ queries
 
     def successor(self, key: Hashable) -> Hashable:
-        """The next key after ``key`` (SUPREMUM past the end) — the
-        gap-lock target for reads/writes of ``key`` (Fig 3.6/3.7)."""
+        """The next key after ``key`` (SUPREMUM past the end): whose
+        page a PAGE-granularity scan locks past its range, and an insert
+        or delete locks beside its own."""
         with self.latch:
             return self._tree.successor(key)
 
@@ -152,9 +153,6 @@ class Table:
     def leaf_page_of(self, key: Hashable) -> int:
         with self.latch:
             return self._tree.leaf_page_of(key)
-
-    def root_page_id(self) -> int:
-        return self._tree.root_page_id
 
     def __len__(self) -> int:
         with self.latch:

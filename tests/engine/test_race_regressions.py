@@ -2,9 +2,10 @@
 
 Three distinct windows, each made deterministic here:
 
-* the scan materialise->lock window: a writer whose whole lock lifetime
-  (acquire, commit, finalize-release) fits between ``scan_chunks`` and
-  the batch read-lock acquire used to be invisible to phantom detection;
+* the scan materialise window: a writer whose whole lock lifetime
+  (acquire, commit, finalize-release) fits inside ``scan_chunks`` must
+  still be met — an SSI scan reports the rw edge through the newer
+  version, an S2PL scan's range (placed first) makes the writer wait;
 * the ``LockRequest`` subscribe-vs-resolve race: an unsynchronised
   check-then-append could land a waiter's callback on the already
   swapped-out list, hanging the client thread forever;
@@ -18,7 +19,13 @@ import threading
 
 import pytest
 
-from repro.locking.manager import LockRequest, LockMode, RequestState
+from repro.errors import LockWaitRequired
+from repro.locking.manager import (
+    LockMode,
+    LockRequest,
+    RequestState,
+    range_resource,
+)
 
 from tests.conftest import fill
 
@@ -54,18 +61,34 @@ def _inject_committed_insert(db, table, level, key, value, writer_reads=None):
 
 
 class TestScanMaterializeWindow:
-    def test_s2pl_scan_sees_insert_committed_in_window(self, db):
-        """S2PL reads current state: a row committed inside the
-        materialise->lock window must appear in the scan result."""
+    def test_s2pl_insert_in_window_waits(self, db):
+        """S2PL places its key range before materialising, so an insert
+        attempted inside the materialise window can no longer commit
+        behind the scan: it waits for the scanner, the scan returns the
+        rows committed before it, and the insert goes through once the
+        scanner commits."""
         fill(db, "t", {1: "a", 5: "b"})
         table = db.table("t")
-        scanner = db.begin("s2pl")
-        _inject_committed_insert(db, table, "s2pl", 3, "x")
-        rows = db.scan(scanner, "t", 1, 5)
-        assert rows == [(1, "a"), (3, "x"), (5, "b")]
-        # The relock round covered the fresh key with read locks.
-        assert db.locks.holds(scanner, db._rec_resource("t", 3), LockMode.SHARED)
+        scanner, writer = db.begin("s2pl"), db.begin("s2pl")
+        real_chunks = table.scan_chunks
+        waits = []
+
+        def patched_chunks(lo, hi, chunk_size=None):
+            stale = list(real_chunks(lo, hi, chunk_size))
+            table.scan_chunks = real_chunks
+            with pytest.raises(LockWaitRequired) as wait:
+                db.insert(writer, "t", 3, "x")
+            waits.append(wait.value.request)
+            return iter(stale)
+
+        table.scan_chunks = patched_chunks
+        assert db.scan(scanner, "t", 1, 5) == [(1, "a"), (5, "b")]
+        (request,) = waits
+        assert request.resource == range_resource("t", 1, 5)
         scanner.commit()
+        assert request.state is RequestState.GRANTED
+        db.insert(writer, "t", 3, "x")
+        writer.commit()
 
     def test_ssi_scan_marks_rw_edge_for_window_insert(self, db):
         """SSI: the scanner's snapshot ignores the in-window committed

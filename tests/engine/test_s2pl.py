@@ -5,10 +5,10 @@ import pytest
 from repro import Database, DeadlockError, EngineConfig
 from repro.engine.config import DeadlockMode
 from repro.errors import LockWaitRequired
-from repro.locking.manager import RequestState
+from repro.locking.manager import LockManager, RequestState, range_resource
 from repro.sgt.checker import check_serializable
 
-from tests.conftest import fill
+from tests.conftest import commit_outcomes, fill
 
 
 class TestBlockingReads:
@@ -90,6 +90,9 @@ class TestDeadlocks:
 
 
 class TestNextKeyLocking:
+    """The phantom cases next-key locking used to cover, now met by the
+    scan's one SHARED key range."""
+
     def test_scan_blocks_insert_into_range(self, db):
         fill(db, "t", {10: "a", 20: "b"})
         scanner = db.begin("s2pl")
@@ -116,7 +119,7 @@ class TestNextKeyLocking:
     def test_insert_past_table_end_blocked_by_open_scan(self, db):
         fill(db, "t", {10: "a"})
         scanner = db.begin("s2pl")
-        scanner.scan("t")  # open-ended: supremum gap locked
+        scanner.scan("t")  # open-ended: the range has no upper bound
         inserter = db.begin("s2pl")
         with pytest.raises(LockWaitRequired):
             db.insert(inserter, "t", 99, "x")
@@ -127,20 +130,115 @@ class TestNextKeyLocking:
         fill(db, "t", {10: "a", 20: "b", 30: "c"})
         t1 = db.begin("s2pl")
         t2 = db.begin("s2pl")
-        t1.insert("t", 15, "x")  # gap before 20
-        t2.insert("t", 25, "y")  # gap before 30
+        t1.insert("t", 15, "x")  # between 10 and 20
+        t2.insert("t", 25, "y")  # between 20 and 30
         t1.commit()
         t2.commit()
 
     def test_concurrent_inserts_same_gap_do_not_block(self, db):
-        """Insert-intention locks are mutually compatible."""
+        """Two writers between the same rows never block each other."""
         fill(db, "t", {10: "a", 20: "b"})
         t1 = db.begin("s2pl")
         t2 = db.begin("s2pl")
         t1.insert("t", 14, "x")
-        t2.insert("t", 16, "y")  # same gap, no block
+        t2.insert("t", 16, "y")  # same neighbours, no block
         t1.commit()
         t2.commit()
+
+
+class TestKeyRangeLocks:
+    """An S2PL scan holds one blocking key range on exactly the predicate
+    it evaluated."""
+
+    @pytest.mark.parametrize("lo, hi, key", [(0, 12, 15), (7, 30, 3)])
+    def test_insert_outside_the_predicate_is_granted(self, db, lo, hi, key):
+        """Next-key gaps reached past the predicate: with rows {10, 20}
+        a scan of [0, 12] locked the gap up to 20, and a scan of [7, 30]
+        the gap down from 10."""
+        fill(db, "t", {10: "a", 20: "b"})
+        scanner = db.begin("s2pl")
+        scanner.scan("t", lo, hi)
+        inserter = db.begin("s2pl")
+        db.insert(inserter, "t", key, "outside")
+        assert commit_outcomes(inserter, scanner) == ["commit", "commit"]
+        assert check_serializable(db.history).serializable
+
+    def test_wide_scan_holds_one_lock(self, db):
+        fill(db, "t", {key: key for key in range(512)})
+        scanner = db.begin("s2pl")
+        assert len(scanner.scan("t")) == 512
+        assert db.locks.table_size() == 1
+        (lock,) = db.locks.locks_held_by(scanner)
+        assert lock.resource == range_resource("t", None, None)
+        scanner.commit()
+        assert db.locks.table_size() == 0
+
+    def test_reader_never_waits_for_a_writer_queued_behind_its_range(self, db):
+        """W is queued behind R's range; R scans again, point-reads W's
+        key and commits with no deadlock, and W's write then goes
+        through."""
+        fill(db, "t", {10: "a", 20: "b", 30: "c"})
+        reader, writer = db.begin("s2pl"), db.begin("s2pl")
+        reader.scan("t", 0, 25)
+        with pytest.raises(LockWaitRequired) as wait:
+            db.write(writer, "t", 20, "new")
+        assert reader.scan("t", 0, 25) == [(10, "a"), (20, "b")]
+        assert reader.read("t", 20) == "b"
+        reader.commit()
+        assert wait.value.request.state is RequestState.GRANTED
+        db.write(writer, "t", 20, "new")
+        writer.commit()
+        assert db.stats["aborts"]["deadlock"] == 0
+        assert check_serializable(db.history).serializable
+
+    def test_reader_skips_a_writer_its_range_holds_back(self, db):
+        """W wrote 30, then queued behind R's range on 20.  A scan of R's
+        over 30 does not wait for W — W already serializes after R — so R
+        reads the committed 30 and commits, and W finishes afterwards."""
+        fill(db, "t", {10: "a", 20: "b", 30: "c"})
+        reader, writer = db.begin("s2pl"), db.begin("s2pl")
+        reader.scan("t", 0, 25)
+        db.write(writer, "t", 30, "new")
+        with pytest.raises(LockWaitRequired):
+            db.write(writer, "t", 20, "new")
+        assert reader.scan("t", 26, 40) == [(30, "c")]
+        assert reader.read("t", 30) == "c"
+        reader.commit()
+        db.write(writer, "t", 20, "new")
+        writer.commit()
+        assert db.stats["aborts"]["deadlock"] == 0
+        assert check_serializable(db.history).serializable
+
+    def test_scan_waits_for_an_in_flight_writer_without_holding_its_range(
+        self, db
+    ):
+        """A writer granted before the scan is waited for through its
+        record, and the scan's range is withdrawn meanwhile: the writer's
+        next key inside the range does not deadlock against the scan."""
+        fill(db, "t", {10: "a", 20: "b", 30: "c"})
+        writer, reader = db.begin("s2pl"), db.begin("s2pl")
+        db.write(writer, "t", 20, "new")
+        with pytest.raises(LockWaitRequired):
+            db.scan(reader, "t", 0, 40)
+        assert db.locks.locks_held_by(reader) == []
+        db.insert(writer, "t", 25, "more")
+        writer.commit()
+        assert [key for key, _ in reader.scan("t", 0, 40)] == [10, 20, 25, 30]
+        reader.commit()
+        assert check_serializable(db.history).serializable
+
+    def test_prefix_scan_waits_only_below_the_cut(self, db):
+        fill(db, "t", {10: "a", 20: "b", 30: "c", 40: "d"})
+        below, past, reader = (db.begin("s2pl") for _ in range(3))
+        db.write(past, "t", 40, "past")
+        assert db.scan_prefix(reader, "t", limit=2) == [(10, "a"), (20, "b")]
+        db.insert(past, "t", 35, "past the cut")
+        with pytest.raises(LockWaitRequired):
+            db.insert(below, "t", 15, "below the cut")
+        assert commit_outcomes(past, reader) == ["commit", "commit"]
+        db.insert(below, "t", 15, "below the cut")
+        below.commit()
+        assert check_serializable(db.history).serializable
 
 
 class TestSerializability:
@@ -160,3 +258,23 @@ class TestSerializability:
         db.write(t1, "acct", "x", -20)
         t1.commit()
         assert check_serializable(db.history).serializable
+
+    def test_oracle_reports_a_phantom_once_range_waits_are_gone(
+        self, db, monkeypatch
+    ):
+        """S2PL scans reach the MVSG oracle: with the writer's range wait
+        cut out of the lock manager, two scan-then-insert transactions
+        over one range both commit and the history is reported
+        non-serializable."""
+        monkeypatch.setattr(
+            LockManager, "_shared_range_over",
+            staticmethod(lambda ranges, owner_id, key: None),
+        )
+        fill(db, "t", {0: "a", 10: "b"})
+        t0, t1 = db.begin("s2pl"), db.begin("s2pl")
+        t0.scan("t", 0, 10)
+        t1.scan("t", 0, 10)
+        t0.insert("t", 5, "x")
+        t1.insert("t", 6, "y")
+        assert commit_outcomes(t0, t1) == ["commit", "commit"]
+        assert not check_serializable(db.history).serializable

@@ -1,13 +1,14 @@
-"""Key-range SIREADs: the symmetric probe, its precision and its residue.
+"""Key-range locks: the symmetric probe, its precision and its residue.
 
-A SIREAD scan of ``[lo, hi]`` holds one key-range lock.  A writer probes
-the ranges covering its key after its EXCLUSIVE record grant; a reader
-places its range and collects the EXCLUSIVE record holders inside it in
-one critical section, before it materialises any rows.  Whichever side
-runs second sees the other, so every rw edge below is recorded exactly
-once — for updates, deletes, inserts and blind writes of brand-new keys,
-against active and committed-suspended readers, with the writer granted
-before or after the range was placed.
+A scan of ``[lo, hi]`` holds one key-range lock in its read mode.  A
+writer meets the ranges covering its key in the critical section of its
+EXCLUSIVE record acquire; a reader places its range and collects the
+EXCLUSIVE record holders inside it in one critical section, before it
+materialises any rows.  Whichever side runs second sees the other, so
+every rw edge below is recorded exactly once — for updates, deletes,
+inserts and blind writes of brand-new keys, against active and
+committed-suspended readers, with the writer granted before or after the
+range was placed.  Under S2PL the side that runs second waits instead.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class TestSymmetricProbe:
 class TestPrecision:
     """The range is exactly the predicate: next-key gaps used to reach
     past it (the first row's gap down to its predecessor, the boundary
-    gap up to the successor of ``hi``)."""
+    gap up to the successor of ``hi``).  ``tests/engine/test_s2pl.py``
+    pins the same precision for S2PL's SHARED range."""
 
     @pytest.mark.parametrize("level", LEVELS)
     @pytest.mark.parametrize("key", [12, 47])
@@ -187,9 +189,8 @@ def crossed_scans(level: str):
 
 class TestBlindWritePhantom:
     """A blind ``write`` of a brand-new key must meet the other side's
-    scan: through the range probe keyed on the written key under SIREAD,
-    through insert's next-key gap lock under S2PL.  Without them this
-    write-skew over predicates committed both sides."""
+    scan range: detected under SIREAD, waited for under S2PL.  Without
+    that this write-skew over predicates committed both sides."""
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_crossed_blind_writes_into_scanned_ranges(self, level):
@@ -207,8 +208,8 @@ class TestBlindWritePhantom:
         assert check_serializable(db.history).serializable
 
     def test_s2pl_blind_writes_meet_next_key_locks(self):
-        """A new key's blind write takes the SHARED-gap-conflicting
-        next-key step an insert takes, so one side blocks or aborts."""
+        """A new key's blind write meets the other scan's SHARED range
+        exactly as an insert would, so one side blocks or aborts."""
         db, writes = crossed_scans("s2pl")
         stalled = []
         for txn, key in writes:
@@ -216,7 +217,7 @@ class TestBlindWritePhantom:
                 db.write(txn, "t", key, "new")
             except (LockWaitRequired, TransactionAbortedError):
                 stalled.append(txn.id)
-        assert stalled, "both blind writes slipped past the scans' gaps"
+        assert stalled, "both blind writes slipped past the scans' ranges"
         for txn, _key in writes:
             if txn.is_active:
                 txn.abort()
@@ -260,6 +261,17 @@ class TestRangeIndexes:
         db.write(writer, "t", 30, "updated")
         db.abort(reader)
         db.abort(writer)
+        assert_no_residue(db)
+
+    def test_s2pl_range_with_a_queued_writer_leaves_no_residue(self):
+        db = make_db()
+        reader, writer = db.begin("s2pl"), db.begin("s2pl")
+        db.scan(reader, "t", LO, HI)
+        with pytest.raises(LockWaitRequired):
+            WRITES["insert"](db, writer)
+        db.abort(reader)
+        WRITES["insert"](db, writer)
+        assert commit_outcomes(writer) == ["commit"]
         assert_no_residue(db)
 
     @pytest.mark.parametrize("level", LEVELS)
@@ -308,7 +320,7 @@ class TestThreadedRanges:
             ("prefix", 1.0, prefix_then_write),
         ]))
 
-    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("level", LEVELS + ("s2pl",))
     def test_scan_then_write_stays_serializable(self, level):
         databases = []
         interval = sys.getswitchinterval()
@@ -331,13 +343,8 @@ class TestThreadedRanges:
             for ranges in db.locks._ranges.values()
             for resource, head in ranges.items()
         } == {r: h for r, h in db.locks._heads.items() if r.kind == "range"}
-        if level == "ssi":
-            # SGT keeps a committed node, and its ranges, while the node
-            # has incoming edges, and under threads an edge dispatched
-            # after its reader retired can re-register that reader and
-            # pin its successors for good; only SSI is sure to drain.
-            assert result.lock_table_clean, result.describe()
-            assert_no_residue(db)
+        assert result.lock_table_clean, result.describe()
+        assert_no_residue(db)
 
 
 def assert_no_residue(db: Database) -> None:

@@ -80,3 +80,28 @@ class TestSgtLevel:
             txn.commit()
         # Sequential transactions: the graph must not accumulate.
         assert db.certifier.node_count() <= 2
+
+
+class TestRetiredEndpoint:
+    def test_late_edge_to_a_retired_reader_leaves_no_ghost_node(self, db):
+        """A writer can meet a reader's lock just before the reader's
+        cleanup and dispatch the rw edge just after it (the threaded
+        drain failure).  The late edge must not re-register the retired
+        reader: a ghost node with an outgoing edge would pin the writer
+        in the suspended set for good."""
+        fill(db, "t", {1: "a", 2: "b"})
+        reader = db.begin("sgt")
+        db.read(reader, "t", 1)
+        reader.commit()
+        db.cleanup_suspended()
+        assert db.find_transaction(reader.id) is None
+        writer = db.begin("sgt")
+        db.read(writer, "t", 2)
+        db.write(writer, "t", 2, "c")
+        db.dispatch_rw_edge(reader=reader, writer=writer)
+        assert reader.id not in db.certifier._nodes
+        writer.commit()
+        for _ in range(3):
+            db.cleanup_suspended()
+        assert db.suspended_count() == 0
+        assert not db.certifier._nodes

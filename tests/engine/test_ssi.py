@@ -208,8 +208,8 @@ class TestPhantoms:
         assert "unsafe" in results
 
     def test_insert_past_scan_end_detected(self, db):
-        """Insert beyond the last existing key still conflicts via the
-        boundary/supremum gap lock."""
+        """Insert beyond the last existing key still conflicts: the
+        scan's range reaches its bound, not just its last row."""
         fill(db, "t", {1: "a"})
         scanner = db.begin("ssi")
         inserter = db.begin("ssi")

@@ -8,7 +8,8 @@ waiting-request index (``_waiting``), the per-owner SIREAD counters
 sorted EXCLUSIVE record keys of range-touched tables (``_exclusive_keys``)
 and the global granted counter — instead of walking the lock table.
 These tests drive random sequences of acquires (single and batched),
-key-range placements and narrowings, releases, SIREAD drops, wait
+SIREAD and SHARED key-range placements and narrowings (with the
+writers a SHARED range queues), releases, SIREAD drops, wait
 cancellations and SIREAD escalation (folds into key ranges), then rebuild
 every index from the ground-truth table (the per-resource heads) and
 require exact agreement.
@@ -22,7 +23,6 @@ from repro.locking.manager import (
     AcquireStatus,
     LockManager,
     RequestState,
-    gap_resource,
     page_resource,
     record_resource,
 )
@@ -32,7 +32,7 @@ N_OWNERS = 5
 
 RESOURCES = (
     [record_resource("t", k) for k in range(4)]
-    + [gap_resource("t", k) for k in range(2)]
+    + [record_resource("u", k) for k in range(2)]
     + [page_resource("t", 0)]
 )
 
@@ -151,7 +151,9 @@ op = st.one_of(
     st.tuples(st.just("drop_siread"), owner_ids),
     st.tuples(st.just("cancel_waits"), owner_ids),
     st.tuples(st.just("cancel_request"), owner_ids),
-    st.tuples(st.just("range"), owner_ids, bounds, bounds),
+    st.tuples(
+        st.just("range"), owner_ids, bounds, bounds, st.sampled_from(READ_MODES)
+    ),
     st.tuples(
         st.just("narrow"), owner_ids, bounds, bounds, st.integers(0, 3)
     ),
@@ -175,8 +177,8 @@ def apply(lm: LockManager, owners, requests, op):
             owners[owner], [RESOURCES[r] for r in resources], mode
         )
     elif kind == "range":
-        _, owner, lo, hi = op
-        lm.acquire_range(owners[owner], "t", lo, hi)
+        _, owner, lo, hi, mode = op
+        lm.acquire_range(owners[owner], "t", lo, hi, mode)
     elif kind == "narrow":
         _, owner, lo, hi, cut = op
         lm.narrow_range(owners[owner], "t", lo, hi, cut)

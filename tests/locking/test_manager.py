@@ -8,7 +8,7 @@ from repro.locking.manager import (
     AcquireStatus,
     LockManager,
     RequestState,
-    gap_resource,
+    range_resource,
     record_resource,
 )
 from repro.locking.modes import LockMode
@@ -174,13 +174,15 @@ class TestSiread:
 
 
 class TestResources:
-    def test_gap_and_record_are_distinct(self, lm, owners):
-        lm.acquire(owners[0], record_resource("t", 5), X)
-        # A gap lock on the same key does not conflict with the record
-        # lock: "a lock on the gap just before x ... does not conflict
-        # with locks on item x itself" (Section 2.5.2).
-        result = lm.acquire(owners[1], gap_resource("t", 5), X)
-        assert result.granted
+    def test_range_and_record_are_distinct(self, lm, owners):
+        # A key range is a lock-table entry of its own: a SHARED range
+        # over [0, 10] makes a writer of a key inside it wait, leaves a
+        # writer outside it alone, and takes no record lock of its own.
+        lm.acquire_range(owners[0], "t", 0, 10, S)
+        assert lm.acquire(owners[1], record_resource("t", 20), X).granted
+        assert not lm.acquire(owners[2], record_resource("t", 5), X).granted
+        assert lm.acquire(owners[0], record_resource("t", 5), S).granted
+        assert lm.table_size() == 3
 
     def test_table_size_counts_granted(self, lm, owners):
         lm.acquire(owners[0], R, S)
@@ -195,3 +197,54 @@ class TestStats:
         lm.acquire(owners[1], R, X)
         assert lm.stats["acquires"] == 2
         assert lm.stats["waits"] == 1
+
+
+class TestKeyRanges:
+    def test_shared_range_queues_writers_inside_it(self, lm, owners):
+        reader, writer = owners[0], owners[1]
+        lm.acquire_range(reader, "t", 0, 10, S)
+        waiting = lm.acquire(writer, record_resource("t", 5), X)
+        assert waiting.status is AcquireStatus.WAIT
+        assert waiting.request.resource == range_resource("t", 0, 10)
+        assert waiting.request.mode is LockMode.INSERT_INTENTION
+        assert not lm.holds(writer, record_resource("t", 5))
+        lm.release_all(reader)
+        assert waiting.request.state is RequestState.GRANTED
+        assert lm.acquire(writer, record_resource("t", 5), X).granted
+
+    def test_narrow_promotes_writers_queued_on_the_wide_range(self, lm, owners):
+        reader, past, below = owners[0], owners[1], owners[2]
+        lm.acquire_range(reader, "t", 0, 10, S)
+        waits = [
+            lm.acquire(owner, record_resource("t", key), X)
+            for owner, key in ((past, 8), (below, 2))
+        ]
+        lm.narrow_range(reader, "t", 0, 10, cut=5)
+        assert all(w.request.state is RequestState.GRANTED for w in waits)
+        # On retry only the writer at or below the cut waits again.
+        assert lm.acquire(past, record_resource("t", 8), X).granted
+        again = lm.acquire(below, record_resource("t", 2), X)
+        assert again.request.resource == range_resource("t", 0, 5)
+
+    def test_only_siread_ranges_stand_in_for_siread(self, lm, owners):
+        reader, writer, other = owners[0], owners[1], owners[2]
+        lm.acquire_range(reader, "t", 0, 10, S)
+        assert lm.holds_range_over(reader, "t", 5, S)
+        assert not lm.holds_range_over(reader, "t", 5)
+        assert lm.probe_ranges(other, "t", 5) == []
+        lm.acquire(writer, record_resource("t", 5), X)
+        lm.release_all(reader)
+        # The promoted writer now holds INSERT_INTENTION on the range.
+        assert lm.holds(writer, range_resource("t", 0, 10), LockMode.INSERT_INTENTION)
+        assert not lm.holds_range_over(writer, "t", 5)
+        assert lm.probe_ranges(other, "t", 5) == []
+        lm.escalate(0)
+        assert lm.holds(writer, range_resource("t", 0, 10), LockMode.INSERT_INTENTION)
+
+    def test_shared_reader_skips_writers_it_holds_back(self, lm, owners):
+        reader, writer = owners[0], owners[1]
+        lm.acquire_range(reader, "t", 0, 10, S)
+        assert lm.acquire(writer, record_resource("t", 20), X).granted
+        assert not lm.acquire(writer, record_resource("t", 5), X).granted
+        assert lm.acquire_range(reader, "t", 15, 25, S) == []
+        assert [lock.owner for lock in lm.acquire_range(owners[2], "t", 15, 25, S)] == [writer]

@@ -22,8 +22,8 @@ II = LockMode.INSERT_INTENTION
         (SIREAD, SIREAD, True),
         (S, SIREAD, True),
         (X, SIREAD, True),
-        # Insert intention: two inserts into one gap coexist; an S2PL
-        # scan's SHARED gap lock blocks inserts; SIREAD only detects.
+        # Insert intention: two writers inside one range coexist; an
+        # S2PL scan's SHARED range blocks them; SIREAD only detects.
         (II, II, True),
         (II, SIREAD, True),
         (SIREAD, II, True),

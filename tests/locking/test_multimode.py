@@ -1,19 +1,16 @@
-"""Multi-mode locks and gap-lock machinery tests.
+"""Multi-mode locks.
 
-A lock can carry several modes at once (a gap SIREAD plus the owner's
-own insert-intention); these tests pin down the mode-set semantics, and
-that a scan's key range keeps covering a gap an insert splits.
+A lock can carry several modes at once (a SIREAD plus the owner's own
+insert-intention claim); these tests pin down the mode-set semantics,
+which do not depend on the resource kind, and that a scan's key range
+keeps covering the keys between two rows after an insert splits them.
 """
 
 from dataclasses import dataclass
 
 import pytest
 
-from repro.locking.manager import (
-    LockManager,
-    gap_resource,
-    record_resource,
-)
+from repro.locking.manager import LockManager, record_resource
 from repro.locking.modes import LockMode
 
 S, X, SIREAD, II = (
@@ -35,26 +32,25 @@ def lm():
     return LockManager()
 
 
-GAP = gap_resource("t", 10)
-GAP2 = gap_resource("t", 5)
+SLOT = record_resource("t", 10)
 
 
 class TestModeSets:
     def test_siread_survives_insert_intention(self, lm):
         """The fix for the phantom-sentinel bug: II must not replace a
-        gap SIREAD held by the same transaction."""
+        SIREAD held by the same transaction."""
         owner = Owner(1)
-        lm.acquire(owner, GAP, SIREAD)
-        lm.acquire(owner, GAP, II)
-        assert lm.holds(owner, GAP, SIREAD)
-        assert lm.holds(owner, GAP, II)
+        lm.acquire(owner, SLOT, SIREAD)
+        lm.acquire(owner, SLOT, II)
+        assert lm.holds(owner, SLOT, SIREAD)
+        assert lm.holds(owner, SLOT, II)
 
     def test_combined_lock_still_detected_by_writers(self, lm):
         scanner = Owner(1)
         inserter = Owner(2)
-        lm.acquire(scanner, GAP, SIREAD)
-        lm.acquire(scanner, GAP, II)  # scanner also inserts into its gap
-        result = lm.acquire(inserter, GAP, II)
+        lm.acquire(scanner, SLOT, SIREAD)
+        lm.acquire(scanner, SLOT, II)  # the scanner's own writer claim
+        result = lm.acquire(inserter, SLOT, II)
         assert result.granted
         assert [l.owner_id for l in result.detection_conflicts] == [1]
 
@@ -69,13 +65,13 @@ class TestModeSets:
     def test_release_keep_siread_sheds_blocking_modes(self, lm):
         owner = Owner(1)
         waiter = Owner(2)
-        lm.acquire(owner, GAP, SIREAD)
-        lm.acquire(owner, GAP, II)
-        blocked = lm.acquire(waiter, GAP, S)  # SHARED blocked by II
+        lm.acquire(owner, SLOT, SIREAD)
+        lm.acquire(owner, SLOT, II)
+        blocked = lm.acquire(waiter, SLOT, S)  # SHARED blocked by II
         assert not blocked.granted
         lm.release_all(owner, keep_siread=True)
-        assert lm.holds(owner, GAP, SIREAD)
-        assert not lm.holds(owner, GAP, II)
+        assert lm.holds(owner, SLOT, SIREAD)
+        assert not lm.holds(owner, SLOT, II)
         # SHARED vs the remaining SIREAD is compatible: waiter promoted.
         from repro.locking.manager import RequestState
         assert blocked.request.state is RequestState.GRANTED
@@ -91,9 +87,9 @@ class TestModeSets:
 
 class TestEndToEndGapSplit:
     def test_split_gap_still_detects_phantom(self):
-        """Committed scanner; an insert splits the gap it scanned; a
-        second insert into the new sub-gap must still conflict with the
-        scanner's retained SIREAD (its key range covers the sub-gap)."""
+        """Committed scanner; an insert splits the space between two
+        rows it scanned; a second insert between the new neighbours must
+        still conflict with the scanner's retained range SIREAD."""
         from repro import Database, EngineConfig
         from repro.errors import TransactionAbortedError
 
@@ -112,12 +108,12 @@ class TestEndToEndGapSplit:
         scanner.commit()  # suspended with its range SIREAD (overlap: second)
 
         splitter = db.begin("ssi")
-        splitter.insert("t", 50, "mid")   # splits the (0,100) gap
+        splitter.insert("t", 50, "mid")   # splits (0, 100)
         splitter.commit()
 
         marked_before = db.tracker.stats["marked"]
         try:
-            second.insert("t", 25, "sub")  # inside the new sub-gap
+            second.insert("t", 25, "sub")  # between 0 and the new 50
             second.commit()
         except TransactionAbortedError:
             pass
