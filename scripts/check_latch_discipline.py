@@ -22,7 +22,7 @@ next to ruff/mypy:
    escapes as a bare reference, or has no call site, does not qualify).
 
 2. **No suspension under latch (PR 7).**  A function must not ``await``
-   or enter a session/thread suspension point (``_block_on``,
+   or enter a session/thread suspension point (``block_on``,
    ``Session._suspend*``, a blocking ``Completion.wait``) while a
    recognised latch is lexically held: the waker may need that latch to
    resolve the wait, so suspension under latch is a deadlock by
@@ -131,7 +131,7 @@ MUTATORS = {
 #: Condition.wait (which releases its own lock) lives behind ``_cv``
 #: receivers and is exempted in the checker.
 SUSPEND_CALLS = {
-    "_block_on", "_suspend", "_suspend_on_request", "_suspend_on_completion",
+    "block_on", "_suspend", "_suspend_on_request", "_suspend_on_completion",
     "wait",
 }
 
@@ -197,6 +197,12 @@ DEFAULT_RULES = {
     "src/repro/engine/groupcommit.py": {},
     "src/repro/session/__init__.py": {},
     "src/repro/server/core.py": {},
+    # The program runner and its executors: every program step, lock
+    # wait and stress client thread starts here.
+    "src/repro/sim/ops.py": {},
+    "src/repro/sim/direct.py": {},
+    "src/repro/sim/interleave.py": {},
+    "src/repro/exec/stress.py": {},
     # Sharding layer: the commit-sequence vector and the explain_abort
     # memory are mutated under their own coordinator-process latches;
     # the RPC-under-latch rule (rule 3) covers every function here.

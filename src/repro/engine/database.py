@@ -929,17 +929,23 @@ class Database:
         the result then only depends on keys up to the cut point) should
         use :meth:`scan_prefix`.
 
-        Execution: the scan places its key range first; the key set is
-        then materialised in leaf-page-sized chunks — dropping the table
-        latch between chunks — and visibility is resolved
-        batch-at-a-time against the one snapshot, with one CC-policy call
-        per scan.
+        Execution: the scan places its key range first (the walk of
+        :meth:`_prefix_walk`, with no cut; PAGE granularity's page
+        rounds instead); the key set is then materialised in
+        leaf-page-sized chunks — dropping the table latch between chunks
+        — and visibility is resolved batch-at-a-time against the one
+        snapshot, with one CC-policy call per scan.
         """
         self._check_op(txn)
         table = self.table(table_name)
         self._ensure_snapshot(txn)
         self.stats.inc("scans")
-        results, seen = self._scan_chunked(txn, table, table_name, lo, hi)
+        read_mode = txn.policy.read_lock_mode(txn)
+        if read_mode is not None and self.config.granularity is LockGranularity.PAGE:
+            chains = self._scan_lock_pages(txn, table, table_name, lo, hi, read_mode)
+        else:
+            chains, _cut = self._prefix_walk(txn, table, table_name, lo, hi, None)
+        results, seen = self._resolve_scan_rows(txn, table_name, chains)
         # Own uncommitted writes overlay the scan result.
         results = self._overlay_write_set(txn, table_name, lo, hi, results)
         self._record_scan(txn, table_name, (lo, hi), seen)
@@ -972,33 +978,6 @@ class Database:
             for chunk in table.scan_chunks(lo, hi)
             for pair in chunk
         ]
-
-    def _scan_chunked(
-        self,
-        txn: Transaction,
-        table,
-        table_name: str,
-        lo: Hashable | None,
-        hi: Hashable | None,
-    ) -> tuple[list[tuple[Hashable, Any]], list[Hashable]]:
-        """The scan kernel: the predicate lock (one key range, or PAGE
-        granularity's page rounds), latch-bounded materialisation, batch
-        visibility resolution."""
-        read_mode = txn.policy.read_lock_mode(txn)
-        if read_mode is None:
-            chains = self._materialize_chunks(table, lo, hi)
-        elif self.config.granularity is LockGranularity.PAGE:
-            chains = self._scan_lock_pages(txn, table, table_name, lo, hi, read_mode)
-        else:
-            while True:
-                held = self.locks.holds(txn, range_resource(table_name, lo, hi))
-                writers = self.locks.acquire_range(txn, table_name, lo, hi, read_mode)
-                if self._meet_writers(txn, table_name, lo, hi, writers, read_mode, held):
-                    break
-            if read_mode is LockMode.SIREAD:
-                self.locks.escalate(self._siread_budget)
-            chains = self._materialize_chunks(table, lo, hi)
-        return self._resolve_scan_rows(txn, table_name, chains)
 
     def _meet_writers(
         self,
@@ -1233,17 +1212,19 @@ class Database:
         table_name: str,
         lo: Hashable | None,
         hi: Hashable | None,
-        limit: int,
+        limit: int | None,
     ) -> tuple[list, Any]:
-        """Walk to the cut: ``(visited rows, cut key or _MISSING)``.
+        """Walk to the cut: ``(visited rows, cut key or _MISSING)`` — the
+        one walk of every RECORD-granularity scan; with no ``limit`` it
+        visits all of [lo, hi] and never cuts.
 
         A locking reader places the range [lo, hi] before the walk, so
-        every writer is met from one side, exactly as in a full scan.
-        Once the cut is known, only the writers in flight at placement at
-        or below it are settled (:meth:`_meet_writers` — an S2PL reader
-        that waited walks again), and the range narrows to [lo, cut].  A
-        writer granted during the walk met [lo, hi]: conservative past
-        the cut, never missing below it."""
+        every writer is met from one side.  Once the cut is known, only
+        the writers in flight at placement at or below it are settled
+        (:meth:`_meet_writers` — an S2PL reader that waited walks again),
+        and the range narrows to [lo, cut].  A writer granted during the
+        walk met [lo, hi]: conservative past the cut, never missing below
+        it."""
         read_mode = txn.policy.read_lock_mode(txn)
         snapshot = txn.snapshot if txn.policy.uses_snapshots else None
         lm = self.locks
@@ -1252,19 +1233,22 @@ class Database:
                 # A range held before this scan keeps its full width.
                 held = lm.holds(txn, range_resource(table_name, lo, hi))
                 writers = lm.acquire_range(txn, table_name, lo, hi, read_mode)
-            visited: list = []
-            visible = 0
             cut_key = _MISSING
-            for chunk in table.scan_chunks(lo, hi):
-                for key, chain in chunk:
-                    visited.append((key, chain))
-                    if _live(snapshot, chain):
-                        visible += 1
-                        if visible >= limit:
-                            cut_key = key
-                            break
-                if cut_key is not _MISSING:
-                    break
+            if limit is None:
+                visited = self._materialize_chunks(table, lo, hi)
+            else:
+                visited = []
+                visible = 0
+                for chunk in table.scan_chunks(lo, hi):
+                    for key, chain in chunk:
+                        visited.append((key, chain))
+                        if _live(snapshot, chain):
+                            visible += 1
+                            if visible >= limit:
+                                cut_key = key
+                                break
+                    if cut_key is not _MISSING:
+                        break
             if read_mode is None:
                 return visited, cut_key
             if cut_key is not _MISSING:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import enum
 import threading
+import time
 from typing import Any, Hashable, Optional
 
 from repro.engine.isolation import IsolationLevel
+from repro.engine.latches import assert_no_latches_held
 from repro.engine.waits import Completion
 from repro.errors import (
     LockWaitRequired,
@@ -211,8 +213,8 @@ class Transaction:
         limit: int | None = None,
     ) -> list[tuple[Hashable, Any]]:
         """Early-terminating prefix read: the first ``limit`` visible
-        rows of [lo, hi] ascending, locking only the visited prefix
-        plus its boundary gap (see :meth:`Database.scan_prefix`)."""
+        rows of [lo, hi] ascending, its key range narrowed to [lo, cut
+        key] once the limit is reached (see :meth:`Database.scan_prefix`)."""
         return self._run(
             lambda: self._db.scan_prefix(self, table, lo, hi, limit=limit)
         )
@@ -261,60 +263,59 @@ class Transaction:
             try:
                 return op()
             except LockWaitRequired as wait:
-                self._block_on(wait.request)
-
-    def _block_on(self, request: LockRequest) -> None:
-        """Park this thread on a lock-request completion.
-
-        A thin adapter over :meth:`LockRequest.on_resolve`: one
-        ``threading.Event`` registered as the resolve callback, one
-        wait.  ``LockRequest._resolve`` publishes the final state before
-        firing callbacks, so the untimed wait is race-free.  Only two
-        duties ever add a timeout: a configured ``lock_timeout`` (one
-        timed wait to its deadline, then cancel) and PERIODIC deadlock
-        detection, which must keep sweeping even when every client
-        thread is blocked (Berkeley DB db_perf style) and is the sole
-        remaining consumer of ``wait_poll_interval``.
-        """
-        import time
-
-        from repro.engine.latches import assert_no_latches_held
-
-        # Sleeping while holding any engine latch would stall every other
-        # thread needing it; LockWaitRequired must fully unwind first.
-        assert_no_latches_held("lock wait")
-        db = self._db
-        wait_started = time.monotonic()
-        timeout = db.config.lock_timeout
-        event = threading.Event()
-        request.on_resolve(lambda _req: event.set())
-        if db.needs_wait_polling:
-            deadline = None if timeout is None else wait_started + timeout
-            while not event.wait(timeout=db.wait_poll_interval):
-                if deadline is not None and time.monotonic() >= deadline:
-                    db.cancel_lock_request(request)
-                    continue  # the denial resolves the request, sets event
-                db.poll_waiters()
-        elif timeout is not None:
-            if not event.wait(timeout=timeout):
-                # Either the cancel wins (resolving DENIED) or a racing
-                # grant already did — both fire the event promptly.
-                db.cancel_lock_request(request)
-                event.wait()
-        else:
-            event.wait()
-        # Threaded clients measure wall-clock lock waits; the simulator
-        # feeds the same histogram in simulated seconds instead.
-        db.metrics.histogram("lock_wait_time").observe(
-            time.monotonic() - wait_started
-        )
-        if request.state is RequestState.DENIED:
-            error = request.error or TransactionAbortedError(txn_id=self.id)
-            db.abort(self)
-            raise error
+                block_on(wait.request)
+                if wait.request.state is RequestState.DENIED:
+                    error = wait.request.error or TransactionAbortedError(txn_id=self.id)
+                    self._db.abort(self)
+                    raise error
 
     def __repr__(self) -> str:
         return (
             f"Transaction(id={self.id}, {self.isolation.value}, "
             f"{self.status.value}, read_ts={self.read_ts})"
         )
+
+
+def block_on(request: LockRequest) -> None:
+    """Park the calling thread until ``request`` resolves, granted or
+    denied — the one blocking lock wait; what a denial means is the
+    caller's to decide.
+
+    A thin adapter over :meth:`LockRequest.on_resolve`: one
+    ``threading.Event`` registered as the resolve callback, one wait.
+    ``LockRequest._resolve`` publishes the final state before firing
+    callbacks, so the untimed wait is race-free.  Only two duties of the
+    requesting transaction's database ever add a timeout: a configured
+    ``lock_timeout`` (one timed wait to its deadline, then cancel) and
+    PERIODIC deadlock detection, which must keep sweeping even when every
+    client thread is blocked (Berkeley DB db_perf style) and is the sole
+    remaining consumer of ``wait_poll_interval``.
+    """
+    # Sleeping while holding any engine latch would stall every other
+    # thread needing it; LockWaitRequired must fully unwind first.
+    assert_no_latches_held("lock wait")
+    db = request.owner._db
+    wait_started = time.monotonic()
+    timeout = db.config.lock_timeout
+    event = threading.Event()
+    request.on_resolve(lambda _req: event.set())
+    if db.needs_wait_polling:
+        deadline = None if timeout is None else wait_started + timeout
+        while not event.wait(timeout=db.wait_poll_interval):
+            if deadline is not None and time.monotonic() >= deadline:
+                db.cancel_lock_request(request)
+                continue  # the denial resolves the request, sets event
+            db.poll_waiters()
+    elif timeout is not None:
+        if not event.wait(timeout=timeout):
+            # Either the cancel wins (resolving DENIED) or a racing
+            # grant already did — both fire the event promptly.
+            db.cancel_lock_request(request)
+            event.wait()
+    else:
+        event.wait()
+    # Threaded clients measure wall-clock lock waits; the simulator
+    # feeds the same histogram in simulated seconds instead.
+    db.metrics.histogram("lock_wait_time").observe(
+        time.monotonic() - wait_started
+    )

@@ -1,13 +1,12 @@
 """Threaded stress execution.
 
-Drives real OS threads through the blocking transaction API — the
-concurrency regime the fine-grained latch hierarchy exists for.  The
-discrete-event simulator (:mod:`repro.sim`) measures the paper's
-*algorithms* under controlled interleavings; this package instead
-stresses the *implementation*: N threads hammer one database through
-:func:`repro.sim.direct.run_program` and the result is checked against
-workload invariants, the MVSG serializability oracle, and lock-table
-cleanliness.
+Drives real OS threads through the blocking transaction API or through
+sessions — the concurrency regime the fine-grained latch hierarchy
+exists for.  The discrete-event simulator (:mod:`repro.sim`) measures
+the paper's *algorithms* under controlled interleavings; this package
+instead stresses the *implementation*: N threads hammer one database
+and the result is checked against workload invariants, the MVSG
+serializability oracle, and lock-table cleanliness.
 """
 
 from repro.exec.stress import (

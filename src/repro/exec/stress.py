@@ -1,10 +1,13 @@
-"""The threaded stress executor.
+"""The stress executors and their one drive loop.
 
-:func:`run_threaded_stress` is the harness behind the race-condition
-tests and the threaded benchmark cases: it splits a transaction budget
-across real threads, runs every program through the blocking client API
-(:func:`repro.sim.direct.run_program`), then quiesces the engine and
-audits what is left behind.
+:func:`drive_threads` splits a transaction budget across real client
+threads.  :func:`run_threaded_stress` — the harness behind the
+race-condition tests and the threaded benchmark cases — has each thread
+run its programs through the blocking client API
+(:func:`repro.sim.direct.run_program`); :func:`run_session_stress` has
+each thread own one session and run its programs through a
+:class:`~repro.session.SessionScheduler`, whose workers never park.
+Both then quiesce the engine and audit what is left behind.
 
 The audit is the point.  A latching bug rarely crashes — it loses a
 SIREAD lock, leaks a granted row in the lock table, or commits a
@@ -25,7 +28,7 @@ Determinism: thread ``i`` draws from ``random.Random(seed * 1000 + i)``,
 so a stress run's *program sequence* is reproducible per thread even
 though the OS interleaving is not.  The sharded runner
 (:mod:`repro.shard.stress`) drives its coordinator through the same
-loop, :func:`drive_threads`.
+loop.
 """
 
 from __future__ import annotations
@@ -34,13 +37,15 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Generator, Hashable, Optional
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
-from repro.errors import TransactionAbortedError
+from repro.session import SessionScheduler
 from repro.sgt.checker import check_serializable
 from repro.sim.direct import run_program
+from repro.sim.ops import ABORTS, abort_reason
 from repro.sim.workload import Workload
 
 
@@ -178,17 +183,24 @@ def drive_threads(
     next_program: Callable[[random.Random], tuple[Hashable, Generator]],
     tally: Callable[[Hashable, str | None], None],
 ) -> float:
-    """The thread-pool drive loop of the threaded and sharded runners.
+    """The one drive loop of the threaded, session and sharded runners.
 
     ``threads`` real threads start together; thread ``i`` draws
     ``txns_per_thread`` ``(label, program)`` pairs from
-    ``next_program(random.Random(seed * 1000 + i))`` and runs each
-    through the blocking client API against ``target`` (a database or a
-    coordinator).  Engine aborts are expected outcomes; any other
-    exception in a client thread fails the run.  Once every thread has
-    joined, ``tally(label, reason)`` is called for each transaction —
-    ``reason`` None for a commit, else the abort's classification.
-    Returns the wall-clock seconds from first start to last join.
+    ``next_program(random.Random(seed * 1000 + i))`` and runs each at
+    ``level``.  ``target`` is a database or a coordinator — the thread
+    runs each program through :func:`~repro.sim.direct.run_program`,
+    blocking through its waits — or a
+    :class:`~repro.session.SessionScheduler`: the thread then owns one
+    session and runs each program through
+    ``session.call("run_program", ...)``, so waits suspend the session
+    and no scheduler worker parks.  Aborts (see
+    :func:`~repro.sim.ops.abort_reason`) are expected outcomes; any
+    other exception in a client thread fails the run.  Once every
+    thread has joined, ``tally(label, reason)`` is called for each
+    transaction — ``reason`` None for a commit, else the abort's
+    classification.  Returns the wall-clock seconds from first start to
+    last join.
     """
     barrier = threading.Barrier(threads)
     outcomes: list[list] = [[] for _ in range(threads)]
@@ -199,13 +211,21 @@ def drive_threads(
         done = outcomes[index]
         barrier.wait()
         try:
+            session = None
+            if isinstance(target, SessionScheduler):
+                session = target.session()
+                run = partial(session.call, "run_program")
+            else:
+                run = partial(run_program, target)
             for _ in range(txns_per_thread):
                 label, program = next_program(rng)
                 try:
-                    run_program(target, program, level)
+                    run(program, level)
                     done.append((label, None))
-                except TransactionAbortedError as error:
-                    done.append((label, getattr(error, "reason", "aborted")))
+                except ABORTS as error:
+                    done.append((label, abort_reason(error)))
+            if session is not None:
+                session.call("close")
         except BaseException as exc:  # engine bug, not a CC outcome
             failures.append(exc)
 
@@ -253,18 +273,9 @@ def run_threaded_stress(
     lock-table-gauge watcher) or tracing to the shared database.
     """
     db = _open_database(workload, config, check_serializability, on_database)
-    commits_by_name: dict = {}
-    aborts_by_name: dict = {}
-
-    def tally(name: Hashable, reason: str | None) -> None:
-        by_name = commits_by_name if reason is None else aborts_by_name
-        by_name[name] = by_name.get(name, 0) + 1
-
-    wall = drive_threads(db, level, threads, txns_per_thread, seed,
-                         workload.next_transaction, tally)
+    tallies = _drive_by_name(db, workload, level, threads, txns_per_thread, seed)
     return _audit(
-        db, workload, level, threads, txns_per_thread * threads, wall,
-        commits_by_name, aborts_by_name,
+        db, workload, level, threads, txns_per_thread * threads, *tallies,
         check_serializability, invariant,
     )
 
@@ -282,72 +293,45 @@ def run_session_stress(
     on_database: Callable[[Database], None] | None = None,
 ) -> StressResult:
     """Session-scheduler twin of :func:`run_threaded_stress`: N sessions
-    multiplexed onto M ≪ N scheduler workers, no thread parked on any
-    lock or safe-snapshot wait.
+    multiplexed onto M ≪ N scheduler workers, no worker parked on any
+    lock, safe-snapshot or commit wait.
 
-    Each session runs ``txns_per_session`` workload programs
-    sequentially (the next submitted from the previous one's completion
-    callback), drawing from ``random.Random(seed * 1000 + index)`` like
-    thread ``index`` would — so the per-session program sequence is as
-    reproducible as the threaded runner's.  The same post-quiesce audit
-    applies: MVSG verdict, residual lock-table state, invariants.
+    :func:`drive_threads` runs one client thread per session; each runs
+    ``txns_per_session`` workload programs through its session, drawing
+    from ``random.Random(seed * 1000 + index)`` like thread ``index`` of
+    the threaded runner.  After the scheduler shuts down, the same
+    post-quiesce audit applies: MVSG verdict, residual lock-table state,
+    invariants.
     """
-    from repro.session import SessionScheduler
-
     db = _open_database(workload, config, check_serializability, on_database)
-
     scheduler = SessionScheduler(db, workers=workers)
-    tally = threading.Lock()
-    commits_by_name: dict = {}
-    aborts_by_name: dict = {}
-    failures: list[BaseException] = []
-    done = threading.Event()
-    remaining = {"sessions": sessions}
-
-    def drive(session, rng, left: int) -> None:
-        """Submit one program; its completion submits the next."""
-        if left == 0:
-            session.close()
-            with tally:
-                remaining["sessions"] -= 1
-                if remaining["sessions"] == 0:
-                    done.set()
-            return
-        name, program = workload.next_transaction(rng)
-
-        def on_done(_result, error):
-            if error is None:
-                with tally:
-                    commits_by_name[name] = commits_by_name.get(name, 0) + 1
-            elif isinstance(error, TransactionAbortedError):
-                with tally:
-                    aborts_by_name[name] = aborts_by_name.get(name, 0) + 1
-            else:  # engine bug, not a CC outcome
-                with tally:
-                    failures.append(error)
-                    remaining["sessions"] -= 1
-                    if remaining["sessions"] == 0:
-                        done.set()
-                return
-            drive(session, rng, left - 1)
-
-        session.run_program(program, level, on_done=on_done)
-
-    start = time.perf_counter()
-    for index in range(sessions):
-        drive(scheduler.session(), random.Random(seed * 1000 + index),
-              txns_per_session)
-    done.wait()
-    wall = time.perf_counter() - start
-    scheduler.shutdown()
-    if failures:
-        raise failures[0]
-
+    try:
+        tallies = _drive_by_name(
+            scheduler, workload, level, sessions, txns_per_session, seed)
+    finally:
+        scheduler.shutdown()
     return _audit(
-        db, workload, level, workers, txns_per_session * sessions, wall,
-        commits_by_name, aborts_by_name,
+        db, workload, level, workers, txns_per_session * sessions, *tallies,
         check_serializability, invariant,
     )
+
+
+def _drive_by_name(
+    target, workload: Workload, level: str, threads: int,
+    txns_per_thread: int, seed: int,
+) -> tuple[float, dict, dict]:
+    """:func:`drive_threads` over the workload's mix, tallied per program
+    name: ``(wall, commits_by_name, aborts_by_name)``."""
+    commits_by_name: dict = {}
+    aborts_by_name: dict = {}
+
+    def tally(name: Hashable, reason: str | None) -> None:
+        by_name = commits_by_name if reason is None else aborts_by_name
+        by_name[name] = by_name.get(name, 0) + 1
+
+    wall = drive_threads(target, level, threads, txns_per_thread, seed,
+                         workload.next_transaction, tally)
+    return wall, commits_by_name, aborts_by_name
 
 
 def final_rows(db: Database, table: str) -> dict[Hashable, object]:

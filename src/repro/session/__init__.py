@@ -37,6 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Hashable, Optional
 
 from repro.engine.database import Database
@@ -50,7 +51,7 @@ from repro.errors import (
     TransactionStateError,
 )
 from repro.locking.manager import LockRequest, RequestState
-from repro.sim.ops import apply_op
+from repro.sim.ops import ProgramRun
 
 __all__ = [
     "Session",
@@ -276,42 +277,24 @@ class Session:
         """Run a transaction-program generator (see :mod:`repro.sim.ops`)
         to completion in one transaction, committing at the end —
         :func:`repro.sim.direct.run_program`, but suspending instead of
-        blocking through waits.  Delivers the program's return value."""
-        state: dict = {
-            "txn": None, "pending": None, "to_send": None,
-            "done": False, "value": None,
-        }
+        blocking through waits: the retry steps the same
+        :class:`~repro.sim.ops.ProgramRun` on from where it stopped.
+        Delivers the program's return value."""
+        run: ProgramRun | None = None
 
         def fn():
-            txn = state["txn"]
-            if txn is None:
-                txn = state["txn"] = self._db.begin(isolation)
-                self.txn = txn
+            nonlocal run
             try:
-                while not state["done"]:
-                    if state["pending"] is None:
-                        try:
-                            state["pending"] = program.send(state["to_send"])
-                            state["to_send"] = None
-                        except StopIteration as stop:
-                            # Record completion before committing: the
-                            # generator is spent, so a commit that
-                            # suspends must re-enter here, not re-send.
-                            state["done"] = True
-                            state["value"] = stop.value
-                            break
-                    state["to_send"] = apply_op(self._db, txn, state["pending"])
-                    state["pending"] = None
-                self._db.commit(txn, wait=False)
-                self.txn = None
-                return state["value"]
-            except (LockWaitRequired, CompletionWaitRequired):
-                raise  # suspend; the retry resumes from recorded state
-            except BaseException:
-                if txn.is_active:
-                    self._db.abort(txn)
-                self.txn = None
-                raise
+                if run is None:
+                    self.txn = self._db.begin(isolation)
+                    run = ProgramRun(self._db, self.txn, program,
+                                     partial(self._db.commit, wait=False))
+                while run.step():
+                    pass
+                return run.value
+            finally:
+                if run is None or run.status != "running":
+                    self.txn = None
 
         self._submit(fn, on_done, "program")
 

@@ -90,7 +90,10 @@ class GlobalTransaction:
 
     Duck-types the slice of :class:`~repro.engine.transaction.Transaction`
     the executors use: ``id``, ``is_active``-family properties,
-    ``commit``/``abort``, ``_block_on`` and the context manager.
+    ``commit``/``abort`` and the context manager.  A lock wait surfaced
+    by a local backend names the shard's own transaction as its owner,
+    so :func:`~repro.engine.transaction.block_on` waits on it under that
+    shard's timeout and deadlock settings.
     """
 
     __slots__ = ("id", "isolation", "read_only", "status", "parts",
@@ -127,15 +130,6 @@ class GlobalTransaction:
 
     def abort(self) -> None:
         self._coordinator.abort(self)
-
-    def _block_on(self, request) -> None:
-        # Only local backends surface LockWaitRequired; shard engines
-        # run immediate deadlock detection (or a lock timeout), so an
-        # untimed completion wait suffices — denial also resolves the
-        # request, and the retry surfaces the doom error.
-        event = threading.Event()
-        request.on_resolve(lambda _req: event.set())
-        event.wait()
 
     def __enter__(self) -> "GlobalTransaction":
         return self

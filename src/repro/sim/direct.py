@@ -11,8 +11,9 @@ from typing import Any, Generator
 
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
-from repro.errors import ConstraintError, LockWaitRequired
-from repro.sim.ops import apply_op
+from repro.engine.transaction import block_on
+from repro.errors import LockWaitRequired
+from repro.sim.ops import ProgramRun
 
 
 def run_program(
@@ -21,34 +22,21 @@ def run_program(
     isolation: IsolationLevel | str = IsolationLevel.SERIALIZABLE_SSI,
     txn=None,
 ) -> Any:
-    """Execute a program generator in one transaction and commit it.
+    """Execute a program generator in one transaction and commit it —
+    or, given ``txn``, inside that transaction, leaving its commit to
+    the caller.
 
     Returns the program's return value.  Abort errors (unsafe, conflict,
-    deadlock, constraint) propagate to the caller with the transaction
-    already rolled back.
+    deadlock, constraint) and application errors propagate to the caller
+    with the transaction already rolled back.
     """
-    own_txn = txn is None
-    if own_txn:
-        txn = db.begin(isolation)
-    to_send = None
-    try:
-        while True:
-            try:
-                op = program.send(to_send)
-            except StopIteration as stop:
-                if own_txn:
-                    txn.commit()
-                return stop.value
-            to_send = _apply_blocking(db, txn, op)
-    except BaseException:
-        if txn.is_active:
-            db.abort(txn)
-        raise
-
-
-def _apply_blocking(db: Database, txn, op) -> Any:
+    if txn is None:
+        run = ProgramRun(db, db.begin(isolation), program, db.commit)
+    else:
+        run = ProgramRun(db, txn, program)
     while True:
         try:
-            return apply_op(db, txn, op)
+            if not run.step():
+                return run.value
         except LockWaitRequired as wait:
-            txn._block_on(wait.request)
+            block_on(wait.request)

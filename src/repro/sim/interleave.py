@@ -13,20 +13,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Any, Callable, Generator, Iterator, Sequence
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
-from repro.errors import (
-    ConstraintError,
-    DuplicateKeyError,
-    KeyNotFoundError,
-    LockWaitRequired,
-    TransactionAbortedError,
-)
-from repro.locking.manager import RequestState
-from repro.sim.ops import apply_op
+from repro.errors import LockWaitRequired
+from repro.sim.ops import ABORTS, ProgramRun
 
 
 def all_interleavings(lengths: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -58,6 +51,8 @@ class InterleavingOutcome:
 
     order: tuple[int, ...]
     statuses: dict[int, str] = field(default_factory=dict)
+    #: each program's return value (None unless it returned)
+    values: dict[int, Any] = field(default_factory=dict)
     db: Database | None = None
 
     @property
@@ -77,18 +72,6 @@ class InterleavingOutcome:
         return all(status == "committed" for status in self.statuses.values())
 
 
-class _SteppedTxn:
-    __slots__ = ("index", "program", "txn", "pending_op", "request", "status")
-
-    def __init__(self, index: int, program: Generator, txn):
-        self.index = index
-        self.program = program
-        self.txn = txn
-        self.pending_op = None
-        self.request = None
-        self.status = "running"  # running | blocked | committed | <abort reason>
-
-
 def run_interleaving(
     setup: Callable[[Database], None],
     program_factories: Sequence[Callable[[], Generator]],
@@ -99,10 +82,13 @@ def run_interleaving(
 ) -> InterleavingOutcome:
     """Execute the programs in the given step order against a fresh DB.
 
-    A step that must wait for a lock is retried after steps of other
-    transactions run (deferring preserves the relative order of the
-    remaining steps); a full pass with no progress means an unresolvable
-    wait cycle, which immediate deadlock detection breaks.
+    Each schedule slot is one :meth:`ProgramRun.step` of that
+    transaction.  A step that must wait for a lock is retried after
+    steps of other transactions run (deferring preserves the relative
+    order of the remaining steps); a full pass with no progress means an
+    unresolvable wait cycle, which a deadlock sweep breaks.  A
+    transaction ends "committed", with its abort reason, "blocked" (the
+    schedule ran out while it waited) or "running".
 
     ``db_factory`` substitutes any object with the Database op surface
     (e.g. a sharding coordinator over LocalShard backends) — the seam
@@ -113,23 +99,17 @@ def run_interleaving(
     setup(db)
     isolation = IsolationLevel.parse(isolation)
 
-    txns = [
-        _SteppedTxn(index, factory(), db.begin(isolation))
-        for index, factory in enumerate(program_factories)
-    ]
-    for stepped in txns:
-        _advance(db, stepped, first=True)
-
+    runs = [ProgramRun(db, db.begin(isolation), factory(), db.commit)
+            for factory in program_factories]
     schedule = deque(order)
     stall = 0
     while schedule:
         index = schedule.popleft()
-        stepped = txns[index]
-        if stepped.status in ("committed",) or _is_abort_status(stepped.status):
+        run = runs[index]
+        if run.status != "running":
             stall = 0
             continue
-        progressed = _step(db, stepped)
-        if progressed:
+        if _step(run):
             stall = 0
         else:
             schedule.append(index)
@@ -142,8 +122,10 @@ def run_interleaving(
                 stall = 0
 
     outcome = InterleavingOutcome(order=tuple(order), db=db)
-    for stepped in txns:
-        outcome.statuses[stepped.index] = stepped.status
+    for index, run in enumerate(runs):
+        blocked = run.status == "running" and run.request is not None
+        outcome.statuses[index] = "blocked" if blocked else run.status
+        outcome.values[index] = run.value
     return outcome
 
 
@@ -168,53 +150,14 @@ def exhaustive_outcomes(
     return outcomes
 
 
-# ----------------------------------------------------------------- internals
-
-
-def _is_abort_status(status: str) -> bool:
-    return status not in ("running", "blocked", "committed")
-
-
-def _advance(db: Database, stepped: _SteppedTxn, first: bool = False, to_send=None) -> None:
-    """Pull the next op out of the generator (or mark ready-to-commit)."""
-    try:
-        stepped.pending_op = stepped.program.send(None if first else to_send)
-    except StopIteration:
-        stepped.pending_op = _COMMIT
-
-
-def _step(db: Database, stepped: _SteppedTxn) -> bool:
-    """Try to execute the pending op.  Returns True on progress."""
-    if stepped.status == "blocked":
-        if stepped.request is not None and stepped.request.state is RequestState.WAITING:
-            return False
-        stepped.status = "running"
-
-    try:
-        if stepped.pending_op is _COMMIT:
-            db.commit(stepped.txn)
-            stepped.status = "committed"
-            return True
-        result = apply_op(db, stepped.txn, stepped.pending_op)
-    except LockWaitRequired as wait:
-        if wait.request.state is RequestState.DENIED:
-            error = wait.request.error or TransactionAbortedError(txn_id=stepped.txn.id)
-            db.abort(stepped.txn)
-            stepped.status = error.reason
-            return True
-        stepped.status = "blocked"
-        stepped.request = wait.request
+def _step(run: ProgramRun) -> bool:
+    """One schedule slot of ``run``; False when it is still waiting."""
+    if run.request is not None and not run.request.resolved:
         return False
-    except TransactionAbortedError as error:
-        stepped.status = error.reason
-        return True
-    except (DuplicateKeyError, KeyNotFoundError):
-        # Application-level error: the program cannot proceed; roll back.
-        db.abort(stepped.txn, reason="constraint")
-        stepped.status = "constraint"
-        return True
-    _advance(db, stepped, to_send=result)
+    try:
+        run.step()
+    except LockWaitRequired:
+        return False
+    except ABORTS:
+        pass  # the run recorded its abort reason
     return True
-
-
-_COMMIT = object()

@@ -9,15 +9,27 @@ descriptors and receives each operation's result back::
         checking = yield Read("checking", cid)
         return savings + checking
 
-Programs are executor-agnostic: the discrete-event simulator charges
-simulated time per op; the direct executor just runs them; the exhaustive
-interleaving driver single-steps them.
+Programs are executor-agnostic, and every executor steps them through
+one :class:`ProgramRun`: the discrete-event simulator charges simulated
+time per op; the direct executor blocks its thread through lock waits; a
+session suspends on them; the exhaustive interleaving driver
+single-steps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Callable, Generator, Hashable
+
+from repro.errors import (
+    CompletionWaitRequired,
+    ConstraintError,
+    DuplicateKeyError,
+    KeyNotFoundError,
+    LockWaitRequired,
+    TransactionAbortedError,
+)
+from repro.locking.manager import RequestState
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,8 +150,6 @@ def apply_op(db, txn, op: Op) -> Any:
     (executors account for its cost).  :class:`Rollback` raises
     ConstraintError after aborting.
     """
-    from repro.errors import ConstraintError
-
     if isinstance(op, Read):
         return db.read(txn, op.table, op.key)
     if isinstance(op, Get):
@@ -166,3 +176,100 @@ def apply_op(db, txn, op: Op) -> Any:
         db.abort(txn, reason="constraint")
         raise ConstraintError(op.message, txn_id=txn.id)
     raise TypeError(f"unknown op {op!r}")
+
+
+#: the errors that end a program run as an abort rather than a failure
+ABORTS = (TransactionAbortedError, DuplicateKeyError, KeyNotFoundError)
+
+
+def abort_reason(error: BaseException) -> str | None:
+    """How a program run that raised ``error`` is classified: an engine
+    abort keeps its reason, an application error the program cannot get
+    past (a duplicate insert, a read of a missing key) is a "constraint"
+    abort, and anything else is a failure (None)."""
+    if isinstance(error, TransactionAbortedError):
+        return error.reason
+    if isinstance(error, (DuplicateKeyError, KeyNotFoundError)):
+        return "constraint"
+    return None
+
+
+class ProgramRun:
+    """One transaction program stepped against the engine in ``txn``.
+
+    ``op`` is the pending operation, None once the program has returned
+    (``value`` then holds its return value).  :meth:`step` applies the
+    pending op and advances the program to its next one, or commits
+    through ``commit`` once it has returned (None: the caller commits).
+    ``status`` is "running", "committed" or the abort classification.
+
+    Waits propagate untouched: :class:`~repro.errors.LockWaitRequired`
+    and :class:`~repro.errors.CompletionWaitRequired` leave the run where
+    it was, so each executor waits its own way and steps again; a lock
+    request denied in the meantime aborts the run with its error's
+    reason on that next step.  Any other error aborts the transaction,
+    classified by :func:`abort_reason`, and propagates unchanged.
+    """
+
+    __slots__ = ("db", "txn", "program", "op", "value", "status", "request",
+                 "_commit")
+
+    def __init__(self, db, txn, program: Generator,
+                 commit: Callable[[Any], None] | None = None) -> None:
+        self.db = db
+        self.txn = txn
+        self.program = program
+        self.op: Op | None = None
+        self.value: Any = None
+        self.status = "running"
+        #: the lock request the last :meth:`apply` waited on, if any
+        self.request = None
+        self._commit = commit
+        self.advance(None)
+
+    def advance(self, sent: Any) -> None:
+        """Send ``sent`` into the program and take its next op."""
+        try:
+            self.op = self.program.send(sent)
+        except StopIteration as stop:
+            self.op = None
+            self.value = stop.value
+        except BaseException as error:
+            self._abort(error)
+            raise
+
+    def apply(self) -> Any:
+        """Execute the pending op and return its result."""
+        request, self.request = self.request, None
+        try:
+            if request is not None and request.state is RequestState.DENIED:
+                raise request.error or TransactionAbortedError(txn_id=self.txn.id)
+            return apply_op(self.db, self.txn, self.op)
+        except LockWaitRequired as wait:
+            self.request = wait.request
+            raise
+        except BaseException as error:
+            self._abort(error)
+            raise
+
+    def step(self) -> bool:
+        """Apply the pending op and advance, or commit once the program
+        has returned.  Returns False once there is nothing left to run."""
+        if self.op is not None:
+            self.advance(self.apply())
+            return True
+        if self._commit is not None:
+            try:
+                self._commit(self.txn)
+            except (LockWaitRequired, CompletionWaitRequired):
+                raise
+            except BaseException as error:
+                self._abort(error)
+                raise
+            self.status = "committed"
+        return False
+
+    def _abort(self, error: BaseException) -> None:
+        reason = abort_reason(error)
+        self.status = reason or "aborted"
+        self.db.abort(self.txn, reason)

@@ -17,21 +17,14 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Generator
+from typing import Callable
 
 from repro.engine.config import DeadlockMode
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
-from repro.errors import (
-    ConstraintError,
-    DuplicateKeyError,
-    KeyNotFoundError,
-    LockWaitRequired,
-    TransactionAbortedError,
-)
-from repro.locking.manager import RequestState
+from repro.errors import LockWaitRequired
 from repro.sim.metrics import SimResult
-from repro.sim.ops import Compute, apply_op
+from repro.sim.ops import ABORTS, Compute, ProgramRun
 from repro.sim.workload import Workload
 
 
@@ -84,17 +77,13 @@ class SimConfig:
 
 
 class _Client:
-    __slots__ = (
-        "index", "rng", "isolation", "name", "program", "txn", "started_at", "parked"
-    )
+    __slots__ = ("index", "rng", "name", "run", "started_at", "parked")
 
-    def __init__(self, index: int, rng: random.Random, isolation: IsolationLevel):
+    def __init__(self, index: int, rng: random.Random):
         self.index = index
         self.rng = rng
-        self.isolation = isolation
         self.name: str | None = None
-        self.program: Generator | None = None
-        self.txn = None
+        self.run: ProgramRun | None = None
         self.started_at = 0.0
         self.parked = False
 
@@ -186,11 +175,8 @@ class Simulator:
 
     def run(self) -> SimResult:
         clients = [
-            _Client(
-                index,
-                random.Random((self.config.seed << 16) ^ (index * 2654435761 % 2**31)),
-                self.isolation,
-            )
+            _Client(index, random.Random(
+                (self.config.seed << 16) ^ (index * 2654435761 % 2**31)))
             for index in range(self.mpl)
         ]
         for client in clients:
@@ -248,52 +234,50 @@ class Simulator:
     # -------------------------------------------------------- client logic
 
     def _begin_transaction(self, client: _Client) -> None:
-        client.name, client.program = self.workload.next_transaction(client.rng)
+        client.name, program = self.workload.next_transaction(client.rng)
         level = self.isolation_overrides.get(client.name, self.isolation)
-        client.txn = self.db.begin(level)
+        txn = self.db.begin(level)
         client.started_at = self.now
-        self._resume(client, to_send=None)
+        client.run = ProgramRun(self.db, txn, program, self.db.prepare_commit)
+        self._schedule_op(client)
 
-    def _resume(self, client: _Client, to_send) -> None:
-        """Advance the program generator to its next op (or commit)."""
-        try:
-            op = client.program.send(to_send)
-        except StopIteration:
+    def _schedule_op(self, client: _Client) -> None:
+        """Charge the CPU for the pending op (or commit once the program
+        has returned)."""
+        op = client.run.op
+        if op is None:
             self._commit(client)
             return
         cost = self.config.op_cost
         if isinstance(op, Compute):
             cost = op.units * self.config.compute_unit_cost
         done = self._cpu_slot(self.now, cost)
-        self.schedule_at(done, lambda: self._execute(client, op))
+        self.schedule_at(done, lambda: self._execute(client))
 
-    def _execute(self, client: _Client, op) -> None:
-        txn = client.txn
+    def _execute(self, client: _Client) -> None:
+        run = client.run
         acquires_before = self.db.locks.stats["acquires"]
         try:
-            result = apply_op(self.db, txn, op)
+            result = run.apply()
         except LockWaitRequired as wait:
-            self._park(client, op, wait.request)
+            self._park(client, wait.request)
             return
-        except ConstraintError:
-            self._finish_aborted(client, "constraint")
-            return
-        except TransactionAbortedError as error:
-            self._finish_aborted(client, error.reason)
-            return
-        except (DuplicateKeyError, KeyNotFoundError):
-            self.db.abort(txn, reason="constraint")
-            self._finish_aborted(client, "constraint")
+        except ABORTS:
+            self._finish_aborted(client, run.status)
             return
         lock_calls = self.db.locks.stats["acquires"] - acquires_before
         extra = lock_calls * self.config.lock_op_cost
         if extra > 0:
             done = self._cpu_slot(self.now, extra)
-            self.schedule_at(done, lambda: self._resume(client, to_send=result))
+            self.schedule_at(done, lambda: self._resume(client, result))
         else:
-            self._resume(client, to_send=result)
+            self._resume(client, result)
 
-    def _park(self, client: _Client, op, request) -> None:
+    def _resume(self, client: _Client, result) -> None:
+        client.run.advance(result)
+        self._schedule_op(client)
+
+    def _park(self, client: _Client, request) -> None:
         client.parked = True
         wait_started = self.now
         timeout = self.db.config.lock_timeout
@@ -303,29 +287,24 @@ class Simulator:
 
             self.schedule_at(self.now + timeout, fire_timeout)
 
-        def on_resolve(resolved) -> None:
+        def on_resolve(_resolved) -> None:
             def wake() -> None:
                 client.parked = False
                 self._h_lock_wait.observe(self.now - wait_started)
-                if resolved.state is RequestState.GRANTED:
-                    self._execute(client, op)
-                else:
-                    error = resolved.error
-                    reason = getattr(error, "reason", "aborted")
-                    self.db.abort(client.txn)
-                    self._finish_aborted(client, reason)
+                self._execute(client)  # a denied request aborts the run
 
             self.schedule_at(self.now, wake)
 
         request.on_resolve(on_resolve)
 
     def _commit(self, client: _Client) -> None:
-        txn = client.txn
+        run = client.run
+        txn = run.txn
         has_writes = bool(txn.write_set)
         try:
-            self.db.prepare_commit(txn)
-        except TransactionAbortedError as error:
-            self._finish_aborted(client, error.reason)
+            run.step()  # prepare_commit: committed, locks still held
+        except ABORTS:
+            self._finish_aborted(client, run.status)
             return
 
         def durable() -> None:

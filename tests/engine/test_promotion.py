@@ -13,6 +13,7 @@ from repro import Database, EngineConfig
 from repro.errors import TransactionAbortedError
 from repro.sgt.checker import check_serializable
 from repro.sim.interleave import all_interleavings, run_interleaving
+from repro.sim.ops import ProgramRun
 from repro.workloads.smallbank import (
     customer_name,
     setup_smallbank,
@@ -29,22 +30,14 @@ def setup(db):
 
 def _count_ops(factory):
     """Ops a program issues when run alone (dry run on a scratch DB)."""
-    from repro.sim.direct import _apply_blocking
-
     db = Database(EngineConfig())
     setup(db)
-    txn = db.begin("si")
-    generator = factory()
+    run = ProgramRun(db, db.begin("si"), factory())
     count = 0
-    to_send = None
-    try:
-        while True:
-            op = generator.send(to_send)
-            count += 1
-            to_send = _apply_blocking(db, txn, op)
-    except StopIteration:
-        pass
-    txn.abort()
+    while run.op is not None:
+        run.step()
+        count += 1
+    run.txn.abort()
     return count
 
 
