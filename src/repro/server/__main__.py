@@ -23,7 +23,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7401)
     parser.add_argument("--workers", type=int, default=8,
-                        help="session scheduler worker threads")
+                        help="session scheduler worker threads (they run "
+                             "sessions resumed after a lock or commit wait)")
     parser.add_argument("--trace", action="store_true",
                         help="enable event tracing (abort explanations on the wire)")
     parser.add_argument("--lock-timeout", type=float, default=None,

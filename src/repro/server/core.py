@@ -1,12 +1,16 @@
 """The asyncio wire-protocol server.
 
-One TCP connection = one :class:`repro.session.Session`; the asyncio
-event loop never blocks on the engine.  Each request frame is dispatched
-as a session invocation whose ``on_done`` settles an asyncio future via
-``loop.call_soon_threadsafe`` — the bridge between session completions
-(which may fire on scheduler workers or, transitively, on lock-manager
-resolver threads) and the event loop.  While a session is suspended on a
-lock or safe-snapshot wait, neither an OS thread nor the event loop is
+One TCP connection = one :class:`repro.session.Session`.  Each request
+frame is dispatched as a session invocation whose ``on_done`` settles an
+asyncio future.  When the session is idle the invocation runs inline on
+the event loop inside :meth:`ReproServer._dispatch` (see
+:mod:`repro.session`): engine calls never block, so the loop is held
+only while the engine works, and ``on_done`` settles the future
+directly.  An invocation that must wait — a lock request, a deferrable
+safe-snapshot verdict, a commit queued behind a group-commit leader —
+suspends instead; its resumption runs on a scheduler worker, and that
+``on_done`` settles the future through ``loop.call_soon_threadsafe``.
+While a session is suspended neither an OS thread nor the event loop is
 held: 1024 connections cost 1024 suspended sessions, not 1024 threads.
 
 Bare frames keep the original request/response discipline (one
@@ -54,7 +58,7 @@ from repro.server.protocol import (
     request_args,
     success_reply,
 )
-from repro.session import Session, SessionScheduler
+from repro.session import OnDone, Session, SessionScheduler
 
 __all__ = ["ReproServer"]
 
@@ -63,7 +67,9 @@ class ReproServer:
     """Serve a :class:`Database` over TCP.
 
     ``workers`` sizes the session scheduler's thread pool when the
-    server creates its own; pass an existing ``scheduler`` to share one.
+    server creates its own — the pool that runs sessions resumed after
+    a wait; everything else runs on the event loop.  Pass an existing
+    ``scheduler`` to share one.
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     :meth:`start`).
     """
@@ -260,11 +266,7 @@ class ReproServer:
         cannot queue behind a wait that might outlive the connection."""
         session.interrupt()
         future: asyncio.Future = loop.create_future()
-
-        def on_done(result: Any, error: BaseException | None) -> None:
-            loop.call_soon_threadsafe(_settle, future, result, error)
-
-        session.close(on_done=on_done)
+        session.close(on_done=_settler(future))
         try:
             # Shielded: a cancelled connection task (loop teardown) must
             # still wait out the close so the engine state is released.
@@ -311,13 +313,11 @@ class ReproServer:
                 if session is None:
                     return _error_reply(ProtocolError(f"unknown txn {gtid}"))
         future: asyncio.Future = loop.create_future()
-
-        def on_done(result: Any, error: BaseException | None) -> None:
-            loop.call_soon_threadsafe(_settle, future, result, error)
-
         txn = session.txn
         txn_id = txn.id if txn is not None else None
-        getattr(session, spec.method)(*args, on_done=on_done)
+        # An idle session runs the op right here, on the loop; the
+        # future is then already settled and the await does not yield.
+        getattr(session, spec.method)(*args, on_done=_settler(future))
         try:
             result = await future
         except BaseException as error:  # noqa: BLE001 - mapped onto the wire
@@ -412,6 +412,22 @@ _TERMINAL = ("commit", "abort", "commit_prepared")
 
 def _error_reply(error: BaseException) -> dict[str, Any]:
     return {"ok": False, "error": type(error).__name__, "message": str(error)}
+
+
+def _settler(future: asyncio.Future) -> OnDone:
+    """The session ``on_done`` that settles ``future``, made on the loop's
+    thread: directly when the invocation finishes there (it ran inline),
+    through ``call_soon_threadsafe`` when a worker finishes it."""
+    loop = future.get_loop()
+    loop_thread = threading.get_ident()
+
+    def on_done(result: Any, error: BaseException | None) -> None:
+        if threading.get_ident() == loop_thread:
+            _settle(future, result, error)
+        else:
+            loop.call_soon_threadsafe(_settle, future, result, error)
+
+    return on_done
 
 
 def _settle(future: asyncio.Future, result: Any,

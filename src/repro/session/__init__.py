@@ -9,16 +9,30 @@ wait or a commit ticket queued behind a batch leader
 its own resumption to the wait's completion object and returning the
 worker to the pool.  A :class:`SessionScheduler` drives N sessions over
 M worker threads with M ≪ N; the asyncio wire-protocol server
-(:mod:`repro.server`) multiplexes one session per TCP connection onto
-such a pool.
+(:mod:`repro.server`) keeps one session per TCP connection, runs its
+operations on the event loop and leaves only resumed waits to such a
+pool.
 
 Execution model
 ---------------
-Every public session method enqueues an *invocation* (an engine thunk
-plus an ``on_done(result, error)`` callback) and returns immediately.
-A worker runs the session's invocations in FIFO order; engine thunks
-are idempotent-on-retry exactly as in the blocking path, so a thunk
-interrupted by ``LockWaitRequired`` is simply re-run after the grant.
+Every public session method submits an *invocation* (an engine thunk
+plus an ``on_done(result, error)`` callback) and returns without
+waiting for its outcome.  A session runs its invocations in FIFO order;
+engine thunks are idempotent-on-retry exactly as in the blocking path,
+so a thunk interrupted by ``LockWaitRequired`` is simply re-run after
+the grant.
+
+Where an invocation runs depends on the submitting thread.  Submitted
+from a thread that runs an asyncio event loop (the wire server's
+dispatch) to an idle session, it runs *inline*, on that thread, before
+the method returns: engine calls never block — they raise a wait
+exception instead — so the loop is held no longer than the engine
+works, and under the GIL a worker hand-off would add two thread
+switches and no parallelism.  Submitted from any other thread, or to a
+session that is already queued, running or suspended, it is queued for
+a worker.  Only the *first* run of an invocation can be inline: one
+that suspends is resumed on a worker.
+
 Resume callbacks may fire on a resolver's thread **while it holds the lock
 manager latch**, so they do nothing but mark the session runnable and
 enqueue it — no engine re-entry, mirroring the latch-vs-await rule (no
@@ -36,6 +50,7 @@ from __future__ import annotations
 
 import threading
 import time
+from asyncio import _get_running_loop
 from collections import deque
 from functools import partial
 from typing import Any, Callable, Hashable, Optional
@@ -76,8 +91,9 @@ class _Invocation:
 
 
 # Session lifecycle states.  IDLE: no queued work, not enqueued.
-# READY: enqueued on (or claimed by) the scheduler run queue.
-# RUNNING: a worker is inside _step.  SUSPENDED: parked on a wait
+# READY: enqueued on (or claimed by) the scheduler run queue, or about
+# to run inline.  RUNNING: a worker, or the submitting event loop, is
+# inside _step.  SUSPENDED: parked on a wait
 # completion; the resume callback moves it back to READY.
 _IDLE = "idle"
 _READY = "ready"
@@ -91,9 +107,9 @@ class Session:
 
     All transaction-surface methods (:meth:`begin`, :meth:`read`,
     :meth:`get`, :meth:`read_for_update`, :meth:`write`, :meth:`insert`,
-    :meth:`delete`, :meth:`scan`, :meth:`index_scan`,
+    :meth:`delete`, :meth:`scan`, :meth:`scan_prefix`, :meth:`index_scan`,
     :meth:`index_lookup`, :meth:`commit`, :meth:`abort`,
-    :meth:`run_program`, :meth:`close`) are asynchronous: they enqueue
+    :meth:`run_program`, :meth:`close`) are asynchronous: they submit
     work and deliver the outcome through ``on_done(result, error)``.
     :meth:`call` is a small blocking facade for tests and tools.
     """
@@ -195,6 +211,13 @@ class Session:
              hi: Hashable | None = None, *, on_done: OnDone) -> None:
         self._submit(lambda: self._db.scan(self._need_txn(), table, lo, hi),
                      on_done, "scan")
+
+    def scan_prefix(self, table: str, lo: Hashable | None = None,
+                    hi: Hashable | None = None, limit: int | None = None,
+                    *, on_done: OnDone) -> None:
+        self._submit(
+            lambda: self._db.scan_prefix(self._need_txn(), table, lo, hi, limit),
+            on_done, "scan_prefix")
 
     def index_scan(self, index: str, lo: Hashable | None = None,
                    hi: Hashable | None = None, *, on_done: OnDone) -> None:
@@ -381,12 +404,16 @@ class Session:
             self._deliver(invocation, None, SessionClosedError("session closed"))
             return
         if wake:
-            self._scheduler._enqueue(self)
+            if _get_running_loop() is None:
+                self._scheduler._enqueue(self)
+            else:
+                self._step()  # inline on the event loop (module docstring)
 
     def _step(self) -> None:
         """Run queued invocations until the inbox drains or one suspends.
-        Executed by exactly one worker at a time (the state machine
-        guarantees a session is enqueued at most once)."""
+        Executed by exactly one thread at a time — a worker, or the
+        submitting event loop for an inline run (the state machine
+        guarantees a session is woken at most once)."""
         assert_no_latches_held("session step")
         with self._state_lock:
             self._state = _RUNNING
@@ -553,7 +580,10 @@ class SessionScheduler:
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop accepting work and join the worker pool.  Sessions still
         suspended keep their engine state; callers that need a clean
-        lock table abort/close their sessions first."""
+        lock table abort/close their sessions first.  An event loop can
+        still run an idle session's invocation inline — a server
+        connection that closes after shutdown still releases its
+        transaction — but nothing resumes after a wait."""
         with self._cv:
             if self._closed:
                 return

@@ -44,7 +44,7 @@ class TestRetiredWriterFindability:
         writer.write("t", 2, "w")
         writer.commit()
         assert db.find_transaction(writer.id) is writer
-        assert writer.id not in db._suspended
+        assert writer not in db._suspended
         reader.commit()
         db.cleanup_suspended()
         assert db.find_transaction(writer.id) is None

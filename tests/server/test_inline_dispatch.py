@@ -1,0 +1,151 @@
+"""Where the server runs a session's operation.
+
+An operation for an idle session runs inline on the event loop inside
+``ReproServer._dispatch``; only an operation that has to wait (a lock,
+a commit ticket, a safe-snapshot verdict) suspends, and it is resumed
+on a scheduler worker.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import threading
+
+import pytest
+
+from repro.client import AsyncClient, PipelinedClient
+from repro.engine.config import EngineConfig
+from repro.engine.database import Database
+from repro.server.protocol import build_request
+from repro.session import SessionScheduler
+
+from tests.server.test_server import run_with_server
+
+#: the engine calls a SmallBank-style transaction makes through a session
+ENGINE_CALLS = ("begin", "read", "get", "write", "commit")
+
+
+@pytest.fixture
+def db():
+    db = Database(EngineConfig(record_history=True))
+    db.create_table("t")
+    db.load("t", [("x", 0)])
+    return db
+
+
+@pytest.fixture
+def seen(monkeypatch):
+    """The thread behind every engine call (by name) and every hand-off
+    of a session to the scheduler's run queue."""
+    record = {"engine": [], "enqueue": []}
+    for name in ENGINE_CALLS:
+        def recording(*args, _original=getattr(Database, name), _name=name,
+                      **kwargs):
+            record["engine"].append((_name, threading.current_thread()))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Database, name, recording)
+    enqueue = SessionScheduler._enqueue
+
+    def recording_enqueue(self, session):
+        record["enqueue"].append(threading.current_thread())
+        return enqueue(self, session)
+
+    monkeypatch.setattr(SessionScheduler, "_enqueue", recording_enqueue)
+    return record
+
+
+async def until(predicate, timeout: float = 5.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.005)
+
+
+def test_uncontended_transaction_runs_on_the_loop(db, seen):
+    async def body(server):
+        client = await AsyncClient.connect(port=server.port)
+        seen["engine"].clear()
+        await client.begin("ssi")
+        value = await client.read("t", "x")
+        assert await client.get("t", "y", "absent") == "absent"
+        await client.put("t", "x", value + 1)
+        await client.commit()
+        await client.close()
+        return threading.current_thread()
+
+    loop_thread = run_with_server(db, body)
+    assert {name for name, _ in seen["engine"]} == set(ENGINE_CALLS)
+    assert {thread for _, thread in seen["engine"]} == {loop_thread}
+    assert seen["enqueue"] == []
+    assert db.begin("si").read("t", "x") == 1
+
+
+def test_lock_wait_suspends_and_resumes_on_a_worker(db, seen):
+    """A write-write wait parks the session, not the loop: a third
+    connection is answered meanwhile, and the waiter's retry runs on a
+    worker once the holder commits."""
+
+    async def body(server):
+        holder = await AsyncClient.connect(port=server.port)
+        waiter = await AsyncClient.connect(port=server.port)
+        bystander = await AsyncClient.connect(port=server.port)
+        await holder.begin("s2pl")
+        await holder.put("t", "x", "holder")
+        await waiter.begin("s2pl")
+        seen["engine"].clear()
+        waiting = asyncio.ensure_future(waiter.put("t", "x", "waiter"))
+        await until(lambda: server.scheduler.suspended_sessions == 1)
+        assert (await bystander.ping())["connections"] == 3
+        assert not waiting.done()
+        assert seen["enqueue"] == []
+        await holder.commit()
+        await asyncio.wait_for(waiting, timeout=10)
+        await waiter.commit()
+        for client in (holder, waiter, bystander):
+            await client.close()
+        return threading.current_thread()
+
+    loop_thread = run_with_server(db, body)
+    first, retry = [thread for name, thread in seen["engine"] if name == "write"]
+    assert first is loop_thread
+    assert retry is not loop_thread and retry.name.startswith("session-worker")
+    # One hand-off, made by the holder's commit as it released the lock.
+    assert seen["enqueue"] == [loop_thread]
+    assert db.begin("si").read("t", "x") == "waiter"
+    assert not any(db.locks.residue().values())
+
+
+def test_pipelined_frames_run_in_order(db):
+    """Id-tagged frames queued behind a suspended one wait their turn:
+    nothing overtakes the wait, and the queue drains in order."""
+
+    async def body(server):
+        loop = asyncio.get_running_loop()
+        holder = await AsyncClient.connect(port=server.port)
+        await holder.begin("s2pl")
+        await holder.put("t", "x", "held")
+        link = await loop.run_in_executor(
+            None, lambda: PipelinedClient(port=server.port))
+        try:
+            frames = [build_request(op, args) for op, args in (
+                ("begin", ("s2pl",)),
+                ("put", ("t", "x", 1)),     # waits for the holder
+                ("put", ("t", "x", 2)),
+                ("get", ("t", "x")),
+                ("commit", ()),
+            )]
+            slots = await loop.run_in_executor(None, link.submit_many, frames)
+            await until(lambda: slots[0].done)
+            await asyncio.sleep(0.05)
+            assert not any(slot.done for slot in slots[1:])
+            await holder.commit()
+            return await loop.run_in_executor(
+                None, lambda: [link.result(slot) for slot in slots])
+        finally:
+            await holder.close()
+            await loop.run_in_executor(None, link.close)
+
+    replies = run_with_server(db, body)
+    assert replies[3]["value"] == 2
+    assert db.begin("si").read("t", "x") == 2
