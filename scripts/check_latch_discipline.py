@@ -23,7 +23,7 @@ next to ruff/mypy:
 
 2. **No suspension under latch (PR 7).**  A function must not ``await``
    or enter a session/thread suspension point (``block_on``,
-   ``Session._suspend*``, a blocking ``Completion.wait``) while a
+   ``block_until``, ``Session._suspend*``, a blocking ``Completion.wait``) while a
    recognised latch is lexically held: the waker may need that latch to
    resolve the wait, so suspension under latch is a deadlock by
    construction.  A ``threading.Condition`` ``wait`` is exempt — it
@@ -128,15 +128,14 @@ MUTATORS = {
 #: calls that suspend the current execution (thread-park or session
 #: suspension) — never legal while a latch is held.  ``wait`` is listed
 #: because engine code only calls it on Event/Completion objects;
-#: Condition.wait (which releases its own lock) lives behind ``_cv``
-#: receivers and is exempted in the checker.
+#: Condition.wait (which releases its own lock) lives behind
+#: ``_condition`` receivers and is exempted in the checker.
 SUSPEND_CALLS = {
-    "block_on", "_suspend", "_suspend_on_request", "_suspend_on_completion",
-    "wait",
+    "block_on", "block_until", "_suspend", "_suspend_on_request", "wait",
 }
 
 #: receiver attribute names whose ``wait`` releases its own lock
-CONDITION_RECEIVERS = {"_cv", "_condition"}
+CONDITION_RECEIVERS = {"_condition"}
 
 #: WAL methods that perform log I/O: never legal under an engine latch
 #: (rule 4) — flush-before-release is sequenced by the commit pipeline,

@@ -11,7 +11,7 @@ port, drives 64 concurrent client connections — half at ``si``, half at
   via the MVSG oracle over the full committed history),
 * after a clean shutdown the lock table is empty: no granted rows, no
   owners, no waiters, no SIREAD sentinels, and
-* the server stops with no connection, session, or worker left behind.
+* the server stops with no connection or session left behind.
 
 Exit status 0 on success, 1 on any violation — wired into CI next to the
 latch-discipline lint.
@@ -61,11 +61,11 @@ async def client_task(port: int, index: int, level: str,
         await client.close()
 
 
-async def run_smoke(connections: int, workers: int) -> tuple[Database, dict]:
+async def run_smoke(connections: int) -> tuple[Database, dict]:
     db = Database(EngineConfig(record_history=True))
     db.create_table("acct")
     db.load("acct", [(i, 1000) for i in range(ACCOUNTS)])
-    server = ReproServer(db, workers=workers)
+    server = ReproServer(db)
     await server.start()
     tallies = {"commits": 0, "aborts": 0}
     try:
@@ -85,13 +85,12 @@ async def run_smoke(connections: int, workers: int) -> tuple[Database, dict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--connections", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=8)
     args = parser.parse_args(argv)
 
-    db, tallies = asyncio.run(run_smoke(args.connections, args.workers))
+    db, tallies = asyncio.run(run_smoke(args.connections))
     expected = args.connections * TXNS_PER_CONNECTION
     total = tallies["commits"] + tallies["aborts"]
-    print(f"{args.connections} connections ({args.workers} workers): "
+    print(f"{args.connections} connections: "
           f"{tallies['commits']} commits, {tallies['aborts']} aborts")
     # Report only: commits that overlapped a leader rode follower groups.
     print("group_commit:", db.metrics.snapshot()["counters"]["group_commit"])

@@ -42,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     pmap = smallbank_partition_map(args.shards, args.customers)
     print(f"sharded smoke: {args.shards} shards, {args.threads} threads x "
           f"{args.txns} txns, {args.cross_ratio:.0%} cross-shard", flush=True)
-    with ShardCluster(pmap, workers=4) as cluster:
+    with ShardCluster(pmap) as cluster:
         result = run_sharded_stress(
             cluster.coordinator,
             customers=args.customers,

@@ -43,7 +43,7 @@ one pass:
 Followers never block a latch holder: they wait on the ticket's
 :class:`~repro.engine.waits.Completion` (threads park on ``wait()``;
 sessions suspend via :class:`~repro.errors.CompletionWaitRequired` and
-ride the group without occupying a scheduler worker).  Only the leader
+ride the group without holding their driver's event loop).  Only the leader
 fires it, so a fired completion *is* the verdict.
 
 Leader election is gap-free: the leader flag is only cleared under the

@@ -278,44 +278,54 @@ class Transaction:
 
 def block_on(request: LockRequest) -> None:
     """Park the calling thread until ``request`` resolves, granted or
-    denied — the one blocking lock wait; what a denial means is the
-    caller's to decide.
+    denied — the blocking lock wait; what a denial means is the caller's
+    to decide.
 
     A thin adapter over :meth:`LockRequest.on_resolve`: one
-    ``threading.Event`` registered as the resolve callback, one wait.
-    ``LockRequest._resolve`` publishes the final state before firing
-    callbacks, so the untimed wait is race-free.  Only two duties of the
-    requesting transaction's database ever add a timeout: a configured
-    ``lock_timeout`` (one timed wait to its deadline, then cancel) and
-    PERIODIC deadlock detection, which must keep sweeping even when every
-    client thread is blocked (Berkeley DB db_perf style) and is the sole
-    remaining consumer of ``wait_poll_interval``.
+    ``threading.Event`` registered as the resolve callback, waited out by
+    :func:`block_until`.  ``LockRequest._resolve`` publishes the final
+    state before firing callbacks, so the wait is race-free.
     """
-    # Sleeping while holding any engine latch would stall every other
-    # thread needing it; LockWaitRequired must fully unwind first.
-    assert_no_latches_held("lock wait")
     db = request.owner._db
     wait_started = time.monotonic()
-    timeout = db.config.lock_timeout
     event = threading.Event()
     request.on_resolve(lambda _req: event.set())
-    if db.needs_wait_polling:
-        deadline = None if timeout is None else wait_started + timeout
-        while not event.wait(timeout=db.wait_poll_interval):
-            if deadline is not None and time.monotonic() >= deadline:
-                db.cancel_lock_request(request)
-                continue  # the denial resolves the request, sets event
-            db.poll_waiters()
-    elif timeout is not None:
-        if not event.wait(timeout=timeout):
-            # Either the cancel wins (resolving DENIED) or a racing
-            # grant already did — both fire the event promptly.
-            db.cancel_lock_request(request)
-            event.wait()
-    else:
-        event.wait()
+    block_until(db, event, request)
     # Threaded clients measure wall-clock lock waits; the simulator
     # feeds the same histogram in simulated seconds instead.
     db.metrics.histogram("lock_wait_time").observe(
         time.monotonic() - wait_started
     )
+
+
+def block_until(db, woken: threading.Event, request: LockRequest | None) -> None:
+    """Park the calling thread until ``woken`` is set — the one blocking
+    wait, shared by :func:`block_on` and thread-driven sessions.
+
+    Untimed unless one of two duties of ``db`` applies: a configured
+    ``lock_timeout`` cancels ``request`` (a lock wait; None for a
+    completion wait, which has no deadline) once it is due, and PERIODIC
+    deadlock detection must keep sweeping even when every client thread
+    is blocked (Berkeley DB db_perf style) — the sole consumer of
+    ``wait_poll_interval`` on a thread.  The cancel resolves the request,
+    which must set ``woken``.
+    """
+    # Sleeping while holding any engine latch would stall every other
+    # thread needing it; the wait exception must fully unwind first.
+    assert_no_latches_held("lock wait")
+    timeout = None if request is None else db.config.lock_timeout
+    if db.needs_wait_polling:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not woken.wait(timeout=db.wait_poll_interval):
+            if deadline is not None and time.monotonic() >= deadline:
+                db.cancel_lock_request(request)
+                continue  # the denial resolves the request, sets woken
+            db.poll_waiters()
+    elif timeout is not None:
+        if not woken.wait(timeout=timeout):
+            # Either the cancel wins (resolving DENIED) or a racing
+            # grant already did — both set woken promptly.
+            db.cancel_lock_request(request)
+            woken.wait()
+    else:
+        woken.wait()

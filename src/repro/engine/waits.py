@@ -3,7 +3,7 @@
 A :class:`Completion` is the engine's one-shot "this wait is over"
 object: resolvers call :meth:`set` exactly once, waiters either park a
 thread on :meth:`wait` (the classic blocking client) or subscribe a
-callback via :meth:`on_fire` (the session scheduler, the asyncio
+callback via :meth:`on_fire` (a suspended session, the asyncio
 bridge).  Subscription and firing are serialised by a per-completion
 lock so a callback registered concurrently with :meth:`set` fires
 exactly once — the same contract :class:`repro.locking.manager.LockRequest`

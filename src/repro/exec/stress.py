@@ -5,9 +5,9 @@ threads.  :func:`run_threaded_stress` — the harness behind the
 race-condition tests and the threaded benchmark cases — has each thread
 run its programs through the blocking client API
 (:func:`repro.sim.direct.run_program`); :func:`run_session_stress` has
-each thread own one session and run its programs through a
-:class:`~repro.session.SessionScheduler`, whose workers never park.
-Both then quiesce the engine and audit what is left behind.
+each thread own one session of a :class:`~repro.session.SessionScheduler`
+and drive its programs through it, suspending on each wait.  Both then
+quiesce the engine and audit what is left behind.
 
 The audit is the point.  A latching bug rarely crashes — it loses a
 SIREAD lock, leaks a granted row in the lock table, or commits a
@@ -192,9 +192,9 @@ def drive_threads(
     runs each program through :func:`~repro.sim.direct.run_program`,
     blocking through its waits — or a
     :class:`~repro.session.SessionScheduler`: the thread then owns one
-    session and runs each program through
-    ``session.call("run_program", ...)``, so waits suspend the session
-    and no scheduler worker parks.  Aborts (see
+    session and drives each program through
+    ``session.call("run_program", ...)``, blocking on each wait the
+    session suspends on.  Aborts (see
     :func:`~repro.sim.ops.abort_reason`) are expected outcomes; any
     other exception in a client thread fails the run.  Once every
     thread has joined, ``tally(label, reason)`` is called for each
@@ -229,15 +229,15 @@ def drive_threads(
         except BaseException as exc:  # engine bug, not a CC outcome
             failures.append(exc)
 
-    workers = [
+    clients = [
         threading.Thread(target=client, args=(index,), name=f"stress-{index}")
         for index in range(threads)
     ]
     start = time.perf_counter()
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
+    for thread in clients:
+        thread.start()
+    for thread in clients:
+        thread.join()
     wall = time.perf_counter() - start
     if failures:
         raise failures[0]
@@ -284,7 +284,6 @@ def run_session_stress(
     workload: Workload,
     level: str = "ssi",
     sessions: int = 32,
-    workers: int = 4,
     txns_per_session: int = 16,
     seed: int = 20080501,
     config: EngineConfig | None = None,
@@ -292,26 +291,26 @@ def run_session_stress(
     invariant: Callable[[Database], None] | None = None,
     on_database: Callable[[Database], None] | None = None,
 ) -> StressResult:
-    """Session-scheduler twin of :func:`run_threaded_stress`: N sessions
-    multiplexed onto M ≪ N scheduler workers, no worker parked on any
-    lock, safe-snapshot or commit wait.
+    """Session twin of :func:`run_threaded_stress`: the same engine
+    reached through sessions, which suspend on every lock, safe-snapshot
+    and commit wait instead of blocking inside the engine.
 
-    :func:`drive_threads` runs one client thread per session; each runs
-    ``txns_per_session`` workload programs through its session, drawing
-    from ``random.Random(seed * 1000 + index)`` like thread ``index`` of
-    the threaded runner.  After the scheduler shuts down, the same
-    post-quiesce audit applies: MVSG verdict, residual lock-table state,
-    invariants.
+    :func:`drive_threads` runs one client thread per session; each
+    drives ``txns_per_session`` workload programs through its session,
+    drawing from ``random.Random(seed * 1000 + index)`` like thread
+    ``index`` of the threaded runner.  After the scheduler shuts down,
+    the same post-quiesce audit applies: MVSG verdict, residual
+    lock-table state, invariants.
     """
     db = _open_database(workload, config, check_serializability, on_database)
-    scheduler = SessionScheduler(db, workers=workers)
+    scheduler = SessionScheduler(db)
     try:
         tallies = _drive_by_name(
             scheduler, workload, level, sessions, txns_per_session, seed)
     finally:
         scheduler.shutdown()
     return _audit(
-        db, workload, level, workers, txns_per_session * sessions, *tallies,
+        db, workload, level, sessions, txns_per_session * sessions, *tallies,
         check_serializability, invariant,
     )
 

@@ -2,10 +2,11 @@
 
 Example (see TUTORIAL 15)::
 
-    PYTHONPATH=src python -m repro.server --port 7401 --workers 8 --trace
+    PYTHONPATH=src python -m repro.server --port 7401 --trace
 
 Clients create tables and load rows over the wire (``create_table`` /
-``load`` ops), so a bare server is immediately usable.
+``load`` ops), so a bare server is immediately usable.  Every session
+runs on the server's one event loop; there is no thread pool to size.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="repro SSI wire-protocol server")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7401)
-    parser.add_argument("--workers", type=int, default=8,
-                        help="session scheduler worker threads (they run "
-                             "sessions resumed after a lock or commit wait)")
     parser.add_argument("--trace", action="store_true",
                         help="enable event tracing (abort explanations on the wire)")
     parser.add_argument("--lock-timeout", type=float, default=None,
@@ -34,12 +32,11 @@ def main(argv: list[str] | None = None) -> int:
     db = Database(EngineConfig(lock_timeout=args.lock_timeout))
     if args.trace:
         db.enable_tracing()
-    server = ReproServer(db, args.host, args.port, workers=args.workers)
+    server = ReproServer(db, args.host, args.port)
 
     async def run() -> None:
         await server.start()
-        print(f"repro server listening on {server.host}:{server.port} "
-              f"({args.workers} workers)")
+        print(f"repro server listening on {server.host}:{server.port}")
         try:
             await server.serve_forever()
         except asyncio.CancelledError:

@@ -1,17 +1,18 @@
 """The asyncio wire-protocol server.
 
-One TCP connection = one :class:`repro.session.Session`.  Each request
-frame is dispatched as a session invocation whose ``on_done`` settles an
-asyncio future.  When the session is idle the invocation runs inline on
-the event loop inside :meth:`ReproServer._dispatch` (see
-:mod:`repro.session`): engine calls never block, so the loop is held
-only while the engine works, and ``on_done`` settles the future
-directly.  An invocation that must wait — a lock request, a deferrable
-safe-snapshot verdict, a commit queued behind a group-commit leader —
-suspends instead; its resumption runs on a scheduler worker, and that
-``on_done`` settles the future through ``loop.call_soon_threadsafe``.
-While a session is suspended neither an OS thread nor the event loop is
-held: 1024 connections cost 1024 suspended sessions, not 1024 threads.
+One TCP connection = one :class:`repro.session.Session`, bound to the
+event loop (see :mod:`repro.session`).  Each request frame is dispatched
+as a session invocation whose ``on_done`` settles an asyncio future.
+When the session is idle the invocation runs inline on the loop inside
+:meth:`ReproServer._dispatch`: engine calls never block, so the loop is
+held only while the engine works.  An invocation that must wait — a lock
+request, a deferrable safe-snapshot verdict, a commit queued behind a
+group-commit leader — suspends instead, and its retry is scheduled back
+onto the loop when the wait resolves; a wait's lock timeout and periodic
+deadlock sweeps are loop timers.  Every ``on_done`` therefore fires on
+the loop thread and settles its future directly.  While a session is
+suspended neither an OS thread nor the event loop is held: 1024
+connections cost 1024 suspended sessions, not 1024 threads.
 
 Bare frames keep the original request/response discipline (one
 outstanding op per connection).  A frame carrying an ``"id"`` opts into
@@ -43,7 +44,7 @@ coordinator to relabel).
 from __future__ import annotations
 
 import asyncio
-import threading
+from functools import partial
 from typing import Any
 
 from repro.engine.database import Database
@@ -58,7 +59,7 @@ from repro.server.protocol import (
     request_args,
     success_reply,
 )
-from repro.session import OnDone, Session, SessionScheduler
+from repro.session import Session, SessionScheduler
 
 __all__ = ["ReproServer"]
 
@@ -66,10 +67,8 @@ __all__ = ["ReproServer"]
 class ReproServer:
     """Serve a :class:`Database` over TCP.
 
-    ``workers`` sizes the session scheduler's thread pool when the
-    server creates its own — the pool that runs sessions resumed after
-    a wait; everything else runs on the event loop.  Pass an existing
-    ``scheduler`` to share one.
+    Every session runs on the event loop, so there is no thread pool to
+    size: ``workers`` is accepted for existing callers and ignored.
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     :meth:`start`).
     """
@@ -80,15 +79,13 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        workers: int = 8,
-        scheduler: SessionScheduler | None = None,
+        workers: int | None = None,
         max_inbox: int = 32,
     ) -> None:
         self.db = db
         self.host = host
         self.port = port
-        self._own_scheduler = scheduler is None
-        self.scheduler = scheduler or SessionScheduler(db, workers=workers)
+        self.scheduler = SessionScheduler(db)
         self._server: asyncio.AbstractServer | None = None
         self._connections = 0
         #: bound on in-flight pipelined (id-tagged) frames per connection;
@@ -96,13 +93,12 @@ class ReproServer:
         self.max_inbox = max_inbox
         #: distributed transactions: coordinator global id -> the
         #: server-wide session running that transaction's local part.
-        #: Guarded by a plain leaf lock (touched from dispatch tasks).
+        #: Like everything here, touched only on the event loop.
         self._dtxns: dict[int, Session] = {}
         #: local txn id -> global id, kept for the server's lifetime so
         #: history dumps and abort explanations can be relabelled (shard
         #: processes are per-run; the map is bounded by run size).
         self._gtids: dict[int, int] = {}
-        self._dtxn_lock = threading.Lock()
         #: the ops the server answers itself rather than through a session
         self._admin = {
             "ping": self._ping,
@@ -139,13 +135,11 @@ class ReproServer:
             await self._server.wait_closed()
             self._server = None
         loop = asyncio.get_running_loop()
-        with self._dtxn_lock:
-            leftovers = list(self._dtxns.values())
-            self._dtxns.clear()
+        leftovers = list(self._dtxns.values())
+        self._dtxns.clear()
         for session in leftovers:
             await self._close_session(loop, session)
-        if self._own_scheduler:
-            await loop.run_in_executor(None, self.scheduler.shutdown)
+        self.scheduler.shutdown()
 
     @property
     def connections(self) -> int:
@@ -266,7 +260,7 @@ class ReproServer:
         cannot queue behind a wait that might outlive the connection."""
         session.interrupt()
         future: asyncio.Future = loop.create_future()
-        session.close(on_done=_settler(future))
+        session.close(on_done=partial(_settle, future))
         try:
             # Shielded: a cancelled connection task (loop teardown) must
             # still wait out the close so the engine state is released.
@@ -296,20 +290,14 @@ class ReproServer:
         session = conn_session
         if gtid is not None:
             if op == "begin":
-                session = self.scheduler.session()
-                with self._dtxn_lock:
-                    duplicate = gtid in self._dtxns
-                    if not duplicate:
-                        self._dtxns[gtid] = session
-                if duplicate:
-                    await self._close_session(loop, session)
+                if gtid in self._dtxns:
                     return _error_reply(ProtocolError(f"duplicate txn {gtid}"))
+                session = self._dtxns[gtid] = self.scheduler.session()
                 # Tag the engine transaction with the coordinator's
                 # global id (rendered into conflict summaries).
                 args.append(gtid)
             else:
-                with self._dtxn_lock:
-                    session = self._dtxns.get(gtid)
+                session = self._dtxns.get(gtid)
                 if session is None:
                     return _error_reply(ProtocolError(f"unknown txn {gtid}"))
         future: asyncio.Future = loop.create_future()
@@ -317,9 +305,11 @@ class ReproServer:
         txn_id = txn.id if txn is not None else None
         # An idle session runs the op right here, on the loop; the
         # future is then already settled and the await does not yield.
-        getattr(session, spec.method)(*args, on_done=_settler(future))
+        getattr(session, spec.method)(*args, on_done=partial(_settle, future))
         try:
             result = await future
+        except asyncio.CancelledError:
+            raise  # the connection is going away; its teardown closes the session
         except BaseException as error:  # noqa: BLE001 - mapped onto the wire
             if gtid is not None and (
                 op in _TERMINAL or isinstance(error, TransactionAbortedError)
@@ -332,21 +322,18 @@ class ReproServer:
         if gtid is not None and op in _TERMINAL:
             await self._retire_dtxn(loop, gtid)
         if op == "begin" and gtid is not None:
-            with self._dtxn_lock:
-                self._gtids[result] = gtid
+            self._gtids[result] = gtid
         return success_reply(spec, result)
 
     async def _retire_dtxn(self, loop, gtid: int) -> None:
         """A distributed transaction reached a terminal state: unregister
         and close its session (idempotent — races with stop() are fine)."""
-        with self._dtxn_lock:
-            session = self._dtxns.pop(gtid, None)
+        session = self._dtxns.pop(gtid, None)
         if session is not None:
             await self._close_session(loop, session)
 
     def _ping(self) -> dict[str, Any]:
-        return {"server": "repro", "workers": self.scheduler.workers,
-                "connections": self._connections}
+        return {"server": "repro", "connections": self._connections}
 
     def _abort_reply(
         self, error: BaseException, txn_id: int | None
@@ -366,8 +353,7 @@ class ReproServer:
             explanation = self.db.explain_abort(txn_id)
         except Exception:  # noqa: BLE001 - diagnostics must not fail the reply
             return None
-        with self._dtxn_lock:
-            return explanation.payload(self._gtids)
+        return explanation.payload(self._gtids)
 
     # ----------------------------------------------------- shard admin
 
@@ -378,12 +364,10 @@ class ReproServer:
         history = self.db.history
         if history is None:
             raise ProtocolError("history recording is disabled on this shard")
-        with self._dtxn_lock:
-            gtids = dict(self._gtids)
         return [
             {
                 "id": record.txn_id,
-                "gtid": gtids.get(record.txn_id),
+                "gtid": self._gtids.get(record.txn_id),
                 "begin_ts": record.begin_ts,
                 "commit_ts": record.commit_ts,
                 "status": record.status,
@@ -412,22 +396,6 @@ _TERMINAL = ("commit", "abort", "commit_prepared")
 
 def _error_reply(error: BaseException) -> dict[str, Any]:
     return {"ok": False, "error": type(error).__name__, "message": str(error)}
-
-
-def _settler(future: asyncio.Future) -> OnDone:
-    """The session ``on_done`` that settles ``future``, made on the loop's
-    thread: directly when the invocation finishes there (it ran inline),
-    through ``call_soon_threadsafe`` when a worker finishes it."""
-    loop = future.get_loop()
-    loop_thread = threading.get_ident()
-
-    def on_done(result: Any, error: BaseException | None) -> None:
-        if threading.get_ident() == loop_thread:
-            _settle(future, result, error)
-        else:
-            loop.call_soon_threadsafe(_settle, future, result, error)
-
-    return on_done
 
 
 def _settle(future: asyncio.Future, result: Any,

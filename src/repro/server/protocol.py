@@ -236,8 +236,7 @@ WIRE_OPS: dict[str, WireOp] = {spec.op: spec for spec in (
     _op("create_table", "table", kind="admin"),
     _op("load", "table", "rows", kind="admin"),
     _op("metrics", reply="metrics", kind="admin"),
-    _op("ping", reply=("ok", "server", "workers", "connections"),
-        kind="admin"),
+    _op("ping", reply=("ok", "server", "connections"), kind="admin"),
     # shard oracles: the recorded history, each transaction labelled
     # with its global id, and the residual state after quiesce
     _op("dump_history", reply="txns", decode=_wire_history, kind="admin"),

@@ -5,45 +5,47 @@ parks one thread per in-flight transaction.  A :class:`Session` instead
 *suspends* whenever the engine reports a pending wait — a lock request
 (:class:`~repro.errors.LockWaitRequired`), or a deferrable safe-snapshot
 wait or a commit ticket queued behind a batch leader
-(:class:`~repro.errors.CompletionWaitRequired`) — by subscribing
-its own resumption to the wait's completion object and returning the
-worker to the pool.  A :class:`SessionScheduler` drives N sessions over
-M worker threads with M ≪ N; the asyncio wire-protocol server
-(:mod:`repro.server`) keeps one session per TCP connection, runs its
-operations on the event loop and leaves only resumed waits to such a
-pool.
+(:class:`~repro.errors.CompletionWaitRequired`) — by subscribing its own
+resumption to the wait's completion object.  The asyncio wire server
+(:mod:`repro.server`) keeps one session per TCP connection on its event
+loop: 1024 connections cost 1024 sessions, not 1024 threads.  A
+:class:`SessionScheduler` opens sessions and keeps their books; it runs
+nothing itself.
 
 Execution model
 ---------------
 Every public session method submits an *invocation* (an engine thunk
-plus an ``on_done(result, error)`` callback) and returns without
-waiting for its outcome.  A session runs its invocations in FIFO order;
-engine thunks are idempotent-on-retry exactly as in the blocking path,
-so a thunk interrupted by ``LockWaitRequired`` is simply re-run after
-the grant.
+plus an ``on_done(result, error)`` callback).  A session runs its
+invocations in FIFO order; engine thunks are idempotent-on-retry exactly
+as in the blocking path, so a thunk interrupted by ``LockWaitRequired``
+is simply re-run after the grant.
 
-Where an invocation runs depends on the submitting thread.  Submitted
-from a thread that runs an asyncio event loop (the wire server's
-dispatch) to an idle session, it runs *inline*, on that thread, before
-the method returns: engine calls never block — they raise a wait
-exception instead — so the loop is held no longer than the engine
-works, and under the GIL a worker hand-off would add two thread
-switches and no parallelism.  Submitted from any other thread, or to a
-session that is already queued, running or suspended, it is queued for
-a worker.  Only the *first* run of an invocation can be inline: one
-that suspends is resumed on a worker.
+A session has exactly one *driver*, the only thread that runs its
+``_step``: whoever submitted work to it while it was idle.  Work
+submitted while it is busy joins its inbox for the current driver.
+
+- *Loop-bound*: submitted from a thread that runs an asyncio event loop
+  (the wire server's dispatch), the invocation runs inline before the
+  method returns — engine calls never block, they raise a wait exception
+  instead, so the loop is held only while the engine works — and a
+  suspended session's retry is scheduled back onto that loop with
+  ``loop.call_soon_threadsafe``.
+- *Thread-driven*: submitted from any other thread (:meth:`Session.call`,
+  :func:`repro.exec.stress.drive_threads`, tests), the submitting thread
+  steps the session, blocking in
+  :func:`repro.engine.transaction.block_until` (the blocking path's own
+  wait) whenever it suspends, until the inbox drains.
 
 Resume callbacks may fire on a resolver's thread **while it holds the lock
-manager latch**, so they do nothing but mark the session runnable and
-enqueue it — no engine re-entry, mirroring the latch-vs-await rule (no
-latch may be held across a suspension point, and no suspension handler
-may take a latch).
+manager latch**, so they only mark the session runnable and wake its
+driver — no engine re-entry (no latch may be held across a suspension
+point, and no suspension handler may take a latch).
 
-Timeouts and periodic deadlock sweeps cannot ride on a blocked client
-thread here, so the scheduler owns them: a tick thread exists *only*
-when ``lock_timeout`` is configured or the PERIODIC deadlock mode needs
-sweeping, and that thread is the sole consumer of
-``Database.wait_poll_interval`` — the lock-wait path itself never polls.
+A wait's deadline duties — cancelling a lock request at its
+``lock_timeout`` deadline and, under PERIODIC deadlock detection,
+``Database.poll_waiters`` every ``wait_poll_interval`` — ride on the
+driver: loop timers that the resumed step cancels, or ``block_until``'s
+timed waits.  With neither configured nothing on the wait path polls.
 """
 
 from __future__ import annotations
@@ -52,12 +54,14 @@ import threading
 import time
 from asyncio import _get_running_loop
 from collections import deque
+from contextlib import suppress
 from functools import partial
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Optional
 
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
 from repro.engine.latches import assert_no_latches_held
+from repro.engine.transaction import block_until
 from repro.errors import (
     CompletionWaitRequired,
     LockWaitRequired,
@@ -68,11 +72,7 @@ from repro.errors import (
 from repro.locking.manager import LockRequest, RequestState
 from repro.sim.ops import ProgramRun
 
-__all__ = [
-    "Session",
-    "SessionClosedError",
-    "SessionScheduler",
-]
+__all__ = ["Session", "SessionClosedError", "SessionScheduler"]
 
 OnDone = Callable[[Any, Optional[BaseException]], None]
 
@@ -81,24 +81,27 @@ class SessionClosedError(ReproError):
     """An invocation was submitted to (or pending on) a closed session."""
 
 
-class _Invocation:
-    __slots__ = ("fn", "on_done", "label")
+#: an invocation: the engine thunk and the callback its outcome goes to
+_Invocation = tuple[Callable[[], Any], OnDone]
 
-    def __init__(self, fn: Callable[[], Any], on_done: OnDone, label: str):
-        self.fn = fn
-        self.on_done = on_done
-        self.label = label
-
-
-# Session lifecycle states.  IDLE: no queued work, not enqueued.
-# READY: enqueued on (or claimed by) the scheduler run queue, or about
-# to run inline.  RUNNING: a worker, or the submitting event loop, is
-# inside _step.  SUSPENDED: parked on a wait
-# completion; the resume callback moves it back to READY.
+# Session lifecycle states.  IDLE: no queued work and no driver.  BUSY:
+# woken — its driver is inside _step or about to be.  SUSPENDED: parked
+# on a wait completion; the resume callback moves it back to BUSY.
 _IDLE = "idle"
-_READY = "ready"
-_RUNNING = "running"
+_BUSY = "busy"
 _SUSPENDED = "suspended"
+
+
+def _txn_op(name: str):
+    """The session method that runs ``Database.<name>(txn, *args)`` on
+    the session's open transaction."""
+    def method(self, *args: Any, on_done: OnDone) -> None:
+        self._submit(
+            lambda: getattr(self._db, name)(self._need_txn(), *args),
+            on_done, name)
+
+    method.__name__, method.__qualname__ = name, f"Session.{name}"
+    return method
 
 
 class Session:
@@ -124,11 +127,14 @@ class Session:
         self._inbox: deque[_Invocation] = deque()
         self._current: _Invocation | None = None
         self._closed = False
-        #: wait bookkeeping, written only by the owning worker while
-        #: RUNNING and read by the scheduler's tick thread
+        #: the driver, fixed at each wake from IDLE: its event loop (None
+        #: for a thread-driven session) and how a resume wakes it
+        self._loop = None
+        self._wake: Callable[[], None] | None = None
+        #: wait bookkeeping, touched only by the driver
         self._pending_request: LockRequest | None = None
-        self._wait_started: float | None = None
-        self._wait_deadline: float | None = None
+        #: a loop-bound wait's deadline-duty timers (poll timer last)
+        self._timers: list = []
 
     # ------------------------------------------------------ public API
 
@@ -142,16 +148,17 @@ class Session:
         on_done: OnDone,
     ) -> None:
         """Begin a transaction; delivers its id.  A deferrable begin
-        suspends the session (no worker thread is held) until the
+        suspends the session (no thread is held on a loop) until the
         safe-snapshot monitor fires a safe verdict.  ``global_id`` tags
         the transaction with a coordinator-assigned id (sharding)."""
-        state: dict = {"txn": None, "defer": False}
+        txn = None
+        deferred = False
 
         def fn():
-            txn = state["txn"]
+            nonlocal txn, deferred
             if txn is None:
                 try:
-                    state["txn"] = self._db.begin(
+                    txn = self._db.begin(
                         isolation, read_only=read_only,
                         deferrable=deferrable, wait=False,
                         global_id=global_id,
@@ -159,11 +166,10 @@ class Session:
                 except CompletionWaitRequired as wait:
                     # The transaction exists and is being watched; expose
                     # it immediately so interrupt()/close() can doom it.
-                    state["txn"] = wait.txn
-                    state["defer"] = True
-                    self.txn = wait.txn
+                    txn = self.txn = wait.txn
+                    deferred = True
                     raise
-            elif state["defer"]:
+            elif deferred:
                 if not txn.is_active or txn.doom_error is not None:
                     error = txn.doom_error or TransactionStateError(
                         f"transaction {txn.id} is {txn.status.value}"
@@ -173,70 +179,33 @@ class Session:
                     self.txn = None
                     raise error
                 self._db.resume_deferrable(txn)  # may raise again
-                state["defer"] = False
-            self.txn = state["txn"]
-            return state["txn"].id
+                deferred = False
+            self.txn = txn
+            return txn.id
 
         self._submit(fn, on_done, "begin")
 
-    def read(self, table: str, key: Hashable, *, on_done: OnDone) -> None:
-        self._submit(lambda: self._db.read(self._need_txn(), table, key),
-                     on_done, "read")
-
-    def get(self, table: str, key: Hashable, default: Any = None,
-            *, on_done: OnDone) -> None:
-        self._submit(lambda: self._db.get(self._need_txn(), table, key, default),
-                     on_done, "get")
-
-    def read_for_update(self, table: str, key: Hashable, *, on_done: OnDone) -> None:
-        self._submit(
-            lambda: self._db.read_for_update(self._need_txn(), table, key),
-            on_done, "read_for_update")
-
-    def write(self, table: str, key: Hashable, value: Any,
-              *, on_done: OnDone) -> None:
-        self._submit(lambda: self._db.write(self._need_txn(), table, key, value),
-                     on_done, "write")
-
-    def insert(self, table: str, key: Hashable, value: Any,
-               *, on_done: OnDone) -> None:
-        self._submit(lambda: self._db.insert(self._need_txn(), table, key, value),
-                     on_done, "insert")
-
-    def delete(self, table: str, key: Hashable, *, on_done: OnDone) -> None:
-        self._submit(lambda: self._db.delete(self._need_txn(), table, key),
-                     on_done, "delete")
-
-    def scan(self, table: str, lo: Hashable | None = None,
-             hi: Hashable | None = None, *, on_done: OnDone) -> None:
-        self._submit(lambda: self._db.scan(self._need_txn(), table, lo, hi),
-                     on_done, "scan")
-
-    def scan_prefix(self, table: str, lo: Hashable | None = None,
-                    hi: Hashable | None = None, limit: int | None = None,
-                    *, on_done: OnDone) -> None:
-        self._submit(
-            lambda: self._db.scan_prefix(self._need_txn(), table, lo, hi, limit),
-            on_done, "scan_prefix")
-
-    def index_scan(self, index: str, lo: Hashable | None = None,
-                   hi: Hashable | None = None, *, on_done: OnDone) -> None:
-        self._submit(lambda: self._db.index_scan(self._need_txn(), index, lo, hi),
-                     on_done, "index_scan")
-
-    def index_lookup(self, index: str, key: Hashable, *, on_done: OnDone) -> None:
-        self._submit(lambda: self._db.index_lookup(self._need_txn(), index, key),
-                     on_done, "index_lookup")
+    # engine operations on the open transaction, arguments as in Database
+    read = _txn_op("read")
+    get = _txn_op("get")
+    read_for_update = _txn_op("read_for_update")
+    write = _txn_op("write")
+    insert = _txn_op("insert")
+    delete = _txn_op("delete")
+    scan = _txn_op("scan")
+    scan_prefix = _txn_op("scan_prefix")
+    index_scan = _txn_op("index_scan")
+    index_lookup = _txn_op("index_lookup")
 
     def commit(self, *, on_done: OnDone) -> None:
         """Commit the open transaction.  A commit that queues behind
         an active batch leader suspends on its ticket's completion
-        (:class:`~repro.errors.CompletionWaitRequired`), releasing the
-        worker while it rides the group; the retry consumes the
-        resolved ticket.  ``self.txn`` is only cleared on a terminal
-        outcome — the batch leader may flip the transaction COMMITTED
-        while this session is still suspended, so the wait path must
-        not conclude anything from the status alone."""
+        (:class:`~repro.errors.CompletionWaitRequired`) while it rides
+        the group; the retry consumes the resolved ticket.  ``self.txn``
+        is only cleared on a terminal outcome — the batch leader may
+        flip the transaction COMMITTED while this session is still
+        suspended, so the wait path must not conclude anything from the
+        status alone."""
         def fn():
             txn = self._need_txn()
             try:
@@ -251,12 +220,7 @@ class Session:
         self._submit(fn, on_done, "commit")
 
     def abort(self, *, on_done: OnDone) -> None:
-        def fn():
-            txn = self.txn
-            self.txn = None
-            if txn is not None:
-                self._db.abort(txn)
-        self._submit(fn, on_done, "abort")
+        self._submit(self._drop_txn, on_done, "abort")
 
     def prepare(self, *, on_done: OnDone) -> None:
         """Two-phase commit phase one: certify locally, keep the
@@ -325,16 +289,13 @@ class Session:
         """Abort any open transaction and refuse further invocations.
         Pending queued invocations fail with :class:`SessionClosedError`."""
         def fn():
-            txn = self.txn
-            self.txn = None
-            if txn is not None and txn.is_active:
-                self._db.abort(txn)
+            self._drop_txn()
             with self._state_lock:
                 self._closed = True
                 pending = list(self._inbox)
                 self._inbox.clear()
-            for invocation in pending:
-                self._deliver(invocation, None, SessionClosedError("session closed"))
+            for _fn, pending_done in pending:
+                self._deliver(pending_done, None, SessionClosedError("session closed"))
             self._scheduler._forget(self)
         self._submit(fn, on_done or (lambda result, error: None), "close",
                      allow_closed=True)
@@ -364,21 +325,20 @@ class Session:
     # blocking facade -------------------------------------------------
 
     def call(self, method: str, /, *args: Any, **kwargs: Any) -> Any:
-        """Blocking convenience: invoke ``method`` and wait for its
-        outcome on the *calling* thread (which must not be a scheduler
-        worker).  Returns the result or raises the delivered error."""
-        done = threading.Event()
-        box: dict = {}
-
-        def on_done(result, error):
-            box["result"], box["error"] = result, error
-            done.set()
-
-        getattr(self, method)(*args, on_done=on_done, **kwargs)
-        done.wait()
-        if box["error"] is not None:
-            raise box["error"]
-        return box["result"]
+        """Blocking convenience for a thread that runs no event loop:
+        invoke ``method`` on an idle session — this thread drives it to
+        its outcome — and return the result or raise the error."""
+        box: list = []
+        getattr(self, method)(
+            *args, on_done=lambda result, error: box.append((result, error)),
+            **kwargs)
+        if not box:  # queued behind another driver, or suspended on a loop
+            raise TransactionStateError(
+                "Session.call needs an idle session and no running event loop")
+        result, error = box[0]
+        if error is not None:
+            raise error
+        return result
 
     # ------------------------------------------------------ internals
 
@@ -388,35 +348,52 @@ class Session:
             raise TransactionStateError("session has no open transaction")
         return txn
 
+    def _drop_txn(self) -> None:
+        txn, self.txn = self.txn, None
+        if txn is not None:
+            self._db.abort(txn)  # a no-op once the transaction has ended
+
     def _submit(self, fn: Callable[[], Any], on_done: OnDone, label: str,
                 allow_closed: bool = False) -> None:
-        invocation = _Invocation(fn, on_done, label)
+        """Queue ``fn`` (``label`` names the submitting method) and, if
+        the session was idle, drive it from this thread."""
         with self._state_lock:
-            if self._closed and not allow_closed:
-                closed = True
-            else:
-                closed = False
-                self._inbox.append(invocation)
-                wake = self._state is _IDLE
-                if wake:
-                    self._state = _READY
-        if closed:
-            self._deliver(invocation, None, SessionClosedError("session closed"))
+            refused = self._closed and not allow_closed
+            if not refused:
+                self._inbox.append((fn, on_done))
+            wake = not refused and self._state is _IDLE
+            if wake:
+                self._state = _BUSY
+        if refused:
+            self._deliver(on_done, None, SessionClosedError("session closed"))
+        if not wake:
+            return  # refused, or queued for the current driver
+        # This thread becomes the driver (module docstring).
+        self._loop = _get_running_loop()
+        if self._loop is not None:
+            self._wake = self._wake_loop
+            self._step()  # inline on the event loop
             return
-        if wake:
-            if _get_running_loop() is None:
-                self._scheduler._enqueue(self)
-            else:
-                self._step()  # inline on the event loop (module docstring)
+        woken = threading.Event()
+        self._wake = woken.set
+        self._step()
+        while self._current is not None:  # suspended on a wait
+            block_until(self._db, woken, self._pending_request)
+            woken.clear()
+            self._step()
+
+    def _wake_loop(self) -> None:
+        with suppress(RuntimeError):  # a closed loop drives nothing again
+            self._loop.call_soon_threadsafe(self._step)
 
     def _step(self) -> None:
         """Run queued invocations until the inbox drains or one suspends.
-        Executed by exactly one thread at a time — a worker, or the
-        submitting event loop for an inline run (the state machine
+        Executed only by the session's driver (the state machine
         guarantees a session is woken at most once)."""
         assert_no_latches_held("session step")
-        with self._state_lock:
-            self._state = _RUNNING
+        for timer in self._timers:
+            timer.cancel()
+        self._timers.clear()
         while True:
             invocation = self._current
             if invocation is None:
@@ -429,26 +406,29 @@ class Session:
                 self._current = None
                 denied = self._denied_wait_error()
                 if denied is not None:
-                    self._deliver(invocation, None, denied)
+                    self._deliver(invocation[1], None, denied)
                     continue
+            fn, on_done = invocation
             try:
-                result = invocation.fn()
+                result = fn()
             except LockWaitRequired as wait:
-                self._current = invocation
-                self._suspend_on_request(wait.request)
+                self._current, self._pending_request = invocation, wait.request
+                timeout = self._db.config.lock_timeout
+                deadline = None if timeout is None else time.monotonic() + timeout
+                self._suspend(wait.request.on_resolve, deadline)
                 return
             except CompletionWaitRequired as wait:
                 # A safe-snapshot verdict, or a commit group ridden
-                # without occupying a worker: the batch leader fires the
+                # without running its flush: the batch leader fires the
                 # ticket's completion after the group's certification,
                 # flush and finalize.
                 self._current = invocation
                 self._suspend(wait.completion.on_fire, deadline=None)
                 return
             except BaseException as error:
-                self._deliver(invocation, None, error)
+                self._deliver(on_done, None, error)
             else:
-                self._deliver(invocation, result, None)
+                self._deliver(on_done, result, None)
 
     def _denied_wait_error(self) -> BaseException | None:
         """Mirror of the blocking path's post-wait denial check: a DENIED
@@ -465,142 +445,88 @@ class Session:
             self.txn = None
         return error
 
-    def _suspend_on_request(self, request: LockRequest) -> None:
-        self._pending_request = request
-        timeout = self._db.config.lock_timeout
-        self._suspend(
-            lambda resume: request.on_resolve(resume),
-            deadline=None if timeout is None else time.monotonic() + timeout,
-        )
-
     def _suspend(self, subscribe, deadline: float | None) -> None:
-        self._wait_started = time.monotonic()
-        self._wait_deadline = deadline
         with self._state_lock:
             self._state = _SUSPENDED
         self._scheduler._note_suspended(self)
+        if self._loop is not None:
+            self._arm_timers(deadline)
         # May fire _resume synchronously (already-resolved request) on
         # this thread, or later on a resolver's thread that holds the lock
-        # manager latch — either way _resume only enqueues.
+        # manager latch — either way _resume only wakes the driver.
         subscribe(self._resume)
+
+    def _arm_timers(self, deadline: float | None) -> None:
+        """A loop-bound wait's deadline duties, as timers on its loop:
+        cancel the lock request at ``deadline``, and under PERIODIC
+        deadlock detection sweep every ``wait_poll_interval``.  A
+        thread-driven wait's :func:`block_until` does both itself."""
+        loop, db = self._loop, self._db
+        if deadline is not None:
+            self._timers.append(loop.call_later(
+                deadline - time.monotonic(),
+                db.cancel_lock_request, self._pending_request))
+        if db.needs_wait_polling:
+            def poll():
+                db.poll_waiters()
+                self._timers[-1] = loop.call_later(db.wait_poll_interval, poll)
+
+            self._timers.append(loop.call_later(db.wait_poll_interval, poll))
 
     def _resume(self, _source=None) -> None:
         with self._state_lock:
             if self._state is not _SUSPENDED:
                 return
-            self._state = _READY
-        started, self._wait_started = self._wait_started, None
-        self._wait_deadline = None
-        self._scheduler._note_resumed(self, started)
+            self._state = _BUSY
+        self._scheduler._note_resumed(self)
         self._scheduler._enqueue(self)
 
-    def _deliver(self, invocation: _Invocation, result: Any,
+    def _deliver(self, on_done: OnDone, result: Any,
                  error: BaseException | None) -> None:
         try:
-            invocation.on_done(result, error)
-        except Exception:  # noqa: BLE001 - a client callback must not kill the worker
+            on_done(result, error)
+        except Exception:  # noqa: BLE001 - a client callback must not kill the driver
             pass
-
-    def _fail_queued(self, error: BaseException) -> None:
-        """The scheduler is gone: no worker will ever run this session
-        again, so every queued invocation must be failed — a dropped
-        ``on_done`` leaves callers (e.g. a server connection awaiting a
-        close future) hanging forever.  An invocation a worker is
-        actively running is left to that worker."""
-        with self._state_lock:
-            doomed = []
-            if self._current is not None and self._state is not _RUNNING:
-                doomed.append(self._current)
-                self._current = None
-            doomed.extend(self._inbox)
-            self._inbox.clear()
-            if self._state is not _RUNNING:
-                self._state = _IDLE
-        for invocation in doomed:
-            self._deliver(invocation, None, error)
 
 
 class SessionScheduler:
-    """Drives N sessions over ``workers`` threads.
+    """Opens the sessions of one database and keeps their books; each
+    session runs on its own driver (module docstring).
 
     Registers observability with the database's metrics registry:
     ``sessions_open`` / ``sessions_suspended`` gauges and the
     ``session_wait_time`` histogram (wall-clock suspend → resume,
     feeding the same latency story as ``lock_wait_time``).
-
-    The scheduler owns the deadline duties a parked client thread would
-    otherwise poll for: when the engine is configured with a
-    ``lock_timeout`` or PERIODIC deadlock detection, one tick thread
-    wakes every ``Database.wait_poll_interval`` to cancel overdue
-    requests and run the sweep.  With neither configured there is no
-    tick thread and nothing on the wait path ever polls.
     """
 
-    def __init__(self, db: Database, workers: int = 4,
-                 name: str = "session") -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.workers = workers
-        self._cv = threading.Condition()
-        self._runq: deque[Session] = deque()
         self._closed = False
         self._sessions: set[Session] = set()
-        self._suspended: set[Session] = set()
+        #: suspended session -> when it suspended
+        self._suspended: dict[Session, float] = {}
         self._registry_lock = threading.Lock()
         self._wait_histogram = db.metrics.histogram("session_wait_time")
         db.metrics.register_gauge("sessions_open", lambda: len(self._sessions))
         db.metrics.register_gauge(
             "sessions_suspended", lambda: len(self._suspended))
-        self._threads = [
-            threading.Thread(
-                target=self._worker, name=f"{name}-worker-{index}", daemon=True)
-            for index in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-        self._ticker: threading.Thread | None = None
-        if db.config.lock_timeout is not None or db.needs_wait_polling:
-            self._ticker = threading.Thread(
-                target=self._tick_loop, name=f"{name}-ticker", daemon=True)
-            self._ticker.start()
 
     # ------------------------------------------------------ public API
 
     def session(self) -> Session:
         """Open a new session on this scheduler."""
-        with self._cv:
-            if self._closed:
-                raise SessionClosedError("scheduler is shut down")
+        if self._closed:
+            raise SessionClosedError("scheduler is shut down")
         session = Session(self)
         with self._registry_lock:
             self._sessions.add(session)
         return session
 
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop accepting work and join the worker pool.  Sessions still
-        suspended keep their engine state; callers that need a clean
-        lock table abort/close their sessions first.  An event loop can
-        still run an idle session's invocation inline — a server
-        connection that closes after shutdown still releases its
-        transaction — but nothing resumes after a wait."""
-        with self._cv:
-            if self._closed:
-                return
-            self._closed = True
-            self._cv.notify_all()
-        deadline = time.monotonic() + timeout
-        for thread in self._threads:
-            thread.join(max(0.0, deadline - time.monotonic()))
-        if self._ticker is not None:
-            self._ticker.join(max(0.0, deadline - time.monotonic()))
-        # Invocations still queued (or stranded in the runq) can never
-        # run now — fail them so no caller waits on a dead scheduler.
-        with self._registry_lock:
-            stranded = list(self._sessions)
-        error = SessionClosedError("scheduler is shut down")
-        for session in stranded:
-            session._fail_queued(error)
+    def shutdown(self) -> None:
+        """Stop opening sessions.  Open sessions keep their engine state
+        and their drivers; callers that need a clean lock table close
+        their sessions first."""
+        self._closed = True
 
     @property
     def open_sessions(self) -> int:
@@ -613,66 +539,21 @@ class SessionScheduler:
     # ------------------------------------------------------ internals
 
     def _enqueue(self, session: Session) -> None:
-        # Called from worker threads and from resume callbacks that may
-        # run under the lock manager latch: append + notify only.
-        with self._cv:
-            if not self._closed:
-                self._runq.append(session)
-                self._cv.notify()
-                return
-        # Closed scheduler: the session will never be run again, so its
-        # queued invocations must fail loudly rather than hang silently.
-        session._fail_queued(SessionClosedError("scheduler is shut down"))
+        # Wake the driver to step the session again.  Resume callbacks
+        # may run under the lock manager latch: the wake only hands off.
+        session._wake()
 
     def _forget(self, session: Session) -> None:
         with self._registry_lock:
             self._sessions.discard(session)
-            self._suspended.discard(session)
+            self._suspended.pop(session, None)
 
     def _note_suspended(self, session: Session) -> None:
         with self._registry_lock:
-            self._suspended.add(session)
+            self._suspended[session] = time.monotonic()
 
-    def _note_resumed(self, session: Session, started: float | None) -> None:
+    def _note_resumed(self, session: Session) -> None:
         with self._registry_lock:
-            self._suspended.discard(session)
+            started = self._suspended.pop(session, None)
         if started is not None:
             self._wait_histogram.observe(time.monotonic() - started)
-
-    def _worker(self) -> None:
-        while True:
-            with self._cv:
-                while not self._runq and not self._closed:
-                    self._cv.wait()
-                if self._closed:
-                    return
-                session = self._runq.popleft()
-            session._step()
-
-    def _tick_loop(self) -> None:
-        """Deadline duties for suspended sessions — the scheduler-side
-        twin of the blocking path's timed waits.  This is the only
-        consumer of ``wait_poll_interval`` in session mode."""
-        db = self.db
-        interval = db.wait_poll_interval
-        while True:
-            with self._cv:
-                if self._closed:
-                    return
-            time.sleep(interval)
-            if db.config.lock_timeout is not None:
-                now = time.monotonic()
-                with self._registry_lock:
-                    suspended = list(self._suspended)
-                for session in suspended:
-                    request = session._pending_request
-                    deadline = session._wait_deadline
-                    if (
-                        request is not None
-                        and deadline is not None
-                        and now >= deadline
-                        and not request.resolved
-                    ):
-                        db.cancel_lock_request(request)
-            if db.needs_wait_polling:
-                db.poll_waiters()

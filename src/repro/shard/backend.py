@@ -188,7 +188,7 @@ class RemoteShard:
         self.link.load(table, rows)
 
     def sweep_deadlocks(self) -> list:
-        # The shard server's scheduler runs its own deadlock ticker.
+        # The shard server's suspended sessions run their own sweeps.
         return []
 
     def metrics(self) -> dict:

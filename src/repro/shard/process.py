@@ -37,8 +37,7 @@ def default_shard_config() -> EngineConfig:
                         lock_timeout=_DEFAULT_LOCK_TIMEOUT)
 
 
-def _serve_shard(config: EngineConfig, workers: int, trace: bool,
-                 channel) -> None:
+def _serve_shard(config: EngineConfig, trace: bool, channel) -> None:
     # Child process: build a fresh engine and serve until killed.
     from repro.engine.database import Database
     from repro.server.core import ReproServer
@@ -46,7 +45,7 @@ def _serve_shard(config: EngineConfig, workers: int, trace: bool,
     db = Database(config)
     if trace:
         db.enable_tracing()
-    server = ReproServer(db, workers=workers)
+    server = ReproServer(db)
 
     async def main() -> None:
         await server.start()
@@ -64,13 +63,12 @@ class ShardProcess:
     """One forked shard server; ``port`` is live after construction."""
 
     def __init__(self, config: EngineConfig | None = None, *,
-                 workers: int = 4, trace: bool = False,
-                 start_timeout: float = 30.0) -> None:
+                 trace: bool = False, start_timeout: float = 30.0) -> None:
         config = config or default_shard_config()
         ctx = multiprocessing.get_context("fork")
         parent, child = ctx.Pipe()
         self.process = ctx.Process(
-            target=_serve_shard, args=(config, workers, trace, child),
+            target=_serve_shard, args=(config, trace, child),
             daemon=True,
         )
         self.process.start()
@@ -102,17 +100,15 @@ class ShardCluster:
     """
 
     def __init__(self, partition_map: PartitionMap, *,
-                 config: EngineConfig | None = None, workers: int = 4,
-                 trace: bool = False, certify: bool = True) -> None:
+                 config: EngineConfig | None = None, trace: bool = False,
+                 certify: bool = True) -> None:
         config = config or default_shard_config()
         self.partition_map = partition_map
         self.processes: list[ShardProcess] = []
         self.backends: list[RemoteShard] = []
         try:
             for _ in range(partition_map.shards):
-                self.processes.append(
-                    ShardProcess(config, workers=workers, trace=trace)
-                )
+                self.processes.append(ShardProcess(config, trace=trace))
             self.backends = [
                 RemoteShard(port=process.port) for process in self.processes
             ]

@@ -340,18 +340,17 @@ def wait_for_suspended(scheduler, count):
 
 class TestSessionsRideGroups:
     def test_session_commit_suspends_on_group(self):
-        """Session committers must not park worker threads: with one
-        worker held in the leader's flush, the other carries every
-        remaining session to its ticket and they all ride one group."""
+        """Session committers ride the leader's group: with the leader's
+        thread held in its flush, every other session suspends on its
+        ticket — its thread blocks on the ticket, not in a flush — and
+        they all ride one group."""
         from repro.session import SessionScheduler
         from repro.sim.ops import Write
 
         db = make_db()
-        scheduler = SessionScheduler(db, workers=2)
+        scheduler = SessionScheduler(db)
         sessions = 12
-        done = threading.Event()
-        state = {"left": sessions, "errors": []}
-        lock = threading.Lock()
+        errors = []
 
         def drive(index):
             session = scheduler.session()
@@ -359,27 +358,26 @@ class TestSessionsRideGroups:
             def program():
                 yield Write("t", ("s", index), index)
 
-            def on_done(_result, error):
-                with lock:
-                    if error is not None:
-                        state["errors"].append(error)
-                    state["left"] -= 1
-                    if state["left"] == 0:
-                        done.set()
-                session.close()
+            try:
+                session.call("run_program", program(), "ssi")
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+            session.call("close")
 
-            session.run_program(program(), "ssi", on_done=on_done)
-
+        threads = [threading.Thread(target=drive, args=(index,))
+                   for index in range(sessions)]
         db.wal.hold()
-        drive(0)
+        threads[0].start()
         assert db.wal.entered.wait(timeout=10)
-        for index in range(1, sessions):
-            drive(index)
+        for thread in threads[1:]:
+            thread.start()
         wait_for_suspended(scheduler, sessions - 1)
         db.wal.release()
-        assert done.wait(timeout=30), "sessions wedged"
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "sessions wedged"
         scheduler.shutdown()
-        assert not state["errors"], state["errors"]
+        assert not errors, errors
         assert db.stats["commits"] == sessions
         assert group_counters(db) == {
             "batches": 1, "batched_txns": sessions - 1, "batch_aborts": 0,
@@ -389,12 +387,13 @@ class TestSessionsRideGroups:
 
     def test_interrupted_follower_stays_suspended(self):
         """interrupt() dooms a queued follower but leaves its ticket to
-        the leader: the session must not bounce through the run queue
+        the leader: the session must not bounce back to its driver
         re-raising the same wait until the leader resolves."""
         from repro.session import SessionScheduler
 
         db = make_db()
-        scheduler = SessionScheduler(db, workers=2)
+        scheduler = SessionScheduler(db)
+        leader_thread = follower_thread = None
         try:
             leader, follower = scheduler.session(), scheduler.session()
             follower.call("begin", "ssi")
@@ -402,13 +401,19 @@ class TestSessionsRideGroups:
             leader.call("begin", "ssi")
             leader.call("write", "t", "l", 1)
             box = {}
-            finished = threading.Event()
+
+            def commit_follower():
+                try:
+                    follower.call("commit")
+                except Exception as error:  # noqa: BLE001 - asserted below
+                    box["e"] = error
+
             db.wal.hold()
-            leader.commit(on_done=lambda r, e: None)
+            leader_thread = threading.Thread(target=leader.call, args=("commit",))
+            leader_thread.start()
             assert db.wal.entered.wait(timeout=10)
-            follower.commit(
-                on_done=lambda r, e: (box.update(e=e), finished.set())
-            )
+            follower_thread = threading.Thread(target=commit_follower)
+            follower_thread.start()
             wait_for_suspended(scheduler, 1)
             steps = []
             step = follower._step
@@ -416,14 +421,18 @@ class TestSessionsRideGroups:
             follower.interrupt()
             time.sleep(0.1)  # the leader is still held in its flush
             assert len(steps) <= 2, f"{len(steps)} steps while suspended"
-            assert not finished.is_set()
+            assert follower_thread.is_alive()
             db.wal.release()
-            assert finished.wait(timeout=10)
+            follower_thread.join(timeout=10)
+            assert not follower_thread.is_alive()
             assert isinstance(box["e"], TransactionAbortedError)
             assert group_counters(db)["batch_aborts"] == 1
             assert db.locks.table_size() == 0
         finally:
             db.wal.release()
+            for thread in (leader_thread, follower_thread):
+                if thread is not None:
+                    thread.join(timeout=10)
             scheduler.shutdown()
 
 

@@ -53,12 +53,12 @@ def server_db():
     return db
 
 
-def run_with_server(db, body, *, workers: int = 2):
+def run_with_server(db, body):
     """Start a server on an ephemeral port, run ``body(server)`` in the
     event loop, always stop the server."""
 
     async def main():
-        server = ReproServer(db, workers=workers)
+        server = ReproServer(db)
         await server.start()
         try:
             return await body(server)
@@ -152,8 +152,8 @@ class TestServer:
         run_with_server(server_db, body)
 
     def test_more_connections_than_workers(self, server_db):
-        """16 concurrent transactional connections on a 2-worker pool:
-        suspension (not thread count) carries the concurrency."""
+        """16 concurrent transactional connections on one event-loop
+        thread: suspension (not thread count) carries the concurrency."""
         server_db.create_table("acct")
         server_db.load("acct", [(i, 100) for i in range(4)])
 
@@ -177,7 +177,7 @@ class TestServer:
 
             await asyncio.gather(*(transfer(i) for i in range(16)))
 
-        run_with_server(server_db, body, workers=2)
+        run_with_server(server_db, body)
         total = 0
         check = server_db.begin("si")
         for _key, value in check.scan("acct"):
@@ -243,7 +243,7 @@ class TestServer:
 
     def test_deferrable_begin_over_the_wire(self, server_db):
         """A deferrable begin suspends server-side until safe; the reply
-        frame arrives only after the verdict — without pinning a worker
+        frame arrives only after the verdict — without pinning a thread
         or the event loop."""
         server_db.create_table("t")
         server_db.load("t", [(1, "a")])
@@ -268,4 +268,4 @@ class TestServer:
             await client.commit()
             await client.close()
 
-        run_with_server(server_db, body, workers=1)
+        run_with_server(server_db, body)

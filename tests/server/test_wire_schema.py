@@ -53,7 +53,7 @@ SAMPLE_RESULTS = {
     "index_lookup": [("w", 1), ("w", 2)],
     "prepare": {"in": True, "out": False, "in_partner": 3, "out_partner": None},
     "metrics": {"counters": {}},
-    "ping": {"ok": True, "server": "repro", "workers": 2, "connections": 1},
+    "ping": {"ok": True, "server": "repro", "connections": 1},
     "dump_history": [{
         "id": 1, "gtid": 9, "begin_ts": 1, "commit_ts": 2,
         "status": "committed",
@@ -260,7 +260,7 @@ def test_composite_keys_across_two_remote_shards():
     histories (tuple keys, scan bounds, seen-key lists) must merge into
     one serializable MVSG."""
     pmap = PartitionMap(2, {"d": [("w", 2)]})
-    with ShardCluster(pmap, workers=2) as cluster:
+    with ShardCluster(pmap) as cluster:
         coordinator = cluster.coordinator
         coordinator.create_table("d")
         coordinator.load("d", [(("w", n), n) for n in (1, 2, 3, 4)])

@@ -1,7 +1,13 @@
-"""Session layer: N sessions : M threads, completion-driven waits."""
+"""Session layer: completion-driven waits, one driver per session.
+
+From a plain thread the submitting thread drives its session — it runs
+the invocation and blocks through each wait — so every case that waits
+puts the waiting side on a thread of its own (``on_thread``), and the
+rest of the test runs beside it."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -24,23 +30,51 @@ from tests.conftest import fill
 
 @pytest.fixture
 def sched(db):
-    scheduler = SessionScheduler(db, workers=2)
+    scheduler = SessionScheduler(db)
     yield scheduler
     scheduler.shutdown()
 
 
 def collect(session: Session, method: str, *args, **kwargs):
     """Submit and return (result, error) without raising."""
-    done = threading.Event()
     box = {}
 
     def on_done(result, error):
         box["result"], box["error"] = result, error
-        done.set()
 
     getattr(session, method)(*args, on_done=on_done, **kwargs)
-    assert done.wait(timeout=10), f"{method} never completed"
+    assert box, f"{method} did not complete on its driver"
     return box["result"], box["error"]
+
+
+def on_thread(session: Session, method: str, *args, **kwargs):
+    """Drive ``session.call(method, ...)`` from a new thread; returns the
+    thread and a box that receives ``thread``, ``result`` and ``error``."""
+    box = {}
+
+    def drive():
+        box["thread"] = threading.current_thread()
+        try:
+            box["result"] = session.call(method, *args, **kwargs)
+            box["error"] = None
+        except Exception as error:  # noqa: BLE001 - the test inspects it
+            box["error"] = error
+
+    thread = threading.Thread(target=drive)
+    thread.start()
+    return thread, box
+
+
+def finish(thread: threading.Thread) -> None:
+    thread.join(timeout=10)
+    assert not thread.is_alive(), "the driving thread never finished"
+
+
+def wait_suspended(scheduler: SessionScheduler, count: int = 1) -> None:
+    deadline = time.monotonic() + 5
+    while scheduler.suspended_sessions != count:
+        assert time.monotonic() < deadline, "sessions never suspended"
+        time.sleep(0.005)
 
 
 class TestSessionBasics:
@@ -95,121 +129,85 @@ class TestSessionBasics:
 
 
 class TestSuspension:
-    def test_blocked_session_frees_its_worker(self, db):
-        """Two sessions, ONE worker: with thread-blocking waits the
-        second session could never run while the first is blocked —
-        suspension is what makes 1024-connections-on-8-threads work."""
-        scheduler = SessionScheduler(db, workers=1)
-        try:
-            fill(db, "t", {"x": 0, "y": 0})
-            blocker = scheduler.session()
-            other = scheduler.session()
-            blocker.call("begin", "s2pl")
-            other.call("begin", "s2pl")
-            other.call("read_for_update", "t", "x")  # exclusive on x
+    def test_blocked_session_holds_up_no_other_session(self, db, sched):
+        """A session waiting on a lock holds its own driving thread and
+        nothing else: another session keeps making progress beside it,
+        and the waiter resumes on its own thread."""
+        fill(db, "t", {"x": 0, "y": 0})
+        blocker = sched.session()
+        other = sched.session()
+        blocker.call("begin", "s2pl")
+        other.call("begin", "s2pl")
+        other.call("read_for_update", "t", "x")  # exclusive on x
 
-            woke = {}
-            resumed = threading.Event()
-            blocker.read(
-                "t", "x",
-                on_done=lambda r, e: (woke.update(r=r, e=e), resumed.set()),
-            )
-            deadline = time.monotonic() + 5
-            while scheduler.suspended_sessions != 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            assert not resumed.is_set()
-            # the single worker is free: `other` keeps making progress
-            other.call("write", "t", "y", 7)
-            assert other.call("read", "t", "y") == 7
-            other.call("commit")  # releases x -> blocker resumes
-            assert resumed.wait(timeout=10)
-            assert woke["e"] is None and woke["r"] == 0
-            blocker.call("commit")
-        finally:
-            scheduler.shutdown()
+        thread, box = on_thread(blocker, "read", "t", "x")
+        wait_suspended(sched)
+        assert "result" not in box
+        other.call("write", "t", "y", 7)
+        assert other.call("read", "t", "y") == 7
+        other.call("commit")  # releases x -> blocker resumes
+        finish(thread)
+        assert box["error"] is None and box["result"] == 0
+        blocker.call("commit")
 
-    def test_session_wait_metrics(self, db):
-        scheduler = SessionScheduler(db, workers=1)
-        try:
-            fill(db, "t", {"x": 0})
-            holder, waiter = scheduler.session(), scheduler.session()
-            holder.call("begin", "s2pl")
-            holder.call("read_for_update", "t", "x")
-            waiter.call("begin", "s2pl")
-            resumed = threading.Event()
-            waiter.read("t", "x", on_done=lambda r, e: resumed.set())
-            deadline = time.monotonic() + 5
-            while scheduler.suspended_sessions != 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            snap = db.metrics.snapshot()
-            assert snap["gauges"]["sessions_open"] == 2
-            assert snap["gauges"]["sessions_suspended"] == 1
-            holder.call("commit")
-            assert resumed.wait(timeout=10)
-            waiter.call("commit")
-            snap = db.metrics.snapshot()
-            assert snap["histograms"]["session_wait_time"]["count"] >= 1
-        finally:
-            scheduler.shutdown()
+    def test_session_wait_metrics(self, db, sched):
+        fill(db, "t", {"x": 0})
+        holder, waiter = sched.session(), sched.session()
+        holder.call("begin", "s2pl")
+        holder.call("read_for_update", "t", "x")
+        waiter.call("begin", "s2pl")
+        thread, _box = on_thread(waiter, "read", "t", "x")
+        wait_suspended(sched)
+        snap = db.metrics.snapshot()
+        assert snap["gauges"]["sessions_open"] == 2
+        assert snap["gauges"]["sessions_suspended"] == 1
+        holder.call("commit")
+        finish(thread)
+        waiter.call("commit")
+        snap = db.metrics.snapshot()
+        assert snap["histograms"]["session_wait_time"]["count"] >= 1
 
-    def test_interrupt_wakes_suspended_lock_wait(self, db):
-        scheduler = SessionScheduler(db, workers=1)
-        try:
-            fill(db, "t", {"x": 0})
-            holder, waiter = scheduler.session(), scheduler.session()
-            holder.call("begin", "s2pl")
-            holder.call("read_for_update", "t", "x")
-            waiter.call("begin", "s2pl")
-            box = {}
-            resumed = threading.Event()
-            waiter.read("t", "x",
-                        on_done=lambda r, e: (box.update(e=e), resumed.set()))
-            deadline = time.monotonic() + 5
-            while scheduler.suspended_sessions != 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            waiter.interrupt()
-            assert resumed.wait(timeout=10)
-            assert isinstance(box["e"], TransactionAbortedError)
-            assert waiter.txn is None
-            holder.call("commit")
-            # the interrupted waiter left nothing queued in the lock table
-            assert db.locks.residue()["waiters"] == 0
-        finally:
-            scheduler.shutdown()
+    def test_interrupt_wakes_suspended_lock_wait(self, db, sched):
+        fill(db, "t", {"x": 0})
+        holder, waiter = sched.session(), sched.session()
+        holder.call("begin", "s2pl")
+        holder.call("read_for_update", "t", "x")
+        waiter.call("begin", "s2pl")
+        thread, box = on_thread(waiter, "read", "t", "x")
+        wait_suspended(sched)
+        waiter.interrupt()
+        finish(thread)
+        assert isinstance(box["error"], TransactionAbortedError)
+        assert waiter.txn is None
+        holder.call("commit")
+        # the interrupted waiter left nothing queued in the lock table
+        assert db.locks.residue()["waiters"] == 0
 
 
 class TestNoPolling:
     def test_session_wait_resolves_without_polling(self, db):
         """Session-mode variant of the no-poll regression: the default
-        config (no lock timeout, immediate deadlocks) must start no tick
-        thread and never consult poll_waiters on the wait path."""
+        config (no lock timeout, immediate deadlocks) must never consult
+        poll_waiters on the wait path."""
         assert db.needs_wait_polling is False
         polls = []
         real_poll = db.poll_waiters
         db.poll_waiters = lambda: polls.append(1) or real_poll()
-        scheduler = SessionScheduler(db, workers=1)
+        threads = threading.active_count()
+        scheduler = SessionScheduler(db)
         try:
-            assert scheduler._ticker is None  # nothing to poll for
+            assert threading.active_count() == threads  # no thread started
             fill(db, "t", {"x": 0})
             holder, waiter = scheduler.session(), scheduler.session()
             holder.call("begin", "s2pl")
             holder.call("read_for_update", "t", "x")
             waiter.call("begin", "s2pl")
-            resumed = threading.Event()
-            box = {}
-            waiter.read("t", "x",
-                        on_done=lambda r, e: (box.update(r=r), resumed.set()))
-            deadline = time.monotonic() + 5
-            while scheduler.suspended_sessions != 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
+            thread, box = on_thread(waiter, "read", "t", "x")
+            wait_suspended(scheduler)
             holder.call("write", "t", "x", 5)
             holder.call("commit")
-            assert resumed.wait(timeout=10)
-            assert box["r"] == 5
+            finish(thread)
+            assert box["result"] == 5
             waiter.call("commit")
             assert polls == []
         finally:
@@ -218,46 +216,42 @@ class TestNoPolling:
 
     def test_lock_timeout_cancels_suspended_session(self):
         db = Database(EngineConfig(lock_timeout=0.05))
-        scheduler = SessionScheduler(db, workers=1)
+        threads = threading.active_count()
+        scheduler = SessionScheduler(db)
         try:
-            assert scheduler._ticker is not None
+            assert threading.active_count() == threads  # no thread started
             fill(db, "t", {"x": 0})
             holder, waiter = scheduler.session(), scheduler.session()
             holder.call("begin", "s2pl")
             holder.call("read_for_update", "t", "x")
             waiter.call("begin", "s2pl")
-            box = {}
-            resumed = threading.Event()
-            waiter.read("t", "x",
-                        on_done=lambda r, e: (box.update(e=e), resumed.set()))
-            assert resumed.wait(timeout=10)
-            assert isinstance(box["e"], LockTimeoutError)
+            # the waiter's own thread times the wait out
+            with pytest.raises(LockTimeoutError):
+                waiter.call("read", "t", "x")
             holder.call("abort")
         finally:
             scheduler.shutdown()
 
-    def test_periodic_mode_sweeps_from_the_ticker(self):
-        """PERIODIC deadlock detection in session mode: the scheduler's
-        tick thread must find and break the cycle — no client thread
-        exists to poll for it."""
+    def test_periodic_mode_sweeps_from_the_blocked_drivers(self):
+        """PERIODIC deadlock detection in session mode: the threads
+        driving the two suspended sessions must find and break the
+        cycle — no other thread exists to poll for it."""
         db = Database(EngineConfig(deadlock_mode=DeadlockMode.PERIODIC))
-        scheduler = SessionScheduler(db, workers=2)
+        threads = threading.active_count()
+        scheduler = SessionScheduler(db)
         try:
-            assert scheduler._ticker is not None
+            assert threading.active_count() == threads  # no thread started
             fill(db, "t", {"x": 0, "y": 0})
             s1, s2 = scheduler.session(), scheduler.session()
             s1.call("begin", "s2pl")
             s2.call("begin", "s2pl")
             s1.call("read_for_update", "t", "x")
             s2.call("read_for_update", "t", "y")
-            outcomes = {}
-            done1, done2 = threading.Event(), threading.Event()
-            s1.read_for_update(
-                "t", "y", on_done=lambda r, e: (outcomes.update(e1=e), done1.set()))
-            s2.read_for_update(
-                "t", "x", on_done=lambda r, e: (outcomes.update(e2=e), done2.set()))
-            assert done1.wait(timeout=10) and done2.wait(timeout=10)
-            errors = [outcomes["e1"], outcomes["e2"]]
+            thread1, box1 = on_thread(s1, "read_for_update", "t", "y")
+            thread2, box2 = on_thread(s2, "read_for_update", "t", "x")
+            finish(thread1)
+            finish(thread2)
+            errors = [box1["error"], box2["error"]]
             # exactly one side is the deadlock victim
             assert sum(1 for e in errors if e is not None) == 1
             for session in (s1, s2):
@@ -268,42 +262,32 @@ class TestNoPolling:
 
 
 class TestDeferrableSessions:
-    def test_deferrable_begin_suspends_until_safe(self, db):
-        """A deferrable session begin must suspend — not park a worker —
-        until the SafeSnapshotMonitor fires the safe verdict."""
-        scheduler = SessionScheduler(db, workers=1)
-        try:
-            fill(db, "t", {1: "a"})
-            writer = db.begin("ssi")
-            writer.read("t", 1)
+    def test_deferrable_begin_suspends_until_safe(self, db, sched):
+        """A deferrable session begin must suspend until the
+        SafeSnapshotMonitor fires the safe verdict, while other sessions
+        run beside it."""
+        fill(db, "t", {1: "a"})
+        writer = db.begin("ssi")
+        writer.read("t", 1)
 
-            ro = scheduler.session()
-            box = {}
-            begun = threading.Event()
-            ro.begin("ssi", deferrable=True,
-                     on_done=lambda r, e: (box.update(r=r, e=e), begun.set()))
-            deadline = time.monotonic() + 5
-            while scheduler.suspended_sessions != 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            assert not begun.is_set()
-            # the single worker is NOT burned by the deferrable wait:
-            other = scheduler.session()
-            other.call("begin", "si")
-            assert other.call("read", "t", 1) == "a"
-            other.call("commit")
-            # harmless commit -> watch set drains -> safe verdict
-            writer.write("t", 1, "w")
-            writer.commit()
-            assert begun.wait(timeout=10)
-            assert box["e"] is None
-            assert ro.txn.snapshot_safe is True
-            assert ro.call("read", "t", 1) == "a"  # snapshot predates commit
-            ro.call("commit")
-        finally:
-            scheduler.shutdown()
+        ro = sched.session()
+        thread, box = on_thread(ro, "begin", "ssi", deferrable=True)
+        wait_suspended(sched)
+        assert "result" not in box
+        other = sched.session()
+        other.call("begin", "si")
+        assert other.call("read", "t", 1) == "a"
+        other.call("commit")
+        # harmless commit -> watch set drains -> safe verdict
+        writer.write("t", 1, "w")
+        writer.commit()
+        finish(thread)
+        assert box["error"] is None
+        assert ro.txn.snapshot_safe is True
+        assert ro.call("read", "t", 1) == "a"  # snapshot predates commit
+        ro.call("commit")
 
-    def test_unsafe_verdict_is_permanent_and_retakes_snapshot(self, db):
+    def test_unsafe_verdict_is_permanent_and_retakes_snapshot(self, db, sched):
         """An unsafe verdict can never flip back: the session must
         discard that snapshot, take a fresh one, and only then begin."""
         fill(db, "t", {"x": 0, "y": 0, "z": 0})
@@ -313,54 +297,34 @@ class TestDeferrableSessions:
         t_out.write("t", "x", 1)
         t_out.commit()  # pivot -rw-> t_out, t_out committed early
 
-        scheduler = SessionScheduler(db, workers=1)
-        try:
-            ro = scheduler.session()
-            box = {}
-            begun = threading.Event()
-            ro.begin("ssi", deferrable=True,
-                     on_done=lambda r, e: (box.update(r=r, e=e), begun.set()))
-            deadline = time.monotonic() + 5
-            while scheduler.suspended_sessions != 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            assert not begun.is_set()
-            pivot.write("t", "z", 1)
-            pivot.commit()  # out-edge to old committed t_out: UNSAFE verdict
-            # the unsafe verdict resumes the session, which retakes a
-            # snapshot; with no rw transaction left it is immediately safe
-            assert begun.wait(timeout=10)
-            assert box["e"] is None
-            assert ro.txn.snapshot_safe is True
-            stats = db.metrics.snapshot()["counters"]["safe_snapshots"]
-            assert stats["unsafe"] >= 1
-            # the fresh snapshot postdates both commits
-            assert ro.call("read", "t", "z") == 1
-            ro.call("commit")
-        finally:
-            scheduler.shutdown()
+        ro = sched.session()
+        thread, box = on_thread(ro, "begin", "ssi", deferrable=True)
+        wait_suspended(sched)
+        assert "result" not in box
+        pivot.write("t", "z", 1)
+        pivot.commit()  # out-edge to old committed t_out: UNSAFE verdict
+        # the unsafe verdict resumes the session, which retakes a
+        # snapshot; with no rw transaction left it is immediately safe
+        finish(thread)
+        assert box["error"] is None
+        assert ro.txn.snapshot_safe is True
+        stats = db.metrics.snapshot()["counters"]["safe_snapshots"]
+        assert stats["unsafe"] >= 1
+        # the fresh snapshot postdates both commits
+        assert ro.call("read", "t", "z") == 1
+        ro.call("commit")
 
-    def test_interrupt_during_deferrable_wait(self, db):
+    def test_interrupt_during_deferrable_wait(self, db, sched):
         fill(db, "t", {1: "a"})
         writer = db.begin("ssi")
         writer.read("t", 1)
-        scheduler = SessionScheduler(db, workers=1)
-        try:
-            ro = scheduler.session()
-            box = {}
-            begun = threading.Event()
-            ro.begin("ssi", deferrable=True,
-                     on_done=lambda r, e: (box.update(e=e), begun.set()))
-            deadline = time.monotonic() + 5
-            while scheduler.suspended_sessions != 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            ro.interrupt()
-            assert begun.wait(timeout=10)
-            assert isinstance(box["e"], TransactionAbortedError)
-            writer.commit()
-        finally:
-            scheduler.shutdown()
+        ro = sched.session()
+        thread, box = on_thread(ro, "begin", "ssi", deferrable=True)
+        wait_suspended(sched)
+        ro.interrupt()
+        finish(thread)
+        assert isinstance(box["error"], TransactionAbortedError)
+        writer.commit()
 
 
 class TestSessionStress:
@@ -369,10 +333,39 @@ class TestSessionStress:
             make_smallbank(customers=25),
             level="ssi",
             sessions=24,
-            workers=3,
             txns_per_session=12,
             check_serializability=True,
         )
+        assert result.commits + result.aborts == result.txns
+        assert result.serializable is True
+        assert result.lock_table_clean, result.describe()
+
+    def test_hot_key_sessions_under_fast_thread_switching(self):
+        """Resumes race their drivers' steps: with the interpreter
+        switching threads every 10 µs, 16 sessions over 4 SmallBank
+        customers under s2pl must still finish every transaction —
+        a lost wake would hang a driver — serializably and clean."""
+        box = {}
+
+        def stress():
+            box["result"] = run_session_stress(
+                make_smallbank(customers=4),
+                level="s2pl",
+                sessions=16,
+                txns_per_session=40,
+                check_serializability=True,
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=stress)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "a session driver never woke"
+        result = box["result"]
         assert result.commits + result.aborts == result.txns
         assert result.serializable is True
         assert result.lock_table_clean, result.describe()
@@ -382,7 +375,6 @@ class TestSessionStress:
             make_sibench(items=20),
             level="s2pl",
             sessions=12,
-            workers=2,
             txns_per_session=8,
             check_serializability=True,
         )

@@ -23,14 +23,14 @@ CUSTOMERS = 32
 @pytest.fixture(scope="module")
 def bank_cluster():
     pmap = smallbank_partition_map(2, CUSTOMERS)
-    with ShardCluster(pmap, workers=4) as cluster:
+    with ShardCluster(pmap) as cluster:
         yield cluster
 
 
 @pytest.fixture()
 def traced_cluster():
     pmap = PartitionMap(2, {"t": ["m"]})
-    with ShardCluster(pmap, workers=4, trace=True) as cluster:
+    with ShardCluster(pmap, trace=True) as cluster:
         cluster.coordinator.create_table("t")
         cluster.coordinator.load(
             "t", [("a", 0), ("b", 0), ("y", 0), ("z", 0)]

@@ -149,7 +149,7 @@ def via_direct(db, case: Case) -> tuple[str, object]:
 
 
 def via_session(db, case: Case) -> tuple[str, object]:
-    scheduler = SessionScheduler(db, workers=1)
+    scheduler = SessionScheduler(db)
     try:
         session = scheduler.session()
         return blocking(db, case, lambda program, level: session.call(
