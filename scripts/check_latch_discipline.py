@@ -166,6 +166,11 @@ DEFAULT_RULES = {
         "_registry": "txn",
         "_suspended": "txn",
         "_retired_writers": "txn",
+        # the cleanup horizon's snapshot deque (appended under the commit
+        # latch too, which orders it) and the sweep's set-aside list
+        "_snapshots": "txn",
+        "_set_aside": "txn",
+        "_retiring_policies": "tracker",
     },
     "src/repro/locking/manager.py": {
         "_heads": "lock",

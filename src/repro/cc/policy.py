@@ -74,6 +74,7 @@ class CCPolicy:
             or cls.on_read_batch is not CCPolicy.on_read_batch
         )
         self.tracks_writes = cls.on_write is not CCPolicy.on_write
+        self.retires = cls.on_transaction_retired is not CCPolicy.on_transaction_retired
         # Commit-side analogues: a policy with no certification hooks
         # commits without the tracker latch, and one with no retention
         # hooks finalizes without it (plain SI and S2PL hit both fast

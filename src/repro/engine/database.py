@@ -16,8 +16,9 @@ Threading model (PR-5): the engine is internally latched rather than
 serialised by one kernel mutex.  Shared state is partitioned along the
 latch hierarchy of :mod:`repro.engine.latches` —
 
-* ``txn`` latch: transaction-id allocation, the registry/active/suspended
-  maps, and schema changes;
+* ``txn`` latch: transaction-id allocation, the registry/active maps,
+  the snapshot deque behind the cleanup horizon, the retention lists,
+  and schema changes;
 * ``tracker`` latch: every CC-policy hook (conflict slots, the SGT
   certifier graph, rw-edge dispatch) and the commit/abort decision;
 * ``commit`` latch: commit-timestamp allocation + version installation,
@@ -37,6 +38,7 @@ run outside every engine latch.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Hashable, Iterable, Optional
 
 from repro.cc import build_policies
@@ -146,16 +148,24 @@ class Database:
         #: transactions findable by id: active, plus committed-suspended
         self._registry: dict[int, Transaction] = {}
         self._active: dict[int, Transaction] = {}
+        #: every snapshot handed out, ``(snapshot, txn id)`` in read_ts
+        #: order; live while its transaction is active and still reads
+        #: it.  The first live one is the cleanup horizon (SxactGlobalXmin).
+        self._snapshots: deque = deque()
         #: committed transactions retained for conflict detection, in
-        #: commit order (Section 3.3)
-        self._suspended: list[Transaction] = []
+        #: commit order (Section 3.3); cleanup pops the head
+        self._suspended: deque[Transaction] = deque()
+        #: suspended transactions the horizon has passed but whose policy
+        #: vetoed cleanup (SGT nodes with incoming edges), rechecked on
+        #: every sweep so they never block the entries behind them
+        self._set_aside: list[Transaction] = []
         #: committed writers kept *findable* (in the registry) but not
         #: suspended: they hold no SIREADs and cannot become pivots, yet
         #: Fig 3.4's newer-version branch must still resolve
         #: reader -> writer edges by creator id while a concurrent
-        #: snapshot could ignore their versions.  Swept with the same
-        #: horizon as the suspended list.
-        self._retired_writers: list[Transaction] = []
+        #: snapshot could ignore their versions.  Commit-ordered and
+        #: swept with the same horizon as the suspended list.
+        self._retired_writers: deque[Transaction] = deque()
         #: two-phase-commit participants: transactions that passed local
         #: certification via prepare_for_commit() and now await the
         #: coordinator's verdict.  Guarded by the tracker latch (the
@@ -210,21 +220,16 @@ class Database:
         self.metrics.register_gauge(
             "escalated_locks", self.locks.escalated_lock_count
         )
+        self.metrics.register_gauge("cleanup_horizon_lag", self._horizon_lag)
         #: one CCPolicy instance per isolation level.  Policies that own
         #: engine subsystems publish them during install (SSIPolicy sets
         #: ``self.tracker``, SGTPolicy sets ``self.certifier``) and adopt
         #: their metrics groups into the registry.
         self._policies = build_policies(self)
-        #: the subset of policies that actually override
-        #: ``on_transaction_retired`` — _retire runs on every retired
-        #: transaction, and calling three no-op hooks per retirement is
-        #: measurable under eager cleanup.
-        self._retiring_policies = [
-            policy
-            for policy in self._policies.values()
-            if type(policy).on_transaction_retired
-            is not CCPolicy.on_transaction_retired
-        ]
+        #: policies overriding ``on_transaction_retired`` that have begun
+        #: a transaction (tracker latch); until then nothing holds state
+        #: to retire, and a non-retaining finalize skips the tracker latch.
+        self._retiring_policies: list[CCPolicy] = []
         self._h_lock_wait = self.metrics.histogram("lock_wait_time")
         self._h_chain_length = self.metrics.histogram(
             "version_chain_length", edges=(1, 2, 4, 8, 16, 32, 64)
@@ -380,6 +385,10 @@ class Database:
         policy = self._policies[isolation]
         if deferrable:
             read_only = True
+        if policy.retires and policy not in self._retiring_policies:
+            with self._tracker_latch:
+                if policy not in self._retiring_policies:
+                    self._retiring_policies.append(policy)
         with self._txn_latch:
             txn = Transaction(
                 self, self._next_txn_id, isolation, self.clock.next(),
@@ -777,58 +786,40 @@ class Database:
                 self._h_chain_length.observe(chain_length)
 
     def finalize_commit(self, txn: Transaction) -> None:
-        """Release locks, suspend the record if needed, run cleanup."""
+        """Release locks, append the record to a commit-ordered retention
+        list if conflict detection still needs it, and run the cleanup
+        sweep, which retires it once no active snapshot overlaps it."""
         if not txn.is_committed:
             raise TransactionStateError("finalize_commit before prepare_commit")
         lm = self.locks
         if not txn.policy.retains:
-            # SI/S2PL: nothing survives the commit — release, unregister.
+            # SI/S2PL: nothing survives the commit — release, unregister,
+            # then retire (an SGT edge may have drawn it in; now none can).
             lm.release_all(txn)
             with self._txn_latch:
                 self._active.pop(txn.id, None)
                 self._registry.pop(txn.id, None)
+                self._oldest_active_read_ts()  # prunes the snapshot deque
+            if self._retiring_policies:
+                with self._tracker_latch:
+                    self._retire(txn)
             self._maybe_cleanup()
             return
         suspended_depth = 0
-        immediate_retention = None
         with self._txn_latch, self._tracker_latch:
             keep_siread = txn.policy.retain_read_locks(txn)
             retain = txn.policy.retain_record(txn, keep_siread)
             self._active.pop(txn.id, None)
-            if (
-                retain
-                and self.config.eager_cleanup
-                and txn.commit_ts <= self._oldest_active_read_ts()
-                and txn.policy.may_cleanup(txn)
-            ):
-                # Immediate cleanup — the serial-commit fast path (eager
-                # mode only; lazy mode accrues records to its threshold).
-                # No live snapshot overlaps this commit, so the suspended
-                # record would be swept by the eager sweep this very
-                # commit (same removability predicate).  Retire it here,
-                # with the locks dropped under the same latches the sweep
-                # would hold, and skip the whole suspend/sweep round
-                # trip; counters, histograms and trace events mirror
-                # suspend-then-clean so the fast path is observably
-                # identical.
-                lm.release_all(txn)
-                self._retire(txn)
-                self._registry.pop(txn.id, None)
-                suspended_depth = len(self._suspended) + 1
-                if suspended_depth > self.stats["suspended_peak"]:
-                    self.stats["suspended_peak"] = suspended_depth
-                self.stats["cleaned"] += 1
-                immediate_retention = self.clock.now() - txn.commit_ts
-                retain = False
-            elif retain:
+            horizon = self._oldest_active_read_ts()
+            if retain:
                 txn.suspended = True
                 self._suspended.append(txn)
-                suspended_depth = len(self._suspended)
+                suspended_depth = self.suspended_count()
                 if suspended_depth > self.stats["suspended_peak"]:
                     self.stats["suspended_peak"] = suspended_depth
             elif (
                 txn.policy.needs_findable_record(txn)
-                and txn.commit_ts > self._oldest_active_read_ts()
+                and txn.commit_ts > horizon
             ):
                 # Not suspended — no SIREADs, no out-conflict — but a
                 # concurrent snapshot predates this commit and may later
@@ -837,18 +828,7 @@ class Database:
                 self._retired_writers.append(txn)
             else:
                 self._registry.pop(txn.id, None)
-        if immediate_retention is not None:
-            self._h_suspended.observe(suspended_depth)
-            self._h_siread_retention.observe(immediate_retention)
-            if self.trace is not None:
-                self.trace.emit(
-                    EventType.SUSPEND, txn.id, keep_siread=keep_siread
-                )
-                self.trace.emit(
-                    EventType.CLEANUP, txn.id, retention=immediate_retention
-                )
-            self._maybe_cleanup()
-            return
+                self._retire(txn)
         if keep_siread and not txn.locked_writes:
             # Read-only commit retaining its sentinels.  The transaction
             # never ran a write-side lock path, so a lock it holds can
@@ -1468,47 +1448,41 @@ class Database:
         return victims
 
     def cleanup_suspended(self) -> int:
-        """Drop suspended committed transactions no active transaction
-        overlaps (Sections 4.3.1/4.6.1).  Returns how many were cleaned."""
-        # One txn+tracker section for the whole sweep (ranks 10 then 20;
-        # drop_siread_locks nests the lock-manager latch below them) — the
-        # per-entry latch churn of acquiring the tracker twice per
-        # suspended transaction dominated eager-cleanup commits.
+        """Retire the retained committed transactions no active snapshot
+        overlaps (Sections 4.3.1/4.6.1); returns how many suspended ones.
+        Like PostgreSQL's finished list against ``SxactGlobalXmin``, both
+        commit-ordered lists are popped from the head while ``commit_ts
+        <= horizon``: an entry a concurrent finalize appended out of order
+        only waits for a later sweep.  A head whose policy vetoes cleanup
+        (an SGT node with incoming edges) is set aside and rechecked on
+        every sweep, never blocking those behind."""
         with self._txn_latch, self._tracker_latch:
             horizon = self._oldest_active_read_ts()
-            kept: list[Transaction] = []
+            due, self._set_aside = self._set_aside, []
+            while self._suspended and self._suspended[0].commit_ts <= horizon:
+                due.append(self._suspended.popleft())
             cleaned = 0
-            for txn in self._suspended:
-                removable = (
-                    txn.commit_ts is not None
-                    and txn.commit_ts <= horizon
-                    and txn.policy.may_cleanup(txn)
-                )
-                if removable:
-                    self.locks.drop_siread_locks(txn)
-                    self._retire(txn)
-                    self._registry.pop(txn.id, None)
-                    txn.suspended = False
-                    cleaned += 1
-                    retention = self.clock.now() - txn.commit_ts
-                    self._h_siread_retention.observe(retention)
-                    if self.trace is not None:
-                        self.trace.emit(
-                            EventType.CLEANUP, txn.id, retention=retention
-                        )
-                else:
-                    kept.append(txn)
-            self._suspended = kept
+            for txn in due:
+                if not txn.policy.may_cleanup(txn):
+                    self._set_aside.append(txn)
+                    continue
+                self.locks.drop_siread_locks(txn)
+                self._retire(txn)
+                self._registry.pop(txn.id, None)
+                txn.suspended = False
+                cleaned += 1
+                retention = self.clock.now() - txn.commit_ts
+                self._h_siread_retention.observe(retention)
+                if self.trace is not None:
+                    self.trace.emit(
+                        EventType.CLEANUP, txn.id, retention=retention
+                    )
             self.stats["cleaned"] += cleaned
-            if self._retired_writers:
-                keep_writers: list[Transaction] = []
-                for txn in self._retired_writers:
-                    if txn.commit_ts is not None and txn.commit_ts <= horizon:
-                        self._retire(txn)
-                        self._registry.pop(txn.id, None)
-                    else:
-                        keep_writers.append(txn)
-                self._retired_writers = keep_writers
+            writers = self._retired_writers
+            while writers and writers[0].commit_ts <= horizon:
+                txn = self._retired_writers.popleft()
+                self._retire(txn)
+                self._registry.pop(txn.id, None)
             return cleaned
 
     def vacuum(self) -> int:
@@ -1522,7 +1496,7 @@ class Database:
         with self._txn_latch:
             horizon = self._oldest_active_read_ts()
             tables = list(self._tables.values())
-        if horizon == float("inf"):
+        if horizon == _INFINITY:
             horizon = self.clock.now()
         # Safe outside the txn latch: the horizon only needs to be a lower
         # bound — any snapshot assigned after it is anchored at a clock
@@ -1533,7 +1507,8 @@ class Database:
         )
 
     def suspended_count(self) -> int:
-        return len(self._suspended)
+        """Retained committed transactions, set-aside (vetoed) ones too."""
+        return len(self._suspended) + len(self._set_aside)
 
     def active_count(self) -> int:
         return len(self._active)
@@ -1558,7 +1533,7 @@ class Database:
                     for name, d in self._indexes.items()
                 },
                 "active_transactions": len(self._active),
-                "suspended_transactions": len(self._suspended),
+                "suspended_transactions": self.suspended_count(),
                 "lock_table_size": self.locks.table_size(),
                 "clock": self.clock.now(),
                 "stats": {
@@ -1596,9 +1571,19 @@ class Database:
         # Under the commit latch: prepare_commit installs versions while
         # holding it, so a snapshot is anchored either before a commit's
         # timestamp was drawn (and never sees its versions) or after all
-        # its versions are in place — never halfway.
-        with self._commit_latch:
-            txn.snapshot = Snapshot(self.clock.now())
+        # its versions are in place — never halfway.  The same latch keeps
+        # the snapshot deque in read_ts order; the txn latch, taken first
+        # in rank order, guards it against the horizon's pruning.
+        with self._txn_latch, self._commit_latch:
+            snapshot = txn.snapshot = Snapshot(self.clock.now())
+            self._snapshots.append((snapshot, txn.id))
+            if len(self._snapshots) > 2 * len(self._active) + 16:
+                # Drop the dead entries piling up behind a long-lived head.
+                active = self._active
+                self._snapshots = deque(
+                    (snap, tid) for snap, tid in self._snapshots
+                    if getattr(active.get(tid), "snapshot", None) is snap
+                )
         monitor = self.safe_snapshots
         if (
             monitor is not None
@@ -1616,22 +1601,34 @@ class Database:
             self._assign_snapshot(txn)
 
     def _oldest_active_read_ts(self) -> float:
-        """Caller holds the txn latch (iterates the active map)."""
-        oldest = float("inf")
-        for txn in self._active.values():
-            if txn.read_ts is not None:
-                oldest = min(oldest, txn.read_ts)
-        return oldest
+        """The cleanup horizon: the oldest read_ts of an active snapshot,
+        else infinity.  Caller holds the txn latch.  Pops the dead head
+        entries (a finished transaction's, a deferrable's abandoned one)
+        of the read_ts-ordered deque: O(1) amortised.  Every exit from
+        ``_active`` calls it, so SI/S2PL commits prune it too."""
+        active = self._active
+        while self._snapshots:
+            snapshot, txn_id = self._snapshots[0]
+            txn = active.get(txn_id)
+            if txn is not None and txn.snapshot is snapshot:
+                return snapshot.read_ts
+            self._snapshots.popleft()
+        return _INFINITY
+
+    def _horizon_lag(self) -> int:
+        """Gauge: clock minus cleanup horizon (0 with no active snapshot)."""
+        with self._txn_latch:
+            horizon = self._oldest_active_read_ts()
+        return 0 if horizon == _INFINITY else self.clock.now() - horizon
 
     def _maybe_cleanup(self) -> None:
         # Optimistic emptiness probe (atomic list reads): SI/S2PL commits
         # retain nothing, so their hot path pays no latch here.
-        if not self._suspended and not self._retired_writers:
+        if not (self._suspended or self._set_aside or self._retired_writers):
             return
-        if self.config.eager_cleanup:
-            self.cleanup_suspended()
-        elif (
-            len(self._suspended) + len(self._retired_writers)
+        if (
+            self.config.eager_cleanup
+            or self.suspended_count() + len(self._retired_writers)
             > self.config.cleanup_threshold
         ):
             self.cleanup_suspended()
@@ -2008,6 +2005,7 @@ class Database:
         with self._txn_latch:
             self._active.pop(txn.id, None)
             self._registry.pop(txn.id, None)
+            self._oldest_active_read_ts()  # prunes the snapshot deque
         if self.history is not None:
             self.history.on_abort(txn.id)
         if self.trace is not None:
@@ -2015,6 +2013,7 @@ class Database:
 
 
 _MISSING = object()
+_INFINITY = float("inf")
 
 
 def _live(snapshot: Snapshot | None, chain) -> bool:

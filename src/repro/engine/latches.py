@@ -17,7 +17,7 @@ The documented order (low rank acquired first)::
 What each level protects:
 
 ``txn``
-    Transaction registry/active/suspended sets, schema dicts, id counter.
+    Registry/active sets, snapshot deque, retention lists, schema, id counter.
 ``tracker``
     Conflict-tracker / certifier state and every policy hook that mutates
     it; the commit decision (``before_commit`` .. status flip) runs under

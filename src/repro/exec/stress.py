@@ -166,7 +166,7 @@ def _audit(
         residual_granted=residue["granted"],
         residual_owners=residue["owners"],
         residual_waiters=residue["waiters"],
-        residual_suspended=len(db._suspended),
+        residual_suspended=db.suspended_count(),
         residual_siread=residue["siread"],
     )
     if invariant is not None:

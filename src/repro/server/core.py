@@ -385,7 +385,7 @@ class ReproServer:
         self.db.cleanup_suspended()
         return {
             **self.db.locks.residue(),
-            "suspended": len(self.db._suspended),
+            "suspended": self.db.suspended_count(),
             "prepared": len(self.db._prepared),
         }
 

@@ -155,7 +155,7 @@ class LocalShard:
         self.db.cleanup_suspended()
         return {
             **self.db.locks.residue(),
-            "suspended": len(self.db._suspended),
+            "suspended": self.db.suspended_count(),
             "prepared": len(self.db._prepared),
         }
 

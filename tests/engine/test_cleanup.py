@@ -1,9 +1,20 @@
 """Suspended-transaction lifecycle and cleanup tests (Sections 3.3,
 4.3.1, 4.6.1, 4.8)."""
 
+import random
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Database, EngineConfig
+from repro.errors import (
+    CompletionWaitRequired,
+    LockWaitRequired,
+    TransactionAbortedError,
+    TransactionStateError,
+)
 
 from tests.conftest import fill
 
@@ -109,3 +120,312 @@ class TestRegistryHygiene:
         pin.read("t", "x")
         assert db.tracker.stats["marked"] > before
         pin.abort()
+
+
+# ------------------------------------------------- horizon and head sweep
+
+
+def brute_force_horizon(db):
+    """The cleanup horizon by definition: the oldest snapshot among
+    active transactions."""
+    return min(
+        (txn.read_ts for txn in db._active.values() if txn.read_ts is not None),
+        default=float("inf"),
+    )
+
+
+def maintained_horizon(db):
+    with db._txn_latch:
+        return db._oldest_active_read_ts()
+
+
+LEVELS = ("ssi", "ssi-ro", "si", "s2pl", "sgt")
+KEYS = ("a", "b", "c", "d")
+
+step = st.one_of(
+    st.tuples(st.just("begin"), st.sampled_from(LEVELS), st.booleans()),
+    st.tuples(st.just("deferrable"), st.just(0), st.just(False)),
+    st.tuples(st.just("read"), st.integers(0, 7), st.sampled_from(KEYS)),
+    st.tuples(st.just("write"), st.integers(0, 7), st.sampled_from(KEYS)),
+    st.tuples(st.just("commit"), st.integers(0, 7), st.just(None)),
+    st.tuples(st.just("abort"), st.integers(0, 7), st.just(None)),
+    st.tuples(st.just("resnapshot"), st.integers(0, 7), st.just(None)),
+)
+
+
+class TestIncrementalHorizon:
+    @settings(max_examples=80, deadline=None)
+    @given(deferred=st.booleans(), steps=st.lists(step, max_size=40))
+    def test_horizon_matches_brute_force(self, deferred, steps):
+        db = Database(EngineConfig(deferred_snapshot=deferred))
+        fill(db, "t", {key: 0 for key in KEYS})
+        live: list = []
+        for op, arg, extra in steps:
+            if op == "begin":
+                live.append(db.begin(arg, read_only=extra and arg != "s2pl"))
+            elif op == "deferrable":
+                try:
+                    live.append(db.begin("ssi", deferrable=True, wait=False))
+                except CompletionWaitRequired as wait:
+                    live.append(wait.txn)
+            elif live:
+                txn = live[arg % len(live)]
+                try:
+                    if op == "read":
+                        db.get(txn, "t", extra)
+                    elif op == "write" and not txn.read_only:
+                        db.write(txn, "t", extra, arg)
+                    elif op == "commit":
+                        db.commit(txn)
+                    elif op == "abort":
+                        db.abort(txn)
+                    elif (
+                        op == "resnapshot"
+                        and txn.read_only
+                        and txn.snapshot is not None
+                    ):
+                        # What an unsafe verdict does to a deferrable
+                        # reader: a fresh snapshot replaces the old one.
+                        txn.snapshot_safe = False
+                        db.resume_deferrable(txn)
+                except CompletionWaitRequired:
+                    pass
+                except LockWaitRequired:
+                    db.abort(txn)
+                except (TransactionAbortedError, TransactionStateError):
+                    pass
+                if not txn.is_active:
+                    live.remove(txn)
+            assert maintained_horizon(db) == brute_force_horizon(db)
+            assert len(db._snapshots) <= 2 * len(db._active) + 17
+        for txn in live:
+            db.abort(txn)
+        while db.cleanup_suspended():
+            pass
+        assert maintained_horizon(db) == float("inf")
+        assert not db._snapshots
+        assert db.suspended_count() == 0
+        assert not db._retired_writers
+
+    def test_resnapshot_leaves_a_dead_entry_that_never_counts(self):
+        """A deferrable reader whose first snapshot is proven unsafe takes
+        a fresh one; the abandoned entry must not hold the horizon."""
+        db = make_db(eager=True)
+        fill(db, "t", {"k1": 0, "k2": 0})
+        pivot = db.begin("ssi")
+        pivot.read("t", "k1")
+        t_out = db.begin("ssi")
+        t_out.write("t", "k1", 1)
+        t_out.commit()  # pivot -rw-> t_out, committed
+        with pytest.raises(CompletionWaitRequired) as waiting:
+            db.begin("ssi", deferrable=True, wait=False)
+        reader = waiting.value.txn
+        first = reader.snapshot
+        pivot.write("t", "k2", 1)
+        pivot.commit()  # completes a structure the reader can join
+        assert waiting.value.completion.fired
+        assert reader.snapshot_safe is False
+        db.resume_deferrable(reader)
+        assert reader.snapshot is not first
+        assert reader.snapshot_safe
+        assert maintained_horizon(db) == reader.read_ts
+        assert maintained_horizon(db) == brute_force_horizon(db)
+        reader.commit()
+        assert maintained_horizon(db) == float("inf")
+        assert db.suspended_count() == 0
+
+    @pytest.mark.parametrize("level", ["si", "s2pl", "ssi"])
+    @pytest.mark.parametrize("finish", ["commit", "abort"])
+    def test_every_exit_prunes_the_snapshot_deque(self, level, finish):
+        """SI and S2PL commits never sweep, and aborts never do: each
+        exit from the active set must prune the deque itself."""
+        db = make_db(eager=True)
+        fill(db, "t", {"x": 0})
+        for value in range(1000):
+            txn = db.begin(level)
+            txn.write("t", "x", txn.read("t", "x") + value)
+            getattr(txn, finish)()
+            assert len(db._snapshots) <= len(db._active)
+        assert not db._snapshots
+
+    def test_snapshot_deque_stays_bounded_behind_a_pinned_head(self):
+        db = make_db(eager=True)
+        fill(db, "t", {"x": 0, "y": 0})
+        pin = db.begin("si")
+        pin.read("t", "y")
+        for _ in range(1000):
+            txn = db.begin("si")
+            txn.write("t", "x", txn.read("t", "x") + 1)
+            txn.commit()
+        assert len(db._snapshots) <= 2 * len(db._active) + 16
+        assert maintained_horizon(db) == pin.read_ts
+        pin.commit()
+        assert not db._snapshots
+
+    def test_horizon_lag_gauge(self):
+        db = make_db(eager=True)
+        fill(db, "t", {"x": 0})
+        gauge = lambda: db.metrics.snapshot()["gauges"]["cleanup_horizon_lag"]  # noqa: E731
+        assert gauge() == 0
+        pin = db.begin("ssi")
+        pin.read("t", "x")
+        for _ in range(5):
+            committed_reader(db)
+        assert gauge() == db.clock.now() - pin.read_ts > 0
+        pin.commit()
+        assert gauge() == 0
+
+
+class TestHeadSweep:
+    def test_pinned_horizon_retires_nothing_then_everything(self):
+        db = make_db(eager=True)
+        fill(db, "t", {"x": 0, "y": 0})
+        pin = db.begin("ssi")
+        pin.read("t", "y")
+        readers = []
+        for _ in range(200):
+            readers.append(committed_reader(db))
+            assert db.cleanup_suspended() == 0
+            assert list(db._suspended) == readers
+        cleaned = db.stats["cleaned"]
+        pin.commit()  # its own sweep: the pin and all 200 retire
+        assert db.stats["cleaned"] - cleaned == 201
+        assert db.suspended_count() == 0
+        assert not db._registry
+        assert not any(db.locks.residue().values())
+
+    def test_sgt_veto_does_not_block_ssi_entries_behind_it(self):
+        db = make_db(eager=True)
+        fill(db, "t", {"x": 0, "y": 0})
+        reader = db.begin("sgt")
+        reader.read("t", "x")
+        node = db.begin("sgt")
+        node.write("t", "x", 1)  # rw edge reader -> node
+        node.commit()
+        behind = committed_reader(db, keys=("y",))  # ssi, after node
+        pin = db.begin("ssi")
+        pin.read("t", "y")  # the horizon moves past node and behind
+        reader.commit()  # after the pin: stays suspended
+        # node is at the horizon but vetoed (incoming edge from reader);
+        # the SSI reader behind it still retires.
+        assert db._set_aside == [node]
+        assert db.find_transaction(behind.id) is None
+        assert not behind.suspended
+        assert db.suspended_count() == 2  # node set aside, reader queued
+        pin.commit()  # reader retires, draining node's incoming edge
+        db.cleanup_suspended()  # the recheck retires node
+        assert db.suspended_count() == 0
+        assert not db._set_aside
+        assert not db.certifier._nodes
+        assert not any(db.locks.residue().values())
+
+    def test_out_of_order_finalize_still_drains(self):
+        """Two committers finalize in reverse commit_ts order: the later
+        one sits at the head, and a concurrent reader still finds it."""
+        db = make_db(eager=True)
+        fill(db, "t", {"a": 0, "b": 0, "x": 0, "y": 0})
+        pin = db.begin("ssi")
+        pin.read("t", "a")  # snapshot before both commits
+        first = db.begin("ssi")
+        first.read("t", "a")
+        first.write("t", "x", 1)
+        second = db.begin("ssi")
+        second.read("t", "b")
+        second.write("t", "y", 1)
+        db.prepare_commit(first)
+        db.prepare_commit(second)
+        assert first.commit_ts < second.commit_ts
+        db.finalize_commit(second)
+        db.finalize_commit(first)
+        assert list(db._suspended) == [second, first]
+        marked = db.tracker.stats["marked"]
+        pin.read("t", "y")  # ignores second's version: rw pin -> second
+        assert db.tracker.stats["marked"] > marked
+        assert pin.out_conflict
+        pin.commit()
+        assert db.suspended_count() == 0
+        assert not db._registry
+        assert not any(db.locks.residue().values())
+
+
+class TestRetireOnExit:
+    @pytest.mark.parametrize("level", ["si", "s2pl"])
+    def test_non_retaining_commit_leaves_no_graph_node(self, level):
+        """Finalize releases a committed writer's locks before it leaves
+        the registry; an SGT read in between finds it and draws it into
+        the graph (a wr edge).  Its finalize must retire that node, or
+        the SGT reader keeps an incoming edge and is never cleaned up."""
+        db = make_db(eager=True)
+        fill(db, "t", {"x": 0})
+        writer = db.begin(level)
+        writer.write("t", "x", 1)
+        db.prepare_commit(writer)  # installed, not yet finalized
+        db.locks.release_all(writer)  # finalize's first step
+        reader = db.begin("sgt")
+        assert reader.read("t", "x") == 1
+        assert db.certifier.has_incoming(reader.id)
+        db.finalize_commit(writer)
+        reader.commit()
+        assert db.suspended_count() == 0
+        assert not db.certifier._nodes
+        assert not db._registry
+
+
+class TestThreadedHorizon:
+    def test_horizon_stays_exact_under_threads(self):
+        """Clients on four threads while a fifth compares the maintained
+        horizon with the brute-force one under the txn latch; afterwards
+        every retention structure drains."""
+        db = make_db(eager=True)
+        fill(db, "t", {key: 0 for key in range(8)})
+        stop = threading.Event()
+        mismatches = []
+
+        def client(seed):
+            rng = random.Random(seed)
+            for _ in range(60):
+                txn = db.begin(rng.choice(("ssi", "ssi-ro", "si", "sgt")))
+                try:
+                    for _ in range(3):
+                        key = rng.randrange(8)
+                        value = txn.read("t", key)
+                        if rng.random() < 0.5:
+                            txn.write("t", key, value + 1)
+                    txn.commit()
+                except TransactionAbortedError:
+                    pass
+
+        def checker():
+            while not stop.is_set():
+                with db._txn_latch:
+                    maintained = db._oldest_active_read_ts()
+                    expected = brute_force_horizon(db)
+                if maintained != expected:
+                    mismatches.append((maintained, expected))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [
+                threading.Thread(target=client, args=(seed,))
+                for seed in range(4)
+            ]
+            watcher = threading.Thread(target=checker)
+            watcher.start()
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            stop.set()
+            watcher.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients + [watcher])
+        assert not mismatches
+        while db.cleanup_suspended():
+            pass
+        assert db.suspended_count() == 0
+        assert not db._retired_writers
+        assert not db._snapshots
+        assert not db._registry
+        assert not any(db.locks.residue().values())
