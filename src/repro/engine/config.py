@@ -16,11 +16,14 @@ class LockGranularity(enum.Enum):
     * ``RECORD`` — row-level locks plus one key-range lock per scan (the
       InnoDB prototype, Sections 4.4-4.6; the range locks the predicate
       its gap locks protect).
-    * ``PAGE`` — locks map to B+-tree leaf pages (the Berkeley DB
+    * ``PAGE`` — point reads and writes lock B+-tree leaf pages, and
+      first-committer-wins compares page versions (the Berkeley DB
       prototype, Sections 4.1-4.3).  Coarser: false sharing between rows
-      on one page produces the false-positive aborts of Figure 6.4, and
-      no predicate lock is needed — page coverage subsumes phantom
-      protection (Section 3.5's observation about Berkeley DB).
+      on one page produces the false-positive aborts of Figure 6.4.
+      Scans still lock one key range, as under ``RECORD``, and a
+      writer takes its record lock after its page lock so the range
+      meets it: granularity names the point-lock target, not a second
+      phantom protocol.
     """
 
     RECORD = "record"

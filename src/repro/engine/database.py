@@ -134,8 +134,9 @@ class Database:
             self.config.deadlock_mode is DeadlockMode.PERIODIC
         )
         #: the lock-table budget :meth:`LockManager.escalate` enforces
-        #: after SIREAD grants; escalation folds into key ranges, which
-        #: only RECORD granularity takes
+        #: after SIREAD grants; RECORD granularity only, because
+        #: escalation folds record and range SIREADs and a PAGE reader's
+        #: page SIREADs cannot be folded
         self._siread_budget = (
             self.config.siread_budget
             if self.config.granularity is LockGranularity.RECORD
@@ -174,9 +175,11 @@ class Database:
         #: PAGE granularity: last commit timestamp per (table, page) —
         #: Berkeley DB versions whole pages, so first-committer-wins
         #: fires on page conflicts between unrelated rows (Section 4.2).
-        #: Written under the commit latch; read optimistically (point
-        #: ``dict.get``).
-        self._page_commit_ts: dict[tuple[str, int], int] = {}
+        #: None under RECORD.  Written under the commit latch; read
+        #: optimistically (point ``dict.get``).
+        self._page_commit_ts: dict[tuple[str, int], int] | None = (
+            {} if self.config.granularity is LockGranularity.PAGE else None
+        )
         #: secondary indexes, by name and by base table
         self._indexes: dict[str, IndexDef] = {}
         self._indexes_by_table: dict[str, list[IndexDef]] = {}
@@ -527,7 +530,6 @@ class Database:
         has been flushed").
         """
         self._check_op(txn)
-        page_mode = self.config.granularity is LockGranularity.PAGE
         if txn.policy.certifies:
             # The commit decision — certification through status flip — is
             # one tracker-latch critical section, so no rw edge can land
@@ -536,12 +538,12 @@ class Database:
             with self._tracker_latch:
                 error = self._certify(txn)
                 if error is None:
-                    self._install_commit(txn, page_mode)
+                    self._install_commit(txn)
         else:
             # No certification hooks (plain SI, S2PL): nothing for the
             # tracker latch to order against.
             error = None
-            self._install_commit(txn, page_mode)
+            self._install_commit(txn)
         if error is not None:
             self._abort_internal(txn, error.reason)
             raise error
@@ -624,7 +626,6 @@ class Database:
             raise TransactionStateError(
                 f"commit_prepared of transaction {txn.id} before prepare"
             )
-        page_mode = self.config.granularity is LockGranularity.PAGE
         certifies = txn.policy.certifies
         with self._tracker_latch:
             self._prepared.discard(txn)
@@ -639,9 +640,9 @@ class Database:
                     txn.in_conflict = True if txn.in_conflict is False else txn
                 if import_out and not txn.out_conflict:
                     txn.out_conflict = True if txn.out_conflict is False else txn
-                self._install_commit(txn, page_mode)
+                self._install_commit(txn)
         if not certifies:  # nothing for the tracker latch to order against
-            self._install_commit(txn, page_mode)
+            self._install_commit(txn)
         self._publish_commits((txn,))
 
     # ---------------------------------------------------- commit pipeline
@@ -659,11 +660,11 @@ class Database:
             error = self._endangering_prepared(txn)
         return error
 
-    def _install_commit(self, txn: Transaction, page_mode: bool) -> None:
+    def _install_commit(self, txn: Transaction) -> None:
         """Step 2, tracker-latched for certifying policies: commit
         timestamp, status flip, version install, then the policy's
         post-commit bookkeeping."""
-        self._logical_commit(txn, page_mode)
+        self._logical_commit(txn)
         if txn.policy.certifies:
             if self.safe_snapshots is not None:
                 # Before after_commit: the enhanced tracker munges
@@ -759,7 +760,7 @@ class Database:
         return {"in": has_in, "out": has_out,
                 "in_partner": in_partner, "out_partner": out_partner}
 
-    def _logical_commit(self, txn: Transaction, page_mode: bool) -> None:
+    def _logical_commit(self, txn: Transaction) -> None:
         """Allocate the commit timestamp, flip the status, install the
         write set.  A read-only transaction installs nothing, so it skips
         the commit latch entirely — the latch exists to keep snapshot
@@ -769,6 +770,7 @@ class Database:
             txn.commit_ts = self.clock.next()
             txn.status = TransactionStatus.COMMITTED
             return
+        page_commit_ts = self._page_commit_ts
         with self._commit_latch:
             txn.commit_ts = self.clock.next()
             txn.status = TransactionStatus.COMMITTED
@@ -780,9 +782,9 @@ class Database:
                         Version(value=value, commit_ts=txn.commit_ts,
                                 creator_id=txn.id)
                     )
-                    if page_mode:
+                    if page_commit_ts is not None:
                         page_key = (table_name, table.leaf_page_of(key))
-                        self._page_commit_ts[page_key] = txn.commit_ts
+                        page_commit_ts[page_key] = txn.commit_ts
                 self._h_chain_length.observe(chain_length)
 
     def finalize_commit(self, txn: Transaction) -> None:
@@ -910,21 +912,17 @@ class Database:
         use :meth:`scan_prefix`.
 
         Execution: the scan places its key range first (the walk of
-        :meth:`_prefix_walk`, with no cut; PAGE granularity's page
-        rounds instead); the key set is then materialised in
-        leaf-page-sized chunks — dropping the table latch between chunks
-        — and visibility is resolved batch-at-a-time against the one
-        snapshot, with one CC-policy call per scan.
+        :meth:`_prefix_walk`, with no cut) at either lock granularity;
+        the key set is then materialised in leaf-page-sized chunks —
+        dropping the table latch between chunks — and visibility is
+        resolved batch-at-a-time against the one snapshot, with one
+        CC-policy call per scan.
         """
         self._check_op(txn)
         table = self.table(table_name)
         self._ensure_snapshot(txn)
         self.stats.inc("scans")
-        read_mode = txn.policy.read_lock_mode(txn)
-        if read_mode is not None and self.config.granularity is LockGranularity.PAGE:
-            chains = self._scan_lock_pages(txn, table, table_name, lo, hi, read_mode)
-        else:
-            chains, _cut = self._prefix_walk(txn, table, table_name, lo, hi, None)
+        chains, _cut = self._prefix_walk(txn, table, table_name, lo, hi, None)
         results, seen = self._resolve_scan_rows(txn, table_name, chains)
         # Own uncommitted writes overlay the scan result.
         results = self._overlay_write_set(txn, table_name, lo, hi, results)
@@ -947,17 +945,6 @@ class Database:
             if read_ts is None:
                 read_ts = self.clock.now()
             self.history.on_scan(txn.id, table_name, span, tuple(seen), read_ts)
-
-    def _materialize_chunks(
-        self, table, lo: Hashable | None, hi: Hashable | None
-    ) -> list:
-        """Materialise [lo, hi] through the chunked walk — the table
-        latch is held per chunk, not across the whole range."""
-        return [
-            pair
-            for chunk in table.scan_chunks(lo, hi)
-            for pair in chunk
-        ]
 
     def _meet_writers(
         self,
@@ -988,75 +975,6 @@ class Database:
         for lock in writers:
             self._acquire(txn, lock.resource, LockMode.SHARED)
         return False
-
-    def _scan_lock_pages(
-        self,
-        txn: Transaction,
-        table,
-        table_name: str,
-        lo: Hashable | None,
-        hi: Hashable | None,
-        read_mode: LockMode,
-    ) -> list:
-        """PAGE granularity (the Berkeley DB ablation): lock the leaf
-        page of every row in [lo, hi], plus the page of the key past
-        ``hi`` so inserts just past the range (or into an empty range)
-        are met, in one lock-manager batch *before* any row is resolved —
-        a writer arriving later meets the locks itself.  Each conflicting
-        writer is dispatched as an rw edge; pages the transaction already
-        SIREAD-locked are skipped, and contended SHARED pages come back
-        deferred and take the blocking path.
-
-        One window remains between materialisation and the round: a
-        writer whose entire lock lifetime (acquire, commit, release)
-        fits inside it leaves no lock to collide with, and its new key
-        is absent from the stale list.  So after a round that locked
-        something fresh the table's key-set version (bumped under the
-        table latch on every chain add/remove, sampled before
-        materialisation) is re-probed, and only if it moved is the range
-        re-materialised and any fresh page locked in another round; the
-        uncontended scan pays one latch-free int probe, never a second
-        tree walk.  The loop converges: ``requested`` only grows, and a
-        round that locks nothing fresh proves every page the current key
-        set needs was locked before the last materialisation, so any
-        insert committed since collided with one."""
-        keyset_before = table.keyset_version
-        chains = self._materialize_chunks(table, lo, hi)
-        leaf_page_of = table.leaf_page_of
-        cache = txn._siread_cache if read_mode is LockMode.SIREAD else None
-        requested: set = set()
-        while True:
-            boundary = table.successor(hi) if hi is not None else SUPREMUM
-            wanted: list = []
-            for key in [key for key, _chain in chains] + [boundary]:
-                page = page_resource(table_name, leaf_page_of(key))
-                if page in requested:
-                    continue
-                requested.add(page)
-                if cache is not None:
-                    if page in cache:
-                        continue
-                    cache.add(page)
-                wanted.append(page)
-            if not wanted:
-                break
-            conflicts, deferred = self.locks.acquire_read_batch(
-                txn, wanted, read_mode
-            )
-            for lock in conflicts:
-                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            for page in deferred:
-                for lock in self._acquire(txn, page, read_mode).detection_conflicts:
-                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            keyset_now = table.keyset_version
-            if keyset_now == keyset_before:
-                # Key set unchanged since before materialisation: a
-                # writer still mid-flight will collide with the locks
-                # now in the table and report its own edge.
-                break
-            keyset_before = keyset_now
-            chains = self._materialize_chunks(table, lo, hi)
-        return chains
 
     def _resolve_scan_rows(
         self, txn: Transaction, table_name: str, chains: list
@@ -1154,20 +1072,15 @@ class Database:
         protection; when the range is exhausted before the limit the
         scan degenerates to a full range scan.
 
-        Falls back to a full :meth:`scan` when ``limit`` is None, under
-        PAGE granularity, or when the transaction has own pending writes
-        inside [lo, hi] (own-write overlay can shift the cut in both
-        directions).
+        Falls back to a full :meth:`scan` when ``limit`` is None or when
+        the transaction has own pending writes inside [lo, hi] (own-write
+        overlay can shift the cut in both directions).
         """
         if limit is None:
             return self.scan(txn, table_name, lo, hi)
         self._check_op(txn)
         table = self.table(table_name)
         self._ensure_snapshot(txn)
-        if self.config.granularity is LockGranularity.PAGE:
-            # A page lock cannot stop at a cut key; the full scan's page
-            # coverage is already prefix-proportional.
-            return self.scan(txn, table_name, lo, hi, limit=limit)
         if any(
             tname == table_name
             and (lo is None or not key < lo)
@@ -1195,8 +1108,8 @@ class Database:
         limit: int | None,
     ) -> tuple[list, Any]:
         """Walk to the cut: ``(visited rows, cut key or _MISSING)`` — the
-        one walk of every RECORD-granularity scan; with no ``limit`` it
-        visits all of [lo, hi] and never cuts.
+        one walk of every scan; with no ``limit`` it visits all of
+        [lo, hi] and never cuts.
 
         A locking reader places the range [lo, hi] before the walk, so
         every writer is met from one side.  Once the cut is known, only
@@ -1215,7 +1128,10 @@ class Database:
                 writers = lm.acquire_range(txn, table_name, lo, hi, read_mode)
             cut_key = _MISSING
             if limit is None:
-                visited = self._materialize_chunks(table, lo, hi)
+                # The table latch is held per chunk, not across [lo, hi].
+                visited = [
+                    pair for chunk in table.scan_chunks(lo, hi) for pair in chunk
+                ]
             else:
                 visited = []
                 visible = 0
@@ -1259,7 +1175,7 @@ class Database:
             self.config.granularity is LockGranularity.PAGE
             and table.chain(key) is None
         )
-        self._acquire_write_locks(txn, table_name, key, next_page=new_page_key)
+        self._acquire_write_locks(txn, table_name, key)
         self._ensure_snapshot(txn)
         self._first_committer_check(txn, table_name, key)
         if txn.policy.tracks_writes:
@@ -1280,8 +1196,7 @@ class Database:
         self._check_op(txn)
         self._check_write(txn)
         table = self.table(table_name)
-        page_mode = self.config.granularity is LockGranularity.PAGE
-        self._acquire_write_locks(txn, table_name, key, next_page=page_mode)
+        self._acquire_write_locks(txn, table_name, key)
         self._ensure_snapshot(txn)
         self._first_committer_check(txn, table_name, key)
         value_now, exists = self._visible_value(
@@ -1294,7 +1209,7 @@ class Database:
             with self._tracker_latch:
                 txn.policy.on_write(txn, table_name, key)
         self._maintain_indexes(txn, table_name, key, value)
-        if page_mode:
+        if self.config.granularity is LockGranularity.PAGE:
             self._lock_new_key_pages(txn, table, table_name, key)
         txn.write_set[(table_name, key)] = value
         txn.write_kinds[(table_name, key)] = "insert"
@@ -1321,10 +1236,7 @@ class Database:
         self._check_op(txn)
         self._check_write(txn)
         table = self.table(table_name)
-        self._acquire_write_locks(
-            txn, table_name, key,
-            next_page=self.config.granularity is LockGranularity.PAGE,
-        )
+        self._acquire_write_locks(txn, table_name, key)
         self._ensure_snapshot(txn)
         self._first_committer_check(txn, table_name, key)
         _value, exists = self._visible_value(
@@ -1679,9 +1591,11 @@ class Database:
             # writer is in flight inside it (bar those queued behind this
             # reader's own ranges, which serialize after it); a SIREAD
             # reader still owes the Fig 3.4 check against granted
-            # EXCLUSIVE holders.
+            # EXCLUSIVE holders.  A page is cached only once locked: the
+            # range covers this key, not the page's other keys.
             if siread:
-                txn._siread_cache.add(resource)
+                if resource.kind == "rec":
+                    txn._siread_cache.add(resource)
                 for lock in self.locks.probe_detection(txn, resource, mode):
                     self.dispatch_rw_edge(reader=txn, writer=lock.owner)
             return
@@ -1697,8 +1611,7 @@ class Database:
             self.locks.escalate(self._siread_budget)
 
     def _acquire_write_locks(
-        self, txn: Transaction, table_name: str, key: Hashable,
-        next_page: bool = False,
+        self, txn: Transaction, table_name: str, key: Hashable
     ) -> None:
         """Write-side locking: the EXCLUSIVE record lock, which meets
         every key range covering ``key`` in the lock manager — an S2PL
@@ -1708,9 +1621,9 @@ class Database:
         a rw-dependency holder -> txn (Fig 3.5/3.7): for updates,
         deletes, inserts and blind writes of brand-new keys alike.
 
-        ``next_page`` (inserts, deletes and new-key writes under PAGE
-        granularity) first X-locks the leaf page of the key's successor,
-        as Berkeley DB does where InnoDB would take a gap lock.
+        Under PAGE granularity the key's leaf page is X-locked first
+        (the Berkeley DB lock point readers' page SIREADs meet); the
+        record lock after it is still what scans' key ranges meet.
         """
         # Fail fast on first-committer-wins before queueing behind the
         # lock: if a newer committed version already exists, waiting is
@@ -1719,13 +1632,12 @@ class Database:
         if txn.snapshot is not None:
             self._first_committer_check(txn, table_name, key)
         txn.locked_writes = True
-        if next_page:
-            table = self.table(table_name)
-            page = page_resource(table_name, table.leaf_page_of(table.successor(key)))
-            self._report_readers(
-                txn, self._acquire(txn, page, LockMode.EXCLUSIVE).detection_conflicts
-            )
-        result = self._acquire(txn, self._rec_resource(table_name, key), LockMode.EXCLUSIVE)
+        resource = self._rec_resource(table_name, key)
+        if resource.kind == "page":
+            result = self._acquire(txn, resource, LockMode.EXCLUSIVE)
+            self._report_readers(txn, result.detection_conflicts)
+            resource = record_resource(table_name, key)
+        result = self._acquire(txn, resource, LockMode.EXCLUSIVE)
         self._report_readers(txn, result.detection_conflicts)
 
     def _report_readers(self, txn: Transaction, conflicts: list) -> None:
@@ -1932,7 +1844,7 @@ class Database:
             return
         table = self.table(table_name)
         conflicting = False
-        if self.config.granularity is LockGranularity.PAGE:
+        if self._page_commit_ts is not None:
             # Page-level versioning (Berkeley DB, Section 4.2): any commit
             # to the key's page after our snapshot is an update conflict,
             # even on a different row.

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.engine.config import LockGranularity
 from repro.engine.waits import Completion
 from repro.errors import TransactionStateError
 
@@ -134,7 +133,6 @@ class CommitBatcher:
     def _run_batch(self, tickets: list[_Ticket]) -> None:
         """One leader pass over a group (see the module docstring)."""
         db = self.db
-        page_mode = db.config.granularity is LockGranularity.PAGE
         committed: list = []
         aborted: list[_Ticket] = []
 
@@ -153,7 +151,7 @@ class CommitBatcher:
                     db._certify(txn) if txn.policy.certifies else txn.doom_error
                 )
                 if error is None:
-                    db._install_commit(txn, page_mode)
+                    db._install_commit(txn)
                     committed.append(txn)
                 else:
                     # The abort decision (tracker phase) happens inside

@@ -46,8 +46,6 @@ Performance structure:
   :meth:`release_all`, :meth:`drop_siread_locks` and :meth:`cancel_waits`
   O(locks/requests owned).  Nothing on the commit/abort path walks the
   whole table — essential once Section 3.3 SIREAD retention inflates it;
-* PAGE-granularity scans grant a page round in one critical section
-  (:meth:`acquire_read_batch`);
 * the sorted index of EXCLUSIVE-held record keys that range readers
   bisect exists only for tables some range has touched, so writes to
   tables nobody scans maintain nothing;
@@ -515,7 +513,9 @@ class LockManager:
         self, owner: Any, resources: list[Resource], mode: LockMode
     ) -> tuple[list[Lock], list[Resource]]:
         """Grant a read mode (SIREAD or SHARED) on many resources in one
-        critical section — the scan hot path.
+        critical section.  No engine path calls it (every scan places one
+        key range); it is kept only because the benchmark's layer tracer
+        targets it, like :meth:`probe_detection_batch`.
 
         Returns ``(conflicts, deferred)``: the combined detection
         conflicts (granted write-mode locks of other owners, for the

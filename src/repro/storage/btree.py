@@ -2,18 +2,20 @@
 
 The tree serves two purposes:
 
-* ordered key storage with range walks and successor queries (the page
-  past a scanned range under page-granularity locking); and
+* ordered key storage with range walks; and
 * a page structure, so the engine's Berkeley DB-style mode can lock and
-  version *pages* instead of records (paper Chapter 4.1-4.3).  Every node
-  has a stable integer id; operations report which pages they touched,
-  including parents updated by splits — this is what makes root-page
-  contention appear under page-level locking, the effect the paper blames
-  for Serializable SI's false positives in Figure 6.4.
+  version *pages* instead of records for point reads and writes (paper
+  Chapter 4.1-4.3; scans lock key ranges at either granularity).  Every
+  node has a stable integer id; operations report which pages they
+  touched, including parents updated by splits — this is what makes
+  root-page contention appear under page-level locking, the effect the
+  paper blames for Serializable SI's false positives in Figure 6.4.
 
 Keys must be mutually comparable within one tree.  :data:`SUPREMUM` is a
-sentinel greater than every key: the successor of the last key in a
-table (paper Section 2.5.2: "the special supremum key").
+sentinel greater than every key (paper Section 2.5.2: "the special
+supremum key"): what :meth:`BPlusTree.first_key` returns for an empty
+tree, and the tail of a composite upper bound such as a non-unique
+index scan's ``(hi, SUPREMUM)``.
 
 Deletion is lazy (keys are removed from leaves without rebalancing);
 the engine only deletes keys during version garbage collection, so
@@ -48,7 +50,7 @@ class _Supremum:
         return "<SUPREMUM>"
 
 
-#: The key that sorts after every real key (the successor at table end).
+#: The key that sorts after every real key.
 SUPREMUM = _Supremum()
 
 
@@ -116,17 +118,6 @@ class BPlusTree:
             if node.is_leaf:
                 return pages
             node = node.children[self._child_index(node, key)]
-
-    def successor(self, key: Any) -> Any:
-        """Smallest stored key strictly greater than ``key``, else SUPREMUM."""
-        leaf = self._find_leaf(key)
-        index = bisect.bisect_right(leaf.keys, key)
-        while leaf is not None:
-            if index < len(leaf.keys):
-                return leaf.keys[index]
-            leaf = leaf.next_leaf
-            index = 0
-        return SUPREMUM
 
     def first_key(self) -> Any:
         """Smallest stored key, else SUPREMUM for an empty tree."""

@@ -2,10 +2,10 @@
 
 A :class:`Table` maps orderable primary keys to
 :class:`~repro.mvcc.version.VersionChain` objects through a B+-tree, and
-answers ordered range walks and successor queries.  A key stays in the
-tree while any version (including a tombstone) of it survives, so that
-concurrent snapshots keep seeing their versions; garbage collection prunes
-chains against the oldest active snapshot.
+answers ordered range walks.  A key stays in the tree while any version
+(including a tombstone) of it survives, so that concurrent snapshots keep
+seeing their versions; garbage collection prunes chains against the
+oldest active snapshot.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Any, Hashable, Iterator
 
 from repro.engine.latches import make_latch
 from repro.mvcc.version import Version, VersionChain
-from repro.storage.btree import SUPREMUM, BPlusTree
+from repro.storage.btree import BPlusTree
 
 #: rows :meth:`Table.scan_chunks` collects per table-latch hold; 0 = one
 #: B+-tree leaf page (the tree's order).
@@ -47,12 +47,6 @@ class Table:
         self.name = name
         self._tree = BPlusTree(order=page_size)
         self.latch = make_latch(f"table[{name}]")
-        #: Bumped (under the latch) whenever the *key set* changes — new
-        #: chain added or vacuumed away.  PAGE-granularity scans compare
-        #: it across their materialise->lock window to decide whether a
-        #: re-scan is owed;
-        #: reading it is a GIL-atomic latch-free int probe.
-        self.keyset_version = 0
 
     # ------------------------------------------------------------- chains
 
@@ -73,7 +67,6 @@ class Table:
                 return chain, []
             chain = VersionChain()
             touched = self._tree.insert(key, chain)
-            self.keyset_version += 1
             return chain, touched
 
     def load(self, key: Hashable, value: Any) -> None:
@@ -83,13 +76,6 @@ class Table:
             chain.install(Version(value=value, commit_ts=0, creator_id=0))
 
     # ------------------------------------------------------------ queries
-
-    def successor(self, key: Hashable) -> Hashable:
-        """The next key after ``key`` (SUPREMUM past the end): whose
-        page a PAGE-granularity scan locks past its range, and an insert
-        or delete locks beside its own."""
-        with self.latch:
-            return self._tree.successor(key)
 
     def first_key(self) -> Hashable:
         with self.latch:
@@ -202,8 +188,6 @@ class Table:
                         break
                 for key in dead_keys:
                     self._tree.delete(key)
-                if dead_keys:
-                    self.keyset_version += 1
             if examined < chunk_size or last is None:
                 return removed
             cursor, include_lo = last, False

@@ -1,9 +1,10 @@
 """Page-granularity (Berkeley DB-style) engine tests (Sections 4.1-4.3).
 
-At PAGE granularity, locks name B+-tree leaf pages: unrelated rows that
-share a page conflict, which is the source of the false-positive unsafe
-aborts the paper measures in Figure 6.4, and also what makes plain
-record locking sufficient against phantoms in Berkeley DB (Section 3.5).
+At PAGE granularity, point locks name B+-tree leaf pages: unrelated
+rows that share a page conflict, which is the source of the
+false-positive unsafe aborts the paper measures in Figure 6.4.  Scans
+protect their predicate with the same one key range as at RECORD
+granularity.
 """
 
 import pytest
@@ -11,9 +12,12 @@ import pytest
 from repro import Database, EngineConfig
 from repro.engine.config import LockGranularity
 from repro.errors import LockWaitRequired, TransactionAbortedError
+from repro.locking.manager import range_resource
+from repro.locking.modes import LockMode
 from repro.sgt.checker import check_serializable
 
 from tests.conftest import commit_outcomes, fill
+from tests.engine.test_scan_ranges import edge_recorded
 
 
 @pytest.fixture
@@ -147,4 +151,120 @@ def test_serializable_under_page_granularity_randomized(pdb):
     workload = make_smallbank(customers=30)
     workload.setup(pdb)
     Simulator(pdb, workload, "ssi", 6, SimConfig(duration=0.1, warmup=0.0)).run()
+    assert check_serializable(pdb.history).serializable
+
+
+# ------------------------------------------------------------------ scans
+#
+# A scan places the same one key range at PAGE granularity as at RECORD;
+# a writer's record lock, taken after its page lock, is what meets it.
+
+SCAN_LEVELS = ("ssi", "sgt", "s2pl")
+#: sequential loads leave leaves half full: pages [0, 2], [4, 6], ...
+EVEN_ROWS = {key: key for key in range(0, 32, 2)}
+
+
+@pytest.mark.parametrize("level", SCAN_LEVELS)
+def test_scan_holds_one_range_and_no_page_lock(pdb, level):
+    fill(pdb, "t", EVEN_ROWS)
+    reader = pdb.begin(level)
+    assert len(reader.scan("t", 4, 26)) == 12
+    held = [lock.resource for lock in pdb.locks.locks_held_by(reader)]
+    assert held == [range_resource("t", 4, 26)]
+    reader.commit()
+
+
+@pytest.mark.parametrize("level", SCAN_LEVELS)
+def test_scan_prefix_narrows_to_its_cut(pdb, level):
+    fill(pdb, "t", EVEN_ROWS)
+    reader = pdb.begin(level)
+    rows = reader.scan_prefix("t", None, None, limit=3)
+    assert [key for key, _ in rows] == [0, 2, 4]
+    held = [lock.resource for lock in pdb.locks.locks_held_by(reader)]
+    assert held == [range_resource("t", None, 4)]
+
+    # An insert past the cut, on a page the prefix visited no row of,
+    # meets nothing; one at or below the cut meets the range.
+    past = pdb.begin(level)
+    past.read("t", 30)
+    pdb.insert(past, "t", 9, "past")
+    below = pdb.begin(level)
+    below.read("t", 30)
+    if level == "s2pl":
+        with pytest.raises(LockWaitRequired):
+            pdb.insert(below, "t", 3, "below")
+        return
+    assert not edge_recorded(pdb, level, reader, past)
+    pdb.insert(below, "t", 3, "below")
+    assert edge_recorded(pdb, level, reader, below)
+
+
+@pytest.mark.parametrize("level", ("ssi", "sgt"))
+def test_read_covered_by_own_range_leaves_its_page_unlocked(pdb, level):
+    """A point read inside the reader's own range takes no page SIREAD,
+    so a later read of a page neighbour outside the range must still
+    lock the page."""
+    fill(pdb, "t", EVEN_ROWS)
+    table = pdb.table("t")
+    assert table.leaf_page_of(0) == table.leaf_page_of(2)
+    reader = pdb.begin(level)
+    writer = pdb.begin(level)
+    writer.read("t", 30)
+    reader.scan("t", 0, 0)
+    reader.read("t", 0)
+    reader.read("t", 2)
+    pdb.write(writer, "t", 2, "x")
+    assert edge_recorded(pdb, level, reader, writer)
+
+
+@pytest.mark.parametrize("level", ("ssi", "sgt"))
+def test_cross_page_phantom_write_skew_aborts_one(pdb, level):
+    """Each transaction counts the rows of one page's key range and
+    inserts into the other's, on a page it never read: a write skew that
+    only the key ranges can see."""
+    fill(pdb, "t", EVEN_ROWS)
+    table = pdb.table("t")
+    assert table.leaf_page_of(1) != table.leaf_page_of(21)
+    t1 = pdb.begin(level)
+    t2 = pdb.begin(level)
+    outcomes = []
+    try:
+        count1 = len(t1.scan("t", 0, 2))
+        count2 = len(t2.scan("t", 20, 22))
+        t1.insert("t", 21, count1)
+        t2.insert("t", 1, count2)
+    except TransactionAbortedError as error:
+        outcomes.append(error.reason)
+    outcomes.extend(commit_outcomes(t1, t2))
+    assert outcomes.count("commit") == 1
+    assert "unsafe" in outcomes
+    assert check_serializable(pdb.history).serializable
+
+
+def test_cross_page_phantom_insert_waits_on_s2pl_range(pdb):
+    fill(pdb, "t", EVEN_ROWS)
+    t1 = pdb.begin("s2pl")
+    t2 = pdb.begin("s2pl")
+    t1.scan("t", 0, 2)
+    t2.scan("t", 20, 22)
+    with pytest.raises(LockWaitRequired) as waited:
+        pdb.insert(t1, "t", 21, "x")
+    request = waited.value.request
+    assert request.resource == range_resource("t", 20, 22)
+    assert request.mode is LockMode.INSERT_INTENTION
+    t2.commit()
+    pdb.insert(t1, "t", 21, "x")  # the range left with its holder
+    t1.commit()
+    assert check_serializable(pdb.history).serializable
+
+
+@pytest.mark.parametrize("level", SCAN_LEVELS)
+def test_scan_workload_serializable_under_page_granularity(pdb, level):
+    from repro.sim.scheduler import SimConfig, Simulator
+    from repro.workloads.sibench import make_sibench
+
+    workload = make_sibench(items=30)
+    workload.setup(pdb)
+    Simulator(pdb, workload, level, 6, SimConfig(duration=0.1, warmup=0.0)).run()
+    assert pdb.stats["scans"] > 0
     assert check_serializable(pdb.history).serializable

@@ -35,15 +35,17 @@ def test_matches_reference_dict(ops, order):
 
 @given(data=st.lists(keys, unique=True, min_size=1, max_size=120))
 @settings(max_examples=150, deadline=None)
-def test_successor_matches_sorted_order(data):
+def test_first_key_matches_sorted_order(data):
     tree = BPlusTree(order=5)
     for key in data:
         tree.insert(key, None)
     ordered = sorted(data)
-    for probe in range(-1001, 1002, 13):
-        expected = next((k for k in ordered if k > probe), SUPREMUM)
-        assert tree.successor(probe) == expected
     assert tree.first_key() == ordered[0]
+    for key in ordered[:-1]:
+        tree.delete(key)
+    assert tree.first_key() == ordered[-1]
+    tree.delete(ordered[-1])
+    assert tree.first_key() is SUPREMUM
 
 
 @given(

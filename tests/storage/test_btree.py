@@ -10,7 +10,6 @@ def test_empty_tree():
     assert len(tree) == 0
     assert tree.get(1) is None
     assert 1 not in tree
-    assert tree.successor(0) is SUPREMUM
     assert tree.first_key() is SUPREMUM
     assert list(tree.items()) == []
 
@@ -42,26 +41,6 @@ def test_sorted_iteration_after_random_inserts():
     tree.check_invariants()
 
 
-def test_successor():
-    tree = BPlusTree(order=4)
-    for key in (10, 20, 30, 40, 50):
-        tree.insert(key, None)
-    assert tree.successor(5) == 10
-    assert tree.successor(10) == 20
-    assert tree.successor(25) == 30
-    assert tree.successor(50) is SUPREMUM
-    assert tree.successor(49) == 50
-
-
-def test_successor_crosses_leaf_boundaries():
-    tree = BPlusTree(order=4)
-    for key in range(100):
-        tree.insert(key, key)
-    for key in range(99):
-        assert tree.successor(key) == key + 1
-    assert tree.successor(99) is SUPREMUM
-
-
 def test_range_scan_bounds():
     tree = BPlusTree(order=4)
     for key in range(0, 100, 10):
@@ -83,7 +62,6 @@ def test_delete_lazy():
     assert tree.get(7) is None
     assert len(tree) == 19
     assert tree.delete(7) == []  # already gone
-    assert tree.successor(6) == 8
     tree.check_invariants()
 
 
@@ -133,7 +111,6 @@ def test_tuple_keys():
             tree.insert((w, d), w * 10 + d)
     assert tree.get((1, 2)) == 12
     assert [k for k, _ in tree.range((1, 0), (1, 99))] == [(1, d) for d in range(4)]
-    assert tree.successor((2, 3)) is SUPREMUM
     tree.check_invariants()
 
 
@@ -143,4 +120,3 @@ def test_string_keys():
     for word in words:
         tree.insert(word, len(word))
     assert [k for k, _ in tree.items()] == sorted(words)
-    assert tree.successor("fig") == "kiwi"

@@ -123,12 +123,3 @@ class TestIncrementalVacuum:
         )
         # 20 chains / 6 per hold = 4 holds, pauses strictly between them.
         assert len(pauses) == 3
-
-    def test_keyset_version_bumped_only_when_keys_die(self):
-        table = self.fill_prunable(8)
-        before = table.keyset_version
-        table.vacuum(horizon_ts=10, chunk_size=3)
-        assert table.keyset_version > before
-        stable = table.keyset_version
-        table.vacuum(horizon_ts=10, chunk_size=3)  # nothing left to prune
-        assert table.keyset_version == stable

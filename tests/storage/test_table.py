@@ -20,13 +20,12 @@ def test_ensure_chain_reports_new_pages_once():
     assert touched2 == []
 
 
-def test_successor_and_first_key():
+def test_first_key():
     table = Table("t")
+    assert table.first_key() is SUPREMUM
     for key in (5, 1, 9):
         table.load(key, key)
     assert table.first_key() == 1
-    assert table.successor(1) == 5
-    assert table.successor(9) is SUPREMUM
 
 
 def test_scan_chains_materialised():
