@@ -23,12 +23,10 @@ next to ruff/mypy:
 
 2. **No suspension under latch (PR 7).**  A function must not ``await``
    or enter a session/thread suspension point (``block_on``,
-   ``block_until``, ``Session._suspend*``, a blocking ``Completion.wait``) while a
-   recognised latch is lexically held: the waker may need that latch to
-   resolve the wait, so suspension under latch is a deadlock by
-   construction.  A ``threading.Condition`` ``wait`` is exempt — it
-   releases its own lock — but engine latches are plain mutexes and are
-   not.
+   ``block_until``, ``Session._suspend``, a blocking ``Completion.wait``)
+   while a recognised latch is lexically held: the waker may need that
+   latch to resolve the wait, so suspension under latch is a deadlock by
+   construction.
 
 3. **No blocking RPC under latch (PR 8).**  In the sharding layer
    (``repro.shard``), a call on a shard backend or wire link
@@ -117,6 +115,8 @@ LATCH_NAMES = {"OBS_LATCH": "obs"}
 OWN_LATCH = {
     "src/repro/locking/manager.py": "lock",
     "src/repro/wal/log.py": "wal",
+    # the engine spells only its lock manager's (``self.locks._latch``)
+    "src/repro/engine/database.py": "lock",
 }
 
 #: method calls that mutate their receiver
@@ -126,16 +126,11 @@ MUTATORS = {
 }
 
 #: calls that suspend the current execution (thread-park or session
-#: suspension) — never legal while a latch is held.  ``wait`` is listed
-#: because engine code only calls it on Event/Completion objects;
-#: Condition.wait (which releases its own lock) lives behind
-#: ``_condition`` receivers and is exempted in the checker.
-SUSPEND_CALLS = {
-    "block_on", "block_until", "_suspend", "_suspend_on_request", "wait",
-}
-
-#: receiver attribute names whose ``wait`` releases its own lock
-CONDITION_RECEIVERS = {"_condition"}
+#: suspension) — never legal while a latch is held: the thread waits in
+#: ``block_on``/``block_until`` or on a ``Completion``/``Event`` via
+#: ``wait`` (engine code calls ``wait`` on nothing else), a session in
+#: ``Session._suspend``.
+SUSPEND_CALLS = {"block_on", "block_until", "_suspend", "wait"}
 
 #: WAL methods that perform log I/O: never legal under an engine latch
 #: (rule 4) — flush-before-release is sequenced by the commit pipeline,
@@ -404,19 +399,11 @@ class FunctionChecker(ast.NodeVisitor):
                 self.require_latch(node, attr)
         if self.held:
             name = None
-            receiver = None
             if isinstance(func, ast.Attribute):
                 name = func.attr
-                if isinstance(func.value, ast.Attribute):
-                    receiver = func.value.attr
-                elif isinstance(func.value, ast.Name):
-                    receiver = func.value.id
             elif isinstance(func, ast.Name):
                 name = func.id
-            if (
-                name in SUSPEND_CALLS
-                and receiver not in CONDITION_RECEIVERS
-            ):
+            if name in SUSPEND_CALLS:
                 self.report(
                     node,
                     f"calls suspension point {name}() while holding the "

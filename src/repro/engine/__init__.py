@@ -12,7 +12,7 @@ Public entry point::
 
 Transactions expose blocking operations (lock waits park the calling
 thread); the discrete-event simulator uses the same engine through its
-non-blocking primitives (:class:`~repro.errors.LockWaitRequired`).
+non-blocking primitives (:class:`~repro.errors.CompletionWaitRequired`).
 """
 
 from repro.engine.config import EngineConfig, LockGranularity, DeadlockMode

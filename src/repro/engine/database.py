@@ -30,9 +30,9 @@ latch hierarchy of :mod:`repro.engine.latches` —
 
 Lock *waits* never happen while holding any latch: an operation that must
 wait raises :class:`~repro.errors.LockWaitRequired` after fully unwinding
-and is re-invoked after the grant; lock acquisition is idempotent, and
-operations perform no side effects before their lock acquisitions, so
-re-invocation is safe.  WAL appends/flushes and trace/history reporting
+and is re-invoked once the request resolves; lock acquisition is
+idempotent, and operations perform no side effects before their lock
+acquisitions, so re-invocation is safe.  WAL appends/flushes and trace/history reporting
 run outside every engine latch.
 """
 
@@ -70,7 +70,6 @@ from repro.locking.manager import (
     AcquireStatus,
     LockManager,
     LockRequest,
-    RequestState,
     Resource,
     page_resource,
     range_resource,
@@ -430,7 +429,7 @@ class Database:
         complete) or a :class:`Completion` the safe-snapshot monitor will
         fire with its verdict — safe, or unsafe (permanent for this
         snapshot, so the next attempt needs a fresh one)."""
-        completion = Completion()
+        completion = Completion(txn, self.locks)
         txn._safe_event = completion
         self._assign_snapshot(txn)
         if txn.snapshot_safe:
@@ -448,7 +447,9 @@ class Database:
         """Drive a non-blocking deferrable begin after its completion
         fired.  A safe verdict finishes the begin; an unsafe verdict is
         permanent for that snapshot, so a fresh one is taken — possibly
-        raising :class:`CompletionWaitRequired` again."""
+        raising :class:`CompletionWaitRequired` again.  A doom (which
+        fires the completion) aborts the begin instead."""
+        self._check_op(txn)
         if txn.snapshot_safe:
             txn._safe_event = None
             return txn
@@ -469,11 +470,9 @@ class Database:
             completion.wait()
             try:
                 self.resume_deferrable(txn)
+                return
             except CompletionWaitRequired as retry:
                 completion = retry.completion
-            else:
-                completion = None
-        txn._safe_event = None
 
     def commit(self, txn: Transaction, *, wait: bool = True) -> None:
         """Commit: unsafe check, version install, lock release, suspension
@@ -1339,13 +1338,17 @@ class Database:
 
     def cancel_lock_request(self, request: LockRequest) -> bool:
         """Time out one waiting lock request (Section 4.4's InnoDB-style
-        lock wait timeout).  The waiting transaction is doomed and will
-        abort when its executor observes the denial."""
-        error = LockTimeoutError("lock wait timeout", txn_id=request.owner.id)
-        cancelled = self.locks.cancel_request(request, error)
-        if cancelled and request.owner.is_active:
-            request.owner.doom_error = request.owner.doom_error or error
-        return cancelled
+        lock wait timeout): doom its owner, whose doom denies the request
+        — so the doom is in place before the denial wakes the executor,
+        whose retry aborts with it.  Returns False, dooming nobody, when
+        a grant won the race (checked under the manager latch, which
+        every grant holds)."""
+        owner = request.owner
+        with self.locks._latch:
+            if request.resolved:
+                return False
+            self.doom(owner, LockTimeoutError("lock wait timeout", txn_id=owner.id))
+            return request.resolved
 
     def sweep_deadlocks(self) -> list[Transaction]:
         """One periodic deadlock-detection pass; aborts one victim per
@@ -1553,21 +1556,18 @@ class Database:
         return record_resource(table_name, key)
 
     def _acquire(self, txn: Transaction, resource: Resource, mode: LockMode) -> AcquireResult:
-        """Acquire or raise LockWaitRequired; resolves denied requests.
-        A request granted during immediate deadlock resolution of someone
-        else is acquired again: an EXCLUSIVE record may have waited on a
-        key range and still owe the record itself."""
+        """Acquire or raise LockWaitRequired.  A request resolved during
+        its own enqueue's immediate deadlock resolution is acquired again
+        once :meth:`_check_op` passes: denied means its owner was doomed
+        (the check aborts and raises), granted means an EXCLUSIVE record
+        may have waited on a key range and still owe the record itself."""
         while True:
             result = self.locks.acquire(txn, resource, mode)
             if result.status is AcquireStatus.GRANTED:
                 return result
-            request = result.request
-            if request.state is RequestState.DENIED:
-                error = request.error or txn.doom_error or DeadlockError(txn_id=txn.id)
-                self._abort_internal(txn, getattr(error, "reason", "aborted"))
-                raise error
-            if request.state is not RequestState.GRANTED:
-                raise LockWaitRequired(request)
+            if not result.request.resolved:
+                raise LockWaitRequired(result.request)
+            self._check_op(txn)
 
     def _acquire_read_locks(
         self, txn: Transaction, table_name: str, key: Hashable
@@ -1717,22 +1717,30 @@ class Database:
             policy.on_transaction_retired(txn)
 
     def doom(self, victim: Transaction, error: TransactionAbortedError) -> None:
-        """Mark a transaction for abort and wake it if it is blocked.
+        """Mark a transaction for abort, then cancel its waits: deny its
+        lock requests and fire a deferrable begin's verdict (a commit
+        ticket is left to its batch leader, which observes the doom).
+        The woken executor retries into :meth:`_check_op`, the one place
+        a cancelled wait becomes an abort.  A repeated doom keeps the
+        first error but still cancels waits enqueued since, or a cycle
+        through one of them could never be broken.
 
         Takes no engine latch: it is called from the immediate deadlock
         handler while the lock-manager latch is held, and ``doom_error``
         is a single reference store the victim's own thread observes at
         its next operation."""
-        if not victim.is_active or victim.doom_error is not None:
-            return
-        if victim.prepared:
+        if not victim.is_active or victim.prepared:
             # Prepared-transaction-wins: a two-phase-commit participant
             # that voted yes cannot be unilaterally aborted — only its
             # coordinator decides.  (It also holds no waits to cancel:
             # prepared transactions run no further operations.)
             return
-        victim.doom_error = error
-        self.locks.cancel_waits(victim, error)
+        if victim.doom_error is None:
+            victim.doom_error = error
+        self.locks.cancel_waits(victim, victim.doom_error)
+        verdict = victim._safe_event
+        if verdict is not None:
+            verdict.set()
 
     def _on_deadlock(self, cycle: list[Transaction], request: LockRequest):
         """Immediate deadlock handler (InnoDB style)."""

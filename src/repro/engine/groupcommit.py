@@ -72,9 +72,9 @@ class _Ticket:
 
     __slots__ = ("txn", "done", "error", "abort_bucket")
 
-    def __init__(self, txn) -> None:
+    def __init__(self, txn, locks) -> None:
         self.txn = txn
-        self.done = Completion()
+        self.done = Completion(txn, locks)
         self.error: BaseException | None = None
         self.abort_bucket: str | None = None
 
@@ -112,7 +112,7 @@ class CommitBatcher:
             if not self._leader_active:
                 self._leader_active = True
                 return None
-            ticket = _Ticket(txn)
+            ticket = _Ticket(txn, self.db.locks)
             self._queue.append(ticket)
             return ticket
 

@@ -14,7 +14,6 @@ its SIREAD locks) alive until no concurrent transaction remains.
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from typing import Any, Hashable, Optional
 
@@ -22,11 +21,11 @@ from repro.engine.isolation import IsolationLevel
 from repro.engine.latches import assert_no_latches_held
 from repro.engine.waits import Completion
 from repro.errors import (
-    LockWaitRequired,
+    CompletionWaitRequired,
     TransactionAbortedError,
     TransactionStateError,
 )
-from repro.locking.manager import LockRequest, RequestState
+from repro.locking.manager import LockRequest
 from repro.mvcc.snapshot import Snapshot
 
 
@@ -254,7 +253,7 @@ class Transaction:
     # ----------------------------------------------------------- helpers
 
     def _run(self, op):
-        """Run an engine op, blocking through lock waits."""
+        """Run an engine op, blocking through its waits."""
         if not self.is_active:
             if self.doom_error is not None:
                 raise type(self.doom_error)(str(self.doom_error), txn_id=self.id)
@@ -262,12 +261,8 @@ class Transaction:
         while True:
             try:
                 return op()
-            except LockWaitRequired as wait:
-                block_on(wait.request)
-                if wait.request.state is RequestState.DENIED:
-                    error = wait.request.error or TransactionAbortedError(txn_id=self.id)
-                    self._db.abort(self)
-                    raise error
+            except CompletionWaitRequired as wait:
+                block_on(wait)
 
     def __repr__(self) -> str:
         return (
@@ -276,35 +271,33 @@ class Transaction:
         )
 
 
-def block_on(request: LockRequest) -> None:
-    """Park the calling thread until ``request`` resolves, granted or
-    denied — the blocking lock wait; what a denial means is the caller's
-    to decide.
+def block_on(wait: CompletionWaitRequired) -> None:
+    """Park the calling thread until ``wait.completion`` fires — the
+    blocking executors' one wait (:meth:`Transaction._run`,
+    :func:`repro.sim.direct.run_program`); the caller then retries the
+    operation, which finds out how the wait ended.
 
-    A thin adapter over :meth:`LockRequest.on_resolve`: one
-    ``threading.Event`` registered as the resolve callback, waited out by
-    :func:`block_until`.  ``LockRequest._resolve`` publishes the final
-    state before firing callbacks, so the wait is race-free.
+    Their engine calls block inside ``begin`` and ``commit`` themselves,
+    so every wait that reaches here is a lock wait: its wall-clock time
+    feeds ``lock_wait_time`` (the simulator feeds the same histogram in
+    simulated seconds).
     """
-    db = request.owner._db
+    db = wait.txn._db
     wait_started = time.monotonic()
-    event = threading.Event()
-    request.on_resolve(lambda _req: event.set())
-    block_until(db, event, request)
-    # Threaded clients measure wall-clock lock waits; the simulator
-    # feeds the same histogram in simulated seconds instead.
+    block_until(db, wait.completion, wait.request)
     db.metrics.histogram("lock_wait_time").observe(
         time.monotonic() - wait_started
     )
 
 
-def block_until(db, woken: threading.Event, request: LockRequest | None) -> None:
-    """Park the calling thread until ``woken`` is set — the one blocking
-    wait, shared by :func:`block_on` and thread-driven sessions.
+def block_until(db, woken, request: LockRequest | None) -> None:
+    """Park the calling thread until ``woken`` (a :class:`Completion` or
+    a :class:`threading.Event`) is set — the one blocking wait, shared
+    by :func:`block_on` and thread-driven sessions.
 
     Untimed unless one of two duties of ``db`` applies: a configured
-    ``lock_timeout`` cancels ``request`` (a lock wait; None for a
-    completion wait, which has no deadline) once it is due, and PERIODIC
+    ``lock_timeout`` cancels ``request`` (a lock wait; None for every
+    other wait, which has no deadline) once it is due, and PERIODIC
     deadlock detection must keep sweeping even when every client thread
     is blocked (Berkeley DB db_perf style) — the sole consumer of
     ``wait_poll_interval`` on a thread.  The cancel resolves the request,
@@ -323,8 +316,8 @@ def block_until(db, woken: threading.Event, request: LockRequest | None) -> None
             db.poll_waiters()
     elif timeout is not None:
         if not woken.wait(timeout=timeout):
-            # Either the cancel wins (resolving DENIED) or a racing
-            # grant already did — both set woken promptly.
+            # Either the cancel wins (its doom denies the request) or a
+            # racing grant already resolved it — both set woken promptly.
             db.cancel_lock_request(request)
             woken.wait()
     else:

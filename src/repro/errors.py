@@ -11,6 +11,10 @@ All abort-causing errors derive from :class:`TransactionAbortedError` so a
 retry loop can catch one class; each carries ``reason`` — the machine
 readable abort classification used by the benchmark harness when grouping
 errors into the paper's "conflict" / "unsafe" / "deadlock" bars.
+
+One internal signal never reaches user code: :class:`CompletionWaitRequired`
+(with its lock-wait subclass :class:`LockWaitRequired`), the engine's one
+wait, which executors catch, wait out and answer with a retry.
 """
 
 from __future__ import annotations
@@ -104,46 +108,47 @@ class TableError(ReproError):
     """Unknown table, duplicate table creation, or similar schema errors."""
 
 
-class LockWaitRequired(ReproError):
-    """Internal control-flow signal: a lock request was enqueued.
-
-    Engine operations raise this when they cannot proceed until a lock is
-    granted.  Executors (the threaded wrapper or the discrete-event
-    simulator) catch it, wait until ``request`` is granted, and re-invoke
-    the operation; lock acquisition is idempotent so the retry is safe.
-    This never escapes to user code.
-    """
-
-    def __init__(self, request):
-        super().__init__(f"waiting for {request!r}")
-        self.request = request
-
-
 class CompletionWaitRequired(ReproError):
-    """Internal control-flow signal: the operation must wait for
-    ``completion`` to fire, then be re-invoked.  Two raisers:
+    """Internal control-flow signal, the engine's one wait: the operation
+    must wait for ``completion`` (a :class:`~repro.engine.waits.Completion`)
+    to fire, then be re-invoked.  Every executor catches it, waits its own
+    way and retries; it never escapes to user code.  The retry finds out
+    how the wait ended — and a wait cancelled by a doom of ``txn``
+    (deadlock victim, lock-wait timeout, interrupted session) aborts it
+    with the doom's error in the engine, never in the executor.
 
-    * ``Database.begin(deferrable=True, wait=False)`` (and
-      ``Database.resume_deferrable``) when the candidate snapshot is not
-      yet known to be safe.  ``txn`` already exists (registered,
-      snapshot assigned and watched by the ``SafeSnapshotMonitor``);
-      ``completion`` fires on the verdict.  A safe verdict completes the
-      re-driven begin; an unsafe one (permanent for that snapshot) makes
-      ``resume_deferrable`` retake a snapshot and possibly raise again.
-    * ``Database.commit(txn, wait=False)`` when the commit queued behind
-      an active batch leader.  ``completion`` is the ticket's, fired by
-      the leader alone once it has certified (or aborted) the whole
-      group, flushed the WAL and finalized the member; the re-invoked
-      commit consumes the resolved ticket — raising the member's abort
-      error if group certification chose it as a victim.
-
-    Never escapes to user code.
+    Raised for a lock request that must queue (:class:`LockWaitRequired`,
+    whose ``request`` arms a ``lock_timeout`` deadline), a deferrable
+    begin whose snapshot is not yet known to be safe
+    (``Database.begin(deferrable=True, wait=False)``,
+    ``Database.resume_deferrable``: ``txn`` exists and the completion
+    fires on the verdict), and a commit queued behind an active batch
+    leader (``Database.commit(txn, wait=False)``: the ticket's
+    completion, fired once the leader has certified, flushed and
+    finalized or aborted the member).
     """
+
+    #: the lock request of a lock wait (:class:`LockWaitRequired`)
+    request = None
 
     def __init__(self, txn, completion):
         super().__init__(f"txn {txn.id} is waiting for a completion")
         self.txn = txn
         self.completion = completion
+
+
+class LockWaitRequired(CompletionWaitRequired):
+    """A lock request was enqueued: ``request`` is the
+    :class:`~repro.locking.manager.LockRequest` — the completion to wait
+    for — and its owner the waiting transaction."""
+
+    def __init__(self, request):
+        ReproError.__init__(self, f"waiting for {request!r}")
+        self.request = self.completion = request
+
+    @property
+    def txn(self):
+        return self.request.owner
 
 
 #: Every abort classification that the metrics pipeline understands.

@@ -30,11 +30,6 @@ class WaitsForGraph:
     def clear_edges_from(self, waiter: Hashable) -> None:
         self._edges.pop(waiter, None)
 
-    def remove_node(self, node: Hashable) -> None:
-        self._edges.pop(node, None)
-        for targets in self._edges.values():
-            targets.discard(node)
-
     def edges_from(self, waiter: Hashable) -> set[Hashable]:
         return set(self._edges.get(waiter, ()))
 

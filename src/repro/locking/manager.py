@@ -56,13 +56,13 @@ Performance structure:
 from __future__ import annotations
 
 import enum
-import threading
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.engine.latches import make_latch
+from repro.engine.waits import Completion
 from repro.locking.deadlock import WaitsForGraph
 from repro.locking.modes import LockMode
 from repro.obs.registry import CounterGroup
@@ -143,79 +143,39 @@ class RequestState(enum.Enum):
     DENIED = "denied"
 
 
-@dataclass(eq=False, slots=True)
-class LockRequest:
-    """A pending (or resolved) lock request — the engine's lock-wait
-    *completion object*.
+class LockRequest(Completion):
+    """A pending (or resolved) lock request: the :class:`Completion` a
+    lock wait waits for.
 
-    Executors subscribe to resolution via :meth:`on_resolve`; each
-    callback fires exactly once, with the request already in its final
-    state.  :meth:`_resolve` is the **only** resolution mechanism and is
-    race-free under the per-request lock: the first terminal transition
-    wins, any concurrent or later attempt (a grant racing a timeout
-    cancel) is a no-op, so a request has exactly one terminal state and
-    its callbacks run exactly once.
+    :meth:`_resolve` is its :meth:`~Completion.set`: the first terminal
+    transition wins and records GRANTED or DENIED (with the denial's
+    error) in the same critical section that fires the subscribers, so a
+    request has exactly one terminal state, published before any
+    subscriber runs; a concurrent or later attempt (a grant racing a
+    timeout cancel) is a no-op.
     """
 
-    owner: Any
-    resource: Resource
-    mode: LockMode
-    state: RequestState = RequestState.WAITING
-    error: Exception | None = None
-    _callbacks: list[Callable[["LockRequest"], None]] = field(default_factory=list)
-    # Serialises subscription against resolution: the subscriber is a
-    # client thread holding no manager latch while _resolve runs under
-    # it, so an unguarded check-then-append could land a callback on
-    # the already-swapped list and the waiter would never wake.
-    _resolve_latch: threading.Lock = field(default_factory=threading.Lock)
-    #: back-reference for surfacing swallowed callback errors (set by
-    #: _enqueue_wait; None for hand-built requests in unit tests)
-    _manager: Any = None
+    __slots__ = ("resource", "mode", "state", "error")
+
+    def __init__(self, owner: Any, resource: Resource, mode: LockMode,
+                 manager: Any = None) -> None:
+        super().__init__(owner, manager)
+        self.resource = resource
+        self.mode = mode
+        self.state = RequestState.WAITING
+        self.error: Exception | None = None
 
     @property
     def resolved(self) -> bool:
         return self.state is not RequestState.WAITING
 
-    def on_resolve(self, callback: Callable[["LockRequest"], None]) -> None:
-        with self._resolve_latch:
-            if self.state is RequestState.WAITING:
-                self._callbacks.append(callback)
-                return
-        self._run_callback(callback)
+    def _settle(self, state: RequestState, error: Exception | None = None) -> None:
+        self.state = state
+        self.error = error
 
     def _resolve(self, state: RequestState, error: Exception | None = None) -> bool:
-        """First terminal transition wins; returns whether this call won.
-
-        A losing call (the request already GRANTED or DENIED by a racing
-        resolver) must not touch state, error, or callbacks — waiters
-        woken by the winner may already be acting on the final state.
-        """
-        with self._resolve_latch:
-            if self.state is not RequestState.WAITING:
-                return False
-            self.state = state
-            self.error = error
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self._run_callback(callback)
-        return True
-
-    def _run_callback(self, callback: Callable[["LockRequest"], None]) -> None:
-        """Fire one subscriber with the request in its final state.
-
-        A raising callback must not skip the remaining subscribers or
-        leave the request half-resolved (state is already final before
-        any callback runs), so the error is contained here and surfaced
-        through the manager's ``lock_callback_errors`` counter and a
-        trace event instead of unwinding the resolver — which may be a
-        *different* transaction's commit path deep under the manager latch.
-        """
-        try:
-            callback(self)
-        except Exception as error:  # noqa: BLE001 - deliberate containment
-            manager = self._manager
-            if manager is not None:
-                manager._note_callback_error(self, error)
+        """First terminal transition wins; returns whether this call won."""
+        return self.set(state, error)
 
     def __repr__(self) -> str:
         return (
@@ -370,7 +330,7 @@ class LockManager:
     dict/int probes, each documented where it happens with the reason a
     stale answer is safe.
 
-    Resolve callbacks and the deadlock handler run *under* the latch on
+    Request callbacks and the deadlock handler run *under* the latch on
     the resolving thread; they may re-enter the manager (the latch is
     re-entrant) and may take higher-ranked latches only.
 
@@ -432,29 +392,14 @@ class LockManager:
 
     # ------------------------------------------------------------------ API
 
-    def _note_callback_error(self, request: "LockRequest", error: Exception) -> None:
-        """Account for an exception a resolve callback swallowed.
-
-        Runs on the resolving thread, possibly under the manager latch;
-        the obs latch (rank 80) nests legally above it."""
-        self.stats.inc("lock_callback_errors")
-        if self.trace is not None:
-            self.trace.emit(
-                EventType.CALLBACK_ERROR, request.owner.id,
-                resource=repr(request.resource), mode=request.mode.value,
-                state=request.state.value, error=type(error).__name__,
-                message=str(error),
-            )
-
     def acquire(self, owner: Any, resource: Resource, mode: LockMode) -> AcquireResult:
         """Request ``mode`` on ``resource`` for ``owner``.
 
         Never blocks the calling thread.  Returns GRANTED (possibly with
-        detection conflicts) or WAIT carrying the enqueued, subscribable
-        :class:`LockRequest`: the caller registers interest with
-        ``result.request.on_resolve`` (a thread parks an event on it, a
-        session schedules its own resumption, an asyncio bridge settles a
-        future) and retries the operation after the grant.  Raises
+        detection conflicts) or WAIT carrying the enqueued
+        :class:`LockRequest`, a :class:`Completion` the caller waits for
+        (a thread parks on it, a session or the simulator subscribes its
+        resumption) before it retries the operation.  Raises
         nothing: deadlock resolution happens through the injected handler
         which may doom a transaction via its own side effects.
         :meth:`acquire_nowait` is the same call under its
@@ -798,7 +743,7 @@ class LockManager:
         Upgrades queue at the front (standard treatment) so an upgrader
         is not starved behind later plain requests."""
         owner_id = owner.id
-        request = LockRequest(owner=owner, resource=resource, mode=mode, _manager=self)
+        request = LockRequest(owner, resource, mode, self)
         if head.queue is None:
             head.queue = deque()
         if held is not None:
@@ -1139,8 +1084,9 @@ class LockManager:
     def cancel_waits(self, owner: Any, error: Exception | None = None) -> None:
         """Remove any waiting requests of ``owner`` (abort/doom path).
 
-        A non-None ``error`` is delivered to waiters so a blocked executor
-        learns the transaction died.  O(requests owned) via the per-owner
+        Each is DENIED with ``error`` (a doom's error, recorded on the
+        request for inspection; the executor learns of the doom when it
+        retries the operation).  O(requests owned) via the per-owner
         waiting index — this runs on *every* commit and abort, so it must
         not walk the table.
         """
@@ -1164,7 +1110,10 @@ class LockManager:
                 for resource, head in touched.items():
                     self._refresh_wait_edges(head)
                     self._promote(resource)
-            self.waits_for.remove_node(owner.id)
+            # Outgoing edges only: a doomed owner still holds its locks
+            # until it aborts, so the edges of those waiting on it are
+            # real and a cycle through them must stay detectable.
+            self.waits_for.clear_edges_from(owner.id)
 
     # --------------------------------------------------------------- queries
 

@@ -2,11 +2,14 @@
 
 The blocking client API (:class:`repro.engine.transaction.Transaction`)
 parks one thread per in-flight transaction.  A :class:`Session` instead
-*suspends* whenever the engine reports a pending wait — a lock request
-(:class:`~repro.errors.LockWaitRequired`), or a deferrable safe-snapshot
-wait or a commit ticket queued behind a batch leader
-(:class:`~repro.errors.CompletionWaitRequired`) — by subscribing its own
-resumption to the wait's completion object.  The asyncio wire server
+*suspends* whenever the engine reports a wait
+(:class:`~repro.errors.CompletionWaitRequired`: a lock request, a
+deferrable safe-snapshot verdict or a commit ticket queued behind a
+batch leader) by subscribing its own resumption to the wait's
+completion, and retries the invocation once it fires — however the wait
+ended: a wait cancelled by a doom (deadlock victim, lock-wait timeout,
+:meth:`Session.interrupt`) makes the retry abort with the doom's error
+in the engine.  The asyncio wire server
 (:mod:`repro.server`) keeps one session per TCP connection on its event
 loop: 1024 connections cost 1024 sessions, not 1024 threads.  A
 :class:`SessionScheduler` opens sessions and keeps their books; it runs
@@ -17,8 +20,9 @@ Execution model
 Every public session method submits an *invocation* (an engine thunk
 plus an ``on_done(result, error)`` callback).  A session runs its
 invocations in FIFO order; engine thunks are idempotent-on-retry exactly
-as in the blocking path, so a thunk interrupted by ``LockWaitRequired``
-is simply re-run after the grant.
+as in the blocking path, so a thunk interrupted by a wait is simply
+re-run once it fires.  Delivering an outcome forgets the session's
+transaction once it has finished.
 
 A session has exactly one *driver*, the only thread that runs its
 ``_step``: whoever submitted work to it while it was idle.  Work
@@ -64,12 +68,11 @@ from repro.engine.latches import assert_no_latches_held
 from repro.engine.transaction import block_until
 from repro.errors import (
     CompletionWaitRequired,
-    LockWaitRequired,
     ReproError,
     TransactionAbortedError,
     TransactionStateError,
 )
-from repro.locking.manager import LockRequest, RequestState
+from repro.locking.manager import LockRequest
 from repro.sim.ops import ProgramRun
 
 __all__ = ["Session", "SessionClosedError", "SessionScheduler"]
@@ -92,12 +95,12 @@ _BUSY = "busy"
 _SUSPENDED = "suspended"
 
 
-def _txn_op(name: str):
-    """The session method that runs ``Database.<name>(txn, *args)`` on
-    the session's open transaction."""
+def _txn_op(name: str, **options: Any):
+    """The session method that runs ``Database.<name>(txn, *args,
+    **options)`` on the session's open transaction."""
     def method(self, *args: Any, on_done: OnDone) -> None:
         self._submit(
-            lambda: getattr(self._db, name)(self._need_txn(), *args),
+            lambda: getattr(self._db, name)(self._need_txn(), *args, **options),
             on_done, name)
 
     method.__name__, method.__qualname__ = name, f"Session.{name}"
@@ -152,10 +155,9 @@ class Session:
         safe-snapshot monitor fires a safe verdict.  ``global_id`` tags
         the transaction with a coordinator-assigned id (sharding)."""
         txn = None
-        deferred = False
 
         def fn():
-            nonlocal txn, deferred
+            nonlocal txn
             if txn is None:
                 try:
                     txn = self._db.begin(
@@ -167,19 +169,9 @@ class Session:
                     # The transaction exists and is being watched; expose
                     # it immediately so interrupt()/close() can doom it.
                     txn = self.txn = wait.txn
-                    deferred = True
                     raise
-            elif deferred:
-                if not txn.is_active or txn.doom_error is not None:
-                    error = txn.doom_error or TransactionStateError(
-                        f"transaction {txn.id} is {txn.status.value}"
-                    )
-                    if txn.is_active:
-                        self._db.abort(txn)
-                    self.txn = None
-                    raise error
+            else:
                 self._db.resume_deferrable(txn)  # may raise again
-                deferred = False
             self.txn = txn
             return txn.id
 
@@ -197,27 +189,10 @@ class Session:
     index_scan = _txn_op("index_scan")
     index_lookup = _txn_op("index_lookup")
 
-    def commit(self, *, on_done: OnDone) -> None:
-        """Commit the open transaction.  A commit that queues behind
-        an active batch leader suspends on its ticket's completion
-        (:class:`~repro.errors.CompletionWaitRequired`) while it rides
-        the group; the retry consumes the resolved ticket.  ``self.txn``
-        is only cleared on a terminal outcome — the batch leader may
-        flip the transaction COMMITTED while this session is still
-        suspended, so the wait path must not conclude anything from the
-        status alone."""
-        def fn():
-            txn = self._need_txn()
-            try:
-                self._db.commit(txn, wait=False)
-            except (LockWaitRequired, CompletionWaitRequired):
-                raise  # suspend; the retry re-drives (or consumes) it
-            except BaseException:
-                if not txn.is_active:
-                    self.txn = None
-                raise
-            self.txn = None
-        self._submit(fn, on_done, "commit")
+    #: A commit that queues behind an active batch leader suspends on its
+    #: ticket's completion while it rides the group; the retry consumes
+    #: the resolved ticket.
+    commit = _txn_op("commit", wait=False)
 
     def abort(self, *, on_done: OnDone) -> None:
         self._submit(self._drop_txn, on_done, "abort")
@@ -225,16 +200,9 @@ class Session:
     def prepare(self, *, on_done: OnDone) -> None:
         """Two-phase commit phase one: certify locally, keep the
         transaction open and prepared, deliver the shard's conflict
-        summary.  A failed certification aborts and raises, so the
-        session forgets the transaction exactly as commit() would."""
-        def fn():
-            txn = self._need_txn()
-            try:
-                return self._db.prepare_for_commit(txn)
-            finally:
-                if not txn.is_active:
-                    self.txn = None
-        self._submit(fn, on_done, "prepare")
+        summary.  A failed certification aborts and raises."""
+        self._submit(lambda: self._db.prepare_for_commit(self._need_txn()),
+                     on_done, "prepare")
 
     def commit_prepared(
         self, import_in: bool = False, import_out: bool = False,
@@ -244,14 +212,10 @@ class Session:
         unconditionally, folding in the coordinator's merged flags."""
         def fn():
             txn = self._need_txn()
-            try:
-                self._db.commit_prepared(
-                    txn, import_in=import_in, import_out=import_out,
-                )
-                self._db.finalize_commit(txn)
-            finally:
-                if not txn.is_active:
-                    self.txn = None
+            self._db.commit_prepared(
+                txn, import_in=import_in, import_out=import_out,
+            )
+            self._db.finalize_commit(txn)
         self._submit(fn, on_done, "commit_prepared")
 
     def run_program(
@@ -271,17 +235,13 @@ class Session:
 
         def fn():
             nonlocal run
-            try:
-                if run is None:
-                    self.txn = self._db.begin(isolation)
-                    run = ProgramRun(self._db, self.txn, program,
-                                     partial(self._db.commit, wait=False))
-                while run.step():
-                    pass
-                return run.value
-            finally:
-                if run is None or run.status != "running":
-                    self.txn = None
+            if run is None:
+                self.txn = self._db.begin(isolation)
+                run = ProgramRun(self._db, self.txn, program,
+                                 partial(self._db.commit, wait=False))
+            while run.step():
+                pass
+            return run.value
 
         self._submit(fn, on_done, "program")
 
@@ -304,13 +264,12 @@ class Session:
         """Doom the session's transaction and wake it if suspended.
 
         Callable from any thread (the server uses it when a client
-        disconnects mid-wait).  A suspended lock wait is woken through
-        the doom path's ``cancel_waits``; a suspended deferrable wait is
-        woken by firing its safe-snapshot completion, after which the
-        begin thunk observes the doom and fails.  A commit ticket is
-        left alone: only the batch leader fires it — it observes the
-        doom and resolves the ticket within its current pass — so a
-        fired ticket always carries the verdict."""
+        disconnects mid-wait).  The doom cancels a suspended lock or
+        deferrable wait (:meth:`Database.doom`), and the retry aborts
+        with the doom's error.  A commit ticket is left alone: only the
+        batch leader fires it — it observes the doom and resolves the
+        ticket within its current pass — so a fired ticket always
+        carries the verdict."""
         txn = self.txn
         if txn is not None and txn.is_active:
             self._db.doom(
@@ -318,9 +277,6 @@ class Session:
                 error or TransactionAbortedError(
                     "session interrupted", txn_id=txn.id),
             )
-            verdict = txn._safe_event
-            if verdict is not None:
-                verdict.set()
 
     # blocking facade -------------------------------------------------
 
@@ -403,69 +359,50 @@ class Session:
                         return
                     invocation = self._inbox.popleft()
             else:
-                self._current = None
-                denied = self._denied_wait_error()
-                if denied is not None:
-                    self._deliver(invocation[1], None, denied)
-                    continue
+                self._current = None  # a wait fired: retry it
             fn, on_done = invocation
+            error = None
             try:
                 result = fn()
-            except LockWaitRequired as wait:
-                self._current, self._pending_request = invocation, wait.request
-                timeout = self._db.config.lock_timeout
-                deadline = None if timeout is None else time.monotonic() + timeout
-                self._suspend(wait.request.on_resolve, deadline)
-                return
             except CompletionWaitRequired as wait:
-                # A safe-snapshot verdict, or a commit group ridden
-                # without running its flush: the batch leader fires the
-                # ticket's completion after the group's certification,
-                # flush and finalize.
                 self._current = invocation
-                self._suspend(wait.completion.on_fire, deadline=None)
+                self._suspend(wait)
                 return
-            except BaseException as error:
-                self._deliver(on_done, None, error)
-            else:
-                self._deliver(on_done, result, None)
+            except BaseException as raised:
+                result, error = None, raised
+            # An outcome ends the session's hold on a transaction that has
+            # finished — committed, or aborted by its own or a doomed
+            # retry's error.  Only here: while suspended, a batch leader
+            # may already have committed it before the ticket is consumed.
+            txn = self.txn
+            if txn is not None and not txn.is_active:
+                self.txn = None
+            self._deliver(on_done, result, error)
 
-    def _denied_wait_error(self) -> BaseException | None:
-        """Mirror of the blocking path's post-wait denial check: a DENIED
-        request means the wait was cancelled (timeout, deadlock victim,
-        owner doomed) — abort and surface the error instead of retrying."""
-        request = self._pending_request
-        self._pending_request = None
-        if request is None or request.state is not RequestState.DENIED:
-            return None
-        txn = request.owner
-        error = request.error or TransactionAbortedError(txn_id=txn.id)
-        self._db.abort(txn)
-        if txn is self.txn:
-            self.txn = None
-        return error
-
-    def _suspend(self, subscribe, deadline: float | None) -> None:
+    def _suspend(self, wait: CompletionWaitRequired) -> None:
+        """Park on ``wait.completion`` until it fires; its request, if it
+        is a lock wait, is what a ``lock_timeout`` deadline cancels."""
+        self._pending_request = wait.request
         with self._state_lock:
             self._state = _SUSPENDED
         self._scheduler._note_suspended(self)
         if self._loop is not None:
-            self._arm_timers(deadline)
-        # May fire _resume synchronously (already-resolved request) on
+            self._arm_timers()
+        # May fire _resume synchronously (an already-fired completion) on
         # this thread, or later on a resolver's thread that holds the lock
         # manager latch — either way _resume only wakes the driver.
-        subscribe(self._resume)
+        wait.completion.on_fire(self._resume)
 
-    def _arm_timers(self, deadline: float | None) -> None:
+    def _arm_timers(self) -> None:
         """A loop-bound wait's deadline duties, as timers on its loop:
-        cancel the lock request at ``deadline``, and under PERIODIC
-        deadlock detection sweep every ``wait_poll_interval``.  A
-        thread-driven wait's :func:`block_until` does both itself."""
+        cancel a lock request once ``lock_timeout`` has passed, and under
+        PERIODIC deadlock detection sweep every ``wait_poll_interval``.
+        A thread-driven wait's :func:`block_until` does both itself."""
         loop, db = self._loop, self._db
-        if deadline is not None:
+        request, timeout = self._pending_request, db.config.lock_timeout
+        if request is not None and timeout is not None:
             self._timers.append(loop.call_later(
-                deadline - time.monotonic(),
-                db.cancel_lock_request, self._pending_request))
+                timeout, db.cancel_lock_request, request))
         if db.needs_wait_polling:
             def poll():
                 db.poll_waiters()

@@ -1,7 +1,7 @@
 """Direct (non-simulated) program execution.
 
 Runs a transaction program against the engine in the calling thread,
-blocking through lock waits.  Used by examples and tests that need the
+blocking through its waits.  Used by examples and tests that need the
 declarative programs of :mod:`repro.workloads` without the simulator.
 """
 
@@ -12,7 +12,7 @@ from typing import Any, Generator
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
 from repro.engine.transaction import block_on
-from repro.errors import LockWaitRequired
+from repro.errors import CompletionWaitRequired
 from repro.sim.ops import ProgramRun
 
 
@@ -38,5 +38,5 @@ def run_program(
         try:
             if not run.step():
                 return run.value
-        except LockWaitRequired as wait:
-            block_on(wait.request)
+        except CompletionWaitRequired as wait:
+            block_on(wait)

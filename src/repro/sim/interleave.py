@@ -4,8 +4,8 @@ The paper validated the InnoDB prototype by generating *every*
 interleaving of transaction sets known to cause write skew and checking
 that at least one transaction aborts with the "unsafe" error while plain
 SI commits them all.  This module reproduces that harness: programs are
-stepped one operation at a time in every possible order, lock waits defer
-a step until the lock is granted, and each execution's history can be fed
+stepped one operation at a time in every possible order, a wait defers
+a step until its completion fires, and each execution's history can be fed
 to the MVSG oracle.
 """
 
@@ -18,7 +18,7 @@ from typing import Any, Callable, Generator, Iterator, Sequence
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
-from repro.errors import LockWaitRequired
+from repro.errors import CompletionWaitRequired
 from repro.sim.ops import ABORTS, ProgramRun
 
 
@@ -83,10 +83,11 @@ def run_interleaving(
     """Execute the programs in the given step order against a fresh DB.
 
     Each schedule slot is one :meth:`ProgramRun.step` of that
-    transaction.  A step that must wait for a lock is retried after
-    steps of other transactions run (deferring preserves the relative
+    transaction.  A step that must wait is retried after its wait fired
+    and steps of other transactions ran (deferring preserves the relative
     order of the remaining steps); a full pass with no progress means an
-    unresolvable wait cycle, which a deadlock sweep breaks.  A
+    unresolvable wait cycle, which a deadlock sweep breaks, or waits only
+    a lock_timeout ends (a configured one cancels them all).  A
     transaction ends "committed", with its abort reason, "blocked" (the
     schedule ran out while it waited) or "running".
 
@@ -101,6 +102,8 @@ def run_interleaving(
 
     runs = [ProgramRun(db, db.begin(isolation), factory(), db.commit)
             for factory in program_factories]
+    #: each run's pending wait, until it fires and the run steps again
+    waits: list[CompletionWaitRequired | None] = [None] * len(runs)
     schedule = deque(order)
     stall = 0
     while schedule:
@@ -109,21 +112,22 @@ def run_interleaving(
         if run.status != "running":
             stall = 0
             continue
-        if _step(run):
+        if _step(run, waits, index):
             stall = 0
         else:
             schedule.append(index)
             stall += 1
             if stall > len(schedule) + 1:
-                # Everyone blocked: force a periodic-style deadlock sweep.
-                victims = db.sweep_deadlocks()
-                if not victims:
+                # Everyone is blocked, so only time can help: a
+                # periodic-style deadlock sweep, else the lock waits run
+                # into their lock_timeout, if one is configured.
+                if not db.sweep_deadlocks() and not _time_out(waits):
                     break
                 stall = 0
 
     outcome = InterleavingOutcome(order=tuple(order), db=db)
     for index, run in enumerate(runs):
-        blocked = run.status == "running" and run.request is not None
+        blocked = run.status == "running" and waits[index] is not None
         outcome.statuses[index] = "blocked" if blocked else run.status
         outcome.values[index] = run.value
     return outcome
@@ -150,14 +154,30 @@ def exhaustive_outcomes(
     return outcomes
 
 
-def _step(run: ProgramRun) -> bool:
-    """One schedule slot of ``run``; False when it is still waiting."""
-    if run.request is not None and not run.request.resolved:
+def _step(run: ProgramRun, waits: list, index: int) -> bool:
+    """One schedule slot of run ``index``; False when it is still
+    waiting."""
+    wait = waits[index]
+    if wait is not None and not wait.completion.fired:
         return False
+    waits[index] = None
     try:
         run.step()
-    except LockWaitRequired:
+    except CompletionWaitRequired as pending:
+        waits[index] = pending
         return False
     except ABORTS:
         pass  # the run recorded its abort reason
     return True
+
+
+def _time_out(waits: list) -> bool:
+    """Cancel every pending lock wait whose engine sets a
+    ``lock_timeout``; True if any was cancelled."""
+    timed_out = False
+    for wait in waits:
+        if wait is not None and wait.request is not None:
+            engine = wait.txn._db
+            if engine.config.lock_timeout is not None:
+                timed_out |= engine.cancel_lock_request(wait.request)
+    return timed_out

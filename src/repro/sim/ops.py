@@ -11,7 +11,7 @@ descriptors and receives each operation's result back::
 
 Programs are executor-agnostic, and every executor steps them through
 one :class:`ProgramRun`: the discrete-event simulator charges simulated
-time per op; the direct executor blocks its thread through lock waits; a
+time per op; the direct executor blocks its thread through waits; a
 session suspends on them; the exhaustive interleaving driver
 single-steps them.
 """
@@ -26,10 +26,8 @@ from repro.errors import (
     ConstraintError,
     DuplicateKeyError,
     KeyNotFoundError,
-    LockWaitRequired,
     TransactionAbortedError,
 )
-from repro.locking.manager import RequestState
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,8 +143,8 @@ Op = (
 def apply_op(db, txn, op: Op) -> Any:
     """Execute one descriptor against the engine (shared by executors).
 
-    May raise :class:`~repro.errors.LockWaitRequired` — callers decide how
-    to wait — or any abort error.  :class:`Compute` is a no-op here
+    May raise :class:`~repro.errors.CompletionWaitRequired` — callers
+    decide how to wait — or any abort error.  :class:`Compute` is a no-op here
     (executors account for its cost).  :class:`Rollback` raises
     ConstraintError after aborting.
     """
@@ -203,16 +201,15 @@ class ProgramRun:
     through ``commit`` once it has returned (None: the caller commits).
     ``status`` is "running", "committed" or the abort classification.
 
-    Waits propagate untouched: :class:`~repro.errors.LockWaitRequired`
-    and :class:`~repro.errors.CompletionWaitRequired` leave the run where
-    it was, so each executor waits its own way and steps again; a lock
-    request denied in the meantime aborts the run with its error's
-    reason on that next step.  Any other error aborts the transaction,
-    classified by :func:`abort_reason`, and propagates unchanged.
+    Waits propagate untouched: a
+    :class:`~repro.errors.CompletionWaitRequired` leaves the run where it
+    was, so each executor waits its own way and steps again — the retry
+    re-applies the op, which aborts the run if its wait was cancelled by
+    a doom.  Any other error aborts the transaction, classified by
+    :func:`abort_reason`, and propagates unchanged.
     """
 
-    __slots__ = ("db", "txn", "program", "op", "value", "status", "request",
-                 "_commit")
+    __slots__ = ("db", "txn", "program", "op", "value", "status", "_commit")
 
     def __init__(self, db, txn, program: Generator,
                  commit: Callable[[Any], None] | None = None) -> None:
@@ -222,8 +219,6 @@ class ProgramRun:
         self.op: Op | None = None
         self.value: Any = None
         self.status = "running"
-        #: the lock request the last :meth:`apply` waited on, if any
-        self.request = None
         self._commit = commit
         self.advance(None)
 
@@ -240,17 +235,7 @@ class ProgramRun:
 
     def apply(self) -> Any:
         """Execute the pending op and return its result."""
-        request, self.request = self.request, None
-        try:
-            if request is not None and request.state is RequestState.DENIED:
-                raise request.error or TransactionAbortedError(txn_id=self.txn.id)
-            return apply_op(self.db, self.txn, self.op)
-        except LockWaitRequired as wait:
-            self.request = wait.request
-            raise
-        except BaseException as error:
-            self._abort(error)
-            raise
+        return self._attempt(apply_op, self.db, self.txn, self.op)
 
     def step(self) -> bool:
         """Apply the pending op and advance, or commit once the program
@@ -259,15 +244,19 @@ class ProgramRun:
             self.advance(self.apply())
             return True
         if self._commit is not None:
-            try:
-                self._commit(self.txn)
-            except (LockWaitRequired, CompletionWaitRequired):
-                raise
-            except BaseException as error:
-                self._abort(error)
-                raise
+            self._attempt(self._commit, self.txn)
             self.status = "committed"
         return False
+
+    def _attempt(self, engine_call: Callable[..., Any], *args: Any) -> Any:
+        """Call the engine: a wait propagates, any other error aborts."""
+        try:
+            return engine_call(*args)
+        except CompletionWaitRequired:
+            raise
+        except BaseException as error:
+            self._abort(error)
+            raise
 
     def _abort(self, error: BaseException) -> None:
         reason = abort_reason(error)

@@ -6,9 +6,9 @@ core count, and a write-ahead log device with group commit whose flush
 latency dominates the "long transactions" experiments (Section 6.1.3).
 
 Time is simulated; concurrency control is real.  Clients are parked when
-the engine enqueues a lock request and resume when the lock manager
-resolves it; periodic deadlock sweeps run on simulated intervals for
-Berkeley DB-style engines.
+the engine reports a wait (an enqueued lock request) and retry their
+operation once its completion fires; periodic deadlock sweeps run on
+simulated intervals for Berkeley DB-style engines.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable
 from repro.engine.config import DeadlockMode
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
-from repro.errors import LockWaitRequired
+from repro.errors import CompletionWaitRequired
 from repro.sim.metrics import SimResult
 from repro.sim.ops import ABORTS, Compute, ProgramRun
 from repro.sim.workload import Workload
@@ -259,8 +259,8 @@ class Simulator:
         acquires_before = self.db.locks.stats["acquires"]
         try:
             result = run.apply()
-        except LockWaitRequired as wait:
-            self._park(client, wait.request)
+        except CompletionWaitRequired as wait:
+            self._park(client, wait)
             return
         except ABORTS:
             self._finish_aborted(client, run.status)
@@ -277,25 +277,20 @@ class Simulator:
         client.run.advance(result)
         self._schedule_op(client)
 
-    def _park(self, client: _Client, request) -> None:
+    def _park(self, client: _Client, wait: CompletionWaitRequired) -> None:
         client.parked = True
         wait_started = self.now
         timeout = self.db.config.lock_timeout
-        if timeout is not None:
-            def fire_timeout() -> None:
-                self.db.cancel_lock_request(request)
+        if timeout is not None and wait.request is not None:
+            self.schedule_at(self.now + timeout,
+                             lambda: self.db.cancel_lock_request(wait.request))
 
-            self.schedule_at(self.now + timeout, fire_timeout)
+        def wake() -> None:
+            client.parked = False
+            self._h_lock_wait.observe(self.now - wait_started)
+            self._execute(client)  # the retry aborts a doomed run
 
-        def on_resolve(_resolved) -> None:
-            def wake() -> None:
-                client.parked = False
-                self._h_lock_wait.observe(self.now - wait_started)
-                self._execute(client)  # a denied request aborts the run
-
-            self.schedule_at(self.now, wake)
-
-        request.on_resolve(on_resolve)
+        wait.completion.on_fire(lambda _fired: self.schedule_at(self.now, wake))
 
     def _commit(self, client: _Client) -> None:
         run = client.run

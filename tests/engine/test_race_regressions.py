@@ -121,13 +121,13 @@ class TestLockRequestResolveRace:
         request = LockRequest(self._Owner(1), ("t", 1), LockMode.SHARED)
         request._resolve(RequestState.GRANTED)
         fired = []
-        request.on_resolve(fired.append)
+        request.on_fire(fired.append)
         assert fired == [request]
 
     def test_subscribe_before_resolution_fires_once(self):
         request = LockRequest(self._Owner(1), ("t", 1), LockMode.SHARED)
         fired = []
-        request.on_resolve(fired.append)
+        request.on_fire(fired.append)
         request._resolve(RequestState.DENIED, None)
         assert fired == [request]
 
@@ -142,7 +142,7 @@ class TestLockRequestResolveRace:
 
             def subscribe():
                 barrier.wait()
-                request.on_resolve(fired.append)
+                request.on_fire(fired.append)
 
             def resolve():
                 barrier.wait()
@@ -180,7 +180,7 @@ class TestCancelVsResolveRace:
                 waiter, record_resource("t", "k"), LockMode.SHARED)
             request = result.request
             fired = []
-            request.on_resolve(lambda r: fired.append(r.state))
+            request.on_fire(lambda r: fired.append(r.state))
             barrier = threading.Barrier(2)
 
             def cancel():

@@ -1,5 +1,6 @@
-"""Completion-driven lock resolution: callback hardening and the
-cancel-vs-grant race (exactly one terminal state, callbacks fire once)."""
+"""Completions: a lock request is one, so its subscribers get the same
+callback hardening as a commit ticket's; and the cancel-vs-grant race
+(exactly one terminal state, callbacks fire once)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import pytest
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.waits import Completion
-from repro.errors import LockTimeoutError
+from repro.errors import CompletionWaitRequired, LockTimeoutError
 from repro.locking.manager import (
     AcquireStatus,
     LockManager,
@@ -19,6 +20,7 @@ from repro.locking.manager import (
 )
 from repro.locking.modes import LockMode
 from repro.obs.trace import EventType
+from tests.conftest import GatedWAL, held_leader
 
 
 class Owner:
@@ -74,9 +76,9 @@ class TestCallbackHardening:
         holder, waiter = Owner(1), Owner(2)
         request = waiting_request(lm, holder, waiter)
         calls = []
-        request.on_resolve(lambda r: calls.append("first"))
-        request.on_resolve(lambda r: (_ for _ in ()).throw(RuntimeError("boom")))
-        request.on_resolve(lambda r: calls.append("last"))
+        request.on_fire(lambda r: calls.append("first"))
+        request.on_fire(lambda r: (_ for _ in ()).throw(RuntimeError("boom")))
+        request.on_fire(lambda r: calls.append("last"))
         lm.release_all(holder)  # grants the waiter, runs callbacks
         assert request.state is RequestState.GRANTED
         assert calls == ["first", "last"]
@@ -90,7 +92,7 @@ class TestCallbackHardening:
         assert request.resolved
         # subscribing after resolution runs immediately — and a raising
         # late subscriber is accounted the same way
-        request.on_resolve(lambda r: (_ for _ in ()).throw(ValueError("late")))
+        request.on_fire(lambda r: (_ for _ in ()).throw(ValueError("late")))
         assert lm.stats["lock_callback_errors"] == 1
 
     def test_callback_error_emits_trace_event(self):
@@ -104,7 +106,7 @@ class TestCallbackHardening:
         result = db.locks.acquire_nowait(
             waiter, record_resource("t", "k"), LockMode.SHARED)
         assert result.status is AcquireStatus.WAIT
-        result.request.on_resolve(
+        result.request.on_fire(
             lambda r: (_ for _ in ()).throw(RuntimeError("kaput")))
         holder.commit()
         events = [e for e in db.trace.events()
@@ -116,13 +118,40 @@ class TestCallbackHardening:
         db.abort(waiter)
 
 
+    def test_failing_ticket_subscriber_is_contained_and_the_batch_finishes(self):
+        """A commit ticket's completion contains a raising subscriber
+        like a lock request does: the batch leader fires every ticket of
+        its group, each member commits, and the error is counted."""
+        db = Database(EngineConfig(), wal=GatedWAL())
+        db.create_table("t")
+        leader, first, second = (db.begin("ssi") for _ in range(3))
+        for key, txn in enumerate((leader, first, second)):
+            txn.write("t", key, "v")
+        fired = []
+        with held_leader(db, leader) as raised:
+            for txn in (first, second):
+                with pytest.raises(CompletionWaitRequired) as wait:
+                    db.commit(txn, wait=False)
+                wait.value.completion.on_fire(
+                    lambda c: (_ for _ in ()).throw(RuntimeError("kaput")))
+                wait.value.completion.on_fire(fired.append)
+        assert not raised
+        assert len(fired) == 2
+        for txn in (first, second):
+            db.commit(txn)  # consumes the resolved ticket
+            assert txn.is_committed
+        counters = db.metrics.snapshot()["counters"]
+        assert counters["locks"]["lock_callback_errors"] == 2
+        assert counters["group_commit"]["batched_txns"] == 2
+
+
 class TestCancelVsResolveRace:
     def test_double_resolve_first_wins(self):
         lm = LockManager()
         holder, waiter = Owner(1), Owner(2)
         request = waiting_request(lm, holder, waiter)
         calls = []
-        request.on_resolve(lambda r: calls.append(r.state))
+        request.on_fire(lambda r: calls.append(r.state))
         assert request._resolve(RequestState.GRANTED) is True
         assert request._resolve(
             RequestState.DENIED, LockTimeoutError("late")) is False
@@ -150,7 +179,7 @@ class TestCancelVsResolveRace:
         holder, waiter = Owner(1), Owner(2)
         request = waiting_request(lm, holder, waiter)
         fired = []
-        request.on_resolve(lambda r: fired.append(r.state))
+        request.on_fire(lambda r: fired.append(r.state))
         barrier = threading.Barrier(2)
         cancel_won = []
 

@@ -42,12 +42,13 @@ class TestWaitsForGraph:
         graph.add_edge(1, 1)
         assert len(graph) == 0
 
-    def test_remove_node_breaks_cycle(self):
+    def test_clear_edges_from_breaks_cycle(self):
         graph = WaitsForGraph()
         graph.add_edge(1, 2)
         graph.add_edge(2, 1)
-        graph.remove_node(2)
+        graph.clear_edges_from(2)
         assert graph.find_cycle_through(1) == []
+        assert graph.edges_from(1) == {2}  # edges into 2 stay
 
     def test_multiple_disjoint_cycles(self):
         graph = WaitsForGraph()

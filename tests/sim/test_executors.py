@@ -7,7 +7,10 @@ that wait pair the program ``P`` with another transaction ``B``: B runs
 its first step before P begins and its next step once P is waiting —
 through the schedule slot order for the interleaving driver, from a
 helper thread for the direct runner and the session (whose callers
-block), and as a simulated event for the simulator.
+block), and as a simulated event for the simulator.  A case without a
+slot order instead has B hold its lock until P is done, so only P's
+``lock_timeout`` ends the wait (for the interleaving driver, at the
+stall where no sweep finds a deadlock).
 """
 
 import threading
@@ -18,12 +21,12 @@ from typing import Callable
 import pytest
 
 from repro import Database, EngineConfig
-from repro.errors import LockWaitRequired
+from repro.errors import CompletionWaitRequired, TransactionAbortedError
 from repro.session import SessionScheduler
 from repro.sim.direct import run_program
 from repro.sim.interleave import run_interleaving
 from repro.sim.ops import (
-    ABORTS, Insert, ProgramRun, Read, Rollback, Write, abort_reason,
+    ABORTS, Compute, Insert, ProgramRun, Read, Rollback, Write, abort_reason,
 )
 from repro.sim.scheduler import SimConfig, Simulator
 from repro.sim.workload import Mix, Workload
@@ -35,9 +38,12 @@ class Case:
     level: str
     status: str
     value: object = None
-    #: the other transaction B and the interleaving's slot order (0 = B)
+    #: the other transaction B (a program factory taking the database)
+    #: and the interleaving's slot order (0 = B); no order: B holds its
+    #: lock until P is done
     other: Callable | None = None
     order: tuple = ()
+    lock_timeout: float | None = None
 
 
 def committing():
@@ -66,13 +72,21 @@ def write_one_then_two():
     return "done"
 
 
-def write_two():
+def write_two(db):
     yield Write("t", 2, "b")
 
 
-def write_two_then_one():
+def write_two_then_one(db):
     yield Write("t", 2, "b")
     yield Write("t", 1, "b")
+
+
+def write_two_then_doom_the_waiter(db):
+    yield Write("t", 2, "b")
+    yield Compute(0)
+    # B's second step: the program waiting on B's lock is interrupted.
+    (waiter,) = {request.owner for request in db.locks.waiting_requests()}
+    db.doom(waiter, TransactionAbortedError("interrupted", txn_id=waiter.id))
 
 
 CASES = {
@@ -87,6 +101,13 @@ CASES = {
     # youngest transaction of the cycle — P — has its wait denied.
     "wait_denied": Case(write_one_then_two, "s2pl", "deadlock",
                         other=write_two_then_one, order=(0, 1, 1, 0, 1, 0, 0)),
+    # P waits on B's lock on 2, which B holds until P has timed out.
+    "wait_timed_out": Case(write_one_then_two, "s2pl", "timeout",
+                           other=write_two, lock_timeout=0.05),
+    # P waits on B's lock on 2; B's next step dooms P, ending the wait.
+    "wait_doomed": Case(write_one_then_two, "s2pl", "aborted",
+                        other=write_two_then_doom_the_waiter,
+                        order=(0, 1, 1, 0, 1, 0)),
 }
 
 
@@ -99,7 +120,7 @@ def start_other(db, case: Case) -> ProgramRun | None:
     """Begin B and run its first step, before P begins."""
     if case.other is None:
         return None
-    other = ProgramRun(db, db.begin(case.level), case.other(), db.commit)
+    other = ProgramRun(db, db.begin(case.level), case.other(db), db.commit)
     other.step()
     return other
 
@@ -107,7 +128,7 @@ def start_other(db, case: Case) -> ProgramRun | None:
 def step_other(other: ProgramRun) -> None:
     try:
         other.step()
-    except LockWaitRequired:
+    except CompletionWaitRequired:
         pass  # B waits on P; P's abort grants it
 
 
@@ -123,7 +144,7 @@ def blocking(db, case: Case, run: Callable) -> tuple[str, object]:
     setup(db)
     other = start_other(db, case)
     helper = None
-    if other is not None:
+    if case.order:
         def interfere() -> None:
             deadline = time.monotonic() + 10
             while db.locks.residue()["waiters"] == 0:
@@ -172,7 +193,7 @@ def via_simulator(db, case: Case) -> tuple[str, object]:
     other = start_other(db, case)
     workload = Workload("one", setup, Mix([("p", 1.0, lambda rng: case.program())]))
     sim = _OneRun(db, workload, case.level, 1, SimConfig(duration=1.0, warmup=0.0))
-    if other is not None:
+    if case.order:
         # Ops take tens of simulated µs: P is waiting long before this.
         sim.schedule_at(0.01, lambda: step_other(other))
     sim.run()
@@ -181,14 +202,22 @@ def via_simulator(db, case: Case) -> tuple[str, object]:
 
 
 def via_interleaving(db, case: Case) -> tuple[str, object]:
-    programs = [case.program]
-    order = [0] * 4
-    if case.other is not None:
-        programs, order = [case.other, case.program], list(case.order)
-    outcome = run_interleaving(setup, programs, order, case.level,
+    programs, order, holder = [case.program], [0] * 4, None
+    if case.order:
+        programs = [lambda: case.other(db), case.program]
+        order = list(case.order)
+
+    def prepare(db) -> None:
+        nonlocal holder
+        setup(db)
+        if not case.order:  # B holds its lock outside the schedule
+            holder = start_other(db, case)
+
+    outcome = run_interleaving(prepare, programs, order, case.level,
                                db_factory=lambda _config: db)
-    if case.other is not None:
+    if case.order:
         assert outcome.statuses[0] == "committed"
+    finish_other(holder)
     return outcome.statuses[len(programs) - 1], outcome.values[len(programs) - 1]
 
 
@@ -204,7 +233,8 @@ EXECUTORS = {
 def test_every_executor_reports_the_same_outcome(case_name):
     case = CASES[case_name]
     for name, execute in EXECUTORS.items():
-        db = Database(EngineConfig(deadlock_victim="youngest"))
+        db = Database(EngineConfig(deadlock_victim="youngest",
+                                   lock_timeout=case.lock_timeout))
         expected_aborts = dict.fromkeys(db.stats["aborts"], 0)
         if case.status != "committed":
             expected_aborts[case.status] = 1
