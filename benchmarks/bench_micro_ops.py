@@ -32,6 +32,23 @@ def test_point_read(benchmark, level):
     benchmark(one_txn)
 
 
+@pytest.mark.benchmark(group="micro-read3")
+@pytest.mark.parametrize("level", ["si", "ssi"])
+def test_three_point_reads(benchmark, level):
+    """A read-only transaction of three point reads: at ``ssi`` the
+    difference from ``si`` is three SIREAD grants, their retention at
+    commit and their drop at cleanup."""
+    db = make_db()
+
+    def one_txn():
+        txn = db.begin(level)
+        for key in (100, 500, 900):
+            txn.read("t", key)
+        txn.commit()
+
+    benchmark(one_txn)
+
+
 @pytest.mark.benchmark(group="micro-write")
 @pytest.mark.parametrize("level", ["si", "ssi", "s2pl"])
 def test_point_update(benchmark, level):

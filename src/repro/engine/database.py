@@ -787,9 +787,10 @@ class Database:
                 self._h_chain_length.observe(chain_length)
 
     def finalize_commit(self, txn: Transaction) -> None:
-        """Release locks, append the record to a commit-ordered retention
-        list if conflict detection still needs it, and run the cleanup
-        sweep, which retires it once no active snapshot overlaps it."""
+        """Append the record to a commit-ordered retention list if
+        conflict detection still needs it, run the cleanup sweep (which
+        retires it once no active snapshot overlaps it) in the same
+        latched section and with the same horizon, then release locks."""
         if not txn.is_committed:
             raise TransactionStateError("finalize_commit before prepare_commit")
         lm = self.locks
@@ -804,9 +805,9 @@ class Database:
             if self._retiring_policies:
                 with self._tracker_latch:
                     self._retire(txn)
-            self._maybe_cleanup()
+            if self._cleanup_due():
+                self.cleanup_suspended()
             return
-        suspended_depth = 0
         with self._txn_latch, self._tracker_latch:
             keep_siread = txn.policy.retain_read_locks(txn)
             retain = txn.policy.retain_record(txn, keep_siread)
@@ -818,6 +819,11 @@ class Database:
                 suspended_depth = self.suspended_count()
                 if suspended_depth > self.stats["suspended_peak"]:
                     self.stats["suspended_peak"] = suspended_depth
+                self._h_suspended.observe(suspended_depth)
+                if self.trace is not None:
+                    self.trace.emit(
+                        EventType.SUSPEND, txn.id, keep_siread=keep_siread
+                    )
             elif (
                 txn.policy.needs_findable_record(txn)
                 and txn.commit_ts > horizon
@@ -830,24 +836,9 @@ class Database:
             else:
                 self._registry.pop(txn.id, None)
                 self._retire(txn)
-        if keep_siread and not txn.locked_writes:
-            # Read-only commit retaining its sentinels.  The transaction
-            # never ran a write-side lock path, so a lock it holds can
-            # only be a read sentinel — when every sentinel is pure
-            # SIREAD, all of them are being kept and the full release
-            # walk is skipped.  A SHARED-read retaining policy fails the
-            # manager's count check and takes the full path.
-            if not lm.retain_all_reads(txn):
-                lm.release_all(txn, keep_siread=True)
-        else:
-            lm.release_all(txn, keep_siread=keep_siread)
-        if suspended_depth:
-            self._h_suspended.observe(suspended_depth)
-            if self.trace is not None:
-                self.trace.emit(
-                    EventType.SUSPEND, txn.id, keep_siread=keep_siread
-                )
-        self._maybe_cleanup()
+            if self._cleanup_due():
+                self._sweep(horizon)
+        lm.release_all(txn, keep_siread=keep_siread)
 
     def abort(self, txn: Transaction, reason: str | None = None) -> None:
         """Roll back: discard writes, release every lock (including
@@ -1372,33 +1363,38 @@ class Database:
         (an SGT node with incoming edges) is set aside and rechecked on
         every sweep, never blocking those behind."""
         with self._txn_latch, self._tracker_latch:
-            horizon = self._oldest_active_read_ts()
-            due, self._set_aside = self._set_aside, []
-            while self._suspended and self._suspended[0].commit_ts <= horizon:
-                due.append(self._suspended.popleft())
-            cleaned = 0
-            for txn in due:
-                if not txn.policy.may_cleanup(txn):
-                    self._set_aside.append(txn)
-                    continue
-                self.locks.drop_siread_locks(txn)
-                self._retire(txn)
-                self._registry.pop(txn.id, None)
-                txn.suspended = False
-                cleaned += 1
-                retention = self.clock.now() - txn.commit_ts
-                self._h_siread_retention.observe(retention)
-                if self.trace is not None:
-                    self.trace.emit(
-                        EventType.CLEANUP, txn.id, retention=retention
-                    )
-            self.stats["cleaned"] += cleaned
-            writers = self._retired_writers
-            while writers and writers[0].commit_ts <= horizon:
-                txn = self._retired_writers.popleft()
-                self._retire(txn)
-                self._registry.pop(txn.id, None)
-            return cleaned
+            return self._sweep(self._oldest_active_read_ts())
+
+    def _sweep(self, horizon: float) -> int:
+        """:meth:`cleanup_suspended`'s body against ``horizon``; the
+        caller holds the txn and tracker latches (a committing
+        :meth:`finalize_commit` runs it in its own latched section)."""
+        due, self._set_aside = self._set_aside, []
+        while self._suspended and self._suspended[0].commit_ts <= horizon:
+            due.append(self._suspended.popleft())
+        cleaned = 0
+        for txn in due:
+            if not txn.policy.may_cleanup(txn):
+                self._set_aside.append(txn)
+                continue
+            self.locks.drop_siread_locks(txn)
+            self._retire(txn)
+            self._registry.pop(txn.id, None)
+            txn.suspended = False
+            cleaned += 1
+            retention = self.clock.now() - txn.commit_ts
+            self._h_siread_retention.observe(retention)
+            if self.trace is not None:
+                self.trace.emit(
+                    EventType.CLEANUP, txn.id, retention=retention
+                )
+        self.stats["cleaned"] += cleaned
+        writers = self._retired_writers
+        while writers and writers[0].commit_ts <= horizon:
+            txn = self._retired_writers.popleft()
+            self._retire(txn)
+            self._registry.pop(txn.id, None)
+        return cleaned
 
     def vacuum(self) -> int:
         """Garbage-collect versions below every active snapshot.
@@ -1536,17 +1532,16 @@ class Database:
             horizon = self._oldest_active_read_ts()
         return 0 if horizon == _INFINITY else self.clock.now() - horizon
 
-    def _maybe_cleanup(self) -> None:
+    def _cleanup_due(self) -> bool:
         # Optimistic emptiness probe (atomic list reads): SI/S2PL commits
         # retain nothing, so their hot path pays no latch here.
         if not (self._suspended or self._set_aside or self._retired_writers):
-            return
-        if (
+            return False
+        return (
             self.config.eager_cleanup
             or self.suspended_count() + len(self._retired_writers)
             > self.config.cleanup_threshold
-        ):
-            self.cleanup_suspended()
+        )
 
     # --------------------------------------------------------- lock paths
 
@@ -1577,38 +1572,23 @@ class Database:
         if mode is None:
             return
         resource = self._rec_resource(table_name, key)
-        siread = mode is LockMode.SIREAD
-        if siread and resource in txn._siread_cache:
-            # Repeat SIREAD on a re-read: the sentinel is already in the
-            # table, and any writer that arrived since then saw it at its
-            # own EXCLUSIVE acquire and dispatched the rw edge from the
-            # writer side (Fig 3.5) — nothing left to do or report.
+        if mode is LockMode.SIREAD:
+            # One call, no wait loop: a SIREAD never waits (Section 3.2).
+            # The manager adds no entry for a re-read or for a key one
+            # of our own ranges covers, and reports the EXCLUSIVE
+            # holders of the resource (Fig 3.4 lines 2-4: a concurrent
+            # writer) unless it is a re-read, whose writers since met
+            # our entry and dispatched the edge themselves (Fig 3.5).
+            result = self.locks.acquire(txn, resource, mode, key)
+            for lock in result.detection_conflicts:
+                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+            if self._siread_budget is not None:
+                self.locks.escalate(self._siread_budget)
             return
-        if self.locks.holds_range_over(txn, table_name, key, mode):
-            # A key range of our own (a scan's or a fold's) already
-            # covers the key and a writer of it meets the range, so no
-            # record lock is added.  A SHARED range stands only once no
-            # writer is in flight inside it (bar those queued behind this
-            # reader's own ranges, which serialize after it); a SIREAD
-            # reader still owes the Fig 3.4 check against granted
-            # EXCLUSIVE holders.  A page is cached only once locked: the
-            # range covers this key, not the page's other keys.
-            if siread:
-                if resource.kind == "rec":
-                    txn._siread_cache.add(resource)
-                for lock in self.locks.probe_detection(txn, resource, mode):
-                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-            return
-        result = self._acquire(txn, resource, mode)
-        if siread:
-            txn._siread_cache.add(resource)
-        for lock in result.detection_conflicts:
-            # Fig 3.4 lines 2-4: a concurrent writer holds EXCLUSIVE.
-            # (SHARED requests report no detection conflicts, so this
-            # loop is empty for lock-based readers.)
-            self.dispatch_rw_edge(reader=txn, writer=lock.owner)
-        if siread and self._siread_budget is not None:
-            self.locks.escalate(self._siread_budget)
+        # A blocking read mode (S2PL's SHARED) takes no record lock where
+        # a range of its own covers the key: a writer meets the range.
+        if not self.locks.holds_range_over(txn, table_name, key, mode):
+            self._acquire(txn, resource, mode)
 
     def _acquire_write_locks(
         self, txn: Transaction, table_name: str, key: Hashable
@@ -1631,7 +1611,6 @@ class Database:
         # 4.2; InnoDB behaves likewise once the read view exists).
         if txn.snapshot is not None:
             self._first_committer_check(txn, table_name, key)
-        txn.locked_writes = True
         resource = self._rec_resource(table_name, key)
         if resource.kind == "page":
             result = self._acquire(txn, resource, LockMode.EXCLUSIVE)

@@ -53,8 +53,6 @@ class Transaction:
         "doom_error",
         "write_set",
         "write_kinds",
-        "locked_writes",
-        "_siread_cache",
         "read_only",
         "snapshot_safe",
         "_safe_event",
@@ -96,15 +94,6 @@ class Transaction:
         self.write_set: dict[tuple[str, Hashable], Any] = {}
         #: how each write-set entry came to be ("write"|"insert"|"delete")
         self.write_kinds: dict[tuple[str, Hashable], str] = {}
-        #: True once any write-side lock path ran (EXCLUSIVE, insert
-        #: intention, page locks) — a False lets a retaining read-only
-        #: commit skip lock release entirely (its locks are all kept
-        #: SIREAD sentinels).
-        self.locked_writes = False
-        #: resources this transaction already holds SIREAD on — the
-        #: engine's re-read fast path checks here and skips the lock
-        #: manager entirely for repeat SIREAD acquisition.
-        self._siread_cache: set = set()
         #: declared read-only at begin(); writes raise
         #: TransactionStateError and the safe-snapshot monitor may mark
         #: the snapshot safe (Ports & Grittner Section 2.4).

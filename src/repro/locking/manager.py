@@ -3,23 +3,33 @@
 A classic FIFO-queued lock manager extended with the paper's requirements:
 
 * a non-blocking ``SIREAD`` mode whose conflicts are *reported* rather than
-  enforced (Section 3.2);
+  enforced (Section 3.2).  A point SIREAD (a record or a page) is not a
+  lock head at all: it is one entry in the *reader table*, resource ->
+  {owner id: owner}, plus one item in its owner's read list.  Requesting
+  one (:meth:`LockManager.acquire`) is a single critical section that
+  checks the owner's own key ranges (a covered read adds nothing), adds
+  the entry and collects the EXCLUSIVE holders of the resource (Fig 3.4);
+  a re-read finds its entry and does nothing;
 * SIREAD locks retained after their owner commits, until no concurrent
-  transaction remains (Section 3.3) — released via :meth:`LockManager.release_all`
-  with ``keep_siread=True`` and cleaned later by :meth:`LockManager.drop_siread_locks`;
-* SIREAD -> EXCLUSIVE upgrade: acquiring an EXCLUSIVE lock discards the
-  owner's SIREAD lock on the same resource (Section 3.7.3 / 4.3 item 4);
+  transaction remains (Section 3.3).  Commit's :meth:`LockManager.release_all`
+  with ``keep_siread=True`` never sees the reader table, and
+  :meth:`LockManager.drop_siread_locks` walks the owner's read list once;
+* SIREAD -> EXCLUSIVE upgrade: an EXCLUSIVE grant, from the queue too,
+  drops the owner's reader entry on the same resource (Section 3.7.3 /
+  4.3 item 4); the request still counts as an upgrade and queues at the
+  front;
 * key-range predicate locks (Figs 3.6/3.7; what Section 2.5.2's gap
-  locks protect): one entry per scan on ``[lo, hi]`` in its read mode,
-  SIREAD or S2PL's blocking SHARED.  A reader places its range and
+  locks protect): one lock head per scan on ``[lo, hi]`` in its read
+  mode, SIREAD or S2PL's blocking SHARED.  A reader places its range and
   collects the EXCLUSIVE record holders inside it in one critical
   section (:meth:`LockManager.acquire_range`); an EXCLUSIVE record
   acquire meets the ranges covering its key in its own
   (:meth:`LockManager.acquire`).  Whichever runs second blocks (S2PL)
   or sees the other (SSI/SGT);
 * SIREAD escalation (:meth:`LockManager.escalate`): past a lock-table
-  budget, an owner's pure record and range SIREADs on one table fold
-  into one key range over their span, met by writers like any scan's.
+  budget, an owner's record reader entries and pure range SIREADs on one
+  table fold into one key range over their span, met by writers like any
+  scan's.
 
 Lock acquisition never blocks the calling thread.  When a request must
 wait it is enqueued and an :class:`AcquireResult` with ``status=WAIT`` is
@@ -36,21 +46,25 @@ Performance structure:
   indexes, so a partitioned table could not let two grants overlap, and
   under the GIL none run at once anyway.  One latch makes each public
   call one critical section and one latch acquisition;
+* a point SIREAD allocates no :class:`Lock`: the reader table stores the
+  owner, and a :class:`Lock` is built only when a writer meets readers;
 * every granted lock and every :class:`_LockHead` carries an integer
   ``mask`` summarising its modes, so conflict/coverage/detection checks
   are one AND against the pre-folded per-mode masks from
   :mod:`repro.locking.modes` instead of set algebra over Enum members;
 * ``_LockHead.granted`` is a dict keyed by owner id — grant, upgrade and
   removal are O(1) while iteration keeps insertion (grant) order;
-* per-owner indexes of granted locks and of *waiting* requests make
-  :meth:`release_all`, :meth:`drop_siread_locks` and :meth:`cancel_waits`
-  O(locks/requests owned).  Nothing on the commit/abort path walks the
-  whole table — essential once Section 3.3 SIREAD retention inflates it;
+* per-owner indexes of granted locks, of SIREADs (the read list) and of
+  *waiting* requests make :meth:`release_all`, :meth:`drop_siread_locks`
+  and :meth:`cancel_waits` O(locks/requests owned).  Nothing on the
+  commit/abort path walks the whole table — essential once Section 3.3
+  SIREAD retention inflates it — and an owner holding only point SIREADs
+  commits without taking the latch;
 * the sorted index of EXCLUSIVE-held record keys that range readers
   bisect exists only for tables some range has touched, so writes to
   tables nobody scans maintain nothing;
-* granted-lock and per-owner SIREAD counters make :meth:`table_size` and
-  :meth:`holds_any_siread` O(1).
+* the granted-lock counter and the read lists make :meth:`table_size`
+  and :meth:`holds_any_siread` O(1).
 """
 
 from __future__ import annotations
@@ -59,7 +73,7 @@ import enum
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from repro.engine.latches import make_latch
 from repro.engine.waits import Completion
@@ -100,12 +114,15 @@ def page_resource(table: str, page_id: int) -> Resource:
 class Lock:
     """A granted lock: one owner's claim on one resource.
 
-    A lock can carry several *modes* at once — e.g. with
-    ``siread_upgrade`` off, a transaction that read a record (SIREAD) and
-    then wrote it (EXCLUSIVE) keeps both, so its retained SIREAD still
-    detects later writers after it commits.  The modes are stored as the
-    integer ``mask`` (OR of the modes' bits) so hot paths never hash Enum
-    members; :attr:`modes` derives the familiar set view on demand.
+    A lock can carry several *modes* at once — e.g. a scan's SIREAD range
+    that its owner's own insert also claims (INSERT_INTENTION).  A point
+    SIREAD has no lock of its own (it is a reader-table entry): the
+    queries build one for it, merged with its owner's lock on the same
+    resource — with ``siread_upgrade`` off, a transaction that read a
+    record and then wrote it shows SIREAD+EXCLUSIVE.  The modes are
+    stored as the integer ``mask`` (OR of the modes' bits) so hot paths
+    never hash Enum members; :attr:`modes` derives the familiar set view
+    on demand.
     """
 
     __slots__ = ("owner", "resource", "mask")
@@ -290,8 +307,8 @@ LockMode.INSERT_INTENTION.detect_mask = LockMode.SIREAD.bit
 LockMode.SHARED.detect_mask = 0
 
 _SIREAD_BIT = LockMode.SIREAD.bit
-#: resource kinds :meth:`LockManager.escalate` folds into key ranges
-_FOLDABLE = ("rec", "range")
+#: the granted modes a point SIREAD reports (Fig 3.4's writers)
+_WRITE_BITS = LockMode.SIREAD.detect_mask
 _EXCLUSIVE_BIT = LockMode.EXCLUSIVE.bit
 _SHARED_BIT = LockMode.SHARED.bit
 
@@ -319,13 +336,13 @@ class LockManager:
 
     Thread-safe under **one** re-entrant latch (rank ``lock``), the
     paper's Section 4.4 arrangement: ``_latch`` guards the resource->head
-    map and every field of its heads (wait queues included), the
-    per-owner indexes (``_by_owner``, ``_waiting``, ``_siread_counts``),
-    the range and EXCLUSIVE-key indexes, the granted-lock counter, the
-    escalation weights, the waits-for graph and the stats group.  Every
-    public method is exactly one critical section, so a release and an
-    escalation can never interleave; private helpers run with the latch
-    already held.
+    map and every field of its heads (wait queues included), the reader
+    table, the per-owner indexes (``_by_owner``, ``_reads``,
+    ``_waiting``), the range and EXCLUSIVE-key indexes, the granted-lock
+    counter, the escalation weights, the waits-for graph and the stats
+    group.  Every public method is exactly one critical section, so a
+    release and an escalation can never interleave; private helpers run
+    with the latch already held.
     The handful of latch-free reads that remain are single GIL-atomic
     dict/int probes, each documented where it happens with the reason a
     stale answer is safe.
@@ -354,9 +371,16 @@ class LockManager:
         self._by_owner: dict[Hashable, dict[Resource, Lock]] = defaultdict(dict)
         #: per-owner index of WAITING requests — the cancel_waits path.
         self._waiting: dict[Hashable, set[LockRequest]] = {}
-        #: per-owner count of granted locks carrying SIREAD (O(1)
-        #: holds_any_siread, consulted on every SSI commit).
-        self._siread_counts: dict[Hashable, int] = {}
+        #: the reader table: point resource (record or page) -> {owner
+        #: id: owner} for every point SIREAD granted there.  Point
+        #: SIREADs live here and nowhere else — not in ``_heads``.
+        self._readers: dict[Resource, dict[Hashable, Any]] = {}
+        #: owner id -> every resource it holds SIREAD on, in grant order:
+        #: its reader-table entries and its SIREAD ranges (head locks).
+        #: An owner is present iff it holds one: O(1) holds_any_siread,
+        #: consulted on every SSI commit, and cleanup's one walk.
+        self._reads: dict[Hashable, list[Resource]] = {}
+        #: granted head locks plus reader-table entries
         self._granted_count = 0
         #: (owner_id, folded range) -> the sentinels that range stands
         #: for, itself included.  An entry exists for every folded range
@@ -392,7 +416,10 @@ class LockManager:
 
     # ------------------------------------------------------------------ API
 
-    def acquire(self, owner: Any, resource: Resource, mode: LockMode) -> AcquireResult:
+    def acquire(
+        self, owner: Any, resource: Resource, mode: LockMode,
+        key: Hashable | None = None,
+    ) -> AcquireResult:
         """Request ``mode`` on ``resource`` for ``owner``.
 
         Never blocks the calling thread.  Returns GRANTED (possibly with
@@ -405,15 +432,27 @@ class LockManager:
         :meth:`acquire_nowait` is the same call under its
         completion-style name.
 
-        An EXCLUSIVE record request also meets the key ranges covering
-        its key, in the same critical section.  Another owner's SHARED
-        range makes it wait, queued as an INSERT_INTENTION request on
-        that range; every other owner's SIREAD range joins the detection
+        A SIREAD on a record or page never waits and is always granted
+        (:meth:`_acquire_siread`).  ``key`` marks it a point read of that
+        record key (the engine's reads pass it, for a page resource too):
+        then a key range of the owner's own covering ``key`` stands in for
+        the reader entry.
+
+        An EXCLUSIVE request reports the resource's reader entries (Fig
+        3.5); its grant drops its owner's own under ``siread_upgrade``.  An
+        EXCLUSIVE record request also meets the key ranges covering its
+        key, in the same critical section.  Another owner's SHARED range
+        makes it wait, queued as an INSERT_INTENTION request on that
+        range; every other owner's SIREAD range joins the detection
         conflicts — the writer half of phantom detection.
         """
+        point = resource.kind != "range"
+        if mode is LockMode.SIREAD and point:
+            return self._acquire_siread(owner, resource, key)
+        owner_id = owner.id
         with self._latch:
             self.stats["acquires"] += 1
-            owner_locks = self._by_owner.get(owner.id)
+            owner_locks = self._by_owner.get(owner_id)
             held = owner_locks.get(resource) if owner_locks else None
             ranges = (
                 self._ranges.get(resource.table)
@@ -423,31 +462,88 @@ class LockManager:
             if ranges:
                 # Checked on a covered re-acquire too: a record granted by
                 # _promote never met the ranges placed while it queued.
-                blocking = self._shared_range_over(ranges, owner.id, resource.key)
+                blocking = self._shared_range_over(ranges, owner_id, resource.key)
                 if blocking is not None:
                     return self._enqueue_wait(
                         owner, blocking, LockMode.INSERT_INTENTION,
                         self._heads[blocking],
-                        owner_locks.get(blocking) if owner_locks else None,
+                        bool(owner_locks) and blocking in owner_locks,
                     )
+            readers = self._readers.get(resource) if point and self._readers else None
             head = self._heads.get(resource)
             if head is None:
                 head = self._heads[resource] = _LockHead()
             # A covered request (idempotent re-acquire) grants nothing but
             # still reports detection conflicts, for retry correctness.
             if held is None or not held.mask & mode.covered_by_mask:
-                # SIREAD never blocks and never waits (Section 3.2).
+                # A range SIREAD never blocks and never waits (Section 3.2).
                 if mode is not LockMode.SIREAD:
-                    if self._blockers(head, owner, mode, upgrading=held is not None):
-                        return self._enqueue_wait(owner, resource, mode, head, held)
-                    if held is not None:
+                    upgrading = held is not None or (
+                        readers is not None and owner_id in readers
+                    )
+                    if self._blockers(head, owner, mode, upgrading=upgrading):
+                        return self._enqueue_wait(owner, resource, mode, head, upgrading)
+                    if upgrading:
                         self.stats["upgrades"] += 1
                 self._grant(head, owner, resource, mode, held)
             conflicts = self._detection_conflicts(head, owner, mode)
+            if readers and mode.detect_mask & _SIREAD_BIT:
+                met = self._readers_met(readers, resource, owner_id)
+                if met:
+                    conflicts = conflicts + met
             if ranges:
-                readers = self._range_readers(ranges, owner.id, resource.key)
-                if readers:
-                    conflicts = conflicts + readers
+                met = self._range_readers(ranges, owner_id, resource.key)
+                if met:
+                    conflicts = conflicts + met
+        if not conflicts:
+            return _GRANTED_CLEAN
+        return AcquireResult(AcquireStatus.GRANTED, detection_conflicts=conflicts)
+
+    def _acquire_siread(
+        self, owner: Any, resource: Resource, key: Hashable | None
+    ) -> AcquireResult:
+        """A point SIREAD (Fig 3.4), one critical section: a re-read
+        finds its entry and does nothing — not even count an acquire, as
+        it grants nothing; a read covered by the owner's EXCLUSIVE lock,
+        or a point read of ``key`` covered by one of its key ranges, adds
+        no entry (a writer of the key meets the range); any other read
+        adds one reader entry.  Either way but the re-read, the EXCLUSIVE
+        holders of ``resource`` come back as detection conflicts."""
+        owner_id = owner.id
+        with self._latch:
+            readers = self._readers.get(resource)
+            if readers is not None and owner_id in readers:
+                return _GRANTED_CLEAN
+            self.stats["acquires"] += 1
+            owner_locks = self._by_owner.get(owner_id)
+            covered = False
+            if owner_locks:
+                held = owner_locks.get(resource)
+                if held is not None and held.mask & _EXCLUSIVE_BIT:
+                    return _GRANTED_CLEAN
+                if key is not None:
+                    ranges = self._ranges.get(resource.table)
+                    covered = bool(ranges) and self._own_range_over(
+                        ranges, owner_id, key, _SIREAD_BIT
+                    )
+            if not covered:
+                if readers is None:
+                    self._readers[resource] = {owner_id: owner}
+                else:
+                    readers[owner_id] = owner
+                reads = self._reads.get(owner_id)
+                if reads is None:
+                    self._reads[owner_id] = [resource]
+                else:
+                    reads.append(resource)
+                self._granted_count += 1
+            head = self._heads.get(resource)
+            if head is None or not head.mask & _WRITE_BITS:
+                return _GRANTED_CLEAN
+            conflicts = [
+                lock for holder_id, lock in head.granted.items()
+                if holder_id != owner_id and lock.mask & _WRITE_BITS
+            ]
         if not conflicts:
             return _GRANTED_CLEAN
         return AcquireResult(AcquireStatus.GRANTED, detection_conflicts=conflicts)
@@ -465,54 +561,49 @@ class LockManager:
         Returns ``(conflicts, deferred)``: the combined detection
         conflicts (granted write-mode locks of other owners, for the
         caller to dispatch as rw edges), and the resources that need the
-        normal one-at-a-time path — a SHARED request against an
-        incompatible holder or a non-empty queue (FIFO fairness), or any
-        resource where this owner already holds a non-covering lock.
-        Deferred resources are *not* counted as acquires here; the
-        caller's normal acquire counts them.
+        normal one-at-a-time path.  Deferred resources are *not* counted
+        as acquires here; the caller's normal acquire counts them.
 
-        SIREAD defers resource by resource.  A blocking read mode
-        (SHARED) goes strictly in submission order and STOPS at the first
-        resource that cannot be granted: granting later resources while
-        an earlier one must wait would invert the scan's lock order
+        SIREAD defers nothing: each resource is :meth:`acquire` in turn.
+        A blocking read mode (SHARED) goes strictly in submission order
+        and STOPS at the first resource that cannot be granted fresh — an
+        incompatible holder, a non-empty queue (FIFO fairness), or a
+        non-covering lock of this owner's own: granting later resources
+        while an earlier one must wait would invert the scan's lock order
         against concurrent writers and manufacture deadlocks.  Everything
         from the stopping point on is deferred, in order, to the caller's
         normal blocking path.
         """
-        owner_id = owner.id
-        cover = mode.covered_by_mask
-        bit = mode.bit
-        shift = mode.index << 4
-        incompat = mode.incompat_mask
-        is_siread = mode is LockMode.SIREAD
         conflicts: list[Lock] = []
         deferred: list[Resource] = []
-        settled = 0
-        fresh = 0
         with self._latch:
+            if mode is LockMode.SIREAD:
+                for resource in resources:
+                    conflicts.extend(self.acquire(owner, resource, mode).detection_conflicts)
+                return conflicts, deferred
+            owner_id = owner.id
+            bit = mode.bit
+            shift = mode.index << 4
+            incompat = mode.incompat_mask
+            settled = 0
             heads = self._heads
             owner_locks = self._by_owner.get(owner_id)
             for index, resource in enumerate(resources):
                 held = owner_locks.get(resource) if owner_locks else None
-                if held is not None and held.mask & cover:
+                if held is not None and held.mask & mode.covered_by_mask:
                     settled += 1  # idempotent re-acquire: count, done
                     continue
                 head = heads.get(resource)
-                if held is not None or (
-                    not is_siread
-                    and head is not None
-                    and (head.mask & incompat or head.queue)
+                readers = self._readers.get(resource)
+                if (
+                    held is not None
+                    or (readers is not None and owner_id in readers)
+                    or (head is not None and (head.mask & incompat or head.queue))
                 ):
-                    if is_siread:
-                        deferred.append(resource)  # uncovered upgrade
-                        continue
                     deferred = list(resources[index:])
                     break
                 if head is None:
                     head = heads[resource] = _LockHead()
-                detect = self._detection_conflicts(head, owner, mode)
-                if detect:
-                    conflicts.extend(detect)
                 # Fresh single-mode grant, inlined (_grant per row would
                 # dominate a 1024-row scan).
                 if owner_locks is None:
@@ -523,14 +614,9 @@ class LockManager:
                 if not (head.counts >> shift) & 0xFFFF:
                     head.mask |= bit
                 head.counts += 1 << shift
-                fresh += 1
-            self.stats["acquires"] += settled + fresh
-            if fresh:
-                self._granted_count += fresh
-                if is_siread:
-                    self._siread_counts[owner_id] = (
-                        self._siread_counts.get(owner_id, 0) + fresh
-                    )
+                settled += 1
+                self._granted_count += 1
+            self.stats["acquires"] += settled
         return conflicts, deferred
 
     # ------------------------------------------------------- key-range locks
@@ -638,7 +724,8 @@ class LockManager:
     ) -> bool:
         """Does a key range ``owner`` holds in ``mode`` cover ``key``?  A
         point read it covers needs no record lock: a writer of ``key``
-        meets the range in :meth:`acquire`.
+        meets the range in :meth:`acquire` (which runs this check itself
+        for a point SIREAD).
 
         Latch-free exit (two GIL-atomic probes) when the owner holds
         nothing or the table has no range: only the owner's own thread
@@ -647,13 +734,20 @@ class LockManager:
         owner_id = owner.id
         if owner_id not in self._by_owner or not self._ranges.get(table):
             return False
-        bit = mode.bit
         with self._latch:
-            for resource, head in self._ranges[table].items():
-                lock = head.granted.get(owner_id)
-                if lock is not None and lock.mask & bit and _covers(resource.key, key):
-                    return True
-            return False
+            return self._own_range_over(self._ranges[table], owner_id, key, mode.bit)
+
+    @staticmethod
+    def _own_range_over(
+        ranges: dict[Resource, _LockHead], owner_id: Hashable, key: Hashable,
+        bit: int,
+    ) -> bool:
+        """Does a range ``owner_id`` holds with mode ``bit`` cover ``key``?"""
+        for resource, head in ranges.items():
+            lock = head.granted.get(owner_id)
+            if lock is not None and lock.mask & bit and _covers(resource.key, key):
+                return True
+        return False
 
     @staticmethod
     def _shared_range_over(
@@ -736,17 +830,18 @@ class LockManager:
         resource: Resource,
         mode: LockMode,
         head: _LockHead,
-        held: Lock | None,
+        upgrade: bool,
     ) -> AcquireResult:
         """Queue a blocked request (caller holds the latch).
 
-        Upgrades queue at the front (standard treatment) so an upgrader
-        is not starved behind later plain requests."""
+        Upgrades — the owner already holds a lock or a reader entry here
+        — queue at the front (standard treatment) so an upgrader is not
+        starved behind later plain requests."""
         owner_id = owner.id
         request = LockRequest(owner, resource, mode, self)
         if head.queue is None:
             head.queue = deque()
-        if held is not None:
+        if upgrade:
             head.queue.appendleft(request)
             self.stats["upgrades"] += 1
         else:
@@ -775,20 +870,31 @@ class LockManager:
         """Release every lock held by ``owner`` (commit/abort time).
 
         With ``keep_siread=True`` (Serializable SI commit, Fig 3.2 line 9)
-        the SIREAD locks stay in the table; they are dropped later by
-        :meth:`drop_siread_locks` once no concurrent transaction remains.
+        the SIREADs stay: the reader table is not touched at all, and a
+        range's SIREAD mode is kept while its other modes go.  They are
+        dropped later by :meth:`drop_siread_locks` once no concurrent
+        transaction remains.  Without it (abort) the reader entries go
+        too.
 
-        An owner with no granted locks and no waiting requests exits with
-        no latch at all.  The two membership probes are GIL-atomic, and a
-        stale "absent" cannot hide a lock: nothing is ever granted to an
-        owner that is in neither index — escalation only folds held
-        sentinels, and :meth:`_promote` indexes a waiter's grant *before*
-        it leaves ``_waiting``.
+        An owner with nothing to release exits with no latch at all — at
+        a retaining commit, that is an owner holding only point SIREADs.
+        The membership probes are GIL-atomic, and a stale "absent" cannot
+        hide a lock: nothing is ever granted to an owner that is in none
+        of the indexes — escalation only folds held SIREADs, and
+        :meth:`_promote` indexes a waiter's grant *before* it leaves
+        ``_waiting``.
         """
         owner_id = owner.id
-        if owner_id not in self._by_owner and owner_id not in self._waiting:
+        if (
+            owner_id not in self._by_owner and owner_id not in self._waiting
+            and (keep_siread or owner_id not in self._reads)
+        ):
             return
         with self._latch:
+            if not keep_siread:
+                reads = self._reads.pop(owner_id, None)
+                if reads:
+                    self._forget_readers(owner_id, reads)
             locks = self._by_owner.get(owner_id)
             if locks:
                 heads = self._heads
@@ -819,60 +925,111 @@ class LockManager:
                 self.cancel_waits(owner)
 
     def retain_all_reads(self, owner: Any) -> bool:
-        """Commit-time fast path for a read-only retaining owner.
+        """Would ``release_all(owner, keep_siread=True)`` keep every lock
+        the owner holds?  Then only its pending waits and waits-for edges
+        are cancelled here and True is returned; False when it holds a
+        lock without SIREAD (e.g. a SHARED-read retaining policy).
 
-        When every lock the owner holds is a pure SIREAD sentinel
-        (per-owner SIREAD count covers the whole held set), retaining
-        them all means :meth:`release_all` would walk the set to shed
-        nothing — only pending waits and waits-for edges need
-        cancelling.  Returns True when the release was handled here
-        (everything retained); False when the owner holds a non-SIREAD
-        lock (e.g. a SHARED-read retaining policy) and the caller must
-        take the full ``release_all(keep_siread=True)`` path.
+        No engine path calls it any more — a retaining commit of an owner
+        holding only point SIREADs leaves :meth:`release_all` latch-free —
+        it is kept only because the benchmark's layer tracer targets it.
         """
         owner_id = owner.id
         with self._latch:
             held = self._by_owner.get(owner_id)
-            if held is not None and self._siread_counts.get(owner_id, 0) < len(held):
+            if held is not None and any(
+                not lock.mask & _SIREAD_BIT for lock in held.values()
+            ):
                 return False
             if self._waiting.get(owner_id) or owner_id in self.waits_for._edges:
                 self.cancel_waits(owner)
         return True
 
     def drop_siread_locks(self, owner: Any) -> int:
-        """Remove retained SIREAD locks of a cleaned-up suspended txn.
+        """Remove the retained SIREADs of a cleaned-up suspended txn: one
+        walk of its read list, reader entries and ranges alike.
 
         The weighted return value counts a folded range as the sentinels
         it replaced.
 
-        An owner absent from ``_by_owner`` returns 0 with no latch (one
+        An owner absent from ``_reads`` returns 0 with no latch (one
         GIL-atomic probe); the stale answer is safe for the reason given
         in :meth:`release_all` — no path grants to an owner holding
         nothing.
         """
         owner_id = owner.id
-        if owner_id not in self._by_owner:
+        if owner_id not in self._reads:
             return 0
         with self._latch:
-            locks = self._by_owner.get(owner_id)
-            if not locks:
+            reads = self._reads.pop(owner_id, None)
+            if not reads:
                 return 0
-            heads = self._heads
+            points = self._forget_readers(owner_id, reads)
             removed: list[Lock] = []
             shed = 0
-            for resource, lock in locks.items():
-                if not lock.mask & _SIREAD_BIT:
-                    continue
-                if lock.mask == _SIREAD_BIT:
-                    self._detach_lock(heads[resource], lock)
-                    removed.append(lock)
-                else:
-                    shed += self._shed_siread(heads[resource], lock)
-            dropped = len(removed) + shed
+            if points < len(reads):
+                heads = self._heads
+                locks = self._by_owner[owner_id]
+                for resource in reads:
+                    if resource.kind != "range":
+                        continue
+                    lock = locks[resource]
+                    if lock.mask == _SIREAD_BIT:
+                        self._detach_lock(heads[resource], lock)
+                        removed.append(lock)
+                    else:
+                        shed += self._shed_siread(heads[resource], lock)
+            dropped = points + len(removed) + shed
             # The surplus is the extra sentinels folded ranges stood for.
             return dropped + self._forget_locks(
                 owner_id, removed, dropped_stat=dropped
             )
+
+    def _forget_readers(self, owner_id: Hashable, reads: Sequence[Resource]) -> int:
+        """Remove ``owner_id``'s reader entries among ``reads`` (its read
+        list, already taken out of ``_reads``; ranges are skipped) and
+        return how many there were."""
+        table = self._readers
+        points = 0
+        for resource in reads:
+            if resource.kind != "range":
+                readers = table[resource]
+                del readers[owner_id]
+                if not readers:
+                    del table[resource]
+                points += 1
+        self._granted_count -= points
+        return points
+
+    def _drop_readers(self, owner_id: Hashable, points: Sequence[Resource]) -> None:
+        """Remove reader entries of ``owner_id``, from its read list too."""
+        self._forget_readers(owner_id, points)
+        self._unlist_reads(owner_id, points)
+
+    def _unlist_reads(self, owner_id: Hashable, gone: Sequence[Resource]) -> None:
+        """Take ``gone`` out of ``owner_id``'s read list, if it has one."""
+        reads = self._reads.get(owner_id)
+        if reads is None:
+            return
+        if len(gone) == 1:
+            reads.remove(gone[0])
+        else:
+            dropped = set(gone)
+            reads[:] = [resource for resource in reads if resource not in dropped]
+        if not reads:
+            del self._reads[owner_id]
+
+    @staticmethod
+    def _readers_met(
+        readers: dict[Hashable, Any], resource: Resource, owner_id: Hashable
+    ) -> list[Lock]:
+        """The other owners among ``resource``'s ``readers``, as the
+        SIREAD :class:`Lock` objects a detection conflict carries."""
+        return [
+            Lock(reader, resource, mask=_SIREAD_BIT)
+            for reader_id, reader in readers.items()
+            if reader_id != owner_id
+        ]
 
     def _detach_lock(self, head: _LockHead, lock: Lock) -> None:
         """Head-side removal of a granted lock (caller holds the latch).
@@ -910,24 +1067,20 @@ class LockManager:
         weighted totals."""
         surplus = 0
         if removed:
-            siread_gone = 0
             self._granted_count -= len(removed)
             owner_locks = self._by_owner[owner_id]
             weights = self._escalated_weights
+            siread_gone = []
             for lock in removed:
                 if lock.mask & _SIREAD_BIT:
-                    siread_gone += 1
+                    siread_gone.append(lock.resource)
                 if weights:
                     surplus += weights.pop((owner_id, lock.resource), 1) - 1
                 del owner_locks[lock.resource]
             if not owner_locks:
                 del self._by_owner[owner_id]
             if siread_gone:
-                remaining = self._siread_counts[owner_id] - siread_gone
-                if remaining:
-                    self._siread_counts[owner_id] = remaining
-                else:
-                    del self._siread_counts[owner_id]
+                self._unlist_reads(owner_id, siread_gone)
         if dropped_stat:
             self.stats["siread_dropped"] += dropped_stat + surplus
         return surplus
@@ -939,14 +1092,15 @@ class LockManager:
         folding SIREADs into key ranges (``None`` = no budget).
 
         Victims are the busiest SIREAD holders (ties by owner id).  A
-        victim's pure record and range SIREADs on one table fold into one
-        range over their span (:meth:`_fold`); a mixed-mode lock belongs
-        to an active writer and stays put, and a lone sentinel is already
-        as coarse as its fold.  Writers meet the fold in :meth:`acquire`
-        like any scan's range, and a range covers keys no leaf holds yet,
-        so a leaf split owes it nothing.  Only pure SIREADs fold: a
-        SHARED range or a writer's INSERT_INTENTION claim never stands in
-        for one.
+        victim's record reader entries and pure range SIREADs on one
+        table fold into one range over their span (:meth:`_fold`); a
+        record the victim also holds a lock on belongs to an active
+        writer and stays put, a page entry is never folded, and a lone
+        sentinel is already as coarse as its fold.  Writers meet the fold
+        in :meth:`acquire` like any scan's range, and a range covers keys
+        no leaf holds yet, so a leaf split owes it nothing.  Only pure
+        SIREADs fold: a SHARED range or a writer's INSERT_INTENTION claim
+        never stands in for one.
 
         Soundness: the whole escalation is one critical section, so a
         writer sees the fine sentinels or their fold, never neither, and
@@ -957,34 +1111,43 @@ class LockManager:
             return
         with self._latch:
             ranked = sorted(
-                self._siread_counts.items(),
+                ((owner_id, len(reads)) for owner_id, reads in self._reads.items()),
                 key=lambda item: (-item[1], str(item[0])),
             )
             for owner_id, _count in ranked:
-                by_table: dict[str, list[Lock]] = {}
-                for resource, lock in self._by_owner[owner_id].items():
-                    if resource.kind in _FOLDABLE and lock.mask == _SIREAD_BIT:
-                        by_table.setdefault(resource.table, []).append(lock)
-                for table, locks in by_table.items():
-                    if len(locks) > 1:
-                        self._fold(table, locks)
+                locks = self._by_owner.get(owner_id, {})
+                by_table: dict[str, list[Resource]] = {}
+                for resource in self._reads[owner_id]:
+                    if resource.kind == "rec":
+                        foldable = resource not in locks
+                    else:
+                        foldable = (
+                            resource.kind == "range"
+                            and locks[resource].mask == _SIREAD_BIT
+                        )
+                    if foldable:
+                        by_table.setdefault(resource.table, []).append(resource)
+                for table, resources in by_table.items():
+                    if len(resources) > 1:
+                        self._fold(owner_id, table, resources)
                     if self._granted_count <= budget:
                         return
 
-    def _fold(self, table: str, locks: list[Lock]) -> None:
-        """Replace one owner's pure SIREADs ``locks`` on ``table`` with one
-        SIREAD on the range ``[min lo, max hi]`` of what they covered (a
-        record covers its own key; an open end stays ``None``; bounds that
-        do not order against each other fold to the whole table).
+    def _fold(self, owner_id: Hashable, table: str, resources: list[Resource]) -> None:
+        """Replace one owner's pure SIREADs on ``table`` — record reader
+        entries and range locks, ``resources`` — with one SIREAD on the
+        range ``[min lo, max hi]`` of what they covered (a record covers
+        its own key; an open end stays ``None``; bounds that do not order
+        against each other fold to the whole table).
 
         The replaced sentinels are *folded*, not dropped: no
         ``siread_dropped`` bump — the range's weight entry carries their
         count, folded ranges' own weights included, to whichever path
         finally removes it."""
         spans = [
-            lock.resource.key if lock.resource.kind == "range"
-            else (lock.resource.key, lock.resource.key)
-            for lock in locks
+            resource.key if resource.kind == "range"
+            else (resource.key, resource.key)
+            for resource in resources
         ]
         los = [lo for lo, _hi in spans]
         his = [hi for _lo, hi in spans]
@@ -994,32 +1157,39 @@ class LockManager:
         except TypeError:
             lo = hi = None
         target = range_resource(table, lo, hi)
-        owner = locks[0].owner
-        owner_id = owner.id
+        locks = self._by_owner.get(owner_id, {})
+        first = resources[0]
+        owner = (
+            locks[first].owner if first.kind == "range"
+            else self._readers[first][owner_id]
+        )
         weight_key = (owner_id, target)
         weight = self._escalated_weights.get(weight_key, 1)
-        self._place_range(owner, target, LockMode.SIREAD,
-                          self._by_owner[owner_id].get(target))
-        removed = [lock for lock in locks if lock.resource != target]
+        self._place_range(owner, target, LockMode.SIREAD, locks.get(target))
+        points = [resource for resource in resources if resource.kind == "rec"]
+        if points:
+            self._drop_readers(owner_id, points)
+        removed = [
+            self._by_owner[owner_id][resource] for resource in resources
+            if resource.kind == "range" and resource != target
+        ]
         for lock in removed:
             self._detach_lock(self._heads[lock.resource], lock)
         surplus = self._forget_locks(owner_id, removed)
-        self._escalated_weights[weight_key] = weight + len(removed) + surplus
+        folded = len(points) + len(removed)
+        self._escalated_weights[weight_key] = weight + folded + surplus
         self.stats["escalations"] += 1
-        self.stats["escalated_records"] += len(removed)
+        self.stats["escalated_records"] += folded
 
     def probe_detection(
         self, owner: Any, resource: Resource, mode: LockMode
     ) -> list[Lock]:
-        """Detection conflicts on ``resource`` without acquiring anything:
-        a point read covered by the reader's own range takes no record
-        SIREAD but still owes the Fig 3.4 check against granted
-        EXCLUSIVE holders."""
+        """Detection conflicts on ``resource`` without acquiring
+        anything.  No engine path calls it (a point SIREAD covered by its
+        reader's own range is settled inside :meth:`acquire`); it is kept
+        only because the benchmark's layer tracer targets it."""
         with self._latch:
-            head = self._heads.get(resource)
-            if head is None:
-                return _NO_CONFLICTS
-            return self._detection_conflicts(head, owner, mode)
+            return self._probe(owner, resource, mode)
 
     def probe_detection_batch(
         self, owner: Any, resources: list[Resource], mode: LockMode
@@ -1028,19 +1198,26 @@ class LockManager:
         section."""
         conflicts: list[Lock] = []
         with self._latch:
-            heads = self._heads
             for resource in resources:
-                head = heads.get(resource)
-                if head is not None:
-                    found = self._detection_conflicts(head, owner, mode)
-                    if found:
-                        conflicts.extend(found)
+                conflicts.extend(self._probe(owner, resource, mode))
         return conflicts
 
+    def _probe(self, owner: Any, resource: Resource, mode: LockMode) -> list[Lock]:
+        head = self._heads.get(resource)
+        found = (
+            self._detection_conflicts(head, owner, mode)
+            if head is not None else _NO_CONFLICTS
+        )
+        readers = self._readers.get(resource)
+        if readers and mode.detect_mask & _SIREAD_BIT:
+            found = found + self._readers_met(readers, resource, owner.id)
+        return found
+
     def siread_lock_count(self) -> int:
-        """Granted locks carrying SIREAD, across all owners (obs gauge)."""
+        """Granted SIREADs, across all owners (obs gauge): reader entries
+        plus SIREAD ranges."""
         with self._latch:
-            return sum(self._siread_counts.values())
+            return sum(len(reads) for reads in self._reads.values())
 
     def escalated_lock_count(self) -> int:
         """Folded ranges currently granted (obs gauge; one atomic
@@ -1118,31 +1295,52 @@ class LockManager:
     # --------------------------------------------------------------- queries
 
     def locks_on(self, resource: Resource) -> list[Lock]:
+        """The granted locks on ``resource``, one per owner; a reader
+        entry shows as a SIREAD :class:`Lock`, merged with its owner's
+        head lock there if it has one."""
         with self._latch:
             head = self._heads.get(resource)
-            return list(head.granted.values()) if head else []
+            locks = dict(head.granted) if head else {}
+            for reader_id, reader in self._readers.get(resource, {}).items():
+                lock = locks.get(reader_id)
+                locks[reader_id] = Lock(
+                    reader, resource, mask=_SIREAD_BIT | (lock.mask if lock else 0)
+                )
+            return list(locks.values())
 
     def locks_held_by(self, owner: Any) -> list[Lock]:
+        """The locks ``owner`` holds, one per resource, reader entries
+        included (as in :meth:`locks_on`)."""
         with self._latch:
-            return list(self._by_owner.get(owner.id, {}).values())
+            held = dict(self._by_owner.get(owner.id, {}))
+            for resource in self._reads.get(owner.id, ()):
+                if resource.kind != "range":
+                    lock = held.get(resource)
+                    held[resource] = Lock(
+                        owner, resource, mask=_SIREAD_BIT | (lock.mask if lock else 0)
+                    )
+            return list(held.values())
 
     def holds(self, owner: Any, resource: Resource, mode: LockMode | None = None) -> bool:
-        """Latch-free (two GIL-atomic ``get`` probes): only the owner's
-        own thread grants or releases on its behalf while it runs, so the
+        """Latch-free (GIL-atomic ``get`` probes): only the owner's own
+        thread grants or releases on its behalf while it runs, so the
         answer about one's own locks cannot go stale mid-call; about
         another owner it is a momentary snapshot either way."""
         owner_locks = self._by_owner.get(owner.id)
         lock = owner_locks.get(resource) if owner_locks else None
-        if lock is None:
+        if lock is not None and (mode is None or lock.mask & mode.bit):
+            return True
+        if mode is not None and mode is not LockMode.SIREAD:
             return False
-        return mode is None or bool(lock.mask & mode.bit)
+        readers = self._readers.get(resource)
+        return readers is not None and owner.id in readers
 
     def holds_any_siread(self, owner: Any) -> bool:
-        """Latch-free (one GIL-atomic ``get``): asked at the owner's own
+        """Latch-free (one GIL-atomic probe): asked at the owner's own
         commit, when nothing else grants to it — escalation only folds
         SIREADs the owner already holds, so it cannot turn a False into a
         True."""
-        return self._siread_counts.get(owner.id, 0) > 0
+        return owner.id in self._reads
 
     def waiting_requests(self) -> list[LockRequest]:
         with self._latch:
@@ -1174,7 +1372,8 @@ class LockManager:
         return [choose(owners) for owners in cycles]
 
     def table_size(self) -> int:
-        """Number of granted locks — tracks the Section 3.3 growth concern.
+        """Number of granted locks, head locks plus reader entries —
+        tracks the Section 3.3 growth concern.
         Latch-free: one int read feeding gauges and :meth:`escalate`'s
         budget check, where a value one grant stale is as good as a fresh one."""
         return self._granted_count
@@ -1185,9 +1384,9 @@ class LockManager:
         with self._latch:
             return {
                 "granted": self._granted_count,
-                "owners": len(self._by_owner),
+                "owners": len(self._by_owner.keys() | self._reads.keys()),
                 "waiters": len(self._waiting),
-                "siread": sum(self._siread_counts.values()),
+                "siread": sum(len(reads) for reads in self._reads.values()),
             }
 
     # -------------------------------------------------------------- internals
@@ -1220,8 +1419,7 @@ class LockManager:
             head.mask |= bit
         head.counts += 1 << shift
         if mode is LockMode.SIREAD:
-            owner_id = lock.owner.id
-            self._siread_counts[owner_id] = self._siread_counts.get(owner_id, 0) + 1
+            self._reads.setdefault(lock.owner.id, []).append(lock.resource)
         elif bit == _EXCLUSIVE_BIT and self._exclusive_keys:
             self._index_exclusive(lock.resource, held=True)
 
@@ -1238,12 +1436,7 @@ class LockManager:
         if bit == _EXCLUSIVE_BIT and self._exclusive_keys:
             self._index_exclusive(lock.resource, held=False)
         if mode is LockMode.SIREAD:
-            owner_id = lock.owner.id
-            remaining = self._siread_counts[owner_id] - 1
-            if remaining:
-                self._siread_counts[owner_id] = remaining
-            else:
-                del self._siread_counts[owner_id]
+            self._unlist_reads(lock.owner.id, (lock.resource,))
 
     def _shed_siread(self, head: _LockHead, lock: Lock) -> int:
         """Strip the SIREAD mode from a lock that stays granted in its
@@ -1314,19 +1507,16 @@ class LockManager:
             held = head.granted[owner_id] = Lock(owner, resource)
             self._by_owner[owner_id][resource] = held
             self._granted_count += 1
-            self._add_mode(head, held, mode)
-            return
         if not held.mask & mode.bit:
             self._add_mode(head, held, mode)
-        # SIREAD->EXCLUSIVE upgrade discards the SIREAD so it is not
-        # retained after commit (Section 3.7.3); the new version's
+        # SIREAD->EXCLUSIVE upgrade discards the reader entry so it is
+        # not retained after commit (Section 3.7.3); the new version's
         # first-committer conflicts subsume its detection role.
-        if (
-            mode is LockMode.EXCLUSIVE
-            and self.siread_upgrade
-            and held.mask & _SIREAD_BIT
-        ):
-            self.stats["siread_dropped"] += self._shed_siread(head, held)
+        if mode is LockMode.EXCLUSIVE and self.siread_upgrade and self._readers:
+            readers = self._readers.get(resource)
+            if readers is not None and owner_id in readers:
+                self._drop_readers(owner_id, (resource,))
+                self.stats["siread_dropped"] += 1
 
     def _promote(self, resource: Resource) -> None:
         """Grant queued requests now compatible, front-first (FIFO)."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Any, Iterable, Mapping
 
 #: The obs latch — the *leaf* of the engine's latch hierarchy (see
@@ -104,8 +105,8 @@ class CounterGroup(dict):
 class Histogram:
     """A streaming histogram: count/sum/min/max plus fixed buckets.
 
-    Buckets are upper-bound edges (``le``); one overflow bucket catches
-    everything above the last edge.  Cheap enough to observe on engine
+    Buckets are upper-bound edges (``le``, ascending); one overflow
+    bucket catches everything above the last edge.  Cheap enough to observe on engine
     paths (a bisect over a handful of edges) and summarises without
     retaining samples.
     """
@@ -134,11 +135,8 @@ class Histogram:
                 self.min = value
             if self.max is None or value > self.max:
                 self.max = value
-            for index, edge in enumerate(self._edges):
-                if value <= edge:
-                    self._buckets[index] += 1
-                    return
-            self._buckets[-1] += 1
+            # the first edge >= value; past the last edge, the overflow
+            self._buckets[bisect_left(self._edges, value)] += 1
 
     @property
     def mean(self) -> float:

@@ -3,16 +3,17 @@
 The optimized :class:`LockManager` answers its hot-path queries from
 derived state — the per-owner lock index (``_by_owner``), the packed
 per-head mode summary (``_LockHead.counts``/``mask``), the per-owner
-waiting-request index (``_waiting``), the per-owner SIREAD counters
-(``_siread_counts``), the per-table key-range index (``_ranges``), the
-sorted EXCLUSIVE record keys of range-touched tables (``_exclusive_keys``)
-and the global granted counter — instead of walking the lock table.
+waiting-request index (``_waiting``), the per-owner read lists
+(``_reads``: reader-table entries and SIREAD ranges), the per-table
+key-range index (``_ranges``), the sorted EXCLUSIVE record keys of
+range-touched tables (``_exclusive_keys``) and the global granted
+counter — instead of walking the lock table.
 These tests drive random sequences of acquires (single and batched),
 SIREAD and SHARED key-range placements and narrowings (with the
 writers a SHARED range queues), releases, SIREAD drops, wait
 cancellations and SIREAD escalation (folds into key ranges), then rebuild
-every index from the ground-truth table (the per-resource heads) and
-require exact agreement.
+every index from the ground-truth table (the per-resource heads and the
+reader table of point SIREADs) and require exact agreement.
 """
 
 from dataclasses import dataclass
@@ -47,10 +48,18 @@ class Owner:
 
 
 def rebuild_ground_truth(lm: LockManager):
-    """Recompute every derived index by walking the per-resource heads."""
+    """Recompute every derived index by walking the per-resource heads
+    and the reader table."""
     by_owner: dict = {}
-    siread_counts: dict = {}
+    reads: dict = {}
     granted_total = 0
+    for resource, readers in lm._readers.items():
+        assert resource.kind != "range"
+        assert readers, f"empty reader entry for {resource!r} not reclaimed"
+        for owner_id, owner in readers.items():
+            assert owner.id == owner_id
+            granted_total += 1
+            reads.setdefault(owner_id, set()).add(resource)
     for resource, head in lm._heads.items():
         assert not head.empty(), f"empty head for {resource!r} not reclaimed"
         mode_counts = {mode: 0 for mode in MODES}
@@ -64,7 +73,9 @@ def rebuild_ground_truth(lm: LockManager):
                 if lock.mask & mode.bit:
                     mode_counts[mode] += 1
             if lock.mask & LockMode.SIREAD.bit:
-                siread_counts[owner_id] = siread_counts.get(owner_id, 0) + 1
+                # point SIREADs live only in the reader table
+                assert resource.kind == "range"
+                reads.setdefault(owner_id, set()).add(resource)
         # the packed summary must agree with the recount, mode by mode
         expected_mask = 0
         for mode, count in mode_counts.items():
@@ -77,20 +88,21 @@ def rebuild_ground_truth(lm: LockManager):
         for request in head.queue or ():
             if request.state is RequestState.WAITING:
                 waiting.setdefault(request.owner.id, set()).add(request)
-    return by_owner, siread_counts, granted_total, waiting
+    return by_owner, reads, granted_total, waiting
 
 
 def check_agreement(lm: LockManager, owners):
-    by_owner, siread_counts, granted_total, waiting = rebuild_ground_truth(lm)
+    by_owner, reads, granted_total, waiting = rebuild_ground_truth(lm)
     assert {o: d for o, d in lm._by_owner.items() if d} == by_owner
-    assert dict(lm._siread_counts) == siread_counts
+    assert {o: set(r) for o, r in lm._reads.items()} == reads
+    assert all(len(r) == len(set(r)) for r in lm._reads.values())
     assert lm.table_size() == granted_total
     assert {o: s for o, s in lm._waiting.items() if s} == waiting
     assert lm.residue() == {
         "granted": granted_total,
-        "owners": len(by_owner),
+        "owners": len(by_owner.keys() | reads.keys()),
         "waiters": len(waiting),
-        "siread": sum(siread_counts.values()),
+        "siread": sum(len(r) for r in reads.values()),
     }
     # the range index holds exactly the range heads, the EXCLUSIVE key
     # index exactly the EXCLUSIVE record keys of each tracked table
@@ -111,18 +123,21 @@ def check_agreement(lm: LockManager, owners):
     # public queries answered from the indexes agree with the table
     for owner in owners:
         held = by_owner.get(owner.id, {})
+        read = reads.get(owner.id, set())
+        masks = {
+            resource: lock.mask for resource, lock in held.items()
+        }
+        for resource in read:
+            masks[resource] = masks.get(resource, 0) | LockMode.SIREAD.bit
         assert {
-            lock.resource for lock in lm.locks_held_by(owner)
-        } == set(held)
-        assert lm.holds_any_siread(owner) == (
-            siread_counts.get(owner.id, 0) > 0
-        )
+            lock.resource: lock.mask for lock in lm.locks_held_by(owner)
+        } == masks
+        assert lm.holds_any_siread(owner) == bool(read)
         for resource in RESOURCES:
-            lock = held.get(resource)
-            assert lm.holds(owner, resource) == (lock is not None)
+            mask = masks.get(resource, 0)
+            assert lm.holds(owner, resource) == bool(mask)
             for mode in MODES:
-                expected = lock is not None and bool(lock.mask & mode.bit)
-                assert lm.holds(owner, resource, mode) == expected
+                assert lm.holds(owner, resource, mode) == bool(mask & mode.bit)
 
 
 owner_ids = st.integers(0, N_OWNERS - 1)
@@ -215,6 +230,7 @@ def test_indexes_agree_with_lock_table(sequence):
         lm.drop_siread_locks(owner)
     check_agreement(lm, owners)
     assert not lm._heads
+    assert not lm._readers
     assert not any(lm.residue().values())
     assert not lm._escalated_weights
     assert not any(lm._ranges.values())
@@ -222,14 +238,20 @@ def test_indexes_agree_with_lock_table(sequence):
 
 
 def table_of(lm: LockManager):
-    """The lock table as plain data: who holds what, who queues where."""
-    return {
-        resource: (
-            {owner_id: lock.mask for owner_id, lock in head.granted.items()},
-            [(r.owner.id, r.mode) for r in head.queue or ()],
+    """The lock table as plain data: who holds what (reader entries as
+    SIREAD), who queues where."""
+    table = {}
+    for resource in lm._heads.keys() | lm._readers.keys():
+        head = lm._heads.get(resource)
+        granted = {
+            owner_id: lock.mask for owner_id, lock in head.granted.items()
+        } if head else {}
+        for owner_id in lm._readers.get(resource, ()):
+            granted[owner_id] = granted.get(owner_id, 0) | LockMode.SIREAD.bit
+        table[resource] = (
+            granted, [(r.owner.id, r.mode) for r in (head and head.queue) or ()]
         )
-        for resource, head in lm._heads.items()
-    }
+    return table
 
 
 def acquire_in_order(lm: LockManager, owner, resources, mode, skip=()):

@@ -59,6 +59,15 @@ class TestHistogram:
         snap = h.snapshot()
         assert snap["buckets"] == {"le_1": 2, "le_10": 1, "overflow": 1}
 
+    def test_edge_value_lands_in_its_own_bucket(self):
+        h = Histogram("h", edges=(1, 10, 100))
+        for value in (1, 10, 100, 100.5, 1e9):
+            h.observe(value)
+        snap = h.snapshot()
+        assert snap["buckets"] == {
+            "le_1": 1, "le_10": 1, "le_100": 1, "overflow": 2,
+        }
+
     def test_reset(self):
         h = Histogram("h", edges=(1,))
         h.observe(0.5)
