@@ -55,9 +55,9 @@ class CCPolicy:
     edge_precedence: int = 0
 
     #: ``on_read`` acts only on rows whose chain holds a committed version
-    #: newer than the snapshot (SSI's Fig 3.4 lines 8-9), so a snapshot
-    #: scan hands :meth:`on_read_batch` just those rows.  False hands it
-    #: every row (SGT records a wr edge per row read).
+    #: newer than the snapshot (SSI's Fig 3.4 lines 8-9), so point reads
+    #: and scans call it (or :meth:`on_read_batch`) for just those rows.
+    #: False: every row (SGT records a wr edge per row read).
     reads_newer_only: bool = False
 
     def __init__(self, db: "Database"):

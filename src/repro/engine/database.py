@@ -47,7 +47,7 @@ from repro.engine.config import DeadlockMode, EngineConfig, LockGranularity
 from repro.engine.indexes import IndexDef, KeyFunc
 from repro.engine.groupcommit import CommitBatcher
 from repro.engine.isolation import IsolationLevel
-from repro.engine.latches import make_latch
+from repro.engine.latches import latch_acquisitions, make_latch
 from repro.engine.transaction import Transaction, TransactionStatus
 from repro.engine.waits import Completion
 from repro.errors import (
@@ -80,7 +80,7 @@ from repro.mvcc.snapshot import Snapshot
 from repro.mvcc.timestamps import LogicalClock
 from repro.mvcc.version import TOMBSTONE, Version
 from repro.obs.explain import AbortExplanation, explain_abort as _explain_abort
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import OBS_LATCH, MetricsRegistry
 from repro.obs.trace import EventTrace, EventType
 from repro.sgt.history import HistoryRecorder
 from repro.storage.btree import SUPREMUM
@@ -195,7 +195,8 @@ class Database:
         #: increments keep native dict speed.  Each key has one
         #: consistent guard: begins/suspended_peak/cleaned under the txn
         #: latch, aborts/mixed_edges_dropped under the tracker latch,
-        #: commits/reads/writes/scans via ``CounterGroup.inc`` (obs latch).
+        #: vacuum_pause_events via ``CounterGroup.inc`` (obs latch);
+        #: reads/writes/scans/commits are folded in by _fold_tallies.
         self.stats = self.metrics.group("engine", {
             "begins": 0,
             "commits": 0,
@@ -675,7 +676,7 @@ class Database:
     def _publish_commits(self, txns) -> None:
         """Step 3, no latch held: redo records for ``txns`` (committed,
         in commit order), one flush covering all of them, then the
-        commit counter, history and trace.  The members' locks are still
+        history and trace.  The members' locks are still
         held — finalize_commit releases them — which is the paper's
         flush-before-release ordering (Section 4.4); and recovery never
         sees a torn group: the one flush happened or it did not."""
@@ -696,7 +697,6 @@ class Database:
                 logged = True
             if logged and self.config.wal_flush_on_commit:
                 wal.flush()
-        self.stats.inc("commits", len(txns))
         for txn in txns:
             if self.history is not None:
                 self.history.on_commit(txn.id, txn.commit_ts)
@@ -770,6 +770,7 @@ class Database:
             txn.status = TransactionStatus.COMMITTED
             return
         page_commit_ts = self._page_commit_ts
+        chain_lengths = []
         with self._commit_latch:
             txn.commit_ts = self.clock.next()
             txn.status = TransactionStatus.COMMITTED
@@ -777,14 +778,14 @@ class Database:
                 table = self.table(table_name)
                 with table.latch:
                     chain = table.ensure_chain(key)[0]
-                    chain_length = chain.install(
+                    chain_lengths.append(chain.install(
                         Version(value=value, commit_ts=txn.commit_ts,
                                 creator_id=txn.id)
-                    )
+                    ))
                     if page_commit_ts is not None:
                         page_key = (table_name, table.leaf_page_of(key))
                         page_commit_ts[page_key] = txn.commit_ts
-                self._h_chain_length.observe(chain_length)
+        self._h_chain_length.observe_many(chain_lengths)
 
     def finalize_commit(self, txn: Transaction) -> None:
         """Append the record to a commit-ordered retention list if
@@ -802,6 +803,7 @@ class Database:
                 self._active.pop(txn.id, None)
                 self._registry.pop(txn.id, None)
                 self._oldest_active_read_ts()  # prunes the snapshot deque
+                self._fold_tallies(txn, commits=1)
             if self._retiring_policies:
                 with self._tracker_latch:
                     self._retire(txn)
@@ -813,6 +815,7 @@ class Database:
             retain = txn.policy.retain_record(txn, keep_siread)
             self._active.pop(txn.id, None)
             horizon = self._oldest_active_read_ts()
+            self._fold_tallies(txn, commits=1)
             if retain:
                 txn.suspended = True
                 self._suspended.append(txn)
@@ -839,6 +842,13 @@ class Database:
             if self._cleanup_due():
                 self._sweep(horizon)
         lm.release_all(txn, keep_siread=keep_siread)
+
+    def _fold_tallies(self, txn: Transaction, commits: int) -> None:
+        """Fold an ending transaction's tallies in; caller holds txn."""
+        self.stats["reads"] += txn.n_reads
+        self.stats["writes"] += txn.n_writes
+        self.stats["scans"] += txn.n_scans
+        self.stats["commits"] += commits
 
     def abort(self, txn: Transaction, reason: str | None = None) -> None:
         """Roll back: discard writes, release every lock (including
@@ -911,7 +921,7 @@ class Database:
         self._check_op(txn)
         table = self.table(table_name)
         self._ensure_snapshot(txn)
-        self.stats.inc("scans")
+        txn.n_scans += 1
         chains, _cut = self._prefix_walk(txn, table, table_name, lo, hi, None)
         results, seen = self._resolve_scan_rows(txn, table_name, chains)
         # Own uncommitted writes overlay the scan result.
@@ -1034,8 +1044,7 @@ class Database:
             if version is not None and not version.is_tombstone:
                 results.append((key, version.value))
                 seen.append(key)
-        if chains:
-            self.stats.inc("reads", len(chains))
+        txn.n_reads += len(chains)
         if handed:
             with self._tracker_latch:
                 policy.on_read_batch(txn, table_name, handed)
@@ -1080,7 +1089,7 @@ class Database:
             return self.scan(txn, table_name, lo, hi, limit=limit)
         if limit <= 0:
             return []
-        self.stats.inc("scans")
+        txn.n_scans += 1
         visited, cut_key = self._prefix_walk(txn, table, table_name, lo, hi, limit)
         results, seen = self._resolve_scan_rows(txn, table_name, visited)
         self._record_scan(
@@ -1176,7 +1185,7 @@ class Database:
             self._lock_new_key_pages(txn, table, table_name, key)
         txn.write_set[(table_name, key)] = value
         txn.write_kinds.setdefault((table_name, key), "write")
-        self.stats.inc("writes")
+        txn.n_writes += 1
         if self.history is not None:
             self.history.on_write(txn.id, table_name, key, kind="write")
 
@@ -1203,7 +1212,7 @@ class Database:
             self._lock_new_key_pages(txn, table, table_name, key)
         txn.write_set[(table_name, key)] = value
         txn.write_kinds[(table_name, key)] = "insert"
-        self.stats.inc("writes")
+        txn.n_writes += 1
         if self.history is not None:
             self.history.on_write(txn.id, table_name, key, kind="insert")
 
@@ -1240,7 +1249,7 @@ class Database:
         self._maintain_indexes(txn, table_name, key, None, deleting=True)
         txn.write_set[(table_name, key)] = TOMBSTONE
         txn.write_kinds[(table_name, key)] = "delete"
-        self.stats.inc("writes")
+        txn.n_writes += 1
         if self.history is not None:
             self.history.on_write(txn.id, table_name, key, kind="delete")
 
@@ -1427,7 +1436,12 @@ class Database:
     def describe(self) -> dict:
         """Introspection snapshot: schema, version counts and the
         concurrency-control state the paper's Section 3.3 worries about
-        (suspended transactions, retained locks)."""
+        (suspended transactions, retained locks); under
+        ``REPRO_LATCH_DEBUG``, latch acquisitions by name (obs: process-wide)."""
+        latches = latch_acquisitions([
+            self._txn_latch, self._tracker_latch, self._commit_latch, OBS_LATCH,
+            self.locks._latch, *(table.latch for table in self._tables.values()),
+        ])
         with self._txn_latch:
             return {
                 "tables": {
@@ -1451,6 +1465,7 @@ class Database:
                     "commits": self.stats["commits"],
                     "aborts": dict(self.stats["aborts"]),
                 },
+                "latches": latches,
             }
 
     # =================================================== internal helpers
@@ -1764,9 +1779,10 @@ class Database:
         """Resolve what ``txn`` sees for key: own write set, then the
         snapshot (SI family) or the latest committed version (S2PL).
         The policy's ``on_read`` hook then runs its conflict detection
-        (Fig 3.4 newer-version marking, SGT wr edges).  Chain reads are
-        latch-free (see repro.mvcc.version)."""
-        self.stats.inc("reads")
+        (Fig 3.4 newer-version marking, SGT wr edges) — for SSI
+        (``reads_newer_only``) only when the chain holds a newer version,
+        as in :meth:`_resolve_scan_rows`.  Chain reads are latch-free."""
+        txn.n_reads += 1
         if txn.write_set:  # read-only transactions skip the tuple build
             own = txn.write_set.get((table_name, key), _MISSING)
             if own is not _MISSING:
@@ -1779,13 +1795,15 @@ class Database:
                 self.history.on_read(txn.id, table_name, key, None)
             return None, False
 
-        if txn.policy.uses_snapshots:
+        policy = txn.policy
+        if policy.uses_snapshots:
             version = txn.snapshot.visible(chain)
         else:
             version = chain.latest()
-        if txn.policy.tracks_reads:
+        if policy.tracks_reads and (not policy.reads_newer_only
+                                    or chain.has_newer(txn.snapshot.read_ts)):
             with self._tracker_latch:
-                txn.policy.on_read(txn, table_name, key, chain, version)
+                policy.on_read(txn, table_name, key, chain, version)
 
         if record and self.history is not None:
             self.history.on_read(
@@ -1897,6 +1915,13 @@ class Database:
         had_writes = bool(txn.write_set)
         if self.wal is not None and had_writes:
             self.wal.log_abort(txn.id)
+        if self._page_commit_ts is not None:
+            # Unregister the keys _lock_new_key_pages put in the tree,
+            # each still X-locked by this inserter and still versionless.
+            for lock in self.locks.locks_held_by(txn):
+                resource = lock.resource
+                if resource.kind == "rec" and lock.mask & LockMode.EXCLUSIVE.bit:
+                    self.table(resource.table).discard_empty(resource.key)
         txn.write_set.clear()
         txn.write_kinds.clear()
         self.locks.release_all(txn, keep_siread=False)
@@ -1905,6 +1930,7 @@ class Database:
             self._active.pop(txn.id, None)
             self._registry.pop(txn.id, None)
             self._oldest_active_read_ts()  # prunes the snapshot deque
+            self._fold_tallies(txn, commits=0)
         if self.history is not None:
             self.history.on_abort(txn.id)
         if self.trace is not None:

@@ -39,9 +39,10 @@ What each level protects:
     "kernel mutex" that is left.  Every public ``LockManager`` call is
     one critical section under it.
 ``obs``
-    The leaf latch of :mod:`repro.obs`: metric increments via
-    ``CounterGroup.inc``, histogram observation, trace emission,
-    registry snapshots.  Nothing may be acquired under it.
+    The leaf latch of :mod:`repro.obs`: ``CounterGroup.inc`` on counters
+    no engine latch guards, histogram observation, trace emission,
+    registry snapshots (not the engine's per-operation counters, folded
+    in under ``txn``).  Nothing may be acquired under it.
 ``wal``
     Internal to :class:`~repro.wal.log.WriteAheadLog` consumers: commit
     record append + flush are serialised by it *after* every engine latch
@@ -51,8 +52,9 @@ Production latches are plain ``threading.RLock`` objects — zero wrapper
 overhead on the hot paths.  Setting the environment variable
 ``REPRO_LATCH_DEBUG=1`` (read per :func:`make_latch` call, so tests can
 flip it with ``monkeypatch``) swaps in :class:`CheckedLatch`, which
-tracks a per-thread stack of held latches and raises
-:class:`LatchOrderError` on any rank-order violation.  The engine's
+tracks a per-thread stack of held latches, raises
+:class:`LatchOrderError` on any rank-order violation and counts its
+acquisitions (reported by ``Database.describe``).  The engine's
 blocking executor additionally asserts via :func:`held_latches` that no
 checked latch is held across a lock wait.
 
@@ -108,11 +110,13 @@ def held_latches() -> list["CheckedLatch"]:
 class CheckedLatch:
     """An RLock that enforces the rank order (debug builds only)."""
 
-    __slots__ = ("name", "rank", "_lock")
+    __slots__ = ("name", "rank", "acquisitions", "_lock")
 
     def __init__(self, name: str, rank: int):
         self.name = name
         self.rank = rank
+        #: every ``__enter__``, re-entrant ones too (counted under the lock)
+        self.acquisitions = 0
         self._lock = threading.RLock()
 
     def __enter__(self) -> "CheckedLatch":
@@ -128,6 +132,7 @@ class CheckedLatch:
                     f"{top.name}(rank {top.rank}) violates the latch order"
                 )
         self._lock.acquire()
+        self.acquisitions += 1
         for index, (latch, count) in enumerate(stack):
             if latch is self:
                 stack[index] = (latch, count + 1)
@@ -192,8 +197,11 @@ def assert_no_latches_held(context: str) -> None:
         )
 
 
-def latch_names(latches: Iterable) -> list[str]:
-    """Names of checked latches (debug introspection helper)."""
-    return [
-        getattr(latch, "name", "<unchecked>") for latch in latches
-    ]
+def latch_acquisitions(latches: Iterable) -> dict[str, int]:
+    """Acquisition counts by latch name, summed over latches sharing a
+    name; empty in production, where latches are unchecked ``RLock``s."""
+    counts: dict[str, int] = {}
+    for latch in latches:
+        if isinstance(latch, CheckedLatch):
+            counts[latch.name] = counts.get(latch.name, 0) + latch.acquisitions
+    return counts

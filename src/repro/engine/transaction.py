@@ -59,6 +59,9 @@ class Transaction:
         "prepared",
         "global_id",
         "_commit_ticket",
+        "n_reads",
+        "n_writes",
+        "n_scans",
     )
 
     def __init__(
@@ -120,6 +123,9 @@ class Transaction:
         #: consuming re-invocation of Database.commit, making that
         #: re-invocation idempotent after a session suspension.
         self._commit_ticket = None
+        #: rows read, writes, scans: one thread drives a transaction, so
+        #: tallied latch-free; folded into ``db.stats`` as it ends.
+        self.n_reads = self.n_writes = self.n_scans = 0
 
     # ----------------------------------------------------------- state
 

@@ -9,7 +9,7 @@ on to validate and tune its algorithm (Ports & Grittner, VLDB 2012).
 Design constraints:
 
 * **Hot-path cost ~ a dict increment.**  :class:`CounterGroup` is a
-  ``dict`` subclass, so ``stats["reads"] += 1`` in the engine's read path
+  ``dict`` subclass, so ``stats["begins"] += 1`` under an engine latch
   compiles to the exact native-dict operations it always did; the
   registry only adds *snapshot* semantics around the same storage.
 * **Snapshots are deep and JSON-safe.**  :meth:`MetricsRegistry.snapshot`
@@ -21,9 +21,10 @@ Design constraints:
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
 from typing import Any, Iterable, Mapping
+
+from repro.engine.latches import make_latch
 
 #: The obs latch — the *leaf* of the engine's latch hierarchy (see
 #: :mod:`repro.engine.latches`): it may be taken while holding any other
@@ -35,8 +36,9 @@ from typing import Any, Iterable, Mapping
 #: (:meth:`CounterGroup.inc`), multi-field histogram observation, trace
 #: emission, and registry snapshots — fixing the torn-snapshot reads a
 #: concurrent ``snapshot()`` could previously produce (e.g. a histogram
-#: whose ``count`` was bumped but whose ``total`` was not yet).
-OBS_LATCH = threading.RLock()
+#: whose ``count`` was bumped but whose ``total`` was not yet).  Checked
+#: (and counted) under ``REPRO_LATCH_DEBUG`` like every engine latch.
+OBS_LATCH = make_latch("obs")
 
 
 def deep_copy_counters(mapping: Mapping) -> dict:
@@ -78,12 +80,10 @@ class CounterGroup(dict):
     __slots__ = ()
 
     def inc(self, key: str, n: int = 1) -> None:
-        """Atomic increment for counters shared across threads.
-
-        ``stats["reads"] += 1`` stays the idiom on paths that already run
-        under an engine latch; ``inc`` is for increments with no other
-        guard (it takes the obs latch around the read-modify-write).
-        """
+        """Atomic increment (one obs-latch hold) for a counter no engine
+        latch guards.  One that a latch guards is bumped in place under
+        it (``stats["begins"] += 1``); a hot one is tallied elsewhere and
+        folded in under its latch (the engine's ``reads``)."""
         with OBS_LATCH:
             self[key] = self.get(key, 0) + n
 
@@ -126,17 +126,22 @@ class Histogram:
         self.max: float | None = None
 
     def observe(self, value: float) -> None:
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Observe each value, all under one obs-latch hold."""
         # Multi-field update: without the latch a concurrent snapshot()
         # could see count bumped but total stale (a torn read).
         with OBS_LATCH:
-            self.count += 1
-            self.total += value
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
-            # the first edge >= value; past the last edge, the overflow
-            self._buckets[bisect_left(self._edges, value)] += 1
+            for value in values:
+                self.count += 1
+                self.total += value
+                if self.min is None or value < self.min:
+                    self.min = value
+                if self.max is None or value > self.max:
+                    self.max = value
+                # the first edge >= value; past the last edge, the overflow
+                self._buckets[bisect_left(self._edges, value)] += 1
 
     @property
     def mean(self) -> float:

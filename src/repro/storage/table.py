@@ -2,10 +2,10 @@
 
 A :class:`Table` maps orderable primary keys to
 :class:`~repro.mvcc.version.VersionChain` objects through a B+-tree, and
-answers ordered range walks.  A key stays in the tree while any version
-(including a tombstone) of it survives, so that concurrent snapshots keep
-seeing their versions; garbage collection prunes chains against the
-oldest active snapshot.
+answers ordered range walks; a ``dict`` beside it answers point lookups.
+A key stays while any version (including a tombstone) of it survives,
+so that concurrent snapshots keep seeing their versions; garbage
+collection prunes chains against the oldest active snapshot.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ VACUUM_CHUNK_SIZE = 256
 class Table:
     """A named, versioned, ordered key/value table.
 
-    Every method is internally guarded by the table's latch (rank
-    ``table`` in the engine hierarchy): B+-tree lookups race structurally
-    with node splits, so even reads must exclude tree mutation.  The
-    latch is re-entrant and public — the engine takes it around the
-    version-install loop at commit so that loop is atomic against
-    concurrent scans of the same table.
+    The B+-tree (order, scans, :meth:`leaf_page_of`) and ``_chains``, a
+    ``dict`` for point lookups, hold the same keys and chain objects and
+    are mutated only under the table's latch (rank ``table``); tree walks
+    take it too, as they race with node splits.  :meth:`chain` is one
+    GIL-atomic ``dict.get``.  The latch is re-entrant and public: the
+    engine holds it around each install at commit, which no prune may split.
 
     Args:
         name: table name, used in lock resources and error messages.
@@ -46,14 +46,14 @@ class Table:
     def __init__(self, name: str, page_size: int = 64):
         self.name = name
         self._tree = BPlusTree(order=page_size)
+        self._chains: dict[Hashable, VersionChain] = {}
         self.latch = make_latch(f"table[{name}]")
 
     # ------------------------------------------------------------- chains
 
     def chain(self, key: Hashable) -> VersionChain | None:
         """The version chain for ``key``, or None if never written."""
-        with self.latch:
-            return self._tree.get(key)
+        return self._chains.get(key)
 
     def ensure_chain(self, key: Hashable) -> tuple[VersionChain, list[int]]:
         """Get-or-create the chain for ``key``.
@@ -61,13 +61,26 @@ class Table:
         Returns (chain, touched_page_ids); the page list is non-empty only
         when the key was newly added (page-granularity conflict modelling).
         """
+        chain = self._chains.get(key)
+        if chain is not None:
+            return chain, []
         with self.latch:
-            chain = self._tree.get(key)
+            chain = self._chains.get(key)
             if chain is not None:
                 return chain, []
             chain = VersionChain()
             touched = self._tree.insert(key, chain)
+            self._chains[key] = chain
             return chain, touched
+
+    def discard_empty(self, key: Hashable) -> None:
+        """Unregister ``key`` if its chain holds no version — a
+        page-granularity inserter's registration that never committed."""
+        with self.latch:
+            chain = self._chains.get(key)
+            if chain is not None and not len(chain):
+                self._tree.delete(key)
+                del self._chains[key]
 
     def load(self, key: Hashable, value: Any) -> None:
         """Bulk-load initial data at timestamp 0 (visible to everyone)."""
@@ -141,8 +154,7 @@ class Table:
             return self._tree.leaf_page_of(key)
 
     def __len__(self) -> int:
-        with self.latch:
-            return len(self._tree)
+        return len(self._chains)
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, keys={len(self)})"
@@ -156,7 +168,8 @@ class Table:
         on_pause: Any = None,
     ) -> int:
         """Prune versions invisible to every snapshot at or after
-        ``horizon_ts``; drop keys whose chains become empty.
+        ``horizon_ts``; drop keys whose chains the prune emptied (not a
+        page-granularity inserter's empty registration).
 
         At most ``chunk_size`` chains (default
         :data:`VACUUM_CHUNK_SIZE`) are examined per latch hold and the
@@ -181,13 +194,15 @@ class Table:
                 ):
                     examined += 1
                     last = key
-                    removed += chain.prune(horizon_ts)
-                    if len(chain) == 0:
+                    pruned = chain.prune(horizon_ts)
+                    removed += pruned
+                    if pruned and not len(chain):
                         dead_keys.append(key)
                     if examined >= chunk_size:
                         break
                 for key in dead_keys:
                     self._tree.delete(key)
+                    del self._chains[key]
             if examined < chunk_size or last is None:
                 return removed
             cursor, include_lo = last, False

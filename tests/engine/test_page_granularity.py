@@ -11,7 +11,7 @@ import pytest
 
 from repro import Database, EngineConfig
 from repro.engine.config import LockGranularity
-from repro.errors import LockWaitRequired, TransactionAbortedError
+from repro.errors import LockWaitRequired, TransactionAbortedError, UnsafeError
 from repro.locking.manager import range_resource
 from repro.locking.modes import LockMode
 from repro.sgt.checker import check_serializable
@@ -268,3 +268,63 @@ def test_scan_workload_serializable_under_page_granularity(pdb, level):
     Simulator(pdb, workload, level, 6, SimConfig(duration=0.1, warmup=0.0)).run()
     assert pdb.stats["scans"] > 0
     assert check_serializable(pdb.history).serializable
+
+
+def _registered(table, key) -> bool:
+    """Is ``key`` in the table — in the tree and the point map alike?"""
+    in_tree = key in table._tree
+    assert in_tree == (table.chain(key) is not None)
+    return in_tree
+
+
+@pytest.mark.parametrize("op", ["insert", "write"])
+def test_vacuum_keeps_an_inflight_inserters_key(pdb, op):
+    """A PAGE inserter registers its key (an empty chain) and X-locks
+    the pages that registration touched; vacuum must leave that chain
+    alone, or the commit re-inserts the key into pages it never locked."""
+    fill(pdb, "t", {i: i for i in range(8)})
+    table = pdb.table("t")
+    inserter = pdb.begin("ssi")
+    getattr(inserter, op)("t", 100, "new")
+    assert _registered(table, 100)
+    pdb.vacuum()
+    assert _registered(table, 100)
+    chain = table.chain(100)
+    inserter.commit()
+    assert table.chain(100) is chain
+    assert pdb.begin("si").read("t", 100) == "new"
+    table._tree.check_invariants()
+
+
+@pytest.mark.parametrize("op", ["insert", "write"])
+def test_aborted_inserter_leaves_no_registration(pdb, op):
+    fill(pdb, "t", {i: i for i in range(8)})
+    table = pdb.table("t")
+    inserter = pdb.begin("ssi")
+    getattr(inserter, op)("t", 100, "new")
+    inserter.abort()
+    assert not _registered(table, 100)
+    assert len(table) == 8
+    table._tree.check_invariants()
+    # A later inserter registers the key afresh and commits it.
+    again = pdb.begin("ssi")
+    again.insert("t", 100, "again")
+    again.commit()
+    assert pdb.begin("si").read("t", 100) == "again"
+
+
+def test_doomed_inserter_leaves_no_registration(pdb):
+    """The abort a doom turns into at the next operation unregisters the
+    key too, as does one of a key whose chain holds versions: it keeps
+    them."""
+    fill(pdb, "t", {i: i for i in range(8)})
+    table = pdb.table("t")
+    inserter = pdb.begin("ssi")
+    inserter.write("t", 3, "x")  # an existing key: its chain stays
+    inserter.insert("t", 100, "new")
+    pdb.doom(inserter, UnsafeError("unsafe", txn_id=inserter.id))
+    with pytest.raises(UnsafeError):
+        inserter.read("t", 0)
+    assert not _registered(table, 100)
+    assert _registered(table, 3)
+    assert pdb.begin("si").read("t", 3) == 3

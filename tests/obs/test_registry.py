@@ -68,6 +68,14 @@ class TestHistogram:
             "le_1": 1, "le_10": 1, "le_100": 1, "overflow": 2,
         }
 
+    def test_observe_many_equals_one_observe_per_value(self):
+        one, many = Histogram("one", edges=(1, 10)), Histogram("many", edges=(1, 10))
+        for value in (0.5, 3, 30):
+            one.observe(value)
+        many.observe_many((0.5, 3, 30))
+        many.observe_many(())
+        assert many.snapshot() == one.snapshot()
+
     def test_reset(self):
         h = Histogram("h", edges=(1,))
         h.observe(0.5)
