@@ -108,11 +108,6 @@ class AsyncClient:
                    hi: Hashable | None = None) -> list[tuple[Any, Any]]:
         return await self._call("scan", table, lo, hi)
 
-    async def scan_prefix(self, table: str, lo: Hashable | None = None,
-                          hi: Hashable | None = None,
-                          limit: int | None = None) -> list[tuple[Any, Any]]:
-        return await self._call("scan_prefix", table, lo, hi, limit)
-
     async def index_scan(self, index: str, lo: Hashable | None = None,
                          hi: Hashable | None = None) -> list[tuple[Any, Any]]:
         return await self._call("index_scan", index, lo, hi)

@@ -268,11 +268,6 @@ class PipelinedClient:
              hi: Hashable | None = None) -> list[tuple[Any, Any]]:
         return self.do("scan", table, lo, hi)
 
-    def scan_prefix(self, table: str, lo: Hashable | None = None,
-                    hi: Hashable | None = None,
-                    limit: int | None = None) -> list[tuple[Any, Any]]:
-        return self.do("scan_prefix", table, lo, hi, limit)
-
     def index_scan(self, index: str, lo: Hashable | None = None,
                    hi: Hashable | None = None) -> list[tuple[Any, Any]]:
         return self.do("index_scan", index, lo, hi)

@@ -894,43 +894,27 @@ class Database:
         table_name: str,
         lo: Hashable | None = None,
         hi: Hashable | None = None,
-        reverse: bool = False,
-        limit: int | None = None,
     ) -> list[tuple[Hashable, Any]]:
         """Predicate read over [lo, hi] with phantom protection: one key
         range on [lo, hi] in the transaction's read mode — Fig 3.6's
         SIREAD for SSI/SGT, a blocking SHARED range for S2PL.
 
-        ``reverse`` returns rows in descending key order; ``limit`` caps
-        the result *after* ordering.  **The whole range is still
-        materialised and locked even with ``limit=N``**: the predicate
-        the transaction logically evaluated covers [lo, hi], so phantom
-        protection must too — a concurrent insert anywhere in the range
-        could change which rows are "the first N".  Callers that only
-        need a prefix and can accept prefix-only locking (sound because
-        the result then only depends on keys up to the cut point) should
-        use :meth:`scan_prefix`.
-
-        Execution: the scan places its key range first (the walk of
-        :meth:`_prefix_walk`, with no cut) at either lock granularity;
-        the key set is then materialised in leaf-page-sized chunks —
-        dropping the table latch between chunks — and visibility is
-        resolved batch-at-a-time against the one snapshot, with one
-        CC-policy call per scan.
+        Execution: the scan places its key range first (:meth:`_walk_range`)
+        at either lock granularity; the key set is then materialised in
+        leaf-page-sized chunks — dropping the table latch between chunks —
+        and visibility is resolved batch-at-a-time against the one
+        snapshot, with one CC-policy call per scan.  The scan is counted
+        once its walk returns: an S2PL walk that waits is retried whole.
         """
         self._check_op(txn)
         table = self.table(table_name)
         self._ensure_snapshot(txn)
+        chains = self._walk_range(txn, table, table_name, lo, hi)
         txn.n_scans += 1
-        chains, _cut = self._prefix_walk(txn, table, table_name, lo, hi, None)
         results, seen = self._resolve_scan_rows(txn, table_name, chains)
         # Own uncommitted writes overlay the scan result.
         results = self._overlay_write_set(txn, table_name, lo, hi, results)
         self._record_scan(txn, table_name, (lo, hi), seen)
-        if reverse:
-            results = list(reversed(results))
-        if limit is not None:
-            results = results[:limit]
         return results
 
     def _record_scan(
@@ -1050,113 +1034,37 @@ class Database:
                 policy.on_read_batch(txn, table_name, handed)
         return results, seen
 
-    def scan_prefix(
-        self,
-        txn: Transaction,
-        table_name: str,
-        lo: Hashable | None = None,
-        hi: Hashable | None = None,
-        limit: int | None = None,
-    ) -> list[tuple[Hashable, Any]]:
-        """Early-terminating prefix scan: the first ``limit`` visible
-        rows of [lo, hi] in ascending key order, protecting only the
-        visited prefix instead of the whole range.
-
-        Sound because the result of this weaker predicate depends only
-        on keys up to the cut point (the key where the limit was
-        reached): a concurrent insert, update or delete at or below the
-        cut — the only kind that can change "the first N visible rows" —
-        meets the scan's range, which ends at the cut (Fig 3.6/3.7).
-        Writes past the cut cannot change the answer and need no
-        protection; when the range is exhausted before the limit the
-        scan degenerates to a full range scan.
-
-        Falls back to a full :meth:`scan` when ``limit`` is None or when
-        the transaction has own pending writes inside [lo, hi] (own-write
-        overlay can shift the cut in both directions).
-        """
-        if limit is None:
-            return self.scan(txn, table_name, lo, hi)
-        self._check_op(txn)
-        table = self.table(table_name)
-        self._ensure_snapshot(txn)
-        if any(
-            tname == table_name
-            and (lo is None or not key < lo)
-            and (hi is None or not hi < key)
-            for tname, key in txn.write_set
-        ):
-            return self.scan(txn, table_name, lo, hi, limit=limit)
-        if limit <= 0:
-            return []
-        txn.n_scans += 1
-        visited, cut_key = self._prefix_walk(txn, table, table_name, lo, hi, limit)
-        results, seen = self._resolve_scan_rows(txn, table_name, visited)
-        self._record_scan(
-            txn, table_name, (lo, hi if cut_key is _MISSING else cut_key), seen
-        )
-        return results
-
-    def _prefix_walk(
+    def _walk_range(
         self,
         txn: Transaction,
         table,
         table_name: str,
         lo: Hashable | None,
         hi: Hashable | None,
-        limit: int | None,
-    ) -> tuple[list, Any]:
-        """Walk to the cut: ``(visited rows, cut key or _MISSING)`` — the
-        one walk of every scan; with no ``limit`` it visits all of
-        [lo, hi] and never cuts.
+    ) -> list:
+        """The one walk of every scan: the (key, chain) pairs of [lo, hi].
 
         A locking reader places the range [lo, hi] before the walk, so
-        every writer is met from one side.  Once the cut is known, only
-        the writers in flight at placement at or below it are settled
-        (:meth:`_meet_writers` — an S2PL reader that waited walks again),
-        and the range narrows to [lo, cut].  A writer granted during the
-        walk met [lo, hi]: conservative past the cut, never missing below
-        it."""
+        every writer is met from one side; the writers in flight at
+        placement are then settled (:meth:`_meet_writers` — an S2PL
+        reader that waited walks again) and a SIREAD reader escalates."""
         read_mode = txn.policy.read_lock_mode(txn)
-        snapshot = txn.snapshot if txn.policy.uses_snapshots else None
-        lm = self.locks
+        # A SHARED range held before this scan is never withdrawn.
+        held = read_mode is LockMode.SHARED and self.locks.holds(
+            txn, range_resource(table_name, lo, hi)
+        )
         while True:
             if read_mode is not None:
-                # A range held before this scan keeps its full width.
-                held = lm.holds(txn, range_resource(table_name, lo, hi))
-                writers = lm.acquire_range(txn, table_name, lo, hi, read_mode)
-            cut_key = _MISSING
-            if limit is None:
-                # The table latch is held per chunk, not across [lo, hi].
-                visited = [
-                    pair for chunk in table.scan_chunks(lo, hi) for pair in chunk
-                ]
-            else:
-                visited = []
-                visible = 0
-                for chunk in table.scan_chunks(lo, hi):
-                    for key, chain in chunk:
-                        visited.append((key, chain))
-                        if _live(snapshot, chain):
-                            visible += 1
-                            if visible >= limit:
-                                cut_key = key
-                                break
-                    if cut_key is not _MISSING:
-                        break
+                writers = self.locks.acquire_range(txn, table_name, lo, hi, read_mode)
+            # The table latch is held per chunk, not across [lo, hi].
+            chains = [pair for chunk in table.scan_chunks(lo, hi) for pair in chunk]
             if read_mode is None:
-                return visited, cut_key
-            if cut_key is not _MISSING:
-                writers = [
-                    lock for lock in writers if not cut_key < lock.resource.key
-                ]
+                return chains
             if self._meet_writers(txn, table_name, lo, hi, writers, read_mode, held):
                 break
-        if cut_key is not _MISSING and not held:
-            lm.narrow_range(txn, table_name, lo, hi, cut_key)
         if read_mode is LockMode.SIREAD:
-            lm.escalate(self._siread_budget)
-        return visited, cut_key
+            self.locks.escalate(self._siread_budget)
+        return chains
 
     # ------------------------------------------------------------- writing
 
@@ -1940,9 +1848,3 @@ class Database:
 _MISSING = object()
 _INFINITY = float("inf")
 
-
-def _live(snapshot: Snapshot | None, chain) -> bool:
-    """Does ``chain`` hold a live row for a reader of ``snapshot`` (the
-    latest committed version when the reader takes no snapshot)?"""
-    version = chain.latest() if snapshot is None else snapshot.visible(chain)
-    return version is not None and not version.is_tombstone

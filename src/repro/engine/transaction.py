@@ -190,28 +190,9 @@ class Transaction:
         table: str,
         lo: Hashable | None = None,
         hi: Hashable | None = None,
-        reverse: bool = False,
-        limit: int | None = None,
     ) -> list[tuple[Hashable, Any]]:
-        """Predicate read: all visible (key, value) with lo <= key <= hi,
-        optionally descending and/or truncated after ordering."""
-        return self._run(
-            lambda: self._db.scan(self, table, lo, hi, reverse=reverse, limit=limit)
-        )
-
-    def scan_prefix(
-        self,
-        table: str,
-        lo: Hashable | None = None,
-        hi: Hashable | None = None,
-        limit: int | None = None,
-    ) -> list[tuple[Hashable, Any]]:
-        """Early-terminating prefix read: the first ``limit`` visible
-        rows of [lo, hi] ascending, its key range narrowed to [lo, cut
-        key] once the limit is reached (see :meth:`Database.scan_prefix`)."""
-        return self._run(
-            lambda: self._db.scan_prefix(self, table, lo, hi, limit=limit)
-        )
+        """Predicate read: all visible (key, value) with lo <= key <= hi."""
+        return self._run(lambda: self._db.scan(self, table, lo, hi))
 
     def index_scan(
         self,

@@ -675,31 +675,6 @@ class LockManager:
                         conflicts.append(lock)
             return conflicts
 
-    def narrow_range(
-        self, owner: Any, table: str, lo: Hashable | None,
-        hi: Hashable | None, cut: Hashable,
-    ) -> None:
-        """Replace ``owner``'s range ``[lo, hi]`` with ``[lo, cut]``, in
-        the same read mode, in one critical section (a prefix scan that
-        stopped at ``cut``); writers queued on the wide range are
-        promoted and meet the narrow one when they retry.  Nothing
-        happens when ``[lo, hi]`` is no longer the scan's own range:
-        escalation folded it, and the fold covers ``[lo, hi]`` and
-        whatever else it absorbed."""
-        wide = range_resource(table, lo, hi)
-        narrow = range_resource(table, lo, cut)
-        if narrow == wide:
-            return
-        owner_id = owner.id
-        with self._latch:
-            owner_locks = self._by_owner.get(owner_id)
-            lock = owner_locks.get(wide) if owner_locks else None
-            if lock is None or (owner_id, wide) in self._escalated_weights:
-                return
-            mode = LockMode.SHARED if lock.mask & _SHARED_BIT else LockMode.SIREAD
-            self._place_range(owner, narrow, mode, owner_locks.get(narrow))
-            self._drop_range(owner_id, lock)
-
     def release_range(
         self, owner: Any, table: str, lo: Hashable | None, hi: Hashable | None
     ) -> None:

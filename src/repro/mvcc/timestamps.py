@@ -30,6 +30,14 @@ class LogicalClock:
             self._last = next(self._counter)
             return self._last
 
+    def advance_to(self, ts: int) -> None:
+        """Move the clock up to ``ts`` in one step (recovery: timestamps
+        up to ``ts`` were issued before the crash); never backwards."""
+        with self._lock:
+            if ts > self._last:
+                self._counter = itertools.count(ts + 1)
+                self._last = ts
+
     def now(self) -> int:
         """Return the most recently issued timestamp (0 if none yet)."""
         return self._last

@@ -219,9 +219,6 @@ WIRE_OPS: dict[str, WireOp] = {spec.op: spec for spec in (
     _op("delete", "table", "key"),
     # predicate reads (key-range locked) -> (key, value) / (entry, pk) rows
     _op("scan", "table", *_RANGE, reply="rows", decode=_wire_rows),
-    # the first ``limit`` rows of the range, locked only up to the cut
-    _op("scan_prefix", "table", *_RANGE, ("limit", None), reply="rows",
-        decode=_wire_rows),
     _op("index_scan", "index", *_RANGE, reply="rows", decode=_wire_keys),
     _op("index_lookup", "index", "key", reply="keys", decode=_wire_keys),
     _op("commit"),

@@ -113,7 +113,7 @@ class Session:
 
     All transaction-surface methods (:meth:`begin`, :meth:`read`,
     :meth:`get`, :meth:`read_for_update`, :meth:`write`, :meth:`insert`,
-    :meth:`delete`, :meth:`scan`, :meth:`scan_prefix`, :meth:`index_scan`,
+    :meth:`delete`, :meth:`scan`, :meth:`index_scan`,
     :meth:`index_lookup`, :meth:`commit`, :meth:`abort`,
     :meth:`run_program`, :meth:`close`) are asynchronous: they submit
     work and deliver the outcome through ``on_done(result, error)``.
@@ -185,7 +185,6 @@ class Session:
     insert = _txn_op("insert")
     delete = _txn_op("delete")
     scan = _txn_op("scan")
-    scan_prefix = _txn_op("scan_prefix")
     index_scan = _txn_op("index_scan")
     index_lookup = _txn_op("index_lookup")
 

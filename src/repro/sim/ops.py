@@ -91,17 +91,6 @@ class Scan:
 
 
 @dataclass(frozen=True, slots=True)
-class ScanPrefix:
-    """Early-terminating predicate read: the first ``limit`` visible
-    rows of [lo, hi] ascending, locking only the visited prefix."""
-
-    table: str
-    lo: Hashable | None = None
-    hi: Hashable | None = None
-    limit: int | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class IndexScan:
     """Range scan over a secondary index: (index_key, primary_key) pairs."""
 
@@ -136,7 +125,7 @@ class Rollback:
 
 Op = (
     Read | Get | ReadForUpdate | Write | Insert | Delete | Scan
-    | ScanPrefix | IndexScan | IndexLookup | Compute | Rollback
+    | IndexScan | IndexLookup | Compute | Rollback
 )
 
 
@@ -162,8 +151,6 @@ def apply_op(db, txn, op: Op) -> Any:
         return db.delete(txn, op.table, op.key)
     if isinstance(op, Scan):
         return db.scan(txn, op.table, op.lo, op.hi)
-    if isinstance(op, ScanPrefix):
-        return db.scan_prefix(txn, op.table, op.lo, op.hi, limit=op.limit)
     if isinstance(op, IndexScan):
         return db.index_scan(txn, op.index, op.lo, op.hi)
     if isinstance(op, IndexLookup):

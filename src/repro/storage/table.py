@@ -21,7 +21,7 @@ from repro.storage.btree import BPlusTree
 SCAN_CHUNK_SIZE = 0
 
 #: chains :meth:`Table.vacuum` examines per table-latch hold; the latch
-#: is dropped between holds so reporting scans are not stalled behind a
+#: is dropped between holds so wide scans are not stalled behind a
 #: full-table GC pass.
 VACUUM_CHUNK_SIZE = 256
 

@@ -91,8 +91,7 @@ def restore_checkpoint(
                 commit_ts=commit_ts,
                 creator_id=creator_id,
             ))
-    while db.clock.now() < image["clock"]:
-        db.clock.next()
+    db.clock.advance_to(image["clock"])
     return db
 
 

@@ -22,6 +22,7 @@ from typing import Hashable
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
+from repro.errors import TableError
 from repro.mvcc.version import TOMBSTONE, Version
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import CheckpointRecord, CommitRecord, WriteRecord
@@ -69,8 +70,7 @@ def replay(log: WriteAheadLog, base: Database | None = None,
 
     # Advance the clock past everything recovered so new transactions
     # order after pre-crash history.
-    while db.clock.now() < max_ts:
-        db.clock.next()
+    db.clock.advance_to(max_ts)
     return db
 
 
@@ -82,5 +82,5 @@ def recover_database(log: WriteAheadLog, config: EngineConfig | None = None) -> 
 def _ensure_table(db: Database, name: str):
     try:
         return db.table(name)
-    except Exception:
+    except TableError:
         return db.create_table(name)

@@ -8,22 +8,12 @@
 * :mod:`repro.workloads.tpcc` / :mod:`repro.workloads.tpccpp` — TPC-C
   (Section 2.8.1, simplified per Section 5.3.1) and TPC-C++ with the
   Credit Check transaction (Section 5.3).
-* :mod:`repro.workloads.reporting` — the TPC-H-flavored read-mostly
-  reporting mix (scale-factor generator, large range scans, index
-  joins) that stresses the scan kernel, SIREAD escalation and the
-  read-only/safe-snapshot optimizations.
 """
 
 from repro.workloads.smallbank import make_smallbank
 from repro.workloads.sibench import make_sibench
 from repro.workloads.tpcc import TpccScale, setup_tpcc
 from repro.workloads.tpccpp import make_tpccpp, make_stock_level_mix
-from repro.workloads.reporting import (
-    combine_workloads,
-    make_reporting,
-    make_reporting_mix,
-    setup_reporting,
-)
 
 __all__ = [
     "make_smallbank",
@@ -32,8 +22,4 @@ __all__ = [
     "setup_tpcc",
     "make_tpccpp",
     "make_stock_level_mix",
-    "combine_workloads",
-    "make_reporting",
-    "make_reporting_mix",
-    "setup_reporting",
 ]

@@ -174,31 +174,6 @@ def test_scan_holds_one_range_and_no_page_lock(pdb, level):
     reader.commit()
 
 
-@pytest.mark.parametrize("level", SCAN_LEVELS)
-def test_scan_prefix_narrows_to_its_cut(pdb, level):
-    fill(pdb, "t", EVEN_ROWS)
-    reader = pdb.begin(level)
-    rows = reader.scan_prefix("t", None, None, limit=3)
-    assert [key for key, _ in rows] == [0, 2, 4]
-    held = [lock.resource for lock in pdb.locks.locks_held_by(reader)]
-    assert held == [range_resource("t", None, 4)]
-
-    # An insert past the cut, on a page the prefix visited no row of,
-    # meets nothing; one at or below the cut meets the range.
-    past = pdb.begin(level)
-    past.read("t", 30)
-    pdb.insert(past, "t", 9, "past")
-    below = pdb.begin(level)
-    below.read("t", 30)
-    if level == "s2pl":
-        with pytest.raises(LockWaitRequired):
-            pdb.insert(below, "t", 3, "below")
-        return
-    assert not edge_recorded(pdb, level, reader, past)
-    pdb.insert(below, "t", 3, "below")
-    assert edge_recorded(pdb, level, reader, below)
-
-
 @pytest.mark.parametrize("level", ("ssi", "sgt"))
 def test_read_covered_by_own_range_leaves_its_page_unlocked(pdb, level):
     """A point read inside the reader's own range takes no page SIREAD,

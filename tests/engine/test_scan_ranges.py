@@ -22,7 +22,7 @@ from repro.engine.database import Database
 from repro.errors import LockWaitRequired, TransactionAbortedError
 from repro.exec import run_threaded_stress
 from repro.sgt.checker import check_serializable
-from repro.sim.ops import Scan, ScanPrefix, Write
+from repro.sim.ops import Scan, Write
 from repro.sim.workload import Mix, Workload
 
 from tests.conftest import commit_outcomes, fill
@@ -147,34 +147,6 @@ class TestPrecision:
         db.insert(writer, "t", key, "on the bound")
         assert edges.count((reader.id, writer.id)) == 1
 
-    @pytest.mark.parametrize("level", LEVELS)
-    def test_prefix_dispatches_in_flight_writers_only_at_or_below_cut(
-        self, monkeypatch, level
-    ):
-        """Writers holding EXCLUSIVE when a prefix scan places its range
-        are dispatched once the cut is known — only those at or below it."""
-        db = make_db()
-        edges = spy_edges(db, monkeypatch)
-        reader = db.begin(level)
-        below, past = db.begin(level), db.begin(level)
-        db.write(below, "t", 20, "below")
-        db.write(past, "t", 40, "past")
-        rows = db.scan_prefix(reader, "t", limit=2)
-        assert [key for key, _ in rows] == [10, 20]
-        assert (reader.id, below.id) in edges
-        assert (reader.id, past.id) not in edges
-
-    def test_prefix_keeps_a_range_held_before_it(self, monkeypatch):
-        """A range the transaction already held (an earlier full scan)
-        keeps its full width: the prefix scan must not narrow it."""
-        db = make_db()
-        edges = spy_edges(db, monkeypatch)
-        reader, writer = concurrent_pair(db, "ssi")
-        db.scan(reader, "t")
-        db.scan_prefix(reader, "t", limit=2)
-        db.insert(writer, "t", 45, "past the cut")
-        assert (reader.id, writer.id) in edges
-
 
 def crossed_scans(level: str):
     """T1 scans [0, 100] and T2 [150, 250]; each then blind-writes a new
@@ -257,7 +229,7 @@ class TestRangeIndexes:
         db = make_db()
         reader, writer = concurrent_pair(db, "ssi")
         db.scan(reader, "t", LO, HI)
-        db.scan_prefix(reader, "t", limit=2)
+        db.scan(reader, "t", 10, 20)
         db.write(writer, "t", 30, "updated")
         db.abort(reader)
         db.abort(writer)
@@ -281,7 +253,7 @@ class TestRangeIndexes:
         db = make_db()
         reader, writer = concurrent_pair(db, level)
         db.scan(reader, "t", LO, HI)
-        db.scan_prefix(reader, "t", LO, None, limit=1)
+        db.scan(reader, "t", LO, None)
         reader.commit()
         assert db.locks._ranges["t"], "the committed reader's ranges went early"
         WRITES["insert"](db, writer)
@@ -293,7 +265,8 @@ class TestRangeIndexes:
 
 class TestThreadedRanges:
     """More client threads than cores and a shortened switch interval:
-    each transaction scans a random window (fully or as a prefix), then
+    each transaction scans a random window (bounded, or open to the end
+    of the table), then
     writes one random key — an update, or a blind write of a brand-new
     key — that may land in another client's window.  A lost range probe
     or collection shows as a non-serializable history, a torn index as a
@@ -310,14 +283,14 @@ class TestThreadedRanges:
             rows = yield Scan("t", lo, lo + 20)
             yield Write("t", rng.randrange(0, 120), len(rows))
 
-        def prefix_then_write(rng):
+        def tail_then_write(rng):
             lo = rng.randrange(0, 100)
-            rows = yield ScanPrefix("t", lo, None, 3)
+            rows = yield Scan("t", lo, None)
             yield Write("t", rng.randrange(0, 120), len(rows))
 
         return Workload("scan-then-write", setup, Mix([
             ("scan", 1.0, scan_then_write),
-            ("prefix", 1.0, prefix_then_write),
+            ("tail", 1.0, tail_then_write),
         ]))
 
     @pytest.mark.parametrize("level", LEVELS + ("s2pl",))

@@ -140,18 +140,6 @@ class TestFoldSpan:
         conflicts = lm.acquire_range(reader, "t", 0, 10)
         assert [lock.owner.id for lock in conflicts] == [writer.id]
 
-    def test_narrow_leaves_a_fold_alone(self, lm):
-        """A prefix scan whose range was folded into the same span must
-        not narrow it: the fold also covers what it absorbed."""
-        owner, writer = Owner(1), Owner(2)
-        hold_records(lm, owner, (8,))
-        lm.acquire_range(owner, "t", 0, 10)
-        lm.escalate(budget=0)
-        assert held(lm, owner) == {range_resource("t", 0, 10)}
-        lm.narrow_range(owner, "t", 0, 10, cut=2)
-        assert held(lm, owner) == {range_resource("t", 0, 10)}
-        assert lm.probe_ranges(writer, "t", 8)
-
 
 class TestWeightedDrop:
     def test_drop_counts_records_an_escalated_lock_replaced(self, lm):

@@ -9,8 +9,8 @@ key-range index (``_ranges``), the sorted EXCLUSIVE record keys of
 range-touched tables (``_exclusive_keys``) and the global granted
 counter — instead of walking the lock table.
 These tests drive random sequences of acquires (single and batched),
-SIREAD and SHARED key-range placements and narrowings (with the
-writers a SHARED range queues), releases, SIREAD drops, wait
+SIREAD and SHARED key-range placements (with the writers a SHARED
+range queues), releases, SIREAD drops, wait
 cancellations and SIREAD escalation (folds into key ranges), then rebuild
 every index from the ground-truth table (the per-resource heads and the
 reader table of point SIREADs) and require exact agreement.
@@ -169,9 +169,6 @@ op = st.one_of(
     st.tuples(
         st.just("range"), owner_ids, bounds, bounds, st.sampled_from(READ_MODES)
     ),
-    st.tuples(
-        st.just("narrow"), owner_ids, bounds, bounds, st.integers(0, 3)
-    ),
     st.tuples(st.just("escalate"), st.integers(0, 8)),  # budget
 )
 ops = st.lists(op, max_size=60)
@@ -194,9 +191,6 @@ def apply(lm: LockManager, owners, requests, op):
     elif kind == "range":
         _, owner, lo, hi, mode = op
         lm.acquire_range(owners[owner], "t", lo, hi, mode)
-    elif kind == "narrow":
-        _, owner, lo, hi, cut = op
-        lm.narrow_range(owners[owner], "t", lo, hi, cut)
     elif kind == "escalate":
         lm.escalate(op[1])
     elif kind == "release_all":

@@ -212,20 +212,6 @@ class TestKeyRanges:
         assert waiting.request.state is RequestState.GRANTED
         assert lm.acquire(writer, record_resource("t", 5), X).granted
 
-    def test_narrow_promotes_writers_queued_on_the_wide_range(self, lm, owners):
-        reader, past, below = owners[0], owners[1], owners[2]
-        lm.acquire_range(reader, "t", 0, 10, S)
-        waits = [
-            lm.acquire(owner, record_resource("t", key), X)
-            for owner, key in ((past, 8), (below, 2))
-        ]
-        lm.narrow_range(reader, "t", 0, 10, cut=5)
-        assert all(w.request.state is RequestState.GRANTED for w in waits)
-        # On retry only the writer at or below the cut waits again.
-        assert lm.acquire(past, record_resource("t", 8), X).granted
-        again = lm.acquire(below, record_resource("t", 2), X)
-        assert again.request.resource == range_resource("t", 0, 5)
-
     def test_only_siread_ranges_stand_in_for_siread(self, lm, owners):
         reader, writer, other = owners[0], owners[1], owners[2]
         lm.acquire_range(reader, "t", 0, 10, S)

@@ -25,6 +25,16 @@ def test_now_reflects_last_issued():
     assert clock.now() == issued2 > issued
 
 
+def test_advance_to_jumps_forward_and_never_back():
+    clock = LogicalClock()
+    clock.advance_to(1_000)
+    assert clock.now() == 1_000
+    assert clock.next() == 1_001
+    clock.advance_to(5)
+    assert clock.now() == 1_001
+    assert clock.next() == 1_002
+
+
 def test_thread_safety_no_duplicates():
     clock = LogicalClock()
     results: list[int] = []

@@ -9,8 +9,8 @@ returns — the pre-scan state, because every interfering write commits
 after the reader's read timestamp.
 
 A second family checks the kernel against a sorted-dict model on
-quiescent data, across bounds, reverse and limit — a reference that
-shares no code with the engine.
+quiescent data, across bounds — a reference that shares no code with
+the engine.
 """
 
 from __future__ import annotations
@@ -129,40 +129,13 @@ def test_interfered_chunked_scan_equals_snapshot(
     lo=st.one_of(st.none(), KEYS),
     hi=st.one_of(st.none(), KEYS),
     chunk_size=st.integers(min_value=1, max_value=6),
-    reverse=st.booleans(),
-    limit=st.one_of(st.none(), st.integers(min_value=0, max_value=10)),
     level=st.sampled_from(["si", "ssi", "s2pl"]),
 )
 @settings(max_examples=120, deadline=None)
-def test_scan_matches_model(
-    initial, lo, hi, chunk_size, reverse, limit, level
-):
+def test_scan_matches_model(initial, lo, hi, chunk_size, level):
     db = build_db(initial)
     txn = db.begin(level)
     with chunked(chunk_size):
-        got = db.scan(txn, "t", lo, hi, reverse=reverse, limit=limit)
+        got = db.scan(txn, "t", lo, hi)
     db.abort(txn)
-    expected = model_range(initial, lo, hi)
-    if reverse:
-        expected.reverse()
-    if limit is not None:
-        expected = expected[:limit]
-    assert got == expected
-
-
-@given(
-    initial=initial_rows,
-    lo=st.one_of(st.none(), KEYS),
-    hi=st.one_of(st.none(), KEYS),
-    limit=st.integers(min_value=0, max_value=10),
-    level=st.sampled_from(["si", "ssi", "s2pl"]),
-)
-@settings(max_examples=100, deadline=None)
-def test_scan_prefix_matches_scan_limit(initial, lo, hi, limit, level):
-    db = build_db(initial)
-    txn = db.begin(level)
-    with chunked(3):
-        prefix = db.scan_prefix(txn, "t", lo, hi, limit=limit)
-        full = db.scan(txn, "t", lo, hi, limit=limit)
-    assert prefix == full
-    db.abort(txn)
+    assert got == model_range(initial, lo, hi)

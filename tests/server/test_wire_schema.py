@@ -42,13 +42,12 @@ SAMPLE_ARGS = {
     "table": "t", "index": "i", "key": ("w", 1), "lo": ("w", 0),
     "hi": ("w", 9), "value": {"n": [1, 2]}, "default": "none",
     "rows": [(("w", 1), "a"), (("w", 2), "b")],
-    "import_in": True, "import_out": True, "codecs": ["json"], "limit": 3,
+    "import_in": True, "import_out": True, "codecs": ["json"],
 }
 #: one sample result per op that has one
 SAMPLE_RESULTS = {
     "begin": 7, "read": "v", "get": [1, 2], "read_for_update": 0,
     "scan": [(("w", 1), "a"), (("w", 2), ["b"])],
-    "scan_prefix": [(("w", 1), "a")],
     "index_scan": [(("g", ("w", 1)), ("w", 1))],
     "index_lookup": [("w", 1), ("w", 2)],
     "prepare": {"in": True, "out": False, "in_partner": 3, "out_partner": None},
@@ -209,49 +208,6 @@ def test_composite_keys_through_the_blocking_client(district_db):
         return await asyncio.get_running_loop().run_in_executor(None, blocking)
 
     check_composite(run_with_server(district_db, body))
-
-
-#: (lo, hi, limit) cases: a cut inside the range, a limit the range
-#: exhausts, no limit (a full scan), and bounds on both sides
-PREFIX_CASES = [
-    (None, None, 2), (("w", 2), None, 1), (None, ("w", 3), 10),
-    (None, None, None), (("w", 2), ("w", 4), 2),
-]
-
-
-def test_scan_prefix_over_the_wire_matches_the_engine(district_db):
-    """Rows and ``limit`` through both clients equal embedded
-    ``Database.scan_prefix`` on the same data."""
-    district_db.load("d", [(("w", n), {"zone": "n", "n": n})
-                           for n in range(1, 6)])
-    expected = []
-    for lo, hi, limit in PREFIX_CASES:
-        txn = district_db.begin("ssi")
-        expected.append(district_db.scan_prefix(txn, "d", lo, hi, limit))
-        txn.commit()
-    assert [len(rows) for rows in expected] == [2, 1, 3, 5, 2]
-
-    async def body(server):
-        client = await AsyncClient.connect(port=server.port)
-        await client.begin("ssi")
-        over_async = [await client.scan_prefix("d", *case)
-                      for case in PREFIX_CASES]
-        await client.commit()
-        await client.close()
-
-        def blocking():
-            with PipelinedClient(port=server.port) as link:
-                link.begin("ssi")
-                rows = [link.scan_prefix("d", *case) for case in PREFIX_CASES]
-                link.commit()
-                return rows
-
-        loop = asyncio.get_running_loop()
-        return over_async, await loop.run_in_executor(None, blocking)
-
-    over_async, over_link = run_with_server(district_db, body)
-    assert over_async == expected
-    assert over_link == expected
 
 
 def test_composite_keys_across_two_remote_shards():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database, EngineConfig
+from repro.mvcc.timestamps import LogicalClock
 from repro.wal import (
     WriteAheadLog,
     recover_from_checkpoint,
@@ -43,6 +44,27 @@ def test_checkpoint_preserves_commit_timestamps(db):
             restored.table("t").chain(key).latest().commit_ts
             == db.table("t").chain(key).latest().commit_ts
         )
+
+
+def test_restore_advances_the_clock_in_one_step(db, monkeypatch):
+    """A restored clock jumps to the image's high-water mark: it does not
+    issue every timestamp below it one by one."""
+    image = {**take_checkpoint(db), "clock": 10_000}
+    calls = []
+    issue = LogicalClock.next
+
+    def counted(clock):
+        calls.append(clock)
+        return issue(clock)
+
+    monkeypatch.setattr(LogicalClock, "next", counted)
+    restored = restore_checkpoint(image)
+    assert len(calls) < 10
+    txn = restored.begin("ssi")
+    assert txn.begin_seq > 10_000
+    txn.write("t", "a", "after")
+    txn.commit()
+    assert txn.commit_ts > txn.begin_seq
 
 
 def test_recovery_replays_suffix_only(db):
