@@ -222,6 +222,9 @@ DEFAULT_RULES = {
     # latches, WAL I/O and finalize strictly after they drop — rules 2
     # and 4 police exactly that split.
     "src/repro/engine/groupcommit.py": {},
+    # Checkpoints image the tables under the txn and commit latches;
+    # rule 4 keeps the log flush outside them.
+    "src/repro/wal/checkpoint.py": {},
     "src/repro/session/__init__.py": {},
     "src/repro/server/core.py": {},
     # The program runner and its executors: every program step, lock

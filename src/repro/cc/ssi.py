@@ -44,7 +44,6 @@ class SSIPolicy(CCPolicy):
         self.tracker = make_tracker(
             precise=db.config.precise_conflicts,
             victim_policy=db.config.victim_policy,
-            abort_early=db.config.abort_early,
         )
         # Published on the database for tests/benchmarks that inspect
         # tracker state, and adopted by the unified metrics registry.

@@ -15,7 +15,7 @@ the :mod:`repro.errors` hierarchy (:mod:`repro.client.errors`).
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable
 
 from repro.client.errors import ServerError, raise_reply
 from repro.client.link import PipelinedClient
@@ -50,29 +50,19 @@ class AsyncClient:
                  writer: asyncio.StreamWriter) -> None:
         self._reader = reader
         self._writer = writer
-        self._codec = "json"
 
     @classmethod
-    async def connect(cls, host: str = "127.0.0.1", port: int = 7401,
-                      codecs: Sequence[str] | None = None) -> "AsyncClient":
-        """Open a connection; ``codecs`` lists preferred frame codecs in
-        order (e.g. ``("msgpack",)``) — the server picks the first it
-        supports, falling back to JSON transparently."""
+    async def connect(cls, host: str = "127.0.0.1",
+                      port: int = 7401) -> "AsyncClient":
+        """Open a connection."""
         reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer)
-        if codecs:
-            client._codec = await client._call("hello", list(codecs))
-        return client
-
-    @property
-    def codec(self) -> str:
-        return self._codec
+        return cls(reader, writer)
 
     async def _call(self, op: str, *args: Any) -> Any:
         """One round trip: ``op``'s request out, its result back."""
-        self._writer.write(encode_frame(build_request(op, args), self._codec))
+        self._writer.write(encode_frame(build_request(op, args)))
         await self._writer.drain()
-        reply = await read_frame_async(self._reader, self._codec)
+        reply = await read_frame_async(self._reader)
         if reply is None:
             raise FrameError("server closed the connection")
         if not reply.get("ok"):

@@ -25,11 +25,6 @@ lone frame goes out plain — the idle round-trip path pays nothing.
 coordinator's same-shard PREPARE/COMMIT fan-out shares one frame
 deterministically.
 
-**Codec** — pass ``codecs=("msgpack",)`` to request msgpack framing;
-the constructor runs the ``hello`` handshake synchronously (before the
-receiver thread starts) and degrades transparently to JSON when either
-side lacks the codec (:data:`repro.server.protocol.CODECS`).
-
 The server bounds in-flight frames per connection (``max_inbox``) by
 not reading the socket when full; the link inherits that backpressure
 naturally — the sender blocks in ``send`` once the kernel buffers fill.
@@ -41,7 +36,7 @@ import itertools
 import socket
 import threading
 from collections import deque
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.client.errors import raise_reply
 from repro.server.protocol import (
@@ -105,13 +100,7 @@ class PipelinedClient:
     receiver thread drains the socket.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 7401,
-        *,
-        codecs: Sequence[str] | None = None,
-    ) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 7401) -> None:
         self._sock = socket.create_connection((host, port))
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
@@ -122,27 +111,12 @@ class PipelinedClient:
         self._ids = itertools.count(1)
         self._closed = False
         self._recv_error: BaseException | None = None
-        self._codec = "json"
         #: send-side telemetry: how much the queue actually coalesced.
         self.stats = {"frames_sent": 0, "batches_sent": 0, "coalesced_ops": 0}
-        if codecs:
-            # Synchronous handshake on the bare socket — the receiver
-            # thread is not running yet, so the reply is ours to read.
-            send_frame_sock(self._sock, build_request("hello", (list(codecs),)))
-            reply = read_frame_sock(self._sock)
-            if reply is None:
-                raise ConnectionError("connection closed during codec handshake")
-            self._codec = read_result("hello", reply)
         self._receiver = threading.Thread(
             target=self._recv_loop, name=f"link-{host}:{port}", daemon=True
         )
         self._receiver.start()
-
-    @property
-    def codec(self) -> str:
-        """The negotiated frame codec (``"json"`` unless the handshake
-        upgraded it)."""
-        return self._codec
 
     # --------------------------------------------------------- sending
 
@@ -191,7 +165,7 @@ class PipelinedClient:
                 message = {"op": "batch", "frames": batch}
             try:
                 with self._send_lock:
-                    send_frame_sock(self._sock, message, self._codec)
+                    send_frame_sock(self._sock, message)
             except BaseException as error:
                 # The send failed: settle this batch's slots so their
                 # waiters see the error, hand the sender role back, and
@@ -292,7 +266,7 @@ class PipelinedClient:
     def _recv_loop(self) -> None:
         try:
             while True:
-                reply = read_frame_sock(self._sock, self._codec)
+                reply = read_frame_sock(self._sock)
                 if reply is None:
                     break
                 slot = None

@@ -149,21 +149,14 @@ class BasicConflictTracker(ConflictTracker):
     ``markConflict`` (Fig 3.3): if the writer has committed with an
     outgoing conflict already recorded, the reader closes a potential
     cycle and must abort; symmetrically for a committed reader with an
-    incoming conflict.  Otherwise both flags are set and, with abort-early
-    enabled, any active transaction that just became a pivot is aborted.
+    incoming conflict.  Otherwise both flags are set and any active
+    transaction that just became a pivot is aborted at once — abort
+    early, as both of the paper's prototypes do (Section 3.7.1).
     """
 
-    __slots__ = ("abort_early",)
+    __slots__ = ()
 
     empty_value = False
-
-    def __init__(
-        self,
-        victim_policy: VictimPolicy | str = "pivot",
-        abort_early: bool = True,
-    ):
-        super().__init__(victim_policy)
-        self.abort_early = abort_early
 
     def mark_conflict(self, reader, writer) -> Optional[object]:
         if reader.id == writer.id:
@@ -179,8 +172,6 @@ class BasicConflictTracker(ConflictTracker):
         prior_writer_in = writer.in_conflict
         reader.out_conflict = True
         writer.in_conflict = True
-        if not self.abort_early:
-            return None
         victim = self._abort_early_victim(reader, writer)
         # The edge dies with its victim: restore the survivor's flag if
         # this edge is what set it ("conflicts are not recorded against
@@ -532,7 +523,6 @@ class SafeSnapshotMonitor:
 def make_tracker(
     precise: bool = True,
     victim_policy: VictimPolicy | str = "pivot",
-    abort_early: bool = True,
 ) -> ConflictTracker:
     """Build the tracker matching an engine configuration.
 
@@ -542,4 +532,4 @@ def make_tracker(
     """
     if precise:
         return EnhancedConflictTracker(victim_policy)
-    return BasicConflictTracker(victim_policy, abort_early=abort_early)
+    return BasicConflictTracker(victim_policy)

@@ -54,8 +54,6 @@ class EngineConfig:
             contention (SmallBank experiments use small pages).
         precise_conflicts: True -> enhanced reference-based conflict
             tracker (Figs 3.9/3.10); False -> basic booleans (Fig 3.3).
-        abort_early: abort a pivot at detection time rather than waiting
-            for its commit (Section 3.7.1).
         siread_upgrade: drop a SIREAD lock when the same transaction
             acquires EXCLUSIVE on the item (Section 3.7.3).
         deferred_snapshot: allocate the read view only after the first
@@ -86,7 +84,6 @@ class EngineConfig:
     granularity: LockGranularity = LockGranularity.RECORD
     page_size: int = 64
     precise_conflicts: bool = True
-    abort_early: bool = True
     siread_upgrade: bool = True
     deferred_snapshot: bool = True
     victim_policy: str = "pivot"

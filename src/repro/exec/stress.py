@@ -76,10 +76,10 @@ class StressResult:
     residual_waiters: int
     #: committed-suspended records cleanup could not retire
     residual_suspended: int
-    #: SIREAD sentinels (weighted: a folded range counts as the
-    #: sentinels it replaced) still in the manager's per-owner accounting
-    #: after the quiesce — the SIREAD-lifecycle leak detector: a grant
-    #: that landed after its owner's release pass shows up here
+    #: entries still on the manager's per-owner SIREAD read lists after
+    #: the quiesce (an unweighted count: a folded range is one entry) —
+    #: the SIREAD-lifecycle leak detector: a grant that landed after its
+    #: owner's release pass shows up here
     residual_siread: int = 0
 
     @property

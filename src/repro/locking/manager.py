@@ -245,12 +245,11 @@ class _LockHead:
 
     ``granted`` maps owner id -> Lock (one lock per owner per resource);
     dict iteration preserves grant order, matching the old list layout.
-    ``counts`` is the per-mode grant count, packed as 16-bit fields of one
-    integer (field ``mode.index``), and ``mask`` keeps the OR of bits with
-    a non-zero count — so "can this request possibly conflict / is
-    anything interesting granted here" is a single AND without touching
-    the granted locks, and head construction (which scan workloads do per
-    lock, since empty heads are reclaimed) allocates no per-mode list.
+    ``counts`` holds one grant count per mode (slot ``mode.index``; an
+    int each, so no count can carry into another mode's), and ``mask``
+    keeps the OR of bits with a non-zero count — so "can this request
+    possibly conflict / is anything interesting granted here" is a
+    single AND without touching the granted locks.
     ``queue`` stays ``None`` until the first waiter: the vast majority of
     heads never see contention and skip the deque allocation entirely.
     """
@@ -260,12 +259,12 @@ class _LockHead:
     def __init__(self):
         self.granted: dict[Hashable, Lock] = {}
         self.queue: deque[LockRequest] | None = None
-        self.counts: int = 0
+        self.counts: list[int] = [0] * _N_MODES
         self.mask: int = 0
 
     def mode_count(self, mode: LockMode) -> int:
         """Granted locks carrying ``mode`` (test/introspection helper)."""
-        return (self.counts >> (mode.index << 4)) & 0xFFFF
+        return self.counts[mode.index]
 
     def empty(self) -> bool:
         return not self.granted and not self.queue
@@ -311,6 +310,8 @@ _SIREAD_BIT = LockMode.SIREAD.bit
 _WRITE_BITS = LockMode.SIREAD.detect_mask
 _EXCLUSIVE_BIT = LockMode.EXCLUSIVE.bit
 _SHARED_BIT = LockMode.SHARED.bit
+
+_N_MODES = len(LockMode)
 
 #: mask -> the modes whose bits it contains (decode table for the rare
 #: paths that need to enumerate a lock's modes).
@@ -583,7 +584,7 @@ class LockManager:
                 return conflicts, deferred
             owner_id = owner.id
             bit = mode.bit
-            shift = mode.index << 4
+            slot = mode.index
             incompat = mode.incompat_mask
             settled = 0
             heads = self._heads
@@ -611,9 +612,9 @@ class LockManager:
                 owner_locks[resource] = head.granted[owner_id] = Lock(
                     owner, resource, mask=bit
                 )
-                if not (head.counts >> shift) & 0xFFFF:
+                if not head.counts[slot]:
                     head.mask |= bit
-                head.counts += 1 << shift
+                head.counts[slot] += 1
                 settled += 1
                 self._granted_count += 1
             self.stats["acquires"] += settled
@@ -1013,10 +1014,10 @@ class LockManager:
         del head.granted[lock.owner.id]
         if lock.mask & _EXCLUSIVE_BIT and self._exclusive_keys:
             self._index_exclusive(lock.resource, held=False)
+        counts = head.counts
         for mode in _MODES_IN[lock.mask]:
-            shift = mode.index << 4
-            head.counts -= 1 << shift
-            if not (head.counts >> shift) & 0xFFFF:
+            counts[mode.index] -= 1
+            if not counts[mode.index]:
                 head.mask &= ~mode.bit
         if head.empty():
             self._drop_head(lock.resource)
@@ -1389,10 +1390,9 @@ class LockManager:
         Caller guarantees the lock does not already carry the mode."""
         bit = mode.bit
         lock.mask |= bit
-        shift = mode.index << 4
-        if not (head.counts >> shift) & 0xFFFF:
+        if not head.counts[mode.index]:
             head.mask |= bit
-        head.counts += 1 << shift
+        head.counts[mode.index] += 1
         if mode is LockMode.SIREAD:
             self._reads.setdefault(lock.owner.id, []).append(lock.resource)
         elif bit == _EXCLUSIVE_BIT and self._exclusive_keys:
@@ -1404,9 +1404,8 @@ class LockManager:
         Caller guarantees the lock carries the mode."""
         bit = mode.bit
         lock.mask &= ~bit
-        shift = mode.index << 4
-        head.counts -= 1 << shift
-        if not (head.counts >> shift) & 0xFFFF:
+        head.counts[mode.index] -= 1
+        if not head.counts[mode.index]:
             head.mask &= ~bit
         if bit == _EXCLUSIVE_BIT and self._exclusive_keys:
             self._index_exclusive(lock.resource, held=False)

@@ -77,7 +77,7 @@ class AbortExplanation:
         return "\n".join(lines)
 
     def payload(self, gtids: dict[int, int]) -> dict:
-        """The codec-safe form that travels as an error reply's
+        """The JSON-safe form that travels as an error reply's
         ``explanation``: reason, rendered text, rw edges, pivot triple,
         and — so a sharding coordinator can relabel the triple — the
         global id of every transaction named that has one in ``gtids``

@@ -27,12 +27,11 @@ links).  The operations, their request fields and their reply fields
 are :data:`repro.server.protocol.WIRE_OPS`; this module parses and
 answers through that table and spells no frame of its own.
 
-``hello`` and ``batch`` are connection-level frames handled by the read
-loop itself, not session ops: hello switches the connection's codec
-(reply sent in the old codec, everything after in the new one), and
-batch unpacks into individual pipelined dispatches — each inner frame
-must carry an ``id``, replies arrive one per inner frame, and the
-``max_inbox`` backpressure bound applies to the unpacked total.
+``batch`` is a connection-level frame handled by the read loop itself,
+not a session op: it unpacks into individual pipelined dispatches —
+each inner frame must carry an ``id``, replies arrive one per inner
+frame, and the ``max_inbox`` backpressure bound applies to the unpacked
+total.  Every frame is JSON (:mod:`repro.server.protocol`).
 
 Abort responses carry the machine-readable ``reason`` and, when the
 database has tracing enabled, the ``explanation`` payload built from
@@ -50,11 +49,9 @@ from typing import Any
 from repro.engine.database import Database
 from repro.errors import TransactionAbortedError
 from repro.server.protocol import (
-    WIRE_OPS,
     FrameError,
     ProtocolError,
     encode_frame,
-    negotiate_codec,
     read_frame_async,
     request_args,
     success_reply,
@@ -156,13 +153,10 @@ class ReproServer:
         inbox = asyncio.Semaphore(self.max_inbox)
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
-        # Per-connection codec, mutable by the hello handshake.  A dict
-        # so the respond closure and the read loop share one cell.
-        conn = {"codec": "json"}
 
         async def respond(reply: dict[str, Any]) -> None:
             async with write_lock:
-                writer.write(encode_frame(reply, conn["codec"]))
+                writer.write(encode_frame(reply))
                 await writer.drain()
 
         async def accept(frame: dict[str, Any]) -> None:
@@ -186,25 +180,13 @@ class ReproServer:
         try:
             while True:
                 try:
-                    frame = await read_frame_async(reader, conn["codec"])
+                    frame = await read_frame_async(reader)
                 except FrameError as error:
                     await respond(_error_reply(error))
                     break
                 if frame is None:
                     break
-                op = frame.get("op")
-                if op == "hello":
-                    # Codec negotiation: reply in the *old* codec (the
-                    # client reads the verdict before switching), then
-                    # every later frame uses the picked one.
-                    picked = negotiate_codec(frame.get("codecs"))
-                    reply = success_reply(WIRE_OPS["hello"], picked)
-                    if frame.get("id") is not None:
-                        reply["id"] = frame["id"]
-                    await respond(reply)
-                    conn["codec"] = picked
-                    continue
-                if op == "batch":
+                if frame.get("op") == "batch":
                     # One frame, many requests.  Every inner frame needs
                     # an id (replies are individual and tagged); nested
                     # batches fall out as unknown ops in _dispatch.
@@ -276,10 +258,7 @@ class ReproServer:
         try:
             spec, args = request_args(frame)
             if spec.method is None:
-                handler = self._admin.get(spec.op)
-                if handler is None:  # a link-level op outside the read loop
-                    raise ProtocolError(f"unknown op {spec.op!r}")
-                return success_reply(spec, handler(*args))
+                return success_reply(spec, self._admin[spec.op](*args))
         except Exception as error:  # noqa: BLE001 - mapped onto the wire
             return _error_reply(error)
         op = spec.op

@@ -1,19 +1,8 @@
 """Length-prefixed wire protocol shared by server and clients.
 
 Framing: a 4-byte big-endian unsigned length followed by that many
-bytes of body.  The body encoding is a per-connection *codec*: JSON
-(stdlib, always available, the default) or msgpack when the ``msgpack``
-package happens to be installed on both ends.  The framing is
-identical for every codec, so the choice is purely a handshake matter.
-
-**Codec negotiation** — a connection starts in JSON.  A client that
-wants another codec sends ``{"op": "hello", "codecs": [...]}`` as its
-first frame, listing codecs in preference order.  The server picks the
-first one it also supports (JSON is always supported, so negotiation
-cannot fail), replies ``{"ok": true, "codec": "<picked>"}`` *in the
-old codec*, and both sides switch for every subsequent frame.  A
-client whose preferred codec is unavailable on either side degrades
-transparently to JSON — no error, no retry.
+bytes of JSON body (UTF-8, one object per frame).  There is one wire
+format; nothing is negotiated.
 
 **Batched frames** — ``{"op": "batch", "frames": [...]}`` carries
 multiple requests in one frame (one syscall, one length prefix).
@@ -50,12 +39,12 @@ Two optional request fields change dispatch, not framing:
   summary (``{"in", "out", "in_partner", "out_partner"}``) — the
   PREPARE vote of the cross-shard SSI protocol.
 
-Keys and values must be representable in the negotiated codec; that is
-the wire format's restriction, not the engine's.  The codecs flatten
-tuples to arrays, so every key-typed field (``key``/``lo``/``hi``/
-``rows`` in requests; rows, keys and history in replies) is rebuilt
-list -> tuple on arrival by :func:`wire_key` — composite keys travel;
-a *value* that was a tuple arrives as a list.
+Keys and values must be representable in JSON; that is the wire
+format's restriction, not the engine's.  JSON flattens tuples to
+arrays, so every key-typed field (``key``/``lo``/``hi``/``rows`` in
+requests; rows, keys and history in replies) is rebuilt list -> tuple
+on arrival by :func:`wire_key` — composite keys travel; a *value* that
+was a tuple arrives as a list.
 """
 
 from __future__ import annotations
@@ -69,7 +58,6 @@ from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "MAX_FRAME",
-    "CODECS",
     "FrameError",
     "ProtocolError",
     "WIRE_OPS",
@@ -80,7 +68,6 @@ __all__ = [
     "request_args",
     "success_reply",
     "read_result",
-    "negotiate_codec",
     "encode_frame",
     "decode_frame",
     "read_frame_async",
@@ -167,7 +154,7 @@ class WireOp(NamedTuple):
     #: ``"txn"`` runs on the session's open transaction and is part of
     #: every client's vocabulary; ``"2pc"`` also runs on a session but
     #: is spoken only between coordinator and shard; ``"admin"`` is
-    #: answered by the server itself; ``"link"`` by its read loop
+    #: answered by the server itself
     kind: str
     #: the Session / engine method behind a ``txn``/``2pc`` op
     method: str | None
@@ -239,8 +226,6 @@ WIRE_OPS: dict[str, WireOp] = {spec.op: spec for spec in (
     _op("dump_history", reply="txns", decode=_wire_history, kind="admin"),
     _op("audit", reply=("granted", "owners", "waiters", "siread",
                         "suspended", "prepared"), kind="admin"),
-    # codec negotiation (module docstring) -> the codec picked
-    _op("hello", "codecs", reply="codec", kind="link"),
 )}
 
 
@@ -288,68 +273,24 @@ def read_result(op: str, reply: dict[str, Any]) -> Any:
 # --------------------------------------------------------------- framing
 
 
-def _json_dumps(message: dict[str, Any]) -> bytes:
-    return json.dumps(message, separators=(",", ":")).encode("utf-8")
-
-
-def _json_loads(body: bytes) -> Any:
-    try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise FrameError(f"invalid frame body: {error}") from error
-
-
-#: codec name -> (dumps, loads).  JSON is always present; msgpack joins
-#: only when importable, so a container without it negotiates down to
-#: JSON transparently.
-CODECS: dict[str, tuple[Callable[[dict], bytes], Callable[[bytes], Any]]] = {
-    "json": (_json_dumps, _json_loads),
-}
-
-try:  # pragma: no cover - exercised only where msgpack is installed
-    import msgpack as _msgpack  # type: ignore[import-not-found]
-
-    def _msgpack_loads(body: bytes) -> Any:
-        try:
-            return _msgpack.unpackb(body, strict_map_key=False)
-        except Exception as error:  # msgpack raises a zoo of types
-            raise FrameError(f"invalid frame body: {error}") from error
-
-    CODECS["msgpack"] = (
-        lambda message: _msgpack.packb(message, use_bin_type=True),
-        _msgpack_loads,
-    )
-except ImportError:
-    pass
-
-
-def negotiate_codec(offered: Any) -> str:
-    """Server side of the hello handshake: the first offered codec both
-    sides support, else ``"json"`` (never fails)."""
-    if isinstance(offered, (list, tuple)):
-        for name in offered:
-            if isinstance(name, str) and name in CODECS:
-                return name
-    return "json"
-
-
-def encode_frame(message: dict[str, Any], codec: str = "json") -> bytes:
-    body = CODECS[codec][0](message)
+def encode_frame(message: dict[str, Any]) -> bytes:
+    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise FrameError(f"frame of {len(body)} bytes exceeds {MAX_FRAME}")
     return _HEADER.pack(len(body)) + body
 
 
-def decode_frame(body: bytes, codec: str = "json") -> dict[str, Any]:
-    message = CODECS[codec][1](body)
+def decode_frame(body: bytes) -> dict[str, Any]:
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise FrameError(f"invalid frame body: {error}") from error
     if not isinstance(message, dict):
         raise FrameError("frame body must decode to an object")
     return message
 
 
-async def read_frame_async(
-    reader: asyncio.StreamReader, codec: str = "json"
-) -> dict[str, Any] | None:
+async def read_frame_async(reader: asyncio.StreamReader) -> dict[str, Any] | None:
     """Read one frame; None on clean EOF at a frame boundary."""
     try:
         header = await reader.readexactly(_HEADER.size)
@@ -364,7 +305,7 @@ async def read_frame_async(
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
         raise FrameError("connection closed mid-frame") from error
-    return decode_frame(body, codec)
+    return decode_frame(body)
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
@@ -379,7 +320,7 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def read_frame_sock(sock: socket.socket, codec: str = "json") -> dict[str, Any] | None:
+def read_frame_sock(sock: socket.socket) -> dict[str, Any] | None:
     """Blocking-socket twin of :func:`read_frame_async`."""
     header = _recv_exactly(sock, _HEADER.size)
     if header is None:
@@ -390,10 +331,8 @@ def read_frame_sock(sock: socket.socket, codec: str = "json") -> dict[str, Any] 
     body = _recv_exactly(sock, length)
     if body is None:
         raise FrameError("connection closed mid-frame")
-    return decode_frame(body, codec)
+    return decode_frame(body)
 
 
-def send_frame_sock(
-    sock: socket.socket, message: dict[str, Any], codec: str = "json"
-) -> None:
-    sock.sendall(encode_frame(message, codec))
+def send_frame_sock(sock: socket.socket, message: dict[str, Any]) -> None:
+    sock.sendall(encode_frame(message))

@@ -170,14 +170,10 @@ class RemoteShard:
     (see :class:`~repro.client.PipelinedClient`).  Within a single
     transaction each shard is touched once, so there is nothing to
     coalesce per-commit — the batching win is cross-transaction.
-
-    ``codecs`` is forwarded to the link's hello handshake (e.g.
-    ``("msgpack",)``), degrading to JSON when unavailable.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 codecs: tuple[str, ...] | None = None) -> None:
-        self.link = PipelinedClient(host, port, codecs=codecs)
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        self.link = PipelinedClient(host, port)
 
     # ------------------------------------------------------------ admin
 

@@ -4,7 +4,8 @@ A checkpoint materialises the committed state of every table (with the
 original commit timestamps, so recovered snapshots behave identically),
 stamps the log with a checkpoint record, and allows the log prefix to be
 truncated.  Recovery becomes: restore the newest checkpoint, then redo
-the log suffix past its checkpoint record.
+the durable commits the image does not hold — those with a commit
+timestamp above its clock (:func:`repro.wal.recovery.replay`).
 
 Index *contents* are checkpointed like any table; index *definitions*
 (the key functions) are code, not data, and must be re-registered by the
@@ -26,9 +27,9 @@ from repro.wal.recovery import replay
 def take_checkpoint(db: Database, path: str | None = None) -> dict:
     """Snapshot the committed state of ``db``.
 
-    Flushes and stamps the attached WAL (if any) so the returned image
-    pairs with a checkpoint LSN; with ``path``, the image is pickled to
-    disk.  Returns the image (a plain dict).
+    Stamps and then flushes the attached WAL (if any) so the returned
+    image pairs with a checkpoint LSN; with ``path``, the image is
+    pickled to disk.  Returns the image (a plain dict).
     """
     # The txn latch (taken first, per the rank order) freezes the table
     # dict against concurrent DDL and bulk load — create_table/load
@@ -58,14 +59,19 @@ def take_checkpoint(db: Database, path: str | None = None) -> dict:
             tables[name] = rows
         checkpoint_lsn = 0
         if db.wal is not None:
-            record = db.wal.log_checkpoint()
-            db.wal.flush()
+            # An in-memory append, made under the commit latch so the
+            # record's LSN precedes every later commit's records, which
+            # truncate_before(checkpoint_lsn) relies on.  The flush runs
+            # once the latches are released.
+            record = db.wal.log_checkpoint()  # latch-ok: LSN must precede later commits
             checkpoint_lsn = record.lsn
         image = {
             "tables": tables,
             "checkpoint_lsn": checkpoint_lsn,
             "clock": db.clock.now(),
         }
+    if db.wal is not None:
+        db.wal.flush()
     if path is not None:
         with open(path, "wb") as handle:
             pickle.dump(image, handle)
@@ -100,9 +106,6 @@ def recover_from_checkpoint(
     wal: WriteAheadLog,
     config: EngineConfig | None = None,
 ) -> Database:
-    """Full recovery: restore the checkpoint, redo the log suffix."""
-    if isinstance(image, str):
-        with open(image, "rb") as handle:
-            image = pickle.load(handle)
-    base = restore_checkpoint(image, config)
-    return replay(wal, base=base, start_lsn=image["checkpoint_lsn"])
+    """Full recovery: restore the checkpoint, redo the durable commits
+    it does not hold."""
+    return replay(wal, base=restore_checkpoint(image, config))

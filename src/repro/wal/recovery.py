@@ -3,16 +3,21 @@
 Rebuilds database state from the durable prefix of a write-ahead log.
 Because the engine is no-steal, recovery is a single redo pass:
 
-1. collect the commit record of every committed transaction;
-2. replay the write records of committed transactions, in commit-
-   timestamp order, installing versions with their original commit
-   timestamps (so post-recovery snapshots see exactly the pre-crash
-   version history);
-3. everything else — uncommitted, aborted, or committed-but-unflushed —
-   contributes nothing.
+1. collect the commit record of every durable commit the base does not
+   already hold — those with a commit timestamp above the base's clock;
+2. replay their write records in commit-timestamp order, installing
+   versions with their original commit timestamps (so post-recovery
+   snapshots see exactly the pre-crash version history);
+3. everything else — uncommitted, aborted, committed-but-unflushed, or
+   already in the base — contributes nothing.
 
-A checkpoint record allows the scan to skip the truncated prefix; the
-checkpointed state is supplied as a base database.
+The base is a restored checkpoint (its clock is the image's) or an empty
+database (clock 0: every durable commit is replayed).  The timestamp
+rule is exact because a writer draws its commit timestamp and installs
+its versions in one commit-latched section, and a checkpoint images the
+tables and reads the clock under that same latch: a commit is in the
+image if and only if its timestamp is at most the image's clock —
+wherever its log records landed relative to the checkpoint record.
 """
 
 from __future__ import annotations
@@ -25,35 +30,26 @@ from repro.engine.database import Database
 from repro.errors import TableError
 from repro.mvcc.version import TOMBSTONE, Version
 from repro.wal.log import WriteAheadLog
-from repro.wal.records import CheckpointRecord, CommitRecord, WriteRecord
+from repro.wal.records import CommitRecord, WriteRecord
 
 
 def replay(log: WriteAheadLog, base: Database | None = None,
-           config: EngineConfig | None = None,
-           start_lsn: int | None = None) -> Database:
-    """Redo the durable prefix of ``log`` into a database.
+           config: EngineConfig | None = None) -> Database:
+    """Redo into a database the durable commits of ``log`` that it does
+    not hold yet: those whose commit timestamp is above its clock.
 
     ``base`` supplies checkpointed state (tables already loaded); when
     None a fresh database is created and tables materialise on demand.
-    ``start_lsn`` pins the replay start (records at or below it are
-    assumed captured by the base); by default the newest checkpoint
-    record in the log is used.
     """
     db = base if base is not None else Database(config or EngineConfig())
+    held_ts = db.clock.now()
 
     commit_ts_of: dict[int, int] = {}
     writes: dict[int, list[WriteRecord]] = defaultdict(list)
-    if start_lsn is None:
-        start_lsn = 0
-        for record in log.records(durable_only=True):
-            if isinstance(record, CheckpointRecord):
-                start_lsn = record.lsn
-
     for record in log.records(durable_only=True):
-        if record.lsn <= start_lsn:
-            continue
         if isinstance(record, CommitRecord):
-            commit_ts_of[record.txn_id] = record.commit_ts
+            if record.commit_ts > held_ts:
+                commit_ts_of[record.txn_id] = record.commit_ts
         elif isinstance(record, WriteRecord):
             writes[record.txn_id].append(record)
 

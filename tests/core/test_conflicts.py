@@ -61,19 +61,11 @@ class TestBasicTracker:
         assert not reader.in_conflict and not writer.out_conflict
 
     def test_pivot_aborted_early(self):
-        tracker = BasicConflictTracker(abort_early=True)
+        tracker = BasicConflictTracker()
         t_in, pivot, t_out = fresh(tracker, 3)
         tracker.mark_conflict(pivot, t_out)
         victim = tracker.mark_conflict(t_in, pivot)
         assert victim is pivot  # both flags set while active
-
-    def test_no_abort_early_defers_to_commit(self):
-        tracker = BasicConflictTracker(abort_early=False)
-        t_in, pivot, t_out = fresh(tracker, 3)
-        tracker.mark_conflict(pivot, t_out)
-        assert tracker.mark_conflict(t_in, pivot) is None
-        assert tracker.check_commit(pivot) is True
-        assert tracker.check_commit(t_in) is False
 
     def test_committed_writer_with_out_conflict_kills_reader(self):
         # Fig 3.3 lines 3-5.

@@ -126,7 +126,6 @@ KNOB_CENSUS = {
     "granularity": "bench_ablation_granularity.py",
     "page_size": "bench_ablation_granularity.py",
     "precise_conflicts": "bench_ablation_tracker.py",
-    "abort_early": "none (paper §3.7.1)",
     "siread_upgrade": "bench_ablation_engine_knobs.py",
     "deferred_snapshot": "bench_ablation_engine_knobs.py",
     "victim_policy": "bench_ablation_engine_knobs.py",
@@ -144,7 +143,7 @@ KNOB_CENSUS = {
 class TestKnobCensus:
     def test_field_set_is_pinned(self):
         fields = [field.name for field in dataclasses.fields(EngineConfig)]
-        assert len(fields) == 15
+        assert len(fields) == 14
         assert set(fields) == set(KNOB_CENSUS)
 
     @pytest.mark.parametrize(

@@ -96,7 +96,7 @@ class TestThreadedSmallbank:
         """Same leak audit with a budget tiny enough that the run lives
         in a permanent escalation storm: promoted coarse sentinels,
         covered re-reads and weighted drops must all settle to zero
-        (``residual_siread`` is the weighted count), and the committed
+        (``residual_siread`` counts read-list entries), and the committed
         history must still pass the MVSG oracle — escalation only ever
         adds conservative aborts."""
         result = run_threaded_stress(

@@ -172,6 +172,23 @@ class TestSiread:
             assert lm.acquire(owners[i], R, SIREAD).granted
         assert len(lm.locks_on(R)) == 4
 
+    def test_mode_counts_do_not_wrap(self, lm):
+        """65 537 scans of one range: the head's SIREAD count stays exact,
+        and retiring one of them leaves the range detecting every other
+        reader (a 16-bit count field carried into the next mode's)."""
+        readers = [Owner(i) for i in range(1 << 16 | 1)]
+        for reader in readers:
+            lm.acquire_range(reader, "t", None, None, SIREAD)
+        head = lm._heads[range_resource("t", None, None)]
+        assert head.mode_count(SIREAD) == len(readers)
+        assert head.mode_count(X) == 0
+        lm.drop_siread_locks(readers[0])
+        assert head.mode_count(SIREAD) == len(readers) - 1
+        writer = Owner(-1)
+        result = lm.acquire(writer, record_resource("t", 5), X)
+        assert result.granted
+        assert len(result.detection_conflicts) == len(readers) - 1
+
 
 class TestResources:
     def test_range_and_record_are_distinct(self, lm, owners):

@@ -1,8 +1,7 @@
-"""Wire batching and codec negotiation (PR 9).
+"""Wire batching.
 
-The ``batch`` frame (many id-tagged requests per read), the ``hello``
-codec handshake with transparent JSON fallback, and the pipelined
-client's automatic send-queue coalescing.
+The ``batch`` frame (many id-tagged requests per read) and the
+pipelined client's automatic send-queue coalescing.
 """
 
 from __future__ import annotations
@@ -17,14 +16,7 @@ from repro.client import PipelinedClient
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.server import ReproServer
-from repro.server.protocol import (
-    CODECS,
-    decode_frame,
-    encode_frame,
-    negotiate_codec,
-    read_frame_sock,
-    send_frame_sock,
-)
+from repro.server.protocol import read_frame_sock, send_frame_sock
 
 from tests.server.test_server import run_with_server
 
@@ -33,81 +25,6 @@ from tests.server.test_server import run_with_server
 def server_db():
     db = Database(EngineConfig(record_history=True))
     return db
-
-
-class TestCodecRegistry:
-    def test_json_always_available(self):
-        assert "json" in CODECS
-
-    def test_negotiate_picks_first_supported(self):
-        assert negotiate_codec(["json"]) == "json"
-        assert negotiate_codec(["no-such-codec", "json"]) == "json"
-
-    def test_negotiate_falls_back_to_json(self):
-        assert negotiate_codec(["no-such-codec"]) == "json"
-        assert negotiate_codec(None) == "json"
-        assert negotiate_codec("json") == "json"  # not a list: fallback
-        assert negotiate_codec([42, "json"]) == "json"
-
-    def test_explicit_codec_round_trip(self):
-        for codec in CODECS:
-            frame = {"op": "put", "key": ["k", 3], "value": {"n": 1.5}}
-            assert decode_frame(encode_frame(frame, codec)[4:], codec) == frame
-
-
-class TestHelloHandshake:
-    def test_blocking_client_negotiates_with_fallback(self, server_db):
-        async def body(server):
-            def blocking():
-                client = PipelinedClient(
-                    port=server.port, codecs=("msgpack", "json")
-                )
-                # msgpack is only picked when installed server-side;
-                # either way the connection keeps working.
-                assert client.codec in CODECS
-                client.create_table("t")
-                client.begin("ssi")
-                client.put("t", "a", 1)
-                client.commit()
-                client.begin("si")
-                value = client.get("t", "a")
-                client.commit()
-                client.close()
-                return value
-
-            return await asyncio.get_running_loop().run_in_executor(
-                None, blocking
-            )
-
-        assert run_with_server(server_db, body) == 1
-
-    def test_unknown_codec_degrades_to_json(self, server_db):
-        async def body(server):
-            def blocking():
-                client = PipelinedClient(
-                    port=server.port, codecs=("no-such-codec",)
-                )
-                assert client.codec == "json"
-                assert client.ping()["ok"]
-                client.close()
-
-            await asyncio.get_running_loop().run_in_executor(None, blocking)
-
-        run_with_server(server_db, body)
-
-    def test_pipelined_client_handshake(self, server_db):
-        async def body(server):
-            def blocking():
-                link = PipelinedClient(
-                    port=server.port, codecs=("msgpack", "json")
-                )
-                assert link.codec in CODECS
-                assert link.ping()["ok"]
-                link.close()
-
-            await asyncio.get_running_loop().run_in_executor(None, blocking)
-
-        run_with_server(server_db, body)
 
 
 class TestBatchFrames:

@@ -107,13 +107,17 @@ class TestServer:
             await client.abort()
             await client.close()
 
-            def raw_frame():
+            def raw_frame(op):
                 with PipelinedClient(port=server.port) as link:
-                    link.call({"op": "no_such_op"})
+                    link.call({"op": op})
 
-            with pytest.raises(ServerError) as info:
-                await asyncio.get_running_loop().run_in_executor(None, raw_frame)
-            assert info.value.remote_error == "ProtocolError"
+            # ``hello`` included: there is no codec handshake to answer it
+            for op in ("no_such_op", "hello"):
+                with pytest.raises(ServerError) as info:
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, raw_frame, op
+                    )
+                assert info.value.remote_error == "ProtocolError"
 
         run_with_server(server_db, body)
 

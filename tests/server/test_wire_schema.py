@@ -1,7 +1,7 @@
 """``WIRE_OPS`` is the contract.
 
-Every op's request and reply round-trip through the four helpers under
-every codec, the schema rejects what it does not describe, every façade
+Every op's request and reply round-trip through the four helpers and
+a JSON frame, the schema rejects what it does not describe, every façade
 speaks the whole transactional vocabulary — and a composite key, which
 survives the wire only because the table rebuilds key-typed fields,
 travels every path (both clients, bulk load, a two-shard cluster whose
@@ -19,7 +19,6 @@ from repro.client import AsyncClient, PipelinedClient
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.server.protocol import (
-    CODECS,
     REQUIRED,
     WIRE_OPS,
     ProtocolError,
@@ -42,7 +41,7 @@ SAMPLE_ARGS = {
     "table": "t", "index": "i", "key": ("w", 1), "lo": ("w", 0),
     "hi": ("w", 9), "value": {"n": [1, 2]}, "default": "none",
     "rows": [(("w", 1), "a"), (("w", 2), "b")],
-    "import_in": True, "import_out": True, "codecs": ["json"],
+    "import_in": True, "import_out": True,
 }
 #: one sample result per op that has one
 SAMPLE_RESULTS = {
@@ -61,44 +60,43 @@ SAMPLE_RESULTS = {
     }],
     "audit": {"granted": 0, "owners": 0, "waiters": 0, "siread": 0,
               "suspended": 0, "prepared": 0},
-    "hello": "json",
 }
 
 
-def over_the_wire(frame, codec):
-    return decode_frame(encode_frame(frame, codec)[4:], codec)
+def over_the_wire(frame):
+    return decode_frame(encode_frame(frame)[4:])
 
 
 def sample_args(spec):
     return tuple(SAMPLE_ARGS[name] for name in spec.names)
 
 
-@pytest.mark.parametrize("codec", sorted(CODECS))
-@pytest.mark.parametrize("op", sorted(WIRE_OPS))
+# Case ids keep their ``-json`` suffix: every frame body is JSON.
+@pytest.mark.parametrize("op", sorted(WIRE_OPS), ids=lambda op: f"{op}-json")
 class TestEveryOp:
-    def test_request_round_trips_to_arguments(self, op, codec):
+    def test_request_round_trips_to_arguments(self, op):
         spec = WIRE_OPS[op]
-        frame = over_the_wire(build_request(op, sample_args(spec), txn=5), codec)
+        frame = over_the_wire(build_request(op, sample_args(spec), txn=5))
         assert frame["op"] == op and frame["txn"] == 5
         got_spec, args = request_args(frame)
         assert got_spec is spec
         assert tuple(args) == sample_args(spec)
 
-    def test_reply_round_trips_to_result(self, op, codec):
+    def test_reply_round_trips_to_result(self, op):
         spec = WIRE_OPS[op]
         assert (op in SAMPLE_RESULTS) == (spec.reply is not None)
         result = SAMPLE_RESULTS.get(op)
-        reply = over_the_wire(success_reply(spec, result), codec)
+        reply = over_the_wire(success_reply(spec, result))
         assert reply["ok"] is True
         assert read_result(op, reply) == result
 
-    def test_defaults_apply_and_required_fields_are_required(self, op, codec):
+    def test_defaults_apply_and_required_fields_are_required(self, op):
         spec = WIRE_OPS[op]
         required = [name for name, default, _ in spec.fields
                     if default is REQUIRED]
         # Only the required fields sent: the receiver fills in the rest.
         frame = build_request(op, sample_args(spec)[:len(required)])
-        _, args = request_args(over_the_wire(frame, codec))
+        _, args = request_args(over_the_wire(frame))
         assert args[:len(required)] == list(sample_args(spec)[:len(required)])
         assert args[len(required):] == [
             default for _, default, _ in spec.fields[len(required):]
@@ -107,10 +105,11 @@ class TestEveryOp:
             short = dict(frame)
             del short[missing]
             with pytest.raises(ProtocolError, match=missing):
-                request_args(over_the_wire(short, codec))
+                request_args(over_the_wire(short))
 
 
-@pytest.mark.parametrize("op", ["no_such_op", None, 7, ["scan"], "batch"])
+@pytest.mark.parametrize("op", ["no_such_op", None, 7, ["scan"], "batch",
+                                "hello"])
 def test_unknown_op_is_a_protocol_error(op):
     with pytest.raises(ProtocolError, match="unknown op"):
         request_args({"op": op})

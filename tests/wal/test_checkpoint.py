@@ -1,5 +1,7 @@
 """Checkpoint/restore tests."""
 
+import threading
+
 import pytest
 
 from repro import Database, EngineConfig
@@ -110,3 +112,54 @@ def test_new_transactions_order_after_restore(db):
     chain = restored.table("t").chain("a")
     assert chain.latest().value == "new"
     assert len(chain) == 2  # new version strictly after the restored one
+
+
+class ParkedWriteWAL(WriteAheadLog):
+    """A log whose ``log_write`` can be parked: a committer stops there
+    with its commit timestamp drawn and its versions installed, before
+    any of its records reach the log."""
+
+    def __init__(self):
+        super().__init__()
+        self.parked = threading.Event()
+        self._open = threading.Event()
+        self._open.set()
+
+    def park(self) -> None:
+        self._open.clear()
+
+    def unpark(self) -> None:
+        self._open.set()
+
+    def log_write(self, *args, **kwargs):
+        if not self._open.is_set():
+            self.parked.set()
+            assert self._open.wait(timeout=30), "ParkedWriteWAL never unparked"
+        return super().log_write(*args, **kwargs)
+
+
+def test_checkpoint_taken_mid_commit():
+    """The checkpoint images a commit whose records land after its
+    checkpoint record; recovery must not install that commit twice."""
+    wal = ParkedWriteWAL()
+    db = Database(EngineConfig(), wal=wal)
+    db.create_table("t")
+    traffic(db, ["a", "b", "c"])
+    txn = db.begin("ssi")
+    txn.write("t", "a", "mid")
+    wal.park()
+    committer = threading.Thread(target=db.commit, args=(txn,))
+    committer.start()
+    try:
+        assert wal.parked.wait(timeout=30)
+        image = take_checkpoint(db)
+    finally:
+        wal.unpark()
+        committer.join(timeout=30)
+    assert txn.commit_ts <= image["clock"]
+    assert txn.commit_ts == db.table("t").chain("a").latest().commit_ts
+    traffic(db, ["d"], offset=10)
+    recovered = recover_from_checkpoint(image, wal)
+    check = recovered.begin("si")
+    assert dict(check.scan("t")) == {"a": "mid", "b": 1, "c": 2, "d": 10}
+    check.commit()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database, EngineConfig
+from repro.wal import take_checkpoint
 from repro.wal.log import WriteAheadLog
 from repro.wal.recovery import recover_database, replay
 
@@ -131,6 +132,23 @@ class TestReplayWithBase:
         check = recovered.begin("si")
         assert check.read("t", "pre") == 1
         assert check.read("t", "post") == 2
+        check.commit()
+
+    def test_fresh_recovery_replays_commits_before_a_checkpoint(self):
+        """An empty base holds nothing, so every durable commit is
+        replayed — the ones logged before a checkpoint record too."""
+        db, wal = make_db()
+        for key, value in (("a", 1), ("b", 2)):
+            txn = db.begin("ssi")
+            txn.write("t", key, value)
+            txn.commit()
+        take_checkpoint(db)
+        txn = db.begin("ssi")
+        txn.write("t", "c", 3)
+        txn.commit()
+        recovered = recover_database(wal)
+        check = recovered.begin("si")
+        assert dict(check.scan("t")) == {"a": 1, "b": 2, "c": 3}
         check.commit()
 
     def test_tables_created_on_demand(self):
