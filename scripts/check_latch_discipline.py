@@ -35,7 +35,7 @@ next to ruff/mypy:
 
 3. **No blocking RPC under latch (PR 8).**  In the sharding layer
    (``repro.shard``), a call on a shard backend or wire link
-   (``self.backends[s].op(...)``, ``self.link.call(...)``) is a
+   (``self.backends[s].op(...)``, ``self.link.do(...)``) is a
    blocking round trip to another process.  Holding a recognised latch
    across one stalls every local thread needing that latch on a remote
    peer — so the lint flags any such call lexically under a latch.  The

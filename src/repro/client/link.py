@@ -7,27 +7,16 @@ vocabulary of :data:`repro.server.protocol.WIRE_OPS`).  Strict
 request/response would be too slow for a sharding coordinator that
 must fan a PREPARE out to several shards and collect the votes in one
 round trip, so :class:`PipelinedClient` tags every frame with an
-``id`` (see :mod:`repro.server.protocol`), sends without waiting, and a
-single receiver thread matches the (possibly out-of-order) replies back
-to per-call slots.  Frames may also carry a ``txn`` global id, routing
-them to the server-wide session for that distributed transaction, so
-one link multiplexes every transaction the coordinator runs against a
-shard.
-
-**Coalescing** — submissions land in a send queue; whichever submitter
-finds no active sender becomes the sender and drains the queue,
-wrapping everything queued behind it into one ``batch`` frame (one
-syscall, one length prefix, one server read).  Under contention the
-batching is automatic and unbounded by timers: frames batch exactly
-when they would otherwise have queued behind a peer's ``send``.  A
-lone frame goes out plain — the idle round-trip path pays nothing.
-``submit_many`` queues a whole list atomically, so a sharding
-coordinator's same-shard PREPARE/COMMIT fan-out shares one frame
-deterministically.
+``id`` (see :mod:`repro.server.protocol`), sends it at once under one
+send lock, and a single receiver thread matches the (possibly
+out-of-order) replies back to per-call futures.  Frames may also carry
+a ``txn`` global id, routing them to the server-wide session for that
+distributed transaction, so one link multiplexes every transaction the
+coordinator runs against a shard.
 
 The server bounds in-flight frames per connection (``max_inbox``) by
 not reading the socket when full; the link inherits that backpressure
-naturally — the sender blocks in ``send`` once the kernel buffers fill.
+naturally — a sender blocks in ``send`` once the kernel buffers fill.
 """
 
 from __future__ import annotations
@@ -35,8 +24,8 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
-from collections import deque
-from typing import Any, Callable, Hashable, Iterable
+from concurrent.futures import Future
+from typing import Any, Callable, Hashable
 
 from repro.client.errors import raise_reply
 from repro.server.protocol import (
@@ -47,36 +36,7 @@ from repro.server.protocol import (
     send_frame_sock,
 )
 
-__all__ = ["PipelinedClient", "PendingReply"]
-
-#: most messages one sender drain will pack into a single batch frame —
-#: bounds frame size and the latency a queued frame can accrue behind
-#: an enormous batch.
-_MAX_BATCH = 128
-
-
-class PendingReply:
-    """One in-flight call: an event the receiver thread fires plus the
-    raw reply frame.  ``wait()`` parks the caller; the link's ``result``
-    maps error replies onto the engine's exception classes."""
-
-    __slots__ = ("_event", "reply")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.reply: dict[str, Any] | None = None
-
-    def wait(self, timeout: float | None = None) -> dict[str, Any] | None:
-        self._event.wait(timeout)
-        return self.reply
-
-    def settle(self, reply: dict[str, Any] | None) -> None:
-        self.reply = reply
-        self._event.set()
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
+__all__ = ["PipelinedClient"]
 
 
 class PipelinedClient:
@@ -90,115 +50,46 @@ class PipelinedClient:
 
     The named operations and ``do(op, *args, txn=None)`` each make one
     round trip and return the op's result; ``start`` is ``do`` split in
-    two (send now, collect later).  Underneath,
-    ``submit(frame) -> PendingReply`` queues a raw frame for send and
-    returns a waitable slot; ``result(slot)`` blocks and re-raises
-    server errors as :mod:`repro.errors` classes (with ``.explanation``
-    attached, see :mod:`repro.client.errors`); ``call(frame)`` is
-    submit+result; ``submit_many(frames)`` queues a list in one step
-    (one batch frame when more than one).  Any thread may submit; one
-    receiver thread drains the socket.
+    two (send now, collect later).  Underneath, ``submit(frame)`` sends
+    a raw frame and returns a :class:`~concurrent.futures.Future` of its
+    reply; ``result(future)`` blocks and re-raises server errors as
+    :mod:`repro.errors` classes (with ``.explanation`` attached, see
+    :mod:`repro.client.errors`).  Any thread may submit; one receiver
+    thread drains the socket.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7401) -> None:
         self._sock = socket.create_connection((host, port))
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        #: serialises sends and guards ``_closed``; ``_pending`` gains
+        #: entries only under it, so the receiver's final drain is complete.
         self._send_lock = threading.Lock()
-        self._table_lock = threading.Lock()
-        self._pending: dict[int, PendingReply] = {}
-        self._sendq: deque[dict[str, Any]] = deque()
-        self._sender_active = False
+        self._pending: dict[int, Future] = {}
         self._ids = itertools.count(1)
         self._closed = False
-        self._recv_error: BaseException | None = None
-        #: send-side telemetry: how much the queue actually coalesced.
-        self.stats = {"frames_sent": 0, "batches_sent": 0, "coalesced_ops": 0}
         self._receiver = threading.Thread(
             target=self._recv_loop, name=f"link-{host}:{port}", daemon=True
         )
         self._receiver.start()
 
-    # --------------------------------------------------------- sending
-
-    def submit(self, frame: dict[str, Any]) -> PendingReply:
-        """Queue ``frame`` for send with a fresh id; return its slot."""
-        return self._enqueue([frame])[0]
-
-    def submit_many(self, frames: Iterable[dict[str, Any]]) -> list[PendingReply]:
-        """Queue several frames in one step — they share a batch frame
-        (when more than one), so a fan-out of same-shard ops costs one
-        wire frame.  Returns slots in argument order."""
-        return self._enqueue(list(frames))
-
-    def _enqueue(self, frames: list[dict[str, Any]]) -> list[PendingReply]:
-        slots = []
-        with self._table_lock:
+    def submit(self, frame: dict[str, Any]) -> Future:
+        """Send ``frame`` with a fresh id; return the future of its reply."""
+        future: Future = Future()
+        with self._send_lock:
             if self._closed:
                 raise ConnectionError("pipelined link is closed")
-            for frame in frames:
-                message = dict(frame)
-                message["id"] = next(self._ids)
-                slot = PendingReply()
-                self._pending[message["id"]] = slot
-                self._sendq.append(message)
-                slots.append(slot)
-            if self._sender_active or not self._sendq:
-                return slots
-            self._sender_active = True
-        # This thread is now the sender: drain until the queue is empty.
-        # Frames submitted by other threads meanwhile ride its batches.
-        self._drain_sendq()
-        return slots
+            frame_id = next(self._ids)
+            self._pending[frame_id] = future
+            send_frame_sock(self._sock, {**frame, "id": frame_id})
+        return future
 
-    def _drain_sendq(self) -> None:
-        while True:
-            with self._table_lock:
-                if not self._sendq:
-                    self._sender_active = False
-                    return
-                batch = []
-                while self._sendq and len(batch) < _MAX_BATCH:
-                    batch.append(self._sendq.popleft())
-            if len(batch) == 1:
-                message = batch[0]
-            else:
-                message = {"op": "batch", "frames": batch}
-            try:
-                with self._send_lock:
-                    send_frame_sock(self._sock, message)
-            except BaseException as error:
-                # The send failed: settle this batch's slots so their
-                # waiters see the error, hand the sender role back, and
-                # surface the failure to whoever was driving the drain.
-                with self._table_lock:
-                    self._sender_active = False
-                    stranded = [
-                        self._pending.pop(frame["id"], None) for frame in batch
-                    ]
-                self._recv_error = self._recv_error or error
-                for slot in stranded:
-                    if slot is not None:
-                        slot.settle(None)
-                raise
-            self.stats["frames_sent"] += 1
-            if len(batch) > 1:
-                self.stats["batches_sent"] += 1
-                self.stats["coalesced_ops"] += len(batch)
-
-    def result(self, slot: PendingReply) -> dict[str, Any]:
-        """Wait for a slot and return its reply, raising server errors
-        as engine exception classes."""
-        reply = slot.wait()
-        if reply is None:
-            raise self._recv_error or ConnectionError(
-                "pipelined link closed before the reply arrived"
-            )
+    def result(self, future: Future) -> dict[str, Any]:
+        """Wait for a reply, raising server errors as engine exception
+        classes."""
+        reply = future.result()
         if not reply.get("ok"):
             raise_reply(reply)
         return reply
-
-    def call(self, frame: dict[str, Any]) -> dict[str, Any]:
-        return self.result(self.submit(frame))
 
     # ------------------------------------------------------ vocabulary
 
@@ -206,8 +97,8 @@ class PipelinedClient:
         """Send any :data:`WIRE_OPS` op without waiting; calling the
         returned waiter blocks for the reply and returns the op's result
         (``txn`` addresses a distributed transaction's session)."""
-        slot = self.submit(build_request(op, args, txn))
-        return lambda: read_result(op, self.result(slot))
+        future = self.submit(build_request(op, args, txn))
+        return lambda: read_result(op, self.result(future))
 
     def do(self, op: str, *args: Any, txn: Any = None) -> Any:
         """One round trip: ``start`` and wait."""
@@ -264,34 +155,28 @@ class PipelinedClient:
     # ------------------------------------------------------- receiving
 
     def _recv_loop(self) -> None:
+        error: BaseException | None = None
         try:
-            while True:
-                reply = read_frame_sock(self._sock)
-                if reply is None:
-                    break
-                slot = None
-                with self._table_lock:
-                    slot = self._pending.pop(reply.get("id"), None)
-                if slot is not None:
-                    slot.settle(reply)
-        except (OSError, ValueError, FrameError) as error:
+            while (reply := read_frame_sock(self._sock)) is not None:
+                future = self._pending.pop(reply.get("id"), None)
+                if future is not None:
+                    future.set_result(reply)
+        except (OSError, ValueError, FrameError) as caught:
             # ValueError: reads racing close() on some platforms.
-            self._recv_error = error
+            error = caught
         finally:
-            with self._table_lock:
+            with self._send_lock:
                 self._closed = True
-                stranded = list(self._pending.values())
-                self._pending.clear()
-            for slot in stranded:
-                slot.settle(None)
+                stranded, self._pending = self._pending, {}
+            for future in stranded.values():
+                lost = ConnectionError(
+                    "pipelined link closed before the reply arrived")
+                lost.__cause__ = error
+                future.set_exception(lost)
 
     # --------------------------------------------------------- closing
 
     def close(self) -> None:
-        with self._table_lock:
-            if self._closed and not self._receiver.is_alive():
-                return
-            self._closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:

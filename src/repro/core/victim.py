@@ -52,11 +52,3 @@ POLICIES: dict[str, VictimPolicy] = {
     "youngest": youngest_first,
     "oldest": oldest_first,
 }
-
-
-def policy_name(policy: VictimPolicy) -> str:
-    """The registry name of a policy, for telemetry/trace payloads."""
-    for name, candidate in POLICIES.items():
-        if candidate is policy:
-            return name
-    return getattr(policy, "__name__", repr(policy))

@@ -64,7 +64,7 @@ from repro.errors import (
     UnsafeError,
     UpdateConflictError,
 )
-from repro.locking.deadlock import DeadlockDetector
+from repro.locking.deadlock import youngest
 from repro.locking.manager import (
     AcquireResult,
     AcquireStatus,
@@ -125,7 +125,6 @@ class Database:
         self.locks = LockManager(
             deadlock_handler=handler, siread_upgrade=self.config.siread_upgrade
         )
-        self.deadlock_detector = DeadlockDetector()
         #: True when blocked threads must keep a poll tick alive to drive
         #: the periodic deadlock sweep; with immediate detection, lock
         #: waits are pure push wakeups (no timeout polling at all).
@@ -491,7 +490,15 @@ class Database:
         suspend on the ticket's completion and re-invoke this method,
         which consumes the resolved ticket.  Re-invocation with a
         pending ticket never re-enters.
+
+        A prepared transaction is refused with
+        :class:`~repro.errors.TransactionStateError` and stays prepared:
+        only the coordinator decides it (:meth:`commit_prepared`).
         """
+        if txn.prepared:
+            raise TransactionStateError(
+                f"transaction {txn.id} is prepared: commit_prepared decides it"
+            )
         if not txn.policy.certifies and not txn.write_set:
             # Nothing a group amortizes: a non-certifying read-only
             # commit takes no tracker latch and writes no WAL.
@@ -527,8 +534,13 @@ class Database:
         Split from finalize so the simulator can charge the log-flush I/O
         while locks are still held — the ordering the paper enforces in
         InnoDB (Section 4.4, "locks are not released until after the log
-        has been flushed").
+        has been flushed").  Refuses a prepared transaction, as
+        :meth:`commit` does.
         """
+        if txn.prepared:
+            raise TransactionStateError(
+                f"transaction {txn.id} is prepared: commit_prepared decides it"
+            )
         self._check_op(txn)
         if txn.policy.certifies:
             # The commit decision — certification through status flip — is
@@ -1261,9 +1273,7 @@ class Database:
     def sweep_deadlocks(self) -> list[Transaction]:
         """One periodic deadlock-detection pass; aborts one victim per
         cycle by dooming it (the victim aborts at its next step)."""
-        victims = self.locks.find_deadlock_victims(
-            self.deadlock_detector.victim_policy
-        )
+        victims = self.locks.find_deadlock_victims(youngest)
         for victim in victims:
             if self.trace is not None:
                 self.trace.emit(EventType.VICTIM, victim.id, cause="deadlock")

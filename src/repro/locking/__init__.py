@@ -17,7 +17,7 @@ from repro.locking.manager import (
     range_resource,
     page_resource,
 )
-from repro.locking.deadlock import DeadlockDetector, WaitsForGraph
+from repro.locking.deadlock import WaitsForGraph
 
 __all__ = [
     "LockMode",
@@ -31,6 +31,5 @@ __all__ = [
     "record_resource",
     "range_resource",
     "page_resource",
-    "DeadlockDetector",
     "WaitsForGraph",
 ]

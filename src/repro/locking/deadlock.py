@@ -14,7 +14,7 @@ the paper:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Hashable, Iterable
+from typing import Hashable
 
 
 class WaitsForGraph:
@@ -105,33 +105,8 @@ class WaitsForGraph:
         return sum(len(targets) for targets in self._edges.values())
 
 
-class DeadlockDetector:
-    """Periodic-sweep detector used by the discrete-event simulator.
-
-    ``victim_policy`` maps a cycle (list of transaction objects) to the
-    victim to abort; the default aborts the youngest (largest begin
-    timestamp), the policy the paper suggests reduces wasted work.
-    """
-
-    def __init__(
-        self,
-        victim_policy: Callable[[list], object] | None = None,
-    ):
-        self.victim_policy = victim_policy or self.youngest
-        self.detected = 0
-
-    @staticmethod
-    def youngest(cycle: list) -> object:
-        return max(cycle, key=lambda txn: getattr(txn, "begin_seq", None) or txn.begin_ts or 0)
-
-    @staticmethod
-    def oldest(cycle: list) -> object:
-        return min(cycle, key=lambda txn: getattr(txn, "begin_seq", None) or txn.begin_ts or 0)
-
-    def sweep(self, lock_manager, abort: Callable[[object], None]) -> list:
-        """Find deadlocks and abort one victim per cycle via ``abort``."""
-        victims = lock_manager.find_deadlock_victims(self.victim_policy)
-        for victim in victims:
-            self.detected += 1
-            abort(victim)
-        return victims
+def youngest(cycle: list) -> object:
+    """The deadlock victim of one cycle: its youngest transaction
+    (largest begin timestamp), the policy the paper suggests reduces
+    wasted work."""
+    return max(cycle, key=lambda txn: getattr(txn, "begin_seq", None) or txn.begin_ts or 0)

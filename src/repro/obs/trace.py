@@ -173,9 +173,6 @@ class EventTrace:
         self._clock = clock or (lambda: 0)
         self._seq = 0
 
-    def bind_clock(self, clock: Callable[[], int]) -> None:
-        self._clock = clock
-
     def emit(self, etype: str, txn_id: int, **data) -> TraceEvent:
         # The obs latch makes sequence allocation atomic and serialises
         # sink fan-out: a ring-buffer append (deque mutation + dropped

@@ -25,13 +25,9 @@ instead of the connection's own session, so one pipelined connection
 multiplexes many distributed transactions (the coordinator<->shard
 links).  The operations, their request fields and their reply fields
 are :data:`repro.server.protocol.WIRE_OPS`; this module parses and
-answers through that table and spells no frame of its own.
-
-``batch`` is a connection-level frame handled by the read loop itself,
-not a session op: it unpacks into individual pipelined dispatches —
-each inner frame must carry an ``id``, replies arrive one per inner
-frame, and the ``max_inbox`` backpressure bound applies to the unpacked
-total.  Every frame is JSON (:mod:`repro.server.protocol`).
+answers through that table and spells no frame of its own.  One frame
+carries one request, and every frame is JSON
+(:mod:`repro.server.protocol`).
 
 Abort responses carry the machine-readable ``reason`` and, when the
 database has tracing enabled, the ``explanation`` payload built from
@@ -159,24 +155,6 @@ class ReproServer:
                 writer.write(encode_frame(reply))
                 await writer.drain()
 
-        async def accept(frame: dict[str, Any]) -> None:
-            """Route one request frame: sequential or pipelined."""
-            frame_id = frame.get("id")
-            if frame_id is None:
-                # Sequential path: one outstanding op, unnumbered reply.
-                await respond(await self._dispatch(loop, session, frame))
-                return
-            # Pipelined path: bounded in-flight dispatch tasks; the
-            # semaphore acquired *here* stops the read loop (and so
-            # the socket) when the inbox is full.
-            await inbox.acquire()
-            task = loop.create_task(
-                self._pipelined(loop, session, frame, frame_id,
-                                respond, inbox)
-            )
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-
         try:
             while True:
                 try:
@@ -186,24 +164,21 @@ class ReproServer:
                     break
                 if frame is None:
                     break
-                if frame.get("op") == "batch":
-                    # One frame, many requests.  Every inner frame needs
-                    # an id (replies are individual and tagged); nested
-                    # batches fall out as unknown ops in _dispatch.
-                    inner = frame.get("frames")
-                    if (
-                        not isinstance(inner, list)
-                        or not all(isinstance(f, dict) for f in inner)
-                        or any(f.get("id") is None for f in inner)
-                    ):
-                        await respond(_error_reply(ProtocolError(
-                            "batch needs a frames list of id-tagged objects"
-                        )))
-                        continue
-                    for sub in inner:
-                        await accept(sub)
+                frame_id = frame.get("id")
+                if frame_id is None:
+                    # Sequential path: one outstanding op, unnumbered reply.
+                    await respond(await self._dispatch(loop, session, frame))
                     continue
-                await accept(frame)
+                # Pipelined path: bounded in-flight dispatch tasks; the
+                # semaphore acquired *here* stops the read loop (and so
+                # the socket) when the inbox is full.
+                await inbox.acquire()
+                task = loop.create_task(
+                    self._pipelined(loop, session, frame, frame_id,
+                                    respond, inbox)
+                )
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
@@ -290,8 +265,11 @@ class ReproServer:
         except asyncio.CancelledError:
             raise  # the connection is going away; its teardown closes the session
         except BaseException as error:  # noqa: BLE001 - mapped onto the wire
+            # A refused plain commit leaves a prepared transaction open
+            # for the coordinator's commit_prepared or abort.
             if gtid is not None and (
-                op in _TERMINAL or isinstance(error, TransactionAbortedError)
+                isinstance(error, TransactionAbortedError)
+                or op in _TERMINAL and not (txn is not None and txn.prepared)
             ):
                 await self._retire_dtxn(loop, gtid)
             reply = self._abort_reply(error, txn_id)

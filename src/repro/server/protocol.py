@@ -2,16 +2,7 @@
 
 Framing: a 4-byte big-endian unsigned length followed by that many
 bytes of JSON body (UTF-8, one object per frame).  There is one wire
-format; nothing is negotiated.
-
-**Batched frames** — ``{"op": "batch", "frames": [...]}`` carries
-multiple requests in one frame (one syscall, one length prefix).
-Every inner frame must carry an ``id`` (replies are per-inner-frame
-and arrive individually, tagged by those ids, possibly out of order);
-nested batches are rejected.  :class:`repro.client.link.PipelinedClient`
-coalesces its send queue into batch frames automatically, which is how
-the shard coordinator's same-shard PREPARE/COMMIT fan-out shares
-round-trips.
+format; nothing is negotiated, and one frame carries one request.
 
 Requests are objects with an ``op`` field; :data:`WIRE_OPS` below is
 the one operation reference — every request field, default and reply

@@ -161,16 +161,7 @@ class LocalShard:
 
 
 class RemoteShard:
-    """One shard server reached over a pipelined wire link.
-
-    Frame coalescing is the link's job, not this class's: every
-    ``*_begin`` submission lands in the link's send queue, so when
-    several distributed transactions commit concurrently their
-    same-shard PREPARE/COMMIT frames ride one ``batch`` wire frame
-    (see :class:`~repro.client.PipelinedClient`).  Within a single
-    transaction each shard is touched once, so there is nothing to
-    coalesce per-commit — the batching win is cross-transaction.
-    """
+    """One shard server reached over a pipelined wire link."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.link = PipelinedClient(host, port)

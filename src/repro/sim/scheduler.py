@@ -41,8 +41,8 @@ class SimConfig:
         compute_unit_cost: CPU seconds per Compute unit.
         commit_flush: pay a log flush at commit (the Fig 6.2/6.3 regime;
             ~10 ms turns 100 µs transactions into 10 ms ones).
-        flush_time: log-flush latency in seconds.
-        group_commit: one flush commits every transaction queued behind it.
+        flush_time: log-flush latency in seconds; one flush commits every
+            transaction queued behind it (group commit).
         deadlock_interval: sweep period for PERIODIC deadlock detection
             (db_perf runs it twice per second — Section 6.1.3).
         think_time: client delay between transactions (0 per the paper).
@@ -68,7 +68,6 @@ class SimConfig:
     compute_unit_cost: float = 2e-6
     commit_flush: bool = False
     flush_time: float = 0.010
-    group_commit: bool = True
     deadlock_interval: float = 0.5
     think_time: float = 0.0
     lock_op_cost: float = 1e-6
@@ -103,10 +102,7 @@ class _LogDevice:
 
     def _start_flush(self) -> None:
         self._busy = True
-        if self._sim.config.group_commit:
-            batch, self._queue = self._queue, []
-        else:
-            batch, self._queue = [self._queue[0]], self._queue[1:]
+        batch, self._queue = self._queue, []
         done_at = self._sim.now + self._sim.config.flush_time
 
         def complete() -> None:

@@ -127,12 +127,6 @@ def write_check(name: str, amount: float, variant: str = "plain") -> Generator:
         yield Write(CHECKING, cid, checking - amount)
 
 
-def _materialize_peer(name: str, variant: str, edge_peer: str) -> bool:
-    """Materialisation must touch the Conflict row in *both* programs of
-    the edge; this reports whether a given program needs the extra write."""
-    return variant == f"materialize_{edge_peer}"
-
-
 def transact_saving_variant(name: str, amount: float, variant: str) -> Generator:
     """TS with the MaterializeWT peer write (the other end of the WT edge)."""
     if variant == "materialize_wt":

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.locking.deadlock import DeadlockDetector, WaitsForGraph
+from repro.locking.deadlock import WaitsForGraph, youngest
 from repro.locking.manager import LockManager, RequestState, record_resource
 from repro.locking.modes import LockMode
 
@@ -127,21 +127,17 @@ class TestPeriodicSweep:
         lm.acquire(b, rb, X)
         lm.acquire(a, rb, X)
         lm.acquire(b, ra, X)
-        aborted = []
-        detector = DeadlockDetector()
-        detector.sweep(lm, abort=lambda victim: aborted.append(victim.id))
-        # youngest (largest begin_ts) chosen by default
-        assert aborted == [2]
-        assert detector.detected == 1
+        victims = lm.find_deadlock_victims(youngest)
+        # youngest (largest begin_ts) chosen, one per cycle
+        assert [victim.id for victim in victims] == [2]
 
     def test_sweep_without_deadlock_is_quiet(self):
         lm = LockManager()
         a = Owner(1)
         lm.acquire(a, record_resource("t", "a"), X)
-        detector = DeadlockDetector()
-        assert detector.sweep(lm, abort=lambda v: None) == []
+        assert lm.find_deadlock_victims(youngest) == []
 
     def test_victim_policies(self):
         old, young = Owner(1, begin_ts=1), Owner(2, begin_ts=9)
-        assert DeadlockDetector.youngest([old, young]) is young
-        assert DeadlockDetector.oldest([old, young]) is old
+        assert youngest([old, young]) is young
+        assert youngest([young, old]) is young

@@ -175,13 +175,14 @@ def test_pipelined_frames_run_in_order(db):
                 ("get", ("t", "x")),
                 ("commit", ()),
             )]
-            slots = await loop.run_in_executor(None, link.submit_many, frames)
-            await until(lambda: slots[0].done)
+            futures = await loop.run_in_executor(
+                None, lambda: [link.submit(frame) for frame in frames])
+            await until(futures[0].done)
             await asyncio.sleep(0.05)
-            assert not any(slot.done for slot in slots[1:])
+            assert not any(future.done() for future in futures[1:])
             await holder.commit()
             return await loop.run_in_executor(
-                None, lambda: [link.result(slot) for slot in slots])
+                None, lambda: [link.result(future) for future in futures])
         finally:
             await holder.close()
             await loop.run_in_executor(None, link.close)

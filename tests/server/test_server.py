@@ -13,6 +13,7 @@ from repro.engine.database import Database
 from repro.errors import (
     KeyNotFoundError,
     TransactionAbortedError,
+    TransactionStateError,
     UnsafeError,
 )
 from repro.server import ReproServer
@@ -109,15 +110,16 @@ class TestServer:
 
             def raw_frame(op):
                 with PipelinedClient(port=server.port) as link:
-                    link.call({"op": op})
+                    return link.result(link.submit({"op": op}))
 
-            # ``hello`` included: there is no codec handshake to answer it
-            for op in ("no_such_op", "hello"):
+            # ``hello`` and ``batch`` included: there is no codec
+            # handshake and no multi-request envelope to answer them
+            loop = asyncio.get_running_loop()
+            for op in ("no_such_op", "hello", "batch"):
                 with pytest.raises(ServerError) as info:
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, raw_frame, op
-                    )
+                    await loop.run_in_executor(None, raw_frame, op)
                 assert info.value.remote_error == "ProtocolError"
+            assert (await loop.run_in_executor(None, raw_frame, "ping"))["ok"]
 
         run_with_server(server_db, body)
 
@@ -244,6 +246,31 @@ class TestServer:
             await loop.run_in_executor(None, blocking_work)
 
         run_with_server(server_db, body)
+
+    def test_plain_commit_of_prepared_dtxn_is_refused(self, server_db):
+        """A plain ``commit`` of a prepared distributed transaction is
+        refused and leaves it prepared; ``commit_prepared`` then commits
+        it and nothing stays in the shard's prepared set."""
+        server_db.create_table("t")
+
+        async def body(server):
+            def blocking():
+                with PipelinedClient(port=server.port) as link:
+                    link.do("begin", "ssi", txn=7)
+                    link.do("put", "t", "k", 1, txn=7)
+                    link.do("prepare", txn=7)
+                    with pytest.raises(TransactionStateError):
+                        link.do("commit", txn=7)
+                    link.do("commit_prepared", txn=7)
+                    return link.do("audit")
+
+            return await asyncio.get_running_loop().run_in_executor(
+                None, blocking)
+
+        assert run_with_server(server_db, body)["prepared"] == 0
+        check = server_db.begin("si")
+        assert check.read("t", "k") == 1
+        check.commit()
 
     def test_deferrable_begin_over_the_wire(self, server_db):
         """A deferrable begin suspends server-side until safe; the reply

@@ -53,6 +53,23 @@ def test_commit_prepared_requires_prepare():
     db.abort(txn)
 
 
+@pytest.mark.parametrize("step", ["commit", "prepare_commit"])
+def test_plain_commit_of_prepared_txn_is_refused(step):
+    """Only the coordinator decides a prepared transaction: a plain
+    commit neither re-certifies nor commits it, and it stays prepared
+    until commit_prepared."""
+    db = _fresh()
+    txn = db.begin("ssi")
+    db.write(txn, "t", "x", 1)
+    db.prepare_for_commit(txn)
+    with pytest.raises(TransactionStateError, match="prepared"):
+        getattr(db, step)(txn)
+    assert txn.is_active and txn.prepared and db._prepared == {txn}
+    db.commit_prepared(txn)
+    db.finalize_commit(txn)
+    assert txn.is_committed and not txn.prepared and not db._prepared
+
+
 def test_prepared_pivot_wins_with_reference_tracker():
     """t1 prepares as half a dangerous structure; t2's side completing
     the structure must abort *t2* — t1 can no longer abort locally."""

@@ -59,11 +59,12 @@ def test_mixed_smallbank_stress_over_the_wire(bank_cluster):
 def test_pipelined_frames_complete_out_of_order(bank_cluster):
     link = bank_cluster.backends[0].link
     # Many frames in flight on one connection; collect the replies in
-    # reverse submission order — each slot holds its own reply, so the
+    # reverse submission order — each future holds its own reply, so the
     # wait order need not match the wire order.
-    slots = [link.submit({"op": "ping"}) for _ in range(40)]
-    for slot in reversed(slots):
-        assert link.result(slot)["ok"]
+    futures = [link.submit({"op": "ping"}) for _ in range(40)]
+    for future in reversed(futures):
+        assert link.result(future)["ok"]
+    assert all(future.done() for future in futures)
 
 
 def test_single_shard_abort_explanation_over_the_wire(traced_cluster):
