@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Static latch-discipline lint (PR 5).
 
-Five AST checks over the engine's concurrency-critical modules, run in CI
+Six AST checks over the engine's concurrency-critical modules, run in CI
 next to ruff/mypy:
 
 1. **Protected-state mutations.**  Each checked module registers the
@@ -58,6 +58,14 @@ next to ruff/mypy:
    order (``txn < tracker < commit < table < lock < obs < wal``) —
    mirroring the runtime ``CheckedLatch`` enforcement, but at review
    time and on every path, not just the paths a test happens to drive.
+
+6. **The engine never parks a thread.**  In the engine proper —
+   ``engine/database.py``, ``engine/groupcommit.py`` and every module of
+   ``locking/``, ``core/`` and ``cc/`` — no call may block the calling
+   thread (``.wait(...)``, ``block_on``, ``block_until``), whether a
+   latch is held or not.  An engine operation that must wait raises
+   ``CompletionWaitRequired``; only executors (``Transaction``,
+   ``run_program``, sessions, the simulator) wait and retry.
 
 The lint is intentionally syntactic: it sees lexical nesting, not
 call-graph latch state, so it cannot prove the absence of cross-function
@@ -141,6 +149,19 @@ MUTATORS = {
 #: ``wait`` (engine code calls ``wait`` on nothing else), a session in
 #: ``Session._suspend``.
 SUSPEND_CALLS = {"block_on", "block_until", "_suspend", "wait"}
+
+#: calls that park the calling thread: never legal in the engine proper
+#: (rule 6), latched or not.
+PARK_CALLS = {"wait", "block_on", "block_until"}
+
+#: the engine proper (rule 6): files, and folders ending in "/"
+NO_PARK = (
+    "src/repro/engine/database.py",
+    "src/repro/engine/groupcommit.py",
+    "src/repro/locking/",
+    "src/repro/core/",
+    "src/repro/cc/",
+)
 
 #: WAL methods that perform log I/O: never legal under an engine latch
 #: (rule 4) — flush-before-release is sequenced by the commit pipeline,
@@ -335,6 +356,7 @@ class FunctionChecker(ast.NodeVisitor):
         self.held: list[str] = list(module.helpers.get(name, ()))
         self.aliases: dict = {}  # local name -> rank name
         self.check_rpc = self.path in RPC_FILES
+        self.check_park = self.path.startswith(NO_PARK)
 
     # ------------------------------------------------------------ plumbing
 
@@ -437,18 +459,23 @@ class FunctionChecker(ast.NodeVisitor):
             attr = self.protected_attr(func.value)
             if attr is not None:
                 self.require_latch(node, attr)
-        if self.held:
-            name = None
-            if isinstance(func, ast.Attribute):
-                name = func.attr
-            elif isinstance(func, ast.Name):
-                name = func.id
-            if name in SUSPEND_CALLS:
-                self.report(
-                    node,
-                    f"calls suspension point {name}() while holding the "
-                    f"{self.held[-1]} latch — the waker may need that latch",
-                )
+        name = None
+        if isinstance(func, ast.Attribute):
+            name = func.attr
+        elif isinstance(func, ast.Name):
+            name = func.id
+        if self.held and name in SUSPEND_CALLS:
+            self.report(
+                node,
+                f"calls suspension point {name}() while holding the "
+                f"{self.held[-1]} latch — the waker may need that latch",
+            )
+        if self.check_park and name in PARK_CALLS:
+            self.report(
+                node,
+                f"parks the thread in {name}() — the engine raises "
+                "CompletionWaitRequired and only executors wait",
+            )
         if (
             self.held
             and isinstance(func, ast.Attribute)
@@ -551,6 +578,17 @@ def check_file(path: str, rules: dict) -> list[str]:
     return verdict.problems
 
 
+def default_targets() -> dict:
+    """The registered modules plus every module of the no-park folders."""
+    targets = dict(DEFAULT_RULES)
+    for prefix in NO_PARK:
+        if prefix.endswith("/"):
+            for name in sorted(os.listdir(os.path.join(REPO_ROOT, prefix))):
+                if name.endswith(".py"):
+                    targets.setdefault(prefix + name, {})
+    return targets
+
+
 def main(argv: list[str]) -> int:
     if argv:
         targets = {os.path.relpath(os.path.abspath(p), REPO_ROOT): p for p in argv}
@@ -561,7 +599,7 @@ def main(argv: list[str]) -> int:
     else:
         selected = {
             rel: (os.path.join(REPO_ROOT, rel), rules)
-            for rel, rules in DEFAULT_RULES.items()
+            for rel, rules in default_targets().items()
         }
     all_problems: list[str] = []
     for rel, (path, rules) in sorted(selected.items()):

@@ -14,9 +14,10 @@ a ``txn`` global id, routing them to the server-wide session for that
 distributed transaction, so one link multiplexes every transaction the
 coordinator runs against a shard.
 
-The server bounds in-flight frames per connection (``max_inbox``) by
-not reading the socket when full; the link inherits that backpressure
-naturally — a sender blocks in ``send`` once the kernel buffers fill.
+The server bounds in-flight frames per connection
+(:data:`repro.server.core.MAX_INBOX`) by not reading the socket when
+full; the link inherits that backpressure naturally — a sender blocks
+in ``send`` once the kernel buffers fill.
 """
 
 from __future__ import annotations

@@ -361,7 +361,6 @@ class Database:
         read_only: bool = False,
         deferrable: bool = False,
         *,
-        wait: bool = True,
         global_id: int | None = None,
     ) -> Transaction:
         """Start a transaction at the given isolation level (Fig 3.1).
@@ -371,15 +370,11 @@ class Database:
         family the safe-snapshot monitor then watches for the moment its
         snapshot can no longer join a dangerous structure and releases
         its SIREAD locks early (Ports & Grittner §2.4).
-        ``deferrable=True`` (implies read-only) waits here until a safe
-        snapshot is available, then runs with zero SIREAD retention —
-        PostgreSQL's SERIALIZABLE READ ONLY DEFERRABLE.
-
-        ``wait=False`` makes a deferrable begin non-blocking: instead of
-        parking the calling thread it raises
-        :class:`~repro.errors.CompletionWaitRequired` carrying the
-        already-created transaction and a subscribable completion; the
-        executor suspends and later calls :meth:`resume_deferrable`.
+        ``deferrable=True`` (implies read-only) is PostgreSQL's
+        SERIALIZABLE READ ONLY DEFERRABLE: ``begin`` returns at once and
+        takes no snapshot; the first read or scan waits for a safe one
+        (:meth:`_take_safe_snapshot`), then runs with zero SIREAD
+        retention.
         """
         isolation = IsolationLevel.parse(isolation)
         # The single level -> behavior lookup: everything downstream
@@ -408,73 +403,39 @@ class Database:
         if self.trace is not None:
             self.trace.emit(EventType.BEGIN, txn.id, isolation=isolation.value)
         if policy.uses_snapshots and deferrable:
-            if wait:
-                self._wait_safe_snapshot(txn)
-            else:
-                completion = self._deferrable_attempt(txn)
-                if completion is not None:
-                    if self.history is not None:
-                        self.history.on_begin(txn.id)
-                    raise CompletionWaitRequired(txn, completion)
+            txn._safe_event = Completion(txn, self.locks)
         elif policy.uses_snapshots and not self.config.deferred_snapshot:
             self._assign_snapshot(txn)
         if self.history is not None:
             self.history.on_begin(txn.id)
         return txn
 
-    def _deferrable_attempt(self, txn: Transaction) -> Completion | None:
-        """Take one candidate snapshot for a deferrable begin.
+    def _take_safe_snapshot(self, txn: Transaction) -> None:
+        """A deferrable transaction's first read or scan, before any read
+        lock: take a candidate snapshot, register it with the
+        safe-snapshot monitor and raise
+        :class:`~repro.errors.CompletionWaitRequired` until the verdict
+        is safe — where PostgreSQL waits, when it first acquires its
+        snapshot.  An unsafe verdict is permanent for that snapshot, so
+        the retry takes a fresh one; a doom fires the verdict and the
+        retry aborts in :meth:`_check_op`."""
+        verdict = txn._safe_event
+        if txn.snapshot is not None:
+            if not verdict.fired:
+                raise CompletionWaitRequired(txn, verdict)
+            if not txn.snapshot_safe:
+                verdict = txn._safe_event = Completion(txn, self.locks)
+                self._assign_snapshot(txn)
+        else:
+            self._assign_snapshot(txn)
+        if txn.snapshot_safe is False:
+            raise CompletionWaitRequired(txn, verdict)
+        # Safe, or no monitor watches this level: nothing retains SIREADs
+        # there, so every snapshot is trivially safe.
+        txn.snapshot_safe = True
+        txn._safe_event = None
 
-        Returns None when the snapshot is already safe (the begin is
-        complete) or a :class:`Completion` the safe-snapshot monitor will
-        fire with its verdict — safe, or unsafe (permanent for this
-        snapshot, so the next attempt needs a fresh one)."""
-        completion = Completion(txn, self.locks)
-        txn._safe_event = completion
-        self._assign_snapshot(txn)
-        if txn.snapshot_safe:
-            txn._safe_event = None
-            return None
-        if self.safe_snapshots is None or txn.snapshot_safe is None:
-            # No monitor watches this level: nothing retains SIREADs
-            # here, so every snapshot is trivially safe.
-            txn.snapshot_safe = True
-            txn._safe_event = None
-            return None
-        return completion
-
-    def resume_deferrable(self, txn: Transaction) -> Transaction:
-        """Drive a non-blocking deferrable begin after its completion
-        fired.  A safe verdict finishes the begin; an unsafe verdict is
-        permanent for that snapshot, so a fresh one is taken — possibly
-        raising :class:`CompletionWaitRequired` again.  A doom (which
-        fires the completion) aborts the begin instead."""
-        self._check_op(txn)
-        if txn.snapshot_safe:
-            txn._safe_event = None
-            return txn
-        # Unsafe verdict: a concurrent writer committed a pivot edge
-        # this snapshot can still complete.  Take a fresh snapshot.
-        txn.snapshot = None
-        txn.snapshot_safe = None
-        completion = self._deferrable_attempt(txn)
-        if completion is not None:
-            raise CompletionWaitRequired(txn, completion)
-        return txn
-
-    def _wait_safe_snapshot(self, txn: Transaction) -> None:
-        """Thread-blocking adapter over the deferrable completion path:
-        park on each candidate's completion until a safe verdict."""
-        completion = self._deferrable_attempt(txn)
-        while completion is not None:
-            completion.wait()
-            try:
-                self.resume_deferrable(txn)
-                return
-            except CompletionWaitRequired as retry:
-                completion = retry.completion
-
-    def commit(self, txn: Transaction, *, wait: bool = True) -> None:
+    def commit(self, txn: Transaction) -> None:
         """Commit: unsafe check, version install, lock release, suspension
         and cleanup (Fig 3.2 / Fig 3.10).
 
@@ -484,12 +445,11 @@ class Database:
         serial body (:meth:`prepare_commit` → :meth:`finalize_commit`)
         on its own transaction, then drains whoever queued behind it
         meanwhile as leader-run groups.  A caller that arrives while a
-        leader is active queues a ticket and waits for that leader's
-        verdict — ``wait=False`` turns the wait into
-        :class:`~repro.errors.CompletionWaitRequired` so a session can
-        suspend on the ticket's completion and re-invoke this method,
-        which consumes the resolved ticket.  Re-invocation with a
-        pending ticket never re-enters.
+        leader is active queues a ticket and raises
+        :class:`~repro.errors.CompletionWaitRequired` on its completion;
+        the executor waits and re-invokes this method, which consumes
+        the resolved ticket.  Re-invocation with a pending ticket never
+        re-enters.
 
         A prepared transaction is refused with
         :class:`~repro.errors.TransactionStateError` and stays prepared:
@@ -499,14 +459,14 @@ class Database:
             raise TransactionStateError(
                 f"transaction {txn.id} is prepared: commit_prepared decides it"
             )
-        if not txn.policy.certifies and not txn.write_set:
-            # Nothing a group amortizes: a non-certifying read-only
-            # commit takes no tracker latch and writes no WAL.
-            self.prepare_commit(txn)
-            self.finalize_commit(txn)
-            return
         ticket = txn._commit_ticket
         if ticket is None:
+            if not txn.policy.certifies and not txn.write_set:
+                # Nothing a group amortizes: a non-certifying read-only
+                # commit takes no tracker latch and writes no WAL.
+                self.prepare_commit(txn)
+                self.finalize_commit(txn)
+                return
             self._check_op(txn)
             batcher = self._batcher
             ticket = batcher.enter(txn)
@@ -519,9 +479,7 @@ class Database:
                 return
             txn._commit_ticket = ticket
         if not ticket.done.fired:
-            if not wait:
-                raise CompletionWaitRequired(txn, ticket.done)
-            ticket.done.wait()
+            raise CompletionWaitRequired(txn, ticket.done)
         txn._commit_ticket = None
         if ticket.error is not None:
             raise ticket.error
@@ -542,11 +500,21 @@ class Database:
                 f"transaction {txn.id} is prepared: commit_prepared decides it"
             )
         self._check_op(txn)
+        error = self._decide(txn)
+        if error is not None:
+            raise error
+        self._publish_commits((txn,))
+
+    def _decide(self, txn: Transaction) -> TransactionAbortedError | None:
+        """The commit decision, shared by a lone commit and every member
+        of a group: certify and install, or abort.  Returns the veto
+        (``txn`` is then rolled back) or None (``txn`` is committed, its
+        records not yet published).  Caller holds no latch."""
         if txn.policy.certifies:
-            # The commit decision — certification through status flip — is
-            # one tracker-latch critical section, so no rw edge can land
-            # between a clean unsafe check and the transaction turning
-            # COMMITTED without being serialised before the check.
+            # Certification through status flip is one tracker-latch
+            # critical section, so no rw edge can land between a clean
+            # unsafe check and the transaction turning COMMITTED without
+            # being serialised before the check.
             with self._tracker_latch:
                 error = self._certify(txn)
                 if error is None:
@@ -554,12 +522,12 @@ class Database:
         else:
             # No certification hooks (plain SI, S2PL): nothing for the
             # tracker latch to order against.
-            error = None
-            self._install_commit(txn)
+            error = txn.doom_error
+            if error is None:
+                self._install_commit(txn)
         if error is not None:
             self._abort_internal(txn, error.reason)
-            raise error
-        self._publish_commits((txn,))
+        return error
 
     # --------------------------------------------- two-phase commit seam
 
@@ -920,6 +888,8 @@ class Database:
         """
         self._check_op(txn)
         table = self.table(table_name)
+        if txn._safe_event is not None:
+            self._take_safe_snapshot(txn)
         self._ensure_snapshot(txn)
         chains = self._walk_range(txn, table, table_name, lo, hi)
         txn.n_scans += 1
@@ -1630,8 +1600,9 @@ class Database:
 
     def doom(self, victim: Transaction, error: TransactionAbortedError) -> None:
         """Mark a transaction for abort, then cancel its waits: deny its
-        lock requests and fire a deferrable begin's verdict (a commit
-        ticket is left to its batch leader, which observes the doom).
+        lock requests and fire a deferrable transaction's pending
+        safe-snapshot verdict (a commit ticket is left to its batch
+        leader, which observes the doom).
         The woken executor retries into :meth:`_check_op`, the one place
         a cancelled wait becomes an abort.  A repeated doom keeps the
         first error but still cancels waits enqueued since, or a cycle
@@ -1678,6 +1649,8 @@ class Database:
         acquired EXCLUSIVE (read_for_update)."""
         table = self.table(table_name)
         if not locking:
+            if txn._safe_event is not None:
+                self._take_safe_snapshot(txn)
             self._acquire_read_locks(txn, table_name, key)
         self._ensure_snapshot(txn)
         if locking and txn.policy.uses_snapshots:
@@ -1792,29 +1765,10 @@ class Database:
     def _abort_internal(self, txn: Transaction, reason: str) -> None:
         """Roll back.  Three phases: the abort decision and policy/tracker
         cleanup under the tracker latch; lock release and WAL I/O with no
-        latch held; registry removal under the txn latch.
-
-        Split into :meth:`_abort_tracker_phase` (decision, latched) and
-        :meth:`_abort_release_phase` (I/O and teardown, unlatched) so the
-        group-commit leader can take the decision for a failed batch
-        member inside the batch's latched section — where later members
-        must certify against it — and defer the release work until the
-        batch latches drop (the release phase acquires the txn latch,
-        which ranks *below* tracker/commit and may not be taken under
-        them)."""
-        bucket = self._abort_tracker_phase(txn, reason)
-        if bucket is None:
-            return
-        self._abort_release_phase(txn, bucket)
-
-    def _abort_tracker_phase(self, txn: Transaction, reason: str) -> str | None:
-        """The abort decision: status flip, policy/tracker/monitor
-        cleanup, abort accounting — one tracker-latch critical section.
-        Returns the stats bucket, or None when the transaction already
-        reached a terminal state (nothing to release)."""
+        latch held; registry removal under the txn latch."""
         with self._tracker_latch:
             if not txn.is_active:
-                return None
+                return
             txn.status = TransactionStatus.ABORTED
             self._prepared.discard(txn)
             txn.prepared = False
@@ -1824,14 +1778,7 @@ class Database:
             self._retire(txn)
             bucket = reason if reason in self.stats["aborts"] else "aborted"
             self.stats["aborts"][bucket] += 1
-            return bucket
-
-    def _abort_release_phase(self, txn: Transaction, bucket: str) -> None:
-        """Everything after the abort decision: WAL abort record, write
-        buffer discard, lock release, registry removal, reporting.  Runs
-        with no latch held on entry."""
-        had_writes = bool(txn.write_set)
-        if self.wal is not None and had_writes:
+        if self.wal is not None and txn.write_set:
             self.wal.log_abort(txn.id)
         if self._page_commit_ts is not None:
             # Unregister the keys _lock_new_key_pages put in the tree,

@@ -13,38 +13,35 @@ transaction through the serial body (``prepare_commit`` →
 ``finalize_commit`` — no ticket, no completion, no counter) and then
 runs :meth:`CommitBatcher.lead`.  A lone committer therefore pays two
 uncontended acquisitions of the batcher's mutex and nothing else.
-Whoever arrives while a leader is active gets a queued *ticket* instead
-and waits for that leader's verdict.  ``lead`` drains the queue in
-groups of at most :data:`MAX_BATCH` — a group is whatever arrived during
-the previous pass, nobody waits for one to fill — and runs each group in
+Whoever arrives while a leader is active gets a queued *ticket* instead,
+and ``Database.commit`` raises
+:class:`~repro.errors.CompletionWaitRequired` on it: the executor waits
+its own way (a thread parks, a session suspends) and re-invokes the
+commit, which consumes the verdict.  ``lead`` drains the queue in groups
+of at most :data:`MAX_BATCH` — a group is whatever arrived during the
+previous pass, nobody waits for one to fill — and runs each group in
 one pass:
 
-1. **Group certification** — tracker and commit latches are taken once
-   for the batch.  Members are certified *in arrival order*, which is
-   also the deterministic intra-batch victim rule: member k is checked
-   against a world in which members 0..k-1 have already committed,
-   exactly as if the serial certifier had been fed the same arrival
-   order — so group certification admits precisely the histories the
-   one-at-a-time path does, and a dangerous structure completed inside
-   the batch aborts the *later* arrival.  Failed members take the abort
-   decision (tracker phase) inline; their lock release happens after
-   the latches drop.
+1. **Decide, per member in arrival order** — the lone path's own
+   decision step, ``Database._decide``: certify and install under the
+   tracker latch, or abort.  Member k is certified against a world in
+   which members 0..k-1 have already committed, exactly as if they had
+   committed one at a time in that order — so a group admits precisely
+   the histories the lone path does, and a dangerous structure
+   completed inside the group aborts the *later* arrival.
 2. **Group WAL flush** — redo records for every committed member are
    appended outside all latches, in commit order, then one
-   ``flush()`` covers the batch.  Locks are still held (finalize runs
+   ``flush()`` covers the group.  Locks are still held (finalize runs
    after the flush), preserving the paper's flush-before-release
    ordering for every member, and recovery can never see a torn group:
    either the single flush happened (all members durable) or it did
    not (none are).
-3. **Finalize** — the leader finalizes every member (release locks,
-   suspend retained records) and only then resolves the tickets, so a
-   resumed waiter observes its transaction fully retired.
+3. **Finalize** — the leader finalizes every committed member (release
+   locks, suspend retained records) and only then resolves the
+   tickets, so a resumed waiter observes its transaction fully retired.
 
-Followers never block a latch holder: they wait on the ticket's
-:class:`~repro.engine.waits.Completion` (threads park on ``wait()``;
-sessions suspend via :class:`~repro.errors.CompletionWaitRequired` and
-ride the group without holding their driver's event loop).  Only the leader
-fires it, so a fired completion *is* the verdict.
+Only the leader fires a ticket's completion, so a fired completion *is*
+the verdict.
 
 Leader election is gap-free: the leader flag is only cleared under the
 batcher mutex when the queue is empty, so every queued ticket always has
@@ -65,18 +62,17 @@ MAX_BATCH = 16
 
 
 class _Ticket:
-    """One queued commit: the transaction, the completion its waiter
-    parks on (fired by the leader alone, after the member is finalized
-    or aborted), and the batch outcome (``error`` set when group
-    certification aborted this member)."""
+    """One queued commit: the transaction, the completion its executor
+    waits on (fired by the leader alone, after the member is finalized
+    or aborted), and the group's verdict (``error`` set when the member
+    was aborted)."""
 
-    __slots__ = ("txn", "done", "error", "abort_bucket")
+    __slots__ = ("txn", "done", "error")
 
     def __init__(self, txn, locks) -> None:
         self.txn = txn
         self.done = Completion(txn, locks)
         self.error: BaseException | None = None
-        self.abort_bucket: str | None = None
 
 
 class CommitBatcher:
@@ -106,7 +102,7 @@ class CommitBatcher:
         """Returns None when the caller is now the leader — it commits
         ``txn`` itself and must then run :meth:`lead` (with no latches
         held), whatever that commit raised.  Otherwise ``txn`` is queued
-        behind the active leader and the caller waits on the returned
+        behind the active leader and its executor waits on the returned
         ticket's ``done``."""
         with self._mutex:
             if not self._leader_active:
@@ -134,34 +130,19 @@ class CommitBatcher:
         """One leader pass over a group (see the module docstring)."""
         db = self.db
         committed: list = []
-        aborted: list[_Ticket] = []
-
-        # One latched section per batch: both latches are taken once, in
-        # hierarchy order; _install_commit and _abort_tracker_phase
-        # re-enter them (engine latches are re-entrant).
-        with db._tracker_latch, db._commit_latch:
-            for ticket in tickets:
-                txn = ticket.txn
-                if not txn.is_active:
-                    ticket.error = TransactionStateError(
-                        f"transaction {txn.id} is {txn.status.value}"
-                    )
-                    continue
-                error = (
-                    db._certify(txn) if txn.policy.certifies else txn.doom_error
+        aborted = 0
+        for ticket in tickets:
+            txn = ticket.txn
+            if not txn.is_active:
+                ticket.error = TransactionStateError(
+                    f"transaction {txn.id} is {txn.status.value}"
                 )
-                if error is None:
-                    db._install_commit(txn)
-                    committed.append(txn)
-                else:
-                    # The abort decision (tracker phase) happens inside
-                    # the batch's latched section so later members certify
-                    # against it; lock release and WAL I/O wait below.
-                    ticket.error = error
-                    ticket.abort_bucket = db._abort_tracker_phase(
-                        txn, error.reason
-                    )
-                    aborted.append(ticket)
+                continue
+            ticket.error = db._decide(txn)
+            if ticket.error is None:
+                committed.append(txn)
+            else:
+                aborted += 1
 
         # One group flush, with no latch held and every member's locks
         # still held (flush-before-release ordering, per member).
@@ -172,14 +153,11 @@ class CommitBatcher:
             # only after the group flush, and a resumed waiter must find
             # its transaction fully retired.
             db.finalize_commit(txn)
-        for ticket in aborted:
-            if ticket.abort_bucket is not None:
-                db._abort_release_phase(ticket.txn, ticket.abort_bucket)
 
         self.stats.inc("batches")
         self.stats.inc("batched_txns", len(tickets))
         if aborted:
-            self.stats.inc("batch_aborts", len(aborted))
+            self.stats.inc("batch_aborts", aborted)
         self._h_batch_size.observe(len(tickets))
 
         # Resolve last: after this, waiters may observe and reuse

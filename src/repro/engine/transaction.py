@@ -1,9 +1,11 @@
 """Transactions.
 
 A :class:`Transaction` is a handle bound to one :class:`~repro.engine.database.Database`.
-Its public methods block the calling thread on lock waits (suitable for
-examples, tests and threaded clients); the discrete-event simulator uses
-the database's non-blocking primitives directly instead.
+Its public methods block the calling thread through every wait the
+engine raises (a lock, a commit queued behind a group leader, a
+deferrable read's safe snapshot), which suits examples, tests and
+threaded clients.  The engine itself never parks a thread; the
+discrete-event simulator steps its non-blocking primitives directly.
 
 Transaction state carries everything the Serializable SI algorithm needs
 (Section 3.2/3.3): the conflict slots, the snapshot, the commit timestamp,
@@ -105,8 +107,9 @@ class Transaction:
         #: yet proven safe, True = the snapshot can no longer join a
         #: dangerous structure — SIREADs dropped, detection skipped.
         self.snapshot_safe: bool | None = None
-        #: completion the safe-snapshot monitor fires (via ``.set()``) to
-        #: wake or reschedule a deferrable begin().
+        #: a deferrable transaction's pending safe-snapshot verdict, which
+        #: the monitor (or a doom) fires via ``.set()``; None once it runs
+        #: on a safe snapshot, and for every other transaction.
         self._safe_event: Completion | None = None
         #: True between prepare_for_commit() and the coordinator's
         #: commit/abort decision (two-phase commit participant state).
@@ -253,17 +256,17 @@ def block_on(wait: CompletionWaitRequired) -> None:
     :func:`repro.sim.direct.run_program`); the caller then retries the
     operation, which finds out how the wait ended.
 
-    Their engine calls block inside ``begin`` and ``commit`` themselves,
-    so every wait that reaches here is a lock wait: its wall-clock time
-    feeds ``lock_wait_time`` (the simulator feeds the same histogram in
-    simulated seconds).
+    A lock wait's wall-clock time feeds ``lock_wait_time`` (the
+    simulator feeds the same histogram in simulated seconds); a commit
+    ticket or a safe-snapshot verdict is not a lock wait.
     """
     db = wait.txn._db
     wait_started = time.monotonic()
     block_until(db, wait.completion, wait.request)
-    db.metrics.histogram("lock_wait_time").observe(
-        time.monotonic() - wait_started
-    )
+    if wait.request is not None:
+        db.metrics.histogram("lock_wait_time").observe(
+            time.monotonic() - wait_started
+        )
 
 
 def block_until(db, woken, request: LockRequest | None) -> None:

@@ -2,7 +2,7 @@
 
 A lock request (:class:`repro.locking.manager.LockRequest` subclasses
 this class), a commit ticket queued behind a batch leader and a
-deferrable begin's safe-snapshot verdict are all completions.  An
+deferrable transaction's safe-snapshot verdict are all completions.  An
 operation that must wait raises :class:`~repro.errors.CompletionWaitRequired`
 carrying one; an executor parks a thread on :meth:`wait` or subscribes
 through :meth:`on_fire`, then re-invokes the operation, which finds out

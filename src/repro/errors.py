@@ -119,13 +119,12 @@ class CompletionWaitRequired(ReproError):
 
     Raised for a lock request that must queue (:class:`LockWaitRequired`,
     whose ``request`` arms a ``lock_timeout`` deadline), a deferrable
-    begin whose snapshot is not yet known to be safe
-    (``Database.begin(deferrable=True, wait=False)``,
-    ``Database.resume_deferrable``: ``txn`` exists and the completion
-    fires on the verdict), and a commit queued behind an active batch
-    leader (``Database.commit(txn, wait=False)``: the ticket's
-    completion, fired once the leader has certified, flushed and
-    finalized or aborted the member).
+    transaction's first read or scan while its candidate snapshot is not
+    yet known to be safe (the completion fires on the monitor's
+    verdict), and a commit queued behind an active batch leader (the
+    ticket's completion, fired once the leader has certified, flushed
+    and finalized or aborted the member).  The engine raises it and
+    never parks a thread itself.
     """
 
     #: the lock request of a lock wait (:class:`LockWaitRequired`)

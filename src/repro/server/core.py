@@ -17,7 +17,7 @@ connections cost 1024 suspended sessions, not 1024 threads.
 Bare frames keep the original request/response discipline (one
 outstanding op per connection).  A frame carrying an ``"id"`` opts into
 **pipelining**: the reply echoes the id and may arrive out of order;
-at most ``max_inbox`` id-tagged frames are in flight per connection —
+at most :data:`MAX_INBOX` id-tagged frames are in flight per connection —
 beyond that the server stops reading the socket, which is TCP
 backpressure.  A frame carrying ``"txn": <gtid>`` is addressed to a
 server-wide session keyed by that coordinator-assigned global id
@@ -54,7 +54,11 @@ from repro.server.protocol import (
 )
 from repro.session import Session, SessionScheduler
 
-__all__ = ["ReproServer"]
+__all__ = ["MAX_INBOX", "ReproServer"]
+
+#: bound on in-flight pipelined (id-tagged) frames per connection; once
+#: full the reader coroutine stops pulling from the socket.
+MAX_INBOX = 32
 
 
 class ReproServer:
@@ -73,7 +77,6 @@ class ReproServer:
         port: int = 0,
         *,
         workers: int | None = None,
-        max_inbox: int = 32,
     ) -> None:
         self.db = db
         self.host = host
@@ -81,9 +84,6 @@ class ReproServer:
         self.scheduler = SessionScheduler(db)
         self._server: asyncio.AbstractServer | None = None
         self._connections = 0
-        #: bound on in-flight pipelined (id-tagged) frames per connection;
-        #: once full the reader coroutine stops pulling from the socket.
-        self.max_inbox = max_inbox
         #: distributed transactions: coordinator global id -> the
         #: server-wide session running that transaction's local part.
         #: Like everything here, touched only on the event loop.
@@ -146,7 +146,7 @@ class ReproServer:
         session = self.scheduler.session()
         self._connections += 1
         loop = asyncio.get_running_loop()
-        inbox = asyncio.Semaphore(self.max_inbox)
+        inbox = asyncio.Semaphore(MAX_INBOX)
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
 

@@ -20,7 +20,7 @@ Two optional request fields change dispatch, not framing:
 
 * ``id`` — any JSON value; opts the frame into pipelining.  The reply
   echoes it and may arrive out of order with other id-tagged replies on
-  the same connection.  The server keeps at most ``max_inbox`` of them
+  the same connection.  The server keeps at most ``MAX_INBOX`` of them
   in flight per connection (backpressure by not reading the socket).
 * ``txn`` — a coordinator-assigned global transaction id; the frame is
   routed to a server-wide session for that distributed transaction
@@ -299,13 +299,14 @@ async def read_frame_async(reader: asyncio.StreamReader) -> dict[str, Any] | Non
     return decode_frame(body)
 
 
-def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
+def _recv_exactly(sock: socket.socket, count: int) -> bytes:
+    """``count`` bytes, or fewer if the peer closed first."""
     chunks = []
     remaining = count
     while remaining:
         chunk = sock.recv(remaining)
         if not chunk:
-            return None
+            break
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
@@ -314,13 +315,15 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
 def read_frame_sock(sock: socket.socket) -> dict[str, Any] | None:
     """Blocking-socket twin of :func:`read_frame_async`."""
     header = _recv_exactly(sock, _HEADER.size)
-    if header is None:
+    if not header:
         return None
+    if len(header) < _HEADER.size:
+        raise FrameError("connection closed mid-header")
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME:
         raise FrameError(f"frame of {length} bytes exceeds {MAX_FRAME}")
     body = _recv_exactly(sock, length)
-    if body is None:
+    if len(body) < length:
         raise FrameError("connection closed mid-frame")
     return decode_frame(body)
 

@@ -59,7 +59,6 @@ import time
 from asyncio import _get_running_loop
 from collections import deque
 from contextlib import suppress
-from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.engine.database import Database
@@ -95,12 +94,12 @@ _BUSY = "busy"
 _SUSPENDED = "suspended"
 
 
-def _txn_op(name: str, **options: Any):
-    """The session method that runs ``Database.<name>(txn, *args,
-    **options)`` on the session's open transaction."""
+def _txn_op(name: str):
+    """The session method that runs ``Database.<name>(txn, *args)`` on
+    the session's open transaction."""
     def method(self, *args: Any, on_done: OnDone) -> None:
         self._submit(
-            lambda: getattr(self._db, name)(self._need_txn(), *args, **options),
+            lambda: getattr(self._db, name)(self._need_txn(), *args),
             on_done, name)
 
     method.__name__, method.__qualname__ = name, f"Session.{name}"
@@ -150,30 +149,17 @@ class Session:
         *,
         on_done: OnDone,
     ) -> None:
-        """Begin a transaction; delivers its id.  A deferrable begin
-        suspends the session (no thread is held on a loop) until the
-        safe-snapshot monitor fires a safe verdict.  ``global_id`` tags
-        the transaction with a coordinator-assigned id (sharding)."""
-        txn = None
-
+        """Begin a transaction; delivers its id.  A deferrable
+        transaction's first read or scan suspends the session (no thread
+        is held on a loop) until the safe-snapshot monitor fires a safe
+        verdict.  ``global_id`` tags the transaction with a
+        coordinator-assigned id (sharding)."""
         def fn():
-            nonlocal txn
-            if txn is None:
-                try:
-                    txn = self._db.begin(
-                        isolation, read_only=read_only,
-                        deferrable=deferrable, wait=False,
-                        global_id=global_id,
-                    )
-                except CompletionWaitRequired as wait:
-                    # The transaction exists and is being watched; expose
-                    # it immediately so interrupt()/close() can doom it.
-                    txn = self.txn = wait.txn
-                    raise
-            else:
-                self._db.resume_deferrable(txn)  # may raise again
-            self.txn = txn
-            return txn.id
+            self.txn = self._db.begin(
+                isolation, read_only=read_only, deferrable=deferrable,
+                global_id=global_id,
+            )
+            return self.txn.id
 
         self._submit(fn, on_done, "begin")
 
@@ -191,7 +177,7 @@ class Session:
     #: A commit that queues behind an active batch leader suspends on its
     #: ticket's completion while it rides the group; the retry consumes
     #: the resolved ticket.
-    commit = _txn_op("commit", wait=False)
+    commit = _txn_op("commit")
 
     def abort(self, *, on_done: OnDone) -> None:
         self._submit(self._drop_txn, on_done, "abort")
@@ -236,8 +222,7 @@ class Session:
             nonlocal run
             if run is None:
                 self.txn = self._db.begin(isolation)
-                run = ProgramRun(self._db, self.txn, program,
-                                 partial(self._db.commit, wait=False))
+                run = ProgramRun(self._db, self.txn, program, self._db.commit)
             while run.step():
                 pass
             return run.value

@@ -6,9 +6,10 @@ or wire session is an implementation detail behind it.
 
 :class:`LocalShard` embeds a :class:`~repro.engine.database.Database` in
 the coordinator's process.  Engine behaviour is unchanged — in
-particular :class:`~repro.errors.LockWaitRequired` propagates to the
-caller, so the exhaustive interleaving driver can single-step a sharded
-deployment exactly like a monolithic one.
+particular :class:`~repro.errors.CompletionWaitRequired` (a lock wait,
+a commit queued behind a group leader) propagates to the caller, so the
+exhaustive interleaving driver can single-step a sharded deployment
+exactly like a monolithic one.
 
 :class:`RemoteShard` speaks the wire protocol to one forked shard
 server over a single :class:`~repro.client.PipelinedClient` link: every
@@ -93,9 +94,9 @@ class LocalShard:
             return fn(txn)
         finally:
             # Any terminal outcome — commit, abort, engine-raised abort
-            # error — retires the routing entry; a LockWaitRequired
-            # leaves the transaction active and routable for the retry.
-            if not txn.is_active:
+            # error — retires the routing entry; a wait leaves it for the
+            # retry, even once a group leader has decided the commit.
+            if not txn.is_active and txn._commit_ticket is None:
                 self._txns.pop(gtid, None)
 
     def call(self, gtid: int, op: str, *args: Any) -> Any:

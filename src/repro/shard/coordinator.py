@@ -73,7 +73,9 @@ from collections import OrderedDict
 from typing import Any, Hashable, Sequence
 
 from repro.engine.isolation import IsolationLevel
+from repro.engine.transaction import block_on
 from repro.errors import (
+    CompletionWaitRequired,
     TransactionAbortedError,
     TransactionStateError,
     UnsafeError,
@@ -90,9 +92,9 @@ class GlobalTransaction:
 
     Duck-types the slice of :class:`~repro.engine.transaction.Transaction`
     the executors use: ``id``, ``is_active``-family properties,
-    ``commit``/``abort`` and the context manager.  A lock wait surfaced
-    by a local backend names the shard's own transaction as its owner,
-    so :func:`~repro.engine.transaction.block_on` waits on it under that
+    ``commit``/``abort`` and the context manager.  A wait surfaced by a
+    local backend names the shard's own transaction as its owner, so
+    :func:`~repro.engine.transaction.block_on` waits on it under that
     shard's timeout and deadlock settings.
     """
 
@@ -126,7 +128,12 @@ class GlobalTransaction:
         return self.status == "aborted"
 
     def commit(self) -> None:
-        self._coordinator.commit(self)
+        # A local shard's commit may queue behind a group-commit leader.
+        while True:
+            try:
+                return self._coordinator.commit(self)
+            except CompletionWaitRequired as wait:
+                block_on(wait)
 
     def abort(self) -> None:
         self._coordinator.abort(self)

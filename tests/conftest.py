@@ -130,7 +130,7 @@ def queue_behind(db: Database, *followers) -> None:
     leader; ``db.commit(txn)`` later consumes the leader's verdict."""
     for txn in followers:
         with pytest.raises(CompletionWaitRequired):
-            db.commit(txn, wait=False)
+            db.commit(txn)
 
 
 def commit_as_group(db: Database, leader, followers) -> None:
@@ -146,10 +146,10 @@ class FollowerCommitDatabase(Database):
     the transaction as a follower and drains it as a group of one — the
     path a lone ``Database.commit`` no longer exercises."""
 
-    def commit(self, txn, *, wait: bool = True) -> None:
+    def commit(self, txn) -> None:
         assert self._batcher.enter(txn) is None
         try:
-            super().commit(txn, wait=False)
+            super().commit(txn)
             return  # the bypass: nothing to certify or log
         except CompletionWaitRequired:
             pass

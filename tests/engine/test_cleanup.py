@@ -1,6 +1,7 @@
 """Suspended-transaction lifecycle and cleanup tests (Sections 3.3,
 4.3.1, 4.6.1, 4.8)."""
 
+import contextlib
 import random
 import sys
 import threading
@@ -139,6 +140,18 @@ def maintained_horizon(db):
         return db._oldest_active_read_ts()
 
 
+def retake_after_unsafe(db, reader):
+    """Drive a deferrable reader through an unsafe verdict: its first
+    read takes a candidate snapshot, the monitor proves the candidate
+    unsafe, and the next read takes a fresh snapshot."""
+    with contextlib.suppress(CompletionWaitRequired):
+        db.get(reader, "t", "a")
+    if reader.snapshot_safe is False:
+        with db._tracker_latch:
+            db.safe_snapshots._verdict_unsafe(reader)
+        db.get(reader, "t", "a")
+
+
 LEVELS = ("ssi", "ssi-ro", "si", "s2pl", "sgt")
 KEYS = ("a", "b", "c", "d")
 
@@ -164,10 +177,7 @@ class TestIncrementalHorizon:
             if op == "begin":
                 live.append(db.begin(arg, read_only=extra and arg != "s2pl"))
             elif op == "deferrable":
-                try:
-                    live.append(db.begin("ssi", deferrable=True, wait=False))
-                except CompletionWaitRequired as wait:
-                    live.append(wait.txn)
+                live.append(db.begin("ssi", deferrable=True))
             elif live:
                 txn = live[arg % len(live)]
                 try:
@@ -179,15 +189,11 @@ class TestIncrementalHorizon:
                         db.commit(txn)
                     elif op == "abort":
                         db.abort(txn)
-                    elif (
-                        op == "resnapshot"
-                        and txn.read_only
-                        and txn.snapshot is not None
-                    ):
-                        # What an unsafe verdict does to a deferrable
-                        # reader: a fresh snapshot replaces the old one.
-                        txn.snapshot_safe = False
-                        db.resume_deferrable(txn)
+                    elif op == "resnapshot":
+                        readers = [t for t in live if t._safe_event is not None]
+                        if readers:
+                            txn = readers[arg % len(readers)]
+                            retake_after_unsafe(db, txn)
                 except CompletionWaitRequired:
                     pass
                 except LockWaitRequired:
@@ -217,15 +223,15 @@ class TestIncrementalHorizon:
         t_out = db.begin("ssi")
         t_out.write("t", "k1", 1)
         t_out.commit()  # pivot -rw-> t_out, committed
+        reader = db.begin("ssi", deferrable=True)
         with pytest.raises(CompletionWaitRequired) as waiting:
-            db.begin("ssi", deferrable=True, wait=False)
-        reader = waiting.value.txn
+            db.get(reader, "t", "k2")  # the first read takes a candidate
         first = reader.snapshot
         pivot.write("t", "k2", 1)
         pivot.commit()  # completes a structure the reader can join
         assert waiting.value.completion.fired
         assert reader.snapshot_safe is False
-        db.resume_deferrable(reader)
+        assert db.get(reader, "t", "k2") == 1  # the retry retakes it
         assert reader.snapshot is not first
         assert reader.snapshot_safe
         assert maintained_horizon(db) == reader.read_ts

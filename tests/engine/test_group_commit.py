@@ -21,6 +21,7 @@ import pytest
 from repro import Database, EngineConfig
 from repro.engine import groupcommit
 from repro.errors import (
+    CompletionWaitRequired,
     TransactionAbortedError,
     TransactionStateError,
     UnsafeError,
@@ -103,6 +104,32 @@ class TestBatching:
         assert histogram["count"] == 2
         assert histogram["total"] == 4
 
+    def test_follower_commit_raises_and_its_thread_blocks_through(self):
+        """The engine never parks a follower: ``db.commit`` queues the
+        ticket and raises the wait, and only ``txn.commit()``'s executor
+        parks the thread, until the leader's verdict."""
+        db = make_db()
+        follower = writer(db, "f")
+        outcome = []
+
+        def commit_on_thread():
+            follower.commit()  # blocks through the ticket
+            outcome.append(follower.status.value)
+
+        with held_leader(db, writer(db, "leader")) as raised:
+            with pytest.raises(CompletionWaitRequired) as wait:
+                db.commit(follower)
+            assert wait.value.txn is follower
+            assert wait.value.completion is follower._commit_ticket.done
+            thread = threading.Thread(target=commit_on_thread)
+            thread.start()
+            thread.join(timeout=0.2)
+            assert thread.is_alive() and not outcome  # the leader is held
+        thread.join(timeout=10)
+        assert not raised
+        assert outcome == ["committed"]
+        assert follower._commit_ticket is None
+
     def test_concurrent_committers_share_batches(self):
         """Followers parked on threads are released by the leader's one
         pass, and a queue longer than MAX_BATCH drains in several."""
@@ -113,7 +140,7 @@ class TestBatching:
 
         def wait_for_verdict(txn):
             try:
-                db.commit(txn)  # consumes the queued ticket
+                txn.commit()  # blocks through the queued ticket
             except BaseException as error:  # noqa: BLE001
                 failures.append(error)
 
@@ -242,6 +269,23 @@ class TestIntraBatchCertification:
         check = db.begin("si")
         assert check.get("t", "v") is None
         check.commit()
+
+    def test_doomed_si_follower_gets_the_doom_error(self):
+        """A non-certifying follower doomed in flight: its re-invoked
+        commit consumes the ticket before the read-only bypass, which its
+        rolled-back (now empty) write set would otherwise take."""
+        db = make_db()
+        victim = writer(db, "v", level="si")
+        with held_leader(db, writer(db, "leader")) as raised:
+            queue_behind(db, victim)
+            victim.doom_error = UnsafeError(
+                "doomed in flight", txn_id=victim.id
+            )
+        assert not raised
+        with pytest.raises(UnsafeError):
+            db.commit(victim)
+        assert victim.is_aborted
+        assert victim._commit_ticket is None
 
     def test_failing_leader_still_drains_its_followers(self, monkeypatch):
         """The leader's own commit fails certification (no flush to park

@@ -11,7 +11,8 @@ Four groups:
   a dangerous structure with it (Ports & Grittner §2.4); at that point
   its SIREADs drop immediately and it retains nothing at commit.
 * **Deferrable read-only transactions** — ``begin(deferrable=True)``
-  blocks for a safe snapshot and then runs with zero SIREAD footprint.
+  returns at once; the first read or scan waits for a safe snapshot,
+  which then runs with zero SIREAD footprint.
 * **Lock-wait regression** — a resolved lock request wakes its waiter
   through the event alone; the engine must not fall back to timeout
   polling when no deadline or periodic deadlock sweep needs one.
@@ -241,8 +242,9 @@ class TestDeferrable:
         fill(db, "t", {i: i for i in range(5)})
         ro = db.begin("ssi", deferrable=True)
         assert ro.read_only is True
+        assert ro.snapshot is None  # begin takes no snapshot
+        rows = dict(ro.scan("t"))  # the first scan takes one, safe at once
         assert ro.snapshot_safe is True
-        rows = dict(ro.scan("t"))
         assert rows == {i: i for i in range(5)}
         assert db.locks.siread_lock_count() == 0
         ro.commit()
@@ -251,19 +253,22 @@ class TestDeferrable:
         assert db.find_transaction(ro.id) is None
 
     def test_deferrable_blocks_until_safe(self, db):
-        """begin(deferrable=True) with a concurrent writer must wait for
-        that writer to finish, then return a safe snapshot."""
+        """begin(deferrable=True) with a concurrent writer returns at
+        once; the first read waits for that writer to finish, then runs
+        on a safe snapshot without a SIREAD."""
         fill(db, "t", {1: "a"})
         writer = db.begin("ssi")
         writer.read("t", 1)
+        ro = db.begin("ssi", deferrable=True)  # returns at once
+        assert ro.snapshot is None
         started = threading.Event()
         box = {}
 
-        def deferred_begin():
+        def first_read():
             started.set()
-            box["txn"] = db.begin("ssi", deferrable=True)
+            box["value"] = ro.read("t", 1)
 
-        thread = threading.Thread(target=deferred_begin)
+        thread = threading.Thread(target=first_read)
         thread.start()
         started.wait(timeout=5)
         thread.join(timeout=0.2)
@@ -272,13 +277,25 @@ class TestDeferrable:
         writer.commit()
         thread.join(timeout=5)
         assert not thread.is_alive()
-        ro = box["txn"]
         assert ro.snapshot_safe is True
         # Safe need not mean fresh: the snapshot predates the harmless
         # commit, it just provably cannot join a dangerous structure.
-        assert ro.read("t", 1) == "a"
-        assert db.locks.siread_lock_count() <= 1  # writer's retained read
+        assert box["value"] == "a"
+        assert not db.locks.holds_any_siread(ro)
         ro.commit()
+
+    def test_deferrable_commit_without_reading_never_waits(self, db):
+        """The wait belongs to the first read: a deferrable transaction
+        that never reads commits at once, beside an open writer."""
+        fill(db, "t", {1: "a"})
+        writer = db.begin("ssi")
+        writer.read("t", 1)
+        ro = db.begin("ssi", deferrable=True)
+        db.commit(ro)  # returns: no read, so no snapshot and no wait
+        assert ro.is_committed
+        assert ro.snapshot is None
+        assert db.find_transaction(ro.id) is None
+        writer.commit()
 
     def test_deferrable_under_non_certifying_level_is_trivial(self, db):
         """Plain SI retains nothing, so every snapshot is trivially safe

@@ -131,7 +131,7 @@ class TestCallbackHardening:
         with held_leader(db, leader) as raised:
             for txn in (first, second):
                 with pytest.raises(CompletionWaitRequired) as wait:
-                    db.commit(txn, wait=False)
+                    db.commit(txn)
                 wait.value.completion.on_fire(
                     lambda c: (_ for _ in ()).throw(RuntimeError("kaput")))
                 wait.value.completion.on_fire(fired.append)

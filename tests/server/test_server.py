@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
 
 import pytest
@@ -45,6 +46,21 @@ class TestFraming:
 
         with pytest.raises(FrameError):
             asyncio.run(read_it())
+
+    def test_header_cut_short_is_not_a_clean_close(self):
+        """A peer that closes after part of a header is a broken frame,
+        as in the async reader, not a clean EOF; an empty close is."""
+        from repro.server.protocol import read_frame_sock
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            sender.sendall(struct.pack(">I", 7)[:2])
+            sender.close()
+            with pytest.raises(FrameError, match="mid-header"):
+                read_frame_sock(receiver)
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            sender.close()
+            assert read_frame_sock(receiver) is None
 
 
 @pytest.fixture
@@ -273,9 +289,9 @@ class TestServer:
         check.commit()
 
     def test_deferrable_begin_over_the_wire(self, server_db):
-        """A deferrable begin suspends server-side until safe; the reply
-        frame arrives only after the verdict — without pinning a thread
-        or the event loop."""
+        """A deferrable begin is answered at once; the first read
+        suspends server-side until safe and its reply arrives only after
+        the verdict — without pinning a thread or the event loop."""
         server_db.create_table("t")
         server_db.load("t", [(1, "a")])
         writer = server_db.begin("ssi")
@@ -283,19 +299,21 @@ class TestServer:
 
         async def body(server):
             client = await AsyncClient.connect(port=server.port)
-            begin_task = asyncio.ensure_future(
-                client.begin("ssi", deferrable=True))
+            txn = await asyncio.wait_for(
+                client.begin("ssi", deferrable=True), timeout=10)
+            assert isinstance(txn, int)
+            read_task = asyncio.ensure_future(client.read("t", 1))
             await asyncio.sleep(0.15)
-            assert not begin_task.done()  # still waiting on the verdict
+            assert not read_task.done()  # still waiting on the verdict
 
             def release():
                 writer.write("t", 1, "w")
                 writer.commit()
 
             await asyncio.get_running_loop().run_in_executor(None, release)
-            txn = await asyncio.wait_for(begin_task, timeout=10)
-            assert isinstance(txn, int)
-            assert await client.read("t", 1) == "a"
+            assert await asyncio.wait_for(read_task, timeout=10) == "a"
+            reader = server_db.find_transaction(txn)
+            assert not server_db.locks.holds_any_siread(reader)
             await client.commit()
             await client.close()
 

@@ -263,15 +263,16 @@ class TestNoPolling:
 
 class TestDeferrableSessions:
     def test_deferrable_begin_suspends_until_safe(self, db, sched):
-        """A deferrable session begin must suspend until the
-        SafeSnapshotMonitor fires the safe verdict, while other sessions
-        run beside it."""
+        """A deferrable session begin returns at once; its first read
+        suspends until the SafeSnapshotMonitor fires the safe verdict,
+        while other sessions run beside it, and then holds no SIREAD."""
         fill(db, "t", {1: "a"})
         writer = db.begin("ssi")
         writer.read("t", 1)
 
         ro = sched.session()
-        thread, box = on_thread(ro, "begin", "ssi", deferrable=True)
+        ro.call("begin", "ssi", deferrable=True)  # returns at once
+        thread, box = on_thread(ro, "read", "t", 1)
         wait_suspended(sched)
         assert "result" not in box
         other = sched.session()
@@ -283,13 +284,14 @@ class TestDeferrableSessions:
         writer.commit()
         finish(thread)
         assert box["error"] is None
+        assert box["result"] == "a"  # the snapshot predates the commit
         assert ro.txn.snapshot_safe is True
-        assert ro.call("read", "t", 1) == "a"  # snapshot predates commit
+        assert not db.locks.holds_any_siread(ro.txn)
         ro.call("commit")
 
     def test_unsafe_verdict_is_permanent_and_retakes_snapshot(self, db, sched):
         """An unsafe verdict can never flip back: the session must
-        discard that snapshot, take a fresh one, and only then begin."""
+        discard that snapshot, take a fresh one, and only then read."""
         fill(db, "t", {"x": 0, "y": 0, "z": 0})
         t_out = db.begin("ssi")
         pivot = db.begin("ssi")
@@ -298,7 +300,8 @@ class TestDeferrableSessions:
         t_out.commit()  # pivot -rw-> t_out, t_out committed early
 
         ro = sched.session()
-        thread, box = on_thread(ro, "begin", "ssi", deferrable=True)
+        ro.call("begin", "ssi", deferrable=True)
+        thread, box = on_thread(ro, "read", "t", "z")
         wait_suspended(sched)
         assert "result" not in box
         pivot.write("t", "z", 1)
@@ -311,7 +314,7 @@ class TestDeferrableSessions:
         stats = db.metrics.snapshot()["counters"]["safe_snapshots"]
         assert stats["unsafe"] >= 1
         # the fresh snapshot postdates both commits
-        assert ro.call("read", "t", "z") == 1
+        assert box["result"] == 1
         ro.call("commit")
 
     def test_interrupt_during_deferrable_wait(self, db, sched):
@@ -319,7 +322,8 @@ class TestDeferrableSessions:
         writer = db.begin("ssi")
         writer.read("t", 1)
         ro = sched.session()
-        thread, box = on_thread(ro, "begin", "ssi", deferrable=True)
+        ro.call("begin", "ssi", deferrable=True)
+        thread, box = on_thread(ro, "read", "t", 1)
         wait_suspended(sched)
         ro.interrupt()
         finish(thread)
