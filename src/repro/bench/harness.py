@@ -7,19 +7,11 @@ returns the throughput/error series that the benchmark files print.
 
 Grid cells are independent — each builds its own database, regenerates
 its workload data and seeds its RNG streams from ``sim_config.seed``
-alone — so ``run_experiment(..., parallel=N)`` farms them out to worker
-*processes* and reassembles an :class:`ExperimentResult` identical to the
-sequential one.  Processes, not threads: a simulation cell is pure Python
-compute, and the grid is the one place the reproduction is embarrassingly
-parallel.  Workers are forked (the factory attributes are closures, which
-do not pickle; fork inherits them), so on platforms without ``fork`` the
-runner silently degrades to sequential execution.
+alone — so every cell is reproducible bit for bit on its own.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_module
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -125,10 +117,7 @@ class ExperimentResult:
 
 
 def _run_cell(experiment: Experiment, level: str, mpl: int) -> SimResult:
-    """One grid cell: fresh database, fresh data, one simulation run.
-    Deterministic given (experiment, level, mpl) — every RNG stream
-    derives from ``sim_config.seed`` — which is what makes the parallel
-    runner's output bit-identical to the sequential one."""
+    """One grid cell: fresh database, fresh data, one simulation run."""
     database = Database(experiment.engine_config_factory())
     workload = experiment.workload_factory()
     workload.setup(database)
@@ -136,98 +125,17 @@ def _run_cell(experiment: Experiment, level: str, mpl: int) -> SimResult:
     return simulator.run()
 
 
-def _parallel_worker(experiment, assigned, results) -> None:
-    """Forked worker: run the assigned cells, report each as it lands.
-    Failures travel back as strings — exceptions from app code may not
-    pickle, and the parent only needs the diagnosis."""
-    for index, level, mpl in assigned:
-        try:
-            outcome = _run_cell(experiment, level, mpl)
-        except BaseException as exc:  # noqa: BLE001 — reported, then fatal
-            results.put((index, None, f"cell ({level}, mpl={mpl}): "
-                                      f"{type(exc).__name__}: {exc}"))
-        else:
-            results.put((index, outcome, None))
-
-
-def _run_cells_parallel(
-    experiment: Experiment,
-    cells: Sequence[tuple[str, int]],
-    parallel: int,
-) -> list[SimResult]:
-    """Fan the grid cells out over ``parallel`` forked processes,
-    round-robin, and return results in the cells' original order."""
-    ctx = multiprocessing.get_context("fork")
-    workers = min(parallel, len(cells))
-    results: multiprocessing.Queue = ctx.Queue()
-    assignments: list[list] = [[] for _ in range(workers)]
-    for index, (level, mpl) in enumerate(cells):
-        assignments[index % workers].append((index, level, mpl))
-    processes = [
-        ctx.Process(
-            target=_parallel_worker, args=(experiment, chunk, results), daemon=True
-        )
-        for chunk in assignments
-    ]
-    for process in processes:
-        process.start()
-    collected: dict[int, SimResult] = {}
-    errors: list[str] = []
-    try:
-        while len(collected) + len(errors) < len(cells):
-            try:
-                index, outcome, error = results.get(timeout=1.0)
-            except queue_module.Empty:
-                if any(process.is_alive() for process in processes):
-                    continue
-                # Every worker exited without delivering the remaining
-                # cells — a crash (OOM kill, segfault) rather than a
-                # Python exception, which would have been reported above.
-                missing = len(cells) - len(collected) - len(errors)
-                raise RuntimeError(
-                    f"parallel experiment workers died with {missing} "
-                    f"cell(s) unreported"
-                )
-            if error is not None:
-                errors.append(error)
-            else:
-                collected[index] = outcome
-    finally:
-        for process in processes:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
-    if errors:
-        raise RuntimeError("parallel experiment failed: " + "; ".join(errors))
-    return [collected[index] for index in range(len(cells))]
-
-
 def run_experiment(
     experiment: Experiment,
     mpls: Sequence[int] | None = None,
     levels: Sequence[str] | None = None,
-    parallel: int = 1,
 ) -> ExperimentResult:
     """Run the full (level x MPL) grid.  ``mpls``/``levels`` override the
     experiment's sweep (benchmark files use shorter grids than a full
-    reproduction run).  ``parallel=N`` runs cells on up to N forked
-    worker processes; the result is bit-identical to ``parallel=1``
-    because each cell is independently seeded (falls back to sequential
-    where ``fork`` is unavailable)."""
-    level_list = list(levels or experiment.levels)
-    mpl_list = list(mpls or experiment.mpls)
-    cells = [(level, mpl) for level in level_list for mpl in mpl_list]
-    use_parallel = parallel > 1 and len(cells) > 1
-    if use_parallel:
-        try:
-            multiprocessing.get_context("fork")
-        except ValueError:
-            use_parallel = False
-    if use_parallel:
-        flat = _run_cells_parallel(experiment, cells, parallel)
-    else:
-        flat = [_run_cell(experiment, level, mpl) for level, mpl in cells]
+    reproduction run)."""
     outcome = ExperimentResult(experiment=experiment)
-    for (level, _mpl), result in zip(cells, flat):
-        outcome.series.setdefault(level, []).append(result)
+    for level in levels or experiment.levels:
+        outcome.series[level] = [
+            _run_cell(experiment, level, mpl) for mpl in mpls or experiment.mpls
+        ]
     return outcome

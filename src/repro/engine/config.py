@@ -33,11 +33,13 @@ class LockGranularity(enum.Enum):
 class DeadlockMode(enum.Enum):
     """When lock-wait cycles are looked for.
 
-    * ``IMMEDIATE`` — cycle check at enqueue time (InnoDB-style).
-    * ``PERIODIC`` — only an external sweep detects deadlocks (the
-      Berkeley DB ``db_perf`` configuration; the simulator runs the sweep
-      on ``deadlock_interval`` of simulated time, reproducing the
-      S2PL stalls of Section 6.1.3).
+    * ``IMMEDIATE`` — cycle check at enqueue time (InnoDB-style); the
+      requester whose wait closes the cycle is the victim.
+    * ``PERIODIC`` — only an external sweep detects deadlocks, dooming
+      the youngest transaction of each cycle (the Berkeley DB ``db_perf``
+      configuration; the simulator sweeps every
+      :data:`~repro.sim.scheduler.DEADLOCK_INTERVAL` of simulated time,
+      reproducing the S2PL stalls of Section 6.1.3).
     """
 
     IMMEDIATE = "immediate"
@@ -61,7 +63,6 @@ class EngineConfig:
             updates then never hit first-committer-wins.
         victim_policy: "pivot" | "youngest" | "oldest" (Section 3.7.2).
         deadlock_mode: see :class:`DeadlockMode`.
-        deadlock_victim: "requester" | "youngest" for immediate mode.
         eager_cleanup: clean suspended committed transactions whenever the
             oldest active transaction commits (InnoDB-style, Section
             4.6.1); False defers cleanup until the suspended list exceeds
@@ -88,7 +89,6 @@ class EngineConfig:
     deferred_snapshot: bool = True
     victim_policy: str = "pivot"
     deadlock_mode: DeadlockMode = DeadlockMode.IMMEDIATE
-    deadlock_victim: str = "requester"
     eager_cleanup: bool = True
     cleanup_threshold: int = 1024
     record_history: bool = False

@@ -12,7 +12,7 @@ SI conflict tracker into the transactional API of the paper's prototypes:
   their cleanup (Chapter 3);
 * an SGT-certifier level as the precise baseline (2.7).
 
-Threading model (PR-5): the engine is internally latched rather than
+Threading model: the engine is internally latched rather than
 serialised by one kernel mutex.  Shared state is partitioned along the
 latch hierarchy of :mod:`repro.engine.latches` —
 
@@ -1257,10 +1257,23 @@ class Database:
         commit-ordered lists are popped from the head while ``commit_ts
         <= horizon``: an entry a concurrent finalize appended out of order
         only waits for a later sweep.  A head whose policy vetoes cleanup
-        (an SGT node with incoming edges) is set aside and rechecked on
-        every sweep, never blocking those behind."""
+        (an SGT node with incoming edges) is set aside, never blocking
+        those behind, and rechecked until a pass retires nothing — a
+        retirement later in the same sweep may have removed its edge —
+        and again on every later sweep."""
         with self._txn_latch, self._tracker_latch:
             return self._sweep(self._oldest_active_read_ts())
+
+    def audit(self) -> dict[str, int]:
+        """Residual engine state after quiesce: sweep, then count the
+        lock-table residue and the suspended and prepared transactions
+        (every count is 0 once every transaction has been retired)."""
+        self.cleanup_suspended()
+        return {
+            **self.locks.residue(),
+            "suspended": self.suspended_count(),
+            "prepared": len(self._prepared),
+        }
 
     def _sweep(self, horizon: float) -> int:
         """:meth:`cleanup_suspended`'s body against ``horizon``; the
@@ -1270,21 +1283,27 @@ class Database:
         while self._suspended and self._suspended[0].commit_ts <= horizon:
             due.append(self._suspended.popleft())
         cleaned = 0
-        for txn in due:
-            if not txn.policy.may_cleanup(txn):
-                self._set_aside.append(txn)
-                continue
-            self.locks.drop_siread_locks(txn)
-            self._retire(txn)
-            self._registry.pop(txn.id, None)
-            txn.suspended = False
-            cleaned += 1
-            retention = self.clock.now() - txn.commit_ts
-            self._h_siread_retention.observe(retention)
-            if self.trace is not None:
-                self.trace.emit(
-                    EventType.CLEANUP, txn.id, retention=retention
-                )
+        while due:
+            vetoed = []
+            for txn in due:
+                if not txn.policy.may_cleanup(txn):
+                    vetoed.append(txn)
+                    continue
+                self.locks.drop_siread_locks(txn)
+                self._retire(txn)
+                self._registry.pop(txn.id, None)
+                txn.suspended = False
+                cleaned += 1
+                retention = self.clock.now() - txn.commit_ts
+                self._h_siread_retention.observe(retention)
+                if self.trace is not None:
+                    self.trace.emit(
+                        EventType.CLEANUP, txn.id, retention=retention
+                    )
+            if len(vetoed) == len(due):
+                break
+            due = vetoed
+        self._set_aside = due
         self.stats["cleaned"] += cleaned
         writers = self._retired_writers
         while writers and writers[0].commit_ts <= horizon:
@@ -1454,11 +1473,13 @@ class Database:
         return record_resource(table_name, key)
 
     def _acquire(self, txn: Transaction, resource: Resource, mode: LockMode) -> AcquireResult:
-        """Acquire or raise LockWaitRequired.  A request resolved during
-        its own enqueue's immediate deadlock resolution is acquired again
-        once :meth:`_check_op` passes: denied means its owner was doomed
-        (the check aborts and raises), granted means an EXCLUSIVE record
-        may have waited on a key range and still owe the record itself."""
+        """Acquire or raise LockWaitRequired.  A request already resolved
+        when the manager returns it is acquired again once
+        :meth:`_check_op` passes: denied means its owner was doomed (by
+        its own enqueue's immediate deadlock resolution; the check aborts
+        and raises), granted — by a concurrent release before the check —
+        means an EXCLUSIVE record may have waited on a key range and
+        still owe the record itself."""
         while True:
             result = self.locks.acquire(txn, resource, mode)
             if result.status is AcquireStatus.GRANTED:
@@ -1626,15 +1647,12 @@ class Database:
             verdict.set()
 
     def _on_deadlock(self, cycle: list[Transaction], request: LockRequest):
-        """Immediate deadlock handler (InnoDB style)."""
-        if self.config.deadlock_victim == "youngest":
-            victim = max(cycle, key=lambda txn: txn.begin_seq)
-        else:
-            victim = request.owner
+        """Immediate deadlock handler (InnoDB style): the requester whose
+        wait closed the cycle is the victim."""
+        victim = request.owner
         if self.trace is not None:
             self.trace.emit(
                 EventType.VICTIM, victim.id, cause="deadlock",
-                policy=self.config.deadlock_victim,
                 cycle=[txn.id for txn in cycle],
             )
         self.doom(victim, DeadlockError("deadlock victim", txn_id=victim.id))

@@ -138,13 +138,9 @@ def _audit(
     """The audit every stress driver ends with, once its clients are
     done: residual lock-table state, MVSG verdict, caller's invariant."""
     # Quiesce: with no transaction active the cleanup horizon is
-    # unbounded.  SGT retires a node only once its incoming edges are
-    # gone, and a sweep can free a node it already passed over, so sweep
-    # until one retires nothing.  Whatever survives is a leak and lands
+    # unbounded, so whatever the audit's sweep leaves is a leak and lands
     # in the result.
-    while db.cleanup_suspended():
-        pass
-    residue = db.locks.residue()
+    residue = db.audit()
     serializable: Optional[bool] = None
     detail = ""
     if check_serializability:
@@ -166,7 +162,7 @@ def _audit(
         residual_granted=residue["granted"],
         residual_owners=residue["owners"],
         residual_waiters=residue["waiters"],
-        residual_suspended=db.suspended_count(),
+        residual_suspended=residue["suspended"],
         residual_siread=residue["siread"],
     )
     if invariant is not None:

@@ -10,17 +10,17 @@ the first-committer-wins rule guarantees that among two transactions that
 produce versions of the same item, one commits before the other starts
 (paper Section 2.5.1).
 
-Storage layout (PR-4 hot-path pass): versions are kept oldest->newest with
-a parallel ``commit_ts`` array, so ``install`` is an O(1) append instead
-of an O(n) front-insert, visibility is a tail check (the common "snapshot
-sees the newest version" case) falling back to one ``bisect``, and "does a
-newer version exist" — the first-committer-wins probe — is O(1).  The
-public view is unchanged: iteration and :meth:`newer_than` still yield
-newest-first.
+Storage layout: versions are kept oldest->newest with a parallel
+``commit_ts`` array, so ``install`` is an O(1) append instead of an O(n)
+front-insert, visibility is a tail check (the common "snapshot sees the
+newest version" case) falling back to one ``bisect``, and "does a newer
+version exist" — the first-committer-wins probe — is O(1).  The public
+view is newest-first: iteration and :meth:`newer_than` yield the newest
+version first.
 
-Concurrency protocol (PR-5 latching pass): *writers* — ``install`` and
-``prune`` — are serialised by the owning table's latch.  *Readers* take no
-latch at all.  That works because both lists live in a single
+Concurrency protocol: *writers* — ``install`` and ``prune`` — are
+serialised by the owning table's latch.  *Readers* take no latch at
+all.  That works because both lists live in a single
 ``_data = (versions, ts)`` tuple slot:
 
 * ``install`` appends in place, version first, then timestamp.  Readers

@@ -339,12 +339,7 @@ class ReproServer:
     def _audit(self) -> dict[str, int]:
         """Residual engine state after quiesce — the sharded stress
         runner's clean-lock-table check, over the wire."""
-        self.db.cleanup_suspended()
-        return {
-            **self.db.locks.residue(),
-            "suspended": self.db.suspended_count(),
-            "prepared": len(self.db._prepared),
-        }
+        return self.db.audit()
 
 
 #: ops after which a distributed transaction's session is retired

@@ -151,14 +151,8 @@ class LocalShard:
         return history.snapshot_records(), dict(self._gtids)
 
     def audit(self) -> dict[str, int]:
-        """Residual engine state after quiesce (all counts should be 0
-        once every transaction has been retired)."""
-        self.db.cleanup_suspended()
-        return {
-            **self.db.locks.residue(),
-            "suspended": self.db.suspended_count(),
-            "prepared": len(self.db._prepared),
-        }
+        """Residual engine state after quiesce (:meth:`Database.audit`)."""
+        return self.db.audit()
 
 
 class RemoteShard:

@@ -1,11 +1,10 @@
 """Forked shard engine processes and the all-in-one cluster.
 
-Reuses the fork machinery the experiment grid established
-(:mod:`repro.bench.harness`): each shard is a forked child running the
-unmodified :class:`~repro.server.core.ReproServer` on an ephemeral
-port, reported back through a pipe.  Fork (not spawn) keeps startup
-cheap and ships the :class:`~repro.engine.config.EngineConfig` by
-inheritance; each child is single-purpose and dies with SIGTERM.
+Each shard is a forked child running the unmodified
+:class:`~repro.server.core.ReproServer` on an ephemeral port, reported
+back through a pipe.  Fork (not spawn) keeps startup cheap and ships
+the :class:`~repro.engine.config.EngineConfig` by inheritance; each
+child is single-purpose and dies with SIGTERM.
 
 :class:`ShardCluster` is the one-stop deployment: N shard processes,
 one :class:`~repro.shard.backend.RemoteShard` link each, and a

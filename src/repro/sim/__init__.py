@@ -6,9 +6,11 @@ benchmarks here drive the *real* engine (every lock wait, abort and
 conflict is genuine) while simulating the passage of time: CPU cost per
 operation on a configurable number of cores, commit log flushes with
 group commit, lock waits that suspend simulated clients, and periodic
-deadlock sweeps.  Throughput-vs-MPL curves therefore preserve the paper's
-shapes: who blocks, who aborts and who waits for the disk are all decided
-by the actual concurrency control code.
+deadlock sweeps.  Each simulated client is one generator process that
+yields the simulated time, wait completion or log flush it needs next
+(:mod:`repro.sim.scheduler`).  Throughput-vs-MPL curves therefore
+preserve the paper's shapes: who blocks, who aborts and who waits for
+the disk are all decided by the actual concurrency control code.
 
 Transaction programs are generator functions yielding
 :mod:`~repro.sim.ops` descriptors; the same programs run under the

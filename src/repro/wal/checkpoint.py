@@ -42,7 +42,7 @@ def take_checkpoint(db: Database, path: str | None = None) -> dict:
         tables: dict[str, list[tuple[Any, Any, int, int, bool]]] = {}
         for name, table in db._tables.items():
             rows = []
-            # Chunked walk (PR 10): the commit latch above is what makes
+            # Chunked walk: the commit latch above is what makes
             # the image consistent — version installs are excluded — so
             # the table latch need not be held across the whole table;
             # dropping it between chunks lets concurrent readers proceed.

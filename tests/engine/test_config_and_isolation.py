@@ -130,7 +130,6 @@ KNOB_CENSUS = {
     "deferred_snapshot": "bench_ablation_engine_knobs.py",
     "victim_policy": "bench_ablation_engine_knobs.py",
     "deadlock_mode": "bench_ablation_timeout.py",
-    "deadlock_victim": "none (InnoDB vs youngest victim)",
     "eager_cleanup": "bench_ablation_cleanup.py",
     "cleanup_threshold": "bench_ablation_cleanup.py",
     "record_history": "none (test oracle switch, not a tunable)",
@@ -143,7 +142,7 @@ KNOB_CENSUS = {
 class TestKnobCensus:
     def test_field_set_is_pinned(self):
         fields = [field.name for field in dataclasses.fields(EngineConfig)]
-        assert len(fields) == 14
+        assert len(fields) == 13
         assert set(fields) == set(KNOB_CENSUS)
 
     @pytest.mark.parametrize(
@@ -154,7 +153,6 @@ class TestKnobCensus:
             "granularity": LockGranularity.PAGE,
             "deadlock_mode": DeadlockMode.PERIODIC,
             "victim_policy": "oldest",
-            "deadlock_victim": "youngest",
             "page_size": 5,
             "cleanup_threshold": 7,
             "lock_timeout": 1.5,

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Database, EngineConfig, UnsafeError
 from repro.errors import TransactionAbortedError
+from repro.shard.backend import LocalShard
 
 from tests.conftest import commit_outcomes, fill
 
@@ -105,3 +106,23 @@ class TestRetiredEndpoint:
             db.cleanup_suspended()
         assert db.suspended_count() == 0
         assert not db.certifier._nodes
+
+
+class TestCleanupChain:
+    def test_one_audit_retires_a_chain_committed_head_last(self):
+        """A -rw-> B -rw-> C, committed C, B, A: each node's incoming
+        edge is gone only once the node before it retires, later in the
+        same sweep.  One audit must still leave nothing suspended."""
+        shard = LocalShard()
+        shard.create_table("t")
+        shard.load("t", [("x", 0), ("y", 0)])
+        for gtid in (1, 2, 3):
+            shard.begin(gtid, "sgt")
+        shard.call(1, "read", "t", "x")
+        shard.call(2, "read", "t", "y")
+        shard.call(2, "put", "t", "x", 1)
+        shard.call(3, "put", "t", "y", 1)
+        for gtid in (3, 2, 1):
+            shard.commit(gtid)
+        audit = shard.audit()
+        assert audit == dict.fromkeys(audit, 0)

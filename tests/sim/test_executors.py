@@ -21,6 +21,7 @@ from typing import Callable
 import pytest
 
 from repro import Database, EngineConfig
+from repro.engine.config import DeadlockMode
 from repro.errors import CompletionWaitRequired, TransactionAbortedError
 from repro.session import SessionScheduler
 from repro.sim.direct import run_program
@@ -44,6 +45,7 @@ class Case:
     other: Callable | None = None
     order: tuple = ()
     lock_timeout: float | None = None
+    deadlock_mode: DeadlockMode = DeadlockMode.IMMEDIATE
 
 
 def committing():
@@ -97,10 +99,12 @@ CASES = {
     # P waits on B's lock on 2; B's commit grants it.
     "wait_granted": Case(write_one_then_two, "s2pl", "committed", "done",
                          other=write_two, order=(0, 1, 1, 0, 1, 1)),
-    # P waits on B's lock on 2; B then waits on P's lock on 1, and the
-    # youngest transaction of the cycle — P — has its wait denied.
+    # P waits on B's lock on 2; B then waits on P's lock on 1, and a
+    # periodic sweep dooms the youngest transaction of the cycle — P —
+    # whose wait is denied.
     "wait_denied": Case(write_one_then_two, "s2pl", "deadlock",
-                        other=write_two_then_one, order=(0, 1, 1, 0, 1, 0, 0)),
+                        other=write_two_then_one, order=(0, 1, 1, 0, 1, 0, 0),
+                        deadlock_mode=DeadlockMode.PERIODIC),
     # P waits on B's lock on 2, which B holds until P has timed out.
     "wait_timed_out": Case(write_one_then_two, "s2pl", "timeout",
                            other=write_two, lock_timeout=0.05),
@@ -184,8 +188,8 @@ class _OneRun(Simulator):
 
     finished = None
 
-    def _next(self, client) -> None:
-        self.finished = client.run
+    def _client(self, rng):
+        self.finished = yield from self._transaction(rng)
 
 
 def via_simulator(db, case: Case) -> tuple[str, object]:
@@ -233,7 +237,7 @@ EXECUTORS = {
 def test_every_executor_reports_the_same_outcome(case_name):
     case = CASES[case_name]
     for name, execute in EXECUTORS.items():
-        db = Database(EngineConfig(deadlock_victim="youngest",
+        db = Database(EngineConfig(deadlock_mode=case.deadlock_mode,
                                    lock_timeout=case.lock_timeout))
         expected_aborts = dict.fromkeys(db.stats["aborts"], 0)
         if case.status != "committed":

@@ -229,7 +229,7 @@ class TestPeriodicCadence:
         and silently drops the final tick (the last vacuum of a run)."""
         sim = self.make_sim(duration=0.3)
         fired = []
-        sim._schedule_periodic(0.0, 0.05, lambda: fired.append(sim.now))
+        sim._step(sim._every(0.05, lambda: fired.append(sim.now)))
         self.drain(sim)
         assert len(fired) == 6
         assert fired[-1] == pytest.approx(0.3)
@@ -246,7 +246,7 @@ class TestPeriodicCadence:
             sim.schedule_at(sim.now + 0.003, lambda: None)
 
         interval = 1 / 128  # exactly representable: spacing must be exact
-        sim._schedule_periodic(0.0, interval, tick)
+        sim._step(sim._every(interval, tick))
         self.drain(sim)
         assert len(fired) == 128
         gaps = [b - a for a, b in zip(fired, fired[1:])]
