@@ -219,7 +219,6 @@ DEFAULT_RULES = {
         "_heads": "lock",
         "_by_owner": "lock",
         "_waiting": "lock",
-        "_readers": "lock",
         "_reads": "lock",
         "_granted_count": "lock",
         # escalate/_fold: the fold's weight plus the heads and indexes

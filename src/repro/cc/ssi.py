@@ -184,7 +184,10 @@ class SSIPolicy(CCPolicy):
             return False
         # Suspend if SIREAD locks are held OR an outgoing conflict was
         # detected (the Section 3.7.3 adjustment).
-        return self.db.locks.holds_any_siread(txn) or bool(txn.out_conflict)
+        return (
+            bool(txn.sireads) or self.db.locks.holds_any_siread(txn)
+            or bool(txn.out_conflict)
+        )
 
     def needs_findable_record(self, txn: "Transaction") -> bool:
         # A committed writer must stay findable while concurrent

@@ -242,6 +242,11 @@ class Database:
         self._h_suspended = self.metrics.histogram(
             "suspended_transactions", edges=(1, 2, 4, 8, 16, 32, 64, 128)
         )
+        #: SSI-only per-commit samples, buffered under the tracker latch:
+        #: one observe_many per _SAMPLE_BATCH and at every snapshot
+        self._suspended_samples: list[int] = []
+        self._retention_samples: list[int] = []
+        self.metrics.before_snapshot(self._fold_samples)
         #: event-trace layer — off (None) by default; every emission site
         #: below is guarded by a single ``is not None`` test.
         self.trace: EventTrace | None = None
@@ -750,6 +755,9 @@ class Database:
             txn.status = TransactionStatus.COMMITTED
             return
         page_commit_ts = self._page_commit_ts
+        # A chain a tracking writer's insert creates names it as the
+        # pending writer too, until the writer leaves ``_active``.
+        writer = txn.id if txn.policy.tracks_reads else None
         chain_lengths = []
         with self._commit_latch:
             txn.commit_ts = self.clock.next()
@@ -762,6 +770,8 @@ class Database:
                         Version(value=value, commit_ts=txn.commit_ts,
                                 creator_id=txn.id)
                     ))
+                    if writer is not None:
+                        chain.writer = writer
                     if page_commit_ts is not None:
                         page_key = (table_name, table.leaf_page_of(key))
                         page_commit_ts[page_key] = txn.commit_ts
@@ -799,10 +809,10 @@ class Database:
             if retain:
                 txn.suspended = True
                 self._suspended.append(txn)
-                suspended_depth = self.suspended_count()
+                suspended_depth = len(self._suspended) + len(self._set_aside)
                 if suspended_depth > self.stats["suspended_peak"]:
                     self.stats["suspended_peak"] = suspended_depth
-                self._h_suspended.observe(suspended_depth)
+                self._suspended_samples.append(suspended_depth)
                 if self.trace is not None:
                     self.trace.emit(
                         EventType.SUSPEND, txn.id, keep_siread=keep_siread
@@ -821,7 +831,20 @@ class Database:
                 self._retire(txn)
             if self._cleanup_due():
                 self._sweep(horizon)
+            if len(self._suspended_samples) + len(self._retention_samples) >= _SAMPLE_BATCH:
+                self._fold_samples()
         lm.release_all(txn, keep_siread=keep_siread)
+
+    def _fold_samples(self) -> None:
+        """Fold the buffered histogram samples in (tracker latch)."""
+        with self._tracker_latch:
+            for histogram, samples in (
+                (self._h_suspended, self._suspended_samples),
+                (self._h_siread_retention, self._retention_samples),
+            ):
+                if samples:
+                    histogram.observe_many(samples)
+                    samples.clear()
 
     def _fold_tallies(self, txn: Transaction, commits: int) -> None:
         """Fold an ending transaction's tallies in; caller holds txn."""
@@ -860,7 +883,7 @@ class Database:
         semantics (Section 2.6.2)."""
         self._check_op(txn)
         self._check_write(txn)
-        self._acquire_write_locks(txn, table_name, key)
+        self._acquire_write_locks(txn, self.table(table_name), table_name, key)
         value, found = self._read_internal(
             txn, table_name, key, locking=True
         )
@@ -1064,7 +1087,7 @@ class Database:
             self.config.granularity is LockGranularity.PAGE
             and table.chain(key) is None
         )
-        self._acquire_write_locks(txn, table_name, key)
+        self._acquire_write_locks(txn, table, table_name, key)
         self._ensure_snapshot(txn)
         self._first_committer_check(txn, table_name, key)
         if txn.policy.tracks_writes:
@@ -1085,7 +1108,7 @@ class Database:
         self._check_op(txn)
         self._check_write(txn)
         table = self.table(table_name)
-        self._acquire_write_locks(txn, table_name, key)
+        self._acquire_write_locks(txn, table, table_name, key)
         self._ensure_snapshot(txn)
         self._first_committer_check(txn, table_name, key)
         value_now, exists = self._visible_value(
@@ -1125,7 +1148,7 @@ class Database:
         self._check_op(txn)
         self._check_write(txn)
         table = self.table(table_name)
-        self._acquire_write_locks(txn, table_name, key)
+        self._acquire_write_locks(txn, table, table_name, key)
         self._ensure_snapshot(txn)
         self._first_committer_check(txn, table_name, key)
         _value, exists = self._visible_value(
@@ -1280,29 +1303,31 @@ class Database:
         caller holds the txn and tracker latches (a committing
         :meth:`finalize_commit` runs it in its own latched section)."""
         due, self._set_aside = self._set_aside, []
-        while self._suspended and self._suspended[0].commit_ts <= horizon:
-            due.append(self._suspended.popleft())
-        cleaned = 0
+        suspended = self._suspended
+        while suspended and suspended[0].commit_ts <= horizon:
+            due.append(suspended.popleft())
+        retired: list[Transaction] = []
+        now = self.clock.now() if due else 0
         while due:
             vetoed = []
             for txn in due:
                 if not txn.policy.may_cleanup(txn):
                     vetoed.append(txn)
                     continue
-                self.locks.drop_siread_locks(txn)
-                self._retire(txn)
+                retired.append(txn)
+                if self._retiring_policies:
+                    self._retire(txn)
                 self._registry.pop(txn.id, None)
                 txn.suspended = False
-                cleaned += 1
-                retention = self.clock.now() - txn.commit_ts
-                self._h_siread_retention.observe(retention)
+                retention = now - txn.commit_ts
+                self._retention_samples.append(retention)
                 if self.trace is not None:
-                    self.trace.emit(
-                        EventType.CLEANUP, txn.id, retention=retention
-                    )
+                    self.trace.emit(EventType.CLEANUP, txn.id, retention=retention)
             if len(vetoed) == len(due):
                 break
             due = vetoed
+        self.locks.retire_reads(retired)
+        cleaned = len(retired)
         self._set_aside = due
         self.stats["cleaned"] += cleaned
         writers = self._retired_writers
@@ -1330,7 +1355,8 @@ class Database:
         # value >= every timestamp the prune may reclaim.
         on_pause = lambda: self.stats.inc("vacuum_pause_events")  # noqa: E731
         return sum(
-            table.vacuum(int(horizon), on_pause=on_pause) for table in tables
+            table.vacuum(int(horizon), on_pause=on_pause, live=self._registry)
+            for table in tables
         )
 
     def suspended_count(self) -> int:
@@ -1472,7 +1498,7 @@ class Database:
             return page_resource(table_name, self.table(table_name).leaf_page_of(key))
         return record_resource(table_name, key)
 
-    def _acquire(self, txn: Transaction, resource: Resource, mode: LockMode) -> AcquireResult:
+    def _acquire(self, txn: Transaction, resource: Resource, mode: LockMode, chain=None) -> AcquireResult:
         """Acquire or raise LockWaitRequired.  A request already resolved
         when the manager returns it is acquired again once
         :meth:`_check_op` passes: denied means its owner was doomed (by
@@ -1481,7 +1507,7 @@ class Database:
         means an EXCLUSIVE record may have waited on a key range and
         still owe the record itself."""
         while True:
-            result = self.locks.acquire(txn, resource, mode)
+            result = self.locks.acquire(txn, resource, mode, None, chain)
             if result.status is AcquireStatus.GRANTED:
                 return result
             if not result.request.resolved:
@@ -1489,46 +1515,74 @@ class Database:
             self._check_op(txn)
 
     def _acquire_read_locks(
-        self, txn: Transaction, table_name: str, key: Hashable
+        self, txn: Transaction, table_name: str, key: Hashable, chain
     ) -> None:
         """Read-side locking for a point read of one key."""
         mode = txn.policy.read_lock_mode(txn)
         if mode is None:
             return
-        resource = self._rec_resource(table_name, key)
         if mode is LockMode.SIREAD:
-            # One call, no wait loop: a SIREAD never waits (Section 3.2).
-            # The manager adds no entry for a re-read or for a key one
-            # of our own ranges covers, and reports the EXCLUSIVE
-            # holders of the resource (Fig 3.4 lines 2-4: a concurrent
-            # writer) unless it is a re-read, whose writers since met
-            # our entry and dispatched the edge themselves (Fig 3.5).
-            result = self.locks.acquire(txn, resource, mode, key)
-            for lock in result.detection_conflicts:
-                self.dispatch_rw_edge(reader=txn, writer=lock.owner)
+            # A SIREAD never waits (Section 3.2).  Nothing is added for a
+            # re-read or a key a range of our own covers, and the key's
+            # pending writer (Fig 3.4 lines 2-4) is reported unless it is
+            # a re-read, whose writers met our SIREAD (Fig 3.5).
+            if chain is not None and self._page_commit_ts is None:
+                # RECORD: an entry on the chain, with no Resource, manager
+                # call or latch.  The reader stores its id, *then* reads
+                # chain.writer; a writer publishes itself at its grant,
+                # *then* reads the readers: one always sees the other.  It
+                # counts one acquire, as a grant would (so does a read our
+                # own EXCLUSIVE lock covers, adding nothing).
+                txn_id = txn.id
+                sireads = txn.sireads
+                locks = self.locks
+                if chain not in sireads:
+                    locks.stats["acquires"] += 1
+                    if chain.writer != txn_id:
+                        # Only a scan or an escalation gives a
+                        # transaction a range of its own.
+                        if not (
+                            (txn.n_scans or self._siread_budget is not None)
+                            and locks.holds_range_over(txn, table_name, key)
+                        ):
+                            chain.readers[txn_id] = None
+                            if not sireads:
+                                locks.chain_readers[txn_id] = txn
+                            sireads[chain] = (table_name, key)
+                        writer_id = chain.writer
+                        if writer_id is not None:
+                            # Active = still holding the EXCLUSIVE lock
+                            # it was published by (released before exit).
+                            writer = self._active.get(writer_id)
+                            if writer is not None:
+                                self.dispatch_rw_edge(reader=txn, writer=writer)
+            else:
+                result = self.locks.acquire(
+                    txn, self._rec_resource(table_name, key), mode, key
+                )
+                for lock in result.detection_conflicts:
+                    self.dispatch_rw_edge(reader=txn, writer=lock.owner)
             if self._siread_budget is not None:
                 self.locks.escalate(self._siread_budget)
             return
         # A blocking read mode (S2PL's SHARED) takes no record lock where
         # a range of its own covers the key: a writer meets the range.
         if not self.locks.holds_range_over(txn, table_name, key, mode):
-            self._acquire(txn, resource, mode)
+            self._acquire(txn, self._rec_resource(table_name, key), mode)
 
     def _acquire_write_locks(
-        self, txn: Transaction, table_name: str, key: Hashable
+        self, txn: Transaction, table: Table, table_name: str, key: Hashable
     ) -> None:
-        """Write-side locking: the EXCLUSIVE record lock, which meets
-        every key range covering ``key`` in the lock manager — an S2PL
-        scanner's SHARED range makes the write wait, and every SIREAD
-        holder on the record or on a range covering it that has not
-        committed, or committed after this transaction's snapshot, marks
-        a rw-dependency holder -> txn (Fig 3.5/3.7): for updates,
-        deletes, inserts and blind writes of brand-new keys alike.
-
-        Under PAGE granularity the key's leaf page is X-locked first
-        (the Berkeley DB lock point readers' page SIREADs meet); the
-        record lock after it is still what scans' key ranges meet.
-        """
+        """Write-side locking: the EXCLUSIVE record lock.  It meets every
+        key range covering ``key`` (an S2PL scanner's SHARED range makes
+        the write wait) and every SIREAD on the record: on its chain,
+        where the grant publishes a writer whose policy tracks reads (a
+        reader meeting any other writer could only drop the edge, Section
+        3.8), or a lock.  Each holder that has not committed, or committed
+        after this snapshot, marks a rw-dependency holder -> txn (Fig
+        3.5/3.7), for updates, deletes, inserts and blind writes alike.
+        Under PAGE granularity the key's leaf page, where readers' page
+        SIREADs sit, is X-locked first."""
         # Fail fast on first-committer-wins before queueing behind the
         # lock: if a newer committed version already exists, waiting is
         # futile (Berkeley DB aborts on the dirty-page request, Section
@@ -1536,21 +1590,43 @@ class Database:
         if txn.snapshot is not None:
             self._first_committer_check(txn, table_name, key)
         resource = self._rec_resource(table_name, key)
+        chain = None
         if resource.kind == "page":
             result = self._acquire(txn, resource, LockMode.EXCLUSIVE)
             self._report_readers(txn, result.detection_conflicts)
             resource = record_resource(table_name, key)
-        result = self._acquire(txn, resource, LockMode.EXCLUSIVE)
-        self._report_readers(txn, result.detection_conflicts)
+        else:
+            chain = table.chain(key)
+        result = self._acquire(
+            txn, resource, LockMode.EXCLUSIVE,
+            chain if txn.policy.tracks_reads else None,
+        )
+        if result.detection_conflicts or chain is not None and chain.readers:
+            self._report_readers(txn, result.detection_conflicts, chain)
 
-    def _report_readers(self, txn: Transaction, conflicts: list) -> None:
-        """Fig 3.5/3.7: each SIREAD holder a write met signals a potential
-        rw edge holder -> txn; the writer's policy applies its
-        concurrency filter (or drops the edge)."""
-        if conflicts:
+    def _report_readers(self, txn: Transaction, conflicts: list, chain=None) -> None:
+        """Fig 3.5/3.7: each SIREAD holder a write met — a lock, or a
+        registered id on the record's ``chain`` (an unregistered one is
+        retired, and pruned) — signals a potential rw edge holder -> txn;
+        the writer's policy applies its concurrency filter (or drops the
+        edge).  An id escalation folded into a range stays on the chain
+        and counts only if the write did not meet that range."""
+        owners = [lock.owner for lock in conflicts]
+        met = []
+        readers = chain.readers if chain is not None else ()
+        registry = self._registry
+        for reader_id in list(readers):
+            reader = registry.get(reader_id)
+            if reader is None:
+                readers.pop(reader_id, None)
+            elif reader is not txn and (chain in reader.sireads or reader not in owners):
+                met.append(reader)
+        met += owners
+        if met:
+            on_write_conflict = txn.policy.on_write_conflict
             with self._tracker_latch:
-                for lock in conflicts:
-                    txn.policy.on_write_conflict(writer=txn, reader=lock.owner)
+                for reader in met:
+                    on_write_conflict(writer=txn, reader=reader)
 
     # ---------------------------------------------------------- conflicts
 
@@ -1666,16 +1742,19 @@ class Database:
         """Shared read path.  ``locking=True`` means the caller already
         acquired EXCLUSIVE (read_for_update)."""
         table = self.table(table_name)
+        chain = table.chain(key)
         if not locking:
             if txn._safe_event is not None:
                 self._take_safe_snapshot(txn)
-            self._acquire_read_locks(txn, table_name, key)
+            self._acquire_read_locks(txn, table_name, key, chain)
+            if chain is None:  # it may have been installed meanwhile
+                chain = table.chain(key)
         self._ensure_snapshot(txn)
         if locking and txn.policy.uses_snapshots:
             # Promotion semantics: a locking read of an item with a newer
             # committed version conflicts exactly like a write would.
             self._first_committer_check(txn, table_name, key)
-        return self._visible_value(txn, table_name, key, table.chain(key))
+        return self._visible_value(txn, table_name, key, chain)
 
     def _visible_value(
         self,
@@ -1709,10 +1788,13 @@ class Database:
             version = txn.snapshot.visible(chain)
         else:
             version = chain.latest()
-        if policy.tracks_reads and (not policy.reads_newer_only
-                                    or chain.has_newer(txn.snapshot.read_ts)):
-            with self._tracker_latch:
-                policy.on_read(txn, table_name, key, chain, version)
+        if policy.tracks_reads:
+            stamps = chain._data[1]  # chain.has_newer, inlined
+            if not policy.reads_newer_only or (
+                stamps and stamps[-1] > txn.snapshot.read_ts
+            ):
+                with self._tracker_latch:
+                    policy.on_read(txn, table_name, key, chain, version)
 
         if record and self.history is not None:
             self.history.on_read(
@@ -1822,4 +1904,6 @@ class Database:
 
 _MISSING = object()
 _INFINITY = float("inf")
+#: buffered histogram samples folded in per observe_many
+_SAMPLE_BATCH = 256
 

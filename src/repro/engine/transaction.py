@@ -64,6 +64,7 @@ class Transaction:
         "n_reads",
         "n_writes",
         "n_scans",
+        "sireads",
     )
 
     def __init__(
@@ -129,6 +130,9 @@ class Transaction:
         #: rows read, writes, scans: one thread drives a transaction, so
         #: tallied latch-free; folded into ``db.stats`` as it ends.
         self.n_reads = self.n_writes = self.n_scans = 0
+        #: point SIREADs kept on version chains: chain -> (table, key);
+        #: retirement empties it (ids left on chains die with the registry)
+        self.sireads: dict = {}
 
     # ----------------------------------------------------------- state
 

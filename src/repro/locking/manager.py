@@ -3,19 +3,21 @@
 A classic FIFO-queued lock manager extended with the paper's requirements:
 
 * a non-blocking ``SIREAD`` mode whose conflicts are *reported* rather than
-  enforced (Section 3.2).  A point SIREAD (a record or a page) is not a
-  lock head at all: it is one entry in the *reader table*, resource ->
-  {owner id: owner}, plus one item in its owner's read list.  Requesting
-  one (:meth:`LockManager.acquire`) is a single critical section that
-  checks the owner's own key ranges (a covered read adds nothing), adds
-  the entry and collects the EXCLUSIVE holders of the resource (Fig 3.4);
-  a re-read finds its entry and does nothing;
+  enforced (Section 3.2).  The engine's point reads at record granularity
+  keep theirs on the record's :class:`~repro.mvcc.version.VersionChain`
+  (its ``readers``), not here: the manager only counts them, through the
+  owner's ``sireads`` map and :attr:`LockManager.chain_readers`, and
+  publishes a tracking writer's EXCLUSIVE grant on the chain passed to
+  :meth:`LockManager.acquire`.  Any other SIREAD — a page, a never-written
+  key, a key range — is a mode of its owner's lock like any other; a
+  re-read of a held point grants nothing and reports nothing;
 * SIREAD locks retained after their owner commits, until no concurrent
-  transaction remains (Section 3.3).  Commit's :meth:`LockManager.release_all`
-  with ``keep_siread=True`` never sees the reader table, and
-  :meth:`LockManager.drop_siread_locks` walks the owner's read list once;
+  transaction remains (Section 3.3): :meth:`LockManager.release_all` with
+  ``keep_siread=True`` keeps them, and cleanup's
+  :meth:`LockManager.retire_reads` forgets the owner's chain entries and
+  walks its read list once;
 * SIREAD -> EXCLUSIVE upgrade: an EXCLUSIVE grant, from the queue too,
-  drops the owner's reader entry on the same resource (Section 3.7.3 /
+  drops the owner's SIREAD on the same resource or chain (Section 3.7.3 /
   4.3 item 4); the request still counts as an upgrade and queues at the
   front;
 * key-range predicate locks (Figs 3.6/3.7; what Section 2.5.2's gap
@@ -27,9 +29,9 @@ A classic FIFO-queued lock manager extended with the paper's requirements:
   (:meth:`LockManager.acquire`).  Whichever runs second blocks (S2PL)
   or sees the other (SSI/SGT);
 * SIREAD escalation (:meth:`LockManager.escalate`): past a lock-table
-  budget, an owner's record reader entries and pure range SIREADs on one
-  table fold into one key range over their span, met by writers like any
-  scan's.
+  budget, an owner's record SIREADs (chain entries too) and pure range
+  SIREADs on one table fold into one key range over their span, met by
+  writers like any scan's.
 
 Lock acquisition never blocks the calling thread.  When a request must
 wait it is enqueued and an :class:`AcquireResult` with ``status=WAIT`` is
@@ -39,32 +41,16 @@ executors handle.  Acquisition is idempotent: re-requesting a held lock in
 the same or weaker mode is a no-op, which is what makes operation retry
 after a wait safe.
 
-Performance structure:
-
-* one re-entrant latch (rank ``lock``) over the whole manager, as in the
-  paper's prototype (Section 4.4): every grant settles the same per-owner
-  indexes, so a partitioned table could not let two grants overlap, and
-  under the GIL none run at once anyway.  One latch makes each public
-  call one critical section and one latch acquisition;
-* a point SIREAD allocates no :class:`Lock`: the reader table stores the
-  owner, and a :class:`Lock` is built only when a writer meets readers;
-* every granted lock and every :class:`_LockHead` carries an integer
-  ``mask`` summarising its modes, so conflict/coverage/detection checks
-  are one AND against the pre-folded per-mode masks from
-  :mod:`repro.locking.modes` instead of set algebra over Enum members;
-* ``_LockHead.granted`` is a dict keyed by owner id — grant, upgrade and
-  removal are O(1) while iteration keeps insertion (grant) order;
-* per-owner indexes of granted locks, of SIREADs (the read list) and of
-  *waiting* requests make :meth:`release_all`, :meth:`drop_siread_locks`
-  and :meth:`cancel_waits` O(locks/requests owned).  Nothing on the
-  commit/abort path walks the whole table — essential once Section 3.3
-  SIREAD retention inflates it — and an owner holding only point SIREADs
-  commits without taking the latch;
-* the sorted index of EXCLUSIVE-held record keys that range readers
-  bisect exists only for tables some range has touched, so writes to
-  tables nobody scans maintain nothing;
-* the granted-lock counter and the read lists make :meth:`table_size`
-  and :meth:`holds_any_siread` O(1).
+Performance structure (DESIGN.md, "Lock manager", has the detail): one
+re-entrant latch (rank ``lock``) over the whole manager, as in the paper's
+prototype (Section 4.4), so each public call is one critical section; an
+integer ``mask`` of modes on every lock and :class:`_LockHead`, so
+conflict, coverage and detection checks are one AND; grant-ordered dicts
+keyed by owner id; and per-owner indexes of locks, SIREADs and waiting
+requests, so nothing on the commit/abort path walks the table, and an
+owner holding only chain entries commits and retires without the latch.
+The sorted EXCLUSIVE-key index range readers bisect exists only for
+tables some range has touched.
 """
 
 from __future__ import annotations
@@ -73,7 +59,7 @@ import enum
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.engine.latches import make_latch
 from repro.engine.waits import Completion
@@ -115,11 +101,9 @@ class Lock:
     """A granted lock: one owner's claim on one resource.
 
     A lock can carry several *modes* at once — e.g. a scan's SIREAD range
-    that its owner's own insert also claims (INSERT_INTENTION).  A point
-    SIREAD has no lock of its own (it is a reader-table entry): the
-    queries build one for it, merged with its owner's lock on the same
-    resource — with ``siread_upgrade`` off, a transaction that read a
-    record and then wrote it shows SIREAD+EXCLUSIVE.  The modes are
+    that its owner's own insert also claims (INSERT_INTENTION), or, with
+    ``siread_upgrade`` off, a page a transaction read and then wrote
+    (SIREAD+EXCLUSIVE).  The modes are
     stored as the integer ``mask`` (OR of the modes' bits) so hot paths
     never hash Enum members; :attr:`modes` derives the familiar set view
     on demand.
@@ -172,15 +156,17 @@ class LockRequest(Completion):
     timeout cancel) is a no-op.
     """
 
-    __slots__ = ("resource", "mode", "state", "error")
+    __slots__ = ("resource", "mode", "state", "error", "chain")
 
     def __init__(self, owner: Any, resource: Resource, mode: LockMode,
-                 manager: Any = None) -> None:
+                 manager: Any = None, chain: Any = None) -> None:
         super().__init__(owner, manager)
         self.resource = resource
         self.mode = mode
         self.state = RequestState.WAITING
         self.error: Exception | None = None
+        #: the record's version chain its grant publishes on, if any
+        self.chain = chain
 
     @property
     def resolved(self) -> bool:
@@ -306,8 +292,6 @@ LockMode.INSERT_INTENTION.detect_mask = LockMode.SIREAD.bit
 LockMode.SHARED.detect_mask = 0
 
 _SIREAD_BIT = LockMode.SIREAD.bit
-#: the granted modes a point SIREAD reports (Fig 3.4's writers)
-_WRITE_BITS = LockMode.SIREAD.detect_mask
 _EXCLUSIVE_BIT = LockMode.EXCLUSIVE.bit
 _SHARED_BIT = LockMode.SHARED.bit
 
@@ -337,16 +321,19 @@ class LockManager:
 
     Thread-safe under **one** re-entrant latch (rank ``lock``), the
     paper's Section 4.4 arrangement: ``_latch`` guards the resource->head
-    map and every field of its heads (wait queues included), the reader
-    table, the per-owner indexes (``_by_owner``, ``_reads``,
-    ``_waiting``), the range and EXCLUSIVE-key indexes, the granted-lock
-    counter, the escalation weights, the waits-for graph and the stats
-    group.  Every public method is exactly one critical section, so a
-    release and an escalation can never interleave; private helpers run
-    with the latch already held.
+    map and every field of its heads (wait queues included), the
+    per-owner indexes (``_by_owner``, ``_reads``, ``_waiting``), the
+    range and EXCLUSIVE-key indexes, the granted-lock counter, the
+    escalation weights, the waits-for graph and the stats group.  Every
+    public method is exactly one critical section, so a release and an
+    escalation can never interleave; private helpers run with the latch
+    already held.
     The handful of latch-free reads that remain are single GIL-atomic
     dict/int probes, each documented where it happens with the reason a
-    stale answer is safe.
+    stale answer is safe.  Chain entries are the exception by design:
+    their owner's thread adds them with no latch (the engine's point
+    read), and :attr:`chain_readers` and each owner's ``sireads`` change
+    only through single GIL-atomic dict operations.
 
     Request callbacks and the deadlock handler run *under* the latch on
     the resolving thread; they may re-enter the manager (the latch is
@@ -372,16 +359,14 @@ class LockManager:
         self._by_owner: dict[Hashable, dict[Resource, Lock]] = defaultdict(dict)
         #: per-owner index of WAITING requests — the cancel_waits path.
         self._waiting: dict[Hashable, set[LockRequest]] = {}
-        #: the reader table: point resource (record or page) -> {owner
-        #: id: owner} for every point SIREAD granted there.  Point
-        #: SIREADs live here and nowhere else — not in ``_heads``.
-        self._readers: dict[Resource, dict[Hashable, Any]] = {}
-        #: owner id -> every resource it holds SIREAD on, in grant order:
-        #: its reader-table entries and its SIREAD ranges (head locks).
+        #: owner id -> every resource it holds SIREAD on, in grant order.
         #: An owner is present iff it holds one: O(1) holds_any_siread,
         #: consulted on every SSI commit, and cleanup's one walk.
-        self._reads: dict[Hashable, list[Resource]] = {}
-        #: granted head locks plus reader-table entries
+        self._reads: dict[Hashable, dict[Resource, None]] = {}
+        #: owner id -> owner whose ``sireads`` (chain -> (table, key)) hold
+        #: chain entries; the engine's read path adds it at its first one
+        self.chain_readers: dict[Hashable, Any] = {}
+        #: granted head locks (chain entries are counted from chain_readers)
         self._granted_count = 0
         #: (owner_id, folded range) -> the sentinels that range stands
         #: for, itself included.  An entry exists for every folded range
@@ -419,7 +404,7 @@ class LockManager:
 
     def acquire(
         self, owner: Any, resource: Resource, mode: LockMode,
-        key: Hashable | None = None,
+        key: Hashable | None = None, chain: Any = None,
     ) -> AcquireResult:
         """Request ``mode`` on ``resource`` for ``owner``.
 
@@ -433,28 +418,33 @@ class LockManager:
         :meth:`acquire_nowait` is the same call under its
         completion-style name.
 
-        A SIREAD on a record or page never waits and is always granted
-        (:meth:`_acquire_siread`).  ``key`` marks it a point read of that
-        record key (the engine's reads pass it, for a page resource too):
-        then a key range of the owner's own covering ``key`` stands in for
-        the reader entry.
+        A SIREAD on a record or page never waits and is always granted,
+        reporting the resource's EXCLUSIVE holders (Fig 3.4); a re-read
+        grants and reports nothing, not even an acquire.  ``key`` marks it
+        a point read of that record key (for a page resource too): then a
+        key range of the owner's own covering ``key`` stands in for it.
 
-        An EXCLUSIVE request reports the resource's reader entries (Fig
-        3.5); its grant drops its owner's own under ``siread_upgrade``.  An
+        An EXCLUSIVE request reports the resource's SIREAD holders (Fig
+        3.5); its grant drops its owner's own under ``siread_upgrade``.
+        ``chain`` is the record's version chain: a grant, here or from the
+        queue, publishes the owner as its ``writer`` and drops the owner's
+        entry there, and an owner with an entry there is an upgrader.  An
         EXCLUSIVE record request also meets the key ranges covering its
-        key, in the same critical section.  Another owner's SHARED range
-        makes it wait, queued as an INSERT_INTENTION request on that
-        range; every other owner's SIREAD range joins the detection
-        conflicts — the writer half of phantom detection.
+        key, in the same critical section.  Another owner's
+        SHARED range makes it wait, queued as an INSERT_INTENTION request
+        on that range; every other owner's SIREAD range joins the
+        detection conflicts — the writer half of phantom detection.
         """
-        point = resource.kind != "range"
-        if mode is LockMode.SIREAD and point:
-            return self._acquire_siread(owner, resource, key)
         owner_id = owner.id
+        point_read = mode is LockMode.SIREAD and resource.kind != "range"
         with self._latch:
-            self.stats["acquires"] += 1
             owner_locks = self._by_owner.get(owner_id)
             held = owner_locks.get(resource) if owner_locks else None
+            if point_read and held is not None and held.mask & _SIREAD_BIT:
+                return _GRANTED_CLEAN  # a re-read: its writers met the lock
+            self.stats["acquires"] += 1
+            if point_read and held is not None and held.mask & _EXCLUSIVE_BIT:
+                return _GRANTED_CLEAN
             ranges = (
                 self._ranges.get(resource.table)
                 if mode is LockMode.EXCLUSIVE and resource.kind == "rec"
@@ -470,81 +460,37 @@ class LockManager:
                         self._heads[blocking],
                         bool(owner_locks) and blocking in owner_locks,
                     )
-            readers = self._readers.get(resource) if point and self._readers else None
             head = self._heads.get(resource)
-            if head is None:
-                head = self._heads[resource] = _LockHead()
-            # A covered request (idempotent re-acquire) grants nothing but
-            # still reports detection conflicts, for retry correctness.
-            if held is None or not held.mask & mode.covered_by_mask:
-                # A range SIREAD never blocks and never waits (Section 3.2).
-                if mode is not LockMode.SIREAD:
-                    upgrading = held is not None or (
-                        readers is not None and owner_id in readers
-                    )
-                    if self._blockers(head, owner, mode, upgrading=upgrading):
-                        return self._enqueue_wait(owner, resource, mode, head, upgrading)
-                    if upgrading:
-                        self.stats["upgrades"] += 1
-                self._grant(head, owner, resource, mode, held)
+            if point_read and key is not None and self._own_range_over(
+                self._ranges.get(resource.table) or {}, owner_id, key, _SIREAD_BIT
+            ):
+                # Covered by the owner's own range: no lock of its own.
+                if head is None:
+                    return _GRANTED_CLEAN
+            else:
+                if head is None:
+                    head = self._heads[resource] = _LockHead()
+                # A covered request (idempotent re-acquire) grants nothing
+                # but still reports detection conflicts, for retry
+                # correctness.
+                if held is None or not held.mask & mode.covered_by_mask:
+                    # A SIREAD never blocks and never waits (Section 3.2).
+                    if mode is not LockMode.SIREAD:
+                        upgrading = held is not None or (
+                            chain is not None and chain in owner.sireads
+                        )
+                        if self._blockers(head, owner, mode, upgrading=upgrading):
+                            return self._enqueue_wait(
+                                owner, resource, mode, head, upgrading, chain
+                            )
+                        if upgrading:
+                            self.stats["upgrades"] += 1
+                    self._grant(head, owner, resource, mode, held, chain)
             conflicts = self._detection_conflicts(head, owner, mode)
-            if readers and mode.detect_mask & _SIREAD_BIT:
-                met = self._readers_met(readers, resource, owner_id)
-                if met:
-                    conflicts = conflicts + met
             if ranges:
                 met = self._range_readers(ranges, owner_id, resource.key)
                 if met:
                     conflicts = conflicts + met
-        if not conflicts:
-            return _GRANTED_CLEAN
-        return AcquireResult(AcquireStatus.GRANTED, detection_conflicts=conflicts)
-
-    def _acquire_siread(
-        self, owner: Any, resource: Resource, key: Hashable | None
-    ) -> AcquireResult:
-        """A point SIREAD (Fig 3.4), one critical section: a re-read
-        finds its entry and does nothing — not even count an acquire, as
-        it grants nothing; a read covered by the owner's EXCLUSIVE lock,
-        or a point read of ``key`` covered by one of its key ranges, adds
-        no entry (a writer of the key meets the range); any other read
-        adds one reader entry.  Either way but the re-read, the EXCLUSIVE
-        holders of ``resource`` come back as detection conflicts."""
-        owner_id = owner.id
-        with self._latch:
-            readers = self._readers.get(resource)
-            if readers is not None and owner_id in readers:
-                return _GRANTED_CLEAN
-            self.stats["acquires"] += 1
-            owner_locks = self._by_owner.get(owner_id)
-            covered = False
-            if owner_locks:
-                held = owner_locks.get(resource)
-                if held is not None and held.mask & _EXCLUSIVE_BIT:
-                    return _GRANTED_CLEAN
-                if key is not None:
-                    ranges = self._ranges.get(resource.table)
-                    covered = bool(ranges) and self._own_range_over(
-                        ranges, owner_id, key, _SIREAD_BIT
-                    )
-            if not covered:
-                if readers is None:
-                    self._readers[resource] = {owner_id: owner}
-                else:
-                    readers[owner_id] = owner
-                reads = self._reads.get(owner_id)
-                if reads is None:
-                    self._reads[owner_id] = [resource]
-                else:
-                    reads.append(resource)
-                self._granted_count += 1
-            head = self._heads.get(resource)
-            if head is None or not head.mask & _WRITE_BITS:
-                return _GRANTED_CLEAN
-            conflicts = [
-                lock for holder_id, lock in head.granted.items()
-                if holder_id != owner_id and lock.mask & _WRITE_BITS
-            ]
         if not conflicts:
             return _GRANTED_CLEAN
         return AcquireResult(AcquireStatus.GRANTED, detection_conflicts=conflicts)
@@ -560,65 +506,28 @@ class LockManager:
         targets it, like :meth:`probe_detection_batch`.
 
         Returns ``(conflicts, deferred)``: the combined detection
-        conflicts (granted write-mode locks of other owners, for the
-        caller to dispatch as rw edges), and the resources that need the
-        normal one-at-a-time path.  Deferred resources are *not* counted
-        as acquires here; the caller's normal acquire counts them.
-
-        SIREAD defers nothing: each resource is :meth:`acquire` in turn.
-        A blocking read mode (SHARED) goes strictly in submission order
-        and STOPS at the first resource that cannot be granted fresh — an
-        incompatible holder, a non-empty queue (FIFO fairness), or a
-        non-covering lock of this owner's own: granting later resources
-        while an earlier one must wait would invert the scan's lock order
-        against concurrent writers and manufacture deadlocks.  Everything
-        from the stopping point on is deferred, in order, to the caller's
-        normal blocking path.
+        conflicts (for the caller to dispatch as rw edges) and the
+        resources left, in order, to the caller's normal one-at-a-time
+        path, which counts them.  SIREAD defers nothing.  SHARED settles
+        the leading resources the owner already covers and defers the
+        rest: granting a later resource while an earlier one must wait
+        would invert the scan's lock order against concurrent writers.
         """
         conflicts: list[Lock] = []
-        deferred: list[Resource] = []
         with self._latch:
             if mode is LockMode.SIREAD:
                 for resource in resources:
                     conflicts.extend(self.acquire(owner, resource, mode).detection_conflicts)
-                return conflicts, deferred
-            owner_id = owner.id
-            bit = mode.bit
-            slot = mode.index
-            incompat = mode.incompat_mask
+                return conflicts, []
+            owner_locks = self._by_owner.get(owner.id) or {}
             settled = 0
-            heads = self._heads
-            owner_locks = self._by_owner.get(owner_id)
-            for index, resource in enumerate(resources):
-                held = owner_locks.get(resource) if owner_locks else None
-                if held is not None and held.mask & mode.covered_by_mask:
-                    settled += 1  # idempotent re-acquire: count, done
-                    continue
-                head = heads.get(resource)
-                readers = self._readers.get(resource)
-                if (
-                    held is not None
-                    or (readers is not None and owner_id in readers)
-                    or (head is not None and (head.mask & incompat or head.queue))
-                ):
-                    deferred = list(resources[index:])
+            for resource in resources:
+                held = owner_locks.get(resource)
+                if held is None or not held.mask & mode.covered_by_mask:
                     break
-                if head is None:
-                    head = heads[resource] = _LockHead()
-                # Fresh single-mode grant, inlined (_grant per row would
-                # dominate a 1024-row scan).
-                if owner_locks is None:
-                    owner_locks = self._by_owner[owner_id]
-                owner_locks[resource] = head.granted[owner_id] = Lock(
-                    owner, resource, mask=bit
-                )
-                if not head.counts[slot]:
-                    head.mask |= bit
-                head.counts[slot] += 1
                 settled += 1
-                self._granted_count += 1
             self.stats["acquires"] += settled
-        return conflicts, deferred
+        return conflicts, list(resources[settled:])
 
     # ------------------------------------------------------- key-range locks
 
@@ -705,8 +614,8 @@ class LockManager:
 
         Latch-free exit (two GIL-atomic probes) when the owner holds
         nothing or the table has no range: only the owner's own thread
-        grants it a read lock, and escalation only folds SIREADs it
-        already holds."""
+        grants it a read lock, and a range escalation places for it only
+        covers keys it already holds SIREADs on."""
         owner_id = owner.id
         if owner_id not in self._by_owner or not self._ranges.get(table):
             return False
@@ -807,14 +716,15 @@ class LockManager:
         mode: LockMode,
         head: _LockHead,
         upgrade: bool,
+        chain: Any = None,
     ) -> AcquireResult:
         """Queue a blocked request (caller holds the latch).
 
-        Upgrades — the owner already holds a lock or a reader entry here
-        — queue at the front (standard treatment) so an upgrader is not
-        starved behind later plain requests."""
+        Upgrades — the owner already holds a lock here or an entry on the
+        record's chain — queue at the front (standard treatment) so an
+        upgrader is not starved behind later plain requests."""
         owner_id = owner.id
-        request = LockRequest(owner, resource, mode, self)
+        request = LockRequest(owner, resource, mode, self, chain)
         if head.queue is None:
             head.queue = deque()
         if upgrade:
@@ -846,14 +756,14 @@ class LockManager:
         """Release every lock held by ``owner`` (commit/abort time).
 
         With ``keep_siread=True`` (Serializable SI commit, Fig 3.2 line 9)
-        the SIREADs stay: the reader table is not touched at all, and a
-        range's SIREAD mode is kept while its other modes go.  They are
+        the SIREADs stay: chain entries are not touched at all, and a
+        lock's SIREAD mode is kept while its other modes go.  They are
         dropped later by :meth:`drop_siread_locks` once no concurrent
-        transaction remains.  Without it (abort) the reader entries go
-        too.
+        transaction remains.  Without it (abort) they go too, the chain
+        entries by forgetting: an aborted owner's ids are dead.
 
         An owner with nothing to release exits with no latch at all — at
-        a retaining commit, that is an owner holding only point SIREADs.
+        a retaining commit, that is an owner holding only chain entries.
         The membership probes are GIL-atomic, and a stale "absent" cannot
         hide a lock: nothing is ever granted to an owner that is in none
         of the indexes — escalation only folds held SIREADs, and
@@ -861,16 +771,11 @@ class LockManager:
         ``_waiting``.
         """
         owner_id = owner.id
-        if (
-            owner_id not in self._by_owner and owner_id not in self._waiting
-            and (keep_siread or owner_id not in self._reads)
-        ):
+        if not keep_siread and getattr(owner, "sireads", None):
+            self._leave_chains(owner, unlink=False)
+        if owner_id not in self._by_owner and owner_id not in self._waiting:
             return
         with self._latch:
-            if not keep_siread:
-                reads = self._reads.pop(owner_id, None)
-                if reads:
-                    self._forget_readers(owner_id, reads)
             locks = self._by_owner.get(owner_id)
             if locks:
                 heads = self._heads
@@ -904,12 +809,8 @@ class LockManager:
         """Would ``release_all(owner, keep_siread=True)`` keep every lock
         the owner holds?  Then only its pending waits and waits-for edges
         are cancelled here and True is returned; False when it holds a
-        lock without SIREAD (e.g. a SHARED-read retaining policy).
-
-        No engine path calls it any more — a retaining commit of an owner
-        holding only point SIREADs leaves :meth:`release_all` latch-free —
-        it is kept only because the benchmark's layer tracer targets it.
-        """
+        lock without SIREAD (e.g. a SHARED-read retaining policy).  No
+        engine path calls it; the benchmark's layer tracer targets it."""
         owner_id = owner.id
         with self._latch:
             held = self._by_owner.get(owner_id)
@@ -921,91 +822,66 @@ class LockManager:
                 self.cancel_waits(owner)
         return True
 
+    def retire_reads(self, owners: Iterable[Any]) -> None:
+        """Cleanup's drop of the retained SIREADs of transactions leaving
+        the registry (Section 3.3).  Their chain entries are forgotten,
+        not unlinked — an unregistered id on a chain is dead, and the
+        next writer there prunes it — so only an owner holding SIREAD
+        locks (a range, a never-written key) takes the latch."""
+        forgotten = 0
+        for owner in owners:
+            forgotten += self._leave_chains(owner, unlink=False)
+            if owner.id in self._reads:
+                self.drop_siread_locks(owner)
+        if forgotten:
+            self.stats["siread_dropped"] += forgotten
+
     def drop_siread_locks(self, owner: Any) -> int:
-        """Remove the retained SIREADs of a cleaned-up suspended txn: one
-        walk of its read list, reader entries and ranges alike.
-
-        The weighted return value counts a folded range as the sentinels
-        it replaced.
-
-        An owner absent from ``_reads`` returns 0 with no latch (one
-        GIL-atomic probe); the stale answer is safe for the reason given
-        in :meth:`release_all` — no path grants to an owner holding
-        nothing.
+        """Remove an owner's SIREADs (a safe snapshot's reader, a test):
+        its chain entries, unlinked from their chains, and one walk of its
+        read list.  The weighted return value counts a folded range as
+        the sentinels it replaced.  An owner absent from ``_reads`` takes
+        no latch (one GIL-atomic probe, safe for the reason given in
+        :meth:`release_all`: no path grants to an owner holding nothing).
         """
         owner_id = owner.id
+        points = self._leave_chains(owner, unlink=True)
         if owner_id not in self._reads:
-            return 0
+            if points:
+                self.stats["siread_dropped"] += points
+            return points
         with self._latch:
-            reads = self._reads.pop(owner_id, None)
-            if not reads:
-                return 0
-            points = self._forget_readers(owner_id, reads)
+            reads = self._reads.pop(owner_id, None) or ()
             removed: list[Lock] = []
             shed = 0
-            if points < len(reads):
-                heads = self._heads
-                locks = self._by_owner[owner_id]
-                for resource in reads:
-                    if resource.kind != "range":
-                        continue
-                    lock = locks[resource]
-                    if lock.mask == _SIREAD_BIT:
-                        self._detach_lock(heads[resource], lock)
-                        removed.append(lock)
-                    else:
-                        shed += self._shed_siread(heads[resource], lock)
+            heads = self._heads
+            locks = self._by_owner[owner_id]
+            for resource in reads:
+                lock = locks[resource]
+                if lock.mask == _SIREAD_BIT:
+                    self._detach_lock(heads[resource], lock)
+                    removed.append(lock)
+                else:
+                    shed += self._shed_siread(heads[resource], lock)
             dropped = points + len(removed) + shed
             # The surplus is the extra sentinels folded ranges stood for.
             return dropped + self._forget_locks(
                 owner_id, removed, dropped_stat=dropped
             )
 
-    def _forget_readers(self, owner_id: Hashable, reads: Sequence[Resource]) -> int:
-        """Remove ``owner_id``'s reader entries among ``reads`` (its read
-        list, already taken out of ``_reads``; ranges are skipped) and
-        return how many there were."""
-        table = self._readers
-        points = 0
-        for resource in reads:
-            if resource.kind != "range":
-                readers = table[resource]
-                del readers[owner_id]
-                if not readers:
-                    del table[resource]
-                points += 1
-        self._granted_count -= points
+    def _leave_chains(self, owner: Any, unlink: bool) -> int:
+        """Take every chain entry of ``owner`` out of its count, and with
+        ``unlink`` off the chains too; returns how many there were."""
+        sireads = getattr(owner, "sireads", None)
+        if not sireads:
+            return 0
+        points = len(sireads)
+        if unlink:
+            for chain in list(sireads):
+                chain.readers.pop(owner.id, None)
+        sireads.clear()
+        self.chain_readers.pop(owner.id, None)
         return points
-
-    def _drop_readers(self, owner_id: Hashable, points: Sequence[Resource]) -> None:
-        """Remove reader entries of ``owner_id``, from its read list too."""
-        self._forget_readers(owner_id, points)
-        self._unlist_reads(owner_id, points)
-
-    def _unlist_reads(self, owner_id: Hashable, gone: Sequence[Resource]) -> None:
-        """Take ``gone`` out of ``owner_id``'s read list, if it has one."""
-        reads = self._reads.get(owner_id)
-        if reads is None:
-            return
-        if len(gone) == 1:
-            reads.remove(gone[0])
-        else:
-            dropped = set(gone)
-            reads[:] = [resource for resource in reads if resource not in dropped]
-        if not reads:
-            del self._reads[owner_id]
-
-    @staticmethod
-    def _readers_met(
-        readers: dict[Hashable, Any], resource: Resource, owner_id: Hashable
-    ) -> list[Lock]:
-        """The other owners among ``resource``'s ``readers``, as the
-        SIREAD :class:`Lock` objects a detection conflict carries."""
-        return [
-            Lock(reader, resource, mask=_SIREAD_BIT)
-            for reader_id, reader in readers.items()
-            if reader_id != owner_id
-        ]
 
     def _detach_lock(self, head: _LockHead, lock: Lock) -> None:
         """Head-side removal of a granted lock (caller holds the latch).
@@ -1046,17 +922,17 @@ class LockManager:
             self._granted_count -= len(removed)
             owner_locks = self._by_owner[owner_id]
             weights = self._escalated_weights
-            siread_gone = []
+            reads = self._reads.get(owner_id)
             for lock in removed:
-                if lock.mask & _SIREAD_BIT:
-                    siread_gone.append(lock.resource)
+                if reads is not None and lock.mask & _SIREAD_BIT:
+                    del reads[lock.resource]
                 if weights:
                     surplus += weights.pop((owner_id, lock.resource), 1) - 1
                 del owner_locks[lock.resource]
             if not owner_locks:
                 del self._by_owner[owner_id]
-            if siread_gone:
-                self._unlist_reads(owner_id, siread_gone)
+            if reads is not None and not reads:
+                del self._reads[owner_id]
         if dropped_stat:
             self.stats["siread_dropped"] += dropped_stat + surplus
         return surplus
@@ -1068,62 +944,64 @@ class LockManager:
         folding SIREADs into key ranges (``None`` = no budget).
 
         Victims are the busiest SIREAD holders (ties by owner id).  A
-        victim's record reader entries and pure range SIREADs on one
-        table fold into one range over their span (:meth:`_fold`); a
-        record the victim also holds a lock on belongs to an active
-        writer and stays put, a page entry is never folded, and a lone
-        sentinel is already as coarse as its fold.  Writers meet the fold
-        in :meth:`acquire` like any scan's range, and a range covers keys
-        no leaf holds yet, so a leaf split owes it nothing.  Only pure
-        SIREADs fold: a SHARED range or a writer's INSERT_INTENTION claim
-        never stands in for one.
+        victim's record SIREADs — chain entries and locks — and pure
+        range SIREADs on one table fold into one range over their span
+        (:meth:`_fold`); a record the victim also holds another mode on
+        belongs to an active writer and stays put, a page SIREAD is never
+        folded, and a lone sentinel is already as coarse as its fold.
+        Writers meet the fold in :meth:`acquire` like any scan's range,
+        and a range covers keys no leaf holds yet, so a leaf split owes it
+        nothing.  Only pure SIREADs fold: a SHARED range or a writer's
+        INSERT_INTENTION claim never stands in for one.
 
         Soundness: the whole escalation is one critical section, so a
-        writer sees the fine sentinels or their fold, never neither, and
-        the fold covers every key they covered — escalation can add
-        false-positive rw edges but never lose one.  The latch-free
-        budget check reads one int (:meth:`table_size`)."""
-        if budget is None or self._granted_count <= budget:
+        writer sees the fine locks or their fold, never neither, and a
+        folded chain entry leaves its id on the chain for a writer that
+        read the readers before the fold.  The fold covers every key they
+        covered: escalation can add false-positive rw edges, never lose one."""
+        if budget is None or self.table_size() <= budget:
             return
         with self._latch:
-            ranked = sorted(
-                ((owner_id, len(reads)) for owner_id, reads in self._reads.items()),
-                key=lambda item: (-item[1], str(item[0])),
-            )
-            for owner_id, _count in ranked:
+            chained = dict(self.chain_readers)
+            counts = {owner_id: len(reads) for owner_id, reads in self._reads.items()}
+            for owner_id, owner in chained.items():
+                counts[owner_id] = counts.get(owner_id, 0) + len(owner.sireads)
+            for owner_id, _count in sorted(
+                counts.items(), key=lambda item: (-item[1], str(item[0]))
+            ):
                 locks = self._by_owner.get(owner_id, {})
-                by_table: dict[str, list[Resource]] = {}
-                for resource in self._reads[owner_id]:
-                    if resource.kind == "rec":
-                        foldable = resource not in locks
-                    else:
-                        foldable = (
-                            resource.kind == "range"
-                            and locks[resource].mask == _SIREAD_BIT
-                        )
-                    if foldable:
+                by_table: dict[str, list] = {}
+                for resource in self._reads.get(owner_id, ()):
+                    if resource.kind != "page" and locks[resource].mask == _SIREAD_BIT:
                         by_table.setdefault(resource.table, []).append(resource)
-                for table, resources in by_table.items():
-                    if len(resources) > 1:
-                        self._fold(owner_id, table, resources)
-                    if self._granted_count <= budget:
+                owner = chained.get(owner_id)
+                if owner is not None:
+                    for chain, (table, key) in list(owner.sireads.items()):
+                        if record_resource(table, key) not in locks:
+                            by_table.setdefault(table, []).append((chain, key))
+                for table, items in by_table.items():
+                    if len(items) > 1:
+                        self._fold(owner_id, table, items, owner)
+                    if self.table_size() <= budget:
                         return
 
-    def _fold(self, owner_id: Hashable, table: str, resources: list[Resource]) -> None:
-        """Replace one owner's pure SIREADs on ``table`` — record reader
-        entries and range locks, ``resources`` — with one SIREAD on the
-        range ``[min lo, max hi]`` of what they covered (a record covers
-        its own key; an open end stays ``None``; bounds that do not order
-        against each other fold to the whole table).
-
-        The replaced sentinels are *folded*, not dropped: no
-        ``siread_dropped`` bump — the range's weight entry carries their
-        count, folded ranges' own weights included, to whichever path
-        finally removes it."""
+    def _fold(
+        self, owner_id: Hashable, table: str, items: list, owner: Any
+    ) -> None:
+        """Replace one owner's pure SIREADs on ``table`` — ``items``: lock
+        resources and ``(chain, key)`` chain entries of ``owner`` — with
+        one SIREAD on the range ``[min lo, max hi]`` they covered (a record
+        covers its key; an open end stays ``None``; bounds that do not
+        order against each other fold to the whole table).  They are
+        *folded*, not dropped: the range's weight entry carries their
+        count, folded ranges' weights included, to whichever path finally
+        removes it."""
+        resources = [item for item in items if isinstance(item, Resource)]
+        chains = [item[0] for item in items if not isinstance(item, Resource)]
         spans = [
-            resource.key if resource.kind == "range"
-            else (resource.key, resource.key)
-            for resource in resources
+            item.key if isinstance(item, Resource) and item.kind == "range"
+            else (item[-1], item[-1])  # a record's key, or a chain entry's
+            for item in items
         ]
         los = [lo for lo, _hi in spans]
         his = [hi for _lo, hi in spans]
@@ -1134,25 +1012,21 @@ class LockManager:
             lo = hi = None
         target = range_resource(table, lo, hi)
         locks = self._by_owner.get(owner_id, {})
-        first = resources[0]
-        owner = (
-            locks[first].owner if first.kind == "range"
-            else self._readers[first][owner_id]
-        )
+        if resources:
+            owner = locks[resources[0]].owner
         weight_key = (owner_id, target)
         weight = self._escalated_weights.get(weight_key, 1)
         self._place_range(owner, target, LockMode.SIREAD, locks.get(target))
-        points = [resource for resource in resources if resource.kind == "rec"]
-        if points:
-            self._drop_readers(owner_id, points)
-        removed = [
-            self._by_owner[owner_id][resource] for resource in resources
-            if resource.kind == "range" and resource != target
-        ]
+        removed = [locks[resource] for resource in resources if resource != target]
         for lock in removed:
             self._detach_lock(self._heads[lock.resource], lock)
         surplus = self._forget_locks(owner_id, removed)
-        folded = len(points) + len(removed)
+        if chains:
+            for chain in chains:
+                owner.sireads.pop(chain, None)
+            if not owner.sireads:
+                self.chain_readers.pop(owner_id, None)
+        folded = len(removed) + len(chains)
         self._escalated_weights[weight_key] = weight + folded + surplus
         self.stats["escalations"] += 1
         self.stats["escalated_records"] += folded
@@ -1180,20 +1054,19 @@ class LockManager:
 
     def _probe(self, owner: Any, resource: Resource, mode: LockMode) -> list[Lock]:
         head = self._heads.get(resource)
-        found = (
-            self._detection_conflicts(head, owner, mode)
-            if head is not None else _NO_CONFLICTS
-        )
-        readers = self._readers.get(resource)
-        if readers and mode.detect_mask & _SIREAD_BIT:
-            found = found + self._readers_met(readers, resource, owner.id)
-        return found
+        if head is None:
+            return _NO_CONFLICTS
+        return self._detection_conflicts(head, owner, mode)
 
     def siread_lock_count(self) -> int:
-        """Granted SIREADs, across all owners (obs gauge): reader entries
-        plus SIREAD ranges."""
+        """Granted SIREADs, across all owners (obs gauge): chain entries
+        plus SIREAD locks."""
         with self._latch:
-            return sum(len(reads) for reads in self._reads.values())
+            return sum(len(reads) for reads in self._reads.values()) + self._chain_count()
+
+    def _chain_count(self) -> int:
+        """Live chain entries: those of the owners still registered."""
+        return sum(len(owner.sireads) for owner in list(self.chain_readers.values()))
 
     def escalated_lock_count(self) -> int:
         """Folded ranges currently granted (obs gauge; one atomic
@@ -1271,52 +1144,42 @@ class LockManager:
     # --------------------------------------------------------------- queries
 
     def locks_on(self, resource: Resource) -> list[Lock]:
-        """The granted locks on ``resource``, one per owner; a reader
-        entry shows as a SIREAD :class:`Lock`, merged with its owner's
-        head lock there if it has one."""
+        """The granted locks on ``resource``, one per owner (chain entries
+        live on the chain: ``chain.readers``)."""
         with self._latch:
             head = self._heads.get(resource)
-            locks = dict(head.granted) if head else {}
-            for reader_id, reader in self._readers.get(resource, {}).items():
-                lock = locks.get(reader_id)
-                locks[reader_id] = Lock(
-                    reader, resource, mask=_SIREAD_BIT | (lock.mask if lock else 0)
-                )
-            return list(locks.values())
+            return list(head.granted.values()) if head else []
 
     def locks_held_by(self, owner: Any) -> list[Lock]:
-        """The locks ``owner`` holds, one per resource, reader entries
-        included (as in :meth:`locks_on`)."""
+        """The locks ``owner`` holds, one per resource; a chain entry
+        shows as a SIREAD :class:`Lock` on its record, merged with the
+        owner's lock there if it has one."""
         with self._latch:
             held = dict(self._by_owner.get(owner.id, {}))
-            for resource in self._reads.get(owner.id, ()):
-                if resource.kind != "range":
-                    lock = held.get(resource)
-                    held[resource] = Lock(
-                        owner, resource, mask=_SIREAD_BIT | (lock.mask if lock else 0)
-                    )
+            for table, key in list(getattr(owner, "sireads", {}).values()):
+                resource = record_resource(table, key)
+                lock = held.get(resource)
+                held[resource] = Lock(
+                    owner, resource, mask=_SIREAD_BIT | (lock.mask if lock else 0)
+                )
             return list(held.values())
 
     def holds(self, owner: Any, resource: Resource, mode: LockMode | None = None) -> bool:
         """Latch-free (GIL-atomic ``get`` probes): only the owner's own
         thread grants or releases on its behalf while it runs, so the
         answer about one's own locks cannot go stale mid-call; about
-        another owner it is a momentary snapshot either way."""
+        another owner it is a momentary snapshot either way.  Chain
+        entries are not locks: ask the chain (``chain.readers``)."""
         owner_locks = self._by_owner.get(owner.id)
         lock = owner_locks.get(resource) if owner_locks else None
-        if lock is not None and (mode is None or lock.mask & mode.bit):
-            return True
-        if mode is not None and mode is not LockMode.SIREAD:
-            return False
-        readers = self._readers.get(resource)
-        return readers is not None and owner.id in readers
+        return lock is not None and (mode is None or bool(lock.mask & mode.bit))
 
     def holds_any_siread(self, owner: Any) -> bool:
-        """Latch-free (one GIL-atomic probe): asked at the owner's own
+        """Latch-free (two GIL-atomic probes): asked at the owner's own
         commit, when nothing else grants to it — escalation only folds
         SIREADs the owner already holds, so it cannot turn a False into a
         True."""
-        return owner.id in self._reads
+        return owner.id in self._reads or bool(getattr(owner, "sireads", None))
 
     def waiting_requests(self) -> list[LockRequest]:
         with self._latch:
@@ -1348,21 +1211,24 @@ class LockManager:
         return [choose(owners) for owners in cycles]
 
     def table_size(self) -> int:
-        """Number of granted locks, head locks plus reader entries —
-        tracks the Section 3.3 growth concern.
-        Latch-free: one int read feeding gauges and :meth:`escalate`'s
-        budget check, where a value one grant stale is as good as a fresh one."""
-        return self._granted_count
+        """Number of granted locks plus live chain entries — tracks the
+        Section 3.3 growth concern.  Latch-free (GIL-atomic reads) for
+        the gauges and :meth:`escalate`'s budget check, where a value one
+        grant stale is as good as a fresh one."""
+        return self._granted_count + self._chain_count()
 
     def residue(self) -> dict[str, int]:
         """What is left in the manager, for the after-quiesce audits: every
         count is zero once all transactions have been retired."""
         with self._latch:
+            chained = self._chain_count()
             return {
-                "granted": self._granted_count,
-                "owners": len(self._by_owner.keys() | self._reads.keys()),
+                "granted": self._granted_count + chained,
+                "owners": len(
+                    self._by_owner.keys() | self._reads.keys() | self.chain_readers.keys()
+                ),
                 "waiters": len(self._waiting),
-                "siread": sum(len(reads) for reads in self._reads.values()),
+                "siread": sum(len(reads) for reads in self._reads.values()) + chained,
             }
 
     # -------------------------------------------------------------- internals
@@ -1394,7 +1260,7 @@ class LockManager:
             head.mask |= bit
         head.counts[mode.index] += 1
         if mode is LockMode.SIREAD:
-            self._reads.setdefault(lock.owner.id, []).append(lock.resource)
+            self._reads.setdefault(lock.owner.id, {})[lock.resource] = None
         elif bit == _EXCLUSIVE_BIT and self._exclusive_keys:
             self._index_exclusive(lock.resource, held=True)
 
@@ -1410,7 +1276,11 @@ class LockManager:
         if bit == _EXCLUSIVE_BIT and self._exclusive_keys:
             self._index_exclusive(lock.resource, held=False)
         if mode is LockMode.SIREAD:
-            self._unlist_reads(lock.owner.id, (lock.resource,))
+            reads = self._reads.get(lock.owner.id)  # drop_siread_locks took it
+            if reads is not None:
+                del reads[lock.resource]
+                if not reads:
+                    del self._reads[lock.owner.id]
 
     def _shed_siread(self, head: _LockHead, lock: Lock) -> int:
         """Strip the SIREAD mode from a lock that stays granted in its
@@ -1472,10 +1342,12 @@ class LockManager:
         resource: Resource,
         mode: LockMode,
         held: Lock | None,
+        chain: Any = None,
     ) -> None:
         """Give ``owner`` ``mode`` on ``resource``; ``held`` is the lock
         it already holds there, if any (a no-op when that lock carries
-        the mode already)."""
+        the mode already).  An EXCLUSIVE grant publishes ``owner`` as
+        the ``writer`` of the record's ``chain``, if given."""
         owner_id = owner.id
         if held is None:
             held = head.granted[owner_id] = Lock(owner, resource)
@@ -1483,14 +1355,24 @@ class LockManager:
             self._granted_count += 1
         if not held.mask & mode.bit:
             self._add_mode(head, held, mode)
-        # SIREAD->EXCLUSIVE upgrade discards the reader entry so it is
+        if mode is not LockMode.EXCLUSIVE:
+            return
+        if chain is not None:
+            chain.writer = owner_id
+        # SIREAD->EXCLUSIVE upgrade discards the owner's SIREAD so it is
         # not retained after commit (Section 3.7.3); the new version's
         # first-committer conflicts subsume its detection role.
-        if mode is LockMode.EXCLUSIVE and self.siread_upgrade and self._readers:
-            readers = self._readers.get(resource)
-            if readers is not None and owner_id in readers:
-                self._drop_readers(owner_id, (resource,))
+        if self.siread_upgrade:
+            if held.mask & _SIREAD_BIT:
+                self._discard_mode(head, held, LockMode.SIREAD)
                 self.stats["siread_dropped"] += 1
+            if chain is not None:
+                sireads = owner.sireads
+                if sireads.pop(chain, None) is not None:
+                    chain.readers.pop(owner_id, None)
+                    if not sireads:
+                        self.chain_readers.pop(owner_id, None)
+                    self.stats["siread_dropped"] += 1
 
     def _promote(self, resource: Resource) -> None:
         """Grant queued requests now compatible, front-first (FIFO)."""
@@ -1509,7 +1391,7 @@ class LockManager:
             # Index the grant before the request leaves _waiting: the
             # owner is then never absent from both indexes, which is what
             # release_all's latch-free early exit relies on.
-            self._grant(head, request.owner, resource, request.mode, held)
+            self._grant(head, request.owner, resource, request.mode, held, request.chain)
             self._waiting_discard(request)
             request._resolve(RequestState.GRANTED)
             if self.trace is not None:

@@ -35,6 +35,13 @@ all.  That works because both lists live in a single
   old in-place ``del list[:removed]`` could shift entries under a
   concurrent ``bisect`` and return a version misaligned with its
   timestamp.
+
+Each chain also carries its item's SSI point-read state (Section 3.2's
+SIREAD, kept where the read lands): ``readers``, the ids of transactions
+that read it (a dict made with the chain, so two first readers never race
+to make it), and ``writer``, the id of the last SIREAD-tracking writer
+granted EXCLUSIVE on it.  Ids, never transactions: nothing retired is
+pinned, and the engine decides which ids are live.
 """
 
 from __future__ import annotations
@@ -93,7 +100,7 @@ class VersionChain:
     paper Section 2.5).
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "readers", "writer")
 
     def __init__(self, versions: Iterable[Version] | None = None):
         # Legacy constructor argument is newest-first; storage is ascending.
@@ -103,6 +110,10 @@ class VersionChain:
             ordered,
             [version.commit_ts for version in ordered],
         )
+        #: ids of the transactions holding a point SIREAD here (values unused)
+        self.readers: dict[int, None] = {}
+        #: id of the SIREAD-tracking writer last granted EXCLUSIVE here
+        self.writer: int | None = None
 
     def install(self, version: Version) -> int:
         """Append a newly committed version; returns the new chain length

@@ -212,6 +212,8 @@ class MetricsRegistry:
         self._groups: dict[str, CounterGroup] = {}
         self._histograms: dict[str, Histogram] = {}
         self._gauges: dict[str, Gauge] = {}
+        #: callables that fold buffered samples in before a snapshot
+        self._flushers: list = []
 
     # -------------------------------------------------------- registration
 
@@ -247,6 +249,10 @@ class MetricsRegistry:
             self._histograms[name] = histogram
             return histogram
 
+    def before_snapshot(self, fn) -> None:
+        """Run ``fn`` (no obs latch held) before each snapshot and reset."""
+        self._flushers.append(fn)
+
     def register_gauge(self, name: str, fn) -> Gauge:
         """Register a sampled instantaneous metric (see :class:`Gauge`)."""
         gauge = Gauge(name, fn)
@@ -271,9 +277,11 @@ class MetricsRegistry:
         The result contains only plain dicts, ints, floats and None, so
         it round-trips through strict JSON and never aliases live state.
         """
-        # Gauges first, *outside* the obs latch: their probes may take
+        # Flushers and gauges first, *outside* the obs latch: they may take
         # engine latches (the lock-manager latch for siread_lock_count), which
         # rank below the obs leaf and must not nest under it.
+        for flush in self._flushers:
+            flush()
         with OBS_LATCH:
             gauge_list = list(self._gauges.values())
         gauges = {gauge.name: json_safe(gauge.read()) for gauge in gauge_list}
@@ -290,6 +298,8 @@ class MetricsRegistry:
             }
 
     def reset(self) -> None:
+        for flush in self._flushers:
+            flush()
         with OBS_LATCH:
             for group in self._groups.values():
                 group.reset()

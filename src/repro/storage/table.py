@@ -166,10 +166,13 @@ class Table:
         horizon_ts: int,
         chunk_size: int | None = None,
         on_pause: Any = None,
+        live: Any = (),
     ) -> int:
         """Prune versions invisible to every snapshot at or after
-        ``horizon_ts``; drop keys whose chains the prune emptied (not a
-        page-granularity inserter's empty registration).
+        ``horizon_ts``; forget reader ids not in ``live`` (retired
+        transactions); drop keys whose chains the prune emptied (not a
+        page-granularity inserter's empty registration) unless a live
+        reader is on the chain: its SIREAD must meet a re-insert.
 
         At most ``chunk_size`` chains (default
         :data:`VACUUM_CHUNK_SIZE`) are examined per latch hold and the
@@ -196,7 +199,10 @@ class Table:
                     last = key
                     pruned = chain.prune(horizon_ts)
                     removed += pruned
-                    if pruned and not len(chain):
+                    readers = chain.readers
+                    for reader in [r for r in list(readers) if r not in live]:
+                        readers.pop(reader, None)
+                    if pruned and not len(chain) and not readers:
                         dead_keys.append(key)
                     if examined >= chunk_size:
                         break

@@ -20,8 +20,10 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 #: acquisitions per transaction; the budget was 20.6 (si) and 32.4 (ssi)
-#: while each point lookup, counter and Fig 3.4 check took a latch
-BUDGET = {"si": 10, "ssi": 20}
+#: while each point lookup, counter and Fig 3.4 check took a latch, and
+#: 20 (ssi, 17.7 spent) while a point SIREAD was a lock-manager call and
+#: every SSI commit observed two histograms under the obs latch
+BUDGET = {"si": 10, "ssi": 12}
 
 MIX = """
 import json, random, sys

@@ -4,7 +4,7 @@ The optimized :class:`LockManager` answers its hot-path queries from
 derived state — the per-owner lock index (``_by_owner``), the packed
 per-head mode summary (``_LockHead.counts``/``mask``), the per-owner
 waiting-request index (``_waiting``), the per-owner read lists
-(``_reads``: reader-table entries and SIREAD ranges), the per-table
+(``_reads``: every lock carrying SIREAD, point or range), the per-table
 key-range index (``_ranges``), the sorted EXCLUSIVE record keys of
 range-touched tables (``_exclusive_keys``) and the global granted
 counter — instead of walking the lock table.
@@ -12,8 +12,9 @@ These tests drive random sequences of acquires (single and batched),
 SIREAD and SHARED key-range placements (with the writers a SHARED
 range queues), releases, SIREAD drops, wait
 cancellations and SIREAD escalation (folds into key ranges), then rebuild
-every index from the ground-truth table (the per-resource heads and the
-reader table of point SIREADs) and require exact agreement.
+every index from the ground-truth table (the per-resource heads, where a
+point SIREAD is a mode of its owner's lock like any other) and require
+exact agreement.
 """
 
 from dataclasses import dataclass
@@ -48,18 +49,10 @@ class Owner:
 
 
 def rebuild_ground_truth(lm: LockManager):
-    """Recompute every derived index by walking the per-resource heads
-    and the reader table."""
+    """Recompute every derived index by walking the per-resource heads."""
     by_owner: dict = {}
     reads: dict = {}
     granted_total = 0
-    for resource, readers in lm._readers.items():
-        assert resource.kind != "range"
-        assert readers, f"empty reader entry for {resource!r} not reclaimed"
-        for owner_id, owner in readers.items():
-            assert owner.id == owner_id
-            granted_total += 1
-            reads.setdefault(owner_id, set()).add(resource)
     for resource, head in lm._heads.items():
         assert not head.empty(), f"empty head for {resource!r} not reclaimed"
         mode_counts = {mode: 0 for mode in MODES}
@@ -73,8 +66,6 @@ def rebuild_ground_truth(lm: LockManager):
                 if lock.mask & mode.bit:
                     mode_counts[mode] += 1
             if lock.mask & LockMode.SIREAD.bit:
-                # point SIREADs live only in the reader table
-                assert resource.kind == "range"
                 reads.setdefault(owner_id, set()).add(resource)
         # the packed summary must agree with the recount, mode by mode
         expected_mask = 0
@@ -224,7 +215,7 @@ def test_indexes_agree_with_lock_table(sequence):
         lm.drop_siread_locks(owner)
     check_agreement(lm, owners)
     assert not lm._heads
-    assert not lm._readers
+    assert not lm.chain_readers
     assert not any(lm.residue().values())
     assert not lm._escalated_weights
     assert not any(lm._ranges.values())
@@ -232,20 +223,14 @@ def test_indexes_agree_with_lock_table(sequence):
 
 
 def table_of(lm: LockManager):
-    """The lock table as plain data: who holds what (reader entries as
-    SIREAD), who queues where."""
-    table = {}
-    for resource in lm._heads.keys() | lm._readers.keys():
-        head = lm._heads.get(resource)
-        granted = {
-            owner_id: lock.mask for owner_id, lock in head.granted.items()
-        } if head else {}
-        for owner_id in lm._readers.get(resource, ()):
-            granted[owner_id] = granted.get(owner_id, 0) | LockMode.SIREAD.bit
-        table[resource] = (
-            granted, [(r.owner.id, r.mode) for r in (head and head.queue) or ()]
+    """The lock table as plain data: who holds what, who queues where."""
+    return {
+        resource: (
+            {owner_id: lock.mask for owner_id, lock in head.granted.items()},
+            [(r.owner.id, r.mode) for r in head.queue or ()],
         )
-    return table
+        for resource, head in lm._heads.items()
+    }
 
 
 def acquire_in_order(lm: LockManager, owner, resources, mode, skip=()):

@@ -1,11 +1,14 @@
-"""Unit tests for the reader table of point SIREADs.
+"""Unit tests for point SIREADs held in the lock manager.
 
-A point SIREAD (record or page) is an entry in the lock manager's reader
-table, not a lock head.  These pin down the behaviours that layout must
-keep: the SIREAD -> EXCLUSIVE upgrade (counted, queued at the front,
-the entry dropped only under ``siread_upgrade``), retention across
-commit until cleanup, abort dropping the entries, the introspection
-queries, and a read its owner's own key range covers.
+The engine keeps a point read's SIREAD on the record's version chain at
+record granularity (``tests/engine/test_chain_sireads.py``); the lock
+manager still holds one for a page, for a never-written key and for any
+caller that requests it, as a mode of its owner's lock on the resource.
+These pin down the behaviours that home must keep: the SIREAD ->
+EXCLUSIVE upgrade (counted, queued at the front, the SIREAD dropped only
+under ``siread_upgrade``), retention across commit until cleanup, abort
+dropping them, the introspection queries, a re-read that grants nothing,
+and a read its owner's own key range covers.
 """
 
 from dataclasses import dataclass

@@ -186,3 +186,34 @@ class TestGauge:
         assert gauges["siread_locks"] >= 1
         assert gauges["escalated_locks"] == 0
         txn.commit()
+
+
+class TestBufferedHistograms:
+    def test_snapshot_folds_every_buffered_sample(self):
+        """The engine buffers its two SSI-only per-commit samples under
+        the tracker latch; a snapshot taken before any batch boundary
+        still counts every retained commit and every cleanup once."""
+        from repro import Database, EngineConfig
+        from repro.engine import database
+
+        db = Database(EngineConfig(eager_cleanup=True))
+        db.create_table("t")
+        db.load("t", [(k, 0) for k in range(4)])
+        pin = db.begin("ssi")
+        pin.read("t", 0)  # holds the horizon: every reader below suspends
+        for key in range(1, 4):
+            reader = db.begin("ssi")
+            reader.read("t", key)
+            reader.commit()
+        pin.commit()  # the horizon moves: everything suspended is cleaned
+        suspended = db.stats["suspended_peak"]
+        cleaned = db.stats["cleaned"]
+        assert suspended == 4 and cleaned == 4  # the pin suspends too
+        assert cleaned < database._SAMPLE_BATCH  # no batch boundary reached
+        histograms = db.metrics.snapshot()["histograms"]
+        assert histograms["suspended_transactions"]["count"] == suspended
+        assert histograms["siread_retention"]["count"] == cleaned
+        # a second snapshot folds nothing twice
+        again = db.metrics.snapshot()["histograms"]
+        assert again["suspended_transactions"]["count"] == suspended
+        assert again["siread_retention"]["count"] == cleaned

@@ -1,7 +1,9 @@
 """Model-based property test of the lock manager's SSI detection.
 
-Random sequences of point SIREADs (with and without the reader's key, so
-the own-range coverage check runs or not), EXCLUSIVE writes (alone and
+Random sequences of point SIREADs (at page granularity with and without
+the reader's key, so the own-range coverage check runs or not; at record
+granularity as entries on the record's version chain, the engine's
+protocol replayed by :func:`chain_read` and :func:`chain_write`), EXCLUSIVE writes (alone and
 after a read of the same key), SIREAD key ranges, commit releases that keep SIREADs, abort releases, SIREAD drops
 and escalations run, across several owners, against a brute-force model:
 a flat map (owner, resource) -> modes, plus each owner's SIREAD grant
@@ -14,13 +16,15 @@ retiring everyone must leave ``residue()`` empty.
 Writers take EXCLUSIVE only where no other owner holds it, and every
 range is SIREAD, so no request ever waits: the model needs no queues.
 
-Counting rule the model pins down: a point SIREAD is a reader-table
-entry, a granted lock of its own — an owner that read and then wrote a
-record with ``siread_upgrade`` off holds two there (its entry and its
-EXCLUSIVE lock).  Ranges and EXCLUSIVE locks count one each.
+Counting rule the model pins down: a record SIREAD is a chain entry, a
+grant of its own — an owner that read and then wrote a record with
+``siread_upgrade`` off holds two there (its entry and its EXCLUSIVE
+lock).  A page SIREAD is a mode of its owner's page lock, so the same
+read-then-write of a page holds one.  Ranges and EXCLUSIVE locks count
+one each.  Escalation folds an owner's ranges before its chain entries.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +36,7 @@ from repro.locking.manager import (
     record_resource,
 )
 from repro.locking.modes import LockMode
+from repro.mvcc.version import VersionChain
 
 SIREAD, X = LockMode.SIREAD, LockMode.EXCLUSIVE
 N_OWNERS = 3
@@ -43,6 +48,39 @@ KEYS = range(4)
 class Owner:
     id: int
     begin_ts: int = 0
+    sireads: dict = field(default_factory=dict)
+
+
+def chain_read(lm: LockManager, owners, chain, owner, table, key) -> list[int]:
+    """``Database._read_chain``: the reader stores its id, then reads the
+    chain's writer, returned while it still holds EXCLUSIVE (the engine
+    asks whether the writer is still active)."""
+    if chain in owner.sireads:
+        return []
+    lm.stats["acquires"] += 1
+    writer = chain.writer
+    live = writer is not None and lm.holds(
+        owners[writer], record_resource(table, key), X
+    )
+    if live and writer == owner.id:
+        return []
+    if not lm.holds_range_over(owner, table, key):
+        chain.readers[owner.id] = None
+        if not owner.sireads:
+            lm.chain_readers[owner.id] = owner
+        owner.sireads[chain] = (table, key)
+    return [writer] if live and writer != owner.id else []
+
+
+def chain_write(owners, chain, owner, conflicts) -> list[int]:
+    """``Database._report_readers``: the chain's readers — an id
+    escalation folded only if the write did not meet its range — then the
+    detection conflicts."""
+    met = [lock.owner.id for lock in conflicts]
+    return [
+        reader for reader in chain.readers
+        if reader != owner.id and (chain in owners[reader].sireads or reader not in met)
+    ] + met
 
 
 def _covers(bounds, key) -> bool:
@@ -114,6 +152,8 @@ class Model:
         resource = self.point(table, key)
         if self.has(owner, resource, SIREAD) or self.has(owner, resource, X):
             return []
+        # a chain read always checks the reader's own ranges
+        with_key = with_key or not self.page
         if not (with_key and self.owns_range_over(owner, table, key)):
             self.add(owner, resource, SIREAD)
         return self.holders(resource, X, owner)
@@ -174,7 +214,10 @@ class Model:
         return total
 
     def table_size(self) -> int:
-        return sum(len(modes) for modes in self.modes.values())
+        return sum(
+            1 if resource.kind == "page" else len(modes)
+            for (_owner, resource), modes in self.modes.items()
+        )
 
     def siread_count(self) -> int:
         return sum(len(order) for order in self.order.values())
@@ -185,7 +228,8 @@ class Model:
         ranked = sorted(self.order, key=lambda o: (-len(self.order[o]), str(o)))
         for owner in ranked:
             by_table: dict[str, list] = {}
-            for resource in self.order[owner]:
+            order = self.order[owner]
+            for resource in sorted(order, key=lambda r: r.kind != "range"):
                 if resource.kind != "page" and self.modes[(owner, resource)] == {SIREAD}:
                     by_table.setdefault(resource.table, []).append(resource)
             for table, resources in by_table.items():
@@ -232,35 +276,44 @@ def ids(locks) -> list[int]:
     return sorted(lock.owner.id for lock in locks)
 
 
-def step(lm: LockManager, model: Model, owners, op) -> None:
+def step(lm: LockManager, model: Model, owners, chains, op) -> None:
     kind = op[0]
     if kind == "rmw":
         _, owner, table, key = op
-        step(lm, model, owners, ("read", owner, table, key, True))
-        step(lm, model, owners, ("write", owner, table, key))
+        step(lm, model, owners, chains, ("read", owner, table, key, True))
+        step(lm, model, owners, chains, ("write", owner, table, key))
     elif kind == "read":
         _, owner, table, key, with_key = op
-        result = lm.acquire(
-            owners[owner], model.point(table, key), SIREAD,
-            key if with_key else None,
-        )
-        assert result.granted
-        assert ids(result.detection_conflicts) == sorted(
-            model.read(owner, table, key, with_key)
-        ), op
+        if model.page:
+            result = lm.acquire(
+                owners[owner], model.point(table, key), SIREAD,
+                key if with_key else None,
+            )
+            assert result.granted
+            found = ids(result.detection_conflicts)
+        else:
+            found = chain_read(
+                lm, owners, chains[table, key], owners[owner], table, key
+            )
+        assert found == sorted(model.read(owner, table, key, with_key)), op
     elif kind == "write":
         _, owner, table, key = op
         if not model.can_write(owner, table, key):
             return
         found = []
-        resources = [record_resource(table, key)]
         if model.page:
-            resources.insert(0, model.point(table, key))
-        for resource in resources:
-            result = lm.acquire(owners[owner], resource, X)
-            assert result.granted
-            found += result.detection_conflicts
-        assert ids(found) == sorted(model.write(owner, table, key)), op
+            for resource in (model.point(table, key), record_resource(table, key)):
+                result = lm.acquire(owners[owner], resource, X)
+                assert result.granted
+                found += ids(result.detection_conflicts)
+        else:
+            chain = chains[table, key]
+            result = lm.acquire(
+                owners[owner], record_resource(table, key), X, None, chain
+            )
+            assert result.granted and chain.writer == owner
+            found = chain_write(owners, chain, owners[owner], result.detection_conflicts)
+        assert sorted(found) == sorted(model.write(owner, table, key)), op
     elif kind == "scan":
         _, owner, table, lo, hi = op
         if lo is not None and hi is not None and hi < lo:
@@ -271,6 +324,10 @@ def step(lm: LockManager, model: Model, owners, op) -> None:
         lm.release_all(owners[op[1]], keep_siread=True)
         model.commit(op[1])
     elif kind == "abort":
+        # An aborted id is dead to the engine, but this test reuses ids:
+        # take them off the chains, as no later writer may meet them.
+        for chain in owners[op[1]].sireads:
+            chain.readers.pop(op[1], None)
         lm.release_all(owners[op[1]])
         model.abort(op[1])
     elif kind == "drop":
@@ -297,8 +354,9 @@ def test_detection_matches_the_model(page, siread_upgrade, sequence):
     lm = LockManager(siread_upgrade=siread_upgrade)
     model = Model(page, siread_upgrade)
     owners = [Owner(i, begin_ts=i) for i in range(N_OWNERS)]
+    chains = {(table, key): VersionChain() for table in TABLES for key in KEYS}
     for operation in sequence:
-        step(lm, model, owners, operation)
+        step(lm, model, owners, chains, operation)
         check(lm, model, owners)
     # retire everyone the way the engine does: commit keeps the SIREADs,
     # cleanup drops them
