@@ -13,25 +13,36 @@ port, drives 64 concurrent client connections — half at ``si``, half at
   owners, no waiters, no SIREAD sentinels, and
 * the server stops with no connection or session left behind.
 
+With ``--wal`` the server runs as ``python -m repro.server --wal`` does:
+on a database recovered from a write-ahead log file that every commit is
+flushed to.  The smoke runs traffic, stops the server, restarts it from
+the log, runs more traffic and restarts it again, and also checks that
+each restart recovers exactly the committed state the stopped server
+left (so every acknowledged commit is present) and that no transaction
+id is logged twice.
+
 Exit status 0 on success, 1 on any violation — wired into CI next to the
 latch-discipline lint.
 
 Usage::
 
-    PYTHONPATH=src python scripts/server_smoke.py [--connections 64]
+    PYTHONPATH=src python scripts/server_smoke.py [--connections 64] [--wal]
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import os
 import sys
+import tempfile
 
 from repro.client import AsyncClient
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import TransactionAbortedError
 from repro.server import ReproServer
+from repro.server.__main__ import open_database
 from repro.sgt.checker import check_serializable
 
 ACCOUNTS = 64
@@ -61,10 +72,27 @@ async def client_task(port: int, index: int, level: str,
         await client.close()
 
 
-async def run_smoke(connections: int) -> tuple[Database, dict]:
+def fresh_database() -> Database:
     db = Database(EngineConfig(record_history=True))
     db.create_table("acct")
     db.load("acct", [(i, 1000) for i in range(ACCOUNTS)])
+    return db
+
+
+def durable_database(wal_path: str) -> Database:
+    """The database ``python -m repro.server --wal`` would serve; on an
+    empty log the accounts are put in by one logged transaction, since a
+    bulk load is not logged."""
+    db = open_database(EngineConfig(record_history=True), wal_path)
+    if db.wal.last_lsn == 0:
+        db.create_table("acct")
+        with db.begin("ssi") as txn:
+            for i in range(ACCOUNTS):
+                txn.write("acct", i, 1000)
+    return db
+
+
+async def run_smoke(db: Database, connections: int) -> dict:
     server = ReproServer(db)
     await server.start()
     tallies = {"commits": 0, "aborts": 0}
@@ -79,18 +107,26 @@ async def run_smoke(connections: int) -> tuple[Database, dict]:
     tallies["connections"] = connections
     tallies["open_sessions"] = server.scheduler.open_sessions
     tallies["server_connections"] = server.connections
-    return db, tallies
+    return tallies
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--connections", type=int, default=64)
-    args = parser.parse_args(argv)
+def committed_state(db: Database) -> dict:
+    """Every key's newest committed version: (value, commit timestamp)."""
+    table = db.table("acct")
+    state = {}
+    for chunk in table.scan_chunks(None, None):
+        for key, chain in chunk:
+            version = chain.latest()
+            state[key] = (version.value, version.commit_ts)
+    return state
 
-    db, tallies = asyncio.run(run_smoke(args.connections))
-    expected = args.connections * TXNS_PER_CONNECTION
+
+def check_run(db: Database, tallies: dict) -> list[str]:
+    """The checks every run must pass; returns the problems found."""
+    connections = tallies["connections"]
+    expected = connections * TXNS_PER_CONNECTION
     total = tallies["commits"] + tallies["aborts"]
-    print(f"{args.connections} connections: "
+    print(f"{connections} connections: "
           f"{tallies['commits']} commits, {tallies['aborts']} aborts")
     # Report only: commits that overlapped a leader rode follower groups.
     print("group_commit:", db.metrics.snapshot()["counters"]["group_commit"])
@@ -125,6 +161,50 @@ def main(argv: list[str] | None = None) -> int:
     if balance != 1000 * ACCOUNTS:
         problems.append(f"invariant violated: balance {balance} != "
                         f"{1000 * ACCOUNTS}")
+    return problems
+
+
+def durable_runs(connections: int, wal_path: str) -> list[str]:
+    """Traffic, stop, restart from the log; traffic, stop, restart."""
+    problems = []
+    acknowledged = 1  # the setup transaction
+    db = durable_database(wal_path)
+    for restart in (1, 2):
+        tallies = asyncio.run(run_smoke(db, connections))
+        acknowledged += tallies["commits"]
+        problems += check_run(db, tallies)
+        left = committed_state(db)
+        db.wal.close()
+        db = durable_database(wal_path)
+        if committed_state(db) != left:
+            problems.append(f"restart {restart}: recovered state differs "
+                            "from the state the stopped server committed")
+    logged = db.wal.committed_txn_ids()
+    if len(logged) != acknowledged:
+        problems.append(f"{len(logged)} commits logged, "
+                        f"{acknowledged} acknowledged")
+    if len(set(logged)) != len(logged):
+        problems.append("a transaction id is logged twice")
+    else:
+        print(f"log holds all {acknowledged} acknowledged commits "
+              "across two restarts")
+    return problems
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--connections", type=int, default=64)
+    parser.add_argument("--wal", action="store_true",
+                        help="serve from a write-ahead log and restart from it")
+    args = parser.parse_args(argv)
+
+    if args.wal:
+        with tempfile.TemporaryDirectory() as directory:
+            problems = durable_runs(args.connections,
+                                    os.path.join(directory, "smoke.wal"))
+    else:
+        db = fresh_database()
+        problems = check_run(db, asyncio.run(run_smoke(db, args.connections)))
 
     if problems:
         print("\nserver smoke FAILED:")

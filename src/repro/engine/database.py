@@ -78,7 +78,7 @@ from repro.locking.manager import (
 from repro.locking.modes import LockMode
 from repro.mvcc.snapshot import Snapshot
 from repro.mvcc.timestamps import LogicalClock
-from repro.mvcc.version import TOMBSTONE, Version
+from repro.mvcc.version import TOMBSTONE, Version, VersionChain
 from repro.obs.explain import AbortExplanation, explain_abort as _explain_abort
 from repro.obs.registry import OBS_LATCH, MetricsRegistry
 from repro.obs.trace import EventTrace, EventType
@@ -865,7 +865,7 @@ class Database:
     def read(self, txn: Transaction, table_name: str, key: Hashable) -> Any:
         """Fig 3.4's modified read (plus the S2PL/SI/SGT variants)."""
         self._check_op(txn)
-        value, found = self._read_internal(txn, table_name, key, locking=False)
+        value, found = self._read_internal(txn, table_name, key)
         if not found:
             raise KeyNotFoundError(table_name, key)
         return value
@@ -874,7 +874,7 @@ class Database:
         self, txn: Transaction, table_name: str, key: Hashable, default: Any = None
     ) -> Any:
         self._check_op(txn)
-        value, found = self._read_internal(txn, table_name, key, locking=False)
+        value, found = self._read_internal(txn, table_name, key)
         return value if found else default
 
     def read_for_update(self, txn: Transaction, table_name: str, key: Hashable) -> Any:
@@ -883,10 +883,15 @@ class Database:
         semantics (Section 2.6.2)."""
         self._check_op(txn)
         self._check_write(txn)
-        self._acquire_write_locks(txn, self.table(table_name), table_name, key)
-        value, found = self._read_internal(
-            txn, table_name, key, locking=True
-        )
+        table = self.table(table_name)
+        chain = self._acquire_write_locks(txn, table, table_name, key)
+        if chain is None:  # PAGE granularity, or installed meanwhile
+            chain = table.chain(key)
+        self._ensure_snapshot(txn)
+        # Promotion semantics: a locking read of an item with a newer
+        # committed version conflicts exactly like a write would.
+        self._first_committer_check(txn, table_name, key)
+        value, found = self._visible_value(txn, table_name, key, chain)
         if not found:
             raise KeyNotFoundError(table_name, key)
         return value
@@ -1572,7 +1577,7 @@ class Database:
 
     def _acquire_write_locks(
         self, txn: Transaction, table: Table, table_name: str, key: Hashable
-    ) -> None:
+    ) -> VersionChain | None:
         """Write-side locking: the EXCLUSIVE record lock.  It meets every
         key range covering ``key`` (an S2PL scanner's SHARED range makes
         the write wait) and every SIREAD on the record: on its chain,
@@ -1582,7 +1587,9 @@ class Database:
         after this snapshot, marks a rw-dependency holder -> txn (Fig
         3.5/3.7), for updates, deletes, inserts and blind writes alike.
         Under PAGE granularity the key's leaf page, where readers' page
-        SIREADs sit, is X-locked first."""
+        SIREADs sit, is X-locked first.  Returns the record's chain as
+        looked up before the grant (None under PAGE granularity or for a
+        key without one)."""
         # Fail fast on first-committer-wins before queueing behind the
         # lock: if a newer committed version already exists, waiting is
         # futile (Berkeley DB aborts on the dirty-page request, Section
@@ -1603,6 +1610,7 @@ class Database:
         )
         if result.detection_conflicts or chain is not None and chain.readers:
             self._report_readers(txn, result.detection_conflicts, chain)
+        return chain
 
     def _report_readers(self, txn: Transaction, conflicts: list, chain=None) -> None:
         """Fig 3.5/3.7: each SIREAD holder a write met — a lock, or a
@@ -1737,23 +1745,17 @@ class Database:
     # ------------------------------------------------------------- reads
 
     def _read_internal(
-        self, txn: Transaction, table_name: str, key: Hashable, locking: bool
+        self, txn: Transaction, table_name: str, key: Hashable
     ) -> tuple[Any, bool]:
-        """Shared read path.  ``locking=True`` means the caller already
-        acquired EXCLUSIVE (read_for_update)."""
+        """Shared path of :meth:`read` and :meth:`get`."""
         table = self.table(table_name)
         chain = table.chain(key)
-        if not locking:
-            if txn._safe_event is not None:
-                self._take_safe_snapshot(txn)
-            self._acquire_read_locks(txn, table_name, key, chain)
-            if chain is None:  # it may have been installed meanwhile
-                chain = table.chain(key)
+        if txn._safe_event is not None:
+            self._take_safe_snapshot(txn)
+        self._acquire_read_locks(txn, table_name, key, chain)
+        if chain is None:  # it may have been installed meanwhile
+            chain = table.chain(key)
         self._ensure_snapshot(txn)
-        if locking and txn.policy.uses_snapshots:
-            # Promotion semantics: a locking read of an item with a newer
-            # committed version conflicts exactly like a write would.
-            self._first_committer_check(txn, table_name, key)
         return self._visible_value(txn, table_name, key, chain)
 
     def _visible_value(

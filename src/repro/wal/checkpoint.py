@@ -20,7 +20,7 @@ from typing import Any
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.mvcc.version import TOMBSTONE, Version
-from repro.wal.log import WriteAheadLog
+from repro.wal.log import WriteAheadLog, replace_file
 from repro.wal.recovery import replay
 
 
@@ -73,8 +73,7 @@ def take_checkpoint(db: Database, path: str | None = None) -> dict:
     if db.wal is not None:
         db.wal.flush()
     if path is not None:
-        with open(path, "wb") as handle:
-            pickle.dump(image, handle)
+        replace_file(path, pickle.dumps(image, pickle.HIGHEST_PROTOCOL))
     return image
 
 
@@ -97,6 +96,8 @@ def restore_checkpoint(
                 commit_ts=commit_ts,
                 creator_id=creator_id,
             ))
+            # New transactions must not take the id of a version's creator.
+            db._next_txn_id = max(db._next_txn_id, creator_id + 1)
     db.clock.advance_to(image["clock"])
     return db
 

@@ -9,16 +9,29 @@ suffix.
 Group commit falls out naturally: any number of commit records appended
 between two flushes are made durable by the single flush that follows.
 
-Optional file persistence uses pickle (values are arbitrary Python
-objects); the file is written on flush, giving the same durability
-boundary as the in-memory watermark.
+With a ``path``, the log is an append-only file of *frames*, one per
+flush that had new records: a 4-byte length, a 4-byte CRC32 of the
+payload, and the payload — the pickle of the list of records that flush
+made durable (values are arbitrary Python objects).  The flush writes its
+frame and calls ``os.fsync`` before it advances ``flushed_lsn``, so the
+file holds exactly the durable prefix and a commit group is one frame:
+recovery sees all of it or none.  :meth:`WriteAheadLog.load` reads
+frames up to the first one that runs past the end of the file or fails
+its CRC — the torn tail of a flush cut short — and truncates the file
+there, so later flushes append after valid data.  The in-memory log
+(``path=None``) never touches a file.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from typing import Any, Hashable, Iterable, Iterator
+import struct
+import weakref
+import zlib
+from bisect import bisect_left
+from operator import attrgetter
+from typing import Any, Hashable, Iterator
 
 from repro.engine.latches import make_latch
 from repro.wal.records import (
@@ -30,25 +43,60 @@ from repro.wal.records import (
     WriteRecord,
 )
 
+#: frame header: payload length, CRC32 of the payload (little-endian)
+_HEADER = struct.Struct("<II")
+
+
+def _frame(records: list[LogRecord]) -> bytes:
+    payload = pickle.dumps(records, pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def replace_file(path: str, data: bytes) -> None:
+    """Atomically make ``data`` the contents of ``path``: write a
+    temporary file beside it, fsync it, rename it over ``path`` and fsync
+    the directory.  A crash leaves either the old file or the new one."""
+    temp = f"{path}.tmp"
+    with open(temp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temp, path)
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
 
 class WriteAheadLog:
     """An append-only redo log with a flush watermark.
 
     Args:
-        path: optional file path; when set, :meth:`flush` persists the
-            flushed prefix and :meth:`load` can rebuild the log from disk.
+        path: optional file path; when set, :meth:`flush` appends the
+            newly durable records to it as one fsync'd frame, and
+            :meth:`load` rebuilds the log from disk.  A new log replaces
+            any file at ``path`` on its first flush; a loaded one
+            continues the file it read.
     """
 
     def __init__(self, path: str | None = None):
         self._records: list[LogRecord] = []
+        #: how many of ``_records`` (a prefix) are durable
+        self._durable = 0
         self._flushed_lsn = 0
         self._next_lsn = 1
         self.path = path
+        #: the open log file, from the first flush on, and its finalizer
+        self._file = None
+        self._closer = None
+        self._file_mode = "wb"
         self.stats = {"appends": 0, "flushes": 0}
         # Leaf latch (rank "wal", the bottom of the hierarchy): serialises
-        # LSN allocation, appends and the flush watermark.  Engine callers
-        # invoke the WAL outside every engine latch, so log-file I/O never
-        # blocks latched critical sections — only other WAL operations.
+        # LSN allocation, appends, the flush watermark and the file.
+        # Engine callers invoke the WAL outside every engine latch, so
+        # log-file I/O never blocks latched critical sections — only
+        # other WAL operations.
         self._latch = make_latch("wal")
 
     # ------------------------------------------------------------- append
@@ -100,37 +148,80 @@ class WriteAheadLog:
     def flush(self) -> int:
         """Make everything appended so far durable; returns the new
         watermark.  One flush covers every commit queued behind it
-        (group commit)."""
+        (group commit); on a file log it is one frame and one fsync."""
         with self._latch:
-            self._flushed_lsn = self.last_lsn
             self.stats["flushes"] += 1
             if self.path is not None:
-                durable = [
-                    r for r in self._records if r.lsn <= self._flushed_lsn
-                ]
-                with open(self.path, "wb") as handle:
-                    pickle.dump(durable, handle)
+                if self._file is None:
+                    self._file = open(self.path, self._file_mode, buffering=0)
+                    # Closes the file when the log is collected unclosed.
+                    self._closer = weakref.finalize(self, self._file.close)
+                if self._durable < len(self._records):
+                    self._append_frame(_frame(self._records[self._durable:]))
+            self._durable = len(self._records)
+            self._flushed_lsn = self.last_lsn
             return self._flushed_lsn
+
+    def _append_frame(self, frame: bytes) -> None:
+        """Write and fsync one frame; a write or sync that fails cuts the
+        file back to where the frame began, so a later flush never
+        appends behind a partial frame."""
+        start = self._file.tell()
+        try:
+            if self._file.write(frame) != len(frame):
+                raise OSError(f"short write to {self.path}")
+            os.fsync(self._file.fileno())
+        except BaseException:
+            self._file.truncate(start)
+            self._file.seek(start)
+            raise
 
     def crash(self) -> int:
         """Simulate power loss: the unflushed suffix disappears.
         Returns the number of records lost."""
         with self._latch:
-            survivors = [r for r in self._records if r.lsn <= self._flushed_lsn]
-            lost = len(self._records) - len(survivors)
-            self._records = survivors
+            lost = len(self._records) - self._durable
+            del self._records[self._durable:]
             self._next_lsn = self._flushed_lsn + 1
             return lost
 
+    def close(self) -> None:
+        """Close the log file (a later flush reopens it to append)."""
+        with self._latch:
+            self._close_file()
+
+    def _close_file(self) -> None:
+        if self._file is not None:
+            self._closer()
+            self._file = None
+            self._file_mode = "ab"
+
     @classmethod
     def load(cls, path: str) -> "WriteAheadLog":
-        """Rebuild a log from its persisted (flushed) prefix."""
+        """Rebuild a log from the frames in its file, dropping a torn
+        tail — a frame cut short or failing its CRC — and truncating the
+        file after the last good frame.  The log continues that file."""
         log = cls(path=path)
-        if os.path.exists(path) and os.path.getsize(path) > 0:
-            with open(path, "rb") as handle:
-                log._records = pickle.load(handle)
-            log._flushed_lsn = max((r.lsn for r in log._records), default=0)
-            log._next_lsn = log._flushed_lsn + 1
+        log._file_mode = "ab"
+        if not os.path.exists(path):
+            return log
+        with open(path, "rb") as handle:
+            data = handle.read()
+        offset, header = 0, _HEADER.size
+        while offset + header <= len(data):
+            length, crc = _HEADER.unpack_from(data, offset)
+            payload = data[offset + header:offset + header + length]
+            if length == 0 or len(payload) < length or zlib.crc32(payload) != crc:
+                break
+            log._records.extend(pickle.loads(payload))
+            offset += header + length
+        if offset < len(data):
+            with open(path, "r+b") as handle:
+                handle.truncate(offset)
+                os.fsync(handle.fileno())
+        log._durable = len(log._records)
+        log._flushed_lsn = log._records[-1].lsn if log._records else 0
+        log._next_lsn = log._flushed_lsn + 1
         return log
 
     # ----------------------------------------------------------- reading
@@ -140,9 +231,7 @@ class WriteAheadLog:
         what recovery is allowed to see."""
         with self._latch:
             if durable_only:
-                return iter(
-                    [r for r in self._records if r.lsn <= self._flushed_lsn]
-                )
+                return iter(self._records[:self._durable])
             return iter(list(self._records))
 
     def committed_txn_ids(self) -> list[int]:
@@ -155,11 +244,17 @@ class WriteAheadLog:
     def truncate_before(self, lsn: int) -> int:
         """Drop records below ``lsn`` (after a checkpoint made them
         redundant).  Returns the number removed.  LSNs are preserved —
-        the log keeps a base offset."""
+        the log keeps a base offset.  A file log is rewritten atomically
+        to one frame of the durable records kept."""
         with self._latch:
-            keep = [record for record in self._records if record.lsn >= lsn]
-            removed = len(self._records) - len(keep)
-            self._records = keep
+            removed = bisect_left(self._records, lsn, key=attrgetter("lsn"))
+            del self._records[:removed]
+            self._durable = max(0, self._durable - removed)
+            if removed and self.path is not None:
+                self._close_file()
+                kept = self._records[:self._durable]
+                replace_file(self.path, _frame(kept) if kept else b"")
+                self._file_mode = "ab"
             return removed
 
     def __len__(self) -> int:

@@ -46,7 +46,9 @@ def replay(log: WriteAheadLog, base: Database | None = None,
 
     commit_ts_of: dict[int, int] = {}
     writes: dict[int, list[WriteRecord]] = defaultdict(list)
+    max_txn_id = 0
     for record in log.records(durable_only=True):
+        max_txn_id = max(max_txn_id, record.txn_id)
         if isinstance(record, CommitRecord):
             if record.commit_ts > held_ts:
                 commit_ts_of[record.txn_id] = record.commit_ts
@@ -65,8 +67,10 @@ def replay(log: WriteAheadLog, base: Database | None = None,
         max_ts = max(max_ts, commit_ts)
 
     # Advance the clock past everything recovered so new transactions
-    # order after pre-crash history.
+    # order after pre-crash history, and the id counter past every id in
+    # the log so a database that keeps logging to it never reuses one.
     db.clock.advance_to(max_ts)
+    db._next_txn_id = max(db._next_txn_id, max_txn_id + 1)
     return db
 
 

@@ -1,5 +1,6 @@
 """Checkpoint/restore tests."""
 
+import os
 import threading
 
 import pytest
@@ -112,6 +113,38 @@ def test_new_transactions_order_after_restore(db):
     chain = restored.table("t").chain("a")
     assert chain.latest().value == "new"
     assert len(chain) == 2  # new version strictly after the restored one
+
+
+def test_restore_never_reuses_a_creator_id(db):
+    restored = restore_checkpoint(take_checkpoint(db))
+    creators = {restored.table("t").chain(k).latest().creator_id
+                for k in ("a", "b", "c")}
+    assert restored.begin("ssi").id > max(creators)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, db,
+                                                         monkeypatch):
+    """The image is synced to a temporary file and renamed over the old
+    one, so a write that fails before the rename leaves the old image."""
+    path = str(tmp_path / "db.ckpt")
+    take_checkpoint(db, path=path)
+    traffic(db, ["d"], offset=9)
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            take_checkpoint(db, path=path)
+    check = restore_checkpoint(path).begin("si")
+    assert dict(check.scan("t")) == {"a": 0, "b": 1, "c": 2}
+    check.commit()
+
+    take_checkpoint(db, path=path)
+    check = restore_checkpoint(path).begin("si")
+    assert dict(check.scan("t")) == {"a": 0, "b": 1, "c": 2, "d": 9}
+    check.commit()
 
 
 class ParkedWriteWAL(WriteAheadLog):

@@ -1,5 +1,7 @@
 """Write-ahead log unit tests."""
 
+import os
+
 import pytest
 
 from repro.wal.log import WriteAheadLog
@@ -95,3 +97,154 @@ def test_truncate_before():
     removed = log.truncate_before(lsn=3)
     assert removed == 2
     assert [r.lsn for r in log.records()] == [3, 4, 5]
+
+
+# ------------------------------------------------------------ file format
+
+
+def commit_pairs(log, txn_ids):
+    """One write and one commit per id, each flushed on its own."""
+    for txn_id in txn_ids:
+        log.log_write(txn_id, "t", txn_id, "v")
+        log.log_commit(txn_id, txn_id)
+        log.flush()
+
+
+def test_torn_last_frame_is_dropped_and_truncated(tmp_path):
+    path = str(tmp_path / "wal.bin")
+    log = WriteAheadLog(path=path)
+    commit_pairs(log, [1, 2])
+    good = os.path.getsize(path)
+    commit_pairs(log, [3])
+    log.close()
+    with open(path, "r+b") as handle:  # the last flush was cut short
+        handle.truncate(os.path.getsize(path) - 5)
+
+    reloaded = WriteAheadLog.load(path)
+    assert reloaded.committed_txn_ids() == [1, 2]
+    assert os.path.getsize(path) == good
+    commit_pairs(reloaded, [4])
+    reloaded.close()
+    assert WriteAheadLog.load(path).committed_txn_ids() == [1, 2, 4]
+
+
+def test_header_cut_short_is_a_torn_tail(tmp_path):
+    path = str(tmp_path / "wal.bin")
+    log = WriteAheadLog(path=path)
+    commit_pairs(log, [1])
+    log.close()
+    good = os.path.getsize(path)
+    with open(path, "ab") as handle:
+        handle.write(b"\x07\x00\x00")
+    assert WriteAheadLog.load(path).committed_txn_ids() == [1]
+    assert os.path.getsize(path) == good
+
+
+def test_corrupt_crc_drops_only_the_last_frame(tmp_path):
+    path = str(tmp_path / "wal.bin")
+    log = WriteAheadLog(path=path)
+    commit_pairs(log, [1, 2])
+    last = os.path.getsize(path)
+    commit_pairs(log, [3])
+    log.close()
+    with open(path, "r+b") as handle:
+        handle.seek(last + 4)  # the last frame's CRC field
+        byte = handle.read(1)
+        handle.seek(last + 4)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+
+    reloaded = WriteAheadLog.load(path)
+    assert reloaded.committed_txn_ids() == [1, 2]
+    assert reloaded.last_lsn == 4
+    assert os.path.getsize(path) == last
+
+
+def test_fsync_once_per_flush_with_new_records(tmp_path, monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+
+    memory = WriteAheadLog()
+    commit_pairs(memory, [1, 2])
+    memory.flush()
+    assert synced == []
+
+    log = WriteAheadLog(path=str(tmp_path / "wal.bin"))
+    log.flush()  # nothing new
+    assert synced == []
+    commit_pairs(log, [1, 2, 3])
+    assert len(synced) == 3
+    log.flush()
+    log.flush()
+    assert len(synced) == 3
+    assert log.stats["flushes"] == 6
+
+
+def test_flush_writes_only_its_own_records(tmp_path):
+    path = str(tmp_path / "wal.bin")
+    log = WriteAheadLog(path=path)
+    growth = []
+    for txn_id in range(10, 60):
+        before = os.path.getsize(path) if os.path.exists(path) else 0
+        commit_pairs(log, [txn_id])
+        growth.append(os.path.getsize(path) - before)
+    assert len(set(growth)) == 1, growth
+    assert os.path.getsize(path) == 50 * growth[0]
+
+
+def test_fresh_log_replaces_the_file_and_load_continues_it(tmp_path):
+    path = str(tmp_path / "wal.bin")
+    old = WriteAheadLog(path=path)
+    commit_pairs(old, [1, 2])
+    old.close()
+
+    continued = WriteAheadLog.load(path)
+    commit_pairs(continued, [3])
+    continued.close()
+    assert WriteAheadLog.load(path).committed_txn_ids() == [1, 2, 3]
+
+    fresh = WriteAheadLog(path=path)
+    assert WriteAheadLog.load(path).committed_txn_ids() == [1, 2, 3]
+    commit_pairs(fresh, [7])
+    fresh.close()
+    assert WriteAheadLog.load(path).committed_txn_ids() == [7]
+
+
+def test_truncate_before_rewrites_the_file(tmp_path):
+    path = str(tmp_path / "wal.bin")
+    log = WriteAheadLog(path=path)
+    for i in range(5):
+        log.log_write(1, "t", i, i)
+    log.flush()
+    assert log.truncate_before(lsn=3) == 2
+    assert [r.lsn for r in WriteAheadLog.load(path).records()] == [3, 4, 5]
+    assert not os.path.exists(path + ".tmp")
+
+    log.log_write(2, "t", "k", "v")
+    log.log_commit(2, 9)
+    log.flush()  # appends to the rewritten file
+    reloaded = WriteAheadLog.load(path)
+    assert [r.lsn for r in reloaded.records()] == [3, 4, 5, 6, 7]
+    assert reloaded.committed_txn_ids() == [2]
+
+
+def test_failed_sync_cuts_the_frame_back(tmp_path, monkeypatch):
+    path = str(tmp_path / "wal.bin")
+    log = WriteAheadLog(path=path)
+    commit_pairs(log, [1])
+    good = os.path.getsize(path)
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", failing_fsync)
+        log.log_write(2, "t", 2, "v")
+        log.log_commit(2, 2)
+        with pytest.raises(OSError):
+            log.flush()
+    assert os.path.getsize(path) == good
+    assert log.flushed_lsn == 2
+    log.flush()  # the retry writes the whole group as one frame
+    log.close()
+    assert WriteAheadLog.load(path).committed_txn_ids() == [1, 2]

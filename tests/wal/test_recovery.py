@@ -162,6 +162,28 @@ class TestReplayWithBase:
         check.commit()
 
 
+    def test_recovered_database_never_reuses_a_logged_txn_id(self):
+        """A database recovered onto the log it keeps writing must not
+        log a second txn 1: redo groups writes by id."""
+        db, wal = make_db()
+        txn = db.begin("ssi")
+        txn.write("t", "a", "first")
+        txn.write("t", "b", "first")
+        txn.commit()
+
+        recovered = replay(wal, base=Database(EngineConfig(), wal=wal))
+        for key, value in (("a", "second"), ("b", "third")):
+            txn = recovered.begin("ssi")
+            txn.write("t", key, value)
+            txn.commit()
+        assert len(set(wal.committed_txn_ids())) == 3
+
+        again = recover_database(wal)
+        check = again.begin("si")
+        assert dict(check.scan("t")) == {"a": "second", "b": "third"}
+        check.commit()
+
+
 class TestEndToEnd:
     def test_workload_survives_crash_recover_cycle(self):
         """Run SmallBank-ish traffic, crash, recover, compare state."""
