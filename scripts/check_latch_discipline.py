@@ -60,7 +60,8 @@ next to ruff/mypy:
    time and on every path, not just the paths a test happens to drive.
 
 6. **The engine never parks a thread.**  In the engine proper —
-   ``engine/database.py``, ``engine/groupcommit.py`` and every module of
+   ``engine/database.py``, its read path ``engine/reads.py``, its commit
+   pipeline ``engine/commit.py`` and every module of
    ``locking/``, ``core/`` and ``cc/`` — no call may block the calling
    thread (``.wait(...)``, ``block_on``, ``block_until``), whether a
    latch is held or not.  An engine operation that must wait raises
@@ -157,7 +158,8 @@ PARK_CALLS = {"wait", "block_on", "block_until"}
 #: the engine proper (rule 6): files, and folders ending in "/"
 NO_PARK = (
     "src/repro/engine/database.py",
-    "src/repro/engine/groupcommit.py",
+    "src/repro/engine/reads.py",
+    "src/repro/engine/commit.py",
     "src/repro/locking/",
     "src/repro/core/",
     "src/repro/cc/",
@@ -184,30 +186,39 @@ RPC_FILES = {
     "src/repro/shard/stress.py",
 }
 
+#: the engine's transaction maps, mutated by the façade (begin, abort)
+#: and the commit pipeline (finalize, sweep) and read by the read path
+_TXN_MAPS = {"_active": "txn", "_registry": "txn"}
+
 #: files checked by default, with the shared attributes each latch
 #: protects: attr -> rank-name of the required latch.
 DEFAULT_RULES = {
     "src/repro/engine/database.py": {
-        "_active": "txn",
-        "_registry": "txn",
-        "_suspended": "txn",
-        "_retired_writers": "txn",
+        **_TXN_MAPS,
         # the cleanup horizon's snapshot deque (appended under the commit
-        # latch too, which orders it) and the sweep's set-aside list
+        # latch too, which orders it)
         "_snapshots": "txn",
-        "_set_aside": "txn",
         "_retiring_policies": "tracker",
         # engine counters, one guard per key (the per-operation ones are
         # tallied on the transaction and folded in under txn as it ends)
         "stats[begins]": "txn",
-        "stats[suspended_peak]": "txn",
-        "stats[cleaned]": "txn",
         "stats[reads]": "txn",
         "stats[writes]": "txn",
         "stats[scans]": "txn",
         "stats[commits]": "txn",
         "stats[aborts]": "tracker",
         "stats[mixed_edges_dropped]": "tracker",
+    },
+    "src/repro/engine/reads.py": dict(_TXN_MAPS),
+    # The retention lists, the sweep's set-aside list and their counters
+    # belong to the commit pipeline alone.
+    "src/repro/engine/commit.py": {
+        **_TXN_MAPS,
+        "_suspended": "txn",
+        "_retired_writers": "txn",
+        "_set_aside": "txn",
+        "stats[suspended_peak]": "txn",
+        "stats[cleaned]": "txn",
     },
     # A table's B+-tree and its point map hold the same keys: both are
     # mutated only under the table latch (Table.chain reads latch-free).
@@ -238,10 +249,6 @@ DEFAULT_RULES = {
     # start or a session can suspend.
     "src/repro/engine/transaction.py": {},
     "src/repro/engine/waits.py": {},
-    # Group-commit batcher: leader-run certification under hoisted
-    # latches, WAL I/O and finalize strictly after they drop — rules 2
-    # and 4 police exactly that split.
-    "src/repro/engine/groupcommit.py": {},
     # Checkpoints image the tables under the txn and commit latches;
     # rule 4 keeps the log flush outside them.
     "src/repro/wal/checkpoint.py": {},

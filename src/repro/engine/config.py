@@ -76,10 +76,10 @@ class EngineConfig:
             commits are only durable up to the last explicit flush
             (matching the paper's "without flushing the log" runs).
 
-    Group commit is not a knob: every commit enters the
-    :class:`~repro.engine.groupcommit.CommitBatcher`, which costs a lone
-    committer two uncontended mutex acquisitions and shares one
-    certification pass and one WAL flush among committers that overlap.
+    Group commit is not a knob: every commit enters the commit pipeline
+    (:mod:`repro.engine.commit`), which costs a lone committer two
+    uncontended mutex acquisitions and shares one certification pass and
+    one WAL flush among committers that overlap.
     """
 
     granularity: LockGranularity = LockGranularity.RECORD

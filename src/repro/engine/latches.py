@@ -153,14 +153,6 @@ class CheckedLatch:
                 break
         self._lock.release()
 
-    # RLock-compatible aliases for code that acquires imperatively.
-    def acquire(self) -> bool:
-        self.__enter__()
-        return True
-
-    def release(self) -> None:
-        self.__exit__()
-
     def __repr__(self) -> str:
         return f"CheckedLatch({self.name!r}, rank={self.rank})"
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable
 
 from repro.engine.isolation import IsolationLevel
 from repro.engine.latches import assert_no_latches_held
@@ -122,7 +122,7 @@ class Transaction:
         #: purely local transaction.  Rendered into cross-shard conflict
         #: summaries so the coordinator can name conflict partners.
         self.global_id: int | None = None
-        #: in-flight group-commit ticket (repro.engine.groupcommit);
+        #: in-flight group-commit ticket (repro.engine.commit);
         #: non-None between submission to a commit group and the
         #: consuming re-invocation of Database.commit, making that
         #: re-invocation idempotent after a session suspension.

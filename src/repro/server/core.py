@@ -7,7 +7,7 @@ When the session is idle the invocation runs inline on the loop inside
 :meth:`ReproServer._dispatch`: engine calls never block, so the loop is
 held only while the engine works.  An invocation that must wait — a lock
 request, a deferrable safe-snapshot verdict, a commit queued behind a
-group-commit leader — suspends instead, and its retry is scheduled back
+group-commit leader (:mod:`repro.engine.commit`) — suspends instead, and its retry is scheduled back
 onto the loop when the wait resolves; a wait's lock timeout and periodic
 deadlock sweeps are loop timers.  Every ``on_done`` therefore fires on
 the loop thread and settles its future directly.  While a session is

@@ -34,7 +34,11 @@ from repro.client import PipelinedClient, ServerError
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
-from repro.errors import TransactionAbortedError, TransactionStateError
+from repro.errors import (
+    CompletionWaitRequired,
+    TransactionAbortedError,
+    TransactionStateError,
+)
 from repro.server.protocol import WIRE_OPS
 from repro.sgt.history import OpRecord, TxnRecord
 
@@ -90,13 +94,16 @@ class LocalShard:
             raise TransactionStateError(
                 f"shard holds no transaction for global id {gtid}"
             )
+        waiting = False
         try:
             return fn(txn)
+        except CompletionWaitRequired:
+            waiting = True  # the retry needs the routing entry
+            raise
         finally:
-            # Any terminal outcome — commit, abort, engine-raised abort
-            # error — retires the routing entry; a wait leaves it for the
-            # retry, even once a group leader has decided the commit.
-            if not txn.is_active and txn._commit_ticket is None:
+            # Any other outcome that ends the transaction — commit, abort,
+            # engine-raised abort error — retires the routing entry.
+            if not waiting and not txn.is_active:
                 self._txns.pop(gtid, None)
 
     def call(self, gtid: int, op: str, *args: Any) -> Any:

@@ -18,8 +18,11 @@ file holds exactly the durable prefix and a commit group is one frame:
 recovery sees all of it or none.  :meth:`WriteAheadLog.load` reads
 frames up to the first one that runs past the end of the file or fails
 its CRC — the torn tail of a flush cut short — and truncates the file
-there, so later flushes append after valid data.  The in-memory log
-(``path=None``) never touches a file.
+there, so later flushes append after valid data.  Append-then-fsync can
+tear only the last frame, so a bad frame with an intact one after it is
+corruption: ``load`` raises ``ValueError`` naming its offset and leaves
+the file as it is.  Creating the file syncs its directory once.  The in-memory
+log (``path=None``) never touches a file.
 """
 
 from __future__ import annotations
@@ -52,6 +55,27 @@ def _frame(records: list[LogRecord]) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def _frame_end(data: memoryview, offset: int) -> int | None:
+    """Where the intact frame at ``offset`` ends, or None when the frame
+    there runs past the end of ``data`` or fails its CRC."""
+    start = offset + _HEADER.size
+    if start > len(data):
+        return None
+    length, crc = _HEADER.unpack_from(data, offset)
+    end = start + length
+    intact = 0 < length and end <= len(data) and zlib.crc32(data[start:end]) == crc
+    return end if intact else None
+
+
+def _sync_directory(path: str) -> None:
+    """Make the directory entry of ``path`` durable."""
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
 def replace_file(path: str, data: bytes) -> None:
     """Atomically make ``data`` the contents of ``path``: write a
     temporary file beside it, fsync it, rename it over ``path`` and fsync
@@ -62,11 +86,7 @@ def replace_file(path: str, data: bytes) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, path)
-    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
+    _sync_directory(path)
 
 
 class WriteAheadLog:
@@ -156,6 +176,8 @@ class WriteAheadLog:
                     self._file = open(self.path, self._file_mode, buffering=0)
                     # Closes the file when the log is collected unclosed.
                     self._closer = weakref.finalize(self, self._file.close)
+                    if self._file_mode == "wb":  # a new file
+                        _sync_directory(self.path)
                 if self._durable < len(self._records):
                     self._append_frame(_frame(self._records[self._durable:]))
             self._durable = len(self._records)
@@ -200,22 +222,26 @@ class WriteAheadLog:
     def load(cls, path: str) -> "WriteAheadLog":
         """Rebuild a log from the frames in its file, dropping a torn
         tail — a frame cut short or failing its CRC — and truncating the
-        file after the last good frame.  The log continues that file."""
+        file after the last good frame.  The log continues that file.
+        Raises ``ValueError``, changing nothing, when an intact frame
+        follows the bad one."""
         log = cls(path=path)
-        log._file_mode = "ab"
         if not os.path.exists(path):
             return log
+        log._file_mode = "ab"
         with open(path, "rb") as handle:
-            data = handle.read()
-        offset, header = 0, _HEADER.size
-        while offset + header <= len(data):
-            length, crc = _HEADER.unpack_from(data, offset)
-            payload = data[offset + header:offset + header + length]
-            if length == 0 or len(payload) < length or zlib.crc32(payload) != crc:
-                break
-            log._records.extend(pickle.loads(payload))
-            offset += header + length
+            data = memoryview(handle.read())
+        offset = 0
+        while (end := _frame_end(data, offset)) is not None:
+            log._records.extend(pickle.loads(data[offset + _HEADER.size:end]))
+            offset = end
         if offset < len(data):
+            if any(_frame_end(data, later) is not None
+                   for later in range(offset + 1, len(data))):
+                raise ValueError(
+                    f"{path}: bad frame at offset {offset} is followed by "
+                    "intact frames"
+                )
             with open(path, "r+b") as handle:
                 handle.truncate(offset)
                 os.fsync(handle.fileno())

@@ -141,18 +141,18 @@ def commit_as_group(db: Database, leader, followers) -> None:
 
 
 class FollowerCommitDatabase(Database):
-    """Every commit is certified by ``CommitBatcher._run_batch``: the
+    """Every commit is certified by ``Database._run_batch``: the
     caller takes the leader's seat without a commit of its own, queues
     the transaction as a follower and drains it as a group of one — the
     path a lone ``Database.commit`` no longer exercises."""
 
     def commit(self, txn) -> None:
-        assert self._batcher.enter(txn) is None
+        assert self._enter_batch(txn) is None
         try:
             super().commit(txn)
             return  # the bypass: nothing to certify or log
         except CompletionWaitRequired:
             pass
         finally:
-            self._batcher.lead()
+            self._lead_batches()
         super().commit(txn)

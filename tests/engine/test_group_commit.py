@@ -1,6 +1,6 @@
 """The commit entry: lone leaders, follower groups, one flush per group.
 
-Covers the :class:`~repro.engine.groupcommit.CommitBatcher` contracts:
+Covers the group-commit contracts of :mod:`repro.engine.commit`:
 a lone committer pays for no ticket and no batch, committers that
 overlap a leader ride leader-run groups under the default configuration,
 intra-batch dangerous structures abort the later arrival, doomed members
@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro import Database, EngineConfig
-from repro.engine import groupcommit
+from repro.engine import commit as pipeline
 from repro.errors import (
     CompletionWaitRequired,
     TransactionAbortedError,
@@ -62,7 +62,7 @@ class TestBatching:
         def no_ticket(txn):
             raise AssertionError(f"lone commit of {txn.id} allocated a ticket")
 
-        monkeypatch.setattr(groupcommit, "_Ticket", no_ticket)
+        monkeypatch.setattr(pipeline, "_Ticket", no_ticket)
         db = make_db()
         for key in ("a", "b", "c"):
             txn = writer(db, key)
@@ -72,7 +72,7 @@ class TestBatching:
             "batches": 0, "batched_txns": 0, "batch_aborts": 0,
         }
         assert batch_size_histogram(db)["count"] == 0
-        assert not db._batcher._leader_active
+        assert not db._leader_active
         check = db.begin("si")
         assert check.read("t", "a") == 1
         check.commit()
@@ -120,7 +120,7 @@ class TestBatching:
             with pytest.raises(CompletionWaitRequired) as wait:
                 db.commit(follower)
             assert wait.value.txn is follower
-            assert wait.value.completion is follower._commit_ticket.done
+            assert wait.value.completion is follower._commit_ticket
             thread = threading.Thread(target=commit_on_thread)
             thread.start()
             thread.join(timeout=0.2)
@@ -134,7 +134,7 @@ class TestBatching:
         """Followers parked on threads are released by the leader's one
         pass, and a queue longer than MAX_BATCH drains in several."""
         db = make_db()
-        count = groupcommit.MAX_BATCH + 4
+        count = pipeline.MAX_BATCH + 4
         followers = [writer(db, ("f", k), k) for k in range(count)]
         failures = []
 
@@ -232,7 +232,7 @@ class TestIntraBatchCertification:
 
     def test_doom_before_submit_aborts_without_batching(self, monkeypatch):
         """A transaction doomed before its commit call aborts on the
-        doom check in front of ``enter`` — it never takes leadership
+        doom check in front of ``_enter_batch`` — it never takes leadership
         and never occupies a group slot."""
         db = make_db()
         victim = writer(db, "v")
@@ -241,7 +241,7 @@ class TestIntraBatchCertification:
         def no_entry(txn):
             raise AssertionError(f"doomed {txn.id} entered the batcher")
 
-        monkeypatch.setattr(db._batcher, "enter", no_entry)
+        monkeypatch.setattr(db, "_enter_batch", no_entry)
         with pytest.raises(UnsafeError):
             victim.commit()
         assert victim.is_aborted
@@ -306,7 +306,7 @@ class TestIntraBatchCertification:
         with pytest.raises(UnsafeError):
             db.commit(leader)
         assert leader.is_aborted
-        assert not db._batcher._leader_active
+        assert not db._leader_active
         for txn in followers:
             db.commit(txn)  # resolved: consumes the verdict, no wait
             assert txn.is_committed

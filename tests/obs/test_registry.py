@@ -194,7 +194,7 @@ class TestBufferedHistograms:
         the tracker latch; a snapshot taken before any batch boundary
         still counts every retained commit and every cleanup once."""
         from repro import Database, EngineConfig
-        from repro.engine import database
+        from repro.engine import commit
 
         db = Database(EngineConfig(eager_cleanup=True))
         db.create_table("t")
@@ -209,7 +209,7 @@ class TestBufferedHistograms:
         suspended = db.stats["suspended_peak"]
         cleaned = db.stats["cleaned"]
         assert suspended == 4 and cleaned == 4  # the pin suspends too
-        assert cleaned < database._SAMPLE_BATCH  # no batch boundary reached
+        assert cleaned < commit._SAMPLE_BATCH  # no batch boundary reached
         histograms = db.metrics.snapshot()["histograms"]
         assert histograms["suspended_transactions"]["count"] == suspended
         assert histograms["siread_retention"]["count"] == cleaned

@@ -24,6 +24,7 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.errors import (
+    CompletionWaitRequired,
     TableError,
     TransactionStateError,
     UnsafeError,
@@ -42,6 +43,7 @@ from repro.sim.interleave import exhaustive_outcomes, run_interleaving
 from repro.sim.ops import Read, Write
 
 from scripts.gen_cc_equivalence import LEVELS, SCENARIOS
+from tests.conftest import GatedWAL, held_leader
 
 DATA = Path(__file__).parent.parent / "properties" / "data" / "cc_equivalence.json"
 FACTORIES = dict(SCENARIOS)
@@ -304,3 +306,28 @@ def test_local_sharded_stress_is_serializable_and_clean():
     assert result.commits + result.aborts == result.txns
     gauge = result.metrics["gauges"]["shard_txn_counts"]
     assert gauge["0"] > 0 and gauge["1"] > 0
+
+
+def test_a_queued_commit_keeps_its_routing_entry_for_the_retry():
+    """A commit queued behind a group leader raises a wait and keeps its
+    gtid routing entry, even once the leader has decided it; the retry
+    that consumes the verdict retires the entry, as an abort does."""
+    shard = LocalShard()
+    shard.db.wal = GatedWAL()
+    shard.create_table("t")
+    for gtid in (1, 2, 3):
+        shard.begin(gtid)
+        shard.call(gtid, "put", "t", gtid, "v")
+    with held_leader(shard.db, shard._txns[1]) as raised:
+        with pytest.raises(CompletionWaitRequired):
+            shard.commit(2)
+        assert 2 in shard._txns
+    assert not raised
+    assert shard._txns[2].is_committed and 2 in shard._txns
+    shard.commit(2)
+    assert 2 not in shard._txns
+
+    shard._txns[3].doom_error = UnsafeError("doomed by test", txn_id=0)
+    with pytest.raises(UnsafeError):
+        shard.commit(3)
+    assert 3 not in shard._txns

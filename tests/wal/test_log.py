@@ -1,6 +1,7 @@
 """Write-ahead log unit tests."""
 
 import os
+import stat
 
 import pytest
 
@@ -159,10 +160,67 @@ def test_corrupt_crc_drops_only_the_last_frame(tmp_path):
     assert os.path.getsize(path) == last
 
 
-def test_fsync_once_per_flush_with_new_records(tmp_path, monkeypatch):
-    synced = []
+def test_corrupt_middle_frame_is_refused_not_truncated(tmp_path):
+    """Append-then-fsync tears only the last frame: a bad frame with an
+    intact one after it is corruption, and the file is left as it is."""
+    path = str(tmp_path / "wal.bin")
+    log = WriteAheadLog(path=path)
+    commit_pairs(log, [1])
+    second = os.path.getsize(path)
+    commit_pairs(log, [2, 3])
+    log.close()
+    for offset in (second + 20, second):  # frame 2's payload, its length
+        with open(path, "r+b") as handle:
+            original = handle.read()
+            handle.seek(offset)
+            handle.write(bytes([original[offset] ^ 0x01]))
+        with pytest.raises(ValueError, match=f"offset {second} "):
+            WriteAheadLog.load(path)
+        with open(path, "rb") as handle:
+            corrupted = handle.read()
+        assert len(corrupted) == len(original)
+        assert corrupted[:offset] == original[:offset]
+        with open(path, "wb") as handle:
+            handle.write(original)
+    assert WriteAheadLog.load(path).committed_txn_ids() == [1, 2, 3]
+
+
+def count_syncs(monkeypatch):
+    """Route ``os.fsync`` through recorders of the file and directory
+    descriptors it syncs."""
+    files, directories = [], []
     real_fsync = os.fsync
-    monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+
+    def fsync(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        (directories if is_dir else files).append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return files, directories
+
+
+def test_new_log_file_syncs_its_directory_once(tmp_path, monkeypatch):
+    files, directories = count_syncs(monkeypatch)
+    path = str(tmp_path / "wal.bin")
+    log = WriteAheadLog(path=path)
+    commit_pairs(log, [1])
+    assert (len(directories), len(files)) == (1, 1)
+    commit_pairs(log, [2, 3])
+    log.close()
+    commit_pairs(log, [4])  # reopens the file to append
+    assert (len(directories), len(files)) == (1, 4)
+
+    continued = WriteAheadLog.load(path)
+    commit_pairs(continued, [5])
+    assert (len(directories), len(files)) == (1, 5)
+    fresh = WriteAheadLog.load(str(tmp_path / "absent.bin"))
+    commit_pairs(fresh, [6])
+    assert (len(directories), len(files)) == (2, 6)
+
+
+def test_fsync_once_per_flush_with_new_records(tmp_path, monkeypatch):
+    synced, _directories = count_syncs(monkeypatch)
 
     memory = WriteAheadLog()
     commit_pairs(memory, [1, 2])
