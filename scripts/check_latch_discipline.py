@@ -235,6 +235,7 @@ DEFAULT_RULES = {
         # escalate/_fold: the fold's weight plus the heads and indexes
         # above, all under the one manager latch
         "_escalated_weights": "lock",
+        "_folded_chains": "lock",
         "_ranges": "lock",
         "_exclusive_keys": "lock",
     },

@@ -128,8 +128,11 @@ def check_run(db: Database, tallies: dict) -> list[str]:
     total = tallies["commits"] + tallies["aborts"]
     print(f"{connections} connections: "
           f"{tallies['commits']} commits, {tallies['aborts']} aborts")
-    # Report only: commits that overlapped a leader rode follower groups.
-    print("group_commit:", db.metrics.snapshot()["counters"]["group_commit"])
+    # Report only: log records appended and flushes run (commits per
+    # fsync), when the database has a write-ahead log.
+    wal = db.metrics.snapshot()["counters"].get("wal")
+    if wal is not None:
+        print("wal:", wal)
 
     problems = []
     if total != expected:

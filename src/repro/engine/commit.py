@@ -1,45 +1,44 @@
-"""The commit pipeline: Fig 3.2's commit, its two-phase variant, group
-commit, and the cleanup of suspended transactions (Sections 3.3, 4.4;
-DESIGN.md "Commit pipeline").
+"""The commit pipeline: Fig 3.2's commit, its two-phase variant and the
+cleanup of suspended transactions (Sections 3.3, 4.4; DESIGN.md "Commit
+pipeline").
 
 :class:`CommitPipeline` is mixed into
 :class:`~repro.engine.database.Database` and owns the state only it
-mutates: the retention lists, the prepared set, the buffered retention
-samples and the group-commit queue.
+mutates: the retention lists, the prepared set and the buffered
+retention samples.
 
-Every commit runs three steps: *decide* (:meth:`~CommitPipeline._decide`:
-certify and install under the tracker latch, or abort), *publish*
-(:meth:`~CommitPipeline._publish_commits`: redo records and one WAL flush
-with no latch held and every lock still held — flush before release) and
+A commit is one body of three steps: *decide*
+(:meth:`~CommitPipeline._decide`: certify and install under the tracker
+latch, or abort), *publish* (:meth:`~CommitPipeline._publish`: a WAL
+flush through the commit's LSN with no latch held and every lock still
+held — flush before release — then the history and trace) and
 *finalize* (:meth:`~CommitPipeline.finalize_commit`: suspend or retire,
-sweep, release locks).  Group commit only orders them.  A committer that
-finds no leader active leads: it runs the steps on its own transaction,
-then drains the queue, paying two uncontended acquisitions of the batch
-mutex and no ticket.  One that arrives while a leader is active queues a
-*ticket*, and ``commit`` raises
-:class:`~repro.errors.CompletionWaitRequired` on it; the executor waits
-its own way and re-invokes ``commit``, which consumes the verdict.  The
-leader runs groups of at most :data:`MAX_BATCH` — whatever arrived during
-its previous pass — one pass each (:meth:`~CommitPipeline._run_batch`):
-decide per member in arrival order, so a dangerous structure completed
-inside the group aborts the later arrival, as if the members had
-committed one at a time; one publish for the group, so recovery sees all
-of it or none; finalize each; fire the tickets last, so a fired ticket is
-the verdict and a resumed waiter finds its transaction retired.  The
-leader flag is cleared only under the batch mutex with the queue empty,
-so every queued ticket has an active leader.
+sweep, release locks).  :meth:`~CommitPipeline.commit` is
+:meth:`~CommitPipeline.prepare_commit` (decide, publish) then
+:meth:`~CommitPipeline.finalize_commit`; the second phase of a two-phase
+commit installs and publishes the same way.
+
+The install logs the commit: :meth:`~CommitPipeline._logical_commit`
+appends the write records and the commit record in one WAL call, under
+the commit latch that draws the commit timestamp and installs the
+versions, so LSN order is commit order.  A transaction that saw the
+versions took its snapshot after that latch section, so its own records
+follow them and its flush, which makes everything appended before it
+durable, covers them: an acknowledged commit never depends on a lost
+one.  A checkpoint stamps its record under the same latch, so truncating
+the log before it never drops a commit its image lacks.  Concurrent
+commits share fsyncs inside the WAL (``flush(lsn)`` returns at once
+when another flush covered the LSN); the engine never makes one commit
+wait for another.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.transaction import Transaction, TransactionStatus
-from repro.engine.waits import Completion
 from repro.errors import (
-    CompletionWaitRequired,
     TransactionAbortedError,
     TransactionStateError,
     UnsafeError,
@@ -47,10 +46,8 @@ from repro.errors import (
 from repro.mvcc.version import TOMBSTONE, Version
 from repro.obs.trace import EventType
 
-__all__ = ["CommitPipeline", "MAX_BATCH"]
+__all__ = ["CommitPipeline"]
 
-#: largest group one leader pass certifies, installs and flushes
-MAX_BATCH = 16
 #: buffered histogram samples folded in per observe_many
 _SAMPLE_BATCH = 256
 #: PREPARE summary of a transaction with clean conflict slots (also the
@@ -59,17 +56,8 @@ _EMPTY_SUMMARY = {"in": False, "out": False,
                   "in_partner": None, "out_partner": None}
 
 
-class _Ticket(Completion):
-    """One queued commit: the completion its transaction (``owner``)
-    waits on, and the verdict (``error``, None when it committed) the
-    leader sets before it fires it, once the member is finalized."""
-
-    __slots__ = ("error",)
-    error: BaseException | None
-
-
 class CommitPipeline:
-    """Commit, two-phase commit, group commit and cleanup of the
+    """Commit, two-phase commit and cleanup of the
     :class:`~repro.engine.database.Database` it is mixed into."""
 
     if TYPE_CHECKING:  # the rest comes from the Database it is mixed into
@@ -110,65 +98,27 @@ class CommitPipeline:
         self._suspended_samples: list[int] = []
         self._retention_samples: list[int] = []
         metrics.before_snapshot(self._fold_samples)
-        # Not an engine latch: never held across an engine call (entry,
-        # the queue drain and the batch run are disjoint critical
-        # sections), and nothing waits on it.
-        self._batch_mutex = threading.Lock()
-        self._batch_queue: list[_Ticket] = []
-        self._leader_active = False
-        self._batch_stats = metrics.group("group_commit", {
-            "batches": 0,
-            "batched_txns": 0,
-            "batch_aborts": 0,
-        })
-        self._h_batch_size = metrics.histogram(
-            "group_commit_batch_size", edges=(1, 2, 4, 8, 16, 32, 64)
-        )
 
     # ------------------------------------------------------------- entry
 
     def commit(self, txn: Transaction) -> None:
-        """Commit: unsafe check, version install, lock release, suspension
-        and cleanup (Fig 3.2 / Fig 3.10), as the leader of a group or
-        queued behind one (see the module docstring).  Re-invoked with a
-        pending ticket it never re-enters: it consumes the verdict.
+        """Commit: unsafe check, version install and log append, flush,
+        lock release, suspension and cleanup (Fig 3.2 / Fig 3.10) —
+        :meth:`prepare_commit` then :meth:`finalize_commit`.  Never
+        waits on another commit.
 
         A prepared transaction is refused with
         :class:`~repro.errors.TransactionStateError` and stays prepared:
         only the coordinator decides it (:meth:`commit_prepared`).
         """
-        if txn.prepared:
-            raise TransactionStateError(
-                f"transaction {txn.id} is prepared: commit_prepared decides it"
-            )
-        ticket = txn._commit_ticket
-        if ticket is None:
-            if not txn.policy.certifies and not txn.write_set:
-                # Nothing a group amortizes: a non-certifying read-only
-                # commit takes no tracker latch and writes no WAL.
-                self.prepare_commit(txn)
-                self.finalize_commit(txn)
-                return
-            self._check_op(txn)
-            ticket = self._enter_batch(txn)
-            if ticket is None:
-                try:
-                    self.prepare_commit(txn)
-                    self.finalize_commit(txn)
-                finally:
-                    self._lead_batches()
-                return
-            txn._commit_ticket = ticket
-        if not ticket.fired:
-            raise CompletionWaitRequired(txn, ticket)
-        txn._commit_ticket = None
-        if ticket.error is not None:
-            raise ticket.error
+        self.prepare_commit(txn)
+        self.finalize_commit(txn)
 
     def prepare_commit(self, txn: Transaction) -> None:
         """The atomic logical commit: checks, commit timestamp, version
-        installation.  After this the transaction is durably committed but
-        still holds its locks; :meth:`finalize_commit` releases them.
+        installation and log append, then the flush.  After this the
+        transaction is durably committed but still holds its locks;
+        :meth:`finalize_commit` releases them.
 
         Split from finalize so the simulator can charge the log-flush I/O
         while locks are still held — the ordering the paper enforces in
@@ -184,76 +134,15 @@ class CommitPipeline:
         error = self._decide(txn)
         if error is not None:
             raise error
-        self._publish_commits((txn,))
-
-    # ------------------------------------------------------- group commit
-
-    def _enter_batch(self, txn: Transaction) -> _Ticket | None:
-        """Returns None when the caller is now the leader — it commits
-        ``txn`` itself and must then run :meth:`_lead_batches` (with no
-        latches held), whatever that commit raised.  Otherwise ``txn`` is
-        queued behind the active leader and its executor waits on the
-        returned ticket."""
-        with self._batch_mutex:
-            if not self._leader_active:
-                self._leader_active = True
-                return None
-            ticket = _Ticket(txn, self.locks)
-            self._batch_queue.append(ticket)
-            return ticket
-
-    def _lead_batches(self) -> None:
-        """Run whatever queued behind the leader, a group at a time,
-        and step down — under the mutex, so no ticket can be stranded
-        leaderless — only once nothing is queued."""
-        while True:
-            with self._batch_mutex:
-                queue = self._batch_queue
-                if not queue:
-                    self._leader_active = False
-                    return
-                batch = queue[:MAX_BATCH]
-                del queue[:MAX_BATCH]
-            self._run_batch(batch)
-
-    def _run_batch(self, tickets: list[_Ticket]) -> None:
-        """One leader pass over a group (see the module docstring)."""
-        committed: list[Transaction] = []
-        aborted = 0
-        for ticket in tickets:
-            txn = ticket.owner
-            if not txn.is_active:
-                ticket.error = TransactionStateError(
-                    f"transaction {txn.id} is {txn.status.value}"
-                )
-                continue
-            ticket.error = self._decide(txn)
-            if ticket.error is None:
-                committed.append(txn)
-            else:
-                aborted += 1
-        if committed:
-            self._publish_commits(committed)
-        for txn in committed:
-            self.finalize_commit(txn)
-
-        self._batch_stats.inc("batches")
-        self._batch_stats.inc("batched_txns", len(tickets))
-        if aborted:
-            self._batch_stats.inc("batch_aborts", aborted)
-        self._h_batch_size.observe(len(tickets))
-        # Resolve last: after this, waiters may observe and reuse
-        # anything about the transaction.
-        for ticket in tickets:
-            ticket.set()
+        self._publish(txn)
 
     # ------------------------------------------------------------ decide
 
     def _decide(self, txn: Transaction) -> TransactionAbortedError | None:
-        """The commit decision, shared by a lone commit and every member
-        of a group: certify and install, or abort.  Returns the veto
-        (``txn`` is then rolled back) or None (``txn`` is committed, its
-        records not yet published).  Caller holds no latch."""
+        """The commit decision: certify and install, or abort.  Returns
+        the veto (``txn`` is then rolled back) or None (``txn`` is
+        committed and logged, not yet flushed).  Caller holds no
+        latch."""
         if txn.policy.certifies:
             # Certification through status flip is one tracker-latch
             # critical section, so no rw edge can land between a clean
@@ -301,10 +190,11 @@ class CommitPipeline:
 
     def _logical_commit(self, txn: Transaction) -> None:
         """Allocate the commit timestamp, flip the status, install the
-        write set.  A read-only transaction installs nothing, so it skips
-        the commit latch entirely — the latch exists to keep snapshot
-        assignment atomic against version installation, and there is
-        nothing to install (the clock is internally synchronised)."""
+        write set and log it.  A read-only transaction installs and logs
+        nothing, so it skips the commit latch entirely — the latch exists
+        to keep snapshot assignment atomic against version installation,
+        and there is nothing to install (the clock is internally
+        synchronised)."""
         if not txn.write_set:
             txn.commit_ts = self.clock.next()
             txn.status = TransactionStatus.COMMITTED
@@ -313,6 +203,13 @@ class CommitPipeline:
         # A chain a tracking writer's insert creates names it as the
         # pending writer too, until the writer leaves ``_active``.
         writer = txn.id if txn.policy.tracks_reads else None
+        wal = self.wal
+        kinds = txn.write_kinds
+        redo = None if wal is None else [
+            (table_name, key, None if value is TOMBSTONE else value,
+             value is TOMBSTONE, kinds.get((table_name, key), "write"))
+            for (table_name, key), value in txn.write_set.items()
+        ]
         chain_lengths = []
         with self._commit_latch:
             txn.commit_ts = self.clock.next()
@@ -330,6 +227,9 @@ class CommitPipeline:
                     if page_commit_ts is not None:
                         page_key = (table_name, table.leaf_page_of(key))
                         page_commit_ts[page_key] = txn.commit_ts
+            if redo is not None:
+                txn.commit_lsn = wal.log_commit(  # latch-ok: LSN order must be commit order
+                    txn.id, txn.commit_ts, redo).lsn
         self._h_chain_length.observe_many(chain_lengths)
 
     def _endangering_prepared(
@@ -370,35 +270,18 @@ class CommitPipeline:
 
     # ----------------------------------------------------------- publish
 
-    def _publish_commits(self, txns) -> None:
-        """No latch held: redo records for ``txns`` (committed, in commit
-        order), one flush covering all of them, then the history and
-        trace.  The members' locks are still held — finalize_commit
-        releases them — which is the paper's flush-before-release
-        ordering (Section 4.4); and recovery never sees a torn group:
-        the one flush happened or it did not."""
-        wal = self.wal
-        if wal is not None:
-            logged = False
-            for txn in txns:
-                if not txn.write_set:
-                    continue
-                for (table_name, key), value in txn.write_set.items():
-                    wal.log_write(
-                        txn.id, table_name, key,
-                        None if value is TOMBSTONE else value,
-                        tombstone=value is TOMBSTONE,
-                        kind=txn.write_kinds.get((table_name, key), "write"),
-                    )
-                wal.log_commit(txn.id, txn.commit_ts)
-                logged = True
-            if logged and self.config.wal_flush_on_commit:
-                wal.flush()
-        for txn in txns:
-            if self.history is not None:
-                self.history.on_commit(txn.id, txn.commit_ts)
-            if self.trace is not None:
-                self.trace.emit(EventType.COMMIT, txn.id, commit_ts=txn.commit_ts)
+    def _publish(self, txn: Transaction) -> None:
+        """No latch held: flush the log through ``txn``'s commit record,
+        then record the commit in the history and trace.  Its locks are
+        still held — finalize_commit releases them — which is the paper's
+        flush-before-release ordering (Section 4.4).  The flush returns
+        at once when a concurrent commit's flush already covered it."""
+        if txn.commit_lsn and self.config.wal_flush_on_commit:
+            self.wal.flush(txn.commit_lsn)
+        if self.history is not None:
+            self.history.on_commit(txn.id, txn.commit_ts)
+        if self.trace is not None:
+            self.trace.emit(EventType.COMMIT, txn.id, commit_ts=txn.commit_ts)
 
     # ---------------------------------------------------------- finalize
 
@@ -565,7 +448,7 @@ class CommitPipeline:
                 self._install_commit(txn)
         if not certifies:  # nothing for the tracker latch to order against
             self._install_commit(txn)
-        self._publish_commits((txn,))
+        self._publish(txn)
 
     @staticmethod
     def _conflict_summary(txn: Transaction) -> dict:

@@ -76,10 +76,9 @@ class EngineConfig:
             commits are only durable up to the last explicit flush
             (matching the paper's "without flushing the log" runs).
 
-    Group commit is not a knob: every commit enters the commit pipeline
-    (:mod:`repro.engine.commit`), which costs a lone committer two
-    uncontended mutex acquisitions and shares one certification pass and
-    one WAL flush among committers that overlap.
+    Sharing a flush is not a knob: a commit flushes the log through its
+    own commit record, and concurrent commits share fsyncs by LSN
+    (:mod:`repro.wal.log`).
     """
 
     granularity: LockGranularity = LockGranularity.RECORD

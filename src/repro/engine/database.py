@@ -14,8 +14,8 @@ SI conflict tracker into the transactional API of the paper's prototypes:
 
 ``Database`` is the façade: the read path (point reads, scans, SIREAD
 placement) lives in :mod:`repro.engine.reads` and the commit pipeline
-(commit, two-phase and group commit, cleanup of suspended transactions)
-in :mod:`repro.engine.commit`, both mixed in here.
+(commit, two-phase commit, cleanup of suspended transactions) in
+:mod:`repro.engine.commit`, both mixed in here.
 
 Threading model: the engine is internally latched along the hierarchy
 of :mod:`repro.engine.latches`, which lists what each latch protects.
@@ -23,8 +23,9 @@ No latch is held across a wait: an operation that must wait raises
 :class:`~repro.errors.CompletionWaitRequired` after fully unwinding and
 is re-invoked once the wait resolves; lock acquisition is idempotent,
 and operations perform no side effects before their lock acquisitions,
-so re-invocation is safe.  WAL appends and flushes and trace/history
-reporting run outside every engine latch.
+so re-invocation is safe.  A commit appends its log records under the
+commit latch, so LSN order is commit order; WAL flushes, abort records
+and trace/history reporting run outside every engine latch.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class Database(ReadPath, CommitPipeline):
     def __init__(self, config: EngineConfig | None = None, wal=None):
         self.config = config or EngineConfig()
         #: optional write-ahead log (repro.wal.WriteAheadLog); commits
-        #: append redo records and, with wal_flush_on_commit, flush before
-        #: locks are released.
+        #: append redo records as they install and, with
+        #: wal_flush_on_commit, flush before locks are released.
         self.wal = wal
         self.clock = LogicalClock()
         self._txn_latch = make_latch("txn")
@@ -177,6 +178,9 @@ class Database(ReadPath, CommitPipeline):
         # keep their counters in CounterGroups; adopting them (same
         # object, no copy) folds every stats dict into one surface.
         self.metrics.register_group("locks", self.locks.stats)
+        if wal is not None:
+            # Records appended and flushes run: commits per fsync.
+            self.metrics.register_group("wal", wal.stats)
         # Instantaneous lock-table telemetry: the gauges the SIREAD
         # budget is judged against (counters can't answer "how big is the
         # lock table right now").
@@ -896,9 +900,7 @@ class Database(ReadPath, CommitPipeline):
     def doom(self, victim: Transaction, error: TransactionAbortedError) -> None:
         """Mark a transaction for abort, then cancel its waits: deny its
         lock requests and fire a deferrable transaction's pending
-        safe-snapshot verdict (a commit ticket is left to its batch
-        leader, which observes the doom).
-        The woken executor retries into :meth:`_check_op`, the one place
+        safe-snapshot verdict.  The woken executor retries into :meth:`_check_op`, the one place
         a cancelled wait becomes an abort.  A repeated doom keeps the
         first error but still cancels waits enqueued since, or a cycle
         through one of them could never be broken.

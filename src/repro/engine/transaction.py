@@ -2,10 +2,10 @@
 
 A :class:`Transaction` is a handle bound to one :class:`~repro.engine.database.Database`.
 Its public methods block the calling thread through every wait the
-engine raises (a lock, a commit queued behind a group leader, a
-deferrable read's safe snapshot), which suits examples, tests and
-threaded clients.  The engine itself never parks a thread; the
-discrete-event simulator steps its non-blocking primitives directly.
+engine raises (a lock, a deferrable read's safe snapshot), which suits
+examples, tests and threaded clients.  The engine itself never parks a
+thread; the discrete-event simulator steps its non-blocking primitives
+directly.
 
 Transaction state carries everything the Serializable SI algorithm needs
 (Section 3.2/3.3): the conflict slots, the snapshot, the commit timestamp,
@@ -60,7 +60,7 @@ class Transaction:
         "_safe_event",
         "prepared",
         "global_id",
-        "_commit_ticket",
+        "commit_lsn",
         "n_reads",
         "n_writes",
         "n_scans",
@@ -122,11 +122,10 @@ class Transaction:
         #: purely local transaction.  Rendered into cross-shard conflict
         #: summaries so the coordinator can name conflict partners.
         self.global_id: int | None = None
-        #: in-flight group-commit ticket (repro.engine.commit);
-        #: non-None between submission to a commit group and the
-        #: consuming re-invocation of Database.commit, making that
-        #: re-invocation idempotent after a session suspension.
-        self._commit_ticket = None
+        #: LSN of the commit record, appended with the write records
+        #: as the versions install; 0 while nothing is logged (no WAL, no
+        #: writes, not committed).  The commit flushes through it.
+        self.commit_lsn = 0
         #: rows read, writes, scans: one thread drives a transaction, so
         #: tallied latch-free; folded into ``db.stats`` as it ends.
         self.n_reads = self.n_writes = self.n_scans = 0
@@ -261,8 +260,8 @@ def block_on(wait: CompletionWaitRequired) -> None:
     operation, which finds out how the wait ended.
 
     A lock wait's wall-clock time feeds ``lock_wait_time`` (the
-    simulator feeds the same histogram in simulated seconds); a commit
-    ticket or a safe-snapshot verdict is not a lock wait.
+    simulator feeds the same histogram in simulated seconds); a
+    safe-snapshot verdict is not a lock wait.
     """
     db = wait.txn._db
     wait_started = time.monotonic()

@@ -1,8 +1,8 @@
 """The engine's one wait: a one-shot :class:`Completion`.
 
 A lock request (:class:`repro.locking.manager.LockRequest` subclasses
-this class), a commit ticket queued behind a batch leader and a
-deferrable transaction's safe-snapshot verdict are all completions.  An
+this class) and a deferrable transaction's safe-snapshot verdict are
+completions; a commit never waits on one.  An
 operation that must wait raises :class:`~repro.errors.CompletionWaitRequired`
 carrying one; an executor parks a thread on :meth:`wait` or subscribes
 through :meth:`on_fire`, then re-invokes the operation, which finds out

@@ -118,12 +118,10 @@ class CompletionWaitRequired(ReproError):
     with the doom's error in the engine, never in the executor.
 
     Raised for a lock request that must queue (:class:`LockWaitRequired`,
-    whose ``request`` arms a ``lock_timeout`` deadline), a deferrable
-    transaction's first read or scan while its candidate snapshot is not
-    yet known to be safe (the completion fires on the monitor's
-    verdict), and a commit queued behind an active batch leader (the
-    ticket's completion, fired once the leader has certified, flushed
-    and finalized or aborted the member).  The engine raises it and
+    whose ``request`` arms a ``lock_timeout`` deadline) and for a
+    deferrable transaction's first read or scan while its candidate
+    snapshot is not yet known to be safe (the completion fires on the
+    monitor's verdict); never by a commit.  The engine raises it and
     never parks a thread itself.
     """
 

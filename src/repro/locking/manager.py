@@ -372,6 +372,10 @@ class LockManager:
         #: for, itself included.  An entry exists for every folded range
         #: still granted; it leaves with the range's SIREAD.
         self._escalated_weights: dict[tuple[Hashable, Resource], int] = {}
+        #: (owner_id, folded range) -> the chains whose entries it folded:
+        #: their ``readers`` keep the owner's id while the range is
+        #: granted, and lose it when the range's SIREAD goes.
+        self._folded_chains: dict[tuple[Hashable, Resource], list] = {}
         #: table -> {range resource: its head} for every key-range head,
         #: whatever modes it holds (the same heads live in ``_heads``) —
         #: what an EXCLUSIVE record acquire checks.  An emptied per-table
@@ -928,6 +932,7 @@ class LockManager:
                     del reads[lock.resource]
                 if weights:
                     surplus += weights.pop((owner_id, lock.resource), 1) - 1
+                    self._unlink_folded(owner_id, lock.resource)
                 del owner_locks[lock.resource]
             if not owner_locks:
                 del self._by_owner[owner_id]
@@ -957,7 +962,8 @@ class LockManager:
         Soundness: the whole escalation is one critical section, so a
         writer sees the fine locks or their fold, never neither, and a
         folded chain entry leaves its id on the chain for a writer that
-        read the readers before the fold.  The fold covers every key they
+        read the readers before the fold — until the range's SIREAD goes,
+        which takes the id off with it.  The fold covers every key they
         covered: escalation can add false-positive rw edges, never lose one."""
         if budget is None or self.table_size() <= budget:
             return
@@ -997,7 +1003,7 @@ class LockManager:
         count, folded ranges' weights included, to whichever path finally
         removes it."""
         resources = [item for item in items if isinstance(item, Resource)]
-        chains = [item[0] for item in items if not isinstance(item, Resource)]
+        entries = [item[0] for item in items if not isinstance(item, Resource)]
         spans = [
             item.key if isinstance(item, Resource) and item.kind == "range"
             else (item[-1], item[-1])  # a record's key, or a chain entry's
@@ -1018,15 +1024,21 @@ class LockManager:
         weight = self._escalated_weights.get(weight_key, 1)
         self._place_range(owner, target, LockMode.SIREAD, locks.get(target))
         removed = [locks[resource] for resource in resources if resource != target]
+        # The entries' ids stay on their chains while the range is held,
+        # and so do those of every range it absorbs.
+        chains = list(entries)
         for lock in removed:
+            chains += self._folded_chains.pop((owner_id, lock.resource), ())
             self._detach_lock(self._heads[lock.resource], lock)
         surplus = self._forget_locks(owner_id, removed)
         if chains:
-            for chain in chains:
+            self._folded_chains.setdefault(weight_key, []).extend(chains)
+        if entries:
+            for chain in entries:
                 owner.sireads.pop(chain, None)
             if not owner.sireads:
                 self.chain_readers.pop(owner_id, None)
-        folded = len(removed) + len(chains)
+        folded = len(removed) + len(entries)
         self._escalated_weights[weight_key] = weight + folded + surplus
         self.stats["escalations"] += 1
         self.stats["escalated_records"] += folded
@@ -1226,6 +1238,7 @@ class LockManager:
                 "granted": self._granted_count + chained,
                 "owners": len(
                     self._by_owner.keys() | self._reads.keys() | self.chain_readers.keys()
+                    | {owner_id for owner_id, _range in self._folded_chains}
                 ),
                 "waiters": len(self._waiting),
                 "siread": sum(len(reads) for reads in self._reads.values()) + chained,
@@ -1288,7 +1301,16 @@ class LockManager:
         range stands for the sentinels it replaced (its weight entry goes
         with it), a plain one for itself."""
         self._discard_mode(head, lock, LockMode.SIREAD)
+        self._unlink_folded(lock.owner.id, lock.resource)
         return self._escalated_weights.pop((lock.owner.id, lock.resource), 1)
+
+    def _unlink_folded(self, owner_id: Hashable, resource: Resource) -> None:
+        """A folded range's SIREAD is going: take the owner's id off the
+        chains whose entries it folded."""
+        chains = self._folded_chains.pop((owner_id, resource), None)
+        if chains:
+            for chain in chains:
+                chain.readers.pop(owner_id, None)
 
     def _detection_conflicts(self, head: _LockHead, owner: Any, mode: LockMode) -> list[Lock]:
         """Granted locks of other owners that signal rw-dependencies."""

@@ -4,11 +4,11 @@ One TCP connection = one :class:`repro.session.Session`, bound to the
 event loop (see :mod:`repro.session`).  Each request frame is dispatched
 as a session invocation whose ``on_done`` settles an asyncio future.
 When the session is idle the invocation runs inline on the loop inside
-:meth:`ReproServer._dispatch`: engine calls never block, so the loop is
-held only while the engine works.  An invocation that must wait — a lock
-request, a deferrable safe-snapshot verdict, a commit queued behind a
-group-commit leader (:mod:`repro.engine.commit`) — suspends instead, and its retry is scheduled back
-onto the loop when the wait resolves; a wait's lock timeout and periodic
+:meth:`ReproServer._dispatch`: engine calls never wait on another
+transaction, so the loop is held only while the engine works (a durable
+commit's log flush included).  An invocation that must wait — a lock
+request, a deferrable safe-snapshot verdict — suspends instead, and its
+retry is scheduled back onto the loop when the wait resolves; a wait's lock timeout and periodic
 deadlock sweeps are loop timers.  Every ``on_done`` therefore fires on
 the loop thread and settles its future directly.  While a session is
 suspended neither an OS thread nor the event loop is held: 1024

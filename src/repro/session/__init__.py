@@ -3,10 +3,9 @@
 The blocking client API (:class:`repro.engine.transaction.Transaction`)
 parks one thread per in-flight transaction.  A :class:`Session` instead
 *suspends* whenever the engine reports a wait
-(:class:`~repro.errors.CompletionWaitRequired`: a lock request, a
-deferrable safe-snapshot verdict or a commit ticket queued behind a
-group-commit leader, :mod:`repro.engine.commit`) by subscribing its own resumption to the wait's
-completion, and retries the invocation once it fires — however the wait
+(:class:`~repro.errors.CompletionWaitRequired`: a lock request or a
+deferrable safe-snapshot verdict) by subscribing its own resumption to
+the wait's completion, and retries the invocation once it fires — however the wait
 ended: a wait cancelled by a doom (deadlock victim, lock-wait timeout,
 :meth:`Session.interrupt`) makes the retry abort with the doom's error
 in the engine.  The asyncio wire server
@@ -173,10 +172,6 @@ class Session:
     scan = _txn_op("scan")
     index_scan = _txn_op("index_scan")
     index_lookup = _txn_op("index_lookup")
-
-    #: A commit that queues behind an active group-commit leader suspends
-    #: on its ticket's completion while the leader runs its group; the
-    #: retry consumes the verdict.
     commit = _txn_op("commit")
 
     def abort(self, *, on_done: OnDone) -> None:
@@ -250,10 +245,7 @@ class Session:
         Callable from any thread (the server uses it when a client
         disconnects mid-wait).  The doom cancels a suspended lock or
         deferrable wait (:meth:`Database.doom`), and the retry aborts
-        with the doom's error.  A commit ticket is left alone: only the
-        group-commit leader fires it — it observes the doom and resolves
-        the ticket within its current pass — so a fired ticket always
-        carries the verdict."""
+        with the doom's error."""
         txn = self.txn
         if txn is not None and txn.is_active:
             self._db.doom(
@@ -356,8 +348,7 @@ class Session:
                 result, error = None, raised
             # An outcome ends the session's hold on a transaction that has
             # finished — committed, or aborted by its own or a doomed
-            # retry's error.  Only here: while suspended, a group-commit
-            # leader may have committed it before the ticket is consumed.
+            # retry's error.
             txn = self.txn
             if txn is not None and not txn.is_active:
                 self.txn = None

@@ -6,10 +6,9 @@ or wire session is an implementation detail behind it.
 
 :class:`LocalShard` embeds a :class:`~repro.engine.database.Database` in
 the coordinator's process.  Engine behaviour is unchanged — in
-particular :class:`~repro.errors.CompletionWaitRequired` (a lock wait,
-a commit queued behind a group leader) propagates to the caller, so the
-exhaustive interleaving driver can single-step a sharded deployment
-exactly like a monolithic one.
+particular :class:`~repro.errors.CompletionWaitRequired` (a lock wait)
+propagates to the caller, so the exhaustive interleaving driver can
+single-step a sharded deployment exactly like a monolithic one.
 
 :class:`RemoteShard` speaks the wire protocol to one forked shard
 server over a single :class:`~repro.client.PipelinedClient` link: every

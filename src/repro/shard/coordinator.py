@@ -73,9 +73,7 @@ from collections import OrderedDict
 from typing import Any, Hashable, Sequence
 
 from repro.engine.isolation import IsolationLevel
-from repro.engine.transaction import block_on
 from repro.errors import (
-    CompletionWaitRequired,
     TransactionAbortedError,
     TransactionStateError,
     UnsafeError,
@@ -128,12 +126,7 @@ class GlobalTransaction:
         return self.status == "aborted"
 
     def commit(self) -> None:
-        # A local shard's commit may queue behind a group-commit leader.
-        while True:
-            try:
-                return self._coordinator.commit(self)
-            except CompletionWaitRequired as wait:
-                block_on(wait)
+        self._coordinator.commit(self)
 
     def abort(self) -> None:
         self._coordinator.abort(self)

@@ -7,8 +7,8 @@ fix in InnoDB (Section 4.4).  This package provides the durability leg
 for this engine:
 
 * :mod:`repro.wal.records` — typed log records;
-* :mod:`repro.wal.log` — an append-only log with explicit flush points,
-  group commit and optional file persistence;
+* :mod:`repro.wal.log` — an append-only log with explicit flush points
+  that concurrent commits share by LSN, and optional file persistence;
 * :mod:`repro.wal.recovery` — redo recovery: rebuild the database from
   the flushed prefix of a log.
 

@@ -6,16 +6,26 @@ is lost.  ``flush()`` advances the watermark (the 10 ms the benchmarks
 charge); :meth:`crash` simulates power loss by discarding the unflushed
 suffix.
 
-Group commit falls out naturally: any number of commit records appended
-between two flushes are made durable by the single flush that follows.
+A committing writer appends its write records and its commit record in
+one call (:meth:`WriteAheadLog.log_commit`), made under the engine's
+commit latch, so LSN order is commit order; it then calls
+``flush(lsn)`` with no engine latch held.  Concurrent commits share
+fsyncs by LSN, as PostgreSQL's ``XLogFlush`` does: a flush returns at
+once when its LSN is already durable, and otherwise waits out the flush
+in progress and then makes everything appended so far durable — its own
+records and those of every commit that appended while it waited.  The
+append latch is not held across the write and fsync, so committers keep
+appending behind a flush; :meth:`crash`, :meth:`close` and
+:meth:`truncate_before` wait out a flush in progress.
 
 With a ``path``, the log is an append-only file of *frames*, one per
 flush that had new records: a 4-byte length, a 4-byte CRC32 of the
 payload, and the payload — the pickle of the list of records that flush
 made durable (values are arbitrary Python objects).  The flush writes its
 frame and calls ``os.fsync`` before it advances ``flushed_lsn``, so the
-file holds exactly the durable prefix and a commit group is one frame:
-recovery sees all of it or none.  :meth:`WriteAheadLog.load` reads
+file holds exactly the durable prefix, and a commit's records, appended
+together, are in one frame: recovery sees all of them or none.
+:meth:`WriteAheadLog.load` reads
 frames up to the first one that runs past the end of the file or fails
 its CRC — the torn tail of a flush cut short — and truncates the file
 there, so later flushes append after valid data.  Append-then-fsync can
@@ -30,13 +40,15 @@ from __future__ import annotations
 import os
 import pickle
 import struct
+import threading
 import weakref
 import zlib
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable, Iterable, Iterator
 
 from repro.engine.latches import make_latch
+from repro.obs.registry import CounterGroup
 from repro.wal.records import (
     AbortRecord,
     BeginRecord,
@@ -111,13 +123,19 @@ class WriteAheadLog:
         self._file = None
         self._closer = None
         self._file_mode = "wb"
-        self.stats = {"appends": 0, "flushes": 0}
+        #: records appended and flushes run; the engine adopts the group
+        #: into its metrics as ``wal``
+        self.stats = CounterGroup(appends=0, flushes=0)
         # Leaf latch (rank "wal", the bottom of the hierarchy): serialises
-        # LSN allocation, appends, the flush watermark and the file.
-        # Engine callers invoke the WAL outside every engine latch, so
-        # log-file I/O never blocks latched critical sections — only
-        # other WAL operations.
+        # LSN allocation, appends and the flush watermark.  A committer
+        # appends under the engine's commit latch, which ranks above it;
+        # nothing else is ever done under an engine latch.
         self._latch = make_latch("wal")
+        # Not a latch: held across a flush's write and fsync, so one
+        # flush runs at a time, and by crash/close/truncate_before to wait
+        # one out.  Always taken before the wal latch and never under an
+        # engine latch.
+        self._flushing = threading.Lock()
 
     # ------------------------------------------------------------- append
 
@@ -146,8 +164,29 @@ class WriteAheadLog:
             tombstone=tombstone, kind=kind,
         )
 
-    def log_commit(self, txn_id: int, commit_ts: int) -> LogRecord:
-        return self._append(CommitRecord, txn_id, commit_ts=commit_ts)
+    def log_commit(
+        self, txn_id: int, commit_ts: int,
+        writes: Iterable[tuple[str, Hashable, Any, bool, str]] = (),
+    ) -> LogRecord:
+        """Append a write record for each ``(table, key, value,
+        tombstone, kind)`` of ``writes``, then the commit record, in one
+        hold of the latch: the transaction's records are contiguous and
+        no flush can take some of them without the rest.  Returns the
+        commit record."""
+        with self._latch:
+            lsn = self._next_lsn
+            records = self._records
+            for table, key, value, tombstone, kind in writes:
+                records.append(WriteRecord(
+                    lsn=lsn, txn_id=txn_id, table=table, key=key,
+                    value=value, tombstone=tombstone, kind=kind,
+                ))
+                lsn += 1
+            record = CommitRecord(lsn=lsn, txn_id=txn_id, commit_ts=commit_ts)
+            records.append(record)
+            self.stats["appends"] += lsn + 1 - self._next_lsn
+            self._next_lsn = lsn + 1
+            return record
 
     def log_abort(self, txn_id: int) -> LogRecord:
         return self._append(AbortRecord, txn_id)
@@ -165,29 +204,49 @@ class WriteAheadLog:
     def flushed_lsn(self) -> int:
         return self._flushed_lsn
 
-    def flush(self) -> int:
-        """Make everything appended so far durable; returns the new
-        watermark.  One flush covers every commit queued behind it
-        (group commit); on a file log it is one frame and one fsync."""
-        with self._latch:
-            self.stats["flushes"] += 1
-            if self.path is not None:
-                if self._file is None:
-                    self._file = open(self.path, self._file_mode, buffering=0)
-                    # Closes the file when the log is collected unclosed.
-                    self._closer = weakref.finalize(self, self._file.close)
-                    if self._file_mode == "wb":  # a new file
-                        _sync_directory(self.path)
-                if self._durable < len(self._records):
-                    self._append_frame(_frame(self._records[self._durable:]))
-            self._durable = len(self._records)
-            self._flushed_lsn = self.last_lsn
-            return self._flushed_lsn
+    def flush(self, lsn: int | None = None) -> int:
+        """Make the log durable through ``lsn`` — everything appended so
+        far when None — and return the watermark.
 
-    def _append_frame(self, frame: bytes) -> None:
-        """Write and fsync one frame; a write or sync that fails cuts the
+        Returns at once when ``lsn`` is already durable.  Otherwise it
+        waits out the flush in progress, which may have covered ``lsn``,
+        and then writes everything appended so far as one frame and
+        fsyncs it, with the append latch free: the records of every
+        commit that appended meanwhile share this fsync."""
+        if lsn is not None and lsn <= self._flushed_lsn:
+            return self._flushed_lsn
+        with self._flushing:
+            if lsn is not None and lsn <= self._flushed_lsn:
+                return self._flushed_lsn
+            with self._latch:
+                self.stats["flushes"] += 1
+                end = len(self._records)
+                last = self._next_lsn - 1
+                batch = self._records[self._durable:end]
+            # Appends only extend the list, and everything that shrinks it
+            # waits for ``_flushing``: ``end`` still marks this batch.
+            self._sync(batch)
+            with self._latch:
+                self._durable = end
+                self._flushed_lsn = last
+            return last
+
+    def _sync(self, records: list[LogRecord]) -> None:
+        """Write ``records`` as one frame and fsync it (a file log only;
+        caller holds ``_flushing``).  A write or sync that fails cuts the
         file back to where the frame began, so a later flush never
         appends behind a partial frame."""
+        if self.path is None:
+            return
+        if self._file is None:
+            self._file = open(self.path, self._file_mode, buffering=0)
+            # Closes the file when the log is collected unclosed.
+            self._closer = weakref.finalize(self, self._file.close)
+            if self._file_mode == "wb":  # a new file
+                _sync_directory(self.path)
+        if not records:
+            return
+        frame = _frame(records)
         start = self._file.tell()
         try:
             if self._file.write(frame) != len(frame):
@@ -201,7 +260,7 @@ class WriteAheadLog:
     def crash(self) -> int:
         """Simulate power loss: the unflushed suffix disappears.
         Returns the number of records lost."""
-        with self._latch:
+        with self._flushing, self._latch:
             lost = len(self._records) - self._durable
             del self._records[self._durable:]
             self._next_lsn = self._flushed_lsn + 1
@@ -209,7 +268,7 @@ class WriteAheadLog:
 
     def close(self) -> None:
         """Close the log file (a later flush reopens it to append)."""
-        with self._latch:
+        with self._flushing, self._latch:
             self._close_file()
 
     def _close_file(self) -> None:
@@ -272,7 +331,7 @@ class WriteAheadLog:
         redundant).  Returns the number removed.  LSNs are preserved —
         the log keeps a base offset.  A file log is rewritten atomically
         to one frame of the durable records kept."""
-        with self._latch:
+        with self._flushing, self._latch:
             removed = bisect_left(self._records, lsn, key=attrgetter("lsn"))
             del self._records[:removed]
             self._durable = max(0, self._durable - removed)

@@ -13,11 +13,12 @@ Because the engine is no-steal, recovery is a single redo pass:
 
 The base is a restored checkpoint (its clock is the image's) or an empty
 database (clock 0: every durable commit is replayed).  The timestamp
-rule is exact because a writer draws its commit timestamp and installs
-its versions in one commit-latched section, and a checkpoint images the
-tables and reads the clock under that same latch: a commit is in the
-image if and only if its timestamp is at most the image's clock —
-wherever its log records landed relative to the checkpoint record.
+rule is exact because a writer draws its commit timestamp, installs its
+versions and appends its records in one commit-latched section, and a
+checkpoint images the tables, reads the clock and appends its record
+under that same latch: a commit is in the image if and only if its
+timestamp is at most the image's clock, which is also exactly when its
+records precede the checkpoint record.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from repro.engine.config import EngineConfig, LockGranularity, DeadlockMode
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
-from repro.errors import CompletionWaitRequired
 from repro.wal.log import WriteAheadLog
 
 
@@ -64,16 +64,16 @@ def commit_outcomes(*txns) -> list[str]:
 
 # ------------------------------------------------ staging commit groups
 #
-# A commit group is whatever queued while the previous leader was busy,
-# so tests do not wait for one to form: they park a leader inside its
-# WAL flush and queue the followers behind it themselves.
+# Commits share a log flush when they append while another commit's
+# flush is in its fsync, so tests do not wait for that to happen: they
+# hold one committer inside its fsync and commit the others behind it.
 
 
 class GatedWAL(WriteAheadLog):
-    """A log whose flush can be held.  Between :meth:`hold` and
-    :meth:`release`, a ``flush()`` sets ``entered`` and blocks — the
-    caller is then a commit leader with its versions installed, its
-    locks held and the leader flag set."""
+    """A log whose frame write can be held.  Between :meth:`hold` and
+    :meth:`release`, a flush that reaches its write sets ``entered`` and
+    blocks there — with the flush in progress and the append latch free,
+    so other committers append their records and wait for it."""
 
     def __init__(self, path: str | None = None):
         super().__init__(path)
@@ -93,66 +93,75 @@ class GatedWAL(WriteAheadLog):
             self.entered.set()
             assert self._open.wait(timeout=30), "GatedWAL never released"
 
-    def flush(self) -> int:
+    def _sync(self, records) -> None:
         self.gate()
-        return super().flush()
+        super()._sync(records)
 
 
-@contextmanager
-def held_leader(db: Database, txn):
-    """Commit ``txn`` on a helper thread and enter the block once it is
-    parked at the gate of ``db.wal`` (a :class:`GatedWAL`); leaving the
-    block opens the gate and joins it, by which time the leader has also
-    drained everything queued inside the block.  Yields a list that
-    receives the error the leader's own commit raised, if any."""
+def on_thread(fn, *args) -> tuple[threading.Thread, list]:
+    """Start ``fn(*args)`` on a helper thread; the list it returns
+    receives the error ``fn`` raised, if any."""
     raised: list[BaseException] = []
 
-    def lead():
+    def run():
         try:
-            db.commit(txn)
+            fn(*args)
         except BaseException as error:  # noqa: BLE001 - handed to the test
             raised.append(error)
 
-    thread = threading.Thread(target=lead)
-    db.wal.hold()
+    thread = threading.Thread(target=run)
     thread.start()
+    return thread, raised
+
+
+@contextmanager
+def held_flush(db: Database, txn):
+    """Commit ``txn`` on a helper thread and enter the block once it is
+    parked inside the flush of ``db.wal`` (a :class:`GatedWAL`) — its
+    versions installed and logged, its locks held; leaving the block
+    opens the gate and joins it.  Yields a list that receives the error
+    its commit raised, if any."""
+    db.wal.hold()
+    thread, raised = on_thread(db.commit, txn)
     try:
-        assert db.wal.entered.wait(timeout=10), "leader never reached the gate"
+        assert db.wal.entered.wait(timeout=10), "committer never reached the gate"
         yield raised
     finally:
         db.wal.release()
         thread.join(timeout=10)
-    assert not thread.is_alive(), "leader wedged"
+    assert not thread.is_alive(), "held committer wedged"
 
 
-def queue_behind(db: Database, *followers) -> None:
-    """Queue each transaction's commit, in order, behind the active
-    leader; ``db.commit(txn)`` later consumes the leader's verdict."""
-    for txn in followers:
-        with pytest.raises(CompletionWaitRequired):
-            db.commit(txn)
+def commit_behind(db: Database, *txns) -> list[tuple[threading.Thread, list]]:
+    """Commit each transaction on its own thread while a flush is held
+    (:func:`held_flush`); returns once each has been decided and, if it
+    wrote, has appended its records and waits for that flush, with the
+    ``on_thread`` pairs to join."""
+    started = [on_thread(db.commit, txn) for txn in txns]
+    deadline = time.monotonic() + 10
+    while not all(
+        txn.is_aborted or txn.is_committed and (txn.commit_lsn or not txn.write_set)
+        for txn in txns
+    ):
+        assert time.monotonic() < deadline, "committers never appended"
+        time.sleep(0.001)
+    return started
 
 
-def commit_as_group(db: Database, leader, followers) -> None:
-    """One staged group: ``followers`` ride one batch behind ``leader``."""
-    with held_leader(db, leader) as raised:
-        queue_behind(db, *followers)
-    assert not raised, raised
+def join_all(started, timeout: float = 10) -> list[BaseException]:
+    """Join ``on_thread`` pairs; returns every error they raised."""
+    errors: list[BaseException] = []
+    for thread, raised in started:
+        thread.join(timeout=timeout)
+        assert not thread.is_alive(), "committer wedged"
+        errors.extend(raised)
+    return errors
 
 
-class FollowerCommitDatabase(Database):
-    """Every commit is certified by ``Database._run_batch``: the
-    caller takes the leader's seat without a commit of its own, queues
-    the transaction as a follower and drains it as a group of one — the
-    path a lone ``Database.commit`` no longer exercises."""
-
-    def commit(self, txn) -> None:
-        assert self._enter_batch(txn) is None
-        try:
-            super().commit(txn)
-            return  # the bypass: nothing to certify or log
-        except CompletionWaitRequired:
-            pass
-        finally:
-            self._lead_batches()
-        super().commit(txn)
+def commit_as_group(db: Database, first, others) -> None:
+    """One staged group: ``others`` append while ``first`` is held in
+    its fsync, and the next flush makes all of them durable at once."""
+    with held_flush(db, first) as raised:
+        started = commit_behind(db, *others)
+    errors = raised + join_all(started)
+    assert not errors, errors

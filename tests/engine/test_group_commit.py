@@ -1,16 +1,17 @@
-"""The commit entry: lone leaders, follower groups, one flush per group.
+"""Group commit: concurrent commits share log flushes, and no commit
+waits on another in the engine.
 
-Covers the group-commit contracts of :mod:`repro.engine.commit`:
-a lone committer pays for no ticket and no batch, committers that
-overlap a leader ride leader-run groups under the default configuration,
-intra-batch dangerous structures abort the later arrival, doomed members
-abort inside their group, a failing leader still drains its followers,
-non-certifying empty-write transactions bypass the batcher, sessions
-ride groups while suspended (and stay suspended when interrupted), and
-the whole pipeline stays MVSG-serializable with clean lock tables.
+Covers the contracts of :mod:`repro.engine.commit` with the flush
+sharing of :mod:`repro.wal.log`: commits that append while another
+commit's flush is in its fsync share the next flush under the default
+configuration; a committer waiting for its flush is already committed
+for certification, so a dangerous structure it completes aborts the
+later committer; read-only commits never touch the log; sessions commit
+without suspending; and the whole pipeline stays MVSG-serializable
+with clean lock tables.
 
-Groups are staged, not waited for: a leader is parked inside its WAL
-flush (``GatedWAL``) and the followers are queued behind it.
+Groups are staged, not waited for: one committer is held inside its
+fsync (``GatedWAL``) and the others commit behind it on threads.
 """
 
 import threading
@@ -19,9 +20,7 @@ import time
 import pytest
 
 from repro import Database, EngineConfig
-from repro.engine import commit as pipeline
 from repro.errors import (
-    CompletionWaitRequired,
     TransactionAbortedError,
     TransactionStateError,
     UnsafeError,
@@ -30,8 +29,9 @@ from repro.sgt.checker import check_serializable
 from tests.conftest import (
     GatedWAL,
     commit_as_group,
-    held_leader,
-    queue_behind,
+    commit_behind,
+    held_flush,
+    join_all,
 )
 
 
@@ -47,170 +47,104 @@ def writer(db, key, value=1, level="ssi"):
     return txn
 
 
-def group_counters(db):
-    return db.metrics.snapshot()["counters"]["group_commit"]
+def wal_counters(db):
+    return db.metrics.snapshot()["counters"]["wal"]
 
 
-def batch_size_histogram(db):
-    return db.metrics.snapshot()["histograms"]["group_commit_batch_size"]
-
-
-class TestBatching:
-    def test_single_committer_runs_no_batch(self, monkeypatch):
-        """Alone, a committer leads itself through the serial body: no
-        ticket, no ``_run_batch`` pass, no counter, no histogram."""
-        def no_ticket(txn):
-            raise AssertionError(f"lone commit of {txn.id} allocated a ticket")
-
-        monkeypatch.setattr(pipeline, "_Ticket", no_ticket)
-        db = make_db()
-        for key in ("a", "b", "c"):
-            txn = writer(db, key)
-            txn.commit()
-            assert txn._commit_ticket is None
-        assert group_counters(db) == {
-            "batches": 0, "batched_txns": 0, "batch_aborts": 0,
-        }
-        assert batch_size_histogram(db)["count"] == 0
-        assert not db._leader_active
-        check = db.begin("si")
-        assert check.read("t", "a") == 1
-        check.commit()
-
-    def test_default_config_batches_held_followers(self):
+class TestSharedFlush:
+    def test_default_config_shares_flushes(self):
         """No knob turns this on: with ``EngineConfig()`` commits that
-        overlap a leader share one certification pass and one flush."""
-        wal = GatedWAL()
-        db = Database(EngineConfig(), wal=wal)
+        append behind a flush in progress share the next one."""
+        db = Database(EngineConfig(), wal=GatedWAL())
         db.create_table("t")
-        followers = [writer(db, ("f", k)) for k in range(5)]
-        commit_as_group(db, writer(db, ("leader", 0)), followers)
-        assert all(txn.is_committed for txn in followers)
+        others = [writer(db, ("f", k)) for k in range(5)]
+        commit_as_group(db, writer(db, ("held", 0)), others)
+        assert all(txn.is_committed for txn in others)
         assert db.stats["commits"] == 6
-        assert wal.stats["flushes"] == 2 < db.stats["commits"]
-        assert group_counters(db) == {
-            "batches": 1, "batched_txns": 5, "batch_aborts": 0,
-        }
+        assert wal_counters(db) == {"appends": 12, "flushes": 2}
 
-    def test_batch_size_histogram_recorded(self):
+    def test_a_committer_waits_in_the_log_with_its_locks_held(self):
+        """Behind a held flush a committer is committed — its versions
+        visible, its records appended — but blocks inside the log, not
+        in the engine, and keeps its locks until its flush returns."""
         db = make_db()
-        for size in (1, 3):
-            commit_as_group(
-                db,
-                writer(db, ("leader", size)),
-                [writer(db, ("f", size, k)) for k in range(size)],
-            )
-        histogram = batch_size_histogram(db)
-        assert histogram["count"] == 2
-        assert histogram["total"] == 4
-
-    def test_follower_commit_raises_and_its_thread_blocks_through(self):
-        """The engine never parks a follower: ``db.commit`` queues the
-        ticket and raises the wait, and only ``txn.commit()``'s executor
-        parks the thread, until the leader's verdict."""
-        db = make_db()
-        follower = writer(db, "f")
-        outcome = []
-
-        def commit_on_thread():
-            follower.commit()  # blocks through the ticket
-            outcome.append(follower.status.value)
-
-        with held_leader(db, writer(db, "leader")) as raised:
-            with pytest.raises(CompletionWaitRequired) as wait:
-                db.commit(follower)
-            assert wait.value.txn is follower
-            assert wait.value.completion is follower._commit_ticket
-            thread = threading.Thread(target=commit_on_thread)
-            thread.start()
+        behind = writer(db, "b", level="s2pl")
+        with held_flush(db, writer(db, "held")) as raised:
+            started = commit_behind(db, behind)
+            thread, _errors = started[0]
             thread.join(timeout=0.2)
-            assert thread.is_alive() and not outcome  # the leader is held
-        thread.join(timeout=10)
-        assert not raised
-        assert outcome == ["committed"]
-        assert follower._commit_ticket is None
+            assert thread.is_alive(), "the commit returned unflushed"
+            assert behind.is_committed
+            assert db.wal.flushed_lsn < behind.commit_lsn
+            assert db.locks.locks_held_by(behind)
+            peek = db.begin("si")
+            assert peek.read("t", "b") == 1
+            peek.commit()
+        assert not raised and not join_all(started)
+        assert db.wal.flushed_lsn >= behind.commit_lsn
+        assert not db.locks.locks_held_by(behind)
 
-    def test_concurrent_committers_share_batches(self):
-        """Followers parked on threads are released by the leader's one
-        pass, and a queue longer than MAX_BATCH drains in several."""
+    def test_many_committers_share_one_flush(self):
         db = make_db()
-        count = pipeline.MAX_BATCH + 4
-        followers = [writer(db, ("f", k), k) for k in range(count)]
-        failures = []
-
-        def wait_for_verdict(txn):
-            try:
-                txn.commit()  # blocks through the queued ticket
-            except BaseException as error:  # noqa: BLE001
-                failures.append(error)
-
-        waiters = [
-            threading.Thread(target=wait_for_verdict, args=(txn,))
-            for txn in followers
-        ]
-        with held_leader(db, writer(db, ("leader", 0))) as raised:
-            queue_behind(db, *followers)
-            for w in waiters:
-                w.start()
-        for w in waiters:
-            w.join(timeout=10)
-        assert not any(w.is_alive() for w in waiters)
-        assert not raised and not failures
-        assert all(txn.is_committed for txn in followers)
-        assert group_counters(db) == {
-            "batches": 2, "batched_txns": count, "batch_aborts": 0,
-        }
+        count = 20
+        others = [writer(db, ("f", k), k) for k in range(count)]
+        commit_as_group(db, writer(db, ("held", 0)), others)
+        assert all(txn.is_committed for txn in others)
+        assert wal_counters(db)["flushes"] == 2
         assert check_serializable(db.history).serializable
         assert db.locks.table_size() == 0
 
-    @pytest.mark.parametrize(
-        "knob", ["group_commit", "group_commit_max", "group_commit_wait_us"]
-    )
-    def test_removed_knob_is_a_type_error(self, knob):
-        """Group commit is how commit works, not a mode; no alias."""
-        with pytest.raises(TypeError):
-            EngineConfig(**{knob: True})
-
-
-class TestGroupWalFlush:
-    def test_one_flush_per_batch(self):
+    def test_one_shared_flush_per_group(self):
         db = make_db()
         rounds = 4
         for r in range(rounds):
             commit_as_group(
                 db,
-                writer(db, ("leader", r)),
+                writer(db, ("held", r)),
                 [writer(db, ("f", r, k)) for k in range(3)],
             )
-        counters = group_counters(db)
         assert db.stats["commits"] == rounds * 4
-        assert counters["batches"] == rounds
-        # One flush for each leader's own commit, one per follower group.
-        assert db.wal.stats["flushes"] == rounds + counters["batches"]
-        assert db.wal.stats["flushes"] < db.stats["commits"]
+        # One flush for each held commit, one per group behind it.
+        assert wal_counters(db)["flushes"] == 2 * rounds
 
-    def test_read_only_members_do_not_flush(self):
+    def test_si_writers_share_the_flush(self):
+        """SI does not certify but does write: its flush is shared too."""
+        db = make_db()
+        member = writer(db, "a", level="si")
+        commit_as_group(db, writer(db, "held"), [member])
+        assert member.is_committed
+        assert wal_counters(db)["flushes"] == 2
+
+    @pytest.mark.parametrize("level", ["ssi", "si"])
+    def test_read_only_commits_neither_flush_nor_wait(self, level):
+        """A read-only commit logs nothing, so it returns at once even
+        while a flush is held — a certifying reader's SIREADs still
+        count for later committers."""
         db = make_db()
         writer(db, "a").commit()
-        flushes = db.wal.stats["flushes"]
-        reader = db.begin("ssi")
+        counters = wal_counters(db)
+        reader = db.begin(level)
         assert reader.read("t", "a") == 1
-        reader.commit()
-        assert db.wal.stats["flushes"] == flushes
-        # Nor does a group made of readers only.
-        member = db.begin("ssi")
-        assert member.read("t", "a") == 1
-        commit_as_group(db, writer(db, "b"), [member])
-        assert member.is_committed
-        assert group_counters(db)["batched_txns"] == 1
-        assert db.wal.stats["flushes"] == flushes + 1  # the leader's own
+        with held_flush(db, writer(db, "held")):
+            reader.commit()
+            assert reader.is_committed
+        assert wal_counters(db)["flushes"] == counters["flushes"] + 1
+
+    @pytest.mark.parametrize(
+        "knob", ["group_commit", "group_commit_max", "group_commit_wait_us"]
+    )
+    def test_removed_knob_is_a_type_error(self, knob):
+        """Sharing flushes is how commit works, not a mode; no alias."""
+        with pytest.raises(TypeError):
+            EngineConfig(**{knob: True})
 
 
-class TestIntraBatchCertification:
-    def test_dangerous_structure_across_batch_members(self):
-        """Classic write skew: T1 reads x writes y, T2 reads y writes x,
-        both commit in one group.  Arrival order is the victim rule: the
-        later arrival completes the dangerous structure and aborts."""
+class TestCertificationBehindAFlush:
+    def test_dangerous_structure_with_a_committer_waiting_for_its_flush(self):
+        """Classic write skew: T1 reads x writes y, T2 reads y writes x.
+        T1 commits behind a held flush; it is committed for
+        certification before its flush returns, so T2, which would
+        complete the dangerous structure, aborts."""
         db = make_db()
         db.load("t", [("x", 0), ("y", 0)])
         t1, t2 = db.begin("ssi"), db.begin("ssi")
@@ -218,104 +152,17 @@ class TestIntraBatchCertification:
         t2.read("t", "y")
         t1.write("t", "y", 1)
         t2.write("t", "x", 1)
-        commit_as_group(db, writer(db, "leader"), [t1, t2])
-        db.commit(t1)
-        with pytest.raises(UnsafeError):
-            db.commit(t2)
+        with held_flush(db, writer(db, "held")) as raised:
+            started = commit_behind(db, t1)
+            with pytest.raises(UnsafeError):
+                db.commit(t2)
+        assert not raised and not join_all(started)
         assert t1.is_committed and t2.is_aborted
-        assert group_counters(db) == {
-            "batches": 1, "batched_txns": 2, "batch_aborts": 1,
-        }
         assert check_serializable(db.history).serializable
         db.cleanup_suspended()  # release retained SIREADs
         assert db.locks.table_size() == 0
 
-    def test_doom_before_submit_aborts_without_batching(self, monkeypatch):
-        """A transaction doomed before its commit call aborts on the
-        doom check in front of ``_enter_batch`` — it never takes leadership
-        and never occupies a group slot."""
-        db = make_db()
-        victim = writer(db, "v")
-        victim.doom_error = UnsafeError("doomed by test", txn_id=victim.id)
-
-        def no_entry(txn):
-            raise AssertionError(f"doomed {txn.id} entered the batcher")
-
-        monkeypatch.setattr(db, "_enter_batch", no_entry)
-        with pytest.raises(UnsafeError):
-            victim.commit()
-        assert victim.is_aborted
-        check = db.begin("si")
-        assert check.get("t", "v") is None
-        check.commit()
-
-    def test_doomed_member_aborts_inside_its_group(self):
-        """Doom that lands *after* the member queued but before the
-        leader's pass: the leader takes the abort decision inside the
-        batch and the ticket carries the doom error out."""
-        db = make_db()
-        victim = writer(db, "v")
-        with held_leader(db, writer(db, "leader")) as raised:
-            queue_behind(db, victim)
-            victim.doom_error = UnsafeError(
-                "doomed in flight", txn_id=victim.id
-            )
-        assert not raised
-        with pytest.raises(UnsafeError):
-            db.commit(victim)
-        assert victim.is_aborted
-        assert victim._commit_ticket is None
-        assert group_counters(db)["batch_aborts"] == 1
-        check = db.begin("si")
-        assert check.get("t", "v") is None
-        check.commit()
-
-    def test_doomed_si_follower_gets_the_doom_error(self):
-        """A non-certifying follower doomed in flight: its re-invoked
-        commit consumes the ticket before the read-only bypass, which its
-        rolled-back (now empty) write set would otherwise take."""
-        db = make_db()
-        victim = writer(db, "v", level="si")
-        with held_leader(db, writer(db, "leader")) as raised:
-            queue_behind(db, victim)
-            victim.doom_error = UnsafeError(
-                "doomed in flight", txn_id=victim.id
-            )
-        assert not raised
-        with pytest.raises(UnsafeError):
-            db.commit(victim)
-        assert victim.is_aborted
-        assert victim._commit_ticket is None
-
-    def test_failing_leader_still_drains_its_followers(self, monkeypatch):
-        """The leader's own commit fails certification (no flush to park
-        it in, so its followers are queued from inside its ``_certify``):
-        it raises UnsafeError *and* resolves everyone behind it."""
-        db = make_db()
-        leader = writer(db, ("l", 0))
-        followers = [writer(db, ("f", k)) for k in range(3)]
-        certify = db._certify
-
-        def failing_certify(txn):
-            if txn is leader:
-                queue_behind(db, *followers)
-                return UnsafeError("leader fails", txn_id=txn.id)
-            return certify(txn)
-
-        monkeypatch.setattr(db, "_certify", failing_certify)
-        with pytest.raises(UnsafeError):
-            db.commit(leader)
-        assert leader.is_aborted
-        assert not db._leader_active
-        for txn in followers:
-            db.commit(txn)  # resolved: consumes the verdict, no wait
-            assert txn.is_committed
-        assert group_counters(db) == {
-            "batches": 1, "batched_txns": 3, "batch_aborts": 0,
-        }
-        assert db.locks.table_size() == 0
-
-    def test_already_finished_member_raises_state_error(self):
+    def test_already_finished_transaction_raises_state_error(self):
         db = make_db()
         txn = writer(db, "a")
         txn.commit()
@@ -324,8 +171,8 @@ class TestIntraBatchCertification:
 
     def test_first_committer_wins_still_enforced(self):
         """FCW is checked at write time (exclusive locks), so two
-        writers of one key serialize before the batcher ever sees them —
-        the commit entry must preserve the abort."""
+        writers of one key serialize before either commits — the commit
+        entry must preserve the abort."""
         db = make_db(lock_timeout=0.5)
         db.load("t", [("z", 0)])
         a = db.begin("ssi")
@@ -341,53 +188,18 @@ class TestIntraBatchCertification:
         check.commit()
 
 
-class TestBypass:
-    def test_si_writers_still_batch(self):
-        """SI doesn't certify but does write — its WAL flush amortises
-        through the group too."""
-        db = make_db()
-        member = writer(db, "a", level="si")
-        commit_as_group(db, writer(db, "leader"), [member])
-        assert member.is_committed
-        assert group_counters(db)["batched_txns"] == 1
-
-    def test_read_only_certifying_txn_bypasses_nothing_it_needs(self):
-        """A certifying reader goes through the batcher (its SIREADs
-        feed later members' certification)."""
-        db = make_db()
-        writer(db, "a").commit()
-        reader = db.begin("ssi")
-        assert reader.read("t", "a") == 1
-        with held_leader(db, writer(db, "leader")):
-            queue_behind(db, reader)
-        assert reader.is_committed
-
-    def test_non_certifying_empty_write_bypasses_batcher(self):
-        """An SI read-only transaction neither certifies nor writes:
-        nothing to batch, so it commits without queueing even while a
-        leader is busy."""
-        db = make_db()
-        txn = db.begin("si")
-        txn.get("t", "missing")
-        with held_leader(db, writer(db, "leader")):
-            txn.commit()
-            assert txn.is_committed
-        assert group_counters(db)["batched_txns"] == 0
-
-
-def wait_for_suspended(scheduler, count):
+def wait_for_appends(db, records):
     deadline = time.monotonic() + 10
-    while scheduler.suspended_sessions != count:
-        assert time.monotonic() < deadline, "sessions never suspended"
+    while db.wal.last_lsn < records:
+        assert time.monotonic() < deadline, "sessions never appended"
         time.sleep(0.005)
 
 
-class TestSessionsRideGroups:
-    def test_session_commit_suspends_on_group(self):
-        """Session committers ride the leader's group: with the leader's
-        thread held in its flush, every other session suspends on its
-        ticket — its thread blocks on the ticket, not in a flush — and
-        they all ride one group."""
+class TestSessions:
+    def test_session_commits_share_a_flush_without_suspending(self):
+        """Session committers behind a held flush block in the log on
+        their own threads — none suspends, since a commit raises no
+        wait — and they share one flush."""
         from repro.session import SessionScheduler
         from repro.sim.ops import Write
 
@@ -411,87 +223,38 @@ class TestSessionsRideGroups:
         threads = [threading.Thread(target=drive, args=(index,))
                    for index in range(sessions)]
         db.wal.hold()
-        threads[0].start()
-        assert db.wal.entered.wait(timeout=10)
-        for thread in threads[1:]:
-            thread.start()
-        wait_for_suspended(scheduler, sessions - 1)
-        db.wal.release()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive(), "sessions wedged"
+        try:
+            threads[0].start()
+            assert db.wal.entered.wait(timeout=10)
+            for thread in threads[1:]:
+                thread.start()
+            wait_for_appends(db, 2 * sessions)  # a write and a commit each
+            assert scheduler.suspended_sessions == 0
+        finally:
+            db.wal.release()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads), "sessions wedged"
         scheduler.shutdown()
         assert not errors, errors
         assert db.stats["commits"] == sessions
-        assert group_counters(db) == {
-            "batches": 1, "batched_txns": sessions - 1, "batch_aborts": 0,
-        }
+        assert wal_counters(db)["flushes"] == 2
         assert check_serializable(db.history).serializable
         assert db.locks.table_size() == 0
 
-    def test_interrupted_follower_stays_suspended(self):
-        """interrupt() dooms a queued follower but leaves its ticket to
-        the leader: the session must not bounce back to its driver
-        re-raising the same wait until the leader resolves."""
-        from repro.session import SessionScheduler
-
-        db = make_db()
-        scheduler = SessionScheduler(db)
-        leader_thread = follower_thread = None
-        try:
-            leader, follower = scheduler.session(), scheduler.session()
-            follower.call("begin", "ssi")
-            follower.call("write", "t", "f", 1)
-            leader.call("begin", "ssi")
-            leader.call("write", "t", "l", 1)
-            box = {}
-
-            def commit_follower():
-                try:
-                    follower.call("commit")
-                except Exception as error:  # noqa: BLE001 - asserted below
-                    box["e"] = error
-
-            db.wal.hold()
-            leader_thread = threading.Thread(target=leader.call, args=("commit",))
-            leader_thread.start()
-            assert db.wal.entered.wait(timeout=10)
-            follower_thread = threading.Thread(target=commit_follower)
-            follower_thread.start()
-            wait_for_suspended(scheduler, 1)
-            steps = []
-            step = follower._step
-            follower._step = lambda: (steps.append(1), step())
-            follower.interrupt()
-            time.sleep(0.1)  # the leader is still held in its flush
-            assert len(steps) <= 2, f"{len(steps)} steps while suspended"
-            assert follower_thread.is_alive()
-            db.wal.release()
-            follower_thread.join(timeout=10)
-            assert not follower_thread.is_alive()
-            assert isinstance(box["e"], TransactionAbortedError)
-            assert group_counters(db)["batch_aborts"] == 1
-            assert db.locks.table_size() == 0
-        finally:
-            db.wal.release()
-            for thread in (leader_thread, follower_thread):
-                if thread is not None:
-                    thread.join(timeout=10)
-            scheduler.shutdown()
-
 
 class TestLatchDebugCompat:
-    def test_group_commit_under_checked_latches(self, monkeypatch):
-        """REPRO_LATCH_DEBUG=1 swaps in rank-checking latches; the
-        batcher's hoisted tracker+commit section must satisfy them."""
+    def test_shared_flushes_under_checked_latches(self, monkeypatch):
+        """REPRO_LATCH_DEBUG=1 swaps in rank-checking latches; the log
+        append under the commit latch must satisfy them."""
         monkeypatch.setenv("REPRO_LATCH_DEBUG", "1")
         db = make_db()
         for r in range(4):
             commit_as_group(
                 db,
-                writer(db, ("leader", r)),
+                writer(db, ("held", r)),
                 [writer(db, ("f", r, k)) for k in range(3)],
             )
         assert db.stats["commits"] == 16
-        assert group_counters(db)["batches"] == 4
+        assert wal_counters(db)["flushes"] == 8
         assert check_serializable(db.history).serializable

@@ -1,5 +1,6 @@
-"""Completions: a lock request is one, so its subscribers get the same
-callback hardening as a commit ticket's; and the cancel-vs-grant race
+"""Completions: a lock request is one, so its subscribers get the
+completion's callback hardening — a raising subscriber cannot unwind
+the commit whose lock release fires it; and the cancel-vs-grant race
 (exactly one terminal state, callbacks fire once)."""
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.locking.manager import (
 )
 from repro.locking.modes import LockMode
 from repro.obs.trace import EventType
-from tests.conftest import GatedWAL, held_leader
+from repro.wal.log import WriteAheadLog
 
 
 class Owner:
@@ -118,31 +119,34 @@ class TestCallbackHardening:
         db.abort(waiter)
 
 
-    def test_failing_ticket_subscriber_is_contained_and_the_batch_finishes(self):
-        """A commit ticket's completion contains a raising subscriber
-        like a lock request does: the batch leader fires every ticket of
-        its group, each member commits, and the error is counted."""
-        db = Database(EngineConfig(), wal=GatedWAL())
+    def test_failing_subscriber_cannot_unwind_a_durable_commit(self):
+        """The commit whose lock release grants the waiters fires their
+        requests' subscribers: a raising one is contained, every other
+        subscriber runs, and the commit still finishes — flushed once,
+        locks released, the errors counted."""
+        db = Database(EngineConfig(), wal=WriteAheadLog())
         db.create_table("t")
-        leader, first, second = (db.begin("ssi") for _ in range(3))
-        for key, txn in enumerate((leader, first, second)):
-            txn.write("t", key, "v")
+        db.load("t", [("k", 0)])
+        holder = db.begin("s2pl")
+        holder.write("t", "k", 1)
         fired = []
-        with held_leader(db, leader) as raised:
-            for txn in (first, second):
-                with pytest.raises(CompletionWaitRequired) as wait:
-                    db.commit(txn)
-                wait.value.completion.on_fire(
-                    lambda c: (_ for _ in ()).throw(RuntimeError("kaput")))
-                wait.value.completion.on_fire(fired.append)
-        assert not raised
+        waiters = [db.begin("s2pl") for _ in range(2)]
+        for waiter in waiters:
+            with pytest.raises(CompletionWaitRequired) as wait:
+                db.read(waiter, "t", "k")
+            wait.value.completion.on_fire(
+                lambda c: (_ for _ in ()).throw(RuntimeError("kaput")))
+            wait.value.completion.on_fire(fired.append)
+        holder.commit()
+        assert holder.is_committed
         assert len(fired) == 2
-        for txn in (first, second):
-            db.commit(txn)  # consumes the resolved ticket
-            assert txn.is_committed
+        for waiter in waiters:
+            assert db.read(waiter, "t", "k") == 1  # granted: the retry reads
+            waiter.commit()
         counters = db.metrics.snapshot()["counters"]
         assert counters["locks"]["lock_callback_errors"] == 2
-        assert counters["group_commit"]["batched_txns"] == 2
+        assert counters["wal"] == {"appends": 2, "flushes": 1}
+        assert db.locks.table_size() == 0
 
 
 class TestCancelVsResolveRace:

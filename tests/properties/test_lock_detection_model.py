@@ -27,7 +27,7 @@ one each.  Escalation folds an owner's ranges before its chain entries.
 from dataclasses import dataclass, field
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.locking.manager import (
     LockManager,
@@ -325,8 +325,9 @@ def step(lm: LockManager, model: Model, owners, chains, op) -> None:
         model.commit(op[1])
     elif kind == "abort":
         # An aborted id is dead to the engine, but this test reuses ids:
-        # take them off the chains, as no later writer may meet them.
-        for chain in owners[op[1]].sireads:
+        # take it off every chain — those of its folded entries too — as
+        # no later writer may meet it.
+        for chain in chains.values():
             chain.readers.pop(op[1], None)
         lm.release_all(owners[op[1]])
         model.abort(op[1])
@@ -350,6 +351,18 @@ def check(lm: LockManager, model: Model, owners) -> None:
 @pytest.mark.parametrize("page", [False, True], ids=["record", "page"])
 @settings(max_examples=200, deadline=None)
 @given(sequence=st.lists(op, max_size=50))
+# An aborted owner's entry folded into a range stayed on its chain.
+@example(sequence=[
+    ("read", 0, "t", 0, True), ("rmw", 2, "u", 0), ("commit", 2),
+    ("scan", 2, "u", None, None), ("escalate", 0), ("abort", 2),
+    ("write", 0, "u", 0),
+])
+# A live owner whose SIREADs were dropped (a safe snapshot) stayed on
+# the chain of an entry folded into the dropped range.
+@example(sequence=[
+    ("read", 0, "u", 0, True), ("scan", 0, "u", None, None),
+    ("escalate", 0), ("drop", 0), ("write", 1, "u", 0),
+])
 def test_detection_matches_the_model(page, siread_upgrade, sequence):
     lm = LockManager(siread_upgrade=siread_upgrade)
     model = Model(page, siread_upgrade)

@@ -2,7 +2,7 @@
 
 An operation for an idle session runs inline on the event loop inside
 ``ReproServer._dispatch``; an operation that has to wait (a lock, a
-commit ticket, a safe-snapshot verdict) suspends, and its retry is
+safe-snapshot verdict) suspends, and its retry is
 scheduled back onto the same loop.  A wait's deadline duties — the
 lock timeout and periodic deadlock sweeps — are loop timers.
 """

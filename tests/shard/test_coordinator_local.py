@@ -43,7 +43,6 @@ from repro.sim.interleave import exhaustive_outcomes, run_interleaving
 from repro.sim.ops import Read, Write
 
 from scripts.gen_cc_equivalence import LEVELS, SCENARIOS
-from tests.conftest import GatedWAL, held_leader
 
 DATA = Path(__file__).parent.parent / "properties" / "data" / "cc_equivalence.json"
 FACTORIES = dict(SCENARIOS)
@@ -308,25 +307,26 @@ def test_local_sharded_stress_is_serializable_and_clean():
     assert gauge["0"] > 0 and gauge["1"] > 0
 
 
-def test_a_queued_commit_keeps_its_routing_entry_for_the_retry():
-    """A commit queued behind a group leader raises a wait and keeps its
-    gtid routing entry, even once the leader has decided it; the retry
-    that consumes the verdict retires the entry, as an abort does."""
+def test_a_waiting_operation_keeps_its_routing_entry_for_the_retry():
+    """An operation that waits for a lock raises the wait and keeps its
+    gtid routing entry; the retry runs on it once the holder has
+    committed, and the commit retires the entry, as an abort does."""
     shard = LocalShard()
-    shard.db.wal = GatedWAL()
     shard.create_table("t")
-    for gtid in (1, 2, 3):
-        shard.begin(gtid)
-        shard.call(gtid, "put", "t", gtid, "v")
-    with held_leader(shard.db, shard._txns[1]) as raised:
-        with pytest.raises(CompletionWaitRequired):
-            shard.commit(2)
-        assert 2 in shard._txns
-    assert not raised
-    assert shard._txns[2].is_committed and 2 in shard._txns
+    shard.begin(1, "s2pl")
+    shard.call(1, "put", "t", "k", "first")
+    shard.begin(2, "s2pl")
+    with pytest.raises(CompletionWaitRequired):
+        shard.call(2, "put", "t", "k", "second")
+    assert 2 in shard._txns
+    shard.commit(1)
+    assert 1 not in shard._txns and 2 in shard._txns
+    shard.call(2, "put", "t", "k", "second")  # the retry, now granted
     shard.commit(2)
     assert 2 not in shard._txns
 
+    shard.begin(3)
+    shard.call(3, "put", "t", 3, "v")
     shard._txns[3].doom_error = UnsafeError("doomed by test", txn_id=0)
     with pytest.raises(UnsafeError):
         shard.commit(3)

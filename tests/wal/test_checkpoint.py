@@ -147,10 +147,10 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, db,
     check.commit()
 
 
-class ParkedWriteWAL(WriteAheadLog):
-    """A log whose ``log_write`` can be parked: a committer stops there
-    with its commit timestamp drawn and its versions installed, before
-    any of its records reach the log."""
+class ParkedCommitWAL(WriteAheadLog):
+    """A log whose ``log_commit`` can be parked: a committer stops there
+    with its commit timestamp drawn, its versions installed and the
+    commit latch held, before its records reach the log."""
 
     def __init__(self):
         super().__init__()
@@ -164,17 +164,19 @@ class ParkedWriteWAL(WriteAheadLog):
     def unpark(self) -> None:
         self._open.set()
 
-    def log_write(self, *args, **kwargs):
+    def log_commit(self, *args, **kwargs):
         if not self._open.is_set():
             self.parked.set()
-            assert self._open.wait(timeout=30), "ParkedWriteWAL never unparked"
-        return super().log_write(*args, **kwargs)
+            assert self._open.wait(timeout=30), "ParkedCommitWAL never unparked"
+        return super().log_commit(*args, **kwargs)
 
 
-def test_checkpoint_taken_mid_commit():
-    """The checkpoint images a commit whose records land after its
-    checkpoint record; recovery must not install that commit twice."""
-    wal = ParkedWriteWAL()
+def test_checkpoint_taken_mid_commit_waits_for_its_records():
+    """A checkpoint started while a commit appends its records waits
+    for them (the commit latch): the image holds the commit, its records
+    precede the checkpoint record, and truncating the log before that
+    record still recovers it exactly once."""
+    wal = ParkedCommitWAL()
     db = Database(EngineConfig(), wal=wal)
     db.create_table("t")
     traffic(db, ["a", "b", "c"])
@@ -183,15 +185,24 @@ def test_checkpoint_taken_mid_commit():
     wal.park()
     committer = threading.Thread(target=db.commit, args=(txn,))
     committer.start()
+    images = []
+    checkpointer = threading.Thread(
+        target=lambda: images.append(take_checkpoint(db)))
     try:
         assert wal.parked.wait(timeout=30)
-        image = take_checkpoint(db)
+        checkpointer.start()
+        checkpointer.join(timeout=0.2)
+        assert checkpointer.is_alive(), "the checkpoint overtook the commit"
     finally:
         wal.unpark()
         committer.join(timeout=30)
+        checkpointer.join(timeout=30)
+    assert not committer.is_alive() and not checkpointer.is_alive()
+    (image,) = images
     assert txn.commit_ts <= image["clock"]
-    assert txn.commit_ts == db.table("t").chain("a").latest().commit_ts
+    assert txn.commit_lsn < image["checkpoint_lsn"]
     traffic(db, ["d"], offset=10)
+    wal.truncate_before(image["checkpoint_lsn"])
     recovered = recover_from_checkpoint(image, wal)
     check = recovered.begin("si")
     assert dict(check.scan("t")) == {"a": "mid", "b": 1, "c": 2, "d": 10}

@@ -1,10 +1,10 @@
 """Every way to commit publishes the same thing.
 
 The serial halves ``prepare_commit`` -> ``finalize_commit`` (the
-reference), ``Database.commit`` as a lone leader, a commit riding a
-leader-run group, and the two-phase ``prepare_for_commit`` ->
-``commit_prepared`` -> ``finalize_commit`` sequence all end in the one
-certify -> install -> publish pipeline.  This pins the contract new WAL
+reference), ``Database.commit``, and the two-phase
+``prepare_for_commit`` -> ``commit_prepared`` -> ``finalize_commit``
+sequence all end in the one certify -> install and log -> flush
+pipeline.  This pins the contract new WAL
 record types will be written against: the same transactions leave the
 same redo records, the same recovered state, the same counters, history
 and trace — whichever entry point committed them.
@@ -17,9 +17,8 @@ from repro.obs.trace import EventType
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import CommitRecord, WriteRecord
 from repro.wal.recovery import recover_database
-from tests.conftest import FollowerCommitDatabase
 
-PATHS = ("serial", "commit", "group", "two_phase")
+PATHS = ("serial", "commit", "two_phase")
 
 
 def do_insert(txn):
@@ -58,8 +57,7 @@ def run_path(path, level, wal_path):
     """Commit the three writers and the reader through ``path`` on a
     fresh database; returns everything the paths must agree on."""
     wal = WriteAheadLog(str(wal_path))
-    database = FollowerCommitDatabase if path == "group" else Database
-    db = database(EngineConfig(record_history=True), wal=wal)
+    db = Database(EngineConfig(record_history=True), wal=wal)
     db.create_table("t")
     db.load("t", [(1, "a"), (2, "b")])
     db.enable_tracing()
@@ -78,17 +76,16 @@ def run_path(path, level, wal_path):
         body(txn)
         commit_via(db, path, txn)
         txn_ids.append(txn.id)
-    wal_stats_before_reader = dict(wal.stats)
+    wal_counters_before_reader = db.metrics.snapshot()["counters"]["wal"]
     reader = db.begin(level)
     do_read_only(reader)
     commit_via(db, path, reader)
     txn_ids.append(reader.id)
-    assert wal.stats == wal_stats_before_reader, (
+    wal_counters = db.metrics.snapshot()["counters"]["wal"]
+    assert wal_counters == wal_counters_before_reader, (
         "a read-only commit appended to or flushed the WAL"
     )
     assert wal.flushed_lsn == wal.last_lsn, "a commit returned unflushed"
-    batched = db.metrics.snapshot()["counters"]["group_commit"]["batched_txns"]
-    assert batched == 0 if path != "group" else batched >= len(WRITERS)
 
     ordinal = {txn_id: index for index, txn_id in enumerate(txn_ids)}
     durable = WriteAheadLog.load(str(wal_path))
@@ -112,7 +109,8 @@ def run_path(path, level, wal_path):
         "records": records,
         "recovered_rows": recovered_rows,
         "commits": db.stats["commits"],
-        "flushes": wal.stats["flushes"],
+        "appends": wal_counters["appends"],
+        "flushes": wal_counters["flushes"],
         "history_commits": [ordinal[i] for i in history_commits],
         "trace_commits": [ordinal[i] for i in trace_commits],
         "lock_table_size": db.locks.table_size(),
@@ -136,6 +134,7 @@ def test_every_commit_path_publishes_the_same(level, tmp_path):
     # Bulk-loaded rows are not logged; recovery sees the redo state only.
     assert reference["recovered_rows"] == [(1, "a2"), (2, "b2"), (3, "c")]
     assert reference["commits"] == 4
+    assert reference["appends"] == 6
     assert reference["flushes"] == 3
     assert reference["history_commits"] == [0, 1, 2, 3]
     assert reference["trace_commits"] == [0, 1, 2, 3]

@@ -1,9 +1,10 @@
-"""Crash recovery across group-flushed commit batches.
+"""Crash recovery across commits that share a log flush.
 
-Group commit changes the WAL's durability granularity: one ``flush()``
-covers every member of a batch.  Batches are staged (a leader parked at
-the ``GatedWAL`` gate, three followers queued behind it), so every run
-alternates a leader's own flush with its followers' group flush.  The
+Shared flushes change the WAL's durability granularity: one fsync
+covers every commit that appended while the previous flush was in
+progress.  Groups are staged (one committer held inside its fsync at
+the ``GatedWAL`` gate, three more appending and waiting behind it), so
+every run alternates a lone commit's flush with a group flush.  The
 contract these tests pin down:
 
 * a flushed group is durable as a unit — recovery replays every member;
@@ -31,19 +32,25 @@ def ensure_table(db, name):
         pass
 
 
-def run_batched_commits(db, count, keys_per_txn=2, group=4):
-    """Commit ``count`` single-writer transactions as staged groups: of
-    every ``group`` consecutive transactions the first leads and the
-    rest ride one batch behind it."""
+def begin_writers(db, count, keys_per_txn=2):
+    """``count`` open transactions, the i-th writing ``(i, k)``."""
     txns = []
     for i in range(count):
         txn = db.begin("ssi")
         for k in range(keys_per_txn):
             txn.write("t", (i, k), i * 100 + k)
         txns.append(txn)
+    return txns
+
+
+def run_batched_commits(db, count, keys_per_txn=2, group=4):
+    """Commit ``count`` single-writer transactions as staged groups: of
+    every ``group`` consecutive transactions the first is held in its
+    fsync and the rest append behind it and share the next flush."""
+    txns = begin_writers(db, count, keys_per_txn)
     for start in range(0, count, group):
-        leader, *followers = txns[start:start + group]
-        commit_as_group(db, leader, followers)
+        first, *others = txns[start:start + group]
+        commit_as_group(db, first, others)
     assert all(txn.is_committed for txn in txns)
 
 
@@ -79,20 +86,11 @@ class DyingWAL(GatedWAL):
         super().__init__()
         self.survive_flushes = survive_flushes
 
-    def flush(self):
+    def flush(self, lsn=None):
         if self.stats["flushes"] >= self.survive_flushes:
-            self.gate()  # a leader is parked here whether or not it syncs
+            self.gate()  # a held committer parks here whether or not it syncs
             return self.flushed_lsn
-        return super().flush()
-
-
-class CommitRecordGatedWAL(GatedWAL):
-    """With ``wal_flush_on_commit`` off no commit reaches ``flush()``;
-    park the leader at its commit record instead."""
-
-    def log_commit(self, txn_id, commit_ts):
-        self.gate()
-        return super().log_commit(txn_id, commit_ts)
+        return super().flush(lsn)
 
 
 class TestGroupFlushDurability:
@@ -101,8 +99,8 @@ class TestGroupFlushDurability:
         db = Database(EngineConfig(), wal=wal)
         db.create_table("t")
         run_batched_commits(db, count=24)
-        batches = db.metrics.snapshot()["counters"]["group_commit"]["batches"]
-        assert batches <= wal.stats["flushes"] + 1
+        flushes = db.metrics.snapshot()["counters"]["wal"]["flushes"]
+        assert flushes == 2 * 24 // 4
         wal.crash()  # everything flushed: nothing to lose
         recovered = recover_database(wal)
         check = recovered.begin("si")
@@ -118,17 +116,18 @@ class TestGroupFlushDurability:
         run_batched_commits(db, count=32)
         commits = db.metrics.snapshot()["counters"]["engine"]["commits"]
         assert commits == 32
-        # One flush per leader and one per follower *batch*, not one per
-        # commit.
+        # One flush per held commit and one per group behind it, not one
+        # per commit.
         assert wal.stats["flushes"] < commits
 
     def test_unflushed_group_lost_whole(self):
-        """A crash between the batch's appends and its flush loses every
+        """A crash between the group's appends and its flush loses every
         member of that group — none of them ack'd durability."""
-        wal = CommitRecordGatedWAL()
+        wal = GatedWAL()
         db = Database(EngineConfig(wal_flush_on_commit=False), wal=wal)
         db.create_table("t")
-        run_batched_commits(db, count=8)
+        for txn in begin_writers(db, count=8):
+            txn.commit()  # appends, never flushes
         wal.crash()
         assert_no_torn_groups(wal)
         recovered = recover_database(wal)
@@ -172,8 +171,8 @@ class TestCrashPoints:
         assert recovered_keys == expected
 
     def test_crash_between_enqueue_and_flush_is_atomic(self):
-        """The sharpest crash point: the leader appended the batch but
-        died inside flush().  No member may be half-durable."""
+        """The sharpest crash point: the group appended but the flush
+        that would cover it died.  No member may be half-durable."""
         wal = DyingWAL(survive_flushes=1)
         db = Database(EngineConfig(), wal=wal)
         db.create_table("t")

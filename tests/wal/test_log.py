@@ -2,6 +2,7 @@
 
 import os
 import stat
+import threading
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.wal.records import (
     CommitRecord,
     WriteRecord,
 )
+from tests.conftest import GatedWAL, on_thread
 
 
 def test_lsns_monotonic():
@@ -54,6 +56,77 @@ def test_group_commit_one_flush_covers_many():
     log.flush()
     assert log.stats["flushes"] == 1
     assert log.committed_txn_ids() == list(range(5))
+
+
+def test_log_commit_appends_its_writes_then_the_commit_record():
+    log = WriteAheadLog()
+    record = log.log_commit(7, 3, [("t", "a", 1, False, "insert"),
+                                   ("t", "b", None, True, "delete")])
+    log.flush()
+    written = list(log.records())
+    assert [r.lsn for r in written] == [1, 2, 3] and record is written[-1]
+    assert [type(r) for r in written] == [WriteRecord, WriteRecord, CommitRecord]
+    assert written[1].tombstone and written[1].kind == "delete"
+    assert log.stats == {"appends": 3, "flushes": 1}
+
+
+def test_flush_of_a_durable_lsn_returns_at_once():
+    log = WriteAheadLog()
+    first = log.log_commit(1, 1).lsn
+    log.flush(first)
+    log.log_commit(2, 2)
+    assert log.flush(first) == first  # covered: no flush, no new watermark
+    assert log.stats["flushes"] == 1
+    assert log.flushed_lsn == first < log.last_lsn
+
+
+def held(log):
+    """Start a flush of ``log`` (a GatedWAL) and return once it is
+    parked in its write, with the thread to join."""
+    log.hold()
+    thread, raised = on_thread(log.flush)
+    assert log.entered.wait(timeout=10), "the flush never reached its write"
+    return thread, raised
+
+
+def test_a_flush_waits_out_the_one_in_progress_then_covers_all(tmp_path):
+    """Appends go on while a flush is in its write; a flush asked for
+    one of them waits for it and then makes every record appended so far
+    durable as one frame, so a later flush of any of them returns."""
+    path = str(tmp_path / "wal.bin")
+    log = GatedWAL(path)
+    log.log_commit(1, 1)
+    first, first_raised = held(log)
+    lsns = [log.log_commit(txn, txn).lsn for txn in (2, 3, 4)]
+    second, second_raised = on_thread(log.flush, lsns[0])
+    second.join(timeout=0.2)
+    assert second.is_alive() and log.flushed_lsn == 0
+    log.release()
+    for thread in (first, second):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert not first_raised and not second_raised
+    assert log.flushed_lsn == lsns[-1]
+    assert log.flush(lsns[-1]) == lsns[-1]
+    assert log.stats["flushes"] == 2
+    assert WriteAheadLog.load(path).committed_txn_ids() == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("operation", ["crash", "close", "truncate_before"])
+def test_crash_close_and_truncate_wait_out_a_flush(operation):
+    log = GatedWAL()
+    log.log_commit(1, 1)
+    flusher, _raised = held(log)
+    args = (1,) if operation == "truncate_before" else ()
+    waiter, raised = on_thread(getattr(log, operation), *args)
+    waiter.join(timeout=0.2)
+    assert waiter.is_alive(), f"{operation} ran inside a flush"
+    log.release()
+    for thread in (flusher, waiter):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert not raised
+    assert log.flushed_lsn == 1
 
 
 def test_record_types():
