@@ -26,12 +26,14 @@ from repro.errors import (
     UnsafeError,
 )
 from repro.sgt.checker import check_serializable
+from repro.wal.records import CommitRecord
 from tests.conftest import (
     GatedWAL,
     commit_as_group,
     commit_behind,
     held_flush,
     join_all,
+    on_thread,
 )
 
 
@@ -161,6 +163,29 @@ class TestCertificationBehindAFlush:
         assert check_serializable(db.history).serializable
         db.cleanup_suspended()  # release retained SIREADs
         assert db.locks.table_size() == 0
+
+    def test_doomed_committer_aborts_without_waiting_for_a_flush(self):
+        """A transaction doomed before its commit call aborts on the doom
+        check: it logs no commit record and does not wait behind the
+        flush in progress."""
+        db = make_db()
+        victim = writer(db, "v")
+        victim.doom_error = UnsafeError("doomed by test", txn_id=victim.id)
+        with held_flush(db, writer(db, "held")) as raised:
+            thread, errors = on_thread(db.commit, victim)
+            thread.join(timeout=5)
+            assert not thread.is_alive(), "the doomed commit waited for the flush"
+        assert not raised
+        assert [type(error) for error in errors] == [UnsafeError]
+        assert victim.is_aborted and not victim.commit_lsn
+        assert victim.id not in {
+            record.txn_id
+            for record in db.wal.records(durable_only=False)
+            if isinstance(record, CommitRecord)
+        }
+        check = db.begin("si")
+        assert check.get("t", "v") is None
+        check.commit()
 
     def test_already_finished_transaction_raises_state_error(self):
         db = make_db()
