@@ -232,10 +232,9 @@ DEFAULT_RULES = {
         "_waiting": "lock",
         "_reads": "lock",
         "_granted_count": "lock",
-        # escalate/_fold: the fold's weight plus the heads and indexes
+        # escalate/_fold: the folds plus the heads and indexes
         # above, all under the one manager latch
         "_escalated_weights": "lock",
-        "_folded_chains": "lock",
         "_ranges": "lock",
         "_exclusive_keys": "lock",
     },

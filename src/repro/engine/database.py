@@ -24,8 +24,8 @@ No latch is held across a wait: an operation that must wait raises
 is re-invoked once the wait resolves; lock acquisition is idempotent,
 and operations perform no side effects before their lock acquisitions,
 so re-invocation is safe.  A commit appends its log records under the
-commit latch, so LSN order is commit order; WAL flushes, abort records
-and trace/history reporting run outside every engine latch.
+commit latch, so LSN order is commit order; WAL flushes and trace/history
+reporting run outside every engine latch.
 """
 
 from __future__ import annotations
@@ -977,8 +977,8 @@ class Database(ReadPath, CommitPipeline):
 
     def _abort_internal(self, txn: Transaction, reason: str) -> None:
         """Roll back.  Three phases: the abort decision and policy/tracker
-        cleanup under the tracker latch; lock release and WAL I/O with no
-        latch held; registry removal under the txn latch."""
+        cleanup under the tracker latch; lock release with no latch held;
+        registry removal under the txn latch."""
         with self._tracker_latch:
             if not txn.is_active:
                 return
@@ -991,8 +991,6 @@ class Database(ReadPath, CommitPipeline):
             self._retire(txn)
             bucket = reason if reason in self.stats["aborts"] else "aborted"
             self.stats["aborts"][bucket] += 1
-        if self.wal is not None and txn.write_set:
-            self.wal.log_abort(txn.id)
         if self._page_commit_ts is not None:
             # Unregister the keys _lock_new_key_pages put in the tree,
             # each still X-locked by this inserter and still versionless.
@@ -1003,7 +1001,6 @@ class Database(ReadPath, CommitPipeline):
         txn.write_set.clear()
         txn.write_kinds.clear()
         self.locks.release_all(txn, keep_siread=False)
-        self.locks.cancel_waits(txn)
         with self._txn_latch:
             self._active.pop(txn.id, None)
             self._registry.pop(txn.id, None)

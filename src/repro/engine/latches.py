@@ -34,10 +34,10 @@ What each level protects:
     needs.
 ``lock``
     The lock manager's single latch (see :mod:`repro.locking.manager`):
-    the lock table and its wait queues, the per-owner indexes, the
-    waits-for graph and the manager counters — the whole of Section 4.4's
-    "kernel mutex" that is left.  Every public ``LockManager`` call is
-    one critical section under it.
+    the lock table and its wait queues (deadlock detection reads who
+    waits for whom off them), the per-owner indexes and the manager
+    counters — the whole of Section 4.4's "kernel mutex" that is left.
+    Every public ``LockManager`` call is one critical section under it.
 ``obs``
     The leaf latch of :mod:`repro.obs`: ``CounterGroup.inc`` on counters
     no engine latch guards, histogram observation, trace emission,

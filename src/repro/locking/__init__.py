@@ -1,9 +1,10 @@
 """Locking subsystem.
 
-Implements the lock modes, compatibility matrix, FIFO wait queues,
-waits-for graph and deadlock detection used by every isolation level, plus
-the paper's additions: the non-blocking SIREAD mode, SIREAD retention
-after commit, and SIREAD->EXCLUSIVE upgrades (Sections 3.2, 3.7.3, 4.3).
+Implements the lock modes, compatibility matrix, FIFO wait queues and
+deadlock detection (over waits read off the queues) used by every
+isolation level, plus the paper's additions: the non-blocking SIREAD
+mode, SIREAD retention after commit, and SIREAD->EXCLUSIVE upgrades
+(Sections 3.2, 3.7.3, 4.3).
 """
 
 from repro.locking.modes import LockMode, compatible, is_siread
@@ -17,7 +18,6 @@ from repro.locking.manager import (
     range_resource,
     page_resource,
 )
-from repro.locking.deadlock import WaitsForGraph
 
 __all__ = [
     "LockMode",
@@ -31,5 +31,4 @@ __all__ = [
     "record_resource",
     "range_resource",
     "page_resource",
-    "WaitsForGraph",
 ]

@@ -63,7 +63,7 @@ from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.engine.latches import make_latch
 from repro.engine.waits import Completion
-from repro.locking.deadlock import WaitsForGraph
+from repro.locking.deadlock import find_cycle_through, find_cycles
 from repro.locking.modes import LockMode
 from repro.obs.registry import CounterGroup
 from repro.obs.trace import EventType
@@ -256,6 +256,19 @@ class _LockHead:
         return not self.granted and not self.queue
 
 
+class _Fold:
+    """What one escalated range stands for: ``weight``, the sentinels it
+    replaced (itself included, absorbed folds' weights accumulated), and
+    ``chains``, the chains whose entries it folded — their ``readers``
+    keep the owner's id while the range's SIREAD is granted."""
+
+    __slots__ = ("weight", "chains")
+
+    def __init__(self) -> None:
+        self.weight = 1
+        self.chains: list = []
+
+
 #: What a held mode subsumes: re-requesting a covered mode is a no-op.
 #: EXCLUSIVE covers everything (the Section 3.7.3 upgrade rationale:
 #: conflicts with the new version replace SIREAD detection).  Note that
@@ -317,17 +330,16 @@ def _covers(bounds: tuple, key: Hashable) -> bool:
 
 
 class LockManager:
-    """Lock table with FIFO queuing, upgrades and waits-for maintenance.
+    """Lock table with FIFO queuing, upgrades and deadlock detection.
 
     Thread-safe under **one** re-entrant latch (rank ``lock``), the
     paper's Section 4.4 arrangement: ``_latch`` guards the resource->head
     map and every field of its heads (wait queues included), the
     per-owner indexes (``_by_owner``, ``_reads``, ``_waiting``), the
     range and EXCLUSIVE-key indexes, the granted-lock counter, the
-    escalation weights, the waits-for graph and the stats group.  Every
-    public method is exactly one critical section, so a release and an
-    escalation can never interleave; private helpers run with the latch
-    already held.
+    escalation folds and the stats group.  Every public method is
+    exactly one critical section, so a release and an escalation can
+    never interleave; private helpers run with the latch already held.
     The handful of latch-free reads that remain are single GIL-atomic
     dict/int probes, each documented where it happens with the reason a
     stale answer is safe.  Chain entries are the exception by design:
@@ -368,14 +380,10 @@ class LockManager:
         self.chain_readers: dict[Hashable, Any] = {}
         #: granted head locks (chain entries are counted from chain_readers)
         self._granted_count = 0
-        #: (owner_id, folded range) -> the sentinels that range stands
-        #: for, itself included.  An entry exists for every folded range
-        #: still granted; it leaves with the range's SIREAD.
-        self._escalated_weights: dict[tuple[Hashable, Resource], int] = {}
-        #: (owner_id, folded range) -> the chains whose entries it folded:
-        #: their ``readers`` keep the owner's id while the range is
-        #: granted, and lose it when the range's SIREAD goes.
-        self._folded_chains: dict[tuple[Hashable, Resource], list] = {}
+        #: (owner_id, folded range) -> its :class:`_Fold`.  An entry
+        #: exists for every folded range still granted; it leaves with the
+        #: range's SIREAD (:meth:`_drop_fold`).
+        self._escalated_weights: dict[tuple[Hashable, Resource], _Fold] = {}
         #: table -> {range resource: its head} for every key-range head,
         #: whatever modes it holds (the same heads live in ``_heads``) —
         #: what an EXCLUSIVE record acquire checks.  An emptied per-table
@@ -386,7 +394,6 @@ class LockManager:
         #: touched (sticky; back-filled from the heads on first use), so
         #: writes to tables nobody scans maintain nothing.
         self._exclusive_keys: dict[str, list] = {}
-        self.waits_for = WaitsForGraph()
         self.deadlock_handler = deadlock_handler
         self.siread_upgrade = siread_upgrade
         #: cumulative counters for the overhead benchmarks (registry-adoptable)
@@ -681,15 +688,13 @@ class LockManager:
         """Grant ``mode`` on a range, creating and indexing its head on
         first use.  A reader never queues for its range — it waits through
         the records of the writers inside it — so writers already queued
-        here now wait for this owner too: their waits-for edges are
-        refreshed, or a cycle through them would go unseen."""
+        here now wait for this owner too (:meth:`_successors` reads that
+        off the head)."""
         head = self._heads.get(resource)
         if head is None:
             head = self._heads[resource] = _LockHead()
             self._ranges.setdefault(resource.table, {})[resource] = head
         self._grant(head, owner, resource, mode, held)
-        if head.queue:
-            self._refresh_wait_edges(head)
 
     def _drop_range(self, owner_id: Hashable, lock: Lock) -> None:
         """Withdraw one range lock; promote the writers queued on it."""
@@ -746,8 +751,6 @@ class LockManager:
                 EventType.LOCK_WAIT, owner_id,
                 resource=repr(resource), mode=mode.value,
             )
-        self._refresh_wait_edges(head)
-
         if self.deadlock_handler is not None:
             self._resolve_deadlocks(request)
         # A request resolved during deadlock resolution also travels the
@@ -801,20 +804,15 @@ class LockManager:
                 self._forget_locks(owner_id, removed)
                 for resource in promote:
                     self._promote(resource)
-            # Waits-for maintenance is only owed when the owner has
-            # waiting requests or stale outgoing edges (a promoted-then-
-            # granted waiter keeps its edges until here); stale *incoming*
-            # edges cannot survive the promotions above, which refresh
-            # every queue the owner's locks were blocking.
-            if self._waiting.get(owner_id) or owner_id in self.waits_for._edges:
+            if owner_id in self._waiting:
                 self.cancel_waits(owner)
 
     def retain_all_reads(self, owner: Any) -> bool:
         """Would ``release_all(owner, keep_siread=True)`` keep every lock
-        the owner holds?  Then only its pending waits and waits-for edges
-        are cancelled here and True is returned; False when it holds a
-        lock without SIREAD (e.g. a SHARED-read retaining policy).  No
-        engine path calls it; the benchmark's layer tracer targets it."""
+        the owner holds?  Then only its pending waits are cancelled here
+        and True is returned; False when it holds a lock without SIREAD
+        (e.g. a SHARED-read retaining policy).  No engine path calls it;
+        the benchmark's layer tracer targets it."""
         owner_id = owner.id
         with self._latch:
             held = self._by_owner.get(owner_id)
@@ -822,7 +820,7 @@ class LockManager:
                 not lock.mask & _SIREAD_BIT for lock in held.values()
             ):
                 return False
-            if self._waiting.get(owner_id) or owner_id in self.waits_for._edges:
+            if owner_id in self._waiting:
                 self.cancel_waits(owner)
         return True
 
@@ -915,24 +913,22 @@ class LockManager:
         (caller holds the latch); ``dropped_stat`` is the number of
         sentinels being counted into ``siread_dropped``.
 
-        A folded range counts as the sentinels it replaced: its weight
-        entry is popped here, and when the removal is being
-        counted as a drop the surplus (weight - 1 per coarse lock) joins
-        ``siread_dropped`` so obs snapshots stay comparable before and
-        after escalation.  Returns the surplus for callers that report
-        weighted totals."""
+        A folded range counts as the sentinels it replaced: its fold is
+        dropped here, and when the removal is being counted as a drop the
+        surplus (weight - 1 per coarse lock) joins ``siread_dropped`` so
+        obs snapshots stay comparable before and after escalation.
+        Returns the surplus for callers that report weighted totals."""
         surplus = 0
         if removed:
             self._granted_count -= len(removed)
             owner_locks = self._by_owner[owner_id]
-            weights = self._escalated_weights
+            folds = self._escalated_weights
             reads = self._reads.get(owner_id)
             for lock in removed:
                 if reads is not None and lock.mask & _SIREAD_BIT:
                     del reads[lock.resource]
-                if weights:
-                    surplus += weights.pop((owner_id, lock.resource), 1) - 1
-                    self._unlink_folded(owner_id, lock.resource)
+                if folds:
+                    surplus += self._drop_fold(owner_id, lock.resource) - 1
                 del owner_locks[lock.resource]
             if not owner_locks:
                 del self._by_owner[owner_id]
@@ -999,9 +995,9 @@ class LockManager:
         one SIREAD on the range ``[min lo, max hi]`` they covered (a record
         covers its key; an open end stays ``None``; bounds that do not
         order against each other fold to the whole table).  They are
-        *folded*, not dropped: the range's weight entry carries their
-        count, folded ranges' weights included, to whichever path finally
-        removes it."""
+        *folded*, not dropped: the range's :class:`_Fold` carries their
+        count and chains, absorbed folds' included, to whichever path
+        finally removes it."""
         resources = [item for item in items if isinstance(item, Resource)]
         entries = [item[0] for item in items if not isinstance(item, Resource)]
         spans = [
@@ -1020,26 +1016,28 @@ class LockManager:
         locks = self._by_owner.get(owner_id, {})
         if resources:
             owner = locks[resources[0]].owner
-        weight_key = (owner_id, target)
-        weight = self._escalated_weights.get(weight_key, 1)
+        fold = self._escalated_weights.get((owner_id, target))
+        if fold is None:
+            fold = self._escalated_weights[(owner_id, target)] = _Fold()
         self._place_range(owner, target, LockMode.SIREAD, locks.get(target))
         removed = [locks[resource] for resource in resources if resource != target]
         # The entries' ids stay on their chains while the range is held,
-        # and so do those of every range it absorbs.
-        chains = list(entries)
+        # and so do those of every fold it absorbs.
+        fold.chains += entries
         for lock in removed:
-            chains += self._folded_chains.pop((owner_id, lock.resource), ())
+            absorbed = self._escalated_weights.pop((owner_id, lock.resource), None)
+            if absorbed is not None:
+                fold.chains += absorbed.chains
+                fold.weight += absorbed.weight - 1
             self._detach_lock(self._heads[lock.resource], lock)
-        surplus = self._forget_locks(owner_id, removed)
-        if chains:
-            self._folded_chains.setdefault(weight_key, []).extend(chains)
+        self._forget_locks(owner_id, removed)
         if entries:
             for chain in entries:
                 owner.sireads.pop(chain, None)
             if not owner.sireads:
                 self.chain_readers.pop(owner_id, None)
         folded = len(removed) + len(entries)
-        self._escalated_weights[weight_key] = weight + folded + surplus
+        fold.weight += folded
         self.stats["escalations"] += 1
         self.stats["escalated_records"] += folded
 
@@ -1100,11 +1098,6 @@ class LockManager:
                 return False
             head.queue.remove(request)
             self._waiting_discard(request)
-            # The owner no longer waits for anyone: drop its outgoing
-            # edges now (the refresh below only recomputes requests still
-            # queued), or a holder enqueueing behind this doomed owner
-            # would close a phantom cycle and be chosen as victim.
-            self.waits_for.clear_edges_from(request.owner.id)
             # Queue membership implies the request is still WAITING, but
             # the terminal transition itself is the arbiter: report
             # cancellation only if this call won it.
@@ -1115,7 +1108,6 @@ class LockManager:
                     resource=repr(resource), mode=request.mode.value,
                     error=type(error).__name__ if error else None,
                 )
-            self._refresh_wait_edges(head)
             self._promote(resource)
             return cancelled
 
@@ -1133,10 +1125,10 @@ class LockManager:
             if pending:
                 # Dequeue all of the owner's requests before promoting
                 # anything, or a promotion could grant one of them.
-                touched: dict[Resource, _LockHead] = {}
+                touched: dict[Resource, None] = {}
                 for request in pending:
-                    head = touched[request.resource] = self._heads[request.resource]
-                    head.queue.remove(request)
+                    touched[request.resource] = None
+                    self._heads[request.resource].queue.remove(request)
                     request._resolve(RequestState.DENIED, error)
                     if self.trace is not None:
                         self.trace.emit(
@@ -1145,13 +1137,8 @@ class LockManager:
                             mode=request.mode.value,
                             error=type(error).__name__ if error else None,
                         )
-                for resource, head in touched.items():
-                    self._refresh_wait_edges(head)
+                for resource in touched:
                     self._promote(resource)
-            # Outgoing edges only: a doomed owner still holds its locks
-            # until it aborts, so the edges of those waiting on it are
-            # real and a cycle through them must stay detectable.
-            self.waits_for.clear_edges_from(owner.id)
 
     # --------------------------------------------------------------- queries
 
@@ -1210,17 +1197,18 @@ class LockManager:
         (which will call :meth:`cancel_waits` and break the cycle).
         """
         cycles: list[list[Any]] = []
-        seen: set[Hashable] = set()
         with self._latch:
-            for cycle_ids in self.waits_for.find_cycles():
-                if seen & set(cycle_ids):
-                    continue
-                seen.update(cycle_ids)
+            for cycle_ids in find_cycles(list(self._waiting), self._successors):
                 owners = [self._owner_for(owner_id) for owner_id in cycle_ids]
                 owners = [owner for owner in owners if owner is not None]
                 if owners:
                     cycles.append(owners)
         return [choose(owners) for owners in cycles]
+
+    def waits_for(self, owner_id: Hashable) -> set[Hashable]:
+        """The owners ``owner_id`` waits for, read off the lock table."""
+        with self._latch:
+            return set(self._successors(owner_id))
 
     def table_size(self) -> int:
         """Number of granted locks plus live chain entries — tracks the
@@ -1238,7 +1226,7 @@ class LockManager:
                 "granted": self._granted_count + chained,
                 "owners": len(
                     self._by_owner.keys() | self._reads.keys() | self.chain_readers.keys()
-                    | {owner_id for owner_id, _range in self._folded_chains}
+                    | {owner_id for owner_id, _range in self._escalated_weights}
                 ),
                 "waiters": len(self._waiting),
                 "siread": sum(len(reads) for reads in self._reads.values()) + chained,
@@ -1298,19 +1286,21 @@ class LockManager:
     def _shed_siread(self, head: _LockHead, lock: Lock) -> int:
         """Strip the SIREAD mode from a lock that stays granted in its
         other modes.  Returns what the sentinel counted for: a folded
-        range stands for the sentinels it replaced (its weight entry goes
-        with it), a plain one for itself."""
+        range stands for the sentinels it replaced (its fold goes with
+        it), a plain one for itself."""
         self._discard_mode(head, lock, LockMode.SIREAD)
-        self._unlink_folded(lock.owner.id, lock.resource)
-        return self._escalated_weights.pop((lock.owner.id, lock.resource), 1)
+        return self._drop_fold(lock.owner.id, lock.resource)
 
-    def _unlink_folded(self, owner_id: Hashable, resource: Resource) -> None:
-        """A folded range's SIREAD is going: take the owner's id off the
-        chains whose entries it folded."""
-        chains = self._folded_chains.pop((owner_id, resource), None)
-        if chains:
-            for chain in chains:
-                chain.readers.pop(owner_id, None)
+    def _drop_fold(self, owner_id: Hashable, resource: Resource) -> int:
+        """A range's SIREAD is going: pop its fold, take the owner's id
+        off the chains it folded, and return what it counted for (1 for
+        a range that folded nothing)."""
+        fold = self._escalated_weights.pop((owner_id, resource), None)
+        if fold is None:
+            return 1
+        for chain in fold.chains:
+            chain.readers.pop(owner_id, None)
+        return fold.weight
 
     def _detection_conflicts(self, head: _LockHead, owner: Any, mode: LockMode) -> list[Lock]:
         """Granted locks of other owners that signal rw-dependencies."""
@@ -1421,41 +1411,35 @@ class LockManager:
                     EventType.LOCK_GRANT, request.owner.id,
                     resource=repr(resource), mode=request.mode.value,
                 )
-        if head.queue:
-            self._refresh_wait_edges(head)
         if head.empty():
             self._drop_head(resource)
 
-    def _refresh_wait_edges(self, head: _LockHead) -> None:
-        """Recompute waits-for edges contributed by this resource's queue."""
-        if not head.queue:
-            return
-        # Remove then re-add: simple and correct; queues are short.
-        for request in head.queue:
-            self.waits_for.clear_edges_from(request.owner.id)
-        # Re-add edges for every waiter of every resource the owner waits on
-        # (an owner can wait on at most one resource at a time in this
-        # engine, so recomputing from this head alone is sufficient).
-        # Every mode a lock carries counts, as in _blockers: a range
-        # holding SHARED + INSERT_INTENTION blocks writers through its
-        # SHARED bit although INSERT_INTENTION is the stronger mode.
-        ahead: list[LockRequest] = []
-        for request in head.queue:
+    def _successors(self, owner_id: Hashable) -> list[Hashable]:
+        """Who ``owner_id`` waits for, derived from its queued requests:
+        per request, every other owner granted a conflicting mode on the
+        resource and every other owner queued ahead of it in one.  Every
+        mode a lock carries counts, as in :meth:`_blockers`: a range
+        holding SHARED + INSERT_INTENTION blocks writers through its
+        SHARED bit although INSERT_INTENTION is the stronger mode."""
+        found: dict[Hashable, None] = {}
+        for request in self._waiting.get(owner_id, ()):
+            head = self._heads[request.resource]
             incompat = request.mode.incompat_mask
-            request_owner_id = request.owner.id
-            for lock in head.granted.values():
-                if lock.owner_id != request_owner_id and lock.mask & incompat:
-                    self.waits_for.add_edge(request_owner_id, lock.owner_id)
-            for earlier in ahead:
-                if earlier.owner.id != request_owner_id and earlier.mode.bit & incompat:
-                    self.waits_for.add_edge(request_owner_id, earlier.owner.id)
-            ahead.append(request)
+            for holder_id, lock in head.granted.items():
+                if holder_id != owner_id and lock.mask & incompat:
+                    found[holder_id] = None
+            for earlier in head.queue:
+                if earlier is request:
+                    break
+                if earlier.owner.id != owner_id and earlier.mode.bit & incompat:
+                    found[earlier.owner.id] = None
+        return list(found)
 
     def _resolve_deadlocks(self, request: LockRequest) -> None:
         """Immediate detection: break every cycle through the new waiter."""
         guard = 0
         while request.state is RequestState.WAITING:
-            cycle_ids = self.waits_for.find_cycle_through(request.owner.id)
+            cycle_ids = find_cycle_through(request.owner.id, self._successors)
             if not cycle_ids:
                 return
             owners = [self._owner_for(owner_id) for owner_id in cycle_ids]

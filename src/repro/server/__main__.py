@@ -12,8 +12,9 @@ runs on the server's one event loop; there is no thread pool to size.
 With ``--wal PATH`` every commit is flushed (fsync'd) to that log before
 it is acknowledged, and a restart from the same path first replays the
 log: every acknowledged commit is back.  Only committed writes are
-logged — tables come back with their first logged write, and rows put
-in by a bulk ``load`` are not in the log.
+logged — tables come back with their first logged write — so a durable
+server refuses the bulk ``load`` op: put its rows in through
+transactions.
 """
 
 from __future__ import annotations

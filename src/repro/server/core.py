@@ -96,7 +96,7 @@ class ReproServer:
         self._admin = {
             "ping": self._ping,
             "create_table": db.create_table,
-            "load": db.load,
+            "load": self._load,
             "metrics": db.metrics.snapshot,
             "dump_history": self._dump_history,
             "audit": self._audit,
@@ -291,6 +291,16 @@ class ReproServer:
 
     def _ping(self) -> dict[str, Any]:
         return {"server": "repro", "connections": self._connections}
+
+    def _load(self, table: str, rows: list) -> None:
+        """Bulk-load rows — refused by a durable server: a load is not
+        logged, so its rows would vanish at the next restart."""
+        if self.db.wal is not None:
+            raise ProtocolError(
+                "load is not logged on a durable server; "
+                "insert the rows through a transaction"
+            )
+        self.db.load(table, rows)
 
     def _abort_reply(
         self, error: BaseException, txn_id: int | None

@@ -189,6 +189,9 @@ class WriteAheadLog:
             return record
 
     def log_abort(self, txn_id: int) -> LogRecord:
+        """Append an abort marker.  The engine never does: a transaction's
+        writes reach the log only inside its :meth:`log_commit`, so an
+        aborted one has nothing here to mark."""
         return self._append(AbortRecord, txn_id)
 
     def log_checkpoint(self) -> LogRecord:

@@ -7,6 +7,7 @@ from repro.engine.config import DeadlockMode
 from repro.errors import LockWaitRequired
 from repro.locking.manager import LockManager, RequestState, range_resource
 from repro.sgt.checker import check_serializable
+from repro.storage.table import Table
 
 from tests.conftest import commit_outcomes, fill
 
@@ -225,6 +226,44 @@ class TestKeyRangeLocks:
         writer.commit()
         assert [key for key, _ in reader.scan("t", 0, 40)] == [10, 20, 25, 30]
         reader.commit()
+        assert check_serializable(db.history).serializable
+
+    def test_a_writer_granted_off_a_withdrawn_range_waits_for_nobody(
+        self, db, monkeypatch
+    ):
+        """G writes inside H's scan and queues on H's range; H withdraws
+        the range to wait for W, which grants G, and G's retry takes its
+        record.  H's rescan then waits for G — a plain wait, not a
+        deadlock — and completes once G commits."""
+        fill(db, "t", {1: "a", 2: "b", 3: "c"})
+        w, g, h = db.begin("s2pl"), db.begin("s2pl"), db.begin("s2pl")
+        db.write(w, "t", 3, "w")
+        queued = []
+        scan_chunks = Table.scan_chunks
+
+        def write_inside_the_scan(table, lo, hi, *args):
+            if not queued:
+                with pytest.raises(LockWaitRequired) as wait:
+                    db.write(g, "t", 2, "g")
+                queued.append(wait.value.request)
+            return scan_chunks(table, lo, hi, *args)
+
+        monkeypatch.setattr(Table, "scan_chunks", write_inside_the_scan)
+        with pytest.raises(LockWaitRequired) as first:
+            db.scan(h, "t", 0, 4)
+        assert queued[0].state is RequestState.GRANTED
+        db.write(g, "t", 2, "g")
+        w.commit()
+        assert first.value.request.state is RequestState.GRANTED
+        with pytest.raises(LockWaitRequired) as second:
+            db.scan(h, "t", 0, 4)
+        assert h.doom_error is None
+        assert second.value.request.state is RequestState.WAITING
+        assert db.locks.waits_for(h.id) == {g.id}
+        g.commit()
+        assert db.scan(h, "t", 0, 4) == [(1, "a"), (2, "g"), (3, "w")]
+        h.commit()
+        assert db.stats["aborts"]["deadlock"] == 0
         assert check_serializable(db.history).serializable
 
     def test_a_scan_that_waited_counts_once(self, db):

@@ -1,12 +1,16 @@
-"""Waits-for graph and deadlock detection tests."""
+"""Deadlock detection tests: the cycle searches and the lock manager's
+waits-for relation, read off its queues at detection time."""
 
 from dataclasses import dataclass
 
-from repro.locking.deadlock import WaitsForGraph, youngest
-from repro.locking.manager import LockManager, RequestState, record_resource
+from repro.locking.deadlock import find_cycle_through, find_cycles, youngest
+from repro.locking.manager import (
+    LockManager, RequestState, range_resource, record_resource,
+)
 from repro.locking.modes import LockMode
 
 X = LockMode.EXCLUSIVE
+S = LockMode.SHARED
 
 
 @dataclass
@@ -15,48 +19,44 @@ class Owner:
     begin_ts: int = 0
 
 
-class TestWaitsForGraph:
+def successors_of(edges: dict):
+    """A waits-for relation as the cycle searches read it."""
+    return lambda node: edges.get(node, ())
+
+
+class TestCycleSearch:
     def test_no_cycle(self):
-        graph = WaitsForGraph()
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 3)
-        assert graph.find_cycle_through(1) == []
-        assert graph.find_cycles() == []
+        succ = successors_of({1: [2], 2: [3]})
+        assert find_cycle_through(1, succ) == []
+        assert find_cycles([1, 2], succ) == []
 
     def test_two_cycle(self):
-        graph = WaitsForGraph()
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 1)
-        cycle = graph.find_cycle_through(1)
-        assert set(cycle) == {1, 2}
-        assert len(graph.find_cycles()) == 1
+        succ = successors_of({1: [2], 2: [1]})
+        assert set(find_cycle_through(1, succ)) == {1, 2}
+        assert len(find_cycles([1, 2], succ)) == 1
 
     def test_long_cycle(self):
-        graph = WaitsForGraph()
-        for src, dst in ((1, 2), (2, 3), (3, 4), (4, 1), (4, 5)):
-            graph.add_edge(src, dst)
-        assert set(graph.find_cycle_through(3)) == {1, 2, 3, 4}
+        succ = successors_of({1: [2], 2: [3], 3: [4], 4: [1, 5]})
+        assert set(find_cycle_through(3, succ)) == {1, 2, 3, 4}
 
-    def test_self_edges_ignored(self):
-        graph = WaitsForGraph()
-        graph.add_edge(1, 1)
-        assert len(graph) == 0
+    def test_self_loop_is_a_cycle(self):
+        succ = successors_of({1: [1]})
+        assert find_cycle_through(1, succ) == [1]
+        assert find_cycles([1], succ) == [[1]]
 
-    def test_clear_edges_from_breaks_cycle(self):
-        graph = WaitsForGraph()
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 1)
-        graph.clear_edges_from(2)
-        assert graph.find_cycle_through(1) == []
-        assert graph.edges_from(1) == {2}  # edges into 2 stay
+    def test_a_node_waiting_for_nobody_breaks_the_cycle(self):
+        succ = successors_of({1: [2], 2: []})
+        assert find_cycle_through(1, succ) == []
+        assert find_cycles([1, 2], succ) == []
+
+    def test_cycle_not_through_start_is_not_reported(self):
+        succ = successors_of({1: [2], 2: [3], 3: [2]})
+        assert find_cycle_through(1, succ) == []
+        assert [set(cycle) for cycle in find_cycles([1], succ)] == [{2, 3}]
 
     def test_multiple_disjoint_cycles(self):
-        graph = WaitsForGraph()
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 1)
-        graph.add_edge(3, 4)
-        graph.add_edge(4, 3)
-        assert len(graph.find_cycles()) == 2
+        succ = successors_of({1: [2], 2: [1], 3: [4], 4: [3]})
+        assert len(find_cycles([1, 2, 3, 4], succ)) == 2
 
 
 class TestImmediateDetection:
@@ -94,10 +94,11 @@ class TestImmediateDetection:
         ra = record_resource("t", "a")
         lm.acquire(a, ra, X)
         wait = lm.acquire(b, ra, X)
-        assert lm.waits_for.edges_from(2) == {1}
+        assert lm.waits_for(2) == {1}
         assert lm.cancel_request(wait.request, TimeoutError("lock wait"))
         # b waits for nobody any more, though it has not aborted yet
-        assert len(lm.waits_for) == 0
+        assert lm.waits_for(2) == set()
+        assert lm.waits_for(1) == set()
 
     def test_no_victim_behind_a_timed_out_waiter(self):
         """b times out waiting for a but still holds its own lock; a then
@@ -116,6 +117,51 @@ class TestImmediateDetection:
         assert behind.request.state is RequestState.WAITING
         lm.release_all(b)  # b's abort: a gets the lock
         assert behind.request.state is RequestState.GRANTED
+
+    def test_an_upgrader_does_not_wait_for_itself(self):
+        lm = LockManager()
+        a, b = Owner(1), Owner(2)
+        ra = record_resource("t", "a")
+        lm.acquire(a, ra, S)
+        lm.acquire(b, ra, S)
+        assert not lm.acquire(a, ra, X).granted
+        assert lm.waits_for(1) == {2}
+
+
+def writer_granted_off_a_withdrawn_range(lm: LockManager):
+    """The S2PL scan path's four steps: writer G queues on scanner H's
+    SHARED range, H withdraws the range (granting G), G takes its record,
+    and H then waits on G's record.  G waits for nobody, so H's wait is a
+    plain one."""
+    g, h = Owner(2, begin_ts=1), Owner(3, begin_ts=2)
+    key = record_resource("t", 2)
+    lm.acquire_range(h, "t", 0, 9, S)
+    queued = lm.acquire(g, key, X).request
+    assert queued.resource == range_resource("t", 0, 9)
+    lm.release_range(h, "t", 0, 9)
+    assert queued.state is RequestState.GRANTED
+    assert lm.acquire(g, key, X).granted
+    wait = lm.acquire(h, key, S).request
+    return g, h, wait
+
+
+class TestNoFalseDeadlock:
+    def test_immediate_detection_sees_a_plain_wait(self):
+        called = []
+        lm = LockManager(deadlock_handler=lambda c, r: called.append(c))
+        g, h, wait = writer_granted_off_a_withdrawn_range(lm)
+        assert called == []
+        assert wait.state is RequestState.WAITING
+        assert lm.waits_for(h.id) == {g.id}
+        assert lm.waits_for(g.id) == set()
+
+    def test_periodic_sweep_finds_no_victim(self):
+        lm = LockManager()
+        g, h, wait = writer_granted_off_a_withdrawn_range(lm)
+        assert lm.find_deadlock_victims(youngest) == []
+        assert wait.state is RequestState.WAITING
+        lm.release_all(g)
+        assert wait.state is RequestState.GRANTED
 
 
 class TestPeriodicSweep:

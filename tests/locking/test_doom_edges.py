@@ -1,9 +1,9 @@
 """A doom must not hide a deadlock through its victim.
 
-A doomed transaction keeps its locks until it aborts, so the waits-for
-edges of the transactions waiting on it are real: the doom clears only
-the victim's outgoing edges.  And a doomed transaction can still enqueue
-a wait — a doom that lands between an operation's doom check and its lock
+A doomed transaction keeps its locks until it aborts, so the
+transactions waiting on it still wait for it: the doom cancels only the
+victim's own waits.  And a doomed transaction can still enqueue a wait —
+a doom that lands between an operation's doom check and its lock
 request, or a PAGE write whose page-lock reader report dooms the writer
 before it takes its record lock — so dooming it again must cancel that
 wait, or a cycle through it could never be broken.
@@ -14,6 +14,7 @@ import pytest
 from repro import Database, EngineConfig
 from repro.engine.config import DeadlockMode
 from repro.errors import UnsafeError
+from repro.locking.deadlock import youngest
 from repro.locking.manager import RequestState, record_resource
 from repro.locking.modes import LockMode
 
@@ -33,7 +34,8 @@ def doomed_holder_waits_on_its_waiter(mode: DeadlockMode):
     assert not db.locks.acquire(t2, A, X).granted
     unsafe = UnsafeError("unsafe pattern of conflicts", txn_id=t1.id)
     db.doom(t1, unsafe)
-    assert db.locks.waits_for.edges_from(t2.id) == {t1.id}
+    assert db.locks.waits_for(t2.id) == {t1.id}
+    assert db.locks.waits_for(t1.id) == set()
     return db, t1, t2, unsafe, db.locks.acquire(t1, B, X).request
 
 
@@ -57,5 +59,5 @@ def test_periodic_sweep_finds_the_cycle_through_the_doomed_waiter():
     assert victims
     # Whichever member is the victim, its wait is cancelled: the cycle
     # is broken and the other transaction can run to completion.
-    assert not db.locks.waits_for.find_cycles()
+    assert db.locks.find_deadlock_victims(youngest) == []
     assert db.locks.residue()["waiters"] == 1

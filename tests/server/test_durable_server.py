@@ -11,7 +11,9 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.client import PipelinedClient
+import pytest
+
+from repro.client import PipelinedClient, ServerError
 from repro.wal import WriteAheadLog
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -74,6 +76,23 @@ def test_acknowledged_commits_survive_restarts(tmp_path):
             "a": "second", "b": "third", "c": "second"}
     ids = WriteAheadLog.load(wal_path).committed_txn_ids()
     assert len(ids) == 5 and len(set(ids)) == 5
+
+
+def test_durable_server_refuses_a_bulk_load(tmp_path):
+    """A load is not logged, so its rows would vanish at a restart: the
+    durable server refuses it and points at transactions instead."""
+    wal_path = str(tmp_path / "server.wal")
+    with server_process("--wal", wal_path) as port:
+        with PipelinedClient(port=port) as client:
+            client.create_table("t")
+            with pytest.raises(ServerError) as info:
+                client.load("t", [("a", "loaded")])
+            assert info.value.remote_error == "ProtocolError"
+            assert "through a transaction" in str(info.value)
+        assert read_all(port) == {}
+        acked = commit_puts(port, {"a": "committed"})
+    with server_process("--wal", wal_path) as port:
+        assert read_all(port) == acked
 
 
 def test_without_wal_flag_nothing_is_written(tmp_path):

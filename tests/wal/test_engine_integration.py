@@ -2,7 +2,7 @@
 
 from repro import Database, EngineConfig
 from repro.wal.log import WriteAheadLog
-from repro.wal.records import AbortRecord, CommitRecord, WriteRecord
+from repro.wal.records import CommitRecord, WriteRecord
 
 from tests.conftest import fill
 
@@ -37,13 +37,20 @@ def test_update_commit_logs_writes_then_commit():
     assert wal.flushed_lsn == wal.last_lsn  # flush-on-commit default
 
 
-def test_abort_with_writes_logged():
+def test_aborted_writer_logs_nothing():
+    """Write records reach the log only inside their transaction's
+    commit, so an aborted writer has nothing there to mark aborted."""
     db, wal = make_db()
     txn = db.begin("ssi")
     txn.write("t", 1, "b")
     txn.abort()
+    assert len(wal) == 0
+    assert wal.stats["appends"] == 0
+    later = db.begin("ssi")
+    later.write("t", 1, "c")
+    later.commit()
     records = list(wal.records(durable_only=False))
-    assert [type(r) for r in records] == [AbortRecord]
+    assert [type(r) for r in records] == [WriteRecord, CommitRecord]
 
 
 def test_abort_without_writes_logs_nothing():
