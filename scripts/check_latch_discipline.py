@@ -28,7 +28,7 @@ next to ruff/mypy:
 
 2. **No suspension under latch (PR 7).**  A function must not ``await``
    or enter a session/thread suspension point (``block_on``,
-   ``block_until``, ``Session._suspend``, a blocking ``Completion.wait``)
+   ``Session._suspend``, a blocking ``Completion.wait``)
    while a recognised latch is lexically held: the waker may need that
    latch to resolve the wait, so suspension under latch is a deadlock by
    construction.
@@ -63,7 +63,7 @@ next to ruff/mypy:
    ``engine/database.py``, its read path ``engine/reads.py``, its commit
    pipeline ``engine/commit.py`` and every module of
    ``locking/``, ``core/`` and ``cc/`` — no call may block the calling
-   thread (``.wait(...)``, ``block_on``, ``block_until``), whether a
+   thread (``.wait(...)``, ``block_on``), whether a
    latch is held or not.  An engine operation that must wait raises
    ``CompletionWaitRequired``; only executors (``Transaction``,
    ``run_program``, sessions, the simulator) wait and retry.
@@ -146,14 +146,14 @@ MUTATORS = {
 
 #: calls that suspend the current execution (thread-park or session
 #: suspension) — never legal while a latch is held: the thread waits in
-#: ``block_on``/``block_until`` or on a ``Completion``/``Event`` via
+#: ``block_on`` or on a ``Completion``/``Event`` via
 #: ``wait`` (engine code calls ``wait`` on nothing else), a session in
 #: ``Session._suspend``.
-SUSPEND_CALLS = {"block_on", "block_until", "_suspend", "wait"}
+SUSPEND_CALLS = {"block_on", "_suspend", "wait"}
 
 #: calls that park the calling thread: never legal in the engine proper
 #: (rule 6), latched or not.
-PARK_CALLS = {"wait", "block_on", "block_until"}
+PARK_CALLS = {"wait", "block_on"}
 
 #: the engine proper (rule 6): files, and folders ending in "/"
 NO_PARK = (

@@ -27,7 +27,6 @@ from repro.errors import (
     TransactionAbortedError,
     TransactionStateError,
 )
-from repro.locking.manager import LockRequest
 from repro.mvcc.snapshot import Snapshot
 
 
@@ -259,48 +258,40 @@ def block_on(wait: CompletionWaitRequired) -> None:
     :func:`repro.sim.direct.run_program`); the caller then retries the
     operation, which finds out how the wait ended.
 
+    Untimed unless one of two duties of the waiting transaction's
+    database applies: a configured ``lock_timeout`` cancels a lock
+    wait's request once it is due (every other wait has no deadline),
+    and PERIODIC deadlock detection must keep sweeping even when every
+    client thread is blocked (Berkeley DB db_perf style) — the sole
+    consumer of ``wait_poll_interval`` on a thread.  The cancel resolves
+    the request, which fires the completion.
+
     A lock wait's wall-clock time feeds ``lock_wait_time`` (the
     simulator feeds the same histogram in simulated seconds); a
     safe-snapshot verdict is not a lock wait.
     """
-    db = wait.txn._db
-    wait_started = time.monotonic()
-    block_until(db, wait.completion, wait.request)
-    if wait.request is not None:
-        db.metrics.histogram("lock_wait_time").observe(
-            time.monotonic() - wait_started
-        )
-
-
-def block_until(db, woken, request: LockRequest | None) -> None:
-    """Park the calling thread until ``woken`` (a :class:`Completion` or
-    a :class:`threading.Event`) is set — the one blocking wait, shared
-    by :func:`block_on` and thread-driven sessions.
-
-    Untimed unless one of two duties of ``db`` applies: a configured
-    ``lock_timeout`` cancels ``request`` (a lock wait; None for every
-    other wait, which has no deadline) once it is due, and PERIODIC
-    deadlock detection must keep sweeping even when every client thread
-    is blocked (Berkeley DB db_perf style) — the sole consumer of
-    ``wait_poll_interval`` on a thread.  The cancel resolves the request,
-    which must set ``woken``.
-    """
     # Sleeping while holding any engine latch would stall every other
     # thread needing it; the wait exception must fully unwind first.
     assert_no_latches_held("lock wait")
+    db, woken, request = wait.txn._db, wait.completion, wait.request
+    wait_started = time.monotonic()
     timeout = None if request is None else db.config.lock_timeout
     if db.needs_wait_polling:
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = None if timeout is None else wait_started + timeout
         while not woken.wait(timeout=db.wait_poll_interval):
             if deadline is not None and time.monotonic() >= deadline:
                 db.cancel_lock_request(request)
-                continue  # the denial resolves the request, sets woken
+                continue  # the denial resolves the request, fires woken
             db.poll_waiters()
     elif timeout is not None:
         if not woken.wait(timeout=timeout):
             # Either the cancel wins (its doom denies the request) or a
-            # racing grant already resolved it — both set woken promptly.
+            # racing grant already resolved it — both fire woken promptly.
             db.cancel_lock_request(request)
             woken.wait()
     else:
         woken.wait()
+    if request is not None:
+        db.metrics.histogram("lock_wait_time").observe(
+            time.monotonic() - wait_started
+        )

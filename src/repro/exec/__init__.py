@@ -1,11 +1,12 @@
-"""Threaded stress execution.
+"""Stress execution.
 
-Drives real OS threads through the blocking transaction API or through
-sessions — the concurrency regime the fine-grained latch hierarchy
-exists for.  The discrete-event simulator (:mod:`repro.sim`) measures
-the paper's *algorithms* under controlled interleavings; this package
-instead stresses the *implementation*: N threads hammer one database
-and the result is checked against workload invariants, the MVSG
+Drives real OS threads through the blocking transaction API — the
+concurrency regime the fine-grained latch hierarchy exists for — or
+sessions on one event loop, as the wire server runs them.  The
+discrete-event simulator (:mod:`repro.sim`) measures the paper's
+*algorithms* under controlled interleavings; this package instead
+stresses the *implementation*: N clients hammer one database and the
+result is checked against workload invariants, the MVSG
 serializability oracle, and lock-table cleanliness.
 """
 

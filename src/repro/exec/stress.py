@@ -4,10 +4,12 @@
 threads.  :func:`run_threaded_stress` — the harness behind the
 race-condition tests and the threaded benchmark cases — has each thread
 run its programs through the blocking client API
-(:func:`repro.sim.direct.run_program`); :func:`run_session_stress` has
-each thread own one session of a :class:`~repro.session.SessionScheduler`
-and drive its programs through it, suspending on each wait.  Both then
-quiesce the engine and audit what is left behind.
+(:func:`repro.sim.direct.run_program`).  :func:`run_session_stress`
+runs its clients as coroutines on one event loop, the way the wire
+server runs connections: each owns one session of a
+:class:`~repro.session.SessionScheduler` and runs its programs through
+it, suspending on each wait.  Both then quiesce the engine and audit
+what is left behind.
 
 The audit is the point.  A latching bug rarely crashes — it loses a
 SIREAD lock, leaks a granted row in the lock table, or commits a
@@ -24,15 +26,16 @@ therefore carries, besides throughput numbers:
   sibench's "sum of rows == committed updates") can be checked by the
   caller against the final table contents.
 
-Determinism: thread ``i`` draws from ``random.Random(seed * 1000 + i)``,
-so a stress run's *program sequence* is reproducible per thread even
-though the OS interleaving is not.  The sharded runner
+Determinism: client ``i`` draws from ``random.Random(seed * 1000 + i)``,
+so a stress run's *program sequence* is reproducible per client even
+though the interleaving is not.  The sharded runner
 (:mod:`repro.shard.stress`) drives its coordinator through the same
 loop.
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
 import threading
 import time
@@ -179,18 +182,14 @@ def drive_threads(
     next_program: Callable[[random.Random], tuple[Hashable, Generator]],
     tally: Callable[[Hashable, str | None], None],
 ) -> float:
-    """The one drive loop of the threaded, session and sharded runners.
+    """The one drive loop of the threaded and sharded runners.
 
     ``threads`` real threads start together; thread ``i`` draws
     ``txns_per_thread`` ``(label, program)`` pairs from
     ``next_program(random.Random(seed * 1000 + i))`` and runs each at
-    ``level``.  ``target`` is a database or a coordinator — the thread
+    ``level``.  ``target`` is a database or a coordinator; the thread
     runs each program through :func:`~repro.sim.direct.run_program`,
-    blocking through its waits — or a
-    :class:`~repro.session.SessionScheduler`: the thread then owns one
-    session and drives each program through
-    ``session.call("run_program", ...)``, blocking on each wait the
-    session suspends on.  Aborts (see
+    blocking through its waits.  Aborts (see
     :func:`~repro.sim.ops.abort_reason`) are expected outcomes; any
     other exception in a client thread fails the run.  Once every
     thread has joined, ``tally(label, reason)`` is called for each
@@ -207,21 +206,13 @@ def drive_threads(
         done = outcomes[index]
         barrier.wait()
         try:
-            session = None
-            if isinstance(target, SessionScheduler):
-                session = target.session()
-                run = partial(session.call, "run_program")
-            else:
-                run = partial(run_program, target)
             for _ in range(txns_per_thread):
                 label, program = next_program(rng)
                 try:
-                    run(program, level)
+                    run_program(target, program, level)
                     done.append((label, None))
                 except ABORTS as error:
                     done.append((label, abort_reason(error)))
-            if session is not None:
-                session.call("close")
         except BaseException as exc:  # engine bug, not a CC outcome
             failures.append(exc)
 
@@ -269,10 +260,14 @@ def run_threaded_stress(
     lock-table-gauge watcher) or tracing to the shared database.
     """
     db = _open_database(workload, config, check_serializability, on_database)
-    tallies = _drive_by_name(db, workload, level, threads, txns_per_thread, seed)
+    commits_by_name: dict = {}
+    aborts_by_name: dict = {}
+    wall = drive_threads(db, level, threads, txns_per_thread, seed,
+                         workload.next_transaction,
+                         partial(_tally, commits_by_name, aborts_by_name))
     return _audit(
-        db, workload, level, threads, txns_per_thread * threads, *tallies,
-        check_serializability, invariant,
+        db, workload, level, threads, txns_per_thread * threads, wall,
+        commits_by_name, aborts_by_name, check_serializability, invariant,
     )
 
 
@@ -288,45 +283,57 @@ def run_session_stress(
     on_database: Callable[[Database], None] | None = None,
 ) -> StressResult:
     """Session twin of :func:`run_threaded_stress`: the same engine
-    reached through sessions, which suspend on every lock, safe-snapshot
-    and commit wait instead of blocking inside the engine.
+    reached through sessions, which suspend on every lock and
+    safe-snapshot wait instead of blocking inside the engine.
 
-    :func:`drive_threads` runs one client thread per session; each
-    drives ``txns_per_session`` workload programs through its session,
-    drawing from ``random.Random(seed * 1000 + index)`` like thread
-    ``index`` of the threaded runner.  After the scheduler shuts down,
+    ``sessions`` clients run as coroutines on one ``asyncio.run`` loop,
+    the way the wire server runs connections.  Each owns one session and
+    runs ``txns_per_session`` workload programs through it, drawing from
+    ``random.Random(seed * 1000 + index)`` like thread ``index`` of the
+    threaded runner; a program hands the loop back between its steps, so
+    the clients interleave op by op.  After the scheduler shuts down,
     the same post-quiesce audit applies: MVSG verdict, residual
     lock-table state, invariants.
     """
     db = _open_database(workload, config, check_serializability, on_database)
     scheduler = SessionScheduler(db)
+    commits_by_name: dict = {}
+    aborts_by_name: dict = {}
+    tally = partial(_tally, commits_by_name, aborts_by_name)
+
+    async def client(index: int) -> None:
+        rng = random.Random(seed * 1000 + index)
+        session = scheduler.session()
+        for _ in range(txns_per_session):
+            name, program = workload.next_transaction(rng)
+            try:
+                await session.invoke("run_program", program, level)
+                tally(name, None)
+            except ABORTS as error:
+                tally(name, abort_reason(error))
+        await session.invoke("close")
+
+    async def drive() -> float:
+        start = time.perf_counter()
+        await asyncio.gather(*(client(index) for index in range(sessions)))
+        return time.perf_counter() - start
+
     try:
-        tallies = _drive_by_name(
-            scheduler, workload, level, sessions, txns_per_session, seed)
+        wall = asyncio.run(drive())
     finally:
         scheduler.shutdown()
     return _audit(
-        db, workload, level, sessions, txns_per_session * sessions, *tallies,
-        check_serializability, invariant,
+        db, workload, level, sessions, txns_per_session * sessions, wall,
+        commits_by_name, aborts_by_name, check_serializability, invariant,
     )
 
 
-def _drive_by_name(
-    target, workload: Workload, level: str, threads: int,
-    txns_per_thread: int, seed: int,
-) -> tuple[float, dict, dict]:
-    """:func:`drive_threads` over the workload's mix, tallied per program
-    name: ``(wall, commits_by_name, aborts_by_name)``."""
-    commits_by_name: dict = {}
-    aborts_by_name: dict = {}
-
-    def tally(name: Hashable, reason: str | None) -> None:
-        by_name = commits_by_name if reason is None else aborts_by_name
-        by_name[name] = by_name.get(name, 0) + 1
-
-    wall = drive_threads(target, level, threads, txns_per_thread, seed,
-                         workload.next_transaction, tally)
-    return wall, commits_by_name, aborts_by_name
+def _tally(commits_by_name: dict, aborts_by_name: dict,
+           name: Hashable, reason: str | None) -> None:
+    """Count one transaction of program ``name``: a commit when
+    ``reason`` is None, else an abort."""
+    by_name = commits_by_name if reason is None else aborts_by_name
+    by_name[name] = by_name.get(name, 0) + 1
 
 
 def final_rows(db: Database, table: str) -> dict[Hashable, object]:

@@ -1,18 +1,17 @@
 """The asyncio wire-protocol server.
 
-One TCP connection = one :class:`repro.session.Session`, bound to the
-event loop (see :mod:`repro.session`).  Each request frame is dispatched
-as a session invocation whose ``on_done`` settles an asyncio future.
-When the session is idle the invocation runs inline on the loop inside
-:meth:`ReproServer._dispatch`: engine calls never wait on another
-transaction, so the loop is held only while the engine works (a durable
-commit's log flush included).  An invocation that must wait — a lock
-request, a deferrable safe-snapshot verdict — suspends instead, and its
-retry is scheduled back onto the loop when the wait resolves; a wait's lock timeout and periodic
-deadlock sweeps are loop timers.  Every ``on_done`` therefore fires on
-the loop thread and settles its future directly.  While a session is
-suspended neither an OS thread nor the event loop is held: 1024
-connections cost 1024 suspended sessions, not 1024 threads.
+One TCP connection = one :class:`repro.session.Session` on the event
+loop (see :mod:`repro.session`).  Each request frame is dispatched as a
+session invocation, whose future :meth:`ReproServer._dispatch` awaits.
+When the session is idle the invocation runs inline on the loop, and
+the future is settled before the await: engine calls never wait on
+another transaction, so the loop is held only while the engine works (a
+durable commit's log flush included).  An invocation that must wait — a
+lock request, a deferrable safe-snapshot verdict — suspends instead, and
+its retry is scheduled back onto the loop when the wait resolves; a
+wait's lock timeout and periodic deadlock sweeps are loop timers.  While
+a session is suspended neither an OS thread nor the event loop is held:
+1024 connections cost 1024 suspended sessions, not 1024 threads.
 
 Bare frames keep the original request/response discipline (one
 outstanding op per connection).  A frame carrying an ``"id"`` opts into
@@ -39,7 +38,6 @@ coordinator to relabel).
 from __future__ import annotations
 
 import asyncio
-from functools import partial
 from typing import Any
 
 from repro.engine.database import Database
@@ -127,11 +125,10 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        loop = asyncio.get_running_loop()
         leftovers = list(self._dtxns.values())
         self._dtxns.clear()
         for session in leftovers:
-            await self._close_session(loop, session)
+            await self._close_session(session)
         self.scheduler.shutdown()
 
     @property
@@ -145,7 +142,6 @@ class ReproServer:
     ) -> None:
         session = self.scheduler.session()
         self._connections += 1
-        loop = asyncio.get_running_loop()
         inbox = asyncio.Semaphore(MAX_INBOX)
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
@@ -167,16 +163,14 @@ class ReproServer:
                 frame_id = frame.get("id")
                 if frame_id is None:
                     # Sequential path: one outstanding op, unnumbered reply.
-                    await respond(await self._dispatch(loop, session, frame))
+                    await respond(await self._dispatch(session, frame))
                     continue
                 # Pipelined path: bounded in-flight dispatch tasks; the
                 # semaphore acquired *here* stops the read loop (and so
                 # the socket) when the inbox is full.
                 await inbox.acquire()
-                task = loop.create_task(
-                    self._pipelined(loop, session, frame, frame_id,
-                                    respond, inbox)
-                )
+                task = asyncio.create_task(
+                    self._pipelined(session, frame, frame_id, respond, inbox))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
@@ -185,7 +179,7 @@ class ReproServer:
             self._connections -= 1
             if tasks:
                 await asyncio.gather(*tuple(tasks), return_exceptions=True)
-            await self._close_session(loop, session)
+            await self._close_session(session)
             writer.close()
             try:
                 # CancelledError included: at loop teardown the handler
@@ -198,11 +192,11 @@ class ReproServer:
                 pass
 
     async def _pipelined(
-        self, loop, session: Session, frame: dict[str, Any],
+        self, session: Session, frame: dict[str, Any],
         frame_id: Any, respond, inbox: asyncio.Semaphore,
     ) -> None:
         try:
-            reply = dict(await self._dispatch(loop, session, frame))
+            reply = dict(await self._dispatch(session, frame))
             reply["id"] = frame_id
             try:
                 await respond(reply)
@@ -211,24 +205,22 @@ class ReproServer:
         finally:
             inbox.release()
 
-    async def _close_session(self, loop, session: Session) -> None:
+    async def _close_session(self, session: Session) -> None:
         """Abort whatever the connection left open and retire the session.
         A session suspended on a wait is interrupted first so close()
         cannot queue behind a wait that might outlive the connection."""
         session.interrupt()
-        future: asyncio.Future = loop.create_future()
-        session.close(on_done=partial(_settle, future))
         try:
             # Shielded: a cancelled connection task (loop teardown) must
             # still wait out the close so the engine state is released.
-            await asyncio.shield(future)
+            await asyncio.shield(session.invoke("close"))
         except BaseException:  # noqa: BLE001 - best-effort cleanup
             pass
 
     # -------------------------------------------------------- dispatch
 
     async def _dispatch(
-        self, loop, conn_session: Session, frame: dict[str, Any]
+        self, conn_session: Session, frame: dict[str, Any]
     ) -> dict[str, Any]:
         try:
             spec, args = request_args(frame)
@@ -254,14 +246,12 @@ class ReproServer:
                 session = self._dtxns.get(gtid)
                 if session is None:
                     return _error_reply(ProtocolError(f"unknown txn {gtid}"))
-        future: asyncio.Future = loop.create_future()
         txn = session.txn
         txn_id = txn.id if txn is not None else None
-        # An idle session runs the op right here, on the loop; the
-        # future is then already settled and the await does not yield.
-        getattr(session, spec.method)(*args, on_done=partial(_settle, future))
         try:
-            result = await future
+            # An idle session runs the op right here, on the loop; its
+            # future is then already settled and the await does not yield.
+            result = await session.invoke(spec.method, *args)
         except asyncio.CancelledError:
             raise  # the connection is going away; its teardown closes the session
         except BaseException as error:  # noqa: BLE001 - mapped onto the wire
@@ -271,23 +261,23 @@ class ReproServer:
                 isinstance(error, TransactionAbortedError)
                 or op in _TERMINAL and not (txn is not None and txn.prepared)
             ):
-                await self._retire_dtxn(loop, gtid)
+                await self._retire_dtxn(gtid)
             reply = self._abort_reply(error, txn_id)
             if gtid is not None:
                 reply["gtid"] = gtid
             return reply
         if gtid is not None and op in _TERMINAL:
-            await self._retire_dtxn(loop, gtid)
+            await self._retire_dtxn(gtid)
         if op == "begin" and gtid is not None:
             self._gtids[result] = gtid
         return success_reply(spec, result)
 
-    async def _retire_dtxn(self, loop, gtid: int) -> None:
+    async def _retire_dtxn(self, gtid: int) -> None:
         """A distributed transaction reached a terminal state: unregister
         and close its session (idempotent — races with stop() are fine)."""
         session = self._dtxns.pop(gtid, None)
         if session is not None:
-            await self._close_session(loop, session)
+            await self._close_session(session)
 
     def _ping(self) -> dict[str, Any]:
         return {"server": "repro", "connections": self._connections}
@@ -358,13 +348,3 @@ _TERMINAL = ("commit", "abort", "commit_prepared")
 
 def _error_reply(error: BaseException) -> dict[str, Any]:
     return {"ok": False, "error": type(error).__name__, "message": str(error)}
-
-
-def _settle(future: asyncio.Future, result: Any,
-            error: BaseException | None) -> None:
-    if future.cancelled():
-        return
-    if error is not None:
-        future.set_exception(error)
-    else:
-        future.set_result(result)

@@ -17,60 +17,58 @@ nothing itself.
 Execution model
 ---------------
 Every public session method submits an *invocation* (an engine thunk
-plus an ``on_done(result, error)`` callback).  A session runs its
-invocations in FIFO order; engine thunks are idempotent-on-retry exactly
-as in the blocking path, so a thunk interrupted by a wait is simply
-re-run once it fires.  Delivering an outcome forgets the session's
-transaction once it has finished.
+plus an ``on_done(result, error)`` callback) and must be called on a
+thread that runs an asyncio event loop; from any other thread it raises
+``RuntimeError`` before it queues anything.  :meth:`Session.invoke`
+returns an invocation's outcome as an asyncio future.  A session runs
+its invocations in FIFO order; engine thunks are idempotent-on-retry
+exactly as in the blocking path, so a thunk interrupted by a wait is
+simply re-run once it fires.  Delivering an outcome forgets the
+session's transaction once it has finished.
 
-A session has exactly one *driver*, the only thread that runs its
-``_step``: whoever submitted work to it while it was idle.  Work
-submitted while it is busy joins its inbox for the current driver.
+A session is bound to the loop of whoever submitted work to it while it
+was idle, and runs only there.  The invocation runs inline before the
+method returns — engine calls never block, they raise a wait exception
+instead, so the loop is held only while the engine works.  Work
+submitted while the session is busy joins its inbox.  A suspended
+session's retry is scheduled back onto its loop with
+``loop.call_soon_threadsafe``, and a program
+(:meth:`Session.run_program`) hands the loop back between its steps,
+as a wire client's transaction does between its frames.  Every change
+to a session's state therefore happens on the loop thread, and a
+session takes no lock.
 
-- *Loop-bound*: submitted from a thread that runs an asyncio event loop
-  (the wire server's dispatch), the invocation runs inline before the
-  method returns — engine calls never block, they raise a wait exception
-  instead, so the loop is held only while the engine works — and a
-  suspended session's retry is scheduled back onto that loop with
-  ``loop.call_soon_threadsafe``.
-- *Thread-driven*: submitted from any other thread (:meth:`Session.call`,
-  :func:`repro.exec.stress.drive_threads`, tests), the submitting thread
-  steps the session, blocking in
-  :func:`repro.engine.transaction.block_until` (the blocking path's own
-  wait) whenever it suspends, until the inbox drains.
-
-Resume callbacks may fire on a resolver's thread **while it holds the lock
-manager latch**, so they only mark the session runnable and wake its
-driver — no engine re-entry (no latch may be held across a suspension
-point, and no suspension handler may take a latch).
+Resume callbacks may fire on any thread — a resolver's **while it holds
+the lock manager latch**, or a foreign thread's doom — so they only
+schedule the session's next step: no engine re-entry (no latch may be
+held across a suspension point, and no suspension handler may take a
+latch).
 
 A wait's deadline duties — cancelling a lock request at its
 ``lock_timeout`` deadline and, under PERIODIC deadlock detection,
-``Database.poll_waiters`` every ``wait_poll_interval`` — ride on the
-driver: loop timers that the resumed step cancels, or ``block_until``'s
-timed waits.  With neither configured nothing on the wait path polls.
+``Database.poll_waiters`` every ``wait_poll_interval`` — are loop
+timers that the resumed step cancels.  With neither configured nothing
+on the wait path polls.
 """
 
 from __future__ import annotations
 
-import threading
+import asyncio
 import time
-from asyncio import _get_running_loop
 from collections import deque
 from contextlib import suppress
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.engine.database import Database
 from repro.engine.isolation import IsolationLevel
 from repro.engine.latches import assert_no_latches_held
-from repro.engine.transaction import block_until
 from repro.errors import (
     CompletionWaitRequired,
     ReproError,
     TransactionAbortedError,
     TransactionStateError,
 )
-from repro.locking.manager import LockRequest
 from repro.sim.ops import ProgramRun
 
 __all__ = ["Session", "SessionClosedError", "SessionScheduler"]
@@ -85,12 +83,8 @@ class SessionClosedError(ReproError):
 #: an invocation: the engine thunk and the callback its outcome goes to
 _Invocation = tuple[Callable[[], Any], OnDone]
 
-# Session lifecycle states.  IDLE: no queued work and no driver.  BUSY:
-# woken — its driver is inside _step or about to be.  SUSPENDED: parked
-# on a wait completion; the resume callback moves it back to BUSY.
-_IDLE = "idle"
-_BUSY = "busy"
-_SUSPENDED = "suspended"
+#: what a thunk returns to hand the loop back before it runs again
+_YIELD = object()
 
 
 def _txn_op(name: str):
@@ -115,7 +109,7 @@ class Session:
     :meth:`index_lookup`, :meth:`commit`, :meth:`abort`,
     :meth:`run_program`, :meth:`close`) are asynchronous: they submit
     work and deliver the outcome through ``on_done(result, error)``.
-    :meth:`call` is a small blocking facade for tests and tools.
+    :meth:`invoke` returns that outcome as an asyncio future instead.
     """
 
     def __init__(self, scheduler: "SessionScheduler") -> None:
@@ -123,18 +117,14 @@ class Session:
         self._db = scheduler.db
         #: the transaction this session currently owns (None between txns)
         self.txn = None
-        self._state_lock = threading.Lock()
-        self._state = _IDLE
+        #: False once the inbox has drained and no invocation is current
+        self._busy = False
         self._inbox: deque[_Invocation] = deque()
         self._current: _Invocation | None = None
         self._closed = False
-        #: the driver, fixed at each wake from IDLE: its event loop (None
-        #: for a thread-driven session) and how a resume wakes it
-        self._loop = None
-        self._wake: Callable[[], None] | None = None
-        #: wait bookkeeping, touched only by the driver
-        self._pending_request: LockRequest | None = None
-        #: a loop-bound wait's deadline-duty timers (poll timer last)
+        #: the event loop the session runs on, fixed at each wake from idle
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: a wait's deadline-duty timers (poll timer last)
         self._timers: list = []
 
     # ------------------------------------------------------ public API
@@ -153,14 +143,10 @@ class Session:
         is held on a loop) until the safe-snapshot monitor fires a safe
         verdict.  ``global_id`` tags the transaction with a
         coordinator-assigned id (sharding)."""
-        def fn():
-            self.txn = self._db.begin(
-                isolation, read_only=read_only, deferrable=deferrable,
-                global_id=global_id,
-            )
-            return self.txn.id
-
-        self._submit(fn, on_done, "begin")
+        self._submit(
+            lambda: self._begin(isolation, read_only=read_only,
+                                deferrable=deferrable, global_id=global_id).id,
+            on_done, "begin")
 
     # engine operations on the open transaction, arguments as in Database
     read = _txn_op("read")
@@ -208,7 +194,8 @@ class Session:
         """Run a transaction-program generator (see :mod:`repro.sim.ops`)
         to completion in one transaction, committing at the end —
         :func:`repro.sim.direct.run_program`, but suspending instead of
-        blocking through waits: the retry steps the same
+        blocking through waits, and handing the loop back between steps:
+        each run of the thunk steps the same
         :class:`~repro.sim.ops.ProgramRun` on from where it stopped.
         Delivers the program's return value."""
         run: ProgramRun | None = None
@@ -216,11 +203,9 @@ class Session:
         def fn():
             nonlocal run
             if run is None:
-                self.txn = self._db.begin(isolation)
-                run = ProgramRun(self._db, self.txn, program, self._db.commit)
-            while run.step():
-                pass
-            return run.value
+                run = ProgramRun(self._db, self._begin(isolation), program,
+                                 self._db.commit)
+            return _YIELD if run.step() else run.value
 
         self._submit(fn, on_done, "program")
 
@@ -229,10 +214,9 @@ class Session:
         Pending queued invocations fail with :class:`SessionClosedError`."""
         def fn():
             self._drop_txn()
-            with self._state_lock:
-                self._closed = True
-                pending = list(self._inbox)
-                self._inbox.clear()
+            self._closed = True
+            pending = list(self._inbox)
+            self._inbox.clear()
             for _fn, pending_done in pending:
                 self._deliver(pending_done, None, SessionClosedError("session closed"))
             self._scheduler._forget(self)
@@ -254,25 +238,26 @@ class Session:
                     "session interrupted", txn_id=txn.id),
             )
 
-    # blocking facade -------------------------------------------------
-
-    def call(self, method: str, /, *args: Any, **kwargs: Any) -> Any:
-        """Blocking convenience for a thread that runs no event loop:
-        invoke ``method`` on an idle session — this thread drives it to
-        its outcome — and return the result or raise the error."""
-        box: list = []
-        getattr(self, method)(
-            *args, on_done=lambda result, error: box.append((result, error)),
-            **kwargs)
-        if not box:  # queued behind another driver, or suspended on a loop
-            raise TransactionStateError(
-                "Session.call needs an idle session and no running event loop")
-        result, error = box[0]
-        if error is not None:
-            raise error
-        return result
+    def invoke(self, method: str, /, *args: Any) -> asyncio.Future:
+        """Submit ``method(*args)`` on the running event loop and return
+        the future of its outcome — already settled when the session was
+        idle and the invocation did not wait."""
+        future = asyncio.get_running_loop().create_future()
+        getattr(self, method)(*args, on_done=partial(_settle, future))
+        return future
 
     # ------------------------------------------------------ internals
+
+    def _begin(self, isolation, **options):
+        """Begin the session's transaction.  Refused while the one it
+        holds is still active: that one would be orphaned, its locks
+        held and its snapshot pinning cleanup."""
+        txn = self.txn
+        if txn is not None and txn.is_active:
+            raise TransactionStateError(
+                f"session already has active transaction {txn.id}")
+        self.txn = self._db.begin(isolation, **options)
+        return self.txn
 
     def _need_txn(self):
         txn = self.txn
@@ -288,40 +273,20 @@ class Session:
     def _submit(self, fn: Callable[[], Any], on_done: OnDone, label: str,
                 allow_closed: bool = False) -> None:
         """Queue ``fn`` (``label`` names the submitting method) and, if
-        the session was idle, drive it from this thread."""
-        with self._state_lock:
-            refused = self._closed and not allow_closed
-            if not refused:
-                self._inbox.append((fn, on_done))
-            wake = not refused and self._state is _IDLE
-            if wake:
-                self._state = _BUSY
-        if refused:
+        the session was idle, run it inline on this thread's loop."""
+        loop = asyncio.get_running_loop()  # off a loop: raise, queue nothing
+        if self._closed and not allow_closed:
             self._deliver(on_done, None, SessionClosedError("session closed"))
-        if not wake:
-            return  # refused, or queued for the current driver
-        # This thread becomes the driver (module docstring).
-        self._loop = _get_running_loop()
-        if self._loop is not None:
-            self._wake = self._wake_loop
-            self._step()  # inline on the event loop
             return
-        woken = threading.Event()
-        self._wake = woken.set
-        self._step()
-        while self._current is not None:  # suspended on a wait
-            block_until(self._db, woken, self._pending_request)
-            woken.clear()
+        self._inbox.append((fn, on_done))
+        if not self._busy:
+            self._busy, self._loop = True, loop
             self._step()
 
-    def _wake_loop(self) -> None:
-        with suppress(RuntimeError):  # a closed loop drives nothing again
-            self._loop.call_soon_threadsafe(self._step)
-
     def _step(self) -> None:
-        """Run queued invocations until the inbox drains or one suspends.
-        Executed only by the session's driver (the state machine
-        guarantees a session is woken at most once)."""
+        """Run queued invocations until the inbox drains, one suspends or
+        a program hands the loop back.  Runs only on the session's loop,
+        once per wake."""
         assert_no_latches_held("session step")
         for timer in self._timers:
             timer.cancel()
@@ -329,13 +294,12 @@ class Session:
         while True:
             invocation = self._current
             if invocation is None:
-                with self._state_lock:
-                    if not self._inbox:
-                        self._state = _IDLE
-                        return
-                    invocation = self._inbox.popleft()
+                if not self._inbox:
+                    self._busy = False
+                    return
+                invocation = self._inbox.popleft()
             else:
-                self._current = None  # a wait fired: retry it
+                self._current = None  # a wait fired or a step ended: go on
             fn, on_done = invocation
             error = None
             try:
@@ -346,6 +310,10 @@ class Session:
                 return
             except BaseException as raised:
                 result, error = None, raised
+            if result is _YIELD:  # let the loop's other sessions run
+                self._current = invocation
+                self._loop.call_soon(self._step)
+                return
             # An outcome ends the session's hold on a transaction that has
             # finished — committed, or aborted by its own or a doomed
             # retry's error.
@@ -357,24 +325,20 @@ class Session:
     def _suspend(self, wait: CompletionWaitRequired) -> None:
         """Park on ``wait.completion`` until it fires; its request, if it
         is a lock wait, is what a ``lock_timeout`` deadline cancels."""
-        self._pending_request = wait.request
-        with self._state_lock:
-            self._state = _SUSPENDED
         self._scheduler._note_suspended(self)
-        if self._loop is not None:
-            self._arm_timers()
+        self._arm_timers(wait.request)
         # May fire _resume synchronously (an already-fired completion) on
-        # this thread, or later on a resolver's thread that holds the lock
-        # manager latch — either way _resume only wakes the driver.
+        # this thread, or later on any thread — a resolver's may hold the
+        # lock manager latch; either way _resume only schedules a step.
         wait.completion.on_fire(self._resume)
 
-    def _arm_timers(self) -> None:
-        """A loop-bound wait's deadline duties, as timers on its loop:
-        cancel a lock request once ``lock_timeout`` has passed, and under
-        PERIODIC deadlock detection sweep every ``wait_poll_interval``.
-        A thread-driven wait's :func:`block_until` does both itself."""
+    def _arm_timers(self, request) -> None:
+        """A wait's deadline duties, as timers on the session's loop:
+        cancel a lock ``request`` once ``lock_timeout`` has passed, and
+        under PERIODIC deadlock detection sweep every
+        ``wait_poll_interval``."""
         loop, db = self._loop, self._db
-        request, timeout = self._pending_request, db.config.lock_timeout
+        timeout = db.config.lock_timeout
         if request is not None and timeout is not None:
             self._timers.append(loop.call_later(
                 timeout, db.cancel_lock_request, request))
@@ -386,10 +350,8 @@ class Session:
             self._timers.append(loop.call_later(db.wait_poll_interval, poll))
 
     def _resume(self, _source=None) -> None:
-        with self._state_lock:
-            if self._state is not _SUSPENDED:
-                return
-            self._state = _BUSY
+        # Any thread.  A suspension subscribes to exactly one completion,
+        # which fires once, so this runs once per suspension.
         self._scheduler._note_resumed(self)
         self._scheduler._enqueue(self)
 
@@ -397,13 +359,23 @@ class Session:
                  error: BaseException | None) -> None:
         try:
             on_done(result, error)
-        except Exception:  # noqa: BLE001 - a client callback must not kill the driver
+        except Exception:  # noqa: BLE001 - a client callback must not kill the loop
             pass
+
+
+def _settle(future: asyncio.Future, result: Any,
+            error: BaseException | None) -> None:
+    if future.cancelled():
+        return
+    if error is not None:
+        future.set_exception(error)
+    else:
+        future.set_result(result)
 
 
 class SessionScheduler:
     """Opens the sessions of one database and keeps their books; each
-    session runs on its own driver (module docstring).
+    session runs on its own event loop (module docstring).
 
     Registers observability with the database's metrics registry:
     ``sessions_open`` / ``sessions_suspended`` gauges and the
@@ -415,9 +387,9 @@ class SessionScheduler:
         self.db = db
         self._closed = False
         self._sessions: set[Session] = set()
-        #: suspended session -> when it suspended
+        #: suspended session -> when it suspended (set on the loop, popped
+        #: by a resume on any thread: single dict operations)
         self._suspended: dict[Session, float] = {}
-        self._registry_lock = threading.Lock()
         self._wait_histogram = db.metrics.histogram("session_wait_time")
         db.metrics.register_gauge("sessions_open", lambda: len(self._sessions))
         db.metrics.register_gauge(
@@ -430,13 +402,12 @@ class SessionScheduler:
         if self._closed:
             raise SessionClosedError("scheduler is shut down")
         session = Session(self)
-        with self._registry_lock:
-            self._sessions.add(session)
+        self._sessions.add(session)
         return session
 
     def shutdown(self) -> None:
         """Stop opening sessions.  Open sessions keep their engine state
-        and their drivers; callers that need a clean lock table close
+        and their loops; callers that need a clean lock table close
         their sessions first."""
         self._closed = True
 
@@ -451,21 +422,19 @@ class SessionScheduler:
     # ------------------------------------------------------ internals
 
     def _enqueue(self, session: Session) -> None:
-        # Wake the driver to step the session again.  Resume callbacks
-        # may run under the lock manager latch: the wake only hands off.
-        session._wake()
+        # Schedule the session's next step on its loop.  Resume callbacks
+        # may run under the lock manager latch: this only hands off.
+        with suppress(RuntimeError):  # a closed loop drives nothing again
+            session._loop.call_soon_threadsafe(session._step)
 
     def _forget(self, session: Session) -> None:
-        with self._registry_lock:
-            self._sessions.discard(session)
-            self._suspended.pop(session, None)
+        self._sessions.discard(session)
+        self._suspended.pop(session, None)
 
     def _note_suspended(self, session: Session) -> None:
-        with self._registry_lock:
-            self._suspended[session] = time.monotonic()
+        self._suspended[session] = time.monotonic()
 
     def _note_resumed(self, session: Session) -> None:
-        with self._registry_lock:
-            started = self._suspended.pop(session, None)
+        started = self._suspended.pop(session, None)
         if started is not None:
             self._wait_histogram.observe(time.monotonic() - started)

@@ -14,8 +14,7 @@ Groups are staged, not waited for: one committer is held inside its
 fsync (``GatedWAL``) and the others commit behind it on threads.
 """
 
-import threading
-import time
+import asyncio
 
 import pytest
 
@@ -213,57 +212,37 @@ class TestCertificationBehindAFlush:
         check.commit()
 
 
-def wait_for_appends(db, records):
-    deadline = time.monotonic() + 10
-    while db.wal.last_lsn < records:
-        assert time.monotonic() < deadline, "sessions never appended"
-        time.sleep(0.005)
-
-
 class TestSessions:
-    def test_session_commits_share_a_flush_without_suspending(self):
-        """Session committers behind a held flush block in the log on
-        their own threads — none suspends, since a commit raises no
-        wait — and they share one flush."""
+    def test_session_commits_never_suspend(self):
+        """Session committers on one event loop write and commit through
+        the log; none suspends, since a commit raises no wait.  (Flushes
+        shared by concurrent committers are OS-thread behaviour:
+        ``TestSharedFlush`` covers them.)"""
         from repro.session import SessionScheduler
         from repro.sim.ops import Write
 
         db = make_db()
         scheduler = SessionScheduler(db)
         sessions = 12
-        errors = []
 
-        def drive(index):
+        async def drive(index):
             session = scheduler.session()
 
             def program():
                 yield Write("t", ("s", index), index)
 
-            try:
-                session.call("run_program", program(), "ssi")
-            except Exception as error:  # noqa: BLE001 - asserted below
-                errors.append(error)
-            session.call("close")
+            await session.invoke("run_program", program(), "ssi")
+            await session.invoke("close")
 
-        threads = [threading.Thread(target=drive, args=(index,))
-                   for index in range(sessions)]
-        db.wal.hold()
-        try:
-            threads[0].start()
-            assert db.wal.entered.wait(timeout=10)
-            for thread in threads[1:]:
-                thread.start()
-            wait_for_appends(db, 2 * sessions)  # a write and a commit each
-            assert scheduler.suspended_sessions == 0
-        finally:
-            db.wal.release()
-            for thread in threads:
-                thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads), "sessions wedged"
+        async def main():
+            await asyncio.gather(*(drive(index) for index in range(sessions)))
+
+        asyncio.run(main())
         scheduler.shutdown()
-        assert not errors, errors
+        waits = db.metrics.snapshot()["histograms"]["session_wait_time"]
+        assert waits["count"] == 0  # no session ever suspended
         assert db.stats["commits"] == sessions
-        assert wal_counters(db)["flushes"] == 2
+        assert db.wal.flushed_lsn == db.wal.last_lsn == 2 * sessions
         assert check_serializable(db.history).serializable
         assert db.locks.table_size() == 0
 

@@ -244,6 +244,30 @@ class TestServer:
         run_with_server(server_db, body)
         assert not any(server_db.locks.residue().values())
 
+    def test_second_begin_is_refused_and_orphans_nothing(self, server_db):
+        """A ``begin`` while the connection's transaction is active is
+        answered with an error and leaves that transaction as it was;
+        closing the connection then aborts it and releases its locks."""
+        server_db.create_table("t")
+
+        async def body(server):
+            client = await AsyncClient.connect(port=server.port)
+            first = await client.begin("ssi")
+            await client.put("t", 1, "x")
+            with pytest.raises(TransactionStateError):
+                await client.begin("ssi")
+            assert server_db.find_transaction(first).is_active
+            await client.close()
+            deadline = asyncio.get_running_loop().time() + 5
+            while server.scheduler.open_sessions:
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.005)
+
+        run_with_server(server_db, body)
+        assert server_db.active_count() == 0
+        residue = server_db.audit()
+        assert (residue["granted"], residue["owners"]) == (0, 0), residue
+
     def test_blocking_client_from_thread(self, server_db):
         server_db.create_table("t")
 

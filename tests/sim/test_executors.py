@@ -6,13 +6,15 @@ each must report the same outcome, abort bucket and return value.  Cases
 that wait pair the program ``P`` with another transaction ``B``: B runs
 its first step before P begins and its next step once P is waiting —
 through the schedule slot order for the interleaving driver, from a
-helper thread for the direct runner and the session (whose callers
-block), and as a simulated event for the simulator.  A case without a
+helper thread for the direct runner and the session (whose caller
+blocks, or runs the session's event loop), and as a simulated event for
+the simulator.  A case without a
 slot order instead has B hold its lock until P is done, so only P's
 ``lock_timeout`` ends the wait (for the interleaving driver, at the
 stall where no sweep finds a deadlock).
 """
 
+import asyncio
 import threading
 import time
 from dataclasses import dataclass
@@ -175,10 +177,16 @@ def via_direct(db, case: Case) -> tuple[str, object]:
 
 def via_session(db, case: Case) -> tuple[str, object]:
     scheduler = SessionScheduler(db)
+    session = scheduler.session()
+
+    async def run(program, level):
+        # bounded: a lost wake would leave the loop idle forever
+        return await asyncio.wait_for(
+            session.invoke("run_program", program, level), timeout=30)
+
     try:
-        session = scheduler.session()
-        return blocking(db, case, lambda program, level: session.call(
-            "run_program", program, level))
+        return blocking(db, case, lambda program, level: asyncio.run(
+            run(program, level)))
     finally:
         scheduler.shutdown()
 
