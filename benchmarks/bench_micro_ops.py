@@ -75,6 +75,21 @@ def test_scan_100(benchmark, level):
     benchmark(one_txn)
 
 
+@pytest.mark.benchmark(group="micro-scan1024")
+@pytest.mark.parametrize("level", ["si", "ssi", "s2pl", "sgt"])
+def test_scan_1024(benchmark, level):
+    """A sibench-shaped query: a 1 024-row window over a 4 096-row table,
+    sixteen B+-tree leaves at the default page size."""
+    db = make_db(rows=4096)
+
+    def one_txn():
+        txn = db.begin(level)
+        txn.scan("t", 1536, 2559)
+        txn.commit()
+
+    benchmark(one_txn)
+
+
 @pytest.mark.benchmark(group="micro-rmw")
 @pytest.mark.parametrize("level", ["si", "ssi", "s2pl"])
 def test_read_modify_write(benchmark, level):

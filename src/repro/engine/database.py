@@ -433,10 +433,11 @@ class Database(ReadPath, CommitPipeline):
 
         Execution: the scan places its key range first (:meth:`_walk_range`)
         at either lock granularity; the key set is then materialised in
-        leaf-page-sized chunks — dropping the table latch between chunks —
-        and visibility is resolved batch-at-a-time against the one
-        snapshot, with one CC-policy call per scan.  The scan is counted
-        once its walk returns: an S2PL walk that waits is retried whole.
+        leaf-page-sized chunks of B+-tree leaf slices — dropping the table
+        latch between chunks — and visibility is resolved batch-at-a-time
+        against the one snapshot, with one CC-policy call per scan.  The
+        scan is counted once its walk returns: an S2PL walk that waits is
+        retried whole.
         """
         self._check_op(txn)
         table = self.table(table_name)
@@ -445,11 +446,10 @@ class Database(ReadPath, CommitPipeline):
         self._ensure_snapshot(txn)
         chains = self._walk_range(txn, table, table_name, lo, hi)
         txn.n_scans += 1
-        results, seen = self._resolve_scan_rows(txn, table_name, chains)
+        rows = self._resolve_scan_rows(txn, table_name, chains)
+        self._record_scan(txn, table_name, (lo, hi), rows)
         # Own uncommitted writes overlay the scan result.
-        results = self._overlay_write_set(txn, table_name, lo, hi, results)
-        self._record_scan(txn, table_name, (lo, hi), seen)
-        return results
+        return self._overlay_write_set(txn, table_name, lo, hi, rows)
 
     # ------------------------------------------------------------- writing
 

@@ -228,7 +228,9 @@ class ReadPath:
             if read_mode is not None:
                 writers = self.locks.acquire_range(txn, table_name, lo, hi, read_mode)
             # The table latch is held per chunk, not across [lo, hi].
-            chains = [pair for chunk in table.scan_chunks(lo, hi) for pair in chunk]
+            chains: list = []
+            for chunk in table.scan_chunks(lo, hi):
+                chains += chunk
             if read_mode is None:
                 return chains
             if self._meet_writers(txn, table_name, lo, hi, writers, read_mode, held):
@@ -269,8 +271,9 @@ class ReadPath:
 
     def _resolve_scan_rows(
         self, txn: Transaction, table_name: str, chains: list
-    ) -> tuple[list[tuple[Hashable, Any]], list[Hashable]]:
-        """Batch visibility resolution for a materialised scan.
+    ) -> list[tuple[Hashable, Any]]:
+        """Batch visibility resolution for a materialised scan: the
+        visible (key, value) rows, before the write-set overlay.
 
         One pass with the per-row branches of :meth:`_visible_value`
         hoisted out of the loop: the policy flags, write-set presence,
@@ -288,7 +291,6 @@ class ReadPath:
         writer whose EXCLUSIVE grant met the scan's locks, and the edge
         was dispatched there."""
         results: list[tuple[Hashable, Any]] = []
-        seen: list[Hashable] = []
         policy = txn.policy
         uses_snapshots = policy.uses_snapshots
         write_set = txn.write_set
@@ -306,7 +308,6 @@ class ReadPath:
                 if own is not _MISSING:
                     if own is not TOMBSTONE:
                         results.append((key, own))
-                        seen.append(key)
                     continue
             if uses_snapshots:
                 # Inlined tail fast path of Snapshot.visible (latch-free
@@ -334,12 +335,11 @@ class ReadPath:
                 )
             if version is not None and not version.is_tombstone:
                 results.append((key, version.value))
-                seen.append(key)
         txn.n_reads += len(chains)
         if handed:
             with self._tracker_latch:
                 policy.on_read_batch(txn, table_name, handed)
-        return results, seen
+        return results
 
     def _overlay_write_set(
         self,
@@ -368,14 +368,15 @@ class ReadPath:
         return sorted(merged.items())
 
     def _record_scan(
-        self, txn: Transaction, table_name: str, span: tuple, seen: list
+        self, txn: Transaction, table_name: str, span: tuple, rows: list
     ) -> None:
-        """History record of a predicate read.  A reader without a
-        snapshot (S2PL) read the latest committed state under its locks,
-        so its read point is the commit clock's high-water mark once the
-        scan is done."""
+        """History record of a predicate read: the keys of its resolved
+        ``rows``.  A reader without a snapshot (S2PL) read the latest
+        committed state under its locks, so its read point is the commit
+        clock's high-water mark once the scan is done."""
         if self.history is not None:
             read_ts = txn.read_ts
             if read_ts is None:
                 read_ts = self.clock.now()
-            self.history.on_scan(txn.id, table_name, span, tuple(seen), read_ts)
+            seen = tuple(key for key, _value in rows)
+            self.history.on_scan(txn.id, table_name, span, seen, read_ts)

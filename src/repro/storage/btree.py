@@ -144,11 +144,25 @@ class BPlusTree:
         include_lo: bool = True,
         include_hi: bool = True,
     ) -> Iterator[tuple[Any, Any]]:
-        """Yield (key, value) for keys in the interval [lo, hi].
+        """Yield (key, value) for keys in the interval [lo, hi], zipped
+        from :meth:`leaf_slices`."""
+        for keys, values in self.leaf_slices(lo, hi, include_lo, include_hi):
+            yield from zip(keys, values)
 
-        ``None`` bounds are open-ended.  The iterator walks the leaf chain;
-        callers must not mutate the tree while iterating (the engine
-        materialises scans before applying side effects).
+    def leaf_slices(
+        self,
+        lo: Any,
+        hi: Any,
+        include_lo: bool = True,
+        include_hi: bool = True,
+    ) -> Iterator[tuple[list[Any], list[Any]]]:
+        """Yield each leaf's ``(keys[i:j], values[i:j])`` slice of [lo, hi].
+
+        ``None`` bounds are open-ended.  ``i`` and ``j`` are bisected, so a
+        leaf costs two list slices, not a step per key.  Leaves emptied by
+        lazy deletion are stepped over; the walk stops at the first leaf
+        holding a key past ``hi``.  Callers must not mutate the tree while
+        iterating (the engine materialises scans before side effects).
         """
         if lo is None:
             node = self._root
@@ -162,16 +176,14 @@ class BPlusTree:
                 if include_lo
                 else bisect.bisect_right(leaf.keys, lo)
             )
+        cut = bisect.bisect_right if include_hi else bisect.bisect_left
         while leaf is not None:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if hi is not None:
-                    if include_hi and hi < key:
-                        return
-                    if not include_hi and not key < hi:
-                        return
-                yield key, leaf.values[index]
-                index += 1
+            keys = leaf.keys
+            end = len(keys) if hi is None else cut(keys, hi)
+            if index < end:
+                yield keys[index:end], leaf.values[index:end]
+            if end < len(keys):
+                return
             leaf = leaf.next_leaf
             index = 0
 

@@ -110,10 +110,11 @@ class Table:
         """Ordered scan of ``[lo, hi]`` in latch-bounded batches.
 
         Unlike :meth:`scan_chains`, the table latch is held only while one
-        chunk (at most ``chunk_size`` pairs, default
-        :data:`SCAN_CHUNK_SIZE`) is collected, then dropped before the chunk is yielded —
-        writers and other scans proceed between chunks.  The walk resumes
-        strictly after the previous chunk's last key, so:
+        chunk of ``chunk_size`` pairs (default :data:`SCAN_CHUNK_SIZE`;
+        only the last chunk may be shorter) is filled from B+-tree leaf
+        slices, then dropped before the chunk is yielded — writers and
+        other scans proceed between chunks.  The walk resumes strictly
+        after the previous chunk's last key, so:
 
         * a key present for the whole scan is yielded exactly once;
         * keys added/removed concurrently may or may not appear — the same
@@ -128,10 +129,11 @@ class Table:
         while True:
             chunk: list[tuple[Hashable, VersionChain]] = []
             with self.latch:
-                for pair in self._tree.range(
+                for keys, chains in self._tree.leaf_slices(
                     cursor, hi, include_lo=include_lo
                 ):
-                    chunk.append(pair)
+                    room = chunk_size - len(chunk)
+                    chunk += zip(keys[:room], chains[:room])
                     if len(chunk) >= chunk_size:
                         break
             if not chunk:

@@ -10,7 +10,8 @@ after the reader's read timestamp.
 
 A second family checks the kernel against a sorted-dict model on
 quiescent data, across bounds — a reference that shares no code with
-the engine.
+the engine.  Tables use 4- to 6-key pages, so scans cross leaves and
+chunks end mid-leaf.
 """
 
 from __future__ import annotations
@@ -40,11 +41,13 @@ write_ops = st.lists(
     ),
     max_size=8,
 )
+PAGE_SIZES = st.integers(min_value=4, max_value=6)
+TENS = st.integers(min_value=0, max_value=10)  # index keys: value // 10
 
 
-def build_db(initial):
+def build_db(initial, page_size):
     db = Database(EngineConfig())
-    db.create_table("t")
+    db.create_table("t", page_size=page_size)
     db.load("t", initial.items())
     return db
 
@@ -88,12 +91,13 @@ def fire_writer(db, kind, key, value):
     hi=st.one_of(st.none(), KEYS),
     chunk_size=st.integers(min_value=1, max_value=6),
     level=st.sampled_from(["si", "ssi"]),
+    page_size=PAGE_SIZES,
 )
 @settings(max_examples=120, deadline=None)
 def test_interfered_chunked_scan_equals_snapshot(
-    initial, writes, lo, hi, chunk_size, level
+    initial, writes, lo, hi, chunk_size, level, page_size
 ):
-    db = build_db(initial)
+    db = build_db(initial, page_size)
     table = db.table("t")
     reader = db.begin(level)
     db.get(reader, "t", -1)  # pin the snapshot before any writer runs
@@ -130,12 +134,37 @@ def test_interfered_chunked_scan_equals_snapshot(
     hi=st.one_of(st.none(), KEYS),
     chunk_size=st.integers(min_value=1, max_value=6),
     level=st.sampled_from(["si", "ssi", "s2pl"]),
+    page_size=PAGE_SIZES,
 )
 @settings(max_examples=120, deadline=None)
-def test_scan_matches_model(initial, lo, hi, chunk_size, level):
-    db = build_db(initial)
+def test_scan_matches_model(initial, lo, hi, chunk_size, level, page_size):
+    db = build_db(initial, page_size)
     txn = db.begin(level)
     with chunked(chunk_size):
         got = db.scan(txn, "t", lo, hi)
     db.abort(txn)
     assert got == model_range(initial, lo, hi)
+
+
+@given(
+    initial=initial_rows,
+    lo=st.one_of(st.none(), TENS),
+    hi=st.one_of(st.none(), TENS),
+    level=st.sampled_from(["si", "ssi", "s2pl"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_index_scan_matches_model(initial, lo, hi, level):
+    """A non-unique index scan reads the composite range ``[(lo,),
+    (hi, SUPREMUM)]`` over an index table of 4-key pages."""
+    db = Database(EngineConfig(page_size=4))
+    db.create_table("t")
+    db.load("t", initial.items())
+    db.create_index("by_tens", "t", lambda _key, value: value // 10)
+    txn = db.begin(level)
+    got = db.index_scan(txn, "by_tens", lo, hi)
+    db.abort(txn)
+    assert got == sorted(
+        (value // 10, key)
+        for key, value in initial.items()
+        if (lo is None or value // 10 >= lo) and (hi is None or value // 10 <= hi)
+    )
